@@ -12,7 +12,7 @@ export PYTHONPATH := src
 COV_FLAGS := $(shell $(PYTHON) -c "import pytest_cov" 2>/dev/null && echo --cov=repro --cov-fail-under=85)
 XDIST_FLAGS := $(shell $(PYTHON) -c "import xdist" 2>/dev/null && echo -n auto)
 
-.PHONY: install test test-fast smoke serve-smoke serve-bench serve-bench-smoke bench bench-smoke bench-micro experiments charts lint-clean all
+.PHONY: install test test-fast smoke serve-smoke serve-bench serve-bench-smoke bench bench-smoke bench-micro repo-bench repo-bench-selftest repo-bench-compare experiments charts lint-clean all
 
 install:
 	$(PYTHON) setup.py develop
@@ -76,6 +76,22 @@ bench-smoke:
 # The original pytest-benchmark micro suite (per-exhibit + substrate).
 bench-micro:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repository benchmark (bench/, declared in BENCHMARK.json): four
+# workloads end to end plus the per-layer ledger.  bench/run.py puts src/
+# on its own path; see bench/README.md.
+repo-bench:
+	$(PYTHON) bench/run.py --trace --out bench/out/result.json
+
+# The benchmark's own self-test (~100 s; not part of tier-1, whose
+# testpaths is tests/).
+repo-bench-selftest:
+	$(PYTHON) -m pytest bench/tests -q
+
+# Compare two result files: make repo-bench-compare A=parent.json B=change.json
+repo-bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make repo-bench-compare A=<result.json> B=<result.json>"; exit 2; }
+	$(PYTHON) bench/run.py --compare $(A) $(B)
 
 experiments:
 	$(PYTHON) -m repro.experiments all --out results/

@@ -22,7 +22,8 @@ summaries those queries read from:
   :func:`repro.analysis.fast.fragment_cdf_fast` over the equivalent
   per-read sequence.
 
-Every summary serializes to a JSON-friendly ``state_dict`` and restores
+Every summary serializes to a ``state_dict`` (plain scalars; histograms
+as ``(n, 2)`` int64 arrays, see :mod:`repro.util.bulkstate`) and restores
 bit-identically, so session checkpoints capture analysis state alongside
 kernel state.
 """
@@ -34,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.disk.seek_time import SeekTimeModel
+from repro.util.bulkstate import hist_to_pairs, pairs_to_hist
 from repro.util.units import gib_to_sectors
 
 
@@ -215,11 +217,13 @@ class IncrementalDistances:
         return points
 
     def state_dict(self) -> dict:
+        """Both histograms as ``(n, 2)`` int64 ``[distance, count]`` arrays
+        sorted by distance (``(0, 2)`` when empty)."""
         return {
-            "read_hist": sorted(self._read_hist.items()),
-            "write_hist": sorted(self._write_hist.items()),
+            "read_hist": hist_to_pairs(self._read_hist),
+            "write_hist": hist_to_pairs(self._write_hist),
         }
 
     def load_state(self, state: dict) -> None:
-        self._read_hist = {int(d): int(c) for d, c in state["read_hist"]}
-        self._write_hist = {int(d): int(c) for d, c in state["write_hist"]}
+        self._read_hist = pairs_to_hist(state["read_hist"])
+        self._write_hist = pairs_to_hist(state["write_hist"])

@@ -105,6 +105,7 @@ from repro.extentmap.array_map import ArrayExtentMap
 from repro.extentmap.tiers import DEFAULT_KERNEL_TIER, resolve_map_tier
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
+from repro.util.bulkstate import hist_to_pairs, pairs_to_hist
 
 #: Operations swept per chunk by the log-structured kernel.  The result is
 #: chunk-size independent (head position carries across chunks); the value
@@ -1458,7 +1459,8 @@ class IncrementalBatchReplay:
     def state_dict(self) -> dict:
         """The complete kernel state at the current batch boundary.
 
-        Scalars are plain Python values; the translator's extent map and
+        Scalars are plain Python values; the translator's extent map, the
+        fragment histogram (``(n, 2)`` ``[fragments, reads]``, sorted) and
         the undrained distance log are int64/bool numpy arrays — exactly
         the split :mod:`repro.util.npystore` persists.  Restoring the
         snapshot with :meth:`from_state` resumes the replay bit-identically.
@@ -1475,7 +1477,7 @@ class IncrementalBatchReplay:
             "trace_name": self.trace_name,
             "ops_applied": self.ops_applied,
             "track_fragments": self._track_fragments,
-            "fragment_hist": sorted(self.fragment_hist.items()),
+            "fragment_hist": hist_to_pairs(self.fragment_hist),
             "head_position": self._head_position,
             "counters": {
                 "reads": self._reads,
@@ -1514,9 +1516,7 @@ class IncrementalBatchReplay:
         translator.load_state(state["translator"])
         engine._head_position = translator.head.position
         engine.ops_applied = int(state["ops_applied"])
-        engine.fragment_hist = {
-            int(k): int(v) for k, v in state["fragment_hist"]
-        }
+        engine.fragment_hist = pairs_to_hist(state["fragment_hist"])
         counters = state["counters"]
         engine._reads = int(counters["reads"])
         engine._writes = int(counters["writes"])

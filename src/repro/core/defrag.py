@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.util.bulkstate import int_rows
+
 
 @dataclass(frozen=True)
 class DefragConfig:
@@ -94,21 +96,21 @@ class OpportunisticDefrag:
         self._access_counts.pop((lba, length), None)
 
     def state_dict(self) -> dict:
-        """JSON-serializable mutable state (checkpoint snapshot).
+        """Mutable state (checkpoint snapshot): the access counters as an
+        ``(n, 3)`` int64 ``[lba, length, count]`` array in insertion order.
 
         Configuration is *not* included — restore builds a policy from the
         same :class:`DefragConfig` and loads this state into it.
         """
         return {
-            "access_counts": [
-                [lba, length, count]
-                for (lba, length), count in self._access_counts.items()
-            ]
+            "access_counts": int_rows(
+                [(*key, count) for key, count in self._access_counts.items()], 3
+            )
         }
 
     def load_state(self, state: dict) -> None:
         """Restore :meth:`state_dict` output (replaces current state)."""
         self._access_counts = {
-            (int(lba), int(length)): int(count)
-            for lba, length, count in state["access_counts"]
+            (lba, length): count
+            for lba, length, count in int_rows(state["access_counts"], 3).tolist()
         }

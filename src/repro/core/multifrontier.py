@@ -24,6 +24,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.outcomes import AccessSource, IOOutcome, SegmentAccess
 from repro.core.translators import Translator
 from repro.extentmap.base import AddressMap
@@ -78,11 +80,12 @@ class RecencyClassifier:
         return hot
 
     def state_dict(self) -> dict:
-        """Complete mutable state: the recent-block set, oldest first."""
+        """Complete mutable state: the recent-block set as an int64 array,
+        oldest first."""
         return {
             "window": self._window,
             "block_sectors": self._block,
-            "recent": list(self._recent),
+            "recent": np.asarray(list(self._recent), dtype=np.int64),
         }
 
     def load_state(self, state: dict) -> None:
@@ -96,7 +99,8 @@ class RecencyClassifier:
                 f"{state['block_sectors']}), classifier is "
                 f"(window={self._window}, block_sectors={self._block})"
             )
-        self._recent = OrderedDict((int(block), None) for block in state["recent"])
+        recent = np.asarray(state["recent"], dtype=np.int64).tolist()
+        self._recent = OrderedDict.fromkeys(recent)
 
 
 class MultiFrontierTranslator(Translator):

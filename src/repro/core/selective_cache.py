@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.cache.lru import LRUCache
 from repro.util.units import BYTES_PER_MIB
 
@@ -100,13 +102,14 @@ class SelectiveFragmentCache:
         self._lru.clear()
 
     def state_dict(self) -> dict:
-        """JSON-serializable mutable state (checkpoint snapshot).
+        """Mutable state (checkpoint snapshot): the resident blocks as an
+        int64 array in LRU→MRU order, plus the counters.
 
         Configuration is *not* included — restore builds a cache from the
         same :class:`SelectiveCacheConfig` and loads this state into it.
         """
         return {
-            "blocks": self._lru.resident_blocks(),
+            "blocks": np.asarray(self._lru.resident_blocks(), dtype=np.int64),
             "evictions": self._lru.evictions,
             "hits": self.hits,
             "misses": self.misses,
@@ -114,6 +117,7 @@ class SelectiveFragmentCache:
 
     def load_state(self, state: dict) -> None:
         """Restore :meth:`state_dict` output (replaces current state)."""
-        self._lru.restore_blocks(state["blocks"], evictions=state["evictions"])
+        blocks = np.asarray(state["blocks"], dtype=np.int64).tolist()
+        self._lru.restore_blocks(blocks, evictions=state["evictions"])
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])

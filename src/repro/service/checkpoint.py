@@ -52,9 +52,11 @@ def _split_arrays(state, path: str, arrays: Dict[str, np.ndarray]):
     """Replace every ndarray leaf with a marker; collect them by path key.
 
     The session state is nested dicts/lists of scalars with numpy arrays
-    at the leaves (extent-map columns, undrained distances).  JSON gets
-    the scalar skeleton; each array becomes its own page-aligned ``.npy``
-    so large extent maps are stored zero-copy-loadable, not JSON-encoded.
+    at the leaves (extent-map columns, histograms, undrained distances —
+    the :mod:`repro.util.bulkstate` contract).  JSON gets the scalar
+    skeleton; each array becomes its own page-aligned ``.npy``, so bulk
+    state is stored zero-copy-loadable and this walk visits one node per
+    *array*, not per element.
     """
     if isinstance(state, np.ndarray):
         key = _sanitize_key(f"a{len(arrays)}_{path}")
@@ -94,7 +96,7 @@ def _checksum(payload_json: str, arrays: Dict[str, np.ndarray]) -> str:
         array = np.ascontiguousarray(arrays[key])
         digest.update(key.encode("utf-8"))
         digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(array.tobytes())
+        digest.update(array.data)
     return digest.hexdigest()
 
 
@@ -143,13 +145,18 @@ class CheckpointStore:
             raise ValueError(f"seq must be >= 0, got {seq}")
         arrays: Dict[str, np.ndarray] = {}
         skeleton = _split_arrays(state, "", arrays)
+        # The skeleton is encoded exactly once: the checksummed text is
+        # spliced into the header as its (alphabetically last) "state" member.
         payload_json = json.dumps(skeleton, sort_keys=True)
-        header = {
-            "kind": "repro-session-checkpoint",
-            "seq": seq,
-            "state": skeleton,
-            "sha256": _checksum(payload_json, arrays),
-        }
+        envelope = json.dumps(
+            {
+                "kind": "repro-session-checkpoint",
+                "seq": seq,
+                "sha256": _checksum(payload_json, arrays),
+            },
+            sort_keys=True,
+        )
+        header = f'{envelope[:-1]}, "state": {payload_json}}}'
         path, _won = commit_entry_dir(self.entry_path(seq), arrays, header)
         self._prune()
         return path

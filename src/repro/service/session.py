@@ -26,6 +26,9 @@ Apply path (:meth:`ReplaySession.apply_batch`), in order:
 3. **Journal, fsynced.**  The batch is durable before any state changes.
 4. **Apply.**  Feed the engine, the baseline, and the distance summary.
 5. **Maybe checkpoint.**  Every ``checkpoint_interval_ops`` applied ops.
+   The batch is already durable, so an ``OSError`` (ENOSPC, EIO) from
+   this automatic snapshot is counted (``health`` query), not raised: the
+   previous checkpoint plus a longer journal tail recover the same state.
 
 Recovery (:meth:`ReplaySession.open`) inverts this: restore the newest
 checkpoint that verifies (the store deletes ones that don't and falls
@@ -39,6 +42,7 @@ corruption).
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -127,6 +131,15 @@ class ReplaySession:
         self._interval = checkpoint_interval_ops
         self._ops_at_checkpoint = engine.ops_applied
         self._pool = pool
+        # Checkpoint health since this process opened the session (not
+        # part of the checkpointed state: recovery must stay bit-identical).
+        self._health = {
+            "checkpoints": 0,
+            "checkpoint_failures": 0,
+            "last_checkpoint_error": None,
+            "last_checkpoint_ms": None,
+            "last_checkpoint_bytes": None,
+        }
 
     # ----------------------------------------------------------------- #
     # Construction
@@ -312,8 +325,7 @@ class ReplaySession:
         self._validate_columns(is_read, lba, length)
         self._journal.append(seq, is_read, lba, length)
         self._apply_arrays(seq, is_read, lba, length)
-        if self._engine.ops_applied - self._ops_at_checkpoint >= self._interval:
-            self.checkpoint()
+        self._checkpoint_if_due()
         return {
             "seq": seq,
             "applied_seq": self._applied_seq,
@@ -491,8 +503,7 @@ class ReplaySession:
             self._apply_arrays(
                 first_seq + run_start + len(run) - 1, is_read, lba, length
             )
-            if self._engine.ops_applied - self._ops_at_checkpoint >= self._interval:
-                self.checkpoint()
+            self._checkpoint_if_due()
         return results
 
     def _apply_arrays(
@@ -521,13 +532,45 @@ class ReplaySession:
 
     def checkpoint(self) -> Path:
         """Snapshot now; rotate the journal; prune unneeded segments."""
+        path = self._save_snapshot()
+        self._advance_journal()
+        return path
+
+    def _save_snapshot(self) -> Path:
+        started = time.perf_counter()
         path = self._checkpoints.save(self._applied_seq, self.state_dict())
         self._ops_at_checkpoint = self._engine.ops_applied
+        self._health["checkpoints"] += 1
+        self._health["last_checkpoint_ms"] = (time.perf_counter() - started) * 1e3
+        self._health["last_checkpoint_bytes"] = sum(
+            member.stat().st_size for member in path.iterdir()
+        )
+        return path
+
+    def _checkpoint_if_due(self) -> None:
+        """The interval-triggered checkpoint, after a batch is durable.
+
+        Only the snapshot's own ``OSError`` is absorbed (the store leaves
+        nothing half-published, so this equals a skipped checkpoint); the
+        journal rotates only after a successful one and its errors raise.
+        """
+        ops = self._engine.ops_applied
+        if ops - self._ops_at_checkpoint < self._interval:
+            return
+        try:
+            self._save_snapshot()
+        except OSError as exc:
+            self._health["checkpoint_failures"] += 1
+            self._health["last_checkpoint_error"] = f"{type(exc).__name__}: {exc}"
+            self._ops_at_checkpoint = ops  # retry one interval on, not every batch
+            return
+        self._advance_journal()
+
+    def _advance_journal(self) -> None:
         self._journal.rotate(self._applied_seq + 1)
         retained = self._checkpoints.sequence_numbers()
         if retained:
             self._journal.prune_below(min(retained) + 1)
-        return path
 
     def close(self) -> None:
         """Checkpoint and release the journal handle."""
@@ -547,7 +590,8 @@ class ReplaySession:
         Kinds: ``applied`` (sync point for client resync), ``stats``
         (full counter set), ``saf`` (live Fig. 11 numbers), ``fragment_cdf``
         (live Fig. 5), ``seek_budget`` (running seek-time totals and the
-        Fig. 4 in-window fraction).
+        Fig. 4 in-window fraction), ``health`` (checkpoint counts, failures
+        and last cost since this process opened the session).
         """
         if kind == "applied":
             return {
@@ -579,6 +623,8 @@ class ReplaySession:
                 "read_seeks": self._distances.read_seeks,
                 "fraction_within": self._distances.fraction_within(window_gib),
             }
+        if kind == "health":
+            return dict(self._health)
         raise ValueError(f"unknown query kind {kind!r}")
 
 

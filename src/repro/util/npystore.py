@@ -43,9 +43,10 @@ def write_aligned_npy(path: Union[str, Path], array: np.ndarray) -> Path:
     The header dict is padded with spaces (terminated by the mandated
     newline) to exactly ``PAGE_ALIGN`` bytes — a legal format-1.0 header
     (any multiple of the base alignment below 64 KiB is), so ``np.load``
-    reads it back with or without ``mmap_mode``.  Only C-contiguous
-    one-dimensional arrays are expected; anything else is made contiguous
-    first.
+    reads it back with or without ``mmap_mode``.  Any shape is fine —
+    one-dimensional columns, ``(n, k)`` row tables, empty ``(0, k)`` —
+    and is stored in C order (non-contiguous input is copied first); the
+    data section is the array's own buffer, written without a copy.
     """
     array = np.ascontiguousarray(array)
     header = (
@@ -66,7 +67,7 @@ def write_aligned_npy(path: Union[str, Path], array: np.ndarray) -> Path:
         handle.write(bytes(_NPY_VERSION))
         handle.write(struct.pack("<H", len(blob)))
         handle.write(blob)
-        handle.write(array.tobytes())
+        handle.write(array.data)
         handle.flush()
         os.fsync(handle.fileno())
     return path
@@ -111,12 +112,15 @@ class CommitOutcome(NamedTuple):
 def commit_entry_dir(
     final_dir: Union[str, Path],
     arrays: Dict[str, np.ndarray],
-    header: dict,
+    header: Union[dict, str],
 ) -> CommitOutcome:
     """Atomically publish an entry directory of aligned arrays + header.
 
     Builds ``<final>.<pid>.tmp`` with one ``<key>.npy`` per array and a
     fsynced ``header.json``, then renames the whole directory into place.
+    ``header`` is the JSON document as a dict, or already encoded by a
+    caller that needed the text anyway (the checkpoint store checksums
+    it); either way it is encoded once, by the one-shot C encoder.
     If another writer won the race — the final directory already exists,
     either up front or by the time this writer renames — the temp
     directory is discarded and the existing entry stands: entries for one
@@ -138,7 +142,11 @@ def commit_entry_dir(
             write_aligned_npy(tmp_dir / f"{key}.npy", array)
         header_path = tmp_dir / "header.json"
         with open(header_path, "w") as handle:
-            json.dump(header, handle, sort_keys=True)
+            # json.dump(obj, handle) would stream through the pure-Python
+            # iterencode, several times slower than dumps on a big header.
+            handle.write(
+                header if isinstance(header, str) else json.dumps(header, sort_keys=True)
+            )
             handle.flush()
             os.fsync(handle.fileno())
         try:

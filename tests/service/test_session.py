@@ -1,5 +1,8 @@
 """ReplaySession: WAL contract, dedupe/gap, crash recovery, live queries."""
 
+import errno
+import shutil
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.core.config import LS, LS_ALL, LS_DEFRAG, NOLS
 from repro.faults.service_faults import corrupt_newest_checkpoint
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import ReplaySession, SequenceGapError
+from repro.service.wire import encode_payload
 from tests.service.helpers import (
     CAPACITY,
     batches,
@@ -199,3 +203,90 @@ def test_query_kinds_and_unknown(tmp_path):
     with pytest.raises(ValueError, match="unknown query kind"):
         session.query("nope")
     session.close()
+
+
+def test_health_query_reports_checkpoint_cost(tmp_path):
+    session = ReplaySession.create(
+        "t", tmp_path, LS, CAPACITY, checkpoint_interval_ops=100
+    )
+    for seq, is_read, lba, length in batches(make_columns(250), 50):
+        session.apply_batch(seq, is_read, lba, length)
+    health = session.query("health")
+    assert set(health) == {
+        "checkpoints",
+        "checkpoint_failures",
+        "last_checkpoint_error",
+        "last_checkpoint_ms",
+        "last_checkpoint_bytes",
+    }
+    # Checkpoint zero plus the two interval ones; nothing failed.
+    assert health["checkpoints"] == 3
+    assert health["checkpoint_failures"] == 0
+    assert health["last_checkpoint_error"] is None
+    newest = CheckpointStore(tmp_path).entry_path(4)
+    assert health["last_checkpoint_bytes"] == sum(
+        member.stat().st_size for member in newest.iterdir()
+    )
+    # The data-plane replies did not gain or lose a key.
+    assert set(session.query("applied")) == {"applied_seq", "ops"}
+    session.close()
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["batch", "group"])
+def test_failed_auto_checkpoint_does_not_fail_the_durable_batch(
+    tmp_path, monkeypatch, grouped
+):
+    """ENOSPC under an interval checkpoint: the batch is already journaled
+    and applied, so it is acked; the failure is counted, the next interval
+    retries, and recovery from the older checkpoint plus the longer WAL
+    tail is bit-identical."""
+    columns = make_columns(400, seed=3)
+    expected = reference_queries(tmp_path / "ref", LS_DEFRAG, columns, batch_ops=40)
+    root = tmp_path / "tenant"
+    session = ReplaySession.create(
+        "t", root, LS_DEFRAG, CAPACITY, checkpoint_interval_ops=120
+    )
+    store = CheckpointStore(root)
+
+    def apply(seq, is_read, lba, length):
+        if not grouped:
+            return session.apply_batch(seq, is_read, lba, length)
+        (ack,) = session.apply_group_payload(
+            seq, [len(lba)], encode_payload(is_read, lba, length)
+        )
+        assert ack.pop("ok") is True
+        return ack
+
+    def disk_full(self, seq, state):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    all_batches = batches(columns, 40)
+    with monkeypatch.context() as patch:
+        patch.setattr(CheckpointStore, "save", disk_full)
+        for batch in all_batches[:5]:
+            ack = apply(*batch)
+            assert ack["duplicate"] is False and ack["applied_seq"] == batch[0]
+        # The checkpoint due at batch 3 failed once — not again at 4 and 5.
+        health = session.query("health")
+        assert health["checkpoint_failures"] == 1
+        assert "No space left on device" in health["last_checkpoint_error"]
+        assert store.sequence_numbers() == [0]
+        assert not list(store.directory.glob("*.tmp"))
+        # Explicit checkpoints still raise.
+        with pytest.raises(OSError):
+            session.checkpoint()
+    apply(*all_batches[5])  # one interval after the failure: retried, succeeds
+    assert store.sequence_numbers() == [0, 6]
+    assert session.query("health")["checkpoint_failures"] == 1
+    apply(*all_batches[6])
+    del session  # kill -9
+
+    # Recovery from checkpoint 0 + the WAL of batches 1..7 (the failed
+    # checkpoint never rotated the journal) equals the uninterrupted run.
+    shutil.rmtree(store.entry_path(6))
+    recovered = ReplaySession.open("t", root, LS_DEFRAG, CAPACITY)
+    assert recovered.applied_seq == 7
+    for seq, is_read, lba, length in all_batches[7:]:
+        recovered.apply_batch(seq, is_read, lba, length)
+    assert session_queries(recovered) == expected
+    recovered.close()
