@@ -12,7 +12,7 @@ export PYTHONPATH := src
 COV_FLAGS := $(shell $(PYTHON) -c "import pytest_cov" 2>/dev/null && echo --cov=repro --cov-fail-under=85)
 XDIST_FLAGS := $(shell $(PYTHON) -c "import xdist" 2>/dev/null && echo -n auto)
 
-.PHONY: install test test-fast smoke serve-smoke serve-bench serve-bench-smoke bench bench-smoke bench-micro repo-bench repo-bench-selftest repo-bench-compare experiments charts lint-clean all
+.PHONY: install test test-fast smoke serve-smoke serve-bench serve-bench-smoke bench bench-smoke bench-micro repo-bench repo-bench-selftest repo-bench-compare repo-bench-pairs experiments charts lint-clean all
 
 install:
 	$(PYTHON) setup.py develop
@@ -92,6 +92,12 @@ repo-bench-selftest:
 repo-bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make repo-bench-compare A=<result.json> B=<result.json>"; exit 2; }
 	$(PYTHON) bench/run.py --compare $(A) $(B)
+
+# Ten alternating parent/change pairs with medians, quartiles and wins —
+# what a gain-claiming PR reports: make repo-bench-pairs PARENT=<ref> W=<workload>
+repo-bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make repo-bench-pairs PARENT=<git-ref> W=<workload> [PAIRS=10] [SEED=2027]"; exit 2; }
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(W) --pairs $(or $(PAIRS),10) --seed $(or $(SEED),2027)
 
 experiments:
 	$(PYTHON) -m repro.experiments all --out results/

@@ -1,47 +1,64 @@
 """Array-backed two-level implementation of
-:class:`~repro.extentmap.base.AddressMap`, engineered for the write path.
+:class:`~repro.extentmap.base.AddressMap`, engineered for the write path:
+a write costs the rows it touches, not the size of the map.
 
-:class:`~repro.extentmap.extent_map.ExtentMap` pays an O(n) Python-list
-memmove per overwrite; on write-heavy traces the map grows to hundreds of
-thousands of extents and that insert cost dominates replay (the
-``replay_ls_write_heavy`` benchmark).  :class:`ArrayExtentMap` removes it
-with an LSM-flavoured split:
-
-* **Base level** — the bulk of the mapping as parallel int64 numpy arrays
-  ``(lba, pba, length)`` in canonical form (LBA-sorted, non-overlapping,
-  merge-maximal), held in amortized-doubling capacity buffers.  The base
-  is immutable between flushes, so lookups are ``searchsorted`` + a short
-  walk and batch lookups vectorize completely.
-* **Overlay level** — recent overwrites in a small
+* **Base level** — the bulk of the mapping as parallel int64 numpy columns
+  ``(lba, pba, end)`` plus a gap-count prefix, in canonical form
+  (LBA-sorted, non-overlapping, merge-maximal), held in amortized-doubling
+  capacity buffers.  Lookups are ``searchsorted`` + a short walk and batch
+  lookups vectorize completely.
+* **Overlay level** — recent scalar overwrites in a small
   :class:`~repro.extentmap.extent_map.ExtentMap` (bounded by
-  ``flush_threshold`` extents), where the O(n) insert cost is trivially
-  small.  Resolution composes the levels: the overlay wins wherever it
-  has a mapping; the base fills the rest; anything unmapped is a hole.
+  ``flush_threshold`` extents).  Resolution composes the levels: the
+  overlay wins wherever it has a mapping; the base fills the rest;
+  anything unmapped is a hole.
 
-When the overlay reaches ``flush_threshold`` extents it is merged into
-the base in one vectorized pass (:meth:`flush`): base extents are cut at
-overlay boundaries, covered pieces dropped, survivors rank-merged with
-the overlay extents, and logically+physically contiguous neighbours
-coalesced back to canonical form.  Flushing is semantically invisible —
-it never changes what any lookup returns — so results are independent of
-the threshold (property-tested in
-``tests/extentmap/test_array_map_properties.py`` and pinned bit-for-bit
-against :class:`ExtentMap` by the differential suite).
+**One merge routine.**  :func:`_merge_over` lays sorted disjoint *upper*
+rows over *lower* rows: lower rows are cut at upper boundaries, covered
+pieces dropped, survivors rank-merged with the upper rows and contiguous
+neighbours coalesced back to canonical form.  Both ways into the base use
+it, on the base rows ``[i0, i1)`` that overlap *or abut* the incoming
+rows' LBA hull only (abutting ones so coalescing across the boundary
+stays exact); ``_splice_base`` then replaces those rows in place, moving
+the tail behind them with one slice copy per column and offsetting its
+gap prefix.  A merge is therefore O(hull rows + moved tail); the map's
+size appears only in two binary searches.
 
-The batch entry points (:meth:`map_range_batch`,
-:meth:`lookup_pieces_batch`) let the replay kernels resolve a whole run
-of operations with one boundary search per array call instead of one per
-op; see :mod:`repro.core.batch`.
+* :meth:`flush` merges the overlay when it reaches ``flush_threshold``
+  (or when a mostly-dirty read batch asks).  It is semantically invisible,
+  so results are independent of the threshold.
+* :meth:`map_range_batch` reduces a long write run to its net rows
+  (:func:`_net_extents`: later rows win) and merges them directly, never
+  touching the overlay — no per-row Python insert, no ``Extent`` objects.
 
-``map_range`` itself touches numpy only inside a flush: steady-state
-writes are pure small-list operations, and the capacity buffers are
-reused across flushes (``realloc_count`` stays flat once the map's size
-plateaus — asserted by the perf tripwire test).
+**The guard.**  A direct merge pays ~0.4 ms of fixed numpy cost plus
+~0.1 µs per hull row; the overlay route pays 2–4 µs per row plus that
+run's share of a later flush.  So a run is merged directly only when it
+has at least ``_RUN_MERGE_MIN_ROWS`` rows *and*
+``hull_rows * (1 - rows/flush_threshold) <= _INSERTS_PER_MERGED_ROW * rows``.
+Both constants are measured crossovers (565 k-row map, 1000-row runs
+confined to one region: direct wins up to a hull of ~15 rows per run row;
+at 256 rows and a hull no wider than the run the routes tie), not knobs.
+The case the guard exists for: 1000-write batches spread uniformly over a
+565 k-row map would re-merge the whole base per batch (unguarded: 67–98
+µs/write); guarded they take the overlay route and cost what they did
+before the hull restriction (25 µs/write), while 8192-write batches —
+at or above the flush threshold — merge directly (11 vs 24 µs/write).
+Scalar ``map_range`` (defrag rewrites) and short runs stay row by row.
+
+Every route is pinned to :class:`ExtentMap` bit for bit
+(``tests/extentmap/test_array_map_write_path.py``,
+``test_array_map_properties.py``, the differential suite): same
+``extent_arrays()``, same tilings, same error at the same row with the
+rows before it applied.  ``counters()`` exposes the level sizes and the
+monotone work counters (flushes, reallocations, rows merged and moved,
+direct run merges); ``realloc_count`` stays flat once the map's size
+plateaus.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -60,6 +77,16 @@ DEFAULT_FLUSH_THRESHOLD = 4096
 #: each dirty query.  Read-heavy hot-data workloads hit the overlay with
 #: nearly every read; below the bound the splice path is cheaper.
 _FLUSH_ON_DIRTY_QUERIES = 24
+
+#: Shortest write run ``map_range_batch`` nets and merges directly; below
+#: it the fixed numpy cost of a merge (~0.4 ms) loses to ~2 µs per row
+#: through the overlay.  Like the ratio below, measured, not tunable.
+_RUN_MERGE_MIN_ROWS = 256
+
+#: Overlay inserts one merged base row costs as much as: a run is merged
+#: directly only while its hull stays under this many base rows per row
+#: of the run (net of its share of the flush it would have caused).
+_INSERTS_PER_MERGED_ROW = 10
 
 _I8 = np.int64
 
@@ -95,8 +122,7 @@ class ArrayExtentMap(AddressMap):
         self._capacity = 0
         self._lba = np.empty(0, dtype=_I8)
         self._pba = np.empty(0, dtype=_I8)
-        self._len = np.empty(0, dtype=_I8)
-        self._end = np.empty(0, dtype=_I8)  # _lba + _len, cached per flush
+        self._end = np.empty(0, dtype=_I8)  # exclusive LBA end per row
         self._gap = np.empty(0, dtype=_I8)  # prefix count of inter-extent gaps
         self._overlay = ExtentMap()
         self._overlay_bounds_cache = None  # (starts, ends) arrays, or None
@@ -105,6 +131,11 @@ class ArrayExtentMap(AddressMap):
         #: Capacity-buffer reallocations (the perf tripwire asserts this
         #: stays flat at steady state — no per-call numpy reallocation).
         self.realloc_count = 0
+        #: Base rows re-merged (the hulls), tail rows moved behind a splice,
+        #: write runs merged without passing through the overlay.
+        self.rows_merged = 0
+        self.rows_moved = 0
+        self.run_merges = 0
 
     def __len__(self) -> int:
         self.flush()
@@ -112,13 +143,7 @@ class ArrayExtentMap(AddressMap):
 
     def __iter__(self) -> Iterator[Extent]:
         """Iterate extents in LBA order (do not mutate while iterating)."""
-        self.flush()
-        n = self._n
-        lba, pba, length = (
-            self._lba[:n].tolist(),
-            self._pba[:n].tolist(),
-            self._len[:n].tolist(),
-        )
+        lba, pba, length = (column.tolist() for column in self.extent_arrays())
         return iter([Extent(*row) for row in zip(lba, pba, length)])
 
     def __repr__(self) -> str:
@@ -126,6 +151,19 @@ class ArrayExtentMap(AddressMap):
             f"ArrayExtentMap(n_base={self._n}, "
             f"n_overlay={len(self._overlay)}, flushes={self.flush_count})"
         )
+
+    def counters(self) -> Dict[str, int]:
+        """Level sizes and the monotone work counters, read as they stand
+        (no flush forced)."""
+        return {
+            "base_rows": self._n,
+            "overlay_rows": len(self._overlay),
+            "flush_count": self.flush_count,
+            "realloc_count": self.realloc_count,
+            "rows_merged": self.rows_merged,
+            "rows_moved": self.rows_moved,
+            "run_merges": self.run_merges,
+        }
 
     # ------------------------------------------------------------------ #
     # AddressMap interface — scalar
@@ -192,7 +230,7 @@ class ArrayExtentMap(AddressMap):
 
     def mapped_sector_count(self) -> int:
         self.flush()
-        return int(self._len[: self._n].sum())
+        return int((self._end[: self._n] - self._lba[: self._n]).sum())
 
     # ------------------------------------------------------------------ #
     # Batch entry points (the replay kernels' hot calls)
@@ -204,13 +242,29 @@ class ArrayExtentMap(AddressMap):
         """Apply many overwrites in order.
 
         Exactly equivalent to calling :meth:`map_range` per row (same
-        results, same validation errors at the same row); the batch form
-        saves per-call dispatch and lets the kernels hand over a whole
-        write run at once.
+        results, same validation errors at the same row, rows before it
+        applied).  A long run whose hull is narrow enough is reduced to
+        its net canonical rows and merged into the base directly; short
+        or widely scattered runs go row by row through the overlay.
         """
+        rows = len(lba)
+        threshold = self._flush_threshold
+        # A run with an invalid row goes row by row: the loop applies the
+        # rows before it and raises map_range's own error.
+        if rows >= _RUN_MERGE_MIN_ROWS and not (
+            (length <= 0) | (lba < 0) | (pba < 0)
+        ).any():
+            end = lba + length
+            i0, i1 = self._hull(lba.min(), end.max())
+            # Merging now costs the hull; the overlay route costs a Python
+            # insert per row plus this run's share of the next flush.
+            if (i1 - i0) * (threshold - rows) <= _INSERTS_PER_MERGED_ROW * rows * threshold:
+                self.flush()
+                self._merge_rows(*_net_extents(lba, pba, end))
+                self.run_merges += 1
+                return
         overlay_map_range = self._overlay.map_range
         overlay = self._overlay
-        threshold = self._flush_threshold
         self._overlay_bounds_cache = None
         for row in zip(lba.tolist(), pba.tolist(), length.tolist()):
             overlay_map_range(*row)
@@ -284,7 +338,7 @@ class ArrayExtentMap(AddressMap):
         """
         self.flush()
         n = self._n
-        return self._lba[:n].copy(), self._pba[:n].copy(), self._len[:n].copy()
+        return self._lba[:n].copy(), self._pba[:n].copy(), self._end[:n] - self._lba[:n]
 
     @classmethod
     def from_extent_arrays(cls, lba, pba, length) -> "ArrayExtentMap":
@@ -300,7 +354,7 @@ class ArrayExtentMap(AddressMap):
         validate_extent_rows(lba, length)
         instance = cls()
         if len(lba):
-            instance._install_base(*_coalesce(lba, pba, lba + length))
+            instance._splice_base(0, 0, *_coalesce(lba, pba, lba + length))
         return instance
 
     def flush(self) -> None:
@@ -308,72 +362,13 @@ class ArrayExtentMap(AddressMap):
 
         Public so callers that are done writing (e.g. before a big batch
         of reads) can pay the merge at a moment of their choosing; never
-        required for correctness.
+        required for correctness.  Costs the base rows under the overlay's
+        LBA hull plus the tail moved behind them, not the whole base.
         """
-        overlay = self._overlay
-        n_overlay = len(overlay)
-        if n_overlay == 0:
+        if len(self._overlay) == 0:
             return
-        o_lba, o_pba, o_len = overlay.extent_arrays()
-        o_end = o_lba + o_len
-        n = self._n
-        if n == 0:
-            self._install_base(o_lba, o_pba, o_end)
-        else:
-            base_lba = self._lba[:n]
-            base_pba = self._pba[:n]
-            base_end = self._end[:n]
-            # 1. Cut base extents at overlay boundaries so every piece is
-            # either fully covered by the overlay or fully clear of it.
-            cuts = np.unique(np.concatenate((o_lba, o_end)))
-            lo = np.searchsorted(cuts, base_lba, side="right")
-            hi = np.searchsorted(cuts, base_end, side="left")
-            inner = hi - lo
-            counts = inner + 1
-            offsets = np.empty(n + 1, dtype=_I8)
-            offsets[0] = 0
-            np.cumsum(counts, out=offsets[1:])
-            total = int(offsets[-1])
-            piece_start = np.empty(total, dtype=_I8)
-            piece_start[offsets[:-1]] = base_lba
-            if total > n:
-                src = np.repeat(lo, inner) + _ranges(inner)
-                dst = np.repeat(offsets[:-1] + 1, inner) + _ranges(inner)
-                piece_start[dst] = cuts[src]
-            piece_end = np.empty(total, dtype=_I8)
-            piece_end[: total - 1] = piece_start[1:]
-            piece_end[offsets[1:] - 1] = base_end
-            extent_id = np.repeat(np.arange(n, dtype=_I8), counts)
-            piece_pba = base_pba[extent_id] + (piece_start - base_lba[extent_id])
-            # 2. Drop pieces the overlay overwrites (a piece never crosses
-            # an overlay boundary, so containment of its start suffices).
-            containing = np.searchsorted(o_lba, piece_start, side="right") - 1
-            covered = (containing >= 0) & (
-                o_end[np.maximum(containing, 0)] > piece_start
-            )
-            keep = ~covered
-            kept_start = piece_start[keep]
-            kept_end = piece_end[keep]
-            kept_pba = piece_pba[keep]
-            # 3. Rank-merge survivors with the overlay extents (both
-            # sorted, mutually disjoint — no ties possible).
-            n_kept = len(kept_start)
-            pos_base = np.arange(n_kept, dtype=_I8) + np.searchsorted(o_lba, kept_start)
-            pos_overlay = np.arange(n_overlay, dtype=_I8) + np.searchsorted(
-                kept_start, o_lba
-            )
-            merged = n_kept + n_overlay
-            m_lba = np.empty(merged, dtype=_I8)
-            m_pba = np.empty(merged, dtype=_I8)
-            m_end = np.empty(merged, dtype=_I8)
-            m_lba[pos_base] = kept_start
-            m_pba[pos_base] = kept_pba
-            m_end[pos_base] = kept_end
-            m_lba[pos_overlay] = o_lba
-            m_pba[pos_overlay] = o_pba
-            m_end[pos_overlay] = o_end
-            # 4. Coalesce back to canonical (merge-maximal) form.
-            self._install_base(*_coalesce(m_lba, m_pba, m_end))
+        o_lba, o_pba, o_len = self._overlay.extent_arrays()
+        self._merge_rows(o_lba, o_pba, o_lba + o_len)
         self._overlay = ExtentMap()
         self._overlay_bounds_cache = None
         self.flush_count += 1
@@ -382,29 +377,65 @@ class ArrayExtentMap(AddressMap):
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _install_base(
-        self, lba: np.ndarray, pba: np.ndarray, end: np.ndarray
+    def _hull(self, start: int, end: int) -> Tuple[int, int]:
+        """Base rows ``[i0, i1)`` overlapping *or abutting* ``[start, end)``
+        — abutting ones included so boundary coalescing stays exact."""
+        n = self._n
+        return (
+            int(np.searchsorted(self._end[:n], start, side="left")),
+            int(np.searchsorted(self._lba[:n], end, side="right")),
+        )
+
+    def _merge_rows(self, lba: np.ndarray, pba: np.ndarray, end: np.ndarray) -> None:
+        """Lay canonical disjoint rows over the base: only the base rows
+        under their hull are re-cut, re-ranked and re-coalesced."""
+        i0, i1 = self._hull(lba[0], end[-1])
+        self.rows_merged += i1 - i0
+        merged = _merge_over(
+            self._lba[i0:i1], self._pba[i0:i1], self._end[i0:i1], lba, pba, end
+        )
+        self._splice_base(i0, i1, *merged)
+
+    def _splice_base(
+        self, i0: int, i1: int, lba: np.ndarray, pba: np.ndarray, end: np.ndarray
     ) -> None:
-        """Copy canonical rows into the capacity buffers and refresh the
-        derived ``end``/gap-prefix caches."""
-        n = len(lba)
-        if n > self._capacity:
-            capacity = max(1024, 1 << max(n - 1, 1).bit_length())
-            self._lba = np.empty(capacity, dtype=_I8)
-            self._pba = np.empty(capacity, dtype=_I8)
-            self._len = np.empty(capacity, dtype=_I8)
-            self._end = np.empty(capacity, dtype=_I8)
-            self._gap = np.empty(capacity, dtype=_I8)
-            self._capacity = capacity
+        """Replace base rows ``[i0, i1)`` with the given canonical rows inside
+        the capacity buffers: the tail moves with one slice copy per column,
+        the gap prefix is recounted over the new rows and offset behind
+        them, and buffers are reallocated only on growth."""
+        n = self._n
+        at = i0 + len(lba)  # where the old tail [i1, n) lands
+        new_n = at + n - i1
+        columns = (self._lba, self._pba, self._end, self._gap)
+        if new_n > self._capacity:
+            self._capacity = max(1024, 1 << (new_n - 1).bit_length())
+            grown = tuple(np.empty(self._capacity, dtype=_I8) for _ in columns)
+            for fresh, old in zip(grown, columns):
+                fresh[:i0] = old[:i0]
+                fresh[at:new_n] = old[i1:n]
+            self._lba, self._pba, self._end, self._gap = grown
             self.realloc_count += 1
-        self._lba[:n] = lba
-        self._pba[:n] = pba
-        self._end[:n] = end
-        np.subtract(end, lba, out=self._len[:n])
-        if n:
-            self._gap[0] = 0
-            np.cumsum(self._end[: n - 1] != self._lba[1:n], out=self._gap[1:n])
-        self._n = n
+        elif at != i1 and i1 < n:
+            for column in columns:
+                column[at:new_n] = column[i1:n]
+            self.rows_moved += n - i1
+        self._lba[i0:at] = lba
+        self._pba[i0:at] = pba
+        self._end[i0:at] = end
+        self._n = new_n
+        # gap[j] counts the holes between rows 0..j; rows i0..at changed
+        # predecessor, everything behind them shifts by a constant.
+        gap = self._gap
+        if i0 == 0:
+            gap[0] = 0
+        lo, hi = max(i0, 1), min(at + 1, new_n)
+        if lo < hi:
+            stale = int(gap[hi - 1])  # the tail's first row still holds its old count
+            np.cumsum(self._end[lo - 1 : hi - 1] != self._lba[lo:hi], out=gap[lo:hi])
+            gap[lo:hi] += gap[lo - 1]
+            shift = int(gap[hi - 1]) - stale
+            if shift and hi < new_n:
+                gap[hi:new_n] += shift
 
     def _overlay_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         cached = self._overlay_bounds_cache
@@ -569,6 +600,86 @@ class ArrayExtentMap(AddressMap):
             out_len[at:stop] = piece_len
             out_hole[at:stop] = piece_hole
         return out_pba, out_len, out_hole, offsets
+
+
+def _merge_over(l_lba, l_pba, l_end, u_lba, u_pba, u_end):
+    """Canonical rows of the mapping ``upper`` laid over ``lower`` (both
+    LBA-sorted and disjoint; ``upper`` wins where they overlap)."""
+    n = len(l_lba)
+    if n == 0:
+        return _coalesce(u_lba, u_pba, u_end)
+    # 1. Cut lower rows at upper boundaries so every piece is either
+    # fully covered by an upper row or fully clear of them all.
+    cuts = np.unique(np.concatenate((u_lba, u_end)))
+    lo = np.searchsorted(cuts, l_lba, side="right")
+    hi = np.searchsorted(cuts, l_end, side="left")
+    inner = hi - lo
+    counts = inner + 1
+    offsets = np.empty(n + 1, dtype=_I8)
+    offsets[0] = 0
+    np.cumsum(counts, out=offsets[1:])
+    total = int(offsets[-1])
+    piece_start = np.empty(total, dtype=_I8)
+    piece_start[offsets[:-1]] = l_lba
+    if total > n:
+        src = np.repeat(lo, inner) + _ranges(inner)
+        dst = np.repeat(offsets[:-1] + 1, inner) + _ranges(inner)
+        piece_start[dst] = cuts[src]
+    piece_end = np.empty(total, dtype=_I8)
+    piece_end[: total - 1] = piece_start[1:]
+    piece_end[offsets[1:] - 1] = l_end
+    row = np.repeat(np.arange(n, dtype=_I8), counts)
+    piece_pba = l_pba[row] + (piece_start - l_lba[row])
+    # 2. Drop pieces an upper row overwrites (a piece never crosses an
+    # upper boundary, so containment of its start suffices).
+    containing = np.searchsorted(u_lba, piece_start, side="right") - 1
+    keep = (containing < 0) | (u_end[np.maximum(containing, 0)] <= piece_start)
+    kept_start = piece_start[keep]
+    # 3. Rank-merge survivors with the upper rows (both sorted, mutually
+    # disjoint — no ties possible): upper rows land at their rank, the
+    # survivors fill the rest in order.
+    at_upper = np.arange(len(u_lba), dtype=_I8) + np.searchsorted(kept_start, u_lba)
+    from_lower = np.ones(len(kept_start) + len(u_lba), dtype=bool)
+    from_lower[at_upper] = False
+    merged = []
+    for kept, upper in ((kept_start, u_lba), (piece_pba[keep], u_pba), (piece_end[keep], u_end)):
+        column = np.empty(len(from_lower), dtype=_I8)
+        column[from_lower] = kept
+        column[at_upper] = upper
+        merged.append(column)
+    # 4. Coalesce back to canonical (merge-maximal) form.
+    return _coalesce(*merged)
+
+
+def _net_extents(lba: np.ndarray, pba: np.ndarray, end: np.ndarray):
+    """What a run of overwrites applied in order leaves mapped, as
+    canonical disjoint rows (later rows win)."""
+    order = np.argsort(lba, kind="stable")
+    s_lba, s_end = lba[order], end[order]
+    if (s_lba[1:] >= s_end[:-1]).all():  # pairwise disjoint: order is moot
+        return _coalesce(s_lba, pba[order], s_end)
+    # Elementary cells between consecutive boundaries; each belongs to the
+    # last row covering it — a range-max of the row index, pushed down a
+    # sparse table one level at a time (a row of span s covers its range
+    # with two blocks of size 2**floor(log2(s))).
+    cuts = np.unique(np.concatenate((lba, end)))
+    first = np.searchsorted(cuts, lba)
+    last = np.searchsorted(cuts, end)
+    level = np.frexp(last - first)[1] - 1
+    winner = np.full(len(cuts) - 1, -1, dtype=_I8)
+    for lv in range(int(level.max()), -1, -1):
+        rows = np.flatnonzero(level == lv)
+        np.maximum.at(winner, first[rows], rows)
+        np.maximum.at(winner, last[rows] - (1 << lv), rows)
+        if lv:
+            half = 1 << (lv - 1)
+            above = winner
+            winner = above.copy()
+            np.maximum(winner[half:], above[:-half], out=winner[half:])
+    cell = np.flatnonzero(winner >= 0)
+    won = winner[cell]
+    start = cuts[cell]
+    return _coalesce(start, pba[won] + (start - lba[won]), cuts[cell + 1])
 
 
 def _coalesce(lba: np.ndarray, pba: np.ndarray, end: np.ndarray):

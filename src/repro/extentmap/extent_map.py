@@ -217,9 +217,8 @@ class ExtentMap(AddressMap):
         import numpy as np
 
         instance = cls()
-        validate_extent_rows(
-            np.asarray(lba, dtype=np.int64), np.asarray(length, dtype=np.int64)
-        )
+        lba, pba, length = (np.asarray(col, dtype=np.int64) for col in (lba, pba, length))
+        validate_extent_rows(lba, length)
         extents = [
             Extent(row_lba, row_pba, row_length)
             for row_lba, row_pba, row_length in zip(

@@ -210,18 +210,21 @@ def _run_queries(
 ) -> None:
     clients: Dict[str, ReplayClient] = {}
     try:
+        # First query at once, then one per interval: a run shorter than
+        # the interval still measures query latency.
         turn = 0
-        while not stop.wait(interval_s):
+        while True:
             run = runs[turn % len(runs)]
             turn += 1
-            if not run.opened.is_set():
-                continue
-            name = run.spec.name
-            if name not in clients:
-                clients[name] = ReplayClient(host, port, name).connect()
-            sent = time.perf_counter()
-            clients[name].query("stats")
-            latencies_ms.append((time.perf_counter() - sent) * 1e3)
+            if run.opened.is_set():
+                name = run.spec.name
+                if name not in clients:
+                    clients[name] = ReplayClient(host, port, name).connect()
+                sent = time.perf_counter()
+                clients[name].query("stats")
+                latencies_ms.append((time.perf_counter() - sent) * 1e3)
+            if stop.wait(interval_s):
+                break
     except (ConnectionError, OSError):
         pass  # daemon went away under us at shutdown — apply side decides
     except BaseException as exc:  # pragma: no cover - surfaced by caller

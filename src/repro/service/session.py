@@ -62,6 +62,7 @@ from repro.core.config import (
 )
 from repro.core.metrics import seek_amplification
 from repro.core.outcomes import SimStats
+from repro.extentmap.array_map import ArrayExtentMap
 from repro.extentmap.tiers import DEFAULT_KERNEL_TIER, resolve_map_tier
 from repro.service.checkpoint import CheckpointStore
 from repro.service.journal import OpJournal, RefRecord
@@ -591,7 +592,8 @@ class ReplaySession:
         (full counter set), ``saf`` (live Fig. 11 numbers), ``fragment_cdf``
         (live Fig. 5), ``seek_budget`` (running seek-time totals and the
         Fig. 4 in-window fraction), ``health`` (checkpoint counts, failures
-        and last cost since this process opened the session).
+        and last cost since this process opened the session, plus the
+        array-tier extent map's level sizes and work counters).
         """
         if kind == "applied":
             return {
@@ -624,7 +626,13 @@ class ReplaySession:
                 "fraction_within": self._distances.fraction_within(window_gib),
             }
         if kind == "health":
-            return dict(self._health)
+            health = dict(self._health)
+            address_map = getattr(self._engine.translator, "address_map", None)
+            if callable(address_map):  # the zoned translator's is a method
+                address_map = address_map()
+            if isinstance(address_map, ArrayExtentMap):
+                health["extent_map"] = address_map.counters()
+            return health
         raise ValueError(f"unknown query kind {kind!r}")
 
 

@@ -149,6 +149,14 @@ class TestExtentArrays:
             assert _triples(rebuilt) == _triples(amap)
 
     @pytest.mark.parametrize("cls", [ArrayExtentMap, ExtentMap])
+    def test_from_extent_arrays_accepts_lists(self, cls):
+        rebuilt = cls.from_extent_arrays([0, 10], [100, 200], [5, 5])
+        assert _triples(rebuilt) == [(0, 100, 5), (10, 200, 5)]
+        assert rebuilt.lookup(3, 9) == [
+            Segment(3, 103, 2), Segment(5, None, 5), Segment(10, 200, 2)
+        ]
+
+    @pytest.mark.parametrize("cls", [ArrayExtentMap, ExtentMap])
     def test_from_extent_arrays_rejects_nonpositive_length(self, cls):
         with pytest.raises(ValueError):
             cls.from_extent_arrays([0, 10], [100, 200], [5, 0])

@@ -55,6 +55,18 @@ def test_mixed_wire_tenants_report_fully(daemon, tmp_path):
 
 
 @pytest.mark.slow
+def test_run_shorter_than_query_interval_still_queries(daemon):
+    # One 500-op batch is acked long before a 30 s interval elapses once:
+    # the sidecar must query when it starts, not after its first wait.
+    report = run_load(
+        "127.0.0.1", daemon, [_spec("brief", "bin", ops=500)], query_interval_s=30.0
+    )
+    assert report.ops == 500 and report.seconds < 30.0
+    assert report.queries >= 1
+    assert report.query_p99_ms > 0
+
+
+@pytest.mark.slow
 def test_paced_burst_schedule_stretches_the_run(daemon):
     # The daemon could absorb 4000 ops instantly, but pacing must hold
     # the run open until at least the last scheduled send.

@@ -218,7 +218,14 @@ def test_health_query_reports_checkpoint_cost(tmp_path):
         "last_checkpoint_error",
         "last_checkpoint_ms",
         "last_checkpoint_bytes",
+        "extent_map",
     }
+    # The array-tier map's gauges, read without forcing a flush.
+    assert set(health["extent_map"]) == {
+        "base_rows", "overlay_rows", "flush_count", "realloc_count",
+        "rows_merged", "rows_moved", "run_merges",
+    }
+    assert health["extent_map"]["base_rows"] + health["extent_map"]["overlay_rows"] > 0
     # Checkpoint zero plus the two interval ones; nothing failed.
     assert health["checkpoints"] == 3
     assert health["checkpoint_failures"] == 0
@@ -229,6 +236,14 @@ def test_health_query_reports_checkpoint_cost(tmp_path):
     )
     # The data-plane replies did not gain or lose a key.
     assert set(session.query("applied")) == {"applied_seq", "ops"}
+    session.close()
+
+
+def test_health_has_no_extent_map_without_the_array_tier(tmp_path):
+    session = ReplaySession.create("t", tmp_path, NOLS, CAPACITY)
+    for seq, is_read, lba, length in batches(make_columns(100), 50):
+        session.apply_batch(seq, is_read, lba, length)
+    assert "extent_map" not in session.query("health")
     session.close()
 
 

@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the repository benchmark.
+
+    python tools/bench_pairs.py --parent <git-ref> --workload W [W ...]
+                                [--change <git-ref>] [--pairs 10] [--seed 2027]
+
+Exports the parent commit (``git archive``) and the change — another ref,
+or by default the working tree's tracked and unignored files — into two
+fresh temporary directories, then runs ``bench/run.py --workload W --seed S
+--seconds N --trace 0`` in each, alternating which side goes first.  Per
+end-to-end metric of ``BENCHMARK.json`` it prints both medians with their
+quartiles, the ratio, and in how many pairs the change was better; a gain
+counts as shown when the change wins at least nine pairs in ten and the
+medians differ by more than the parent's interquartile distance.
+
+It only *calls* the benchmark: nothing under ``bench/`` is imported or
+edited, and both sides run their own checkout's copy of it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def export(ref, dest: Path) -> None:
+    """``ref``'s tree — or, for ``None``, the working tree — into ``dest``."""
+    dest.mkdir(parents=True)
+    if ref is not None:
+        archive = subprocess.run(
+            ["git", "archive", ref], cwd=REPO, check=True, capture_output=True
+        )
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+        return
+    listed = subprocess.run(
+        ["git", "ls-files", "-co", "--exclude-standard", "-z"],
+        cwd=REPO, check=True, capture_output=True,
+    )
+    for name in filter(None, listed.stdout.decode().split("\0")):
+        if (REPO / name).is_file():  # listed but deleted in the working tree
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(REPO / name, dest / name)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run; the metrics of its last stdout line."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    try:
+        line = json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        line = {"correct": False, "failed": 1}
+    if done.returncode or not line["correct"] or line["failed"]:
+        raise SystemExit(
+            f"{checkout.name}/{workload}: run failed\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+        )
+    return {name: entry["value"] for name, entry in line["metrics"].items()}
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def summarise(parent, change, higher_is_better: bool) -> dict:
+    """Medians, quartiles, ratio, wins and the section-8 verdict for one
+    metric over paired runs (``parent[i]`` ran beside ``change[i]``)."""
+    p_med, p_q1, p_q3 = quartiles(parent)
+    c_med, c_q1, c_q3 = quartiles(change)
+    sign = 1 if higher_is_better else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    decided = len(parent) - ties
+    gain = (
+        decided > 0
+        and wins >= 0.9 * decided
+        and sign * (c_med - p_med) > (p_q3 - p_q1)
+    )
+    return {
+        "parent": [p_med, p_q1, p_q3], "change": [c_med, c_q1, c_q3],
+        "ratio": c_med / p_med if p_med else float("nan"),
+        "wins": wins, "pairs": decided, "gain": gain,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git ref of the parent commit")
+    parser.add_argument("--change", default=None, help="git ref (default: the working tree)")
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=2027)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--out", default=None, help="write every run and the summary here")
+    args = parser.parse_args(argv)
+
+    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    report = {"args": vars(args), "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(args.parent, sides["parent"])
+        export(args.change, sides["change"])
+        for workload in args.workload:
+            runs = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_once(sides[side], workload, args.seed, args.seconds))
+                print(f"{workload} pair {pair + 1}/{args.pairs} " + "  ".join(
+                    f"{side} {runs[side][-1][metrics[0]['name']]:.4g}" for side in order
+                ), flush=True)
+            summary = {
+                m["name"]: summarise(
+                    [r[m["name"]] for r in runs["parent"]],
+                    [r[m["name"]] for r in runs["change"]],
+                    m["better"] == "higher",
+                )
+                for m in metrics
+            }
+            report["workloads"][workload] = {"runs": runs, "summary": summary}
+            for m in metrics:
+                s = summary[m["name"]]
+                print(
+                    f"{workload:18s} {m['name']:13s} "
+                    "parent {:.4g} [{:.4g}, {:.4g}]  change {:.4g} [{:.4g}, {:.4g}]  ".format(
+                        *s["parent"], *s["change"])
+                    + f"ratio {s['ratio']:.3f}  change better {s['wins']}/{s['pairs']}"
+                    + ("  GAIN" if s["gain"] else "")
+                )
+    if args.out:
+        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
