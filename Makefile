@@ -12,7 +12,7 @@ export PYTHONPATH := src
 COV_FLAGS := $(shell $(PYTHON) -c "import pytest_cov" 2>/dev/null && echo --cov=repro --cov-fail-under=85)
 XDIST_FLAGS := $(shell $(PYTHON) -c "import xdist" 2>/dev/null && echo -n auto)
 
-.PHONY: install test test-fast smoke serve-smoke serve-bench serve-bench-smoke bench bench-smoke bench-micro repo-bench repo-bench-selftest repo-bench-compare repo-bench-pairs experiments charts lint-clean all
+.PHONY: install test test-fast smoke serve-smoke serve-bench serve-bench-smoke bench bench-smoke repo-bench repo-bench-selftest repo-bench-compare repo-bench-pairs loc experiments charts lint-clean all
 
 install:
 	$(PYTHON) setup.py develop
@@ -73,10 +73,6 @@ serve-bench-smoke:
 bench-smoke:
 	$(PYTHON) benchmarks/bench_kernels.py --ops 10000 --no-runner --out /tmp/BENCH_smoke.json
 
-# The original pytest-benchmark micro suite (per-exhibit + substrate).
-bench-micro:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 # The repository benchmark (bench/, declared in BENCHMARK.json): four
 # workloads end to end plus the per-layer ledger.  bench/run.py puts src/
 # on its own path; see bench/README.md.
@@ -98,6 +94,11 @@ repo-bench-compare:
 repo-bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make repo-bench-pairs PARENT=<git-ref> W=<workload> [PAIRS=10] [SEED=2027]"; exit 2; }
 	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(W) --pairs $(or $(PAIRS),10) --seed $(or $(SEED),2027)
+
+# Physical and code lines per src/repro package, and for the two replay
+# modules (ROADMAP: net src/ LOC is tracked per PR).
+loc:
+	$(PYTHON) tools/loc.py
 
 experiments:
 	$(PYTHON) -m repro.experiments all --out results/

@@ -1,7 +1,6 @@
 """Macro-benchmark of the replay kernels; writes ``BENCH_core.json``.
 
-Unlike the pytest-benchmark micro suite (``make bench-micro``), this is a
-plain script producing a small, diffable JSON artifact that
+A plain script producing a small, diffable JSON artifact that
 ``check_regression.py`` gates against the checked-in baseline::
 
     python benchmarks/bench_kernels.py --out benchmarks/BENCH_core.json

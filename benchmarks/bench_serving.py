@@ -18,8 +18,8 @@ real WAL fsyncs, live queries running alongside):
 
 Plus a ``durability`` micro pinning the session hot path in isolation
 (no sockets): per-batch journaled apply vs group-commit journaled apply
-on the same ops — the group side's win is the fsync amortization, which
-is exactly what ``benchmarks/bench_service.py`` measures ungated; here
+on the same ops — the group side's win is the fsync amortization (the
+repository benchmark's ``service.session.group16_ops_per_s`` row); here
 it feeds the regression gate.
 
 Writes ``benchmarks/BENCH_serving.json``; gated by
@@ -54,8 +54,8 @@ from repro.util.rss import peak_rss_mib
 
 SCHEMA_VERSION = 1
 DEFAULT_OPS = 1_000_000
-#: PR 6's shipped batch size (its smoke, tests and bench_service.py all
-#: stream 200-op JSON batches) vs the binary plane's framed batches.
+#: PR 6's shipped batch size (its smoke and tests stream 200-op JSON
+#: batches) vs the binary plane's framed batches.
 REFERENCE_BATCH_OPS = 200
 BINARY_BATCH_OPS = 2_000
 WINDOW = 64
@@ -63,7 +63,8 @@ TENANTS = 2
 MIXTURE = "read_hot"
 #: Checkpoint cadence for both sides: high enough that the benchmark
 #: measures the data plane, not checkpoint serialization (whose cost is
-#: identical on both sides and covered by bench_service.py).
+#: identical on both sides and covered by bench/'s ``service.checkpoint.*``
+#: rows).
 CHECKPOINT_INTERVAL_OPS = 250_000
 DURABILITY_OPS = 20_000
 DURABILITY_BATCH_OPS = 200

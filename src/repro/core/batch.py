@@ -1,4 +1,4 @@
-"""Vectorized (numpy) batch replay kernels for the translators.
+"""Vectorized (numpy) batch replay: one driver, placement the only variable.
 
 The reference replay path — :class:`~repro.core.simulator.Simulator`
 driving :meth:`Translator.submit` — materializes an
@@ -6,52 +6,66 @@ driving :meth:`Translator.submit` — materializes an
 :class:`~repro.core.outcomes.SegmentAccess` per fragment and one
 :class:`~repro.disk.head.AccessEvent` per head movement) for every
 operation.  That per-op object traffic is what makes multi-million-op
-replays slow, not the extent-map arithmetic.  This module replays the same
-translators over numpy op arrays instead:
+replays slow, not the extent-map arithmetic.  This module replays the
+same translators over numpy op columns instead, and it does so with the
+paper's model written once: walk the ops, place each write somewhere,
+resolve each read into fragments, count a seek whenever an access does
+not start where the last one ended.
 
-* **NoLS** is stateless, so each batch collapses to array expressions over
-  the op columns — no Python loop at all.
-* **Log-structured** replay is stateful (the extent map evolves with every
-  write), so the kernel sweeps the ops in *chunks*: a tight Python loop
-  per chunk performs only the stateful work (extent-map lookups via
-  :meth:`~repro.extentmap.base.AddressMap.lookup_pieces`, frontier
-  appends, technique-policy calls), appending bare integers to flat
-  access-stream buffers; seek classification and distance accumulation
-  over each chunk's access stream are then fully vectorized.
+**The driver** (:class:`IncrementalBatchReplay`) owns everything the
+translators share:
 
-All kernels are **exact**, not approximate: they reproduce the reference
-path's seek counts, seek-distance log, aggregate statistics and final
-extent-map state bit for bit (the differential suite under
-``tests/differential/`` is the oracle).  The finite-log translators are
-covered too:
+* column coercion and the range pre-scan (ops ahead of the first request
+  crossing into the log apply, then the reference's error is raised);
+* splitting the batch into maximal write runs and read runs;
+* one order-preserving access-stream buffer — vectorized runs append
+  arrays, per-op paths spill bare integers that are drained into an array
+  chunk whenever order requires it;
+* read-run resolution: one
+  :meth:`~repro.extentmap.array_map.ArrayExtentMap.lookup_pieces_batch`
+  call for a technique-free run; for the seek-reduction techniques, a
+  per-read replay of the cache → prefetch → disk → defrag decisions over
+  windows of batch-resolved pieces (a defrag rewrite makes only the range
+  it rewrote stale); per-read ``lookup_pieces`` for tiny runs and
+  non-array maps;
+* the stat fold (array expressions over the op columns and the per-op
+  fragment counts), the pure seek classifier :func:`classify_seeks`, and
+  the head sync onto the translator.
 
-* **Multi-frontier** replay keeps one running frontier per class;
-  classification (:class:`~repro.core.multifrontier.RecencyClassifier`)
-  is inherently sequential (each write's verdict depends on the recent
-  set as *its* predecessors left it), so the write loop stays scalar but
-  inlined, while mapping (:meth:`~ArrayExtentMap.map_range_batch` per
-  run), read resolution and seek classification are vectorized.
-* **Zoned-cleaning** replay maintains per-zone live-sector counts in a
-  :class:`~repro.extentmap.live_counts.ZoneLiveCounts` array (scatter-add
-  invalidation), checks the clean trigger with two integer compares per
-  write, and on trigger *splits the chunk at the episode boundary*: the
-  buffered access stream is seek-classified up to the boundary, the head
-  is synced onto the translator, and the cleaning episode runs through
-  the translator's own ``_ensure_room`` — exact by construction — before
-  batching resumes.
+**Placement** is what is left per translator family — *where the next
+write run's sectors go*:
 
-Translator features with no kernel — fault injection, retry policies,
-recorders — fall back to the reference simulator when selected through
-:func:`repro.experiments.common.replay_with`, which now reports *why*
-via :class:`BatchSupport` / :attr:`BatchUnsupportedError.reason` instead
-of silently downgrading.
+* single frontier (plain LS): the frontier plus one exclusive cumsum;
+  defrag rewrites allocate from the same frontier;
+* N frontiers (:class:`~repro.core.multifrontier.MultiFrontierTranslator`):
+  a sequential classification loop — each write's verdict depends on the
+  recent set as *its* predecessors left it — that keeps one running
+  frontier per class;
+* zoned with episodes
+  (:class:`~repro.core.cleaning.ZonedCleaningTranslator`): batched
+  prefixes laid out over the zone queue, split at each cleaning episode,
+  which runs through the translator's own ``_ensure_room`` after the
+  driver has classified what is buffered and synced the head.
+
+NoLS has no placement at all (PBA = LBA): its op columns are the access
+stream, and a batch is a handful of array expressions.
+
+Everything is **exact**, not approximate: seek counts, the seek-distance
+log, aggregate statistics and the final translator state equal the
+reference path's bit for bit (the differential suite under
+``tests/differential/`` is the oracle), whatever the batch size, run
+shape or extent-map tier.  Translator features outside this model —
+fault injection, retry policies, recorders — fall back to the reference
+simulator when selected through
+:func:`repro.experiments.common.replay_with`, which reports *why* via
+:class:`BatchSupport` / :attr:`BatchUnsupportedError.reason`.
 
 Resumable replay
 ----------------
 
-The kernels live in :class:`IncrementalBatchReplay`, a **chunk-resumable
-engine with explicit serializable state**: feed ops in arbitrary batches,
-snapshot the complete kernel state at any batch boundary
+:class:`IncrementalBatchReplay` is a **chunk-resumable engine with
+explicit serializable state**: feed ops in arbitrary batches, snapshot
+the complete kernel state at any batch boundary
 (:meth:`~IncrementalBatchReplay.state_dict`), restore it into a fresh
 process (:meth:`~IncrementalBatchReplay.from_state`) and continue —
 the final stats, seek-distance log and translator state are bit-identical
@@ -60,7 +74,9 @@ to a one-shot replay of the same op stream (Hypothesis-tested in
 lets the streaming service (:mod:`repro.service`) keep per-tenant replay
 state resident, checkpoint it, and recover from a ``kill -9`` — and what
 bounds replay memory for arbitrarily long op streams.
-:func:`batch_replay` is a thin one-shot wrapper over the same engine.
+:func:`batch_replay` is a thin one-shot wrapper over the same engine, and
+:func:`repro.core.stream.record_fragment_stream` is the same driver with
+the classified access stream retained.
 
 Doctest (a write then a fragmenting overwrite-and-read)::
 
@@ -127,6 +143,9 @@ _MIN_BATCH_READ_RUN = 16
 #: configurations; a defrag rewrite invalidates the resolved window, so
 #: windowing bounds the work thrown away when one fires.
 _READ_RESOLVE_WINDOW = 512
+
+# A stale range overlapping every read: nothing was pre-resolved.
+_EVERY_LBA = (0, 1 << 63)
 
 
 class BatchUnsupportedError(ValueError):
@@ -271,6 +290,580 @@ def batch_replay_translator(
     return engine.result()
 
 
+# --------------------------------------------------------------------- #
+# The shared pipeline pieces: seek classification and the access buffer
+# --------------------------------------------------------------------- #
+
+
+def classify_seeks(
+    pba: np.ndarray,
+    length: np.ndarray,
+    kind: np.ndarray,
+    head_position: Optional[int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[int]]:
+    """Seek classification of an access stream (the paper's §II metric).
+
+    An access seeks when it does not start where the previous one ended;
+    the first access of a stream starts from ``head_position`` (``None``:
+    a fresh head, which positions freely).  Returns ``(seek, distances,
+    seek_kinds, end_position)``: the per-access seek mask, then the signed
+    distance and kind code of each seeking access in access order, and the
+    head position after the stream (``head_position`` when it is empty).
+    Pure: every replay path — the batch driver, stream evaluation and the
+    stream-derived analyses — classifies through this one function.
+    """
+    if pba.shape[0] == 0:
+        return (
+            np.empty(0, dtype=bool),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int8),
+            head_position,
+        )
+    prev_end = np.empty_like(pba)
+    prev_end[0] = pba[0] if head_position is None else head_position
+    np.add(pba[:-1], length[:-1], out=prev_end[1:])
+    seek = pba != prev_end
+    return seek, (pba - prev_end)[seek], kind[seek], int(pba[-1] + length[-1])
+
+
+def _concat(chunks: List[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
+
+
+class _AccessBuffer:
+    """Order-preserving access-stream buffer (disk accesses only).
+
+    Vectorized runs :meth:`extend` it with whole arrays; scalar paths append
+    bare integers to three spill lists through the bound ``append_*``
+    methods, and the spill is drained into an array chunk whenever a
+    vector chunk must follow it, so the stream stays in access order.
+    """
+
+    __slots__ = (
+        "_chunks", "_pba", "_len", "_kind",
+        "append_pba", "append_len", "append_kind",
+    )
+
+    def __init__(self) -> None:
+        self._chunks: List[tuple] = []
+        self._pba: List[int] = []
+        self._len: List[int] = []
+        self._kind: List[int] = []
+        self.append_pba = self._pba.append
+        self.append_len = self._len.append
+        self.append_kind = self._kind.append
+
+    def _drain_spill(self) -> None:
+        if self._pba:
+            self._chunks.append(
+                (
+                    np.asarray(self._pba, dtype=np.int64),
+                    np.asarray(self._len, dtype=np.int64),
+                    np.asarray(self._kind, dtype=np.int8),
+                )
+            )
+            # In place: the bound append_* methods must stay valid.
+            del self._pba[:]
+            del self._len[:]
+            del self._kind[:]
+
+    def extend(self, pba: np.ndarray, length: np.ndarray, kind: int) -> None:
+        """Append one vectorized run of same-kind accesses."""
+        self._drain_spill()
+        self._chunks.append((pba, length, np.full(len(pba), kind, np.int8)))
+
+    def take(self) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Remove and return everything buffered as ``(pba, length, kind)``
+        arrays, or ``None`` when nothing is."""
+        self._drain_spill()
+        chunks, self._chunks = self._chunks, []
+        if len(chunks) < 2:
+            return chunks[0] if chunks else None
+        return tuple(
+            np.concatenate([chunk[column] for chunk in chunks])
+            for column in range(3)
+        )
+
+
+# --------------------------------------------------------------------- #
+# Write placement: the one part of replay that varies per translator
+# --------------------------------------------------------------------- #
+
+
+class _Placement:
+    """Where the next write run's sectors go, for one translator family.
+
+    One instance lives for one :meth:`IncrementalBatchReplay.feed_arrays`
+    call.  :meth:`write_run` assigns a PBA to every sector of a maximal
+    write run, appends the resulting accesses to the shared buffer, maps
+    them (``map_range`` per op, or one ``map_range_batch`` on an
+    :class:`ArrayExtentMap` run of at least ``_MIN_BATCH_WRITE_RUN`` ops)
+    and leaves the translator's own placement state exactly where the
+    reference per-op loop would — after every run, so the driver never has
+    to write anything back, on success or on error.  Everything else (run
+    splitting, reads, folding, seek classification) is the driver's.
+    """
+
+    #: The range pre-scan rejects writes too, not only reads.
+    checks_writes = False
+    #: Seek-reduction techniques the read path replays (single frontier only).
+    defrag = prefetcher = cache = None
+
+    def __init__(self, translator, buffer: _AccessBuffer, flush) -> None:
+        self.translator = translator
+        self.amap = translator._map
+        self.batched = isinstance(self.amap, ArrayExtentMap)
+        self.buffer = buffer
+        #: Driver hook: seek-classify what is buffered and sync the head
+        #: onto the translator *now* (used at cleaning-episode boundaries).
+        self.flush = flush
+
+    def range_error(self, lba: int, length: int) -> str:
+        """The reference's message for a request crossing into the log."""
+        raise NotImplementedError
+
+    def write_run(self, run_lba: np.ndarray, run_len: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+class _SingleFrontier(_Placement):
+    """Plain LS: every write — host or defrag rewrite — goes to the one
+    frontier, so a run's PBAs are the frontier plus an exclusive cumsum."""
+
+    def __init__(self, translator, buffer, flush) -> None:
+        super().__init__(translator, buffer, flush)
+        self.defrag = translator.defrag
+        self.prefetcher = translator.prefetcher
+        self.cache = translator.cache
+
+    def range_error(self, lba: int, length: int) -> str:
+        return (
+            f"request [{lba}, {lba + length}) crosses the frontier base "
+            f"{self.translator.frontier_base}; size the log above the "
+            "workload's LBA space"
+        )
+
+    def allocate(self, sectors: int) -> int:
+        """Reserve ``sectors`` at the frontier; returns their first PBA."""
+        pba = self.translator._frontier
+        self.translator._frontier = pba + sectors
+        return pba
+
+    def write_run(self, run_lba: np.ndarray, run_len: np.ndarray) -> None:
+        run_ops = len(run_len)
+        if self.batched and run_ops >= _MIN_BATCH_WRITE_RUN:
+            run_pba = np.empty(run_ops, dtype=np.int64)
+            run_pba[0] = 0
+            np.cumsum(run_len[:-1], out=run_pba[1:])
+            run_pba += self.allocate(int(run_pba[-1] + run_len[-1]))
+            self.amap.map_range_batch(run_lba, run_pba, run_len)
+            self.buffer.extend(run_pba, run_len, _KIND_WRITE)
+            return
+        buffer = self.buffer
+        append_pba = buffer.append_pba
+        append_len = buffer.append_len
+        append_kind = buffer.append_kind
+        map_range = self.amap.map_range
+        frontier = self.translator._frontier
+        for op_lba, op_length in zip(run_lba.tolist(), run_len.tolist()):
+            append_pba(frontier)
+            append_len(op_length)
+            append_kind(_KIND_WRITE)
+            map_range(op_lba, frontier, op_length)
+            frontier += op_length
+        self.translator._frontier = frontier
+
+
+class _MultiFrontier(_Placement):
+    """One running frontier per write class.
+
+    Classification is inherently sequential — each write's verdict depends
+    on the recent-block set exactly as *its* predecessors left it — so the
+    loop stays scalar, with the stock :class:`RecencyClassifier` LRU update
+    inlined (no method dispatch, no per-op objects); any other classifier
+    goes through ``classify_and_note`` per op.  The PBAs the loop assigns
+    *are* the N-frontier exclusive cumsum, so a long run still maps in one
+    call, in op order (overlapping writes resolve like the reference).
+    """
+
+    def range_error(self, lba: int, length: int) -> str:
+        return (
+            f"read end {lba + length} crosses the log base "
+            f"{self.translator.frontier_base}"
+        )
+
+    def write_run(self, run_lba: np.ndarray, run_len: np.ndarray) -> None:
+        translator = self.translator
+        classifier = translator.classifier
+        inline_classify = type(classifier) is RecencyClassifier
+        if inline_classify:
+            recent = classifier._recent
+            window = classifier._window
+            block_sectors = classifier._block
+        frontier_base = translator.frontier_base
+        region_sectors = translator.region_sectors
+        frontiers = translator._frontiers
+        frontier_writes = translator._frontier_writes
+        switches = translator.frontier_switches
+        last_idx = translator._last_frontier
+        batch_run = self.batched and len(run_len) >= _MIN_BATCH_WRITE_RUN
+        buffer = self.buffer
+        append_pba = buffer.append_pba
+        append_len = buffer.append_len
+        append_kind = buffer.append_kind
+        map_range = self.amap.map_range
+        pba_list: List[int] = []
+        exhausted: Optional[int] = None
+        for op_lba, op_length in zip(run_lba.tolist(), run_len.tolist()):
+            if inline_classify:
+                first_block = op_lba // block_sectors
+                last_block = (op_lba + op_length - 1) // block_sectors
+                hot = False
+                for block in range(first_block, last_block + 1):
+                    if block in recent:
+                        hot = True
+                        break
+                for block in range(first_block, last_block + 1):
+                    if block in recent:
+                        recent.move_to_end(block)
+                    else:
+                        recent[block] = None
+                while len(recent) > window:
+                    recent.popitem(last=False)
+                index = 1 if hot else 0
+            else:
+                index = int(classifier.classify_and_note(op_lba, op_length))
+            frontier_writes[index] += 1
+            frontier = frontiers[index]
+            if frontier + op_length > frontier_base + (index + 1) * region_sectors:
+                # As the per-op loop leaves it: the violating op is
+                # classified and counted, but its frontier does not advance.
+                exhausted = index
+                break
+            frontiers[index] = frontier + op_length
+            if last_idx is not None and last_idx != index:
+                switches += 1
+            last_idx = index
+            if batch_run:
+                pba_list.append(frontier)
+            else:
+                append_pba(frontier)
+                append_len(op_length)
+                append_kind(_KIND_WRITE)
+                map_range(op_lba, frontier, op_length)
+        if pba_list:
+            applied = len(pba_list)
+            run_pba = np.asarray(pba_list, dtype=np.int64)
+            self.amap.map_range_batch(run_lba[:applied], run_pba, run_len[:applied])
+            buffer.extend(run_pba, run_len[:applied], _KIND_WRITE)
+        translator.frontier_switches = switches
+        translator._last_frontier = last_idx
+        if exhausted is not None:
+            raise ValueError(
+                f"{_frontier_label(exhausted)} log region exhausted; "
+                "enlarge region_sectors"
+            )
+
+
+class _ZonedWithEpisodes(_Placement):
+    """Zone-frontier appends, split at cleaning episodes.
+
+    Between episodes a write run batches: three vectorized compares over
+    the run's length cumsum find the first op that is oversized, outruns
+    the ``writable`` tally or trips the clean trigger, and every op before
+    it is laid out over the zone queue in one shot.  That op (if any) takes
+    the scalar body: the driver's ``flush`` hook seek-classifies what is
+    buffered and syncs the head, then the episode runs through the
+    translator's own ``_ensure_room`` — victim selection, relocation and
+    cleaning-seek accounting are the reference code itself, so episodes are
+    exact by construction — after which the tallies resync and batching
+    resumes from the post-episode head position.  Episode relocations
+    never enter the access stream (the reference produces no ``IOOutcome``
+    for them either; they count only in ``cleaning_stats``).
+    """
+
+    checks_writes = True  # submit() range-checks every request first
+
+    def __init__(self, translator, buffer, flush) -> None:
+        super().__init__(translator, buffer, flush)
+        # O(zones) to compute, so carried across the feed's write runs.
+        self.writable = translator._writable_sectors()
+        self.free = translator.free_zones()
+
+    def range_error(self, lba: int, length: int) -> str:
+        return (
+            f"request end {lba + length} crosses the identity/log boundary "
+            f"{self.translator._base}"
+        )
+
+    def write_run(self, run_lba: np.ndarray, run_len: np.ndarray) -> None:
+        translator = self.translator
+        amap = self.amap
+        batched = self.batched
+        lookup_pieces = amap.lookup_pieces
+        map_range = amap.map_range
+        buffer = self.buffer
+        append_pba = buffer.append_pba
+        append_len = buffer.append_len
+        append_kind = buffer.append_kind
+
+        base = translator._base
+        reserve = translator._reserve
+        half_capacity = translator._zones.capacity_sectors // 2
+        zone_sectors = translator._zones.zone_sectors
+        zones_list = translator._zones.zones
+        open_order = translator._open_order
+        live = translator._live
+        entries = translator._entries
+        zone_write_seq = translator._zone_write_seq
+        cleaning_stats = translator.cleaning_stats
+        write_seq = translator._write_seq
+        writable = self.writable
+        free = self.free
+        host_written = 0
+        too_large: Optional[int] = None
+
+        run_ops = len(run_len)
+        run_lba_list = run_lba.tolist()
+        run_len_list = run_len.tolist()
+        i = 0
+        while i < run_ops:
+            if batched and run_ops - i >= _MIN_BATCH_WRITE_RUN:
+                # ---- batched prefix: every op strictly before the first
+                # that is oversized, outruns the writable tally, or trips
+                # the clean trigger.  That op (if any) falls through to the
+                # scalar body, which runs the episode exactly; batching
+                # resumes after it.
+                seg_len = run_len[i:]
+                cum = np.cumsum(seg_len)
+                before = cum - seg_len
+                j = translator._open_idx
+                while j < len(open_order) and zones_list[open_order[j]].is_full:
+                    j += 1
+                m = 0
+                if j < len(open_order):
+                    # Zones turning non-empty strictly before each op: the
+                    # frontier's remaining r0, then whole (empty, by queue
+                    # construction) zones.
+                    frontier = zones_list[open_order[j]]
+                    r0 = frontier.end - frontier.write_pointer
+                    opened = (before - r0 + zone_sectors - 1) // zone_sectors
+                    np.maximum(opened, 0, out=opened)
+                    if frontier.write_pointer == frontier.start:
+                        opened += before > 0
+                    bad = (
+                        (seg_len > half_capacity)
+                        | (writable - before < seg_len)
+                        | (free - opened < reserve)
+                    )
+                    m = int(bad.argmax()) if bad.any() else run_ops - i
+                if m:
+                    # Lay the prefix out over the zone queue.
+                    total = int(cum[m - 1])
+                    zone_caps: List[int] = []
+                    zone_phys: List[int] = []
+                    zone_pos: List[int] = []
+                    covered = 0
+                    jj = j
+                    while covered < total:
+                        zone = zones_list[open_order[jj]]
+                        if jj > j and zone.write_pointer != zone.start:
+                            m = 0  # queue invariant broken: go scalar
+                            break
+                        zone_caps.append(zone.end - zone.write_pointer)
+                        zone_phys.append(zone.write_pointer)
+                        zone_pos.append(jj)
+                        covered += zone_caps[-1]
+                        jj += 1
+                if m:
+                    # Split ops at zone boundaries (virtual offsets
+                    # 0..total over the laid-out capacity).
+                    lens = seg_len[:m]
+                    op_start = before[:m]
+                    op_end = cum[:m]
+                    caps = np.asarray(zone_caps, dtype=np.int64)
+                    zone_ends = np.cumsum(caps)
+                    zone_starts = zone_ends - caps
+                    first_region = np.searchsorted(zone_ends, op_start, side="right")
+                    last_region = np.searchsorted(zone_ends, op_end - 1, side="right")
+                    reps = last_region - first_region + 1
+                    n_pieces = int(reps.sum())
+                    if n_pieces == m:
+                        piece_region = first_region
+                        piece_v = op_start
+                        piece_len = lens
+                        piece_lba = run_lba[i : i + m]
+                    else:
+                        offs = np.zeros(m, dtype=np.int64)
+                        np.cumsum(reps[:-1], out=offs[1:])
+                        intra = np.arange(n_pieces, dtype=np.int64) - offs.repeat(reps)
+                        piece_region = first_region.repeat(reps) + intra
+                        op_start_rep = op_start.repeat(reps)
+                        piece_v = np.maximum(op_start_rep, zone_starts[piece_region])
+                        piece_len = (
+                            np.minimum(op_end.repeat(reps), zone_ends[piece_region])
+                            - piece_v
+                        )
+                        piece_lba = run_lba[i : i + m].repeat(reps) + (
+                            piece_v - op_start_rep
+                        )
+                    phys = np.asarray(zone_phys, dtype=np.int64)
+                    piece_pba = base + phys[piece_region] + (
+                        piece_v - zone_starts[piece_region]
+                    )
+                    # Map and access stream, in op order (the map applies
+                    # rows in order, so intra-prefix overwrites land
+                    # exactly as scalar would).
+                    amap.map_range_batch(piece_lba, piece_pba, piece_len)
+                    buffer.extend(piece_pba, piece_len, _KIND_WRITE)
+                    # Ledger, write stamps, zone pointers per zone.
+                    region_counts = np.bincount(
+                        piece_region, minlength=len(caps)
+                    ).tolist()
+                    pba_list = piece_pba.tolist()
+                    lba_list = piece_lba.tolist()
+                    len_list = piece_len.tolist()
+                    pos = 0
+                    for region, count in enumerate(region_counts):
+                        if not count:
+                            continue
+                        zone = zones_list[open_order[zone_pos[region]]]
+                        if zone.write_pointer == zone.start:
+                            free -= 1
+                        zone_id = zone.zone_id
+                        entries[zone_id].extend(
+                            zip(
+                                pba_list[pos : pos + count],
+                                lba_list[pos : pos + count],
+                                len_list[pos : pos + count],
+                            )
+                        )
+                        zone_write_seq[zone_id] = write_seq + pos + count - 1
+                        zone.write_pointer += (
+                            min(total, int(zone_ends[region]))
+                            - int(zone_starts[region])
+                        )
+                        pos += count
+                    write_seq += n_pieces
+                    writable -= total
+                    translator._open_idx = zone_pos[int(piece_region[-1])]
+                    host_written += total
+                    # Live counts: superseding and crediting net out to the
+                    # mapped-live invariant, so rebuild the counts wholesale
+                    # from the post-prefix map instead of invalidating per
+                    # op.
+                    _, map_pba_arr, map_len_arr = amap.extent_arrays()
+                    in_log = map_pba_arr >= base
+                    live.recompute_from_extents(
+                        map_pba_arr[in_log] - base, map_len_arr[in_log]
+                    )
+                    i += m
+                    continue
+            op_lba = run_lba_list[i]
+            op_length = run_len_list[i]
+            i += 1
+            host_written += op_length
+            if op_length > half_capacity:
+                # As the per-op loop leaves it: the violating op is counted
+                # as host-written, nothing else of it is applied.
+                too_large = op_length
+                break
+            if writable < op_length or free < reserve:
+                # Episode boundary: close the buffered stream and sync the
+                # head, run the episode via the translator's own cleaning
+                # code, resync.
+                self.flush()
+                translator._write_seq = write_seq
+                cleaning_stats.host_written_sectors += host_written
+                host_written = 0
+                translator._ensure_room(op_length)
+                write_seq = translator._write_seq
+                writable = translator._writable_sectors()
+                free = translator.free_zones()
+            # Invalidate what this write supersedes (against the pre-write
+            # map, as _invalidate does).
+            pieces = lookup_pieces(op_lba, op_length)
+            if len(pieces) == 1:
+                s_pba, s_len, s_hole = pieces[0]
+                if not s_hole and s_pba >= base:
+                    live.decrement_range(s_pba - base, s_len)
+            else:
+                dec_pba = [p - base for p, _l, h in pieces if not h and p >= base]
+                if dec_pba:
+                    dec_len = [
+                        piece_len
+                        for p, piece_len, h in pieces
+                        if not h and p >= base
+                    ]
+                    live.decrement_ranges(
+                        np.asarray(dec_pba, dtype=np.int64),
+                        np.asarray(dec_len, dtype=np.int64),
+                    )
+            # Append at the zone frontier, splitting per zone (inline
+            # ZonedAddressSpace.write — its validations hold by
+            # construction here).
+            remaining = op_length
+            cursor = op_lba
+            while remaining:
+                zone = translator._current_zone()
+                zone_remaining = zone.end - zone.write_pointer
+                take = remaining if remaining < zone_remaining else zone_remaining
+                pba = zone.write_pointer
+                zone.write_pointer = pba + take
+                if pba == zone.start:
+                    free -= 1
+                append_pba(base + pba)
+                append_len(take)
+                append_kind(_KIND_WRITE)
+                map_range(cursor, base + pba, take)
+                zone_id = zone.zone_id
+                live.add(zone_id, take)
+                entries[zone_id].append((base + pba, cursor, take))
+                zone_write_seq[zone_id] = write_seq
+                write_seq += 1
+                writable -= take
+                cursor += take
+                remaining -= take
+
+        translator._write_seq = write_seq
+        cleaning_stats.host_written_sectors += host_written
+        self.writable = writable
+        self.free = free
+        if too_large is not None:
+            raise ValueError(
+                f"write of {too_large} sectors too large for the configured log"
+            )
+
+
+# --------------------------------------------------------------------- #
+# The driver
+# --------------------------------------------------------------------- #
+
+_PLACEMENTS = {
+    InPlaceTranslator: None,  # stateless: PBA = LBA, no placement at all
+    LogStructuredTranslator: _SingleFrontier,
+    MultiFrontierTranslator: _MultiFrontier,
+    ZonedCleaningTranslator: _ZonedWithEpisodes,
+}
+
+# state_dict() counter key -> SimStats field, in snapshot order.
+_COUNTERS = (
+    ("reads", "reads"),
+    ("writes", "writes"),
+    ("sectors_read", "sectors_read"),
+    ("sectors_written", "sectors_written"),
+    ("read_fragments", "read_fragments"),
+    ("fragmented_reads", "fragmented_reads"),
+    ("cache_hits", "cache_fragment_hits"),
+    ("buffer_hits", "buffer_fragment_hits"),
+    ("defrag_rewrites", "defrag_rewrites"),
+    ("defrag_sectors", "defrag_rewritten_sectors"),
+    ("read_seeks", "read_seeks"),
+    ("write_seeks", "write_seeks"),
+    ("defrag_write_seeks", "defrag_write_seeks"),
+)
+
+
 class IncrementalBatchReplay:
     """Chunk-resumable exact replay with explicit serializable state.
 
@@ -293,8 +886,7 @@ class IncrementalBatchReplay:
         track_fragments: Maintain a per-read fragment-count histogram
             (``{fragment_count: reads}``) alongside the counters.  The
             streaming service derives the live Fig. 5 fragment CDF from
-            it; off by default so one-shot replays don't pay the extra
-            dict update per read.
+            it; off by default so one-shot replays don't pay for it.
     """
 
     def __init__(
@@ -303,42 +895,20 @@ class IncrementalBatchReplay:
         trace_name: str = "stream",
         track_fragments: bool = False,
     ) -> None:
-        self._ls: Optional[LogStructuredTranslator] = None
-        self._mf: Optional[MultiFrontierTranslator] = None
-        self._zc: Optional[ZonedCleaningTranslator] = None
-        if type(translator) is LogStructuredTranslator:
-            self._ls = translator
-        elif type(translator) is MultiFrontierTranslator:
-            self._mf = translator
-        elif type(translator) is ZonedCleaningTranslator:
-            self._zc = translator
-        elif type(translator) is not InPlaceTranslator:
+        try:
+            self._placement = _PLACEMENTS[type(translator)]
+        except KeyError:
             raise BatchUnsupportedError(
                 f"no batch kernel for {type(translator).__name__}; "
                 "use the reference Simulator",
                 reason=f"translator {type(translator).__name__}",
-            )
+            ) from None
         self._translator = translator
         self.trace_name = trace_name
         self.ops_applied = 0
         self._track_fragments = track_fragments
         self.fragment_hist: Dict[int, int] = {}
-        self._head_position = translator.head.position
-
-        # Scalar accumulators (folded into a SimStats by result()).
-        self._reads = 0
-        self._writes = 0
-        self._sectors_read = 0
-        self._sectors_written = 0
-        self._read_fragments = 0
-        self._fragmented_reads = 0
-        self._cache_hits = 0
-        self._buffer_hits = 0
-        self._defrag_rewrites = 0
-        self._defrag_sectors = 0
-        self._read_seeks = 0
-        self._write_seeks = 0
-        self._defrag_write_seeks = 0
+        self._counters: Dict[str, int] = {key: 0 for key, _field in _COUNTERS}
 
         # Undrained seek-distance log, in access order.
         self._distance_chunks: List[np.ndarray] = []
@@ -355,7 +925,7 @@ class IncrementalBatchReplay:
     @property
     def log_structured(self) -> bool:
         """True for stateful (chunked) kernels: LS, multi-frontier, cleaning."""
-        return self._ls is not None or self._mf is not None or self._zc is not None
+        return self._placement is not None
 
     # ----------------------------------------------------------------- #
     # Feeding
@@ -382,1014 +952,260 @@ class IncrementalBatchReplay:
     def feed_arrays(
         self, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray
     ) -> None:
-        """Replay one batch already in column form (any kernel).
+        """Replay one batch already in column form (any translator).
 
-        The zero-conversion entry point: the NoLS kernel is one array
-        expression over the columns, and the log-structured kernel splits
-        the batch into write/read runs and drives the address map's batch
-        entry points directly (:meth:`feed` is a thin packing wrapper
-        over this).
+        The zero-conversion entry point (:meth:`feed` is a thin packing
+        wrapper over this).  Columns are coerced to contiguous bool /
+        int64 / int64 — a no-op for arrays already in that form — so wire
+        payloads (``uint8`` flags) and plain lists replay identically;
+        columns of unequal length raise ``ValueError``.
         """
-        if self.log_structured:
-            columns = (
-                np.ascontiguousarray(is_read, dtype=bool),
-                np.ascontiguousarray(lba, dtype=np.int64),
-                np.ascontiguousarray(length, dtype=np.int64),
+        is_read = np.ascontiguousarray(is_read, dtype=bool)
+        lba = np.ascontiguousarray(lba, dtype=np.int64)
+        length = np.ascontiguousarray(length, dtype=np.int64)
+        if not len(is_read) == len(lba) == len(length):
+            raise ValueError(
+                "op columns differ in length: "
+                f"is_read={len(is_read)}, lba={len(lba)}, length={len(length)}"
             )
-            if self._ls is not None:
-                self._feed_ls_arrays(*columns)
-            elif self._mf is not None:
-                self._feed_mf_arrays(*columns)
+        if len(lba) == 0:
+            return
+        if self._placement is None:
+            # NoLS: every request is one access at PBA = LBA, so the
+            # columns *are* the access stream.
+            self._fold_ops(is_read, length, np.ones(len(lba), dtype=np.int64))
+            self._log_accesses(lba, length, (~is_read).view(np.int8))
+        else:
+            self._replay_runs(is_read, lba, length)
+
+    def _replay_runs(
+        self,
+        is_read: np.ndarray,
+        lba: np.ndarray,
+        length: np.ndarray,
+        retain: Optional[List[tuple]] = None,
+    ) -> np.ndarray:
+        """The log-structured driver: run-split replay of one batch.
+
+        The batch is cut into maximal write runs and read runs.  A write
+        run goes to the translator family's :class:`_Placement`; a read
+        run resolves against the map (:meth:`_read_run`); both append to
+        one access buffer, which is seek-classified once at the end (and
+        at cleaning-episode boundaries, through the placement's ``flush``
+        hook).  All paths are exact and produce identical access streams,
+        so results are independent of run shape, map tier and batch size.
+
+        Ops ahead of the first request crossing into the log still apply,
+        then the reference's ``ValueError`` is raised — like any placement
+        error, with the translator left as the per-op loop leaves it and
+        the engine partially advanced (discard it; restore a snapshot).
+
+        Returns the per-op fragment counts (1 for writes).  ``retain``
+        collects the classified ``(pba, length, kind)`` stream segments
+        for :func:`repro.core.stream.record_fragment_stream`.
+        """
+        n = len(lba)
+        buffer = _AccessBuffer()
+
+        def flush() -> None:
+            accesses = buffer.take()
+            if accesses is not None:
+                self._log_accesses(*accesses)
+                if retain is not None:
+                    retain.append(accesses)
+
+        placement = self._placement(self._translator, buffer, flush)
+        violation = lba + length > self._translator.frontier_base
+        if not placement.checks_writes:
+            violation &= is_read
+        stop = int(violation.argmax()) if violation.any() else n
+
+        fragments = np.ones(n, dtype=np.int64)
+        if stop:
+            edges = np.flatnonzero(np.diff(is_read[:stop].view(np.int8))) + 1
+            run_bounds = [0, *edges.tolist(), stop]
+        else:
+            run_bounds = [0]
+        for run_start, run_stop in zip(run_bounds[:-1], run_bounds[1:]):
+            run_lba = lba[run_start:run_stop]
+            run_len = length[run_start:run_stop]
+            if is_read[run_start]:
+                fragments[run_start:run_stop] = self._read_run(
+                    placement, run_lba, run_len
+                )
             else:
-                self._feed_cleaning_arrays(*columns)
-            return
-        n = len(lba)
-        if n == 0:
-            return
-        prev_end = np.empty(n, dtype=np.int64)
-        prev_end[0] = lba[0] if self._head_position is None else self._head_position
-        np.add(lba[:-1], length[:-1], out=prev_end[1:])
-        seek = lba != prev_end
-        distances = (lba - prev_end)[seek]
-        dist_is_read = np.ascontiguousarray(is_read[seek])
-        reads = int(np.count_nonzero(is_read))
-        read_seeks = int(np.count_nonzero(dist_is_read))
-        sectors_read = int(length[is_read].sum())
-        self._reads += reads
-        self._writes += n - reads
-        self._read_seeks += read_seeks
-        self._write_seeks += int(distances.size) - read_seeks
-        self._read_fragments += reads
-        self._sectors_read += sectors_read
-        self._sectors_written += int(length.sum()) - sectors_read
-        if self._track_fragments and reads:
-            self.fragment_hist[1] = self.fragment_hist.get(1, 0) + reads
-        if distances.size:
-            self._distance_chunks.append(np.ascontiguousarray(distances))
-            self._read_flag_chunks.append(dist_is_read)
-        self._head_position = int(lba[-1] + length[-1])
-        self._translator.head.restore_position(self._head_position)
-        self.ops_applied += n
+                placement.write_run(run_lba, run_len)
+        if stop < n:
+            raise ValueError(
+                placement.range_error(int(lba[stop]), int(length[stop]))
+            )
+        self._fold_ops(is_read, length, fragments)
+        flush()
+        return fragments
 
-    def _feed_ls_arrays(
-        self, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray
-    ) -> None:
-        """The log-structured kernel: run-split, batch-mapped replay.
+    def _read_run(self, placement: _Placement, run_lba, run_len):
+        """Resolve one read run into the access buffer.
 
-        The batch is cut into maximal write runs and read runs.  On an
-        :class:`ArrayExtentMap` a write run maps in one call with a
-        single batched frontier reservation (the run's PBAs are one
-        cumulative sum — valid because host writes are the only frontier
-        consumers inside a write run), and a plain-LS read run resolves
-        in one :meth:`~ArrayExtentMap.lookup_pieces_batch` call.
-        Technique configurations resolve reads in windows, replaying the
-        per-read policy decisions (cache/prefetch/defrag) in order; a
-        defrag rewrite moves both the map and the frontier, so it
-        invalidates the resolved window.  Tiny runs and non-array maps
-        take the scalar per-op path — all paths are exact and produce
-        identical access streams, so results are independent of run
-        shape and chunk size.
+        Returns the per-read fragment counts.  Without techniques a run of
+        at least ``_MIN_BATCH_READ_RUN`` reads on an
+        :class:`ArrayExtentMap` is one ``lookup_pieces_batch`` call.
+        Otherwise the reads replay one by one, each through the paper's
+        service order — unfragmented reads bypass every technique (the
+        ``FragmentedRead`` guard); each fragment of a fragmented read is
+        served from the selective cache if resident, else the prefetch
+        buffer if covered, else the disk (then window prefetch and cache
+        admission); finally opportunistic defrag may rewrite the range at
+        the frontier.  Long runs still resolve their pieces in windows of
+        ``_READ_RESOLVE_WINDOW`` reads per batch lookup: a defrag rewrite
+        moves the map only for the range it rewrote, so instead of
+        re-resolving the window the stale ranges are remembered and just
+        the reads overlapping one re-resolve against the live map.  A tiny
+        run or a non-array map is the same loop with nothing pre-resolved:
+        every read is stale.
         """
-        n = len(lba)
-        if n == 0:
-            return
-        translator = self._ls
-        amap = translator.address_map
-        batch_map = isinstance(amap, ArrayExtentMap)
+        amap = placement.amap
+        buffer = placement.buffer
+        defrag = placement.defrag
+        prefetcher = placement.prefetcher
+        cache = placement.cache
+        run_ops = len(run_lba)
+        windowed = placement.batched and run_ops >= _MIN_BATCH_READ_RUN
+        if windowed and defrag is None and prefetcher is None and cache is None:
+            piece_pba, piece_len, _hole, offsets = amap.lookup_pieces_batch(
+                run_lba, run_len
+            )
+            buffer.extend(piece_pba, piece_len, _KIND_READ)
+            return np.diff(offsets)
+
         lookup_pieces = amap.lookup_pieces
-        map_range = amap.map_range
-        defrag = translator.defrag
-        prefetcher = translator.prefetcher
-        cache = translator.cache
-        plain = defrag is None and prefetcher is None and cache is None
-        track_fragments = self._track_fragments
-        fragment_hist = self.fragment_hist
-
-        frontier = translator.frontier
-        frontier_base = translator.frontier_base
-        head_position = self._head_position
-
-        # Stop before the first read crossing the frontier base: ops ahead
-        # of it still apply (the engine ends partially advanced, exactly
-        # like the per-op loop), then the same ValueError is raised.
-        violation = is_read & (lba + length > frontier_base)
-        stop = n
-        bad_op = None
-        if violation.any():
-            stop = int(violation.argmax())
-            bad_op = (int(lba[stop]), int(length[stop]))
-
-        # Access-stream chunks (disk accesses only, in access order).
-        # Vectorized runs append arrays; scalar paths spill into lists
-        # that are drained into a chunk whenever the order requires it.
-        chunks: List[tuple] = []
-        pba_buf: List[int] = []
-        len_buf: List[int] = []
-        kind_buf: List[int] = []
-        append_pba = pba_buf.append
-        append_len = len_buf.append
-        append_kind = kind_buf.append
-
-        def drain_scalar() -> None:
-            if pba_buf:
-                chunks.append(
-                    (
-                        np.asarray(pba_buf, dtype=np.int64),
-                        np.asarray(len_buf, dtype=np.int64),
-                        np.asarray(kind_buf, dtype=np.int8),
-                    )
+        append_pba = buffer.append_pba
+        append_len = buffer.append_len
+        append_kind = buffer.append_kind
+        cache_hits = buffer_hits = defrag_rewrites = defrag_sectors = 0
+        counts: List[int] = []
+        # Reads [window_base, window_stop) have their pieces in p_list /
+        # l_list at off_list, unless they overlap a stale LBA range.
+        window_base = 0
+        window_stop = 0 if windowed else run_ops
+        p_list: List[int] = []
+        l_list: List[int] = []
+        off_list: List[int] = []
+        stale: List[tuple] = [] if windowed else [_EVERY_LBA]
+        for j, (req_lba, req_length) in enumerate(
+            zip(run_lba.tolist(), run_len.tolist())
+        ):
+            if j >= window_stop:
+                window_base = j
+                window_stop = min(j + _READ_RESOLVE_WINDOW, run_ops)
+                p_arr, l_arr, _hole, off = amap.lookup_pieces_batch(
+                    run_lba[window_base:window_stop],
+                    run_len[window_base:window_stop],
                 )
-                del pba_buf[:]
-                del len_buf[:]
-                del kind_buf[:]
-
-        # Scalar accumulators kept in locals for speed, folded in after.
-        reads = writes = 0
-        sectors_read = sectors_written = 0
-        read_fragments = fragmented_reads = 0
-        cache_hits = buffer_hits = 0
-        defrag_rewrites = defrag_sectors = 0
-
-        if stop:
-            flags = is_read[:stop]
-            edges = np.flatnonzero(np.diff(flags.view(np.int8))) + 1
-            bounds = [0, *edges.tolist(), stop]
-        else:
-            bounds = [0]
-        for run_start, run_stop in zip(bounds[:-1], bounds[1:]):
-            run_ops = run_stop - run_start
-            if not flags[run_start]:
-                # ---------------------------- write run
-                writes += run_ops
-                run_len = length[run_start:run_stop]
-                if batch_map and run_ops >= _MIN_BATCH_WRITE_RUN:
-                    total = int(run_len.sum())
-                    run_pba = np.empty(run_ops, dtype=np.int64)
-                    run_pba[0] = frontier
-                    np.cumsum(run_len[:-1], out=run_pba[1:])
-                    run_pba[1:] += frontier
-                    amap.map_range_batch(lba[run_start:run_stop], run_pba, run_len)
-                    drain_scalar()
-                    chunks.append(
-                        (run_pba, run_len, np.full(run_ops, _KIND_WRITE, np.int8))
-                    )
-                    frontier += total
-                    sectors_written += total
-                else:
-                    for op_lba, op_length in zip(
-                        lba[run_start:run_stop].tolist(), run_len.tolist()
-                    ):
-                        append_pba(frontier)
-                        append_len(op_length)
-                        append_kind(_KIND_WRITE)
-                        map_range(op_lba, frontier, op_length)
-                        frontier += op_length
-                        sectors_written += op_length
+                p_list = p_arr.tolist()
+                l_list = l_arr.tolist()
+                off_list = off.tolist()
+                stale = []
+            req_end = req_lba + req_length
+            for stale_start, stale_end in stale:
+                if stale_start < req_end and req_lba < stale_end:
+                    pieces = lookup_pieces(req_lba, req_length)
+                    op_p = [piece[0] for piece in pieces]
+                    op_l = [piece[1] for piece in pieces]
+                    lo = 0
+                    fragments = len(pieces)
+                    break
+            else:
+                op_p = p_list
+                op_l = l_list
+                lo = off_list[j - window_base]
+                fragments = off_list[j - window_base + 1] - lo
+            counts.append(fragments)
+            if fragments == 1:
+                append_pba(op_p[lo])
+                append_len(op_l[lo])
+                append_kind(_KIND_READ)
                 continue
-
-            # -------------------------------- read run
-            run_lba = lba[run_start:run_stop]
-            run_len = length[run_start:run_stop]
-            if plain and batch_map and run_ops >= _MIN_BATCH_READ_RUN:
-                piece_pba, piece_len, _hole, offsets = amap.lookup_pieces_batch(
-                    run_lba, run_len
-                )
-                counts = np.diff(offsets)
-                reads += run_ops
-                sectors_read += int(run_len.sum())
-                read_fragments += int(offsets[-1])
-                fragmented_reads += int(np.count_nonzero(counts > 1))
-                if track_fragments:
-                    values, repeats = np.unique(counts, return_counts=True)
-                    for value, repeat in zip(values.tolist(), repeats.tolist()):
-                        fragment_hist[value] = fragment_hist.get(value, 0) + repeat
-                drain_scalar()
-                chunks.append(
-                    (piece_pba, piece_len, np.full(len(piece_pba), _KIND_READ, np.int8))
-                )
-                continue
-            if not plain and batch_map and run_ops >= _MIN_BATCH_READ_RUN:
-                # Windowed batch resolution + per-read technique replay.
-                # A defrag rewrite moves the map, but only for the range
-                # it rewrote — instead of re-resolving the whole window,
-                # remember the stale ranges and re-resolve just the ops
-                # that overlap one (scalar, against the live map).
-                lba_list = run_lba.tolist()
-                len_list = run_len.tolist()
-                window_base = window_stop = 0
-                p_list: List[int] = []
-                l_list: List[int] = []
-                off_list: List[int] = []
-                stale: List[tuple] = []
-                for j in range(run_ops):
-                    if j >= window_stop:
-                        window_base = j
-                        window_stop = min(j + _READ_RESOLVE_WINDOW, run_ops)
-                        p_arr, l_arr, _h, off = amap.lookup_pieces_batch(
-                            run_lba[window_base:window_stop],
-                            run_len[window_base:window_stop],
-                        )
-                        p_list = p_arr.tolist()
-                        l_list = l_arr.tolist()
-                        off_list = off.tolist()
-                        stale = []
-                    req_lba = lba_list[j]
-                    req_length = len_list[j]
-                    req_end = req_lba + req_length
-                    op_p = p_list
-                    op_l = l_list
-                    lo = off_list[j - window_base]
-                    fragments = off_list[j - window_base + 1] - lo
-                    for stale_start, stale_end in stale:
-                        if stale_start < req_end and req_lba < stale_end:
-                            pieces = lookup_pieces(req_lba, req_length)
-                            op_p = [piece[0] for piece in pieces]
-                            op_l = [piece[1] for piece in pieces]
-                            lo = 0
-                            fragments = len(pieces)
-                            break
-                    reads += 1
-                    sectors_read += req_length
-                    read_fragments += fragments
-                    if track_fragments:
-                        fragment_hist[fragments] = (
-                            fragment_hist.get(fragments, 0) + 1
-                        )
-                    if fragments == 1:
-                        # Unfragmented reads bypass every technique (the
-                        # paper's FragmentedRead guard).
-                        append_pba(op_p[lo])
-                        append_len(op_l[lo])
-                        append_kind(_KIND_READ)
-                        continue
-                    fragmented_reads += 1
-                    for piece in range(lo, lo + fragments):
-                        pba = op_p[piece]
-                        piece_length = op_l[piece]
-                        if cache is not None and cache.lookup(pba, piece_length):
-                            cache_hits += 1
-                            continue
-                        if prefetcher is not None and prefetcher.covers(
-                            pba, piece_length
-                        ):
-                            buffer_hits += 1
-                            continue
-                        append_pba(pba)
-                        append_len(piece_length)
-                        append_kind(_KIND_READ)
-                        if prefetcher is not None:
-                            prefetcher.note_fragment_read(pba, piece_length)
-                        if cache is not None:
-                            cache.admit(pba, piece_length)
-                    if defrag is not None and defrag.should_defragment(
-                        req_lba, req_length, fragments
-                    ):
-                        append_pba(frontier)
-                        append_len(req_length)
-                        append_kind(_KIND_DEFRAG)
-                        map_range(req_lba, frontier, req_length)
-                        frontier += req_length
-                        defrag_rewrites += 1
-                        defrag_sectors += req_length
-                        defrag.note_defragmented(req_lba, req_length)
-                        stale.append((req_lba, req_end))
-                continue
-            # Scalar read path (non-array maps and tiny runs) — the
-            # original per-op logic, shared by every tier.
-            for req_lba, req_length in zip(run_lba.tolist(), run_len.tolist()):
-                pieces = lookup_pieces(req_lba, req_length)
-                fragments = len(pieces)
-                reads += 1
-                sectors_read += req_length
-                read_fragments += fragments
-                if track_fragments:
-                    fragment_hist[fragments] = fragment_hist.get(fragments, 0) + 1
-                if plain or fragments == 1:
-                    for pba, piece_length, _hole in pieces:
-                        append_pba(pba)
-                        append_len(piece_length)
-                        append_kind(_KIND_READ)
-                    if fragments > 1:
-                        fragmented_reads += 1
+            for piece in range(lo, lo + fragments):
+                pba = op_p[piece]
+                piece_length = op_l[piece]
+                if cache is not None and cache.lookup(pba, piece_length):
+                    cache_hits += 1
                     continue
-                fragmented_reads += 1
-                for pba, piece_length, _hole in pieces:
-                    if cache is not None and cache.lookup(pba, piece_length):
-                        cache_hits += 1
-                        continue
-                    if prefetcher is not None and prefetcher.covers(
-                        pba, piece_length
-                    ):
-                        buffer_hits += 1
-                        continue
-                    append_pba(pba)
-                    append_len(piece_length)
-                    append_kind(_KIND_READ)
-                    if prefetcher is not None:
-                        prefetcher.note_fragment_read(pba, piece_length)
-                    if cache is not None:
-                        cache.admit(pba, piece_length)
-                if defrag is not None and defrag.should_defragment(
-                    req_lba, req_length, fragments
-                ):
-                    append_pba(frontier)
-                    append_len(req_length)
-                    append_kind(_KIND_DEFRAG)
-                    map_range(req_lba, frontier, req_length)
-                    frontier += req_length
-                    defrag_rewrites += 1
-                    defrag_sectors += req_length
-                    defrag.note_defragmented(req_lba, req_length)
+                if prefetcher is not None and prefetcher.covers(pba, piece_length):
+                    buffer_hits += 1
+                    continue
+                append_pba(pba)
+                append_len(piece_length)
+                append_kind(_KIND_READ)
+                if prefetcher is not None:
+                    prefetcher.note_fragment_read(pba, piece_length)
+                if cache is not None:
+                    cache.admit(pba, piece_length)
+            if defrag is not None and defrag.should_defragment(
+                req_lba, req_length, fragments
+            ):
+                pba = placement.allocate(req_length)
+                append_pba(pba)
+                append_len(req_length)
+                append_kind(_KIND_DEFRAG)
+                amap.map_range(req_lba, pba, req_length)
+                defrag_rewrites += 1
+                defrag_sectors += req_length
+                defrag.note_defragmented(req_lba, req_length)
+                stale.append((req_lba, req_end))
+        counters = self._counters
+        counters["cache_hits"] += cache_hits
+        counters["buffer_hits"] += buffer_hits
+        counters["defrag_rewrites"] += defrag_rewrites
+        counters["defrag_sectors"] += defrag_sectors
+        return counts
 
-        if bad_op is not None:
-            # Match the per-op loop's error contract: the prefix mutated
-            # the map/techniques, but nothing is folded or classified —
-            # the engine must be discarded (restore from a snapshot).
-            raise ValueError(
-                f"request [{bad_op[0]}, {bad_op[0] + bad_op[1]}) crosses the "
-                f"frontier base {frontier_base}; size the log above the "
-                "workload's LBA space"
-            )
-
-        self._fold_scalars(
-            reads, writes, sectors_read, sectors_written, read_fragments,
-            fragmented_reads, cache_hits, buffer_hits, defrag_rewrites,
-            defrag_sectors,
-        )
-        self.ops_applied += n
-        drain_scalar()
-
-        self._head_position = self._classify_access_stream(chunks, head_position)
-
-        # Leave the translator in the exact state a reference replay
-        # produces after the same ops.
-        translator._frontier = frontier
-        translator.head.restore_position(self._head_position)
-
-    def _classify_access_stream(
-        self, chunks: List[tuple], head_position: Optional[int]
-    ) -> Optional[int]:
-        """Vectorized seek classification over a buffered access stream.
-
-        Folds seek counts and distances into the engine counters and
-        returns the head position after the stream (``head_position``
-        unchanged when the stream is empty).  Shared by every stateful
-        kernel; the zoned-cleaning kernel also calls it mid-batch at each
-        cleaning-episode boundary.
-        """
-        if not chunks:
-            return head_position
-        pba_arr = np.concatenate([chunk[0] for chunk in chunks])
-        len_arr = np.concatenate([chunk[1] for chunk in chunks])
-        kind_arr = np.concatenate([chunk[2] for chunk in chunks])
-        prev_end = np.empty_like(pba_arr)
-        prev_end[0] = pba_arr[0] if head_position is None else head_position
-        np.add(pba_arr[:-1], len_arr[:-1], out=prev_end[1:])
-        seek = pba_arr != prev_end
-        seek_kinds = kind_arr[seek]
-        self._read_seeks += int(np.count_nonzero(seek_kinds == _KIND_READ))
-        self._write_seeks += int(np.count_nonzero(seek_kinds == _KIND_WRITE))
-        self._defrag_write_seeks += int(
-            np.count_nonzero(seek_kinds == _KIND_DEFRAG)
-        )
-        self._distance_chunks.append((pba_arr - prev_end)[seek])
-        self._read_flag_chunks.append(seek_kinds == _KIND_READ)
-        return int(pba_arr[-1] + len_arr[-1])
-
-    def _feed_mf_arrays(
-        self, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray
+    def _fold_ops(
+        self, is_read: np.ndarray, length: np.ndarray, fragments: np.ndarray
     ) -> None:
-        """The multi-frontier kernel: inline classification, batched mapping.
+        """Fold one applied batch into the request-side counters.
 
-        Write classification is inherently sequential — each op's verdict
-        depends on the recent-block set exactly as *its* predecessors left
-        it — so the write loop stays scalar, but with the classifier's LRU
-        update inlined (no method dispatch, no per-op objects) while it
-        maintains every per-class running frontier.  A write run then maps
-        in one :meth:`~ArrayExtentMap.map_range_batch` call (the per-op
-        PBA assignment the loop produced *is* the N-frontier exclusive
-        cumsum, applied in op order so overlapping writes resolve exactly
-        like the reference).  Read runs and seek classification are fully
-        vectorized, identical to the plain-LS paths.  Exact for any
-        classifier: non-stock classifiers fall back to
-        ``classify_and_note`` per op.
+        ``fragments`` is per op — the read's fragment count, 1 for a write
+        — so the read-fragment total is its sum less the writes.
         """
-        n = len(lba)
-        if n == 0:
-            return
-        translator = self._mf
-        amap = translator.address_map
-        batch_map = isinstance(amap, ArrayExtentMap)
-        lookup_pieces = amap.lookup_pieces
-        map_range = amap.map_range
-        classifier = translator.classifier
-        inline_classify = type(classifier) is RecencyClassifier
-        if inline_classify:
-            recent = classifier._recent
-            window = classifier._window
-            block_sectors = classifier._block
-        track_fragments = self._track_fragments
-        fragment_hist = self.fragment_hist
-
-        frontier_base = translator.frontier_base
-        region_sectors = translator.region_sectors
-        frontiers = list(translator._frontiers)
-        frontier_writes = list(translator._frontier_writes)
-        switches = translator.frontier_switches
-        last_idx = translator._last_frontier
-        head_position = self._head_position
-
-        # Stop before the first read crossing the frontier base, exactly
-        # like the per-op loop (writes are classified, not range-checked).
-        violation = is_read & (lba + length > frontier_base)
-        stop = n
-        bad_read = None
-        if violation.any():
-            stop = int(violation.argmax())
-            bad_read = (int(lba[stop]), int(length[stop]))
-
-        chunks: List[tuple] = []
-        pba_buf: List[int] = []
-        len_buf: List[int] = []
-        kind_buf: List[int] = []
-        append_pba = pba_buf.append
-        append_len = len_buf.append
-        append_kind = kind_buf.append
-
-        def drain_scalar() -> None:
-            if pba_buf:
-                chunks.append(
-                    (
-                        np.asarray(pba_buf, dtype=np.int64),
-                        np.asarray(len_buf, dtype=np.int64),
-                        np.asarray(kind_buf, dtype=np.int8),
-                    )
-                )
-                del pba_buf[:]
-                del len_buf[:]
-                del kind_buf[:]
-
-        reads = writes = 0
-        sectors_read = sectors_written = 0
-        read_fragments = fragmented_reads = 0
-        exhausted: Optional[int] = None
-
-        if stop:
-            flags = is_read[:stop]
-            edges = np.flatnonzero(np.diff(flags.view(np.int8))) + 1
-            bounds = [0, *edges.tolist(), stop]
-        else:
-            bounds = [0]
-        for run_start, run_stop in zip(bounds[:-1], bounds[1:]):
-            run_ops = run_stop - run_start
-            if not flags[run_start]:
-                # ---------------------------- write run
-                run_lba = lba[run_start:run_stop]
-                run_len = length[run_start:run_stop]
-                batch_run = batch_map and run_ops >= _MIN_BATCH_WRITE_RUN
-                pba_list: List[int] = []
-                applied = 0
-                for op_lba, op_length in zip(run_lba.tolist(), run_len.tolist()):
-                    if inline_classify:
-                        first_block = op_lba // block_sectors
-                        last_block = (op_lba + op_length - 1) // block_sectors
-                        hot = False
-                        for block in range(first_block, last_block + 1):
-                            if block in recent:
-                                hot = True
-                                break
-                        for block in range(first_block, last_block + 1):
-                            if block in recent:
-                                recent.move_to_end(block)
-                            else:
-                                recent[block] = None
-                        while len(recent) > window:
-                            recent.popitem(last=False)
-                        index = 1 if hot else 0
-                    else:
-                        index = int(classifier.classify_and_note(op_lba, op_length))
-                    frontier_writes[index] += 1
-                    frontier = frontiers[index]
-                    if (
-                        frontier + op_length
-                        > frontier_base + (index + 1) * region_sectors
-                    ):
-                        exhausted = index
-                        break
-                    frontiers[index] = frontier + op_length
-                    if last_idx is not None and last_idx != index:
-                        switches += 1
-                    last_idx = index
-                    writes += 1
-                    sectors_written += op_length
-                    if batch_run:
-                        pba_list.append(frontier)
-                    else:
-                        append_pba(frontier)
-                        append_len(op_length)
-                        append_kind(_KIND_WRITE)
-                        map_range(op_lba, frontier, op_length)
-                    applied += 1
-                if batch_run and applied:
-                    run_pba = np.asarray(pba_list, dtype=np.int64)
-                    amap.map_range_batch(
-                        run_lba[:applied], run_pba, run_len[:applied]
-                    )
-                    drain_scalar()
-                    chunks.append(
-                        (
-                            run_pba,
-                            run_len[:applied],
-                            np.full(applied, _KIND_WRITE, np.int8),
-                        )
-                    )
-                if exhausted is not None:
-                    break
-                continue
-
-            # -------------------------------- read run (plain-LS logic)
-            run_lba = lba[run_start:run_stop]
-            run_len = length[run_start:run_stop]
-            if batch_map and run_ops >= _MIN_BATCH_READ_RUN:
-                piece_pba, piece_len, _hole, offsets = amap.lookup_pieces_batch(
-                    run_lba, run_len
-                )
-                counts = np.diff(offsets)
-                reads += run_ops
-                sectors_read += int(run_len.sum())
-                read_fragments += int(offsets[-1])
-                fragmented_reads += int(np.count_nonzero(counts > 1))
-                if track_fragments:
-                    values, repeats = np.unique(counts, return_counts=True)
-                    for value, repeat in zip(values.tolist(), repeats.tolist()):
-                        fragment_hist[value] = fragment_hist.get(value, 0) + repeat
-                drain_scalar()
-                chunks.append(
-                    (piece_pba, piece_len, np.full(len(piece_pba), _KIND_READ, np.int8))
-                )
-                continue
-            for req_lba, req_length in zip(run_lba.tolist(), run_len.tolist()):
-                pieces = lookup_pieces(req_lba, req_length)
-                fragments = len(pieces)
-                reads += 1
-                sectors_read += req_length
-                read_fragments += fragments
-                if fragments > 1:
-                    fragmented_reads += 1
-                if track_fragments:
-                    fragment_hist[fragments] = fragment_hist.get(fragments, 0) + 1
-                for pba, piece_length, _h in pieces:
-                    append_pba(pba)
-                    append_len(piece_length)
-                    append_kind(_KIND_READ)
-
-        if exhausted is not None or bad_read is not None:
-            # Match the per-op error contract: the prefix is applied on
-            # the translator (for exhaustion, including the violating
-            # op's classification and per-frontier counter but not its
-            # advance), nothing is folded or classified — the engine must
-            # be discarded (restore from a snapshot).
-            translator._frontiers = frontiers
-            translator._frontier_writes = frontier_writes
-            translator.frontier_switches = switches
-            translator._last_frontier = last_idx
-            if exhausted is not None:
-                raise ValueError(
-                    f"{_frontier_label(exhausted)} log region exhausted; "
-                    "enlarge region_sectors"
-                )
-            raise ValueError(
-                f"read end {bad_read[0] + bad_read[1]} crosses the log base "
-                f"{frontier_base}"
-            )
-
-        self._fold_scalars(
-            reads, writes, sectors_read, sectors_written, read_fragments,
-            fragmented_reads, 0, 0, 0, 0,
-        )
+        n = len(is_read)
+        reads = int(np.count_nonzero(is_read))
+        sectors_read = int(length[is_read].sum())
+        counters = self._counters
+        counters["reads"] += reads
+        counters["writes"] += n - reads
+        counters["sectors_read"] += sectors_read
+        counters["sectors_written"] += int(length.sum()) - sectors_read
+        counters["read_fragments"] += int(fragments.sum()) - (n - reads)
+        counters["fragmented_reads"] += int(np.count_nonzero(fragments > 1))
+        if self._track_fragments:
+            hist = np.bincount(fragments, minlength=2)
+            hist[1] -= n - reads
+            fragment_hist = self.fragment_hist
+            for value in np.flatnonzero(hist).tolist():
+                fragment_hist[value] = fragment_hist.get(value, 0) + int(hist[value])
         self.ops_applied += n
-        drain_scalar()
-        self._head_position = self._classify_access_stream(chunks, head_position)
-        translator._frontiers = frontiers
-        translator._frontier_writes = frontier_writes
-        translator.frontier_switches = switches
-        translator._last_frontier = last_idx
-        translator.head.restore_position(self._head_position)
 
-    def _feed_cleaning_arrays(
-        self, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray
+    def _log_accesses(
+        self, pba: np.ndarray, length: np.ndarray, kind: np.ndarray
     ) -> None:
-        """The zoned-cleaning kernel: batched I/O between exact episodes.
-
-        Between cleaning episodes everything batches: read runs resolve in
-        one :meth:`~ArrayExtentMap.lookup_pieces_batch` call, writes keep
-        the zone frontier and the per-zone live counts
-        (:class:`~repro.extentmap.live_counts.ZoneLiveCounts`) in locals,
-        and the clean trigger is two integer compares per write against
-        running ``writable``/``free`` tallies.  When the trigger fires the
-        chunk *splits at the episode boundary*: the buffered access stream
-        is seek-classified, the head position is synced onto the
-        translator, and the episode runs through the translator's own
-        ``_ensure_room`` — victim selection, relocation and cleaning-seek
-        accounting are the reference code itself, so episodes are exact by
-        construction — after which the tallies resync and batching resumes
-        from the post-episode head position.  Episode relocations never
-        enter the engine's access stream (the reference produces no
-        ``IOOutcome`` for them either; they count only in
-        ``cleaning_stats``).
-        """
-        n = len(lba)
-        if n == 0:
-            return
-        translator = self._zc
-        amap = translator.address_map()
-        batch_map = isinstance(amap, ArrayExtentMap)
-        lookup_pieces = amap.lookup_pieces
-        map_range = amap.map_range
-        map_range_batch = amap.map_range_batch if batch_map else None
-        extent_arrays = amap.extent_arrays if batch_map else None
-        track_fragments = self._track_fragments
-        fragment_hist = self.fragment_hist
-
-        base = translator._base
-        reserve = translator._reserve
-        half_capacity = translator._zones.capacity_sectors // 2
-        zone_sectors = translator._zones.zone_sectors
-        zones_list = translator._zones.zones
-        open_order = translator._open_order
-        live = translator._live
-        entries = translator._entries
-        zone_write_seq = translator._zone_write_seq
-        cleaning_stats = translator.cleaning_stats
-        write_seq = translator._write_seq
-        writable = translator._writable_sectors()
-        free = translator.free_zones()
-        head_position = self._head_position
-
-        # Stop before the first op (read OR write) crossing into the log
-        # region — submit() range-checks every request first.
-        violation = lba + length > base
-        stop = n
-        bad_op = None
-        if violation.any():
-            stop = int(violation.argmax())
-            bad_op = (int(lba[stop]), int(length[stop]))
-
-        chunks: List[tuple] = []
-        pba_buf: List[int] = []
-        len_buf: List[int] = []
-        kind_buf: List[int] = []
-        append_pba = pba_buf.append
-        append_len = len_buf.append
-        append_kind = kind_buf.append
-
-        def drain_scalar() -> None:
-            if pba_buf:
-                chunks.append(
-                    (
-                        np.asarray(pba_buf, dtype=np.int64),
-                        np.asarray(len_buf, dtype=np.int64),
-                        np.asarray(kind_buf, dtype=np.int8),
-                    )
-                )
-                del pba_buf[:]
-                del len_buf[:]
-                del kind_buf[:]
-
-        reads = writes = 0
-        sectors_read = sectors_written = 0
-        read_fragments = fragmented_reads = 0
-        host_written = 0
-        too_large: Optional[int] = None
-
-        if stop:
-            flags = is_read[:stop]
-            edges = np.flatnonzero(np.diff(flags.view(np.int8))) + 1
-            bounds = [0, *edges.tolist(), stop]
-        else:
-            bounds = [0]
-        for run_start, run_stop in zip(bounds[:-1], bounds[1:]):
-            run_ops = run_stop - run_start
-            run_lba = lba[run_start:run_stop]
-            run_len = length[run_start:run_stop]
-            if not flags[run_start]:
-                # ---------------------------- write run
-                run_lba_list = run_lba.tolist()
-                run_len_list = run_len.tolist()
-                i = 0
-                while i < run_ops:
-                    if batch_map and run_ops - i >= _MIN_BATCH_WRITE_RUN:
-                        # ---- batched prefix: every op strictly before the
-                        # first that is oversized, outruns the writable
-                        # tally, or trips the clean trigger.  That op (if
-                        # any) falls through to the scalar body, which runs
-                        # the episode exactly; batching resumes after it.
-                        seg_len = run_len[i:]
-                        cum = np.cumsum(seg_len)
-                        before = cum - seg_len
-                        j = translator._open_idx
-                        while (
-                            j < len(open_order)
-                            and zones_list[open_order[j]].is_full
-                        ):
-                            j += 1
-                        m = 0
-                        if j < len(open_order):
-                            # Zones turning non-empty strictly before each
-                            # op: the frontier's remaining r0, then whole
-                            # (empty, by queue construction) zones.
-                            frontier = zones_list[open_order[j]]
-                            r0 = frontier.end - frontier.write_pointer
-                            opened = (before - r0 + zone_sectors - 1) // zone_sectors
-                            np.maximum(opened, 0, out=opened)
-                            if frontier.write_pointer == frontier.start:
-                                opened += before > 0
-                            bad = (
-                                (seg_len > half_capacity)
-                                | (writable - before < seg_len)
-                                | (free - opened < reserve)
-                            )
-                            m = int(bad.argmax()) if bad.any() else run_ops - i
-                        if m:
-                            # Lay the prefix out over the zone queue.
-                            total = int(cum[m - 1])
-                            zone_caps: List[int] = []
-                            zone_phys: List[int] = []
-                            zone_pos: List[int] = []
-                            covered = 0
-                            jj = j
-                            while covered < total:
-                                zone = zones_list[open_order[jj]]
-                                if jj > j and zone.write_pointer != zone.start:
-                                    m = 0  # queue invariant broken: go scalar
-                                    break
-                                zone_caps.append(zone.end - zone.write_pointer)
-                                zone_phys.append(zone.write_pointer)
-                                zone_pos.append(jj)
-                                covered += zone_caps[-1]
-                                jj += 1
-                        if m:
-                            # Split ops at zone boundaries (virtual offsets
-                            # 0..total over the laid-out capacity).
-                            lens = seg_len[:m]
-                            op_start = before[:m]
-                            op_end = cum[:m]
-                            caps = np.asarray(zone_caps, dtype=np.int64)
-                            bounds = np.cumsum(caps)
-                            starts_v = bounds - caps
-                            first_region = np.searchsorted(
-                                bounds, op_start, side="right"
-                            )
-                            last_region = np.searchsorted(
-                                bounds, op_end - 1, side="right"
-                            )
-                            reps = last_region - first_region + 1
-                            n_pieces = int(reps.sum())
-                            if n_pieces == m:
-                                piece_region = first_region
-                                piece_v = op_start
-                                piece_len = lens
-                                piece_lba = run_lba[i : i + m]
-                            else:
-                                offs = np.zeros(m, dtype=np.int64)
-                                np.cumsum(reps[:-1], out=offs[1:])
-                                intra = (
-                                    np.arange(n_pieces, dtype=np.int64)
-                                    - offs.repeat(reps)
-                                )
-                                piece_region = first_region.repeat(reps) + intra
-                                op_start_rep = op_start.repeat(reps)
-                                piece_v = np.maximum(
-                                    op_start_rep, starts_v[piece_region]
-                                )
-                                piece_len = (
-                                    np.minimum(
-                                        op_end.repeat(reps), bounds[piece_region]
-                                    )
-                                    - piece_v
-                                )
-                                piece_lba = run_lba[i : i + m].repeat(reps) + (
-                                    piece_v - op_start_rep
-                                )
-                            phys = np.asarray(zone_phys, dtype=np.int64)
-                            piece_pba = base + phys[piece_region] + (
-                                piece_v - starts_v[piece_region]
-                            )
-                            # Map and access stream, in op order (the map
-                            # applies rows in order, so intra-prefix
-                            # overwrites land exactly as scalar would).
-                            map_range_batch(piece_lba, piece_pba, piece_len)
-                            drain_scalar()
-                            chunks.append(
-                                (
-                                    piece_pba,
-                                    piece_len,
-                                    np.full(n_pieces, _KIND_WRITE, np.int8),
-                                )
-                            )
-                            # Ledger, write stamps, zone pointers per zone.
-                            region_counts = np.bincount(
-                                piece_region, minlength=len(caps)
-                            ).tolist()
-                            pba_list = piece_pba.tolist()
-                            lba_list = piece_lba.tolist()
-                            len_list = piece_len.tolist()
-                            pos = 0
-                            for region, count in enumerate(region_counts):
-                                if not count:
-                                    continue
-                                zone = zones_list[open_order[zone_pos[region]]]
-                                if zone.write_pointer == zone.start:
-                                    free -= 1
-                                zone_id = zone.zone_id
-                                entries[zone_id].extend(
-                                    zip(
-                                        pba_list[pos : pos + count],
-                                        lba_list[pos : pos + count],
-                                        len_list[pos : pos + count],
-                                    )
-                                )
-                                zone_write_seq[zone_id] = write_seq + pos + count - 1
-                                zone.write_pointer += (
-                                    min(total, int(bounds[region]))
-                                    - int(starts_v[region])
-                                )
-                                pos += count
-                            write_seq += n_pieces
-                            writable -= total
-                            translator._open_idx = zone_pos[int(piece_region[-1])]
-                            host_written += total
-                            writes += m
-                            sectors_written += total
-                            # Live counts: superseding and crediting net out
-                            # to the mapped-live invariant, so rebuild the
-                            # counts wholesale from the post-prefix map
-                            # instead of invalidating per op.
-                            _, map_pba_arr, map_len_arr = extent_arrays()
-                            in_log = map_pba_arr >= base
-                            live.recompute_from_extents(
-                                map_pba_arr[in_log] - base, map_len_arr[in_log]
-                            )
-                            i += m
-                            continue
-                    op_lba = run_lba_list[i]
-                    op_length = run_len_list[i]
-                    i += 1
-                    host_written += op_length
-                    if op_length > half_capacity:
-                        too_large = op_length
-                        break
-                    if writable < op_length or free < reserve:
-                        # Episode boundary: close the buffered stream,
-                        # sync the head, run the episode via the
-                        # translator's own cleaning code, resync.
-                        drain_scalar()
-                        head_position = self._classify_access_stream(
-                            chunks, head_position
-                        )
-                        del chunks[:]
-                        translator._head.restore_position(head_position)
-                        translator._write_seq = write_seq
-                        cleaning_stats.host_written_sectors += host_written
-                        host_written = 0
-                        translator._ensure_room(op_length)
-                        write_seq = translator._write_seq
-                        head_position = translator._head.position
-                        writable = translator._writable_sectors()
-                        free = translator.free_zones()
-                    # Invalidate what this write supersedes (against the
-                    # pre-write map, as _invalidate does).
-                    pieces = lookup_pieces(op_lba, op_length)
-                    if len(pieces) == 1:
-                        s_pba, s_len, s_hole = pieces[0]
-                        if not s_hole and s_pba >= base:
-                            live.decrement_range(s_pba - base, s_len)
-                    else:
-                        dec_pba = [
-                            p - base for p, _l, h in pieces if not h and p >= base
-                        ]
-                        if dec_pba:
-                            dec_len = [
-                                piece_len
-                                for p, piece_len, h in pieces
-                                if not h and p >= base
-                            ]
-                            live.decrement_ranges(
-                                np.asarray(dec_pba, dtype=np.int64),
-                                np.asarray(dec_len, dtype=np.int64),
-                            )
-                    # Append at the zone frontier, splitting per zone
-                    # (inline ZonedAddressSpace.write — its validations
-                    # hold by construction here).
-                    writes += 1
-                    sectors_written += op_length
-                    remaining = op_length
-                    cursor = op_lba
-                    while remaining:
-                        zone = translator._current_zone()
-                        zone_remaining = zone.end - zone.write_pointer
-                        take = (
-                            remaining
-                            if remaining < zone_remaining
-                            else zone_remaining
-                        )
-                        pba = zone.write_pointer
-                        zone.write_pointer = pba + take
-                        if pba == zone.start:
-                            free -= 1
-                        append_pba(base + pba)
-                        append_len(take)
-                        append_kind(_KIND_WRITE)
-                        map_range(cursor, base + pba, take)
-                        zone_id = zone.zone_id
-                        live.add(zone_id, take)
-                        entries[zone_id].append((base + pba, cursor, take))
-                        zone_write_seq[zone_id] = write_seq
-                        write_seq += 1
-                        writable -= take
-                        cursor += take
-                        remaining -= take
-                if too_large is not None:
-                    break
-                continue
-
-            # -------------------------------- read run (plain-LS logic)
-            if batch_map and run_ops >= _MIN_BATCH_READ_RUN:
-                piece_pba, piece_len, _hole, offsets = amap.lookup_pieces_batch(
-                    run_lba, run_len
-                )
-                counts = np.diff(offsets)
-                reads += run_ops
-                sectors_read += int(run_len.sum())
-                read_fragments += int(offsets[-1])
-                fragmented_reads += int(np.count_nonzero(counts > 1))
-                if track_fragments:
-                    values, repeats = np.unique(counts, return_counts=True)
-                    for value, repeat in zip(values.tolist(), repeats.tolist()):
-                        fragment_hist[value] = fragment_hist.get(value, 0) + repeat
-                drain_scalar()
-                chunks.append(
-                    (piece_pba, piece_len, np.full(len(piece_pba), _KIND_READ, np.int8))
-                )
-                continue
-            for req_lba, req_length in zip(run_lba.tolist(), run_len.tolist()):
-                pieces = lookup_pieces(req_lba, req_length)
-                fragments = len(pieces)
-                reads += 1
-                sectors_read += req_length
-                read_fragments += fragments
-                if fragments > 1:
-                    fragmented_reads += 1
-                if track_fragments:
-                    fragment_hist[fragments] = fragment_hist.get(fragments, 0) + 1
-                for pba, piece_length, _h in pieces:
-                    append_pba(pba)
-                    append_len(piece_length)
-                    append_kind(_KIND_READ)
-
-        if too_large is not None or bad_op is not None:
-            # Error contract as elsewhere: the prefix (and, for the
-            # too-large case, the violating op's host-written accounting)
-            # is applied on the translator; engine counters stay unfolded
-            # and the engine must be discarded.
-            translator._write_seq = write_seq
-            cleaning_stats.host_written_sectors += host_written
-            if too_large is not None:
-                raise ValueError(
-                    f"write of {too_large} sectors too large for the "
-                    "configured log"
-                )
-            raise ValueError(
-                f"request end {bad_op[0] + bad_op[1]} crosses the "
-                f"identity/log boundary {base}"
-            )
-
-        self._fold_scalars(
-            reads, writes, sectors_read, sectors_written, read_fragments,
-            fragmented_reads, 0, 0, 0, 0,
+        """Seek-classify one access-stream segment from the current head
+        position, fold the seeks, and sync the head onto the translator."""
+        head = self._translator.head
+        _seek, distances, seek_kinds, end = classify_seeks(
+            pba, length, kind, head.position
         )
-        self.ops_applied += n
-        drain_scalar()
-        self._head_position = self._classify_access_stream(chunks, head_position)
-        translator._write_seq = write_seq
-        cleaning_stats.host_written_sectors += host_written
-        translator._head.restore_position(self._head_position)
-
-    def _fold_scalars(
-        self, reads, writes, sectors_read, sectors_written, read_fragments,
-        fragmented_reads, cache_hits, buffer_hits, defrag_rewrites,
-        defrag_sectors,
-    ) -> None:
-        self._reads += reads
-        self._writes += writes
-        self._sectors_read += sectors_read
-        self._sectors_written += sectors_written
-        self._read_fragments += read_fragments
-        self._fragmented_reads += fragmented_reads
-        self._cache_hits += cache_hits
-        self._buffer_hits += buffer_hits
-        self._defrag_rewrites += defrag_rewrites
-        self._defrag_sectors += defrag_sectors
+        is_read_seek = seek_kinds == _KIND_READ
+        read_seeks = int(np.count_nonzero(is_read_seek))
+        defrag_seeks = int(np.count_nonzero(seek_kinds == _KIND_DEFRAG))
+        counters = self._counters
+        counters["read_seeks"] += read_seeks
+        counters["write_seeks"] += len(seek_kinds) - read_seeks - defrag_seeks
+        counters["defrag_write_seeks"] += defrag_seeks
+        if len(distances):
+            self._distance_chunks.append(distances)
+            self._read_flag_chunks.append(is_read_seek)
+        head.restore_position(end)
 
     # ----------------------------------------------------------------- #
     # Results
@@ -1398,20 +1214,15 @@ class IncrementalBatchReplay:
     def stats(self) -> SimStats:
         """Cumulative counters over everything fed so far."""
         stats = SimStats()
-        stats.reads = self._reads
-        stats.writes = self._writes
-        stats.sectors_read = self._sectors_read
-        stats.sectors_written = self._sectors_written
-        stats.read_fragments = self._read_fragments
-        stats.fragmented_reads = self._fragmented_reads
-        stats.cache_fragment_hits = self._cache_hits
-        stats.buffer_fragment_hits = self._buffer_hits
-        stats.defrag_rewrites = self._defrag_rewrites
-        stats.defrag_rewritten_sectors = self._defrag_sectors
-        stats.read_seeks = self._read_seeks
-        stats.write_seeks = self._write_seeks
-        stats.defrag_write_seeks = self._defrag_write_seeks
+        for key, field in _COUNTERS:
+            setattr(stats, field, self._counters[key])
         return stats
+
+    def _distance_log(self) -> Tuple[np.ndarray, np.ndarray]:
+        return (
+            _concat(self._distance_chunks, np.int64),
+            _concat(self._read_flag_chunks, bool),
+        )
 
     def drain_distances(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return and clear the seek distances logged since the last drain.
@@ -1424,12 +1235,10 @@ class IncrementalBatchReplay:
         Counters are unaffected; a later :meth:`result` only carries
         distances logged after the drain.
         """
-        distances, dist_is_read = _concat_distance_chunks(
-            self._distance_chunks, self._read_flag_chunks
-        )
+        log = self._distance_log()
         self._distance_chunks = []
         self._read_flag_chunks = []
-        return distances, dist_is_read
+        return log
 
     def result(self, trace_name: Optional[str] = None) -> BatchRunResult:
         """Package the cumulative state as a :class:`BatchRunResult`.
@@ -1438,9 +1247,7 @@ class IncrementalBatchReplay:
         concatenation of every batch fed (provided :meth:`drain_distances`
         was never called — draining moves distances out of the engine).
         """
-        distances, dist_is_read = _concat_distance_chunks(
-            self._distance_chunks, self._read_flag_chunks
-        )
+        distances, dist_is_read = self._distance_log()
         return BatchRunResult(
             run_result=RunResult(
                 trace_name=trace_name or self.trace_name,
@@ -1465,9 +1272,7 @@ class IncrementalBatchReplay:
         the split :mod:`repro.util.npystore` persists.  Restoring the
         snapshot with :meth:`from_state` resumes the replay bit-identically.
         """
-        distances, dist_is_read = _concat_distance_chunks(
-            self._distance_chunks, self._read_flag_chunks
-        )
+        distances, dist_is_read = self._distance_log()
         # Concatenating is also a normalization — keep the merged arrays
         # so repeated snapshots don't re-concatenate ever-growing lists.
         if distances.size:
@@ -1478,22 +1283,8 @@ class IncrementalBatchReplay:
             "ops_applied": self.ops_applied,
             "track_fragments": self._track_fragments,
             "fragment_hist": hist_to_pairs(self.fragment_hist),
-            "head_position": self._head_position,
-            "counters": {
-                "reads": self._reads,
-                "writes": self._writes,
-                "sectors_read": self._sectors_read,
-                "sectors_written": self._sectors_written,
-                "read_fragments": self._read_fragments,
-                "fragmented_reads": self._fragmented_reads,
-                "cache_hits": self._cache_hits,
-                "buffer_hits": self._buffer_hits,
-                "defrag_rewrites": self._defrag_rewrites,
-                "defrag_sectors": self._defrag_sectors,
-                "read_seeks": self._read_seeks,
-                "write_seeks": self._write_seeks,
-                "defrag_write_seeks": self._defrag_write_seeks,
-            },
+            "head_position": self._translator.head.position,
+            "counters": dict(self._counters),
             "translator": self._translator.state_dict(),
             "distances": distances,
             "distance_is_read": dist_is_read,
@@ -1514,43 +1305,15 @@ class IncrementalBatchReplay:
             track_fragments=bool(state["track_fragments"]),
         )
         translator.load_state(state["translator"])
-        engine._head_position = translator.head.position
         engine.ops_applied = int(state["ops_applied"])
         engine.fragment_hist = pairs_to_hist(state["fragment_hist"])
-        counters = state["counters"]
-        engine._reads = int(counters["reads"])
-        engine._writes = int(counters["writes"])
-        engine._sectors_read = int(counters["sectors_read"])
-        engine._sectors_written = int(counters["sectors_written"])
-        engine._read_fragments = int(counters["read_fragments"])
-        engine._fragmented_reads = int(counters["fragmented_reads"])
-        engine._cache_hits = int(counters["cache_hits"])
-        engine._buffer_hits = int(counters["buffer_hits"])
-        engine._defrag_rewrites = int(counters["defrag_rewrites"])
-        engine._defrag_sectors = int(counters["defrag_sectors"])
-        engine._read_seeks = int(counters["read_seeks"])
-        engine._write_seeks = int(counters["write_seeks"])
-        engine._defrag_write_seeks = int(counters["defrag_write_seeks"])
+        engine._counters = {
+            key: int(state["counters"][key]) for key, _field in _COUNTERS
+        }
         distances = np.asarray(state["distances"], dtype=np.int64)
-        dist_is_read = np.asarray(state["distance_is_read"], dtype=bool)
         if distances.size:
             engine._distance_chunks = [distances]
-            engine._read_flag_chunks = [dist_is_read]
+            engine._read_flag_chunks = [
+                np.asarray(state["distance_is_read"], dtype=bool)
+            ]
         return engine
-
-
-def _concat_distance_chunks(
-    distance_chunks: List[np.ndarray],
-    read_flag_chunks: List[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    distances = (
-        np.concatenate(distance_chunks)
-        if distance_chunks
-        else np.empty(0, dtype=np.int64)
-    )
-    dist_is_read = (
-        np.concatenate(read_flag_chunks)
-        if read_flag_chunks
-        else np.empty(0, dtype=bool)
-    )
-    return distances, dist_is_read

@@ -64,14 +64,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import DEFAULT_CHUNK_OPS
+from repro.core.batch import (
+    DEFAULT_CHUNK_OPS,
+    IncrementalBatchReplay,
+    _KIND_READ,
+    _concat,
+    classify_seeks,
+)
 from repro.core.config import TechniqueConfig
 from repro.core.outcomes import SimStats
 from repro.core.prefetch import LookAheadBehindPrefetcher
 from repro.core.selective_cache import SelectiveFragmentCache
 from repro.core.simulator import RunResult
 from repro.core.translators import LogStructuredTranslator
-from repro.extentmap.array_map import ArrayExtentMap
 from repro.extentmap.tiers import (
     DEFAULT_KERNEL_TIER,
     make_address_map,
@@ -79,10 +84,6 @@ from repro.extentmap.tiers import (
 )
 from repro.trace.trace import Trace
 from repro.util.units import BYTES_PER_MIB, SECTOR_BYTES
-
-# Access-stream kind codes (shared with repro.core.batch).
-_KIND_READ = 0
-_KIND_WRITE = 1
 
 #: Threshold sentinel for fragments that can never hit (a block was never
 #: cached before), larger than any real capacity in blocks.
@@ -241,15 +242,14 @@ def record_fragment_stream(
 ) -> FragmentStream:
     """Replay ``trace`` once under plain LS and record the access stream.
 
-    The recording translator runs on the kernel extent-map tier (array by
-    default, :data:`~repro.extentmap.tiers.ENV_TIER` overrides): plain LS
-    has no layout-mutating techniques, so whole read runs resolve through
-    one ``lookup_pieces_batch`` call and write runs allocate their
-    frontier PBAs with a single cumulative sum.  When the tier is forced
-    to ``extent`` the scalar per-op path runs instead; both produce
-    bit-identical streams (``tests/differential``).  ``chunk_ops`` only
-    bounds the scalar path's peak buffer memory and is unobservable in
-    the result.
+    The recording is the batch driver itself
+    (:class:`~repro.core.batch.IncrementalBatchReplay` on a technique-free
+    :class:`LogStructuredTranslator`, kernel extent-map tier — array by
+    default, :data:`~repro.extentmap.tiers.ENV_TIER` overrides) with the
+    classified access stream retained, so the stream equals what
+    :func:`~repro.core.batch.batch_replay` classifies by construction.
+    ``chunk_ops`` is the batch size fed to the driver; it bounds working
+    memory and is unobservable in the result.
     """
     if chunk_ops <= 0:
         raise ValueError(f"chunk_ops must be > 0, got {chunk_ops}")
@@ -257,335 +257,63 @@ def record_fragment_stream(
         frontier_base=trace.max_end,
         address_map=make_address_map(resolve_map_tier(DEFAULT_KERNEL_TIER)),
     )
-    if isinstance(translator.address_map, ArrayExtentMap):
-        return _record_stream_batched(trace, translator)
-    return _record_stream_scalar(trace, translator, chunk_ops)
+    return _record_with(trace, translator, chunk_ops)
 
 
-def _record_stream_scalar(
-    trace: Trace,
-    translator: LogStructuredTranslator,
-    chunk_ops: int,
+def _record_with(
+    trace: Trace, translator: LogStructuredTranslator, chunk_ops: int
 ) -> FragmentStream:
-    """Per-op recording loop (any :class:`AddressMap` implementation).
+    """Drive ``translator`` over ``trace`` and freeze the recorded stream.
 
-    Follows the chunked-sweep pattern of the batch LS kernel (stateful
-    extent-map work in a tight Python loop, buffers flushed to arrays per
-    chunk).
+    ``op_index`` and the fragmented-read groups are a post-pass over the
+    driver's per-op fragment counts: under plain LS a write is one access
+    and a read one access per fragment, so the count column is also the
+    number of stream entries each op contributed.
     """
-    amap = translator.address_map
-    lookup_pieces = amap.lookup_pieces
-    map_range = amap.map_range
-    frontier = translator.frontier
-    frontier_base = translator.frontier_base
-
-    requests = trace.requests
-    n = len(requests)
-    pba_chunks: List[np.ndarray] = []
-    len_chunks: List[np.ndarray] = []
-    kind_chunks: List[np.ndarray] = []
-    op_chunks: List[np.ndarray] = []
-    group_start: List[int] = []
-    group_size: List[int] = []
-    stream_len = 0
-
-    reads = writes = 0
-    sectors_read = sectors_written = 0
-    read_fragments = fragmented_reads = 0
-
-    for start in range(0, n, chunk_ops):
-        chunk = requests[start : start + chunk_ops]
-        pba_buf: List[int] = []
-        len_buf: List[int] = []
-        kind_buf: List[int] = []
-        op_buf: List[int] = []
-        append_pba = pba_buf.append
-        append_len = len_buf.append
-        append_kind = kind_buf.append
-        append_op = op_buf.append
-
-        for op, request in enumerate(chunk, start):
-            req_length = request.length
-            if request.is_write:
-                append_pba(frontier)
-                append_len(req_length)
-                append_kind(_KIND_WRITE)
-                append_op(op)
-                map_range(request.lba, frontier, req_length)
-                frontier += req_length
-                writes += 1
-                sectors_written += req_length
-                continue
-
-            req_lba = request.lba
-            if req_lba + req_length > frontier_base:
-                raise ValueError(
-                    f"request [{req_lba}, {req_lba + req_length}) crosses the "
-                    f"frontier base {frontier_base}; size the log above the "
-                    "workload's LBA space"
-                )
-            pieces = lookup_pieces(req_lba, req_length)
-            fragments = len(pieces)
-            reads += 1
-            sectors_read += req_length
-            read_fragments += fragments
-            if fragments > 1:
-                fragmented_reads += 1
-                group_start.append(stream_len + len(pba_buf))
-                group_size.append(fragments)
-            for pba, piece_length, _hole in pieces:
-                append_pba(pba)
-                append_len(piece_length)
-                append_kind(_KIND_READ)
-                append_op(op)
-
-        if pba_buf:
-            pba_chunks.append(np.asarray(pba_buf, dtype=np.int64))
-            len_chunks.append(np.asarray(len_buf, dtype=np.int64))
-            kind_chunks.append(np.asarray(kind_buf, dtype=np.int8))
-            op_chunks.append(np.asarray(op_buf, dtype=np.int64))
-            stream_len += len(pba_buf)
-
-    return _assemble_stream(
-        trace,
-        translator,
-        frontier,
-        pba_chunks,
-        len_chunks,
-        kind_chunks,
-        op_chunks,
-        np.asarray(group_start, dtype=np.int64),
-        np.asarray(group_size, dtype=np.int64),
-        reads,
-        writes,
-        sectors_read,
-        sectors_written,
-        read_fragments,
-        fragmented_reads,
-    )
-
-
-def _record_stream_batched(
-    trace: Trace,
-    translator: LogStructuredTranslator,
-) -> FragmentStream:
-    """Run-split recording on an :class:`ArrayExtentMap` translator.
-
-    Plain LS needs no technique windows, so the trace splits into maximal
-    same-kind runs: a write run allocates all its frontier PBAs with one
-    cumulative sum and applies them via ``map_range_batch``; a read run
-    resolves through a single ``lookup_pieces_batch`` call whose
-    ``offsets`` directly yield per-read fragment counts, the fragmented
-    groups, and the repeated ``op_index`` column.  Produces streams
-    bit-identical to :func:`_record_stream_scalar`.
-    """
-    amap = translator.address_map
-    frontier = translator.frontier
-    frontier_base = translator.frontier_base
-
-    is_read, lba_all, len_all = trace.as_arrays()
-    n = int(len_all.shape[0])
-
-    # The scalar loop rejects the first read crossing the frontier base
-    # the moment it reaches it; nothing of the partially-built stream is
-    # observable after the raise, so pre-scanning and failing up front is
-    # exactly equivalent.
-    violating = is_read & (lba_all + len_all > frontier_base)
-    if violating.any():
-        bad = int(violating.argmax())
-        req_lba = int(lba_all[bad])
-        req_length = int(len_all[bad])
-        raise ValueError(
-            f"request [{req_lba}, {req_lba + req_length}) crosses the "
-            f"frontier base {frontier_base}; size the log above the "
-            "workload's LBA space"
+    engine = IncrementalBatchReplay(translator, trace_name=trace.name)
+    is_read, op_lba, op_len = trace.as_arrays()
+    segments: List[tuple] = []
+    op_counts: List[np.ndarray] = []
+    for start in range(0, len(op_lba), chunk_ops):
+        stop = start + chunk_ops
+        op_counts.append(
+            engine._replay_runs(
+                is_read[start:stop], op_lba[start:stop], op_len[start:stop], segments
+            )
         )
-
-    pba_chunks: List[np.ndarray] = []
-    len_chunks: List[np.ndarray] = []
-    kind_chunks: List[np.ndarray] = []
-    op_chunks: List[np.ndarray] = []
-    group_start_chunks: List[np.ndarray] = []
-    group_size_chunks: List[np.ndarray] = []
-    stream_len = 0
-
-    reads = writes = 0
-    sectors_read = sectors_written = 0
-    read_fragments = fragmented_reads = 0
-
-    if n:
-        edges = np.flatnonzero(is_read[1:] != is_read[:-1]) + 1
-        bounds = [0, *edges.tolist(), n]
-        for run_start, run_stop in zip(bounds[:-1], bounds[1:]):
-            run_ops = run_stop - run_start
-            run_len = len_all[run_start:run_stop]
-            run_total = int(run_len.sum())
-            if not is_read[run_start]:
-                # Write run: batched frontier allocation (exclusive
-                # cumulative sum) + one map_range_batch.
-                run_pba = np.empty(run_ops, dtype=np.int64)
-                run_pba[0] = frontier
-                np.cumsum(run_len[:-1], out=run_pba[1:])
-                run_pba[1:] += frontier
-                amap.map_range_batch(
-                    lba_all[run_start:run_stop], run_pba, run_len
-                )
-                frontier += run_total
-                writes += run_ops
-                sectors_written += run_total
-                pba_chunks.append(run_pba)
-                len_chunks.append(run_len)
-                kind_chunks.append(np.full(run_ops, _KIND_WRITE, dtype=np.int8))
-                op_chunks.append(np.arange(run_start, run_stop, dtype=np.int64))
-                stream_len += run_ops
-                continue
-
-            piece_pba, piece_len, _hole, offsets = amap.lookup_pieces_batch(
-                lba_all[run_start:run_stop], run_len
-            )
-            counts = np.diff(offsets)
-            reads += run_ops
-            sectors_read += run_total
-            read_fragments += int(offsets[-1])
-            fragmented = np.flatnonzero(counts > 1)
-            if fragmented.size:
-                fragmented_reads += int(fragmented.size)
-                group_start_chunks.append(stream_len + offsets[fragmented])
-                group_size_chunks.append(counts[fragmented])
-            pba_chunks.append(piece_pba)
-            len_chunks.append(piece_len)
-            kind_chunks.append(
-                np.full(piece_pba.shape[0], _KIND_READ, dtype=np.int8)
-            )
-            op_chunks.append(
-                np.repeat(np.arange(run_start, run_stop, dtype=np.int64), counts)
-            )
-            stream_len += int(piece_pba.shape[0])
-
-    group_start = (
-        np.concatenate(group_start_chunks)
-        if group_start_chunks
-        else np.empty(0, dtype=np.int64)
-    )
-    group_size = (
-        np.concatenate(group_size_chunks)
-        if group_size_chunks
-        else np.empty(0, dtype=np.int64)
-    )
-    return _assemble_stream(
-        trace,
-        translator,
-        frontier,
-        pba_chunks,
-        len_chunks,
-        kind_chunks,
-        op_chunks,
-        group_start,
-        group_size,
-        reads,
-        writes,
-        sectors_read,
-        sectors_written,
-        read_fragments,
-        fragmented_reads,
-    )
-
-
-def _assemble_stream(
-    trace: Trace,
-    translator: LogStructuredTranslator,
-    frontier: int,
-    pba_chunks: List[np.ndarray],
-    len_chunks: List[np.ndarray],
-    kind_chunks: List[np.ndarray],
-    op_chunks: List[np.ndarray],
-    group_start: np.ndarray,
-    group_size: np.ndarray,
-    reads: int,
-    writes: int,
-    sectors_read: int,
-    sectors_written: int,
-    read_fragments: int,
-    fragmented_reads: int,
-) -> FragmentStream:
-    """Concatenate recording buffers and freeze the finished stream."""
-    pba = (
-        np.concatenate(pba_chunks) if pba_chunks else np.empty(0, dtype=np.int64)
-    )
-    length = (
-        np.concatenate(len_chunks) if len_chunks else np.empty(0, dtype=np.int64)
-    )
-    kind = (
-        np.concatenate(kind_chunks) if kind_chunks else np.empty(0, dtype=np.int8)
-    )
-    op_index = (
-        np.concatenate(op_chunks) if op_chunks else np.empty(0, dtype=np.int64)
-    )
+        engine.drain_distances()  # recording keeps the stream, not the seeks
+    pba = _concat([segment[0] for segment in segments], np.int64)
+    length = _concat([segment[1] for segment in segments], np.int64)
+    kind = _concat([segment[2] for segment in segments], np.int8)
+    counts = _concat(op_counts, np.int64)
+    op_index = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     for array in (pba, length, kind, op_index):
         array.setflags(write=False)
-
-    # Leave the layout translator in the exact reference end-state.
-    translator._frontier = frontier
-    if pba.shape[0]:
-        translator.head._position = int(pba[-1] + length[-1])
-
+    fragmented = np.flatnonzero(counts > 1)
+    stats = engine.stats()
     return FragmentStream(
         trace_name=trace.name,
         frontier_base=translator.frontier_base,
-        frontier=frontier,
+        frontier=translator.frontier,
         layout=translator,
         pba=pba,
         length=length,
         kind=kind,
         op_index=op_index,
-        group_start=group_start,
-        group_size=group_size,
-        reads=reads,
-        writes=writes,
-        sectors_read=sectors_read,
-        sectors_written=sectors_written,
-        read_fragments=read_fragments,
-        fragmented_reads=fragmented_reads,
+        group_start=(np.cumsum(counts) - counts)[fragmented],
+        group_size=counts[fragmented],
+        reads=stats.reads,
+        writes=stats.writes,
+        sectors_read=stats.sectors_read,
+        sectors_written=stats.sectors_written,
+        read_fragments=stats.read_fragments,
+        fragmented_reads=stats.fragmented_reads,
     )
 
 
 # --------------------------------------------------------------------- #
 # Evaluation: one configuration against the recorded stream
 # --------------------------------------------------------------------- #
-
-
-def _classify(
-    pba: np.ndarray, length: np.ndarray, kind: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, int, int, Optional[int]]:
-    """Vectorized seek classification of a (kept) access stream.
-
-    Returns ``(distances, distance_is_read, read_seeks, write_seeks,
-    final_head_position)``; the first access never seeks (fresh head).
-    """
-    if pba.shape[0] == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=bool),
-            0,
-            0,
-            None,
-        )
-    prev_end = np.empty_like(pba)
-    prev_end[0] = pba[0]
-    np.add(pba[:-1], length[:-1], out=prev_end[1:])
-    seek = pba != prev_end
-    seek_kinds = kind[seek]
-    distances = (pba - prev_end)[seek]
-    distance_is_read = seek_kinds == _KIND_READ
-    read_seeks = int(np.count_nonzero(distance_is_read))
-    write_seeks = int(seek_kinds.shape[0] - read_seeks)
-    return (
-        distances,
-        distance_is_read,
-        read_seeks,
-        write_seeks,
-        int(pba[-1] + length[-1]),
-    )
 
 
 def _description(config: TechniqueConfig) -> str:
@@ -632,8 +360,13 @@ def _result(
         kept = (stream.pba, stream.length, stream.kind)
     else:
         kept = (stream.pba[keep], stream.length[keep], stream.kind[keep])
-    distances, distance_is_read, read_seeks, write_seeks, head = _classify(*kept)
-    stats = _stream_stats(stream, cache_hits, buffer_hits, read_seeks, write_seeks)
+    # A fresh head: the first access never seeks.
+    _seek, distances, seek_kinds, head = classify_seeks(*kept, None)
+    distance_is_read = seek_kinds == _KIND_READ
+    read_seeks = int(np.count_nonzero(distance_is_read))
+    stats = _stream_stats(
+        stream, cache_hits, buffer_hits, read_seeks, len(seek_kinds) - read_seeks
+    )
     return StreamRunResult(
         run_result=RunResult(
             trace_name=stream.trace_name,
@@ -871,14 +604,10 @@ def stream_windowed_long_seeks(
     if n_requests == 0:
         return []
     n_windows = (n_requests - 1) // window_ops + 1
-    pba, length = stream.pba, stream.length
-    if pba.shape[0] == 0:
-        return [0] * n_windows
-    prev_end = np.empty_like(pba)
-    prev_end[0] = pba[0]
-    np.add(pba[:-1], length[:-1], out=prev_end[1:])
-    deltas = pba - prev_end
-    long = (deltas != 0) & (np.abs(deltas) >= kib_to_sectors(min_seek_kib))
+    seek, distances, _kinds, _end = classify_seeks(
+        stream.pba, stream.length, stream.kind, None
+    )
+    long = np.flatnonzero(seek)[np.abs(distances) >= kib_to_sectors(min_seek_kib)]
     counts = np.bincount(
         stream.op_index[long] // window_ops, minlength=n_windows
     )

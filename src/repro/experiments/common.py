@@ -25,9 +25,9 @@ def set_trace_store(root: Optional[str]) -> None:
 
     Wired to the experiment CLI's ``--trace-store DIR`` flag (and forwarded
     to each parallel worker).  With a store set, synthesized workload
-    traces are compiled to ``.npz`` on first use and loaded back on later
-    runs — the in-memory LRU stays in front, so the store only pays off
-    across processes/runs.  ``None`` disables.
+    traces are compiled to page-aligned ``.npy`` columns on first use and
+    mapped back on later runs — the in-memory LRU stays in front, so the
+    store only pays off across processes/runs.  ``None`` disables.
     """
     global _trace_store
     if root is None:

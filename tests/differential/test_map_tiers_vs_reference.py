@@ -7,8 +7,8 @@ tier contract from every consumer's side:
 
 * batch replay under either tier matches the reference simulator *and*
   produces tier-identical results (stats, seek log, extent map, head);
-* fragment-stream recording takes a different code path per tier
-  (run-split batched vs. per-op scalar) yet must emit bit-identical
+* fragment-stream recording resolves through different map entry points
+  per tier (batch calls vs. per-op lookups) yet must emit bit-identical
   streams;
 * checkpoint state crosses tiers: a ``state_dict`` saved from an
   array-tier engine restores into an extent-tier translator (and vice
@@ -77,8 +77,8 @@ def test_batch_replay_identical_across_tiers(trace, config, monkeypatch):
 
 
 def test_stream_recording_identical_across_tiers(trace, monkeypatch):
-    """The array tier records via run-split batch calls, the extent tier
-    via the per-op scalar loop; the streams must be bit-identical."""
+    """The array tier resolves runs through the map's batch calls, the
+    extent tier op by op; the streams must be bit-identical."""
     streams = {}
     for tier in MAP_TIERS:
         monkeypatch.setenv(ENV_TIER, tier)
@@ -98,29 +98,32 @@ def test_stream_recording_identical_across_tiers(trace, monkeypatch):
 
 
 def test_stream_recording_raises_identically_across_tiers():
-    """The batched recorder pre-scans for frontier-base violations; the
-    scalar loop hits them mid-replay.  Same exception, same message.
+    """Recording pre-scans each batch for frontier-base violations; the
+    reference per-op loop hits them mid-replay.  Same exception, same
+    message, whichever map tier the recording translator runs on.
 
     ``record_fragment_stream`` sizes the log at ``trace.max_end`` so the
-    public entry can never violate; drive the recorders directly with an
-    undersized translator to pin the parity.
+    public entry can never violate; drive the recording path directly
+    with an undersized translator to pin the parity.
     """
-    from repro.core.stream import _record_stream_batched, _record_stream_scalar
+    from repro.core.simulator import Simulator
+    from repro.core.stream import _record_with
     from repro.core.translators import LogStructuredTranslator
+    from repro.extentmap.tiers import make_address_map
 
     trace = Trace(
         [IORequest.write(0, 8), IORequest.read(900, 200)], name="crosser"
     )
-    messages = {}
-    for label, record in (
-        ("scalar", lambda t: _record_stream_scalar(trace, t, 8192)),
-        ("batched", lambda t: _record_stream_batched(trace, t)),
-    ):
-        translator = LogStructuredTranslator(frontier_base=512)
-        with pytest.raises(ValueError) as exc_info:
-            record(translator)
-        messages[label] = str(exc_info.value)
-    assert messages["scalar"] == messages["batched"]
+    with pytest.raises(ValueError) as reference:
+        Simulator().run(trace, LogStructuredTranslator(frontier_base=512))
+    for tier in MAP_TIERS:
+        recording = LogStructuredTranslator(
+            frontier_base=512, address_map=make_address_map(tier)
+        )
+        with pytest.raises(ValueError) as recorded:
+            _record_with(trace, recording, 8192)
+        assert type(recorded.value) is type(reference.value), tier
+        assert str(recorded.value) == str(reference.value), tier
 
 
 @pytest.mark.parametrize(

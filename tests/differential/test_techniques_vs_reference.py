@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import _MIN_BATCH_READ_RUN, _MIN_BATCH_WRITE_RUN
 from repro.core.config import (
     LS,
     LS_ALL,
@@ -140,6 +141,25 @@ SYNTHETIC = {
         # reads ride each other's windows.
         [IORequest.write(24, 8), IORequest.write(16, 8), IORequest.write(32, 8)]
         + [IORequest.read(8, 40), IORequest.read(8, 40)]
+    ),
+    "runs-straddling-batch-cutoffs": _trace(
+        # Write and read runs one below, at and one above the run lengths
+        # where the driver switches between per-op and batched map calls;
+        # overlapping strides keep the reads fragmented.
+        [
+            request
+            for delta in (-1, 0, 1)
+            for request in (
+                [
+                    IORequest.write((i * 13 + delta) % 96, 10)
+                    for i in range(_MIN_BATCH_WRITE_RUN + delta)
+                ]
+                + [
+                    IORequest.read((i * 7) % 96, 24)
+                    for i in range(_MIN_BATCH_READ_RUN + delta)
+                ]
+            )
+        ]
     ),
 }
 
