@@ -92,7 +92,7 @@ repo-bench-compare:
 # Ten alternating parent/change pairs with medians, quartiles and wins —
 # what a gain-claiming PR reports: make repo-bench-pairs PARENT=<ref> W=<workload>
 repo-bench-pairs:
-	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make repo-bench-pairs PARENT=<git-ref> W=<workload> [PAIRS=10] [SEED=2027]"; exit 2; }
+	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make repo-bench-pairs PARENT=<git-ref> W=<workload> [PAIRS=10] [SEED=\"2027 ...\"]"; exit 2; }
 	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(W) --pairs $(or $(PAIRS),10) --seed $(or $(SEED),2027)
 
 # Physical and code lines per src/repro package, and for the two replay

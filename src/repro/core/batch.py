@@ -23,11 +23,11 @@ translators share:
   chunk whenever order requires it;
 * read-run resolution: one
   :meth:`~repro.extentmap.array_map.ArrayExtentMap.lookup_pieces_batch`
-  call for a technique-free run; for the seek-reduction techniques, a
-  per-read replay of the cache → prefetch → disk → defrag decisions over
-  windows of batch-resolved pieces (a defrag rewrite makes only the range
-  it rewrote stale); per-read ``lookup_pieces`` for tiny runs and
-  non-array maps;
+  call for a defrag-free run; with defrag, a per-read loop over windows of
+  batch-resolved pieces (a rewrite makes only the range it rewrote
+  stale); per-read ``lookup_pieces`` for tiny runs and non-array maps —
+  then cache and prefetch once over the run's fragments, through the
+  fragment-policy kernel (:mod:`repro.core.fragment_policy`);
 * the stat fold (array expressions over the op columns and the per-op
   fragment counts), the pure seek classifier :func:`classify_seeks`, and
   the head sync onto the translator.
@@ -98,6 +98,7 @@ Doctest (a write then a fragmenting overwrite-and-read)::
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -105,6 +106,7 @@ import numpy as np
 
 from repro.core.cleaning import ZonedCleaningTranslator
 from repro.core.config import TechniqueConfig, build_translator
+from repro.core.fragment_policy import filter_accesses
 from repro.core.multifrontier import (
     MultiFrontierTranslator,
     RecencyClassifier,
@@ -143,9 +145,6 @@ _MIN_BATCH_READ_RUN = 16
 #: configurations; a defrag rewrite invalidates the resolved window, so
 #: windowing bounds the work thrown away when one fires.
 _READ_RESOLVE_WINDOW = 512
-
-# A stale range overlapping every read: nothing was pre-resolved.
-_EVERY_LBA = (0, 1 << 63)
 
 
 class BatchUnsupportedError(ValueError):
@@ -330,6 +329,19 @@ def _concat(chunks: List[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
 
 
+def _merge_range(starts: List[int], ends: List[int], start: int, end: int) -> None:
+    """Add ``[start, end)`` to the sorted, disjoint interval set held as
+    parallel ``starts`` / ``ends`` lists, absorbing every interval it
+    overlaps or abuts."""
+    lo = bisect_left(ends, start)
+    hi = bisect_right(starts, end)
+    if lo < hi:
+        start = min(start, starts[lo])
+        end = max(end, ends[hi - 1])
+    starts[lo:hi] = [start]
+    ends[lo:hi] = [end]
+
+
 class _AccessBuffer:
     """Order-preserving access-stream buffer (disk accesses only).
 
@@ -367,8 +379,9 @@ class _AccessBuffer:
             del self._len[:]
             del self._kind[:]
 
-    def extend(self, pba: np.ndarray, length: np.ndarray, kind: int) -> None:
-        """Append one vectorized run of same-kind accesses."""
+    def extend(self, pba: np.ndarray, length: np.ndarray, kind) -> None:
+        """Append one vectorized run of accesses; ``kind`` is the code they
+        share, or an array with one code per access."""
         self._drain_spill()
         self._chunks.append((pba, length, np.full(len(pba), kind, np.int8)))
 
@@ -1046,42 +1059,62 @@ class IncrementalBatchReplay:
     def _read_run(self, placement: _Placement, run_lba, run_len):
         """Resolve one read run into the access buffer.
 
-        Returns the per-read fragment counts.  Without techniques a run of
-        at least ``_MIN_BATCH_READ_RUN`` reads on an
-        :class:`ArrayExtentMap` is one ``lookup_pieces_batch`` call.
-        Otherwise the reads replay one by one, each through the paper's
-        service order — unfragmented reads bypass every technique (the
-        ``FragmentedRead`` guard); each fragment of a fragmented read is
-        served from the selective cache if resident, else the prefetch
-        buffer if covered, else the disk (then window prefetch and cache
-        admission); finally opportunistic defrag may rewrite the range at
-        the frontier.  Long runs still resolve their pieces in windows of
-        ``_READ_RESOLVE_WINDOW`` reads per batch lookup: a defrag rewrite
-        moves the map only for the range it rewrote, so instead of
-        re-resolving the window the stale ranges are remembered and just
-        the reads overlapping one re-resolve against the live map.  A tiny
-        run or a non-array map is the same loop with nothing pre-resolved:
-        every read is stale.
+        Returns the per-read fragment counts.  Resolution first: one
+        ``lookup_pieces_batch`` call for a defrag-free run of at least
+        ``_MIN_BATCH_READ_RUN`` reads on an :class:`ArrayExtentMap`, read
+        by read otherwise (:meth:`_resolve_reads`).  Then cache and
+        prefetch, once over the run: unfragmented reads bypass them (the
+        ``FragmentedRead`` guard); the fragments of fragmented reads go
+        through the fragment-policy kernel and only those it sends to the
+        disk enter the buffer.  Running the policies after resolution is
+        exact because nothing upstream reads their state: neither the map
+        nor a defrag decision depends on what they served.
         """
-        amap = placement.amap
         buffer = placement.buffer
-        defrag = placement.defrag
-        prefetcher = placement.prefetcher
-        cache = placement.cache
-        run_ops = len(run_lba)
-        windowed = placement.batched and run_ops >= _MIN_BATCH_READ_RUN
-        if windowed and defrag is None and prefetcher is None and cache is None:
-            piece_pba, piece_len, _hole, offsets = amap.lookup_pieces_batch(
+        policies = placement.cache is not None or placement.prefetcher is not None
+        windowed = placement.batched and len(run_lba) >= _MIN_BATCH_READ_RUN
+        if windowed and placement.defrag is None:
+            pba, length, _hole, offsets = placement.amap.lookup_pieces_batch(
                 run_lba, run_len
             )
-            buffer.extend(piece_pba, piece_len, _KIND_READ)
-            return np.diff(offsets)
+            kind = np.zeros(len(pba), dtype=np.int8)
+            counts = np.diff(offsets)
+        else:
+            sink = _AccessBuffer() if policies else buffer
+            counts = self._resolve_reads(placement, run_lba, run_len, windowed, sink)
+            if not policies:
+                return counts
+            pba, length, kind = sink.take()
+        if policies and len(pba) > len(counts):  # some read is fragmented
+            eligible = np.flatnonzero(kind == _KIND_READ)[np.repeat(counts > 1, counts)]
+            keep, cache_hits, buffer_hits = filter_accesses(
+                placement.cache, placement.prefetcher, pba, length, eligible
+            )
+            pba, length, kind = pba[keep], length[keep], kind[keep]
+            self._counters["cache_hits"] += cache_hits
+            self._counters["buffer_hits"] += buffer_hits
+        buffer.extend(pba, length, kind)
+        return counts
 
+    def _resolve_reads(self, placement: _Placement, run_lba, run_len, windowed, sink):
+        """Resolve a read run read by read into ``sink``, opportunistic
+        defrag (Alg. 1) rewriting at the frontier as it goes.
+
+        Returns the per-read fragment counts.  A ``windowed`` run still
+        resolves ``_READ_RESOLVE_WINDOW`` reads per batch lookup: a rewrite
+        moves the map only for its own range, so the rewritten LBA ranges
+        are remembered — sorted, disjoint, merged; a read asks with one
+        ``bisect`` — and just the reads overlapping one re-resolve against
+        the live map.  A tiny run or a non-array map is the same loop with
+        nothing pre-resolved: one stale range covers every LBA.
+        """
+        amap = placement.amap
+        defrag = placement.defrag
         lookup_pieces = amap.lookup_pieces
-        append_pba = buffer.append_pba
-        append_len = buffer.append_len
-        append_kind = buffer.append_kind
-        cache_hits = buffer_hits = defrag_rewrites = defrag_sectors = 0
+        append_pba = sink.append_pba
+        append_len = sink.append_len
+        append_kind = sink.append_kind
+        run_ops = len(run_lba)
         counts: List[int] = []
         # Reads [window_base, window_stop) have their pieces in p_list /
         # l_list at off_list, unless they overlap a stale LBA range.
@@ -1090,7 +1123,8 @@ class IncrementalBatchReplay:
         p_list: List[int] = []
         l_list: List[int] = []
         off_list: List[int] = []
-        stale: List[tuple] = [] if windowed else [_EVERY_LBA]
+        stale_starts: List[int] = [] if windowed else [0]
+        stale_ends: List[int] = [] if windowed else [1 << 63]
         for j, (req_lba, req_length) in enumerate(
             zip(run_lba.tolist(), run_len.tolist())
         ):
@@ -1104,16 +1138,16 @@ class IncrementalBatchReplay:
                 p_list = p_arr.tolist()
                 l_list = l_arr.tolist()
                 off_list = off.tolist()
-                stale = []
+                del stale_starts[:], stale_ends[:]
             req_end = req_lba + req_length
-            for stale_start, stale_end in stale:
-                if stale_start < req_end and req_lba < stale_end:
-                    pieces = lookup_pieces(req_lba, req_length)
-                    op_p = [piece[0] for piece in pieces]
-                    op_l = [piece[1] for piece in pieces]
-                    lo = 0
-                    fragments = len(pieces)
-                    break
+            # Only the first stale range ending past req_lba can overlap.
+            nearest = bisect_right(stale_ends, req_lba)
+            if nearest < len(stale_ends) and stale_starts[nearest] < req_end:
+                pieces = lookup_pieces(req_lba, req_length)
+                op_p = [piece[0] for piece in pieces]
+                op_l = [piece[1] for piece in pieces]
+                lo = 0
+                fragments = len(pieces)
             else:
                 op_p = p_list
                 op_l = l_list
@@ -1126,21 +1160,9 @@ class IncrementalBatchReplay:
                 append_kind(_KIND_READ)
                 continue
             for piece in range(lo, lo + fragments):
-                pba = op_p[piece]
-                piece_length = op_l[piece]
-                if cache is not None and cache.lookup(pba, piece_length):
-                    cache_hits += 1
-                    continue
-                if prefetcher is not None and prefetcher.covers(pba, piece_length):
-                    buffer_hits += 1
-                    continue
-                append_pba(pba)
-                append_len(piece_length)
+                append_pba(op_p[piece])
+                append_len(op_l[piece])
                 append_kind(_KIND_READ)
-                if prefetcher is not None:
-                    prefetcher.note_fragment_read(pba, piece_length)
-                if cache is not None:
-                    cache.admit(pba, piece_length)
             if defrag is not None and defrag.should_defragment(
                 req_lba, req_length, fragments
             ):
@@ -1149,16 +1171,11 @@ class IncrementalBatchReplay:
                 append_len(req_length)
                 append_kind(_KIND_DEFRAG)
                 amap.map_range(req_lba, pba, req_length)
-                defrag_rewrites += 1
-                defrag_sectors += req_length
+                self._counters["defrag_rewrites"] += 1
+                self._counters["defrag_sectors"] += req_length
                 defrag.note_defragmented(req_lba, req_length)
-                stale.append((req_lba, req_end))
-        counters = self._counters
-        counters["cache_hits"] += cache_hits
-        counters["buffer_hits"] += buffer_hits
-        counters["defrag_rewrites"] += defrag_rewrites
-        counters["defrag_sectors"] += defrag_sectors
-        return counts
+                _merge_range(stale_starts, stale_ends, req_lba, req_end)
+        return np.asarray(counts, dtype=np.int64)
 
     def _fold_ops(
         self, is_read: np.ndarray, length: np.ndarray, fragments: np.ndarray

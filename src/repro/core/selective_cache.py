@@ -78,6 +78,10 @@ class SelectiveFragmentCache:
         return self._lru.capacity_bytes
 
     @property
+    def capacity_blocks(self) -> int:
+        return self._lru.capacity_blocks
+
+    @property
     def evictions(self) -> int:
         return self._lru.evictions
 

@@ -18,10 +18,11 @@ This module exploits that:
   access (pba, length, read/write kind) plus the grouping of fragments
   into fragmented reads — as flat numpy arrays.
 * :func:`stream_replay` evaluates any cache/prefetch configuration
-  against the recorded stream without touching the extent map: a Python
-  loop drives the stateful policy over the *fragmented-read fragments
-  only* (the minority of accesses), producing a keep-mask; seek
-  classification over the kept accesses is then fully vectorized.
+  against the recorded stream without touching the extent map: the
+  fragment-policy kernel (:mod:`repro.core.fragment_policy`) drives the
+  stateful policies over the *fragmented-read fragments only* (the
+  minority of accesses), producing a keep-mask; seek classification over
+  the kept accesses is then fully vectorized.
 * :func:`stream_cache_sweep` evaluates an entire *cache-capacity sweep*
   in one shared pass: block-granular LRU caches obey the stack-inclusion
   property (a larger cache always holds a superset of a smaller one under
@@ -72,6 +73,7 @@ from repro.core.batch import (
     classify_seeks,
 )
 from repro.core.config import TechniqueConfig
+from repro.core.fragment_policy import filter_accesses
 from repro.core.outcomes import SimStats
 from repro.core.prefetch import LookAheadBehindPrefetcher
 from repro.core.selective_cache import SelectiveFragmentCache
@@ -83,7 +85,6 @@ from repro.extentmap.tiers import (
     resolve_map_tier,
 )
 from repro.trace.trace import Trace
-from repro.util.units import BYTES_PER_MIB, SECTOR_BYTES
 
 #: Threshold sentinel for fragments that can never hit (a block was never
 #: cached before), larger than any real capacity in blocks.
@@ -387,12 +388,13 @@ def stream_replay(
 ) -> StreamRunResult:
     """Evaluate one defrag-free configuration against a recorded stream.
 
-    The policy loop visits only the fragments of fragmented reads (every
-    other access reaches the disk unconditionally) and mirrors the
-    reference service order exactly: cache lookup, then prefetch-buffer
-    coverage, then the disk access followed by window prefetch and cache
-    admission.  Raises :class:`StreamUnsupportedError` for configurations
-    without a stream kernel (NoLS, defrag).
+    Eligible indices → the fragment-policy kernel
+    (:mod:`repro.core.fragment_policy`, which holds the reference service
+    order) → keep mask → :func:`~repro.core.batch.classify_seeks`.  Only
+    the fragments of fragmented reads are eligible; every other access
+    reaches the disk unconditionally.  Raises
+    :class:`StreamUnsupportedError` for configurations without a stream
+    kernel (NoLS, defrag).
     """
     if not supports_stream(config):
         raise StreamUnsupportedError(
@@ -406,25 +408,9 @@ def stream_replay(
     if cache is None and prefetcher is None:
         return _result(stream, config, None, 0, 0, None, None)
 
-    keep = np.ones(stream.accesses, dtype=bool)
-    cache_hits = buffer_hits = 0
-    pba, length = stream.pba, stream.length
-    for start, size in zip(stream.group_start.tolist(), stream.group_size.tolist()):
-        for i in range(start, start + size):
-            piece_pba = int(pba[i])
-            piece_length = int(length[i])
-            if cache is not None and cache.lookup(piece_pba, piece_length):
-                cache_hits += 1
-                keep[i] = False
-                continue
-            if prefetcher is not None and prefetcher.covers(piece_pba, piece_length):
-                buffer_hits += 1
-                keep[i] = False
-                continue
-            if prefetcher is not None:
-                prefetcher.note_fragment_read(piece_pba, piece_length)
-            if cache is not None:
-                cache.admit(piece_pba, piece_length)
+    keep, cache_hits, buffer_hits = filter_accesses(
+        cache, prefetcher, stream.pba, stream.length, stream.fragment_access_indices()
+    )
     return _result(stream, config, keep, cache_hits, buffer_hits, cache, prefetcher)
 
 
@@ -522,13 +508,6 @@ def cache_hit_thresholds(
     return access_indices, min_blocks
 
 
-def _capacity_blocks(config: TechniqueConfig) -> int:
-    """The cache's block capacity, exactly as :class:`LRUCache` computes it."""
-    cache_config = config.cache
-    capacity_bytes = int(cache_config.capacity_mib * BYTES_PER_MIB)
-    return capacity_bytes // (cache_config.block_sectors * SECTOR_BYTES)
-
-
 def stream_cache_sweep(
     stream: FragmentStream,
     configs: Sequence[TechniqueConfig],
@@ -558,13 +537,15 @@ def stream_cache_sweep(
         raise StreamUnsupportedError(
             "cache sweep requires a single block_sectors across all configs"
         )
+    # Before the stack-distance pass: an undersized point fails fast.
+    capacities = [SelectiveFragmentCache(c.cache).capacity_blocks for c in configs]
     if thresholds is None:
         thresholds = cache_hit_thresholds(stream, block_sectors)
     access_indices, min_blocks = thresholds
 
     results: List[StreamRunResult] = []
-    for config in configs:
-        hit = min_blocks <= _capacity_blocks(config)
+    for config, capacity_blocks in zip(configs, capacities):
+        hit = min_blocks <= capacity_blocks
         keep = np.ones(stream.accesses, dtype=bool)
         keep[access_indices[hit]] = False
         cache_hits = int(np.count_nonzero(hit))

@@ -312,6 +312,25 @@ def test_unsupported_configs_are_refused(traces):
         stream_cache_sweep(stream, mixed_blocks)
 
 
+def test_sub_block_cache_is_refused_by_sweep_single_point_and_reference(traces):
+    # 0.001 MiB = 1048 B, below one 4 KiB block: the sweep used to size
+    # the point itself and report a 0-block cache with 0 hits.
+    from repro.core.config import build_translator
+
+    trace = traces["hm_1"]
+    stream = record_fragment_stream(trace)
+    undersized = TechniqueConfig(
+        name="sub-block", cache=SelectiveCacheConfig(capacity_mib=0.001)
+    )
+    message = r"capacity_bytes 1048 below one block \(4096\)"
+    with pytest.raises(ValueError, match=message):
+        build_translator(trace, undersized)
+    with pytest.raises(ValueError, match=message):
+        stream_replay(stream, undersized)
+    with pytest.raises(ValueError, match=message):
+        stream_cache_sweep(stream, [LS_CACHE, undersized])
+
+
 def test_recording_layout_is_reference_plain_ls_layout(traces):
     # The recorded layout translator must sit in the exact plain-LS
     # reference end-state — it is returned to callers as such.

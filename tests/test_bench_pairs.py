@@ -41,3 +41,50 @@ def test_export_of_a_ref_contains_the_benchmark_entry_point(tmp_path):
     bench_pairs.export("HEAD", tmp_path / "parent")
     assert (tmp_path / "parent" / "bench" / "run.py").is_file()
     assert not (tmp_path / "parent" / ".git").exists()
+
+
+def test_regressed_marks_a_median_worse_by_more_than_the_bound():
+    parent = [100.0, 102.0, 98.0, 100.0]
+    assert not bench_pairs.summarise(parent, [80.0] * 4, True, bound=0.25)["regressed"]
+    assert bench_pairs.summarise(parent, [74.0] * 4, True, bound=0.25)["regressed"]
+    # lower is better: worse means larger
+    assert bench_pairs.summarise([2.0] * 4, [2.2] * 4, False, bound=0.08)["regressed"]
+    assert not bench_pairs.summarise([2.0] * 4, [1.0] * 4, False, bound=0.08)["regressed"]
+    assert not bench_pairs.summarise(parent, [1.0] * 4, True)["regressed"]  # no bound given
+
+
+def test_main_cycles_seeds_per_pair_and_prints_regressed(monkeypatch, capsys):
+    """The whole tool over a fake benchmark: the change is 2x faster, needs
+    20 % more memory (bound 8 %) and sets up in the same time."""
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        change = checkout.name == "change"
+        return {
+            "ops_per_s": (200.0 if change else 100.0) + seed % 7,
+            "setup_s": 1.0,
+            "peak_rss_mib": 120.0 if change else 100.0,
+        }
+
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(
+        ["--parent", "HEAD", "--workload", "w", "--pairs", "5", "--seed", "11", "12", "13"]
+    ) == 0
+
+    pairs = [calls[i : i + 2] for i in range(0, len(calls), 2)]
+    assert [{side for side, _seed in pair} for pair in pairs] == [{"parent", "change"}] * 5
+    assert [[seed for _side, seed in pair] for pair in pairs] == [
+        [11, 11], [12, 12], [13, 13], [11, 11], [12, 12]
+    ]
+    assert [pair[0][0] for pair in pairs] == ["parent", "change", "parent", "change", "parent"]
+
+    verdicts = {
+        line.split()[1]: line
+        for line in capsys.readouterr().out.splitlines()
+        if "change better" in line
+    }
+    assert "GAIN" in verdicts["ops_per_s"] and "REGRESSED" not in verdicts["ops_per_s"]
+    assert "REGRESSED" in verdicts["peak_rss_mib"] and "GAIN" not in verdicts["peak_rss_mib"]
+    assert "REGRESSED" not in verdicts["setup_s"] and "GAIN" not in verdicts["setup_s"]

@@ -2,16 +2,19 @@
 """Alternating parent/change pairs of the repository benchmark.
 
     python tools/bench_pairs.py --parent <git-ref> --workload W [W ...]
-                                [--change <git-ref>] [--pairs 10] [--seed 2027]
+                                [--change <git-ref>] [--pairs 10] [--seed 2027 ...]
 
 Exports the parent commit (``git archive``) and the change — another ref,
 or by default the working tree's tracked and unignored files — into two
 fresh temporary directories, then runs ``bench/run.py --workload W --seed S
---seconds N --trace 0`` in each, alternating which side goes first.  Per
-end-to-end metric of ``BENCHMARK.json`` it prints both medians with their
-quartiles, the ratio, and in how many pairs the change was better; a gain
-counts as shown when the change wins at least nine pairs in ten and the
-medians differ by more than the parent's interquartile distance.
+--seconds N --trace 0`` in each, alternating which side goes first.  Several
+``--seed`` values are cycled pair by pair — both sides of a pair share the
+seed, as the driver varies seeds between its runs.  Per end-to-end metric of
+``BENCHMARK.json`` it prints both medians with their quartiles, the ratio,
+and in how many pairs the change was better.  ``GAIN`` marks a metric the
+change wins in at least nine pairs in ten with medians further apart than
+the parent's interquartile distance; ``REGRESSED`` one whose change median
+is worse than the parent's by more than the metric's ``bound``.
 
 It only *calls* the benchmark: nothing under ``bench/`` is imported or
 edited, and both sides run their own checkout's copy of it.
@@ -73,9 +76,11 @@ def quartiles(values):
     return median, q1, q3
 
 
-def summarise(parent, change, higher_is_better: bool) -> dict:
-    """Medians, quartiles, ratio, wins and the section-8 verdict for one
-    metric over paired runs (``parent[i]`` ran beside ``change[i]``)."""
+def summarise(parent, change, higher_is_better: bool, bound=None) -> dict:
+    """Medians, quartiles, ratio, wins and the section-8 verdicts for one
+    metric over paired runs (``parent[i]`` ran beside ``change[i]``);
+    ``bound`` is the fraction of the parent's median the change's may be
+    worse by before it counts as regressed."""
     p_med, p_q1, p_q3 = quartiles(parent)
     c_med, c_q1, c_q3 = quartiles(change)
     sign = 1 if higher_is_better else -1
@@ -87,10 +92,11 @@ def summarise(parent, change, higher_is_better: bool) -> dict:
         and wins >= 0.9 * decided
         and sign * (c_med - p_med) > (p_q3 - p_q1)
     )
+    regressed = bound is not None and sign * (p_med - c_med) > bound * p_med
     return {
         "parent": [p_med, p_q1, p_q3], "change": [c_med, c_q1, c_q3],
         "ratio": c_med / p_med if p_med else float("nan"),
-        "wins": wins, "pairs": decided, "gain": gain,
+        "wins": wins, "pairs": decided, "gain": gain, "regressed": regressed,
     }
 
 
@@ -100,7 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default=None, help="git ref (default: the working tree)")
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=2027)
+    parser.add_argument("--seed", type=int, nargs="+", default=[2027],
+                        help="one or more; cycled per pair, shared by its two sides")
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", default=None, help="write every run and the summary here")
     args = parser.parse_args(argv)
@@ -115,9 +122,10 @@ def main(argv=None) -> int:
             runs = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                seed = args.seed[pair % len(args.seed)]
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, args.seed, args.seconds))
-                print(f"{workload} pair {pair + 1}/{args.pairs} " + "  ".join(
+                    runs[side].append(run_once(sides[side], workload, seed, args.seconds))
+                print(f"{workload} pair {pair + 1}/{args.pairs} seed {seed} " + "  ".join(
                     f"{side} {runs[side][-1][metrics[0]['name']]:.4g}" for side in order
                 ), flush=True)
             summary = {
@@ -125,6 +133,7 @@ def main(argv=None) -> int:
                     [r[m["name"]] for r in runs["parent"]],
                     [r[m["name"]] for r in runs["change"]],
                     m["better"] == "higher",
+                    m.get("bound"),
                 )
                 for m in metrics
             }
@@ -137,6 +146,7 @@ def main(argv=None) -> int:
                         *s["parent"], *s["change"])
                     + f"ratio {s['ratio']:.3f}  change better {s['wins']}/{s['pairs']}"
                     + ("  GAIN" if s["gain"] else "")
+                    + ("  REGRESSED" if s["regressed"] else "")
                 )
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

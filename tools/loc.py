@@ -31,6 +31,7 @@ if __name__ == "__main__":
     groups["repro (top level)"] = SRC.glob("*.py")
     groups["src/repro total"] = SRC.rglob("*.py")
     groups["core/batch.py + core/stream.py"] = [SRC / "core/batch.py", SRC / "core/stream.py"]
+    groups["core/fragment_policy.py"] = [SRC / "core/fragment_policy.py"]
     print(f"{'':32s}{'files':>6s}{'physical':>10s}{'code':>8s}")
     for name, files in groups.items():
         counts = [count(path) for path in files]
