@@ -96,9 +96,11 @@ repo-bench-pairs:
 	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(W) --pairs $(or $(PAIRS),10) --seed $(or $(SEED),2027)
 
 # Physical and code lines per src/repro package, and for the two replay
-# modules (ROADMAP: net src/ LOC is tracked per PR).
+# modules; fails over LOC_BUDGET physical lines (ROADMAP aim 2: each PR
+# lowers it to what it reached, none raises it).
+LOC_BUDGET = 21979
 loc:
-	$(PYTHON) tools/loc.py
+	$(PYTHON) tools/loc.py --max-physical $(LOC_BUDGET)
 
 experiments:
 	$(PYTHON) -m repro.experiments all --out results/

@@ -15,6 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.outcomes import SimStats
 from repro.trace.trace import Trace
 
@@ -97,44 +99,60 @@ class WorkloadCharacter:
         return LogSensitivity.LOG_FRIENDLY
 
 
+#: (op, block) pairs expanded at a time: bounds the scratch arrays whatever
+#: the trace's size or its largest request.
+_SLAB_PAIRS = 1 << 18
+
+
+def _block_pairs(ops: np.ndarray, first_block: np.ndarray, n_blocks: np.ndarray):
+    """Yield ``(op, block)`` arrays — one pair per 4 KiB block each of ``ops``
+    touches, in op order — ``_SLAB_PAIRS`` pairs at a time (a slab boundary
+    may fall inside one request)."""
+    first_block, n_blocks = first_block[ops], n_blocks[ops]
+    ends = np.cumsum(n_blocks)
+    for lo in range(0, int(ends[-1]) if len(ends) else 0, _SLAB_PAIRS):
+        pair = np.arange(lo, min(lo + _SLAB_PAIRS, int(ends[-1])))
+        at = np.searchsorted(ends, pair, side="right")
+        yield ops[at], first_block[at] + n_blocks[at] - (ends[at] - pair)
+
+
 def characterize(trace: Trace) -> WorkloadCharacter:
-    """Extract the predictive features from a trace in one pass."""
-    reads = 0
-    writes = 0
-    sequential_reads = 0
-    mixed_reads = 0
-    overwritten = 0
-    written_total = 0
-    last_read_end = None
-    written = set()  # 4 KiB blocks written so far
-    for request in trace:
-        first = request.lba // 8
-        last = (request.end - 1) // 8
-        if request.is_read:
-            reads += 1
-            if last_read_end is not None and request.lba == last_read_end:
-                sequential_reads += 1
-            last_read_end = request.end
-            touches_written = any(
-                block in written for block in range(first, last + 1)
-            )
-            touches_unwritten = any(
-                block not in written for block in range(first, last + 1)
-            )
-            if touches_written and touches_unwritten:
-                mixed_reads += 1
-        else:
-            writes += 1
-            written_total += request.length
-            for block in range(first, last + 1):
-                if block in written:
-                    overwritten += 8
-                else:
-                    written.add(block)
+    """Extract the predictive features from a trace's columns (memory
+    follows the blocks the trace writes, never its highest LBA)."""
+    is_read, lba, length = trace.as_arrays()
+    reads, writes = trace.read_count, trace.write_count
+    first_block = lba // 8
+    n_blocks = (lba + length - 1) // 8 - first_block + 1
+    read_ops, write_ops = np.flatnonzero(is_read), np.flatnonzero(~is_read)
+
+    read_lba = lba[read_ops]
+    read_end = read_lba + length[read_ops]
+    sequential_reads = int(np.count_nonzero(read_lba[1:] == read_end[:-1]))
+
+    # Every block written, sorted, with the op that wrote it first (pairs come
+    # in op order, so the first occurrence is the first writer).  The sentinel
+    # sorts last and is "written" after the trace, so a lookup always lands.
+    blocks, writers = [np.array([np.iinfo(np.int64).max])], [np.array([len(lba)])]
+    for op, block in _block_pairs(write_ops, first_block, n_blocks):
+        distinct, at = np.unique(block, return_index=True)
+        blocks.append(distinct)
+        writers.append(op[at])
+    written, at = np.unique(np.concatenate(blocks), return_index=True)
+    first_writer = np.concatenate(writers)[at]
+    # A write pair overwrites unless it is its block's first.
+    overwritten = 8 * (int(n_blocks[write_ops].sum()) - (len(written) - 1))
+
+    written_before = np.zeros(len(lba), dtype=np.int64)  # blocks, per read
+    for op, block in _block_pairs(read_ops, first_block, n_blocks):
+        at = np.searchsorted(written, block)
+        before = (written[at] == block) & (first_writer[at] < op)
+        np.add.at(written_before, op[before], 1)
+    mixed = (0 < written_before) & (written_before < n_blocks)
+    written_total = int(length[write_ops].sum())
     return WorkloadCharacter(
         write_intensity=(writes / reads) if reads else float("inf"),
         sequential_read_share=(sequential_reads / reads) if reads else 0.0,
         overwrite_ratio=(overwritten / written_total) if written_total else 0.0,
-        mixed_read_share=(mixed_reads / reads) if reads else 0.0,
+        mixed_read_share=(int(mixed.sum()) / reads) if reads else 0.0,
         read_fraction=reads / max(1, reads + writes),
     )

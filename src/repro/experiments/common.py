@@ -14,7 +14,10 @@ from repro.trace.trace import Trace
 from repro.util.io import atomic_write_json
 from repro.workloads import synthesize_workload
 
-_TRACE_CACHE_MAX = 16
+#: Column bytes (25 an op) the trace LRU may hold: all of Table I at any
+#: default scale (16.5 MB at 1.0), since the exhibits cycle through the 21 in
+#: one order and a smaller LRU then misses every time; a larger run evicts.
+_TRACE_CACHE_BYTES = 64 << 20
 _trace_cache: "OrderedDict[Tuple[str, int, float], Trace]" = OrderedDict()
 
 _trace_store = None
@@ -48,8 +51,8 @@ def workload_trace(name: str, seed: int, scale: float) -> Trace:
 
     Several exhibits replay the same workloads; generating each trace once
     per (name, seed, scale) keeps a full ``all`` run fast and guarantees
-    every exhibit sees the identical trace.  The cache is a small LRU
-    (``_TRACE_CACHE_MAX`` entries) so a large-scale ``all`` run doesn't
+    every exhibit sees the identical trace.  The cache is an LRU bounded by
+    column bytes (``_TRACE_CACHE_BYTES``) so a large-scale ``all`` run doesn't
     accumulate every workload it ever touched in memory.  When a compiled
     store is active (:func:`set_trace_store`), misses consult it before
     synthesizing and compile what they synthesize.
@@ -74,7 +77,10 @@ def workload_trace(name: str, seed: int, scale: float) -> Trace:
         if _trace_store is not None:
             _trace_store.store(trace, meta)
     _trace_cache[key] = trace
-    while len(_trace_cache) > _TRACE_CACHE_MAX:
+    while (
+        len(_trace_cache) > 1
+        and 25 * sum(map(len, _trace_cache.values())) > _TRACE_CACHE_BYTES
+    ):
         _trace_cache.popitem(last=False)
     return trace
 
@@ -111,7 +117,7 @@ def clear_trace_cache() -> None:
 
 
 def trace_cache_size() -> int:
-    """Number of traces currently memoized (bounded by the LRU limit)."""
+    """Number of traces currently memoized."""
     return len(_trace_cache)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.experiments.common import downsample, save_json, workload_trace
 from repro.experiments.render import sparkline
@@ -12,12 +12,11 @@ EXHIBIT = "fig7"
 SAMPLE_OPS = 400
 
 
-def _descending_step_fraction(lbas: List[int]) -> float:
-    """Fraction of consecutive write pairs whose LBA decreases."""
+def _descending_step_fraction(lbas) -> float:
+    """Fraction of consecutive write pairs (an LBA column) whose LBA decreases."""
     if len(lbas) < 2:
         return 0.0
-    down = sum(1 for a, b in zip(lbas, lbas[1:]) if b < a)
-    return down / (len(lbas) - 1)
+    return int((lbas[1:] < lbas[:-1]).sum()) / (len(lbas) - 1)
 
 
 def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
@@ -30,13 +29,14 @@ def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> di
     data = {}
     for name in FIG7_WORKLOADS:
         trace = workload_trace(name, seed, scale)
-        write_lbas = [r.lba for r in trace if r.is_write]
-        window = write_lbas[:SAMPLE_OPS]
+        is_read, lba, _ = trace.as_arrays()
+        write_lbas = lba[~is_read]
+        window = write_lbas[:SAMPLE_OPS].tolist()
         data[name] = {
             "sample_ops": len(window),
             "lbas": downsample(window, 400),
             "descending_step_fraction_sample": round(
-                _descending_step_fraction(window), 4
+                _descending_step_fraction(write_lbas[:SAMPLE_OPS]), 4
             ),
             "descending_step_fraction_all": round(
                 _descending_step_fraction(write_lbas), 4

@@ -102,12 +102,7 @@ class TraceColumns:
 
     @classmethod
     def empty(cls) -> "TraceColumns":
-        return cls(
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=bool),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
+        return cls((), (), (), ())  # the constructor sets the dtypes
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "TraceColumns":
@@ -143,7 +138,6 @@ class ColumnarTrace(Trace):
         self._max_end = None
         self._arrays = (columns.is_read, columns.lba, columns.length)
         self._timestamps = columns.timestamp
-        self._read_count = None
         self._materialized: Optional[List[IORequest]] = None
         self.parse_report = None
 

@@ -19,6 +19,7 @@ from typing import Iterable, List, Optional, Union
 from repro.trace.errors import PARSE_ENGINES, ParseReport, check_geometry, make_report
 from repro.trace.record import IORequest, OpType
 from repro.trace.trace import Trace
+from repro.trace.writers import column_rows
 from repro.util.validation import check_choice
 
 _HEADER = ["timestamp", "op", "lba", "length"]
@@ -30,10 +31,10 @@ def write_csv_trace(trace: Trace, path: Union[str, Path]) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_HEADER)
-        for request in trace:
-            writer.writerow(
-                [f"{request.timestamp:.6f}", request.op.value, request.lba, request.length]
-            )
+        writer.writerows(
+            (f"{timestamp:.6f}", op, lba, length)
+            for timestamp, op, lba, length in column_rows(trace)
+        )
 
 
 def read_csv_rows(
@@ -138,14 +139,3 @@ def read_csv_trace(
             capacity_sectors=capacity_sectors,
             report=report,
         )
-
-
-def _parse_row(row: Iterable[str]) -> IORequest:
-    """Parse one native-format CSV row (kept for backwards compatibility)."""
-    timestamp_s, op_s, lba_s, length_s = list(row)[:4]
-    return IORequest(
-        timestamp=float(timestamp_s),
-        op=OpType.parse(op_s),
-        lba=int(lba_s),
-        length=int(length_s),
-    )

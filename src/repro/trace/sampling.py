@@ -18,7 +18,7 @@ def head_sample(trace: Trace, n_ops: int) -> Trace:
     """Return the first ``n_ops`` operations of ``trace``."""
     if n_ops < 0:
         raise ValueError(f"n_ops must be >= 0, got {n_ops}")
-    return Trace(trace.requests[:n_ops], name=f"{trace.name}.head{n_ops}")
+    return trace[:n_ops].renamed(f"{trace.name}.head{n_ops}")
 
 
 def stride_sample(trace: Trace, stride: int) -> Trace:
@@ -30,14 +30,14 @@ def stride_sample(trace: Trace, stride: int) -> Trace:
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    return Trace(trace.requests[::stride], name=f"{trace.name}.stride{stride}")
+    return trace[::stride].renamed(f"{trace.name}.stride{stride}")
 
 
 def op_window(trace: Trace, start: int, end: int) -> Trace:
     """Return operations with index in ``[start, end)``."""
     if start < 0 or end < start:
         raise ValueError(f"invalid window [{start}, {end})")
-    return Trace(trace.requests[start:end], name=f"{trace.name}.ops{start}-{end}")
+    return trace[start:end].renamed(f"{trace.name}.ops{start}-{end}")
 
 
 def time_window(trace: Trace, start_s: float, end_s: float) -> Trace:
@@ -63,8 +63,7 @@ def op_index_buckets(trace: Trace, bucket_ops: int) -> List[Trace]:
     """
     if bucket_ops < 1:
         raise ValueError(f"bucket_ops must be >= 1, got {bucket_ops}")
-    requests = trace.requests
     return [
-        Trace(requests[i : i + bucket_ops], name=f"{trace.name}.bucket{i // bucket_ops}")
-        for i in range(0, len(requests), bucket_ops)
+        trace[i : i + bucket_ops].renamed(f"{trace.name}.bucket{i // bucket_ops}")
+        for i in range(0, len(trace), bucket_ops)
     ]

@@ -2,8 +2,8 @@
 
 Table I characterizes each workload by read/write operation counts, read and
 written volume in GB, and mean write size in KB.  :func:`compute_stats`
-derives all of these (plus a few extras used elsewhere in the analysis) in a
-single pass.
+derives all of these (plus a few extras used elsewhere in the analysis) as
+reductions over the trace's columns.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.util.units import sectors_to_gib, sectors_to_kib
 
 @dataclass(frozen=True)
 class TraceStats:
-    """Single-pass summary of a trace (Table I columns and friends)."""
+    """Summary of a trace (Table I columns and friends)."""
 
     name: str
     read_count: int
@@ -73,30 +73,16 @@ class TraceStats:
 
 
 def compute_stats(trace: Trace) -> TraceStats:
-    """Compute :class:`TraceStats` for ``trace`` in one pass."""
-    read_count = 0
-    write_count = 0
-    read_sectors = 0
-    written_sectors = 0
-    first_ts = None
-    last_ts = 0.0
-    for request in trace:
-        if first_ts is None:
-            first_ts = request.timestamp
-        last_ts = request.timestamp
-        if request.is_read:
-            read_count += 1
-            read_sectors += request.length
-        else:
-            write_count += 1
-            written_sectors += request.length
-    duration = (last_ts - first_ts) if first_ts is not None else 0.0
+    """Compute :class:`TraceStats` for ``trace`` from its columns."""
+    is_read, _, length = trace.as_arrays()
+    stamps = trace.timestamps()
+    read_sectors = int(length[is_read].sum())
     return TraceStats(
         name=trace.name,
-        read_count=read_count,
-        write_count=write_count,
+        read_count=trace.read_count,
+        write_count=trace.write_count,
         read_sectors=read_sectors,
-        written_sectors=written_sectors,
+        written_sectors=int(length.sum()) - read_sectors,
         max_end=trace.max_end,
-        duration_s=duration,
+        duration_s=float(stamps[-1] - stamps[0]) if len(stamps) else 0.0,
     )

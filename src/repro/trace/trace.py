@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.trace.record import IORequest, OpType
 
 
@@ -29,7 +31,6 @@ class Trace:
         self._max_end: Optional[int] = None
         self._arrays = None
         self._timestamps = None
-        self._read_count: Optional[int] = None
         #: Filled by the parsers in :mod:`repro.trace` with the
         #: :class:`~repro.trace.errors.ParseReport` of the parse that built
         #: this trace; None for synthetic or derived traces.
@@ -67,11 +68,8 @@ class Trace:
         PBA = LBA below it.
         """
         if self._max_end is None:
-            if self._arrays is not None:
-                _, lba, length = self._arrays
-                self._max_end = int((lba + length).max()) if len(lba) else 0
-            else:
-                self._max_end = max((r.end for r in self._requests), default=0)
+            _, lba, length = self.as_arrays()
+            self._max_end = int((lba + length).max()) if len(lba) else 0
         return self._max_end
 
     def as_arrays(self):
@@ -86,8 +84,6 @@ class Trace:
         if you need scratch space.
         """
         if self._arrays is None:
-            import numpy as np
-
             n = len(self._requests)
             packed = np.fromiter(
                 (
@@ -125,8 +121,6 @@ class Trace:
         if key is None:
             import hashlib
 
-            import numpy as np
-
             is_read, lba, length = self.as_arrays()
             digest = hashlib.sha256()
             digest.update(f"{self._name}\x00{len(self)}\x00".encode())
@@ -139,8 +133,6 @@ class Trace:
     def timestamps(self):
         """The per-request timestamp column as a read-only float64 array."""
         if self._timestamps is None:
-            import numpy as np
-
             stamps = np.fromiter(
                 (r.timestamp for r in self._requests),
                 dtype=np.float64,
@@ -152,14 +144,7 @@ class Trace:
 
     @property
     def read_count(self) -> int:
-        if self._read_count is None:
-            if self._arrays is not None:
-                import numpy as np
-
-                self._read_count = int(np.count_nonzero(self._arrays[0]))
-            else:
-                self._read_count = sum(1 for r in self._requests if r.is_read)
-        return self._read_count
+        return int(np.count_nonzero(self.as_arrays()[0]))
 
     @property
     def write_count(self) -> int:

@@ -11,11 +11,20 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
+from repro.trace.record import OpType
 from repro.trace.trace import Trace
 from repro.util.units import SECTOR_BYTES
 
 _FILETIME_EPOCH_TICKS = 128_166_372_000_000_000  # an arbitrary 2007 instant
 _TICKS_PER_SECOND = 10_000_000
+
+
+def column_rows(trace: Trace, read=OpType.READ.value, write=OpType.WRITE.value):
+    """``(timestamp, op token, lba, length)`` per op as Python scalars, read
+    off the columns (no :class:`~repro.trace.record.IORequest` is built)."""
+    is_read, lba, length = trace.as_arrays()
+    ops = [read if r else write for r in is_read.tolist()]
+    return zip(trace.timestamps().tolist(), ops, lba.tolist(), length.tolist())
 
 
 def write_msr_trace(
@@ -33,16 +42,12 @@ def write_msr_trace(
     """
     path = Path(path)
     with path.open("w") as handle:
-        for request in trace:
-            ticks = _FILETIME_EPOCH_TICKS + int(
-                request.timestamp * _TICKS_PER_SECOND
-            )
-            op = "Read" if request.is_read else "Write"
-            handle.write(
-                f"{ticks},{hostname},{disk_number},{op},"
-                f"{request.lba * SECTOR_BYTES},"
-                f"{request.length * SECTOR_BYTES},0\n"
-            )
+        handle.writelines(
+            f"{_FILETIME_EPOCH_TICKS + int(timestamp * _TICKS_PER_SECOND)},"
+            f"{hostname},{disk_number},{op},"
+            f"{lba * SECTOR_BYTES},{length * SECTOR_BYTES},0\n"
+            for timestamp, op, lba, length in column_rows(trace, "Read", "Write")
+        )
 
 
 def write_cloudphysics_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -54,8 +59,7 @@ def write_cloudphysics_trace(trace: Trace, path: Union[str, Path]) -> None:
     path = Path(path)
     with path.open("w") as handle:
         handle.write("timestamp_us,op,lba,length\n")
-        for request in trace:
-            handle.write(
-                f"{request.timestamp * 1e6:.0f},{request.op.value},"
-                f"{request.lba},{request.length}\n"
-            )
+        handle.writelines(
+            f"{timestamp * 1e6:.0f},{op},{lba},{length}\n"
+            for timestamp, op, lba, length in column_rows(trace)
+        )

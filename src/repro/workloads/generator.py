@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.trace.record import IORequest, OpType
-from repro.trace.trace import Trace
+import numpy as np
+
+from repro.trace.columnar import ColumnarTrace, TraceColumns
 from repro.util.rngtools import SeedSequenceFactory
 from repro.util.units import kib_to_sectors, mib_to_sectors
 from repro.workloads.patterns import (
@@ -64,6 +65,17 @@ def _interleave_schedule(groups: List[Tuple[str, int]]) -> List[str]:
     return [tag for _, _, tag in positioned]
 
 
+def _check_ranges(lba: np.ndarray, length: np.ndarray) -> None:
+    """The per-op :class:`~repro.trace.record.IORequest` range checks, made
+    once on the columns: the first offending op raises, with that text."""
+    bad = np.flatnonzero((lba < 0) | (length <= 0))
+    if len(bad):
+        first = bad[0]
+        if lba[first] < 0:
+            raise ValueError(f"lba must be >= 0, got {lba[first]}")
+        raise ValueError(f"length must be > 0, got {length[first]}")
+
+
 class WorkloadGenerator:
     """Builds traces for one spec; reusable across scales and seeds."""
 
@@ -74,8 +86,8 @@ class WorkloadGenerator:
     def spec(self) -> WorkloadSpec:
         return self._spec
 
-    def generate(self, seed: int = 42, scale: float = 1.0) -> Trace:
-        """Generate the archetype trace.
+    def generate(self, seed: int = 42, scale: float = 1.0) -> ColumnarTrace:
+        """Generate the archetype trace, as columns (no per-op object).
 
         Args:
             seed: Root seed; every derived random stream is a pure function
@@ -140,12 +152,15 @@ class WorkloadGenerator:
         writes_per_phase = _split_counts(n_writes, write_phase_weights)
         reads_per_phase = _split_counts(n_reads, tuple([1.0] * spec.phases))
 
-        requests: List[IORequest] = []
+        stamps, is_read, lbas, lengths = buffers = [], [], [], []
         clock = 0.0
 
-        def emit(op: OpType, lba: int, length: int) -> None:
+        def emit(read: bool, span: Tuple[int, int]) -> None:
             nonlocal clock
-            requests.append(IORequest(clock, op, lba, length))
+            stamps.append(clock)
+            is_read.append(read)
+            lbas.append(span[0])
+            lengths.append(span[1])
             clock += _OP_INTERVAL_S
 
         def emit_write(tag: str) -> None:
@@ -161,7 +176,7 @@ class WorkloadGenerator:
             else:  # random
                 lba, length = write_random.emit()
                 in_hot = hot_start <= lba < hot_start + hot_len
-            emit(OpType.WRITE, lba, length)
+            emit(False, (lba, length))
             log.note_write(lba, length, in_hot=in_hot)
 
         for phase in range(spec.phases):
@@ -184,26 +199,22 @@ class WorkloadGenerator:
                         emit_write(tag)
 
             rd_counts = _split_counts(reads_per_phase[phase], spec.read_mix.as_tuple())
+            # A pattern with nothing to re-read yet yields None: a random read.
             for _ in range(rd_counts[3]):  # replay reads (log-friendly)
-                span = read_replay.emit()
-                if span is None:
-                    span = read_random.emit()
-                emit(OpType.READ, span[0], span[1])
+                emit(True, read_replay.emit() or read_random.emit())
             for _ in range(rd_counts[0]):  # sequential scans of the hot region
-                lba, length = read_scan.emit()
-                emit(OpType.READ, lba, length)
+                emit(True, read_scan.emit())
             for _ in range(rd_counts[2]):  # Zipf re-reads around hot extents
                 span = self._hot_read_span(read_hot, hot_rng, hot_start, hot_len)
-                if span is None:
-                    span = read_random.emit()
-                emit(OpType.READ, span[0], span[1])
+                emit(True, span or read_random.emit())
             for _ in range(rd_counts[1]):  # random reads
-                lba, length = read_random.emit()
-                emit(OpType.READ, lba, length)
+                emit(True, read_random.emit())
 
             clock += _PHASE_GAP_S
 
-        return Trace(requests, name=spec.name)
+        columns = TraceColumns(*buffers)
+        _check_ranges(columns.lba, columns.length)
+        return ColumnarTrace(columns, name=spec.name)
 
     def _hot_read_span(
         self,
@@ -238,6 +249,8 @@ class WorkloadGenerator:
         return lba, max(BLOCK_SECTORS, end - lba)
 
 
-def generate_workload(spec: WorkloadSpec, seed: int = 42, scale: float = 1.0) -> Trace:
+def generate_workload(
+    spec: WorkloadSpec, seed: int = 42, scale: float = 1.0
+) -> ColumnarTrace:
     """Module-level convenience: ``WorkloadGenerator(spec).generate(...)``."""
     return WorkloadGenerator(spec).generate(seed=seed, scale=scale)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import accumulate
 from typing import Deque, List, Optional, Tuple
 
 from repro.util.rngtools import zipf_weights
@@ -95,10 +96,6 @@ class SequentialPattern:
         self._fixed = fixed_size
         self._cursor = start
         self.wraps = 0
-
-    @property
-    def cursor(self) -> int:
-        return self._cursor
 
     def emit(self) -> Span:
         if self._fixed:
@@ -222,16 +219,18 @@ class ZipfRereadPattern:
         self._rng = rng
         self._log = log
         self._alpha = alpha
-        self._weights: List[float] = []
+        self._cum_weights: List[float] = []
 
     def emit(self) -> Optional[Span]:
         """Return a re-read target, or None if nothing hot exists yet."""
         targets = self._log.hot_targets
         if not targets:
             return None
-        if len(self._weights) != len(targets):
-            self._weights = zipf_weights(len(targets), self._alpha)
-        return self._rng.choices(targets, weights=self._weights, k=1)[0]
+        if len(self._cum_weights) != len(targets):
+            # choices(weights=...) would re-accumulate these on every call.
+            weights = zipf_weights(len(targets), self._alpha)
+            self._cum_weights = list(accumulate(weights))
+        return self._rng.choices(targets, cum_weights=self._cum_weights, k=1)[0]
 
 
 class ReplayReadPattern:

@@ -1,0 +1,136 @@
+"""``characterize`` and ``compute_stats`` are column kernels: they equal
+the per-request loops field for field, and the whole path from the seed to
+them builds no ``IORequest``."""
+
+import contextlib
+import io
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import classify
+from repro.analysis.classify import characterize
+from repro.experiments import ablations, common, fig7, table1
+from repro.experiments.sweep import reset_sweep_engines
+from repro.trace.columnar import ColumnarTrace, TraceColumns
+from repro.trace.record import IORequest
+from repro.trace.stats import compute_stats
+from repro.trace.store import TraceStore, synthetic_meta
+from repro.workloads import synthesize_workload
+from tests.analysis.request_loops import characterize_loop, compute_stats_loop
+
+# Unaligned LBAs and lengths over a few dozen blocks so overwrites, reads of
+# half-written ranges and repeats of one block are all common; two far bases
+# keep the block ids sparse (compression, not an O(max LBA) table).
+BASES = st.sampled_from([0, 3, (1 << 40) - 40])
+OPS = st.lists(
+    st.tuples(
+        st.booleans(),
+        BASES,
+        st.integers(0, 200),
+        st.integers(1, 70),
+        st.floats(0, 1e6, allow_nan=False),
+    ),
+    max_size=40,
+)
+
+
+def trace_of(ops) -> ColumnarTrace:
+    columns = TraceColumns(
+        [t for *_, t in ops],
+        [r for r, *_ in ops],
+        [base + offset for _, base, offset, _, _ in ops],
+        [length for *_, length, _ in ops],
+    )
+    return ColumnarTrace(columns, name="generated")
+
+
+def assert_kernels_equal_loops(trace):
+    assert characterize(trace) == characterize_loop(trace)
+    assert compute_stats(trace) == compute_stats_loop(trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=OPS, slab=st.sampled_from([1, 3, 7, 1 << 18]))
+def test_kernels_equal_request_loops(ops, slab):
+    with mock.patch.object(classify, "_SLAB_PAIRS", slab):  # small: splits requests
+        assert_kernels_equal_loops(trace_of(ops))
+
+
+R, W = True, False
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        [],
+        [(R, 0, 5, 9, 0.0), (R, 0, 14, 3, 1.0), (R, 0, 14, 3, 2.0)],  # read-only
+        [(W, 3, 0, 70, 0.5), (W, 3, 8, 1, 0.25)],  # write-only
+        [(W, 0, 9, 2, 0.0)] * 5,  # one block, overwritten repeatedly
+        # a read straddling written and unwritten blocks, then fully written
+        [(W, 0, 16, 8, 0.0), (R, 0, 12, 16, 1.0), (R, 0, 17, 3, 2.0)],
+        # the same block written after the read that saw it unwritten
+        [(R, 0, 0, 16, 0.0), (W, 0, 8, 8, 1.0), (R, 0, 0, 16, 2.0)],
+        [(W, (1 << 40) - 40, 1, 69, 0.0), (R, (1 << 40) - 40, 0, 70, 9.0)],
+    ],
+    ids=["empty", "read-only", "write-only", "one-block", "straddle",
+         "write-after-read", "near-2**40"],
+)
+@pytest.mark.parametrize("slab", [2, 1 << 18])
+def test_named_cases(monkeypatch, ops, slab):
+    monkeypatch.setattr(classify, "_SLAB_PAIRS", slab)
+    assert_kernels_equal_loops(trace_of(ops))
+
+
+def test_straddling_read_is_mixed_and_overwrite_counts_whole_blocks():
+    trace = trace_of([(W, 0, 16, 8, 0.0), (R, 0, 12, 16, 1.0), (W, 0, 17, 2, 2.0)])
+    character = characterize(trace)
+    assert character.mixed_read_share == 1.0
+    assert character.overwrite_ratio == 8 / 10
+
+
+@pytest.fixture
+def request_constructions(monkeypatch):
+    """Count ``IORequest.__init__`` calls (deterministic, no timing)."""
+    made = []
+    init = IORequest.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IORequest, "__init__", counting)
+    return made
+
+
+def test_no_request_object_between_the_seed_and_the_kernels(
+    request_constructions, tmp_path
+):
+    trace = synthesize_workload("w91", seed=3, scale=0.05)
+    TraceStore(tmp_path).store(trace, synthetic_meta("w91", 3, 0.05))
+    compute_stats(trace)
+    characterize(trace)
+    assert not request_constructions
+    assert not trace.materialized
+    trace.requests  # the counter does see a materialisation
+    assert len(request_constructions) == len(trace)
+
+
+def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions):
+    common.clear_trace_cache()
+    reset_sweep_engines()
+    common.set_fast_replay(True)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for run in (table1.run, ablations.run_taxonomy, fig7.run):
+                run(seed=42, scale=0.05)
+        cached = list(common._trace_cache.values())
+        assert len(cached) == 21
+        assert not any(trace.materialized for trace in cached)
+        assert not request_constructions
+    finally:
+        common.set_fast_replay(False)
+        common.clear_trace_cache()
+        reset_sweep_engines()

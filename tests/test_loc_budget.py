@@ -1,0 +1,34 @@
+"""``src/repro`` stays within the physical-line budget ``make loc`` holds.
+
+ROADMAP aim 2 asks for the same numbers from less code: a PR that shrinks
+``src/repro`` lowers ``LOC_BUDGET`` in the Makefile to what it reached, and
+none raises it.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def loc(*args):
+    return subprocess.run(
+        [sys.executable, str(REPO / "tools" / "loc.py"), *args],
+        capture_output=True, text=True,
+    )
+
+
+def test_src_is_within_the_makefile_budget():
+    budget = re.search(r"^LOC_BUDGET = (\d+)$", (REPO / "Makefile").read_text(), re.M)
+    assert int(budget[1]) <= 21979  # the parent of the PR that made it a gate
+    done = loc("--max-physical", budget[1])
+    assert done.returncode == 0, done.stderr
+
+
+def test_over_budget_exits_nonzero_and_says_by_how_much():
+    done = loc("--max-physical", "1000")
+    assert done.returncode == 1
+    assert re.search(r"over the budget of 1000 by \d+", done.stderr)
+    assert "src/repro total" in done.stdout

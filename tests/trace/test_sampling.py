@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.trace.columnar import ColumnarTrace, TraceColumns
 from repro.trace.sampling import (
     head_sample,
     op_index_buckets,
@@ -70,3 +71,17 @@ class TestSplitAndBuckets:
     def test_invalid_bucket(self, tiny_trace):
         with pytest.raises(ValueError):
             op_index_buckets(tiny_trace, 0)
+
+
+class TestColumnarStaysColumnar:
+    def test_slicing_samplers_keep_a_columnar_trace_columnar(self, tiny_trace):
+        columnar = ColumnarTrace(TraceColumns.from_trace(tiny_trace), name="tiny")
+        for sample, reference in (
+            (head_sample(columnar, 4), head_sample(tiny_trace, 4)),
+            (stride_sample(columnar, 2), stride_sample(tiny_trace, 2)),
+            (op_window(columnar, 1, 5), op_window(tiny_trace, 1, 5)),
+        ):
+            assert isinstance(sample, ColumnarTrace) and not sample.materialized
+            assert not columnar.materialized
+            assert sample.name == reference.name
+            assert list(sample) == list(reference)

@@ -1,10 +1,12 @@
 """External-format writer tests (round-trip through the parsers)."""
 
 from repro.trace.cloudphysics import parse_cloudphysics_file
+from repro.trace.csvio import write_csv_trace
 from repro.trace.msr import parse_msr_file
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 from repro.trace.writers import write_cloudphysics_trace, write_msr_trace
+from repro.workloads import synthesize_workload
 
 
 def sample_trace():
@@ -57,3 +59,29 @@ class TestCloudPhysicsWriter:
         path = tmp_path / "t.csv"
         write_cloudphysics_trace(sample_trace(), path)
         assert path.read_text().startswith("timestamp_us,op,lba,length\n")
+
+
+class TestWritersReadColumns:
+    """The three writers format from ``tolist()``-ed columns: the bytes the
+    per-request loops wrote, and a columnar trace stays unmaterialised."""
+
+    def test_bytes_equal_per_request_formatting(self, tmp_path):
+        trace = synthesize_workload("w91", seed=5, scale=0.02)
+        requests = list(synthesize_workload("w91", seed=5, scale=0.02))
+
+        write_msr_trace(trace, tmp_path / "msr.csv", hostname="srv", disk_number=2)
+        write_cloudphysics_trace(trace, tmp_path / "cp.csv")
+        write_csv_trace(trace, tmp_path / "native.csv")
+        assert not trace.materialized
+
+        ticks = [128_166_372_000_000_000 + int(r.timestamp * 10_000_000) for r in requests]
+        assert (tmp_path / "msr.csv").read_text() == "".join(
+            f"{t},srv,2,{'Read' if r.is_read else 'Write'},{r.lba * 512},{r.length * 512},0\n"
+            for t, r in zip(ticks, requests)
+        )
+        assert (tmp_path / "cp.csv").read_text() == "timestamp_us,op,lba,length\n" + "".join(
+            f"{r.timestamp * 1e6:.0f},{r.op.value},{r.lba},{r.length}\n" for r in requests
+        )
+        assert (tmp_path / "native.csv").read_bytes() == b"timestamp,op,lba,length\r\n" + "".join(
+            f"{r.timestamp:.6f},{r.op.value},{r.lba},{r.length}\r\n" for r in requests
+        ).encode()

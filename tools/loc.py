@@ -1,10 +1,14 @@
 """Physical and code lines per ``src/repro`` package (``make loc``).
 
 A code line carries a token that is neither a comment nor part of a
-docstring; blank lines count towards physical only.
+docstring; blank lines count towards physical only.  ``--max-physical N``
+exits non-zero when ``src/repro`` has more than ``N`` physical lines: the
+budget ``make loc`` and ``tests/test_loc_budget.py`` hold, lowered PR by PR.
 """
+import argparse
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -26,14 +30,28 @@ def count(path: Path) -> tuple:
     return len(text.splitlines()), len(code)
 
 
-if __name__ == "__main__":
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-physical", type=int, metavar="N")
+    args = parser.parse_args(argv)
     groups = {f"repro.{d.name}": d.rglob("*.py") for d in sorted(SRC.iterdir()) if d.is_dir()}
     groups["repro (top level)"] = SRC.glob("*.py")
     groups["src/repro total"] = SRC.rglob("*.py")
     groups["core/batch.py + core/stream.py"] = [SRC / "core/batch.py", SRC / "core/stream.py"]
     groups["core/fragment_policy.py"] = [SRC / "core/fragment_policy.py"]
     print(f"{'':32s}{'files':>6s}{'physical':>10s}{'code':>8s}")
+    totals = {}
     for name, files in groups.items():
         counts = [count(path) for path in files]
-        physical, code = map(sum, zip(*counts))
-        print(f"{name:32s}{len(counts):6d}{physical:10d}{code:8d}")
+        totals[name], code = map(sum, zip(*counts))
+        print(f"{name:32s}{len(counts):6d}{totals[name]:10d}{code:8d}")
+    total = totals["src/repro total"]
+    if args.max_physical is not None and total > args.max_physical:
+        print(f"src/repro is {total} physical lines, over the budget of "
+              f"{args.max_physical} by {total - args.max_physical}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
