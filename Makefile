@@ -12,7 +12,7 @@ export PYTHONPATH := src
 COV_FLAGS := $(shell $(PYTHON) -c "import pytest_cov" 2>/dev/null && echo --cov=repro --cov-fail-under=85)
 XDIST_FLAGS := $(shell $(PYTHON) -c "import xdist" 2>/dev/null && echo -n auto)
 
-.PHONY: install test test-fast smoke serve-smoke serve-bench serve-bench-smoke bench bench-smoke repo-bench repo-bench-selftest repo-bench-compare repo-bench-pairs loc experiments charts lint-clean all
+.PHONY: install test test-fast smoke serve-smoke repo-bench repo-bench-selftest repo-bench-compare repo-bench-pairs loc experiments charts lint-clean all
 
 install:
 	$(PYTHON) setup.py develop
@@ -43,36 +43,6 @@ smoke:
 serve-smoke:
 	$(PYTHON) -m repro serve-smoke
 
-# Replay-kernel macro-benchmark + regression gate: writes BENCH_core.json
-# and fails on >20% slowdown vs the checked-in BENCH_baseline.json or a
-# batch-kernel speedup below 3x (see benchmarks/check_regression.py).
-bench:
-	$(PYTHON) benchmarks/bench_kernels.py --out benchmarks/BENCH_core.json
-	$(PYTHON) benchmarks/check_regression.py benchmarks/BENCH_core.json
-	$(PYTHON) benchmarks/check_regression.py --serving benchmarks/BENCH_serving.json
-
-# Serving data-plane macro-benchmark + gate: two end-to-end runs at 1M
-# ops (JSON-sequential reference vs binary+coalesced) plus the WAL
-# group-commit micro, written to BENCH_serving.json and gated on 5x
-# sustained throughput, a real group-commit win, and recorded p99/RSS
-# (benchmarks/bench_serving.py, check_regression.py --serving).
-serve-bench:
-	$(PYTHON) benchmarks/bench_serving.py --out benchmarks/BENCH_serving.json
-	$(PYTHON) benchmarks/check_regression.py --serving benchmarks/BENCH_serving.json
-
-# The same harness at trivial scale, ungated: proves `repro load`, the
-# daemon, both wires, and the report plumbing still run end to end in
-# seconds (also exercised in tier-1 via tests/test_serve_bench_smoke.py).
-serve-bench-smoke:
-	$(PYTHON) benchmarks/bench_serving.py --ops 30000 --out /tmp/BENCH_serving_smoke.json
-
-# Every macro-benchmark at ~10k ops, ungated: a seconds-long sanity pass
-# that the harness itself still runs end to end (also exercised in tier-1
-# via tests/test_bench_smoke.py).  Numbers at this scale are meaningless;
-# nothing is compared against the baseline.
-bench-smoke:
-	$(PYTHON) benchmarks/bench_kernels.py --ops 10000 --no-runner --out /tmp/BENCH_smoke.json
-
 # The repository benchmark (bench/, declared in BENCHMARK.json): four
 # workloads end to end plus the per-layer ledger.  bench/run.py puts src/
 # on its own path; see bench/README.md.
@@ -98,7 +68,7 @@ repo-bench-pairs:
 # Physical and code lines per src/repro package, and for the two replay
 # modules; fails over LOC_BUDGET physical lines (ROADMAP aim 2: each PR
 # lowers it to what it reached, none raises it).
-LOC_BUDGET = 21979
+LOC_BUDGET = 21429
 loc:
 	$(PYTHON) tools/loc.py --max-physical $(LOC_BUDGET)
 
@@ -112,4 +82,4 @@ lint-clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true
 	rm -rf .pytest_cache .hypothesis
 
-all: test bench experiments
+all: test experiments

@@ -83,7 +83,6 @@ def _load(args) -> int:
             config=configs[i % len(configs)],
             total_ops=args.ops,
             batch_ops=args.batch_ops,
-            wire=args.wire,
             window=args.window,
             seed=17 + i,
         )
@@ -170,10 +169,6 @@ def main(argv=None) -> int:
     load.add_argument("--window", type=int, default=32, help="pipelined batches in flight")
     load.add_argument(
         "--mixture", default="user_heavy", help="preset mixture name (see repro.load.mixture)"
-    )
-    load.add_argument(
-        "--wire", default="bin", choices=("bin", "json"),
-        help="bin = pipelined columnar (coalesced); json = sequential fallback",
     )
     load.add_argument(
         "--rate", type=float, default=None, help="combined target ops/s (default: unthrottled)"

@@ -52,7 +52,6 @@ class TenantLoad:
     config: TechniqueConfig = LS
     total_ops: int = 1_000_000
     batch_ops: int = 2_000
-    wire: str = "bin"  # "bin" (pipelined, coalesced) or "json" (sequential)
     window: int = 32
     seed: int = 0
 
@@ -149,53 +148,38 @@ def _run_tenant(
     columns, capacity = columns_and_cap[:3], columns_and_cap[3]
     run.prepared.set()
     n_batches = len(offsets)
-    with ReplayClient(host, port, spec.name, wire=spec.wire) as client:
+    with ReplayClient(host, port, spec.name) as client:
         client.open(spec.config, capacity)
         run.opened.set()
         go.wait()
         base_seq = client.next_seq
         t0 = time.perf_counter()
-        if spec.wire == "bin":
-            pending: deque = deque()  # (idx, send_time), idx ascending
+        pending: deque = deque()  # (idx, send_time), idx ascending
 
-            def batches():
-                for i in range(n_batches):
-                    wait = t0 + offsets[i] - time.perf_counter()
-                    if wait > 0:
-                        time.sleep(wait)
-                    take = min(spec.batch_ops, spec.total_ops - i * spec.batch_ops)
-                    batch = _batch_slice(columns, i * spec.batch_ops, take)
-                    pending.append((i, time.perf_counter()))
-                    yield batch
-
-            def on_ack(response: dict) -> None:
-                # One group-commit ack advances applied_seq over every
-                # batch in the group; credit each with the same ack time.
-                now = time.perf_counter()
-                applied_idx = int(
-                    response.get("applied_seq", response["seq"])
-                ) - base_seq
-                while pending and pending[0][0] <= applied_idx:
-                    _, sent = pending.popleft()
-                    run.latencies_ms.append((now - sent) * 1e3)
-
-            result = client.apply_stream(
-                batches(), window=spec.window, on_ack=on_ack
-            )
-            run.resyncs = int(result["resyncs"])
-            run.duplicate_acks = int(result["duplicate_acks"])
-        else:
+        def batches():
             for i in range(n_batches):
                 wait = t0 + offsets[i] - time.perf_counter()
                 if wait > 0:
                     time.sleep(wait)
                 take = min(spec.batch_ops, spec.total_ops - i * spec.batch_ops)
                 batch = _batch_slice(columns, i * spec.batch_ops, take)
-                sent = time.perf_counter()
-                response = client.apply_with_retry(*batch)
-                run.latencies_ms.append((time.perf_counter() - sent) * 1e3)
-                if response.get("duplicate"):
-                    run.duplicate_acks += 1
+                pending.append((i, time.perf_counter()))
+                yield batch
+
+        def on_ack(response: dict) -> None:
+            # One group-commit ack advances applied_seq over every
+            # batch in the group; credit each with the same ack time.
+            now = time.perf_counter()
+            applied_idx = int(
+                response.get("applied_seq", response["seq"])
+            ) - base_seq
+            while pending and pending[0][0] <= applied_idx:
+                _, sent = pending.popleft()
+                run.latencies_ms.append((now - sent) * 1e3)
+
+        result = client.apply_stream(batches(), window=spec.window, on_ack=on_ack)
+        run.resyncs = int(result["resyncs"])
+        run.duplicate_acks = int(result["duplicate_acks"])
         run.ops_applied = spec.total_ops
 
 
@@ -333,7 +317,6 @@ def run_load(
     for run in runs:
         report.per_tenant[run.spec.name] = {
             "ops": run.ops_applied,
-            "wire": run.spec.wire,
             "batches": len(run.latencies_ms),
             "apply_p50_ms": round(_percentile(run.latencies_ms, 50), 4),
             "apply_p99_ms": round(_percentile(run.latencies_ms, 99), 4),

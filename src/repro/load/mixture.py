@@ -109,8 +109,7 @@ PRESET_MIXTURES = {
     # read-dominant churn): the replay engine is fastest here, which
     # makes this the mixture that exposes the *data plane* — wire
     # format, fsync discipline, protocol overhead — rather than
-    # translator work.  bench_serving.py uses it for exactly that
-    # reason.
+    # translator work.
     "read_hot": (("hm_1", 0.8), ("usr_1", 0.2)),
 }
 

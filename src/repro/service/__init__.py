@@ -18,12 +18,16 @@ Layered bottom-up:
   the chunk-resumable engine (:class:`repro.core.batch.IncrementalBatchReplay`),
   the incremental analyses, sequence-number dedupe, and the
   journal-before-apply recovery contract.
+* :mod:`repro.service.wire` — the one columnar byte layout a batch
+  keeps from the client's frame to the WAL record.
 * :mod:`repro.service.worker` — a session hosted in a spawned process,
   driven over a pipe.
 * :mod:`repro.service.supervisor` — restarts crashed workers with
   bounded exponential backoff and replays in-flight calls once.
 * :mod:`repro.service.daemon` — the asyncio front end: newline-JSON
-  protocol, per-tenant bounded queues (backpressure), deadline shedding.
+  requests and replies with a framed columnar payload behind each
+  ``apply``, per-tenant bounded queues (backpressure), deadline shedding,
+  group commit.
 * :mod:`repro.service.client` — a small blocking client with
   resync-after-reconnect.
 * :mod:`repro.service.smoke` — the self-contained chaos smoke run

@@ -11,11 +11,9 @@ streaming client actually needs —
   :meth:`apply_with_retry` re-queries the server's ``applied`` seq and
   resends from there — the server's dedupe/gap checks make this safe to
   repeat arbitrarily.
-* **Negotiation.**  :meth:`open` asks the daemon (``hello``) which wires
-  it speaks and picks the best one: ``"bin"`` sends each batch as one
-  framed columnar buffer (:mod:`repro.service.wire`), ``"json"`` is the
-  per-op fallback for old daemons.  Force either with
-  ``ReplayClient(..., wire="json")``.
+* **One wire.**  Every batch travels as one framed columnar buffer
+  (:mod:`repro.service.wire`) behind a small JSON header; control
+  requests and all replies are newline-JSON.
 * **Pipelining.**  :meth:`apply_stream` keeps a window of batches in
   flight on one socket (responses come back in request order) — this is
   what lets the daemon's dispatcher find contiguous queued batches to
@@ -34,13 +32,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.core.config import TechniqueConfig, config_to_dict
-from repro.service.wire import (
-    WIRE_BINARY,
-    WIRE_JSON,
-    WIRE_REF,
-    encode_payload,
-    payload_crc,
-)
+from repro.service.wire import WIRE_BINARY, encode_payload, payload_crc
 
 
 class ServiceError(RuntimeError):
@@ -60,10 +52,7 @@ class ReplayClient:
         port: int,
         tenant: str,
         timeout_s: float = 60.0,
-        wire: str = "auto",
     ) -> None:
-        if wire not in ("auto", WIRE_BINARY, WIRE_JSON):
-            raise ValueError(f"wire must be 'auto', 'bin' or 'json', got {wire!r}")
         self.host = host
         self.port = port
         self.tenant = tenant
@@ -71,11 +60,6 @@ class ReplayClient:
         self._sock: Optional[socket.socket] = None
         self._file = None
         self.next_seq = 1
-        self._requested_wire = wire
-        #: Wire negotiated at :meth:`open` ("bin" or "json").
-        self.wire = WIRE_JSON if wire == "auto" else wire
-        #: Wires the daemon offered in its hello (after :meth:`open`).
-        self.offered_wires: Tuple[str, ...] = ()
 
     # ----------------------------------------------------------------- #
     # Transport
@@ -123,32 +107,8 @@ class ReplayClient:
     # Session operations
     # ----------------------------------------------------------------- #
 
-    def hello(self) -> Tuple[str, ...]:
-        """Ask the daemon which wires it speaks (empty for old daemons)."""
-        try:
-            response = self.request({"op": "hello"})
-        except (ConnectionError, OSError):
-            return ()
-        if not response.get("ok"):
-            return ()
-        return tuple(response.get("wires", ()))
-
-    def negotiate(self) -> str:
-        """Resolve ``wire="auto"`` against the daemon's hello; sets
-        :attr:`wire` and returns it."""
-        self.offered_wires = self.hello()
-        if self._requested_wire == "auto":
-            self.wire = (
-                WIRE_BINARY if WIRE_BINARY in self.offered_wires else WIRE_JSON
-            )
-        else:
-            self.wire = self._requested_wire
-        return self.wire
-
     def open(self, config: TechniqueConfig, capacity_sectors: int) -> dict:
-        """Open (or re-attach to) this tenant's session; negotiates the
-        wire and syncs next_seq."""
-        self.negotiate()
+        """Open (or re-attach to) this tenant's session; syncs next_seq."""
         response = self.request(
             {
                 "op": "open",
@@ -172,37 +132,23 @@ class ReplayClient:
         seq: int,
         deadline_s: Optional[float],
     ) -> bytes:
-        """One apply request as raw socket bytes (header [+ payload])."""
-        if self.wire == WIRE_BINARY:
-            payload = encode_payload(
-                np.asarray(is_read, dtype=bool),
-                np.asarray(lba, dtype=np.int64),
-                np.asarray(length, dtype=np.int64),
-            )
-            header = {
-                "op": "apply",
-                "tenant": self.tenant,
-                "seq": seq,
-                "wire": WIRE_BINARY,
-                "n": int(len(lba)),
-                "crc": payload_crc(payload),
-            }
-            if deadline_s is not None:
-                header["deadline_s"] = deadline_s
-            return json.dumps(header).encode("utf-8") + b"\n" + payload
+        """One apply request as raw socket bytes (header line + payload)."""
+        payload = encode_payload(
+            np.asarray(is_read, dtype=bool),
+            np.asarray(lba, dtype=np.int64),
+            np.asarray(length, dtype=np.int64),
+        )
         header = {
             "op": "apply",
             "tenant": self.tenant,
             "seq": seq,
-            "ops": {
-                "is_read": np.asarray(is_read, dtype=bool).astype(int).tolist(),
-                "lba": np.asarray(lba, dtype=np.int64).tolist(),
-                "length": np.asarray(length, dtype=np.int64).tolist(),
-            },
+            "wire": WIRE_BINARY,
+            "n": int(len(lba)),
+            "crc": payload_crc(payload),
         }
         if deadline_s is not None:
             header["deadline_s"] = deadline_s
-        return json.dumps(header).encode("utf-8") + b"\n"
+        return json.dumps(header).encode("utf-8") + b"\n" + payload
 
     def _read_response(self) -> dict:
         line = self._file.readline()
@@ -225,33 +171,6 @@ class ReplayClient:
         self._file.write(self._apply_frame(is_read, lba, length, seq, deadline_s))
         self._file.flush()
         response = self._read_response()
-        if response.get("ok"):
-            self.next_seq = max(self.next_seq, seq + 1)
-        return response
-
-    def apply_ref(
-        self,
-        key: str,
-        start: int,
-        stop: int,
-        seq: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-    ) -> dict:
-        """Apply ops ``[start, stop)`` of shared-pool entry ``key`` by
-        reference — no op bytes cross the wire or enter the WAL."""
-        seq = self.next_seq if seq is None else seq
-        header = {
-            "op": "apply",
-            "tenant": self.tenant,
-            "seq": seq,
-            "wire": WIRE_REF,
-            "key": key,
-            "start": int(start),
-            "stop": int(stop),
-        }
-        if deadline_s is not None:
-            header["deadline_s"] = deadline_s
-        response = self.request(header)
         if response.get("ok"):
             self.next_seq = max(self.next_seq, seq + 1)
         return response

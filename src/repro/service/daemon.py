@@ -3,8 +3,9 @@
 The daemon is the concurrency boundary of the service.  Everything below
 it is blocking and single-threaded-per-tenant (a supervisor call holds
 the tenant's lock while the worker computes); everything above it is a
-TCP conversation of newline-JSON headers with optional out-of-line
-binary payloads.  The shape:
+TCP conversation of newline-JSON requests and replies, where an ``apply``
+header is followed by its framed columnar payload
+(:mod:`repro.service.wire`), CRC-checked at admission.  The shape:
 
 * One reader task per client connection parses requests and dispatches
   each as its own task; one writer task per connection sends responses
@@ -16,18 +17,13 @@ binary payloads.  The shape:
   tenant.  The dispatcher pops a request, checks its deadline, and runs
   the supervisor call in the shared thread pool — so one slow tenant
   occupies one pool thread, not the event loop, and ops for a tenant
-  stay strictly ordered.
+  stay strictly ordered.  The pair lives from a tenant's ``open`` to its
+  ``close`` (or to a first ``open`` that fails); whatever is still
+  queued then is shed.
 
-Wire formats (negotiated via the ``hello`` op, see
-:mod:`repro.service.wire`): ``"json"`` applies carry per-op lists in the
-header line (the PR 6 path, kept verbatim as the compatibility fallback);
-``"bin"`` applies carry a framed columnar payload after the header line,
-CRC-checked at admission; ``"ref"`` applies name an op range inside the
-shared content-addressed pool and carry no op bytes at all.
-
-**Coalescing + group commit:** when a tenant's dispatcher pops a
-binary/ref apply and more contiguous same-wire applies are already
-queued behind it, it merges them — up to
+**Coalescing + group commit:** when a tenant's dispatcher pops an apply
+and more contiguous applies are already queued behind it, it merges
+them — up to
 :attr:`DaemonConfig.coalesce_batches` / ``coalesce_ops`` /
 ``coalesce_bytes`` — into ONE worker call (byte concatenation; the
 payloads are never re-encoded).  The session journals the group under a
@@ -35,8 +31,7 @@ single CRC frame with a single fsync and acks every member batch exactly
 as the one-at-a-time path would have (see
 :meth:`ReplaySession.apply_group_payload`), so at streaming rates the
 dominant per-batch costs — pipe crossings and WAL fsyncs — are paid per
-*group*.  JSON applies never coalesce; that path stays byte-for-byte the
-PR 6 reference.
+*group*.
 
 Backpressure and shedding, per tenant:
 
@@ -66,31 +61,25 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.core.config import config_from_dict
-from repro.service.supervisor import (
-    Supervisor,
-    SupervisorConfig,
-    TenantFailedError,
-    WorkerCallError,
-)
+from repro.service.supervisor import Supervisor, SupervisorConfig, TenantFailedError
 from repro.service.wire import (
     SUPPORTED_WIRES,
     WIRE_BINARY,
-    WIRE_JSON,
-    WIRE_REF,
     payload_crc,
     payload_nbytes,
 )
-from repro.service.worker import encode_ops
 
-#: Default ceiling on one request header line (JSON applies put their ops
-#: here, so it doubles as the JSON-wire batch size limit).
-MAX_LINE_BYTES = 8 * 1024 * 1024
+#: Default ceiling on one request header line (headers carry no ops).
+MAX_LINE_BYTES = 64 * 1024
 
 #: Default ceiling on one out-of-line binary payload.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+
+def _refusal(error: str) -> dict:
+    """The reader's reply to a request it cannot decode."""
+    return {"ok": False, "error": error, "kind": "ValueError"}
 
 
 @dataclass(frozen=True)
@@ -117,9 +106,6 @@ class DaemonConfig:
             coalescing.
         pipeline_depth: In-flight requests allowed per client
             connection (responses always return in request order).
-        pool_root: Shared content-addressed trace store directory; when
-            set, workers resolve ``"ref"``-wire batches through one
-            machine-wide mmap of it.
     """
 
     host: str = "127.0.0.1"
@@ -133,7 +119,6 @@ class DaemonConfig:
     coalesce_ops: int = 1_048_576
     coalesce_bytes: int = 16 * 1024 * 1024
     pipeline_depth: int = 256
-    pool_root: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -158,11 +143,9 @@ class _Pending:
         "future",
         "enqueued_at",
         "deadline_s",
-        "wire",
         "seq",
         "n",
         "payload",
-        "ref",
     )
 
     def __init__(
@@ -171,21 +154,17 @@ class _Pending:
         future,
         enqueued_at,
         deadline_s,
-        wire=None,
         seq=None,
         n=None,
         payload=None,
-        ref=None,
     ):
         self.message = message
         self.future = future
         self.enqueued_at = enqueued_at
         self.deadline_s = deadline_s
-        self.wire = wire          # "bin"/"ref" for coalescible applies
-        self.seq = seq            # batch seq (coalescible applies only)
-        self.n = n                # op count (coalescible applies only)
-        self.payload = payload    # columnar bytes ("bin" wire only)
-        self.ref = ref            # (key, start, stop) ("ref" wire only)
+        self.seq = seq            # batch seq (applies only)
+        self.n = n                # op count (applies only)
+        self.payload = payload    # columnar bytes (applies only)
 
 
 class ReplayDaemon:
@@ -208,11 +187,7 @@ class ReplayDaemon:
     ) -> None:
         self._config = config or DaemonConfig()
         self._supervisor = supervisor or Supervisor(
-            Path(root),
-            config=supervisor_config,
-            pool_root=(
-                Path(self._config.pool_root) if self._config.pool_root else None
-            ),
+            Path(root), config=supervisor_config
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -251,21 +226,17 @@ class ReplayDaemon:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in self._dispatchers.values():
+        dispatchers = list(self._dispatchers.values())
+        for task in dispatchers:
             task.cancel()
-        for task in self._dispatchers.values():
+        for task in dispatchers:
             try:
                 await task
             except asyncio.CancelledError:
                 pass
         self._dispatchers.clear()
         for queue in self._queues.values():
-            while not queue.empty():
-                pending = queue.get_nowait()
-                if not pending.future.done():
-                    pending.future.set_result(
-                        {"ok": False, "error": "daemon stopping", "shed": True}
-                    )
+            self._shed_queued(queue, "daemon stopping")
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(self._executor, self._supervisor.shutdown)
         if self._executor is not None:
@@ -309,18 +280,16 @@ class ReplayDaemon:
                     continue
                 try:
                     request = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
+                    # Not JSON, not UTF-8, or nested past the parser's depth.
                     await slots.acquire()
-                    await responses.put(
-                        ("error", {"ok": False, "error": f"bad json: {exc}"})
-                    )
+                    await responses.put(("error", _refusal(f"bad json: {exc}")))
                     continue
                 payload = None
                 error = None
-                if (
-                    request.get("op") == "apply"
-                    and request.get("wire") == WIRE_BINARY
-                ):
+                if not isinstance(request, dict):
+                    error = _refusal("a request must be a JSON object")
+                elif request.get("op") == "apply":
                     try:
                         payload, error = await self._read_payload(reader, request)
                     except asyncio.IncompleteReadError:
@@ -397,17 +366,15 @@ class ReplayDaemon:
 
         Returns ``(payload, None)`` on success, ``(None, error_dict)``
         when the frame is refused — in which case the frame bytes have
-        still been consumed, so the stream stays in sync.
+        still been consumed, so the stream stays in sync.  A header that
+        does not announce a payload (no ``"wire": "bin"``, no usable
+        ``n``) is refused without reading one.
         """
-        try:
-            n = int(request["n"])
-        except (KeyError, TypeError, ValueError):
-            return None, {
-                "ok": False,
-                "error": "binary apply needs an integer op count 'n'",
-            }
-        if n < 0:
-            return None, {"ok": False, "error": "op count 'n' must be >= 0"}
+        if request.get("wire") != WIRE_BINARY:
+            return None, _refusal(f"unknown wire {request.get('wire')!r}")
+        n = request.get("n")
+        if type(n) is not int or n < 0:
+            return None, _refusal("apply needs an integer op count 'n' >= 0")
         nbytes = payload_nbytes(n)
         if nbytes > self._config.max_frame_bytes:
             remaining = nbytes
@@ -417,12 +384,8 @@ class ReplayDaemon:
             return None, self._too_large("frame")
         payload = await reader.readexactly(nbytes)
         crc = request.get("crc")
-        if crc is not None and payload_crc(payload) != int(crc):
-            return None, {
-                "ok": False,
-                "error": "payload crc mismatch",
-                "kind": "ValueError",
-            }
+        if crc is not None and (type(crc) is not int or payload_crc(payload) != crc):
+            return None, _refusal("payload crc mismatch")
         return payload, None
 
     async def _shutdown_soon(self) -> None:
@@ -437,17 +400,11 @@ class ReplayDaemon:
         if op == "ping":
             return {"ok": True, "tenants": self._supervisor.tenants()}
         if op == "hello":
-            wires = [
-                w
-                for w in SUPPORTED_WIRES
-                if w != WIRE_REF or self._supervisor.pool_root
-            ]
             return {
                 "ok": True,
-                "wires": wires,
+                "wires": list(SUPPORTED_WIRES),
                 "max_line_bytes": self._config.max_line_bytes,
                 "max_frame_bytes": self._config.max_frame_bytes,
-                "pool_root": self._supervisor.pool_root,
             }
         if op == "shutdown":
             return {"ok": True, "stopping": True}
@@ -468,37 +425,12 @@ class ReplayDaemon:
         self, tenant: str, request: dict, payload: Optional[bytes] = None
     ) -> dict:
         loop = asyncio.get_running_loop()
-        if tenant not in self._queues:
-            self._queues[tenant] = asyncio.Queue(maxsize=self._config.queue_depth)
-            self._dispatchers[tenant] = loop.create_task(
-                self._dispatch_tenant(tenant), name=f"dispatch-{tenant}"
-            )
         deadline_s = float(request.get("deadline_s", self._config.deadline_s))
-        wire = seq = n = ref = None
+        seq = n = None
         if request.get("op") == "apply":
-            declared = request.get("wire", WIRE_JSON)
             try:
-                if declared == WIRE_BINARY:
-                    wire = WIRE_BINARY
-                    seq = int(request["seq"])
-                    n = int(request["n"])
-                elif declared == WIRE_REF:
-                    if not self._supervisor.pool_root:
-                        return {
-                            "ok": False,
-                            "error": "daemon has no shared pool; "
-                            "ref wire unavailable",
-                        }
-                    wire = WIRE_REF
-                    seq = int(request["seq"])
-                    ref = (
-                        str(request["key"]),
-                        int(request["start"]),
-                        int(request["stop"]),
-                    )
-                    n = ref[2] - ref[1]
-                elif declared != WIRE_JSON:
-                    return {"ok": False, "error": f"unknown wire {declared!r}"}
+                seq = int(request["seq"])
+                n = int(request["n"])
             except (KeyError, TypeError, ValueError) as exc:
                 return {"ok": False, "error": f"bad apply header: {exc}"}
         pending = _Pending(
@@ -506,14 +438,21 @@ class ReplayDaemon:
             loop.create_future(),
             loop.time(),
             deadline_s,
-            wire=wire,
             seq=seq,
             n=n,
             payload=payload,
-            ref=ref,
         )
+        queue = self._queues.get(tenant)
+        if queue is None:
+            # Only an ``open`` gets here without one (see _handle); its
+            # dispatcher retires the pair again if that open fails.
+            queue = asyncio.Queue(maxsize=self._config.queue_depth)
+            self._queues[tenant] = queue
+            self._dispatchers[tenant] = loop.create_task(
+                self._dispatch_tenant(tenant, queue), name=f"dispatch-{tenant}"
+            )
         try:
-            self._queues[tenant].put_nowait(pending)
+            queue.put_nowait(pending)
         except asyncio.QueueFull:
             # Admission control: refuse instead of buffering unboundedly.
             return {
@@ -532,13 +471,17 @@ class ReplayDaemon:
         if not pending.future.done():
             pending.future.set_result({"ok": False, "error": why, "shed": True})
 
+    def _shed_queued(self, queue: asyncio.Queue, why: str) -> None:
+        while not queue.empty():
+            self._shed(queue.get_nowait(), why)
+
     def _expired(self, pending: _Pending, loop) -> bool:
         return loop.time() - pending.enqueued_at > pending.deadline_s
 
-    async def _dispatch_tenant(self, tenant: str) -> None:
-        queue = self._queues[tenant]
+    async def _dispatch_tenant(self, tenant: str, queue: asyncio.Queue) -> None:
         loop = asyncio.get_running_loop()
         carry: Optional[_Pending] = None
+        opened = False
         while True:
             if carry is not None:
                 pending, carry = carry, None
@@ -547,39 +490,50 @@ class ReplayDaemon:
             if self._expired(pending, loop):
                 # Expired in queue: shed without burning worker time.
                 self._shed(pending, "deadline expired in queue")
+                ok = False
+            elif pending.payload is not None:
+                carry = await self._dispatch_group(tenant, pending, queue, loop)
                 continue
-            if pending.wire in (WIRE_BINARY, WIRE_REF):
+            else:
                 try:
-                    carry = await self._dispatch_group(tenant, pending, queue, loop)
+                    response = await loop.run_in_executor(
+                        self._executor, self._call_blocking, tenant, pending.message
+                    )
                 except asyncio.CancelledError:
+                    self._shed(pending, "daemon stopping")
                     raise
-                continue
-            try:
-                response = await loop.run_in_executor(
-                    self._executor, self._call_blocking, tenant, pending.message
-                )
-            except asyncio.CancelledError:
-                self._shed(pending, "daemon stopping")
-                raise
-            except TenantFailedError as exc:
-                response = {"ok": False, "error": str(exc), "failed": True}
-            except (WorkerCallError, ValueError, KeyError) as exc:
-                response = {"ok": False, "error": str(exc), "kind": type(exc).__name__}
-            except Exception as exc:  # keep the dispatcher alive
-                response = {"ok": False, "error": str(exc), "kind": type(exc).__name__}
-            if not pending.future.done():
-                pending.future.set_result(response)
+                except TenantFailedError as exc:
+                    response = {"ok": False, "error": str(exc), "failed": True}
+                except Exception as exc:  # keep the dispatcher alive
+                    response = {
+                        "ok": False,
+                        "error": str(exc),
+                        "kind": type(exc).__name__,
+                    }
+                if not pending.future.done():
+                    pending.future.set_result(response)
+                ok = bool(response.get("ok"))
+            op = pending.message.get("op")
+            if op == "open" and ok:
+                opened = True
+            elif (op == "close" and ok) or (op == "open" and not opened):
+                # A closed tenant, or one whose first open never succeeded,
+                # keeps no queue and no task; requests behind it are shed
+                # (no await since the reply was set, so none can slip in).
+                del self._queues[tenant], self._dispatchers[tenant]
+                self._shed_queued(queue, f"tenant {tenant!r} not open")
+                return
 
     async def _dispatch_group(
         self, tenant: str, first: _Pending, queue: asyncio.Queue, loop
     ) -> Optional[_Pending]:
-        """Merge queued contiguous same-wire applies behind ``first`` into
-        one worker call; returns a popped-but-not-coalescible carry (the
-        next loop iteration's head) or None."""
+        """Merge queued contiguous applies behind ``first`` into one worker
+        call; returns a popped-but-not-coalescible carry (the next loop
+        iteration's head) or None."""
         cfg = self._config
         group = [first]
         total_ops = first.n
-        total_bytes = len(first.payload) if first.payload is not None else 0
+        total_bytes = len(first.payload)
         carry: Optional[_Pending] = None
         while (
             len(group) < cfg.coalesce_batches
@@ -593,27 +547,20 @@ class ReplayDaemon:
             if self._expired(nxt, loop):
                 self._shed(nxt, "deadline expired in queue")
                 break
-            if nxt.wire != first.wire or nxt.seq != group[-1].seq + 1:
+            if nxt.payload is None or nxt.seq != group[-1].seq + 1:
                 carry = nxt
                 break
             group.append(nxt)
             total_ops += nxt.n
-            total_bytes += len(nxt.payload) if nxt.payload is not None else 0
-        if first.wire == WIRE_BINARY:
-            message = {
-                "cmd": "apply_group",
-                "first_seq": first.seq,
-                "counts": [p.n for p in group],
-                # Coalescing IS this join: the payloads arrive in wire
-                # layout and leave in wire layout, no per-op work.
-                "payload": b"".join(p.payload for p in group),
-            }
-        else:
-            message = {
-                "cmd": "apply_refs",
-                "first_seq": first.seq,
-                "refs": [p.ref for p in group],
-            }
+            total_bytes += len(nxt.payload)
+        message = {
+            "cmd": "apply_group",
+            "first_seq": first.seq,
+            "counts": [p.n for p in group],
+            # Coalescing IS this join: the payloads arrive in wire
+            # layout and leave in wire layout, no per-op work.
+            "payload": b"".join(p.payload for p in group),
+        }
         try:
             response = await loop.run_in_executor(
                 self._executor, self._supervisor.call, tenant, message
@@ -655,14 +602,6 @@ class ReplayDaemon:
                 "tenant": tenant,
                 "applied_seq": applied.get("result", {}).get("applied_seq", 0),
             }
-        if op == "apply":
-            ops = request["ops"]
-            is_read = np.asarray(ops["is_read"], dtype=bool)
-            lba = np.asarray(ops["lba"], dtype=np.int64)
-            length = np.asarray(ops["length"], dtype=np.int64)
-            message = {"cmd": "apply", "seq": int(request["seq"])}
-            message.update(encode_ops(is_read, lba, length))
-            return self._supervisor.call(tenant, message)
         if op == "query":
             return self._supervisor.call(
                 tenant,

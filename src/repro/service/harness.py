@@ -2,10 +2,10 @@
 
 Everything that needs a live :class:`~repro.service.daemon.ReplayDaemon`
 without owning the process — the chaos smoke run, the daemon test suite,
-the load harness, the serving benchmarks — boots one of these: a real
-TCP server on a free port, its asyncio loop isolated in a daemon thread,
-with :meth:`DaemonThread.stop` performing the clean every-session
-checkpoint shutdown.
+the load harness — boots one of these: a real TCP server on a free port,
+its asyncio loop isolated in a daemon thread, with
+:meth:`DaemonThread.stop` performing the clean every-session checkpoint
+shutdown.
 """
 
 from __future__ import annotations

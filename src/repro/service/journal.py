@@ -32,25 +32,12 @@ The group payload is the byte concatenation of each batch's single-batch
 payload (the :mod:`repro.service.wire` layout), so the daemon's coalesced
 buffer journals verbatim — no re-encoding between the socket and the WAL.
 
-A **by-reference** batch (ops live in the shared content-addressed
-:class:`~repro.service.pool.TracePool`; the WAL stores ~60 bytes however
-large the batch)::
-
-    magic   u32   0x524A5231 ("RJR1")
-    seq     u64   batch sequence number
-    start   u64   first op index within the pool entry
-    stop    u64   one past the last op index
-    crc     u32   CRC-32 of key + start/stop (packed little-endian)
-    key     u8[32]  raw SHA-256 of the pool entry
-
-Ref records are only recoverable while the pool entry exists; pool
-entries are immutable, content-addressed and fsynced before any ref to
-them is accepted, so a retained checkpoint's journal tail can always be
-re-resolved.
-
-Torn tails are detected structurally (short header/payload) or by CRC and
-truncated in place; anything before the tear is intact because each
-record (or group) was fsynced before acknowledgement.
+Torn tails are detected structurally (short header/payload, unknown
+magic) or by CRC and truncated in place; anything before the tear is
+intact because each record (or group) was fsynced before acknowledgement.
+The one magic that is *not* a tear is the retired by-reference record
+("RJR1", ops held in an external pool): it marks acknowledged batches
+this version cannot decode, so recovery raises instead of truncating.
 
 Segments: one append-only file per checkpoint epoch,
 ``<root>/journal/seg-<first_seq:012d>.log`` (named by the first batch seq
@@ -66,7 +53,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,9 +61,7 @@ _MAGIC = 0x524A4C31
 _HEADER = struct.Struct("<IQII")  # magic, seq, n, crc
 _GROUP_MAGIC = 0x524A4731
 _GROUP_HEADER = struct.Struct("<IQII")  # magic, first_seq, k, crc
-_REF_MAGIC = 0x524A5231
-_REF_HEADER = struct.Struct("<IQQQI")  # magic, seq, start, stop, crc
-_REF_KEY_BYTES = 32
+_RETIRED_REF_MAGIC = 0x524A5231
 
 
 class JournalRecord:
@@ -94,26 +79,6 @@ class JournalRecord:
 
     def __len__(self) -> int:
         return len(self.lba)
-
-
-class RefRecord:
-    """One journaled by-reference batch: a pool key plus an op range.
-
-    Recovery resolves the columns through the session's
-    :class:`~repro.service.pool.TracePool`; the record itself carries no
-    op data.
-    """
-
-    __slots__ = ("seq", "key", "start", "stop")
-
-    def __init__(self, seq: int, key: str, start: int, stop: int) -> None:
-        self.seq = seq
-        self.key = key
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
 
 
 def _encode(seq: int, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray) -> bytes:
@@ -134,16 +99,13 @@ def _decode_payload(seq: int, n: int, payload: bytes) -> JournalRecord:
     return JournalRecord(seq, is_read, lba, length)
 
 
-def _ref_crc(key_bytes: bytes, start: int, stop: int) -> int:
-    return zlib.crc32(key_bytes + struct.pack("<QQ", start, stop))
-
-
 def _scan_one(data: bytes, offset: int):
     """Decode the record starting at ``offset``; ``(records, end)`` or None.
 
     Returns None on any structural damage or CRC mismatch — the caller
     truncates there.  A group record expands into one
-    :class:`JournalRecord` per member batch.
+    :class:`JournalRecord` per member batch.  Raises ``ValueError`` on a
+    retired by-reference record (see module docs).
     """
     if offset + 4 > len(data):
         return None
@@ -180,26 +142,21 @@ def _scan_one(data: bytes, offset: int):
             records.append(_decode_payload(first_seq + i, n, data[at:nxt]))
             at = nxt
         return records, end
-    if magic == _REF_MAGIC:
-        if offset + _REF_HEADER.size + _REF_KEY_BYTES > len(data):
-            return None
-        _, seq, start, stop, crc = _REF_HEADER.unpack_from(data, offset)
-        key_at = offset + _REF_HEADER.size
-        end = key_at + _REF_KEY_BYTES
-        key_bytes = data[key_at:end]
-        if _ref_crc(key_bytes, start, stop) != crc:
-            return None
-        return [RefRecord(seq, key_bytes.hex(), start, stop)], end
+    if magic == _RETIRED_REF_MAGIC:
+        raise ValueError(
+            f"journal record at byte {offset}: by-reference records are no "
+            "longer supported"
+        )
     return None
 
 
-def _scan_segment(path: Path, truncate_torn: bool) -> List[Union[JournalRecord, RefRecord]]:
+def _scan_segment(path: Path, truncate_torn: bool) -> List[JournalRecord]:
     """Decode a segment, optionally truncating a torn/corrupt tail in place.
 
     Valid records strictly precede the first damaged byte (records are
     fsynced in order), so truncation never discards acknowledged data.
     """
-    records: List[Union[JournalRecord, RefRecord]] = []
+    records: List[JournalRecord] = []
     with open(path, "rb") as handle:
         data = handle.read()
     offset = 0
@@ -294,30 +251,6 @@ class OpJournal:
             + payload
         )
 
-    def append_refs(
-        self, refs: Sequence[Tuple[int, str, int, int]]
-    ) -> None:
-        """Durably journal by-reference batches, one fsync for the run.
-
-        ``refs`` is a sequence of ``(seq, key_hex, start, stop)``; each
-        becomes its own tiny record, but the fsync is paid once (group
-        commit for the ref wire).
-        """
-        if not refs:
-            return
-        blobs = []
-        for seq, key, start, stop in refs:
-            key_bytes = bytes.fromhex(key)
-            if len(key_bytes) != _REF_KEY_BYTES:
-                raise ValueError(f"pool key must be {_REF_KEY_BYTES} bytes hex, got {key!r}")
-            blobs.append(
-                _REF_HEADER.pack(
-                    _REF_MAGIC, seq, start, stop, _ref_crc(key_bytes, start, stop)
-                )
-                + key_bytes
-            )
-        self._write_durably(b"".join(blobs))
-
     def _write_durably(self, blob: bytes) -> None:
         if self._handle is None:
             raise RuntimeError("journal segment not open; call open_segment first")
@@ -339,14 +272,10 @@ class OpJournal:
     # Recovery
     # ----------------------------------------------------------------- #
 
-    def replay_after(
-        self, applied_seq: int
-    ) -> Iterator[Union[JournalRecord, RefRecord]]:
+    def replay_after(self, applied_seq: int) -> Iterator[JournalRecord]:
         """Records with ``seq > applied_seq`` across segments, in order.
 
-        Group records are expanded into their member batches; ref records
-        are yielded as :class:`RefRecord` for the caller to resolve
-        through its pool.
+        Group records are expanded into their member batches.
 
         Scans every segment that could contain such records (ascending),
         truncating torn tails as it goes.  Records at or below

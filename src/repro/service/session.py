@@ -65,8 +65,7 @@ from repro.core.outcomes import SimStats
 from repro.extentmap.array_map import ArrayExtentMap
 from repro.extentmap.tiers import DEFAULT_KERNEL_TIER, resolve_map_tier
 from repro.service.checkpoint import CheckpointStore
-from repro.service.journal import OpJournal, RefRecord
-from repro.service.pool import TracePool
+from repro.service.journal import OpJournal
 from repro.service.wire import (
     concat_columns,
     payload_nbytes,
@@ -117,7 +116,6 @@ class ReplaySession:
         journal: OpJournal,
         applied_seq: int,
         checkpoint_interval_ops: int,
-        pool: Optional[TracePool] = None,
     ) -> None:
         self.tenant = tenant
         self.root = root
@@ -131,7 +129,6 @@ class ReplaySession:
         self._applied_seq = applied_seq
         self._interval = checkpoint_interval_ops
         self._ops_at_checkpoint = engine.ops_applied
-        self._pool = pool
         # Checkpoint health since this process opened the session (not
         # part of the checkpointed state: recovery must stay bit-identical).
         self._health = {
@@ -154,7 +151,6 @@ class ReplaySession:
         config: TechniqueConfig,
         frontier_base: int,
         checkpoint_interval_ops: int = DEFAULT_CHECKPOINT_INTERVAL,
-        pool: Optional[TracePool] = None,
     ) -> "ReplaySession":
         """Start a brand-new session (no prior state under ``root``)."""
         if frontier_base <= 0:
@@ -183,7 +179,6 @@ class ReplaySession:
             journal=journal,
             applied_seq=0,
             checkpoint_interval_ops=checkpoint_interval_ops,
-            pool=pool,
         )
         # Checkpoint zero: even a first-batch crash restores cleanly.
         session.checkpoint()
@@ -197,24 +192,20 @@ class ReplaySession:
         config: TechniqueConfig,
         frontier_base: int,
         checkpoint_interval_ops: int = DEFAULT_CHECKPOINT_INTERVAL,
-        pool: Optional[TracePool] = None,
     ) -> "ReplaySession":
         """Open a session: recover prior state if any, else create fresh.
 
         Recovery = newest verifying checkpoint + journal tail replay
         (see module docs).  ``config``/``frontier_base`` must match the
         checkpointed ones — a mismatch means the caller is trying to
-        resume somebody else's state and raises.  A journal tail holding
-        by-reference records needs the same ``pool`` the records were
-        journaled against; opening without one raises instead of
-        silently dropping acknowledged ops.
+        resume somebody else's state and raises.
         """
         root = Path(root)
         checkpoints = CheckpointStore(root)
         latest = checkpoints.load_latest()
         if latest is None and not OpJournal(root).segment_first_seqs():
             return cls.create(
-                tenant, root, config, frontier_base, checkpoint_interval_ops, pool
+                tenant, root, config, frontier_base, checkpoint_interval_ops
             )
         if latest is None:
             # Journal exists but every checkpoint was destroyed: replay
@@ -267,21 +258,11 @@ class ReplaySession:
             journal=journal,
             applied_seq=applied,
             checkpoint_interval_ops=checkpoint_interval_ops,
-            pool=pool,
         )
         for record in journal.replay_after(applied):
-            if isinstance(record, RefRecord):
-                if pool is None:
-                    raise ValueError(
-                        f"session {tenant!r}: journal tail holds by-reference "
-                        "batches but no shared pool was configured"
-                    )
-                is_read, lba, length = pool.slice(
-                    record.key, record.start, record.stop
-                )
-            else:
-                is_read, lba, length = record.is_read, record.lba, record.length
-            session._apply_arrays(record.seq, is_read, lba, length)
+            session._apply_arrays(
+                record.seq, record.is_read, record.lba, record.length
+            )
         # Re-anchor: checkpoint the recovered state so the next crash
         # doesn't replay the same tail again, and rotate the journal.
         session.checkpoint()
@@ -353,7 +334,7 @@ class ReplaySession:
     def apply_group_payload(
         self, first_seq: int, counts: List[int], payload
     ) -> List[dict]:
-        """Durably apply a coalesced run of contiguous binary-wire batches.
+        """Durably apply a coalesced run of contiguous batches.
 
         ``payload`` is the byte concatenation of the batches' columnar
         payloads (:mod:`repro.service.wire`); ``counts[i]`` is the op
@@ -365,91 +346,25 @@ class ReplaySession:
         ``SequenceGapError`` details after a mid-group rejection, exactly
         as the sequential path would raise them).
 
-        The accepted run is journaled as **one** group record — a byte
-        slice of ``payload``, one CRC, one fsync — and fed to the engine
-        as one concatenated array triple; both are bit-identical to the
-        per-batch path (journal groups expand on recovery, the kernels
-        are chunk-size invariant).
+        This is the *virtual* sequential walk: it computes the responses
+        :meth:`apply_batch` would have produced at each point (``virtual``
+        tracks where ``applied_seq`` would be, ``virtual_ops`` where the
+        engine's op count would be) without touching real state.  The
+        accepted batches necessarily form one contiguous run (seqs in a
+        group are contiguous; after a rejection every later batch is a
+        gap), which is journaled as **one** group record — a byte slice
+        of ``payload``, one CRC, one fsync, WAL before apply as ever —
+        and fed to the engine as one concatenated array triple; both are
+        bit-identical to the per-batch path (journal groups expand on
+        recovery, the kernels are chunk-size invariant).
         """
         triples = split_group_payload(payload, counts)
-        offsets = [0]
-        for n in counts:
-            offsets.append(offsets[-1] + payload_nbytes(int(n)))
-
-        def journal_run(run_start: int, k: int) -> None:
-            self._journal.append_group(
-                first_seq + run_start,
-                [int(n) for n in counts[run_start : run_start + k]],
-                bytes(
-                    memoryview(payload)[
-                        offsets[run_start] : offsets[run_start + k]
-                    ]
-                ),
-            )
-
-        return self._apply_group(
-            first_seq,
-            [lambda t=t: t for t in triples],
-            journal_run,
-        )
-
-    def apply_ref_group(
-        self, first_seq: int, refs: List[Tuple[str, int, int]]
-    ) -> List[dict]:
-        """Durably apply contiguous by-reference batches out of the pool.
-
-        ``refs[i] = (key_hex, start, stop)`` names the ops of batch
-        ``first_seq + i`` inside a shared-pool entry.  Same per-batch
-        response contract as :meth:`apply_group_payload`; the accepted
-        run journals as tiny ref records under one fsync, and the op
-        bytes never leave the machine-wide mmap.
-        """
-        if self._pool is None:
-            raise ValueError(
-                f"session {self.tenant!r} has no shared pool; "
-                "by-reference batches are not accepted"
-            )
-
-        def getter(key: str, start: int, stop: int):
-            def resolve():
-                return self._pool.slice(key, int(start), int(stop))
-
-            return resolve
-
-        def journal_run(run_start: int, k: int) -> None:
-            self._journal.append_refs(
-                [
-                    (first_seq + run_start + j, key, int(start), int(stop))
-                    for j, (key, start, stop) in enumerate(
-                        refs[run_start : run_start + k]
-                    )
-                ]
-            )
-
-        return self._apply_group(
-            first_seq,
-            [getter(key, start, stop) for key, start, stop in refs],
-            journal_run,
-        )
-
-    def _apply_group(self, first_seq, getters, journal_run) -> List[dict]:
-        """Shared group-commit core: the *virtual* sequential walk.
-
-        Walks the batches computing exactly the responses the sequential
-        apply path would have produced at each point (``virtual`` tracks
-        where ``applied_seq`` would be, ``virtual_ops`` where the engine's
-        op count would be), without touching real state.  The accepted
-        batches necessarily form one contiguous run (seqs in a group are
-        contiguous; after a rejection every later batch is a gap), which
-        is then made durable with ``journal_run`` — WAL before apply, as
-        ever — and applied to the engine in one concatenated feed.
-        """
         results: List[dict] = []
         virtual = self._applied_seq
         virtual_ops = self._engine.ops_applied
         run_start: Optional[int] = None
         run: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for i, get in enumerate(getters):
+        for i, (is_read, lba, length) in enumerate(triples):
             seq = first_seq + i
             if seq <= virtual:
                 results.append(
@@ -474,12 +389,8 @@ class ReplaySession:
                 )
                 continue
             try:
-                is_read, lba, length = get()
-                is_read = np.ascontiguousarray(is_read, dtype=bool)
-                lba = np.ascontiguousarray(lba, dtype=np.int64)
-                length = np.ascontiguousarray(length, dtype=np.int64)
                 self._validate_columns(is_read, lba, length)
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 results.append(
                     {"ok": False, "error": str(exc), "kind": type(exc).__name__}
                 )
@@ -499,7 +410,13 @@ class ReplaySession:
                 }
             )
         if run:
-            journal_run(run_start, len(run))
+            run_counts = [int(n) for n in counts[run_start : run_start + len(run)]]
+            at = payload_nbytes(sum(int(n) for n in counts[:run_start]))
+            self._journal.append_group(
+                first_seq + run_start,
+                run_counts,
+                bytes(memoryview(payload)[at : at + payload_nbytes(sum(run_counts))]),
+            )
             is_read, lba, length = concat_columns(run)
             self._apply_arrays(
                 first_seq + run_start + len(run) - 1, is_read, lba, length

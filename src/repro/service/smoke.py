@@ -6,10 +6,10 @@ through their paces, in-process and deterministic:
 1. Start a :class:`~repro.service.daemon.ReplayDaemon` on a free port
    (own event loop in a background thread).
 2. Stream three concurrent tenants — different technique configs,
-   ~10k ops total — through real sockets: two on the **pipelined binary
-   wire** (so the daemon coalesces their batches into group commits,
-   and the chaos below lands with a window of batches in flight), one
-   on the sequential JSON fallback (the PR 6 reference path).
+   ~10k ops total — through real sockets: two **pipelined**
+   (``apply_stream``, so the daemon coalesces their batches into group
+   commits, and the chaos below lands with a window of batches in
+   flight), one sending a batch at a time (``apply_with_retry``).
 3. Mid-stream, ``SIGKILL`` one tenant's worker (supervised restart +
    WAL recovery, including group-committed records) and, for another,
    force a checkpoint, corrupt it on disk, then kill that worker too
@@ -51,13 +51,13 @@ from repro.service.supervisor import SupervisorConfig
 from repro.workloads.generator import generate_workload
 from repro.workloads.table1 import get_spec
 
-#: (tenant, workload, config, wire) — alpha/bravo stream the pipelined
-#: binary wire (coalesced group commits take the chaos hits), charlie
-#: exercises the negotiated JSON fallback.
+#: (tenant, workload, config) — alpha and bravo stream pipelined
+#: (coalesced group commits take the chaos hits); charlie, uninjured,
+#: sends one batch at a time.
 _TENANTS = (
-    ("alpha", "usr_0", LS, "bin"),
-    ("bravo", "hm_1", LS_DEFRAG, "bin"),
-    ("charlie", "src2_2", LS_CACHE, "json"),
+    ("alpha", "usr_0", LS),
+    ("bravo", "hm_1", LS_DEFRAG),
+    ("charlie", "src2_2", LS_CACHE),
 )
 
 
@@ -110,7 +110,7 @@ def run_smoke(
     root = Path(root)
     streams = {
         tenant: _tenant_stream(workload, ops_per_tenant)
-        for tenant, workload, _, _ in _TENANTS
+        for tenant, workload, _ in _TENANTS
     }
     server = _DaemonThread(root)
     port = server.start()
@@ -118,58 +118,42 @@ def run_smoke(
     say(f"daemon up on 127.0.0.1:{port}")
 
     errors: List[BaseException] = []
-    halfway = {tenant: threading.Event() for tenant, _, _, _ in _TENANTS}
-    resume = {tenant: threading.Event() for tenant, _, _, _ in _TENANTS}
+    halfway = {tenant: threading.Event() for tenant, _, _ in _TENANTS}
+    resume = {tenant: threading.Event() for tenant, _, _ in _TENANTS}
 
-    def stream_tenant(tenant: str, config: TechniqueConfig, wire: str) -> None:
+    def stream_tenant(tenant: str, config: TechniqueConfig) -> None:
         try:
             is_read, lba, length, capacity = streams[tenant]
-            with ReplayClient("127.0.0.1", port, tenant, wire=wire) as client:
+            with ReplayClient("127.0.0.1", port, tenant) as client:
                 client.open(config, capacity)
-                assert client.wire == wire, (client.wire, wire)
                 n = len(lba)
-                if wire == "bin":
-                    # Pipelined binary stream: the generator holds at
-                    # halfway (with a window of batches still in flight)
-                    # so chaos lands mid-group, then resumes.
-                    def batch_gen():
-                        paused = False
-                        for start in range(0, n, batch_ops):
-                            end = min(start + batch_ops, n)
-                            yield (
-                                is_read[start:end],
-                                lba[start:end],
-                                length[start:end],
-                            )
-                            if not paused and end * 2 >= n:
-                                paused = True
-                                halfway[tenant].set()
-                                resume[tenant].wait(timeout=120)
 
-                    client.apply_stream(batch_gen(), window=8)
-                else:
+                def batch_gen():
+                    # Holds at halfway (pipelined: with a window of
+                    # batches still in flight) so the chaos injection
+                    # lands at a known point mid-group, then resumes.
                     paused = False
                     for start in range(0, n, batch_ops):
                         end = min(start + batch_ops, n)
-                        client.apply_with_retry(
-                            is_read[start:end], lba[start:end], length[start:end]
-                        )
+                        yield is_read[start:end], lba[start:end], length[start:end]
                         if not paused and end * 2 >= n:
-                            # Hold here so the chaos injection happens at
-                            # a known point in the stream, not racing it.
                             paused = True
                             halfway[tenant].set()
                             resume[tenant].wait(timeout=120)
+
+                if tenant == "charlie":
+                    for batch in batch_gen():
+                        client.apply_with_retry(*batch)
+                else:
+                    client.apply_stream(batch_gen(), window=8)
                 assert client.applied_seq() == client.next_seq - 1
         except BaseException as exc:  # surfaced by the main thread
             halfway[tenant].set()
             errors.append(exc)
 
     threads = [
-        threading.Thread(
-            target=stream_tenant, args=(tenant, config, wire), daemon=True
-        )
-        for tenant, _, config, wire in _TENANTS
+        threading.Thread(target=stream_tenant, args=(tenant, config), daemon=True)
+        for tenant, _, config in _TENANTS
     ]
     for thread in threads:
         thread.start()
@@ -213,7 +197,7 @@ def run_smoke(
 
     # Verify: live state must equal the offline one-shot replay exactly.
     summary: Dict[str, dict] = {}
-    for tenant, _, config, _wire in _TENANTS:
+    for tenant, _, config in _TENANTS:
         is_read, lba, length, capacity = streams[tenant]
         reference = _offline_reference(config, capacity, is_read, lba, length)
         ref_stats = reference.stats()

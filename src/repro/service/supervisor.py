@@ -8,7 +8,7 @@ the daemon above it:
   for wedging past the call timeout) restarts it — recovery inside
   :meth:`ReplaySession.open` restores checkpoint + journal tail — and
   replays the call **once**.  This is safe for every command the daemon
-  sends: ``apply`` is idempotent under the session's sequence-number
+  sends: ``apply_group`` is idempotent under the session's sequence-number
   dedupe, and queries are read-only.
 * **Bounded exponential backoff.**  Consecutive restarts within
   :attr:`SupervisorConfig.crash_window_s` sleep
@@ -103,22 +103,15 @@ class Supervisor:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         on_worker_death: Optional[Callable[[str, int], None]] = None,
-        pool_root: Optional[Path] = None,
     ) -> None:
         self._root = Path(root)
         self._config = config or SupervisorConfig()
         self._clock = clock
         self._sleep = sleep
         self._on_worker_death = on_worker_death
-        self._pool_root = str(pool_root) if pool_root is not None else None
         self._tenants: Dict[str, _Tenant] = {}
         self._registry_lock = threading.Lock()
         self._ctx = multiprocessing.get_context("spawn")
-
-    @property
-    def pool_root(self) -> Optional[str]:
-        """Shared mmap pool directory handed to every worker (or None)."""
-        return self._pool_root
 
     # ----------------------------------------------------------------- #
     # Lifecycle
@@ -257,7 +250,6 @@ class Supervisor:
                 config_to_dict(tenant.config),
                 tenant.frontier_base,
                 self._config.checkpoint_interval_ops,
-                self._pool_root,
             ),
             daemon=True,
             name=f"repro-session-{tenant.name}",

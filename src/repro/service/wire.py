@@ -1,12 +1,8 @@
 """Columnar wire format: one batch = one buffer, end to end.
 
-The PR 6 serving path re-encoded every op three times: the client turned
-numpy columns into JSON lists, the daemon turned the lists back into
-arrays, and the worker pipe re-packed them as raw bytes.  At streaming
-rates the per-op Python work dwarfs the replay kernel itself.  This
-module defines the *single* byte layout a batch keeps for its whole
-journey — client frame, daemon queue, worker pipe, and WAL group record
-all carry the same bytes:
+A batch keeps a *single* byte layout for its whole journey — client
+frame, daemon queue, worker pipe, and WAL group record all carry the
+same bytes:
 
     payload(n) = is_read u8[n] · lba i64[n] · length i64[n]   (little-endian)
 
@@ -16,24 +12,18 @@ consumes, and exactly the payload layout of a journal record — so the
 daemon coalesces batches by *byte concatenation* and the session journals
 a coalesced group by *byte slicing*, with zero per-op work anywhere.
 
-Framing on the socket stays newline-JSON for headers (one small dict per
-request), with the binary payload following the header line verbatim::
+Framing on the socket is newline-JSON for headers and replies (one small
+dict per request), with the binary payload following an ``apply`` header
+line verbatim::
 
     {"op": "apply", "tenant": t, "seq": s, "wire": "bin", "n": N, "crc": C}\n
     <N * OP_BYTES raw bytes>
 
 ``crc`` is the CRC-32 of the payload; the daemon verifies it at
-admission, before the batch can reach a queue or the WAL.  The ``"ref"``
-wire goes one step further and ships no payload at all: the header names
-a content-addressed :class:`~repro.service.pool.TracePool` entry and an
-op range, and every hop moves ~100 bytes regardless of batch size.
-
-Wire names (negotiated via the daemon's ``hello`` op):
-
-* ``"json"`` — the PR 6 per-op JSON lists; kept as the compatibility
-  fallback and differential-tested byte-identical to the binary path.
-* ``"bin"`` — the framed columnar payload above.
-* ``"ref"`` — by-reference batches out of the shared mmap pool.
+admission, before the batch can reach a queue or the WAL.  The ``"wire":
+"bin"`` tag is what tells the daemon's reader that a payload follows the
+header; an ``apply`` without it is refused (``unknown wire``) and no
+payload is read for it.
 """
 
 from __future__ import annotations
@@ -46,12 +36,10 @@ import numpy as np
 #: Bytes per op in a columnar payload (u8 flag + i64 lba + i64 length).
 OP_BYTES = 1 + 8 + 8
 
-WIRE_JSON = "json"
 WIRE_BINARY = "bin"
-WIRE_REF = "ref"
 
-#: Wires the daemon offers in its ``hello`` response, preference order.
-SUPPORTED_WIRES = (WIRE_BINARY, WIRE_REF, WIRE_JSON)
+#: Wires the daemon offers in its ``hello`` response.
+SUPPORTED_WIRES = (WIRE_BINARY,)
 
 
 def payload_nbytes(n_ops: int) -> int:

@@ -12,15 +12,11 @@ The parent speaks a tiny message protocol over a duplex
 request, op columns as raw ``bytes`` (the pickle cost of a list of ints
 dwarfs everything else at streaming rates):
 
-* ``{"cmd": "apply", "seq", "n", "is_read", "lba", "length"}``
-* ``{"cmd": "apply_group", "first_seq", "counts", "payload"}`` — a
-  coalesced run of contiguous binary-wire batches; ``payload`` is the
-  daemon's concatenated columnar buffer (:mod:`repro.service.wire`),
-  passed through the pipe *verbatim* and journaled by byte slice.
-  Responds ``{"ok": True, "acks": [one response dict per batch]}``.
-* ``{"cmd": "apply_refs", "first_seq", "refs"}`` — contiguous
-  by-reference batches (``refs[i] = (key_hex, start, stop)`` into the
-  shared mmap pool); same grouped-acks response.
+* ``{"cmd": "apply_group", "first_seq", "counts", "payload"}`` — a run
+  of one or more contiguous batches; ``payload`` is the daemon's
+  concatenated columnar buffer (:mod:`repro.service.wire`), passed
+  through the pipe *verbatim* and journaled by byte slice.  Responds
+  ``{"ok": True, "acks": [one response dict per batch]}``.
 * ``{"cmd": "query", "kind", "params"}``
 * ``{"cmd": "checkpoint"}``
 * ``{"cmd": "crash"}`` — chaos hook: ``os._exit`` without cleanup,
@@ -37,29 +33,8 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-import numpy as np
-
 from repro.core.config import config_from_dict
-from repro.service.pool import TracePool
-from repro.service.session import ReplaySession, SequenceGapError
-
-
-def encode_ops(is_read: np.ndarray, lba: np.ndarray, length: np.ndarray) -> dict:
-    """Pack op columns for the pipe (raw little-endian bytes)."""
-    return {
-        "n": int(len(lba)),
-        "is_read": np.ascontiguousarray(is_read, dtype=np.uint8).tobytes(),
-        "lba": np.ascontiguousarray(lba, dtype="<i8").tobytes(),
-        "length": np.ascontiguousarray(length, dtype="<i8").tobytes(),
-    }
-
-
-def decode_ops(message: dict):
-    n = int(message["n"])
-    is_read = np.frombuffer(message["is_read"], dtype=np.uint8, count=n).astype(bool)
-    lba = np.array(np.frombuffer(message["lba"], dtype="<i8", count=n))
-    length = np.array(np.frombuffer(message["length"], dtype="<i8", count=n))
-    return is_read, lba, length
+from repro.service.session import ReplaySession
 
 
 def worker_main(
@@ -69,24 +44,16 @@ def worker_main(
     config_dict: dict,
     frontier_base: int,
     checkpoint_interval_ops: int,
-    pool_root: Optional[str] = None,
 ) -> None:
-    """Entry point of the spawned worker process.
-
-    ``pool_root``, when set, is the machine-wide content-addressed trace
-    store every worker resolves by-reference batches through — the mmap
-    pages are shared across all workers by the OS page cache.
-    """
+    """Entry point of the spawned worker process."""
     session: Optional[ReplaySession] = None
     try:
-        pool = TracePool(pool_root) if pool_root else None
         session = ReplaySession.open(
             tenant=tenant,
             root=root,
             config=config_from_dict(config_dict),
             frontier_base=frontier_base,
             checkpoint_interval_ops=checkpoint_interval_ops,
-            pool=pool,
         )
         conn.send({"ok": True, "ready": True, "applied_seq": session.applied_seq})
     except Exception as exc:
@@ -104,22 +71,11 @@ def worker_main(
             return
         cmd = message.get("cmd")
         try:
-            if cmd == "apply":
-                ack = session.apply_batch(
-                    int(message["seq"]), *decode_ops(message)
-                )
-                conn.send({"ok": True, **ack})
-            elif cmd == "apply_group":
+            if cmd == "apply_group":
                 acks = session.apply_group_payload(
                     int(message["first_seq"]),
                     [int(n) for n in message["counts"]],
                     message["payload"],
-                )
-                conn.send({"ok": True, "acks": acks})
-            elif cmd == "apply_refs":
-                acks = session.apply_ref_group(
-                    int(message["first_seq"]),
-                    [(str(k), int(s), int(e)) for k, s, e in message["refs"]],
                 )
                 conn.send({"ok": True, "acks": acks})
             elif cmd == "query":
@@ -143,15 +99,5 @@ def worker_main(
                 conn.send(
                     {"ok": False, "error": f"unknown cmd {cmd!r}", "kind": "ValueError"}
                 )
-        except SequenceGapError as exc:
-            conn.send(
-                {
-                    "ok": False,
-                    "error": str(exc),
-                    "kind": "SequenceGapError",
-                    "expected": exc.expected,
-                    "got": exc.got,
-                }
-            )
         except Exception as exc:
             conn.send({"ok": False, "error": str(exc), "kind": type(exc).__name__})

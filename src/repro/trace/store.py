@@ -4,11 +4,11 @@ Parsing a multi-million-op trace dump — even through the columnar bulk
 parsers (:mod:`repro.trace.columnar`) — still costs a full text scan per
 run.  Experiments re-read the same traces constantly (every exhibit,
 every seed, every ``--fast``/reference comparison), so this module caches
-the *parsed columns* on disk: one ``.npz`` per (source, parse options)
+the *parsed columns* on disk: one directory per (source, parse options)
 combination holding the four column arrays plus a JSON header with
 everything needed for correct invalidation.
 
-Store layout (schema 2 — zero-copy)::
+Store layout (zero-copy)::
 
     <root>/<sha256-of-meta>/
         header.json     (schema, meta, name, ops, report)
@@ -21,9 +21,6 @@ offset; see :mod:`repro.util.npystore`), loaded with
 copy, and every process mapping the same entry shares the OS page cache.
 Loaded columns are **read-only** (``writeable=False``) views; a stray
 in-place mutation raises instead of silently poisoning the shared entry.
-(Schema 1 packed the columns into one ``.npz``, which numpy cannot mmap;
-old entries are simply never matched by the schema-2 paths and can be
-removed with :meth:`TraceStore.clear`.)
 
 The directory name is the SHA-256 of the canonical JSON of the entry's **meta**
 — the complete identity of a parse: trace kind, format, parse policy and
@@ -264,18 +261,13 @@ class TraceStore:
         return path
 
     def entries(self):
-        """The store's entry paths (empty if the directory doesn't exist).
-
-        Includes legacy schema-1 ``.npz`` files so :meth:`clear` purges
-        them too; ``load`` never matches them (entries are directories).
-        """
+        """The store's entry paths (empty if the directory doesn't exist)."""
         if not self.root.is_dir():
             return []
         return sorted(
             path
             for path in self.root.iterdir()
-            if not path.name.endswith(".tmp")
-            and (path.is_dir() or path.suffix == ".npz")
+            if path.is_dir() and not path.name.endswith(".tmp")
         )
 
     def __len__(self) -> int:

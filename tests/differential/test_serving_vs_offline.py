@@ -1,13 +1,13 @@
-"""Differential oracle for the serving data plane (PR 9).
+"""Differential oracle for the serving data plane.
 
-The binary + coalesced path earns its throughput only if it is
-*indistinguishable* from the PR 6 JSON path in every observable:
+The coalesced path earns its throughput only if it is
+*indistinguishable* from an offline replay in every observable:
 
 * a coalesced group commit leaves the session in exactly the state N
   per-batch applies would have (same queries, same stats);
-* a daemon serving a pipelined binary client converges to the same
-  state as one serving a sequential JSON client — and both match an
-  offline replay of the same columns;
+* a daemon serving a pipelined client (``apply_stream``) and one
+  serving a batch-at-a-time client (``apply_with_retry``) both converge
+  to the state of an offline replay of the same columns;
 * ``kill -9`` mid-group recovers byte-identically (a group WAL record
   expands to the same ops the per-batch records would have held);
 * overload sheds + client resend converge to the reference state with
@@ -136,8 +136,9 @@ def test_kill9_mid_group_recovers_byte_identical(tmp_path):
 
 
 @pytest.mark.slow
-def test_binary_pipelined_daemon_matches_json_sequential(tmp_path):
-    """Same columns through both wires of a live daemon == offline replay."""
+def test_pipelined_and_sequential_clients_match_offline(tmp_path):
+    """Same columns through both client send paths of a live daemon ==
+    offline replay."""
     columns = make_columns(4000, seed=21)
     all_batches = batches(columns, 250)
     expected = jsonify(
@@ -149,24 +150,24 @@ def test_binary_pipelined_daemon_matches_json_sequential(tmp_path):
     )
     port = server.start()
     try:
-        with ReplayClient("127.0.0.1", port, "json_t", wire="json") as json_c:
-            json_c.open(LS, CAPACITY)
+        with ReplayClient("127.0.0.1", port, "seq_t") as seq_c:
+            seq_c.open(LS, CAPACITY)
             for _, is_read, lba, length in all_batches:
-                json_c.apply_with_retry(is_read, lba, length)
-            json_queries = {k: json_c.query(k) for k in QUERY_KINDS}
+                assert seq_c.apply_with_retry(is_read, lba, length)["ok"]
+            sequential_queries = {k: seq_c.query(k) for k in QUERY_KINDS}
 
-        with ReplayClient("127.0.0.1", port, "bin_t", wire="bin") as bin_c:
-            bin_c.open(LS, CAPACITY)
-            result = bin_c.apply_stream(
+        with ReplayClient("127.0.0.1", port, "pipe_t") as pipe_c:
+            pipe_c.open(LS, CAPACITY)
+            result = pipe_c.apply_stream(
                 (b[1:] for b in all_batches), window=16
             )
             assert result["batches"] == len(all_batches)
-            bin_queries = {k: bin_c.query(k) for k in QUERY_KINDS}
+            pipelined_queries = {k: pipe_c.query(k) for k in QUERY_KINDS}
     finally:
         server.stop()
 
-    assert bin_queries == expected
-    assert json_queries == expected
+    assert pipelined_queries == expected
+    assert sequential_queries == expected
 
 
 @pytest.mark.slow
@@ -185,7 +186,7 @@ def test_overload_shed_and_resend_converge(tmp_path):
     )
     port = server.start()
     try:
-        with ReplayClient("127.0.0.1", port, "t", wire="bin") as client:
+        with ReplayClient("127.0.0.1", port, "t") as client:
             client.open(LS, CAPACITY)
             result = client.apply_stream(
                 (b[1:] for b in all_batches), window=16
@@ -213,7 +214,6 @@ def test_load_driver_run_is_replayable_offline(tmp_path):
         config=LS,
         total_ops=6_000,
         batch_ops=500,
-        wire="bin",
         window=8,
         seed=29,
     )

@@ -21,20 +21,20 @@ def daemon(tmp_path):
     server.stop()
 
 
-def _spec(name, wire, ops=6_000, **kw):
+def _spec(name, ops=6_000, **kw):
     defaults = dict(
         components=MIX, config=LS, total_ops=ops, batch_ops=500,
-        wire=wire, window=8, seed=17,
+        window=8, seed=17,
     )
     defaults.update(kw)
     return TenantLoad(name=name, **defaults)
 
 
 @pytest.mark.slow
-def test_mixed_wire_tenants_report_fully(daemon, tmp_path):
+def test_two_tenants_report_fully(daemon, tmp_path):
     tenants = [
-        _spec("bin_t", "bin"),
-        _spec("json_t", "json", config=LS_DEFRAG, seed=18),
+        _spec("ls_t"),
+        _spec("defrag_t", config=LS_DEFRAG, seed=18),
     ]
     report = run_load("127.0.0.1", daemon, tenants, query_interval_s=0.01)
     assert isinstance(report, LoadReport)
@@ -43,15 +43,15 @@ def test_mixed_wire_tenants_report_fully(daemon, tmp_path):
     assert report.resyncs == 0
     assert report.peak_rss_mib > 0
     # Every batch earned a latency sample (12 batches per tenant).
-    assert report.per_tenant["bin_t"]["batches"] == 12
-    assert report.per_tenant["json_t"]["batches"] == 12
+    assert report.per_tenant["ls_t"]["batches"] == 12
+    assert report.per_tenant["defrag_t"]["batches"] == 12
     assert report.apply_p99_ms >= report.apply_p50_ms > 0
     # The live-query sidecar actually ran against open sessions.
     assert report.queries > 0
     assert report.query_p99_ms >= report.query_p50_ms > 0
     round_trip = report.to_dict()
     assert round_trip["ops"] == 12_000
-    assert set(round_trip["per_tenant"]) == {"bin_t", "json_t"}
+    assert set(round_trip["per_tenant"]) == {"ls_t", "defrag_t"}
 
 
 @pytest.mark.slow
@@ -59,7 +59,7 @@ def test_run_shorter_than_query_interval_still_queries(daemon):
     # One 500-op batch is acked long before a 30 s interval elapses once:
     # the sidecar must query when it starts, not after its first wait.
     report = run_load(
-        "127.0.0.1", daemon, [_spec("brief", "bin", ops=500)], query_interval_s=30.0
+        "127.0.0.1", daemon, [_spec("brief", ops=500)], query_interval_s=30.0
     )
     assert report.ops == 500 and report.seconds < 30.0
     assert report.queries >= 1
@@ -77,7 +77,7 @@ def test_paced_burst_schedule_stretches_the_run(daemon):
     report = run_load(
         "127.0.0.1",
         daemon,
-        [_spec("paced", "bin", ops=4_000)],
+        [_spec("paced", ops=4_000)],
         target_ops_per_s=10_000,
         schedule="burst",
         period_s=0.2,
@@ -93,7 +93,7 @@ def test_paced_burst_schedule_stretches_the_run(daemon):
 def test_tenant_error_propagates(daemon):
     bad = TenantLoad(
         name="bad", components=(("no_such_workload", 1.0),),
-        total_ops=1_000, wire="bin",
+        total_ops=1_000,
     )
     with pytest.raises(KeyError, match="no_such_workload"):
         run_load("127.0.0.1", daemon, [bad], live_queries=False)

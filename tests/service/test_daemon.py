@@ -1,10 +1,14 @@
 """Daemon + client over real sockets: protocol, dedupe/gap, shedding."""
 
+import asyncio
+import json
+
 import pytest
 
 from repro.core.config import LS, LS_DEFRAG
 from repro.service.client import ReplayClient, ServiceError
 from repro.service.smoke import _DaemonThread
+from repro.service.wire import encode_payload
 from tests.service.helpers import CAPACITY, batches, make_columns, reference_queries
 
 
@@ -107,8 +111,70 @@ def test_malformed_requests_get_error_replies(server):
         client.connect()
         client._file.write(b"this is not json\n")
         client._file.flush()
-        import json
-
         assert not json.loads(client._file.readline())["ok"]
         assert not client.request({"op": "query"})["ok"]  # missing tenant
         assert not client.request({"op": "frobnicate", "tenant": "x"})["ok"]
+
+
+@pytest.mark.slow
+def test_closed_and_never_opened_tenants_leave_no_queue_or_task(tmp_path):
+    """A tenant's queue and dispatcher live from its open to its close."""
+    columns = make_columns(40, seed=25)
+    expected = reference_queries(tmp_path / "ref", LS, columns, batch_ops=20)
+    server = _DaemonThread(tmp_path / "state")
+    server.start()
+    try:
+        for i in range(50):
+            with _client(server, f"cycle-{i}") as client:
+                client.open(LS, CAPACITY)
+                if i == 0:
+                    for _, is_read, lba, length in batches(columns, 20):
+                        client.apply_with_retry(is_read, lba, length)
+                client.close_session()
+                with pytest.raises(ServiceError, match="not open"):
+                    client.query("applied")
+            with _client(server, f"ghost-{i}") as client:
+                refused = client.request(
+                    {
+                        "op": "open",
+                        "tenant": f"ghost-{i}",
+                        "config": {"no": "name"},
+                        "capacity_sectors": CAPACITY,
+                    }
+                )
+                assert not refused["ok"]
+        assert server.daemon._queues == {}
+        assert server.daemon._dispatchers == {}
+        assert not [
+            task.get_name()
+            for task in asyncio.all_tasks(server._loop)
+            if task.get_name().startswith("dispatch-")
+        ]
+
+        with _client(server, "cycle-0") as client:
+            assert client.open(LS, CAPACITY)["applied_seq"] == 2
+            assert client.query("stats") == expected["stats"]
+        assert list(server.daemon._queues) == ["cycle-0"]
+    finally:
+        server.stop()
+
+
+def test_requests_queued_behind_a_close_are_shed(server):
+    """Pipelined behind a close, an apply is refused as shed, not run
+    against a stopped worker (which would count as a crash and restart it)."""
+    payload = encode_payload(*make_columns(10, seed=26))
+    with _client(server, "closing") as client:
+        client.open(LS, CAPACITY)
+        apply_header = {"op": "apply", "tenant": "closing", "seq": 1, "wire": "bin", "n": 10}
+        client._file.write(
+            json.dumps({"op": "close", "tenant": "closing"}).encode() + b"\n"
+            + json.dumps(apply_header).encode() + b"\n" + payload
+            + json.dumps({"op": "query", "tenant": "closing", "kind": "applied"}).encode() + b"\n"
+        )
+        client._file.flush()
+        closed, apply, query = (json.loads(client._file.readline()) for _ in range(3))
+        assert closed["ok"] and closed["closed"]
+        for late in (apply, query):
+            assert not late["ok"] and "not open" in late["error"]
+        assert server.daemon.supervisor.restart_count("closing") == 0
+        assert client.open(LS, CAPACITY)["applied_seq"] == 0

@@ -1,5 +1,7 @@
 """OpJournal: fsynced WAL append, torn-tail truncation, segments, pruning."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,28 @@ def test_corrupt_crc_drops_record_and_tail(tmp_path):
     data[-3] ^= 0xFF
     segment.write_bytes(data)
     assert [r.seq for r in OpJournal(tmp_path).replay_after(0)] == [1]
+
+
+def test_retired_by_reference_record_raises_instead_of_truncating(tmp_path):
+    journal = OpJournal(tmp_path)
+    journal.open_segment(1)
+    journal.append(1, *_batch(1)[1:])
+    journal.close()
+    segment = tmp_path / "journal" / "seg-000000000001.log"
+    intact = segment.read_bytes()
+    # As the retired writer framed it: magic "RJR1", seq, start, stop, crc,
+    # then the 32-byte pool key.  An acknowledged batch this version cannot
+    # decode is not a torn tail.
+    by_reference = struct.pack("<IQQQI", 0x524A5231, 2, 0, 8, 0) + bytes(32)
+    segment.write_bytes(intact + by_reference)
+    with pytest.raises(ValueError, match="by-reference records are no longer supported"):
+        list(OpJournal(tmp_path).replay_after(0))
+    assert segment.read_bytes() == intact + by_reference
+
+    # Any other unknown magic is still a tear: truncated, nothing raised.
+    segment.write_bytes(intact + b"1XJR" + by_reference[4:])
+    assert [r.seq for r in OpJournal(tmp_path).replay_after(0)] == [1]
+    assert segment.read_bytes() == intact
 
 
 def test_gap_between_segments_raises(tmp_path):

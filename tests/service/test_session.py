@@ -187,6 +187,39 @@ def test_total_checkpoint_loss_replays_from_scratch(tmp_path):
     recovered.close()
 
 
+def test_wal_of_single_and_group_records_recovers_bit_identical(tmp_path):
+    """A tenant directory whose journal holds both record kinds — ``RJL1``
+    (per-batch applies) and ``RJG1`` (group commits) — recovers to the
+    uninterrupted run's state."""
+    config = LS_ALL
+    columns = make_columns(450, seed=9)
+    expected = reference_queries(tmp_path / "ref", config, columns, batch_ops=50)
+    all_batches = batches(columns, 50)
+
+    def apply_group(session, run):
+        payload = b"".join(encode_payload(*batch[1:]) for batch in run)
+        acks = session.apply_group_payload(run[0][0], [50] * len(run), payload)
+        assert all(ack["ok"] for ack in acks)
+
+    root = tmp_path / "crashed"
+    session = ReplaySession.create(
+        "t", root, config, CAPACITY, checkpoint_interval_ops=10**9
+    )
+    for batch in all_batches[:2]:
+        session.apply_batch(*batch)
+    apply_group(session, all_batches[2:5])
+    session.apply_batch(*all_batches[5])
+    apply_group(session, all_batches[6:9])
+    wal = session._journal._segment.read_bytes()
+    assert wal.startswith(b"1LJR") and wal.count(b"1GJR") >= 2
+    del session  # kill -9: checkpoint zero plus the mixed journal is all there is
+
+    recovered = ReplaySession.open("t", root, config, CAPACITY)
+    assert recovered.applied_seq == 9
+    assert session_queries(recovered) == expected
+    recovered.close()
+
+
 def test_query_kinds_and_unknown(tmp_path):
     session = ReplaySession.create("t", tmp_path, LS, CAPACITY)
     for seq, is_read, lba, length in batches(make_columns(100), 50):

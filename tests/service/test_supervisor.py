@@ -14,15 +14,25 @@ from repro.service.supervisor import (
     TenantFailedError,
     WorkerCallError,
 )
-from repro.service.worker import encode_ops
+from repro.service.wire import encode_payload
 from tests.service.helpers import CAPACITY, batches, make_columns, reference_queries
 
 
 def _apply(supervisor, tenant, batch):
+    """One batch through the worker's only apply command; returns its ack."""
     seq, is_read, lba, length = batch
-    message = {"cmd": "apply", "seq": seq}
-    message.update(encode_ops(is_read, lba, length))
-    return supervisor.call(tenant, message)
+    response = supervisor.call(
+        tenant,
+        {
+            "cmd": "apply_group",
+            "first_seq": seq,
+            "counts": [len(lba)],
+            "payload": encode_payload(is_read, lba, length),
+        },
+    )
+    assert response["ok"], response
+    (ack,) = response["acks"]
+    return ack
 
 
 def test_kill9_midstream_restart_is_transparent(tmp_path):

@@ -7,8 +7,6 @@ from repro.service.wire import (
     OP_BYTES,
     SUPPORTED_WIRES,
     WIRE_BINARY,
-    WIRE_JSON,
-    WIRE_REF,
     concat_columns,
     decode_payload,
     encode_payload,
@@ -94,5 +92,4 @@ def test_concat_columns_matches_numpy_concatenate():
 
 
 def test_supported_wires_lead_with_binary():
-    assert SUPPORTED_WIRES[0] == WIRE_BINARY
-    assert set(SUPPORTED_WIRES) == {WIRE_BINARY, WIRE_REF, WIRE_JSON}
+    assert SUPPORTED_WIRES == (WIRE_BINARY,) == ("bin",)
