@@ -180,14 +180,6 @@ class MultiFrontierTranslator(Translator):
         return tuple(self._frontier_writes)
 
     @property
-    def cold_frontier(self) -> int:
-        return self._frontiers[0]
-
-    @property
-    def hot_frontier(self) -> int:
-        return self._frontiers[1]
-
-    @property
     def cold_writes(self) -> int:
         return self._frontier_writes[0]
 

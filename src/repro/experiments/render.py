@@ -48,26 +48,6 @@ def hbar_chart(
     return "\n".join(lines)
 
 
-def grouped_bars(
-    groups: Sequence[Tuple[str, Sequence[Tuple[str, float]]]],
-    width: int = 40,
-    title: Optional[str] = None,
-) -> str:
-    """Render grouped bars (one block of bars per group label)."""
-    lines: List[str] = [title] if title else []
-    peak = max(
-        (value for _, bars in groups for _, value in bars),
-        default=1.0,
-    ) or 1.0
-    for group_label, bars in groups:
-        lines.append(f"{group_label}:")
-        label_w = max(len(label) for label, _ in bars)
-        for label, value in bars:
-            bar = "#" * max(0, round(width * value / peak))
-            lines.append(f"  {label.ljust(label_w)} | {bar} {value:.2f}")
-    return "\n".join(lines)
-
-
 def step_cdf(
     points: Sequence[Tuple[float, float]],
     width: int = 60,

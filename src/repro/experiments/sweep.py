@@ -2,34 +2,36 @@
 
 Every headline exhibit replays each workload several times: fig11 runs a
 NoLS baseline plus four technique configs per workload, and the ablations
-add a fresh full replay per parameter point.  The replays are highly
-redundant — the NoLS baseline is shared by every grid point, and all
-defrag-free configurations resolve reads against the *identical* plain-LS
-layout (see :mod:`repro.core.stream`).  :class:`SweepEngine` plans a grid
-so the expensive work happens once per workload:
+revisit those points beside a fresh full replay per parameter point.  The
+replays are highly redundant — the NoLS baseline is shared by every grid
+point, and all defrag-free configurations resolve reads against the
+*identical* plain-LS layout (see :mod:`repro.core.stream`).
+:class:`SweepEngine` plans a grid so the expensive work happens once:
 
-* the **NoLS baseline** is replayed once (vectorized batch kernel) and
-  its stats memoized;
+* every **result** is kept in one table, ``(trace.content_key(),
+  technique, kernels on?) -> RunResult``, consulted before a replay and
+  filled after it: an engine simulates no point twice, whichever exhibit
+  or report label asks, and the **NoLS baseline** is its NoLS row;
 * the **fragment-access stream** is recorded once per trace
   (:func:`~repro.core.stream.record_fragment_stream`) and every
-  cache/prefetch grid point is evaluated against the recording;
-* **selective-cache capacity sweeps** collapse further: one
-  stack-distance pass serves every capacity point
-  (:func:`~repro.core.stream.stream_cache_sweep`);
+  cache/prefetch grid point is evaluated against the recording, one
+  LRU pass a point (a capacity grid of nine or more points is cheaper in
+  one :func:`~repro.core.stream.stream_cache_sweep` pass over the same
+  stream, called directly: no exhibit sweeps more than four);
 * **defrag** grid points (layout-mutating) run through the chunked batch
   kernel (:mod:`repro.core.batch`), NoLS/unknown configs likewise.
 
 All paths are exact, so exhibit JSON is byte-identical to the reference
 pipeline; replays that attach recorders or a retry policy fall back to
 the reference simulator automatically (the kernels cannot observe
-per-request events or inject faults).  The engine defers to the
-process-wide ``--fast`` switch (:func:`~repro.experiments.common.
-set_fast_replay`): with fast replay off, every call routes through the
-reference path unchanged.
+per-request events or inject faults) and bypass the table.  The engine
+defers to the process-wide ``--fast`` switch (:func:`~repro.experiments.
+common.set_fast_replay`): with fast replay off, every call routes through
+the reference path, answered only from rows that path computed.
 
 Engines are memoized per ``(seed, scale)`` via :func:`sweep_engine`, so
 exhibits running in one process (serial ``all`` runs, one pool worker
-handling several exhibits) share baselines and recorded streams.  Traces
+handling several exhibits) share results and recorded streams.  Traces
 themselves still come from :func:`~repro.experiments.common.
 workload_trace`, which consults the compiled-trace store — parallel
 workers therefore stop re-parsing once the store is primed.  When a
@@ -40,12 +42,13 @@ processes** too: the first worker to need a stream records and publishes
 it, everyone else memory-maps the published arrays zero-copy.  The
 in-memory LRU — keyed by :meth:`~repro.trace.trace.Trace.content_key`,
 so logically identical traces from different load paths share one entry
-— stays in front of the store.
+— stays in front of the store; no other result is ever written to disk.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.batch import batch_replay, batch_support
@@ -56,11 +59,8 @@ from repro.core.recorders import Recorder
 from repro.core.simulator import RetryPolicy, RunResult
 from repro.core.stream import (
     FragmentStream,
-    cache_hit_thresholds,
     record_fragment_stream,
-    stream_cache_sweep,
     stream_replay,
-    supports_cache_sweep,
     supports_stream,
 )
 from repro.experiments.common import (
@@ -70,6 +70,9 @@ from repro.experiments.common import (
     workload_trace,
 )
 from repro.trace.trace import Trace
+
+#: The technique component of the NoLS row's key (see ``_result_key``).
+_NOLS_TECHNIQUE = replace(NOLS, name="", fast=False)
 
 
 class SweepEngine:
@@ -108,13 +111,18 @@ class SweepEngine:
         self._fast = fast
         self._max_streams = max_streams
         self._stream_store_override = stream_store
-        # trace.content_key() -> (stream, {block_sectors: thresholds});
-        # the content key survives re-loads of the same workload, so a
-        # trace reaching this engine through a different path (fresh
-        # synthesis vs compiled-store mmap) still hits the same entry.
-        self._streams: "OrderedDict[str, tuple]" = OrderedDict()
-        self._baselines: Dict[str, SimStats] = {}
+        # trace.content_key() -> stream; the content key survives
+        # re-loads of the same workload, so a trace reaching this engine
+        # through a different path (fresh synthesis vs compiled-store
+        # mmap) still hits the same entry.
+        self._streams: "OrderedDict[str, FragmentStream]" = OrderedDict()
+        # _result_key(trace, config) -> the RunResult computed for it; the
+        # table owns its rows (SimStats is mutable): answers are copies.
+        # About 1 KB a row (an ``all`` run fills ~160), freed with the engine.
+        self._results: Dict[tuple, RunResult] = {}
         self.streams_recorded = 0
+        self.results_computed = 0  # points simulated (each one a new row)
+        self.results_shared = 0  # answers read from the table
 
     # ----------------------------------------------------------------- #
     # Shared state
@@ -148,10 +156,10 @@ class SweepEngine:
         to the store so no other process pays it again.
         """
         key = trace.content_key()
-        entry = self._streams.get(key)
-        if entry is not None:
+        stream = self._streams.get(key)
+        if stream is not None:
             self._streams.move_to_end(key)
-            return entry[0]
+            return stream
         store = self.stream_store()
         stream = store.load_stream(trace) if store is not None else None
         if stream is None:
@@ -159,39 +167,21 @@ class SweepEngine:
             self.streams_recorded += 1
             if store is not None:
                 store.store_stream(trace, stream)
-        self._streams[key] = (stream, {})
+        self._streams[key] = stream
         while len(self._streams) > self._max_streams:
             self._streams.popitem(last=False)
         return stream
 
-    def _thresholds(self, trace: Trace, stream: FragmentStream, block_sectors: int):
-        """Stack-distance thresholds for ``stream``, memoized per entry."""
-        entry = self._streams.get(trace.content_key())
-        cache = entry[1] if entry is not None else {}
-        if block_sectors not in cache:
-            cache[block_sectors] = cache_hit_thresholds(stream, block_sectors)
-        return cache[block_sectors]
+    def _result_key(self, trace: Trace, config: TechniqueConfig) -> tuple:
+        """Result-table key of a point.  The report label and the path
+        preference change no simulated number; which path answers is in
+        the key so that a reference run is served reference results only."""
+        technique = replace(config, name="", fast=False)
+        return trace.content_key(), technique, self.fast_enabled(config)
 
     def baseline(self, name: str) -> SimStats:
-        """The workload's NoLS baseline stats (replayed once per engine).
-
-        Under fast replay the persistent stream store is consulted first
-        and primed after a compute; the reference path (fast off) never
-        touches the store, so reference runs stay purely reference.
-        """
-        stats = self._baselines.get(name)
-        if stats is not None:
-            return stats
-        store = self.stream_store() if self.fast_enabled() else None
-        trace = self.trace(name) if store is not None else None
-        if store is not None:
-            stats = store.load_baseline(trace)
-        if stats is None:
-            stats = self.replay(self.trace(name), NOLS).stats
-            if store is not None:
-                store.store_baseline(trace, stats)
-        self._baselines[name] = stats
-        return stats
+        """The workload's NoLS baseline stats (the result table's NoLS row)."""
+        return self.workload_replay(name, NOLS).stats
 
     # ----------------------------------------------------------------- #
     # Replay dispatch
@@ -204,59 +194,59 @@ class SweepEngine:
         recorders: Sequence[Recorder] = (),
         retry_policy: Optional[RetryPolicy] = None,
     ) -> RunResult:
-        """Replay via the cheapest exact path for ``config``.
+        """Replay via the cheapest exact path for ``config``, once.
 
-        Dispatch: recorders or a retry policy force the reference
-        simulator (through :func:`replay_with`'s own fallback); otherwise
-        defrag-free configs evaluate against the recorded stream, and
-        everything else (NoLS, defrag combinations) uses the batch kernel.
+        Dispatch: recorders, a retry policy or a config no kernel covers
+        force the reference simulator (through :func:`replay_with`'s own
+        fallback) and bypass the result table.  Otherwise a point already
+        in the table, under any name, is answered from it; defrag-free
+        configs evaluate against the recorded stream, and everything else
+        (NoLS, defrag combinations) uses the batch kernel.
+
+        Under fast replay the NoLS row is loaded through the persistent
+        stream store — consulted before a compute, primed after it; the
+        reference path (fast off) never touches the store, so reference
+        runs stay purely reference.
         """
         if recorders or retry_policy is not None:
             return replay_with(
                 trace, config, recorders, retry_policy=retry_policy
             )
-        if not self.fast_enabled(config):
-            return replay_with(trace, config, fast=False)
-        if supports_stream(config):
-            return stream_replay(self.stream_for(trace), config).run_result
+        fast = self.fast_enabled(config)
         support = batch_support(config)
-        if support:
-            return batch_replay(trace, config).run_result
-        note_reference_fallback(support.reason)
-        return replay_with(trace, config, fast=False)
+        if not support:
+            if fast:
+                note_reference_fallback(support.reason)
+            return replay_with(trace, config, fast=False)
+        key = self._result_key(trace, config)
+        result = self._results.get(key)
+        if result is not None:
+            self.results_shared += 1
+            return replace(result, stats=replace(result.stats))
+        store = self.stream_store() if fast and key[1] == _NOLS_TECHNIQUE else None
+        stats = store.load_baseline(trace) if store is not None else None
+        if stats is not None:
+            result = RunResult(trace.name, NOLS.name, stats)
+        else:
+            if not fast:
+                result = replay_with(trace, config, fast=False)
+            elif supports_stream(config):
+                result = stream_replay(self.stream_for(trace), config).run_result
+            else:
+                result = batch_replay(trace, config).run_result
+            self.results_computed += 1
+            if store is not None:
+                store.store_baseline(trace, result.stats)
+        self._results[key] = result
+        return replace(result, stats=replace(result.stats))
 
     def sweep(
         self, trace: Trace, configs: Sequence[TechniqueConfig]
     ) -> List[RunResult]:
-        """Replay ``trace`` under every config, sharing whatever possible.
-
-        Results come back in ``configs`` order.  Cache-only points with a
-        common block size are batched through the shared stack-distance
-        kernel; the rest dispatch individually via :meth:`replay`.
-        """
-        configs = list(configs)
-        results: List[Optional[RunResult]] = [None] * len(configs)
-        sweepable: Dict[int, List[int]] = {}
-        if self.fast_enabled():
-            for position, config in enumerate(configs):
-                if supports_cache_sweep(config):
-                    sweepable.setdefault(
-                        config.cache.block_sectors, []
-                    ).append(position)
-        for block_sectors, positions in sweepable.items():
-            if len(positions) < 2:
-                continue  # a lone point is cheaper as a plain stream replay
-            stream = self.stream_for(trace)
-            thresholds = self._thresholds(trace, stream, block_sectors)
-            swept = stream_cache_sweep(
-                stream, [configs[p] for p in positions], thresholds=thresholds
-            )
-            for position, result in zip(positions, swept):
-                results[position] = result.run_result
-        for position, config in enumerate(configs):
-            if results[position] is None:
-                results[position] = self.replay(trace, config)
-        return results
+        """Replay ``trace`` under every config, in ``configs`` order, each
+        via :meth:`replay` (a point met twice, even under two names, is
+        computed once)."""
+        return [self.replay(trace, config) for config in configs]
 
     # ----------------------------------------------------------------- #
     # Workload-level conveniences (what the exhibits call)
@@ -288,10 +278,10 @@ def sweep_engine(seed: int = 42, scale: float = 1.0) -> SweepEngine:
     """The shared engine for ``(seed, scale)`` (bounded LRU registry).
 
     Exhibits fetch their engine here so a serial ``all`` run — or one pool
-    worker handling several exhibits — shares NoLS baselines and recorded
-    streams across exhibits.  Engines defer to the process-wide fast
-    default, so the registry is safe to share between fast and reference
-    runs (the kernels are exact either way).
+    worker handling several exhibits — shares results (the NoLS baselines
+    among them) and recorded streams across exhibits.  Engines defer to
+    the process-wide fast default and key results by it, so the registry
+    is safe to share between fast and reference runs.
     """
     key = (seed, scale)
     engine = _engines.get(key)
@@ -306,5 +296,5 @@ def sweep_engine(seed: int = 42, scale: float = 1.0) -> SweepEngine:
 
 
 def reset_sweep_engines() -> None:
-    """Drop every memoized engine (tests; frees streams and baselines)."""
+    """Drop every memoized engine (tests; frees streams and results)."""
     _engines.clear()

@@ -2,7 +2,6 @@
 
 from repro.experiments.render import (
     format_table,
-    grouped_bars,
     hbar_chart,
     sparkline,
     step_cdf,
@@ -34,12 +33,6 @@ class TestHbarChart:
     def test_zero_values(self):
         out = hbar_chart([("a", 0.0)])
         assert "0.00" in out
-
-
-class TestGroupedBars:
-    def test_groups_rendered(self):
-        out = grouped_bars([("g1", [("x", 1.0)]), ("g2", [("y", 2.0)])])
-        assert "g1:" in out and "g2:" in out
 
 
 class TestStepCdf:

@@ -5,19 +5,36 @@ byte-identical exhibit JSON between the fast and reference paths.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import io
 import json
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.config import LS, PAPER_CONFIGS, TechniqueConfig
+from repro.core.config import (
+    LS,
+    LS_CACHE,
+    LS_DEFRAG,
+    NOLS,
+    PAPER_CONFIGS,
+    MultiFrontierConfig,
+    TechniqueConfig,
+)
+from repro.core.defrag import DefragConfig
+from repro.core.prefetch import PrefetchConfig
 from repro.core.recorders import SeekLogRecorder
 from repro.core.selective_cache import SelectiveCacheConfig
+from repro.core.simulator import RetryPolicy
 from repro.experiments import ablations, common, fig9, fig10, fig11
+from repro.experiments import sweep as sweep_module
 from repro.experiments.sweep import SweepEngine, reset_sweep_engines, sweep_engine
 from repro.trace.store import TraceStore
-from repro.workloads import synthesize_workload
+from repro.workloads import get_spec, synthesize_workload
 
 SEED, SCALE = 42, 0.05
 
@@ -62,7 +79,8 @@ class TestEngineSharing:
     def test_baseline_cached_per_workload(self):
         engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
         first = engine.baseline("hm_1")
-        assert engine.baseline("hm_1") is first
+        assert engine.baseline("hm_1") == first
+        assert (engine.results_computed, engine.results_shared) == (1, 1)
 
     def test_recorder_routes_to_reference(self):
         engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
@@ -87,6 +105,156 @@ class TestEngineSharing:
         for config, a, b in zip(configs, slow, quick):
             assert a.stats == b.stats, config.name
             assert a.translator == b.translator, config.name
+
+
+@functools.lru_cache(maxsize=None)
+def _small(name):
+    """A 3 k-op trace of ``name``: every technique knob moves its stats."""
+    return synthesize_workload(name, seed=SEED, scale=3000 / get_spec(name).total_ops)
+
+
+def _technique(config):
+    """Every field of ``config`` a simulated number can depend on."""
+    fields = dataclasses.asdict(config)
+    del fields["name"], fields["fast"]
+    return fields
+
+
+_labels = st.fixed_dictionaries({"name": st.text(max_size=6), "fast": st.booleans()})
+_techniques = st.one_of(
+    st.just({"log_structured": False}),
+    st.builds(
+        lambda window: {"multi_frontier": MultiFrontierConfig(window=window)},
+        st.sampled_from([64, 4096]),
+    ),
+    st.fixed_dictionaries(
+        {
+            "defrag": st.none() | st.builds(
+                DefragConfig,
+                min_fragments=st.sampled_from([2, 4]),
+                min_accesses=st.sampled_from([1, 2]),
+            ),
+            "prefetch": st.none() | st.just(PrefetchConfig()),
+            "cache": st.none() | st.builds(
+                SelectiveCacheConfig,
+                capacity_mib=st.sampled_from([0.25, 64.0]),
+                block_sectors=st.sampled_from([8, 16]),
+            ),
+        }
+    ),
+)
+_configs = st.builds(lambda a, b: TechniqueConfig(**a, **b), _labels, _techniques)
+_traces = st.sampled_from(["hm_1", "w84"])
+_property = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestResultTable:
+    """One row per (trace content, technique, kernels on?) — no more, no fewer."""
+
+    #: Lives across every generated example, so its table fills up and a
+    #: key that confused two points would hand out the wrong row.
+    shared = SweepEngine(seed=SEED, scale=SCALE, fast=True)
+
+    @_property
+    @given(_traces, _configs, _labels)
+    def test_hit_equals_fresh_compute_under_any_label(self, name, config, label):
+        trace, engine = _small(name), self.shared
+        first = engine.replay(trace, config)
+        computed = engine.results_computed
+        relabelled = dataclasses.replace(config, **label)
+        again = engine.replay(trace, relabelled)
+        assert engine.results_computed == computed, "a relabelled point recomputed"
+        fresh = SweepEngine(seed=SEED, scale=SCALE, fast=True).replay(trace, relabelled)
+        assert first == again == fresh  # stats, translator and trace_name
+        assert fresh.trace_name == name
+
+        again.stats.read_seeks += 1  # the caller's copy, not the row
+        assert engine.replay(trace, config) == fresh
+
+    @_property
+    @given(_traces, _configs, _configs)
+    def test_any_other_field_change_misses(self, name, one, other):
+        engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
+        results = engine.sweep(_small(name), [one, other])
+        same_point = _technique(one) == _technique(other)
+        assert engine.results_computed == (1 if same_point else 2)
+        assert engine.results_shared == (1 if same_point else 0)
+        reference = SweepEngine(seed=SEED, scale=SCALE, fast=False)
+        assert results == reference.sweep(_small(name), [one, other])
+
+    def test_same_technique_on_another_trace_misses(self):
+        engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
+        assert engine.replay(_small("hm_1"), LS) != engine.replay(_small("w84"), LS)
+        assert (engine.results_computed, engine.results_shared) == (2, 0)
+
+    @pytest.mark.parametrize("config", (NOLS,) + PAPER_CONFIGS, ids=lambda c: c.name)
+    def test_kernel_and_reference_rows_are_kept_apart(self, config, monkeypatch):
+        reference_runs = []
+        real = sweep_module.replay_with
+        monkeypatch.setattr(
+            sweep_module,
+            "replay_with",
+            lambda *args, **kwargs: reference_runs.append(1) or real(*args, **kwargs),
+        )
+        engine = SweepEngine(seed=SEED, scale=SCALE)  # fast=None: follows the flag
+        trace = _small("hm_1")
+        common.set_fast_replay(True)
+        kernel = engine.replay(trace, config)
+        assert (engine.results_computed, len(reference_runs)) == (1, 0)
+        common.set_fast_replay(False)
+        reference = engine.replay(trace, config)
+        assert (engine.results_computed, len(reference_runs)) == (2, 1)
+        assert kernel == reference
+        # Each mode is now served by its own row, and config.fast asks
+        # for the kernels whatever the flag says.
+        assert engine.replay(trace, config) == reference
+        assert engine.replay(trace, dataclasses.replace(config, fast=True)) == kernel
+        common.set_fast_replay(True)
+        assert engine.replay(trace, config) == kernel
+        assert (engine.results_computed, engine.results_shared) == (2, 3)
+        assert len(reference_runs) == 1
+
+    def test_recorders_and_retry_policies_bypass_the_table(self):
+        engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
+        trace = _small("hm_1")
+        for _ in range(2):  # nothing written by the first, nothing read by the second
+            result = engine.replay(trace, LS_DEFRAG, retry_policy=RetryPolicy(max_retries=2))
+            assert not engine._results
+        assert result == engine.replay(trace, LS_DEFRAG)
+        for _ in range(2):  # the row is there now, and still not used
+            recorder = SeekLogRecorder()
+            result = engine.replay(trace, LS_DEFRAG, [recorder])
+            assert len(recorder.distances) == result.stats.total_seeks > 0
+        assert (engine.results_computed, engine.results_shared) == (1, 0)
+
+    def test_unsupported_config_tallies_one_fallback_per_call(self):
+        engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
+        trace = _small("hm_1")
+        duck = types.SimpleNamespace(**vars(LS))  # no kernel takes this type
+        common.drain_fallback_counts()
+        results = [engine.replay(trace, duck) for _ in range(3)]
+        assert common.drain_fallback_counts() == {
+            "config type SimpleNamespace has no batch kernel": 3
+        }
+        assert not engine._results
+        assert results == [engine.replay(trace, LS)] * 3
+
+    def test_duplicates_inside_one_sweep_are_computed_once(self):
+        engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
+        configs = [
+            LS_CACHE,
+            LS_DEFRAG,
+            TechniqueConfig(name="cache64", cache=SelectiveCacheConfig(capacity_mib=64.0)),
+            dataclasses.replace(LS_DEFRAG, name="again", fast=True),
+        ]
+        results = engine.sweep(_small("hm_1"), configs)
+        assert (engine.results_computed, engine.results_shared) == (2, 2)
+        assert results[0] == results[2] and results[1] == results[3]
+        assert results[0].stats is not results[2].stats
 
 
 class TestTraceStoreIntegration:
@@ -160,6 +328,31 @@ class TestStreamStoreIntegration:
         warm = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
         assert warm.baseline("hm_1") == stats
         assert (store.baseline_hits, store.baseline_misses) == (1, 1)
+
+    @pytest.mark.parametrize("first", ["replay", "sweep", "baseline"])
+    def test_nols_row_loads_through_the_store_whoever_asks_first(self, tmp_path, first):
+        from repro.core.stream_store import StreamStore
+
+        def ask(engine):
+            trace = engine.trace("hm_1")
+            if first == "replay":
+                engine.replay(trace, NOLS)
+            elif first == "sweep":
+                engine.sweep(trace, [LS, dataclasses.replace(NOLS, name="in-place")])
+            return engine.baseline("hm_1")
+
+        store = StreamStore(tmp_path / "streams")
+        cold = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
+        stats = ask(cold)
+        assert store.load_baseline(cold.trace("hm_1")) == stats, "store not primed"
+        assert (store.baseline_hits, store.baseline_misses) == (1, 1)
+
+        warm = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
+        assert ask(warm) == stats
+        assert (store.baseline_hits, store.baseline_misses) == (2, 1)
+        assert warm.replay(warm.trace("hm_1"), NOLS) == cold.replay(cold.trace("hm_1"), NOLS)
+        # A loaded row was not simulated here; only the LS point of the sweep was.
+        assert warm.results_computed == (1 if first == "sweep" else 0)
 
     def test_reference_engine_never_consults_the_store(self, tmp_path):
         from repro.core.stream_store import StreamStore

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the paired-run arithmetic (no benchmark is run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,46 @@ def test_regressed_marks_a_median_worse_by_more_than_the_bound():
     assert bench_pairs.summarise([2.0] * 4, [2.2] * 4, False, bound=0.08)["regressed"]
     assert not bench_pairs.summarise([2.0] * 4, [1.0] * 4, False, bound=0.08)["regressed"]
     assert not bench_pairs.summarise(parent, [1.0] * 4, True)["regressed"]  # no bound given
+
+
+def test_unresolved_marks_a_spread_wider_than_the_bound_unless_the_runs_are_separated():
+    steady = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0]
+    wide = [100.0, 140.0, 70.0, 100.0, 130.0, 75.0]  # quartiles 81 and 122: > 25 %
+    assert not bench_pairs.summarise(steady, steady[::-1], True, bound=0.25)["unresolved"]
+    # either side's spread counts, and a flat median is then not "unchanged"
+    assert bench_pairs.summarise(wide, steady, True, bound=0.25)["unresolved"]
+    flat = bench_pairs.summarise(steady, wide, True, bound=0.25)
+    assert flat["unresolved"] and not flat["regressed"] and flat["ratio"] == 1.0
+    # winning every pair is not enough while the two sets of runs overlap ...
+    won = bench_pairs.summarise(wide, [p + 50.0 for p in wide], True, bound=0.25)
+    assert won["wins"] == 6 and won["unresolved"]  # 120 < 140
+    # ... every run of the change has to read better than every run of the parent
+    assert not bench_pairs.summarise(wide, [p + 71.0 for p in wide], True, bound=0.25)["unresolved"]
+    assert bench_pairs.summarise(wide, [p + 70.0 for p in wide], True, bound=0.25)["unresolved"]
+    lower = bench_pairs.summarise(wide, [p - 71.0 for p in wide], False, bound=0.25)
+    assert lower["wins"] == 6 and not lower["unresolved"]
+    assert bench_pairs.summarise(wide, [p + 71.0 for p in wide], False, bound=0.25)["unresolved"]
+    assert not bench_pairs.summarise(wide, steady, True)["unresolved"]  # no bound given
+
+
+def test_out_holds_every_completed_pair_when_a_later_run_fails(monkeypatch, tmp_path):
+    runs = []
+
+    def failing_in_pair_three(checkout, workload, seed, seconds):
+        runs.append(checkout.name)
+        if len(runs) == 6:  # the second side of pair 3
+            raise SystemExit("change/w: run failed")
+        return {"ops_per_s": float(len(runs)), "setup_s": 1.0, "peak_rss_mib": 100.0}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "run_once", failing_in_pair_three)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit, match="run failed"):
+        bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "5", "--out", str(out)])
+    kept = json.loads(out.read_text())["workloads"]["w"]
+    assert [r["ops_per_s"] for r in kept["runs"]["parent"]] == [1.0, 4.0]
+    assert [r["ops_per_s"] for r in kept["runs"]["change"]] == [2.0, 3.0]
+    assert "summary" not in kept  # of a finished workload only
 
 
 def test_main_cycles_seeds_per_pair_and_prints_regressed(monkeypatch, capsys):

@@ -22,7 +22,7 @@ def loc(*args):
 
 def test_src_is_within_the_makefile_budget():
     budget = re.search(r"^LOC_BUDGET = (\d+)$", (REPO / "Makefile").read_text(), re.M)
-    assert int(budget[1]) <= 21429  # what the last PR to shrink src/repro reached
+    assert int(budget[1]) <= 21391  # what the last PR to shrink src/repro reached
     done = loc("--max-physical", budget[1])
     assert done.returncode == 0, done.stderr
 

@@ -14,7 +14,12 @@ seed, as the driver varies seeds between its runs.  Per end-to-end metric of
 and in how many pairs the change was better.  ``GAIN`` marks a metric the
 change wins in at least nine pairs in ten with medians further apart than
 the parent's interquartile distance; ``REGRESSED`` one whose change median
-is worse than the parent's by more than the metric's ``bound``.
+is worse than the parent's by more than the metric's ``bound``;
+``UNRESOLVED`` one where either side's interquartile distance exceeds
+``bound`` x the parent's median, so the runs cannot say "unchanged" —
+unless every run of the change beats every run of the parent.  ``--out``
+is rewritten after every completed pair, so a failed run loses only the
+pair it was part of.
 
 It only *calls* the benchmark: nothing under ``bench/`` is imported or
 edited, and both sides run their own checkout's copy of it.
@@ -93,10 +98,18 @@ def summarise(parent, change, higher_is_better: bool, bound=None) -> dict:
         and sign * (c_med - p_med) > (p_q3 - p_q1)
     )
     regressed = bound is not None and sign * (p_med - c_med) > bound * p_med
+    # Every run of the change reads better than every run of the parent.
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
+    unresolved = (
+        bound is not None
+        and max(p_q3 - p_q1, c_q3 - c_q1) > bound * p_med
+        and not separated
+    )
     return {
         "parent": [p_med, p_q1, p_q3], "change": [c_med, c_q1, c_q3],
         "ratio": c_med / p_med if p_med else float("nan"),
         "wins": wins, "pairs": decided, "gain": gain, "regressed": regressed,
+        "unresolved": unresolved,
     }
 
 
@@ -114,20 +127,32 @@ def main(argv=None) -> int:
 
     metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
     report = {"args": vars(args), "workloads": {}}
+
+    def save():
+        if args.out:
+            Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         export(args.parent, sides["parent"])
         export(args.change, sides["change"])
         for workload in args.workload:
             runs = {"parent": [], "change": []}
+            report["workloads"][workload] = {"runs": runs}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 seed = args.seed[pair % len(args.seed)]
+                # Both sides before either is recorded: a failed run raises
+                # here and leaves `runs`, and --out, holding whole pairs.
+                done = {
+                    side: run_once(sides[side], workload, seed, args.seconds) for side in order
+                }
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, seed, args.seconds))
+                    runs[side].append(done[side])
                 print(f"{workload} pair {pair + 1}/{args.pairs} seed {seed} " + "  ".join(
-                    f"{side} {runs[side][-1][metrics[0]['name']]:.4g}" for side in order
+                    f"{side} {done[side][metrics[0]['name']]:.4g}" for side in order
                 ), flush=True)
+                save()
             summary = {
                 m["name"]: summarise(
                     [r[m["name"]] for r in runs["parent"]],
@@ -137,7 +162,8 @@ def main(argv=None) -> int:
                 )
                 for m in metrics
             }
-            report["workloads"][workload] = {"runs": runs, "summary": summary}
+            report["workloads"][workload]["summary"] = summary
+            save()
             for m in metrics:
                 s = summary[m["name"]]
                 print(
@@ -147,9 +173,8 @@ def main(argv=None) -> int:
                     + f"ratio {s['ratio']:.3f}  change better {s['wins']}/{s['pairs']}"
                     + ("  GAIN" if s["gain"] else "")
                     + ("  REGRESSED" if s["regressed"] else "")
+                    + ("  UNRESOLVED" if s["unresolved"] else "")
                 )
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
