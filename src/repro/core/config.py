@@ -72,13 +72,6 @@ class TechniqueConfig:
             for the single-frontier log.  Mutually exclusive with the
             three seek-reduction techniques (the multi-frontier
             translator has no technique hooks).
-        fast: Prefer the vectorized batch kernel
-            (:mod:`repro.core.batch`) when replaying this configuration
-            through :func:`repro.experiments.common.replay_with`.  The
-            kernel is exact (differential-suite pinned), so results are
-            unchanged; replays needing recorders fall back to the
-            reference simulator — visibly, via the fallback counters in
-            :mod:`repro.experiments.common`.
     """
 
     name: str
@@ -87,7 +80,6 @@ class TechniqueConfig:
     prefetch: Optional[PrefetchConfig] = None
     cache: Optional[SelectiveCacheConfig] = None
     multi_frontier: Optional[MultiFrontierConfig] = None
-    fast: bool = False
 
 
 NOLS = TechniqueConfig(name="NoLS", log_structured=False)
@@ -191,12 +183,13 @@ def config_to_dict(config: TechniqueConfig) -> dict:
         "multi_frontier": (
             asdict(config.multi_frontier) if config.multi_frontier else None
         ),
-        "fast": config.fast,
     }
 
 
 def config_from_dict(data: dict) -> TechniqueConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`.  A key it does not know is
+    ignored: older checkpoint headers and ``open`` requests carry
+    ``"fast"``, which changed no simulated number."""
     return TechniqueConfig(
         name=data["name"],
         log_structured=bool(data.get("log_structured", True)),
@@ -208,5 +201,4 @@ def config_from_dict(data: dict) -> TechniqueConfig:
             if data.get("multi_frontier")
             else None
         ),
-        fast=bool(data.get("fast", False)),
     )

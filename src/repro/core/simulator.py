@@ -153,38 +153,6 @@ def replay(
     translator: Translator,
     recorders: Iterable[Recorder] = (),
     retry_policy: Optional[RetryPolicy] = None,
-    fast: bool = False,
 ) -> RunResult:
-    """One-shot convenience wrapper: replay and return the result.
-
-    With ``fast=True`` the replay is dispatched to the vectorized batch
-    kernel (:mod:`repro.core.batch`), which produces bit-identical results
-    and leaves ``translator`` in the identical final state.  The fast path
-    falls back to the reference simulator when it cannot apply — recorders
-    or a retry policy are present (they need per-op outcomes), or the
-    translator type has no kernel (fault wrappers, media-cache STL) — and
-    tallies the reason via
-    :func:`repro.experiments.common.note_reference_fallback` so ``--fast``
-    runs can report the downgrade instead of hiding it.
-    """
-    recorders = list(recorders)
-    if fast:
-        from repro.experiments.common import note_reference_fallback
-
-        if recorders:
-            note_reference_fallback("recorders")
-        elif retry_policy is not None:
-            note_reference_fallback("retry-policy")
-        else:
-            from repro.core.batch import (
-                BatchUnsupportedError,
-                batch_replay_translator,
-            )
-
-            try:
-                return batch_replay_translator(trace, translator).run_result
-            except BatchUnsupportedError as exc:
-                note_reference_fallback(exc.reason)
-    return Simulator(
-        recorders=recorders, retry_policy=retry_policy
-    ).run(trace, translator)
+    """One-shot convenience wrapper: replay and return the result."""
+    return Simulator(recorders, retry_policy=retry_policy).run(trace, translator)

@@ -1,4 +1,4 @@
-"""Persistent store for recorded fragment streams and NoLS baselines.
+"""Persistent store for recorded fragment streams.
 
 Recording a workload's plain-LS fragment stream
 (:func:`repro.core.stream.record_fragment_stream`) is the dominant one-off
@@ -16,7 +16,6 @@ Store layout::
         header.json                 (schema, trace key, scalar counters)
         pba.npy  length.npy  kind.npy  op_index.npy
         group_start.npy  group_size.npy
-    <root>/<stream-key>.nols.json   (NoLS baseline SimStats, atomic JSON)
 
 The key is the SHA-256 of the canonical JSON of ``{"kind":
 "fragment-stream", "schema": STREAM_SCHEMA, "trace":
@@ -42,16 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Union
 
-import numpy as np
-
-from repro.core.outcomes import SimStats
 from repro.core.stream import FragmentStream
 from repro.trace.trace import Trace
-from repro.util.io import atomic_write_json
 from repro.util.npystore import commit_entry_dir, load_mmap_npy, remove_entry
 
 STREAM_SCHEMA = 1
@@ -89,7 +83,7 @@ def stream_key(trace: Trace) -> str:
 
 
 class StreamStore:
-    """A directory of recorded fragment streams + NoLS baseline summaries.
+    """A directory of recorded fragment streams.
 
     Thread/process-safe under the same discipline as
     :class:`~repro.trace.store.TraceStore`: concurrent writers of one
@@ -102,9 +96,6 @@ class StreamStore:
         #: Lifetime stream-load outcomes (a corrupt entry counts as a miss).
         self.hits = 0
         self.misses = 0
-        #: Lifetime NoLS-baseline-load outcomes.
-        self.baseline_hits = 0
-        self.baseline_misses = 0
 
     # ----------------------------------------------------------------- #
     # Recorded fragment streams
@@ -177,62 +168,15 @@ class StreamStore:
         return path
 
     # ----------------------------------------------------------------- #
-    # NoLS baseline summaries
-    # ----------------------------------------------------------------- #
-
-    def baseline_path_for(self, trace: Trace) -> Path:
-        return self.root / f"{stream_key(trace)}.nols.json"
-
-    def load_baseline(self, trace: Trace) -> Optional[SimStats]:
-        """The NoLS baseline :class:`SimStats` for ``trace``, or None."""
-        path = self.baseline_path_for(trace)
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            if (
-                data.get("schema") != STREAM_SCHEMA
-                or data.get("trace") != trace.content_key()
-            ):
-                raise ValueError("baseline header mismatch")
-            stats = data["stats"]
-            if set(stats) != {f.name for f in fields(SimStats)}:
-                raise ValueError("baseline stats field mismatch")
-            result = SimStats(**stats)
-        except FileNotFoundError:
-            self.baseline_misses += 1
-            return None
-        except Exception:
-            remove_entry(path)
-            self.baseline_misses += 1
-            return None
-        self.baseline_hits += 1
-        return result
-
-    def store_baseline(self, trace: Trace, stats: SimStats) -> Path:
-        """Publish ``trace``'s NoLS baseline stats atomically."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        return atomic_write_json(
-            self.baseline_path_for(trace),
-            {
-                "schema": STREAM_SCHEMA,
-                "trace": trace.content_key(),
-                "stats": asdict(stats),
-            },
-        )
-
-    # ----------------------------------------------------------------- #
     # Maintenance
     # ----------------------------------------------------------------- #
 
     def entries(self):
-        """Entry paths — stream directories and baseline JSON files."""
+        """Every path under the root but in-flight ``.tmp`` publishes."""
         if not self.root.is_dir():
             return []
         return sorted(
-            path
-            for path in self.root.iterdir()
-            if not path.name.endswith(".tmp")
-            and (path.is_dir() or path.name.endswith(".nols.json"))
+            path for path in self.root.iterdir() if not path.name.endswith(".tmp")
         )
 
     def __len__(self) -> int:

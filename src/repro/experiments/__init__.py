@@ -16,7 +16,6 @@ from repro.experiments.runner import (
     ExhibitTimeoutError,
     RunManifest,
     exhibit_fingerprint,
-    ingest_workloads,
     run_exhibits,
 )
 from repro.experiments.sweep import SweepEngine, reset_sweep_engines, sweep_engine
@@ -29,7 +28,6 @@ __all__ = [
     "ExhibitTimeoutError",
     "RunManifest",
     "exhibit_fingerprint",
-    "ingest_workloads",
     "run_exhibits",
     "SweepEngine",
     "reset_sweep_engines",

@@ -114,10 +114,9 @@ def main(argv=None) -> int:
         "--stream-store",
         default=None,
         metavar="DIR",
-        help="persistent fragment-stream store: plain-LS streams and "
-        "NoLS baselines are recorded under DIR once machine-wide and "
-        "memory-mapped by every process (exact; only consulted with "
-        "--fast; delete DIR to clear)",
+        help="persistent fragment-stream store: plain-LS streams are "
+        "recorded under DIR once machine-wide and memory-mapped by every "
+        "process (exact; only consulted with --fast; delete DIR to clear)",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.classify import characterize, classify_saf
+from repro.core.batch import batch_replay_translator
 from repro.core.cleaning import ZonedCleaningTranslator
 from repro.core.config import NOLS, TechniqueConfig, build_translator
 from repro.core.defrag import DefragConfig
@@ -47,10 +48,13 @@ def _ablation_replay(trace, translator):
     sweep constructor knobs no :class:`TechniqueConfig` exposes), so they
     bypass the sweep engine's dispatch.  Under the process-wide ``--fast``
     default this routes the replay through the matching batch kernel —
-    exact, so exhibit JSON stays byte-identical to a reference run — and
-    falls back (tallied by reason) where no kernel applies.
+    exact, so exhibit JSON stays byte-identical to a reference run; all
+    four translator types built here (in-place, single-frontier LS,
+    zoned cleaning, multi-frontier) have one.
     """
-    return replay(trace, translator, fast=fast_replay_default())
+    if fast_replay_default():
+        return batch_replay_translator(trace, translator).run_result
+    return replay(trace, translator)
 
 
 def _ablation_map():

@@ -94,8 +94,8 @@ def set_stream_store(root: Optional[str]) -> None:
     Wired to the experiment CLI's ``--stream-store DIR`` flag (and
     forwarded to each parallel worker).  With a store set, each workload's
     plain-LS fragment stream is recorded by whichever process gets there
-    first and memory-mapped (zero-copy) by everyone else; NoLS baseline
-    stats are shared the same way.  ``None`` disables.
+    first and memory-mapped (zero-copy) by everyone else.  ``None``
+    disables.
     """
     global _stream_store
     if root is None:
@@ -174,8 +174,8 @@ def replay_with(
     """Replay ``trace`` under ``config`` with optional recorders attached.
 
     ``fast`` selects the vectorized batch kernel
-    (:mod:`repro.core.batch`); ``None`` defers to ``config.fast`` or the
-    process-wide default set by :func:`set_fast_replay`.  The kernel is
+    (:mod:`repro.core.batch`); ``None`` defers to the process-wide
+    default set by :func:`set_fast_replay`.  The kernel is
     exact, and replays it cannot serve — recorders attached, or a
     ``retry_policy`` (the kernel never injects faults) — fall back to the
     reference simulator, so enabling it never changes results; each
@@ -183,7 +183,7 @@ def replay_with(
     ``--fast`` runs surface where they ran at reference speed.
     """
     if fast is None:
-        fast = config.fast or _fast_replay_default
+        fast = _fast_replay_default
     if fast:
         if recorders:
             note_reference_fallback("recorders")

@@ -75,54 +75,6 @@ SHARDED: Dict[str, Sharding] = {
 """Exhibits the parallel runner may split into per-workload shards."""
 
 
-def _table1_workloads(seed: int = 42, scale: float = 1.0) -> List[str]:
-    from repro.workloads import TABLE1
-
-    return list(TABLE1)
-
-
-def _fig7_workloads(seed: int = 42, scale: float = 1.0) -> List[str]:
-    from repro.workloads import FIG7_WORKLOADS
-
-    return list(FIG7_WORKLOADS)
-
-
-WORKLOADS: Dict[str, Callable[[int, float], List[str]]] = {
-    "table1": _table1_workloads,
-    "fig2": fig2.shard_names,
-    "fig3": fig3.shard_names,
-    "fig4": fig4.shard_names,
-    "fig5": fig5.shard_names,
-    "fig7": _fig7_workloads,
-    "fig8": fig8.shard_names,
-    "fig10": fig10.shard_names,
-    "fig11": fig11.shard_names,
-    "ablation_cache": lambda seed, scale: ["w91", "usr_1", "hm_1"],
-    "ablation_defrag": lambda seed, scale: ["w91", "w20"],
-    "ablation_prefetch": lambda seed, scale: ["w91", "hm_1"],
-    "ablation_multifrontier": lambda seed, scale: ["w91"],
-    "ablation_combined": _table1_workloads,
-    "taxonomy": _table1_workloads,
-}
-"""Table I workloads each exhibit replays, for cold-start ingestion
-planning (exhibits absent here — toy scenarios, synthetic sweeps — need
-no pre-ingested traces).  The parallel runner schedules one ingest unit
-per distinct workload ahead of the exhibits that replay it."""
-
-STREAM_PRIMING = frozenset(
-    {
-        "fig2", "fig3", "fig4", "fig5", "fig10", "fig11",
-        "ablation_cache", "ablation_defrag", "ablation_prefetch",
-        "ablation_combined", "taxonomy",
-    }
-)
-"""Exhibits whose workloads also want the plain-LS fragment stream and
-NoLS baseline published to the stream store during ingestion (they
-resolve replays through the :class:`~repro.experiments.sweep.SweepEngine`
-stream path).  Trace-stats-only exhibits (``table1``, ``fig7``, ``fig8``)
-skip the recording."""
-
-
 def resolve_names(requested: Sequence[str]) -> List[str]:
     """Expand/validate a CLI exhibit list.
 

@@ -35,15 +35,11 @@ module wraps :func:`~repro.experiments.registry.run_exhibit` with:
   exhibit JSON and stdout stay byte-identical while fig11-class sweeps no
   longer pin one worker.  The manifest still tracks whole exhibits: a
   shard failure/timeout fails its exhibit (error prefixed ``shard <id>:``),
-  and resume semantics are unchanged (exhibit-level fingerprints).
-* **Cold-start ingestion** — with a persistent trace/stream store set,
-  every distinct workload the pending exhibits replay becomes a
-  first-class pool unit (:func:`ingest_workloads` exposes the same units
-  standalone) scheduled ahead of the exhibit units, which are gated on
-  their workloads' ingestion — a cold parallel run pays each trace
-  synthesis and fragment-stream recording exactly once instead of once
-  per racing worker.  Ingestion is an exact cache warm-up: a failed
-  ingest unit is non-fatal (its dependents just run cold).
+  and resume semantics are unchanged (exhibit-level fingerprints).  Every
+  unit is submitted at once: two workers that race to synthesize one
+  trace or record one stream are deduplicated by the persistent stores'
+  atomic publish (first rename wins, the loser adopts the entry), not by
+  the scheduler.
 
 Because exhibit JSON dumps and the manifest are both written via
 tmp-file+rename (:mod:`repro.util.io`), a run killed at any instant leaves
@@ -67,12 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.registry import (
-    SHARDED,
-    STREAM_PRIMING,
-    WORKLOADS,
-    run_exhibit,
-)
+from repro.experiments.registry import SHARDED, run_exhibit
 from repro.util.io import atomic_write_json
 from repro.util.rngtools import SeedSequenceFactory
 
@@ -369,131 +360,6 @@ def _pool_worker(
     )
 
 
-_INGEST = "__ingest__"
-
-
-def _ingest_worker(
-    task: Tuple[str, int, float, bool, Optional[str], Optional[str], Optional[float], bool],
-) -> Tuple[str, str, str, float, Optional[str]]:
-    """Ingest one workload into the persistent stores (pool unit).
-
-    Synthesizes (or store-loads) the workload trace, compiling it into
-    the trace store, and — when ``prime_stream`` — records and publishes
-    its plain-LS fragment stream and NoLS baseline to the stream store.
-    Everything an exhibit later does with the workload then starts from
-    memory-mapped store hits instead of repeating the synthesis in every
-    worker.  Ingestion is an exact cache warm-up: a failure is tolerated
-    (dependents fall back to computing on demand).
-
-    Returns ``(_INGEST, workload, status, duration_s, error)``.
-    """
-    (
-        workload, seed, scale, fast, trace_store, stream_store, timeout_s,
-        prime_stream,
-    ) = task
-    random.seed(SeedSequenceFactory(seed).seed_for(f"ingest:{workload}"))
-    from repro.experiments import common
-
-    common.set_fast_replay(fast)
-    common.set_trace_store(trace_store)
-    common.set_stream_store(stream_store)
-    start = time.time()
-    status, error = STATUS_OK, None
-    try:
-        with exhibit_timeout(timeout_s):
-            trace = common.workload_trace(workload, seed, scale)
-            if prime_stream and stream_store is not None and fast:
-                from repro.experiments.sweep import sweep_engine
-
-                engine = sweep_engine(seed, scale)
-                engine.stream_for(trace)
-                engine.baseline(workload)
-    except ExhibitTimeoutError as exc:
-        status, error = STATUS_TIMEOUT, str(exc)
-    except BaseException:
-        status, error = STATUS_FAILED, traceback.format_exc()
-    # Discard fallback tallies accrued while priming: counts are
-    # attributed per exhibit, and this worker process may run an exhibit
-    # unit next.
-    common.drain_fallback_counts()
-    return (_INGEST, workload, status, time.time() - start, error)
-
-
-def ingest_workloads(
-    names: Sequence[str],
-    seed: int = 42,
-    scale: float = 1.0,
-    trace_store: Optional[str] = None,
-    stream_store: Optional[str] = None,
-    jobs: int = 1,
-    fast: bool = True,
-    prime_streams: Optional[bool] = None,
-    timeout_s: Optional[float] = None,
-    mp_start_method: Optional[str] = None,
-    echo: Callable[[str], None] = lambda message: None,
-) -> List[ExhibitOutcome]:
-    """Populate the persistent stores for ``names`` (deduped) up front.
-
-    The cold-start half of a parallel exhibit run, exposed on its own:
-    each distinct workload is synthesized/compiled into ``trace_store``
-    once — and, with ``prime_streams`` (default: on when a stream store
-    is given and ``fast``), its plain-LS fragment stream and NoLS
-    baseline are recorded into ``stream_store`` once — instead of
-    redundantly inside every pool worker that happens to need it.
-    Scheduling is longest-first by workload op count.  Failures are
-    per-workload and non-fatal (the stores just stay cold for that
-    workload); inspect the returned outcomes.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if prime_streams is None:
-        prime_streams = stream_store is not None and fast
-    ordered: List[str] = []
-    for name in names:
-        if name not in ordered:
-            ordered.append(name)
-    ordered.sort(key=lambda name: -_shard_weight(name))
-    tasks = [
-        (
-            name, seed, scale, fast, trace_store, stream_store, timeout_s,
-            prime_streams,
-        )
-        for name in ordered
-    ]
-    outcomes: List[ExhibitOutcome] = []
-
-    def note(result) -> None:
-        _tag, workload, status, duration, error = result
-        outcomes.append(ExhibitOutcome(workload, status, duration, error))
-        if status == STATUS_OK:
-            echo(f"(ingest) {workload} done in {duration:.1f}s")
-        else:
-            echo(f"(ingest) {workload} {status.upper()} after {duration:.1f}s")
-
-    if jobs == 1:
-        from repro.experiments import common
-
-        previous = (
-            common.fast_replay_default(),
-            common.trace_store(),
-            common.stream_store(),
-        )
-        try:
-            for task in tasks:
-                note(_ingest_worker(task))
-        finally:
-            common.set_fast_replay(previous[0])
-            common.set_trace_store(previous[1])
-            common.set_stream_store(previous[2])
-        return outcomes
-
-    context = multiprocessing.get_context(mp_start_method or "spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        for result in pool.map(_ingest_worker, tasks):
-            note(result)
-    return outcomes
-
-
 def _reap_pool(pool: ProcessPoolExecutor) -> None:
     """Terminate and join a pool's worker processes (best effort).
 
@@ -581,33 +447,6 @@ def _run_pending_parallel(
             units.append((float("inf"), name, None))
     units.sort(key=lambda unit: -unit[0])
 
-    # Cold-start ingestion plan: with persistent stores, every distinct
-    # workload the pending exhibits replay becomes a first-class pool
-    # unit scheduled ahead of them, and each exhibit unit is gated on its
-    # workloads' ingest units — so a cold run pays each synthesis (and,
-    # for stream-path exhibits, each fragment-stream recording) exactly
-    # once instead of once per worker that races to it.
-    workload_users: Dict[str, set] = {}
-    exhibit_workloads: Dict[str, frozenset] = {}
-    if trace_store is not None or stream_store is not None:
-        for name in pending:
-            declared = WORKLOADS.get(name)
-            if declared is None:
-                continue
-            try:
-                workloads = list(declared(seed, scale))
-            except Exception:
-                continue  # a bad declaration must never fail the run
-            exhibit_workloads[name] = frozenset(workloads)
-            for workload in workloads:
-                workload_users.setdefault(workload, set()).add(name)
-    ingest_order = sorted(workload_users, key=lambda w: -_shard_weight(w))
-
-    def unit_deps(name: str, shard: Optional[str]) -> frozenset:
-        if shard is not None:
-            return frozenset([shard]) & workload_users.keys()
-        return exhibit_workloads.get(name, frozenset())
-
     shard_payloads: Dict[str, Dict[str, dict]] = {n: {} for n in shard_map}
     shard_durations: Dict[str, float] = {n: 0.0 for n in shard_map}
     shard_fallbacks: Dict[str, Dict[str, int]] = {n: {} for n in shard_map}
@@ -690,74 +529,23 @@ def _run_pending_parallel(
             merge_exhibit(name)
 
     interrupt: Optional[BaseException] = None
-    prime = stream_store is not None and fast
     with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        not_done: set = set()
-
-        def submit_unit(name: str, shard: Optional[str]) -> None:
-            not_done.add(
-                pool.submit(
-                    _pool_worker,
-                    (
-                        name, shard, seed, scale, out_dir, svg_dir, timeout_s,
-                        fast, trace_store, stream_store,
-                    ),
-                )
+        not_done = {
+            pool.submit(
+                _pool_worker,
+                (
+                    name, shard, seed, scale, out_dir, svg_dir, timeout_s,
+                    fast, trace_store, stream_store,
+                ),
             )
-
-        # Ingest units go in first (longest-first), then every exhibit
-        # unit whose workloads need no ingestion; gated units wait.
-        for workload in ingest_order:
-            prime_stream = prime and any(
-                user in STREAM_PRIMING for user in workload_users[workload]
-            )
-            not_done.add(
-                pool.submit(
-                    _ingest_worker,
-                    (
-                        workload, seed, scale, fast, trace_store,
-                        stream_store, timeout_s, prime_stream,
-                    ),
-                )
-            )
-        ingested: set = set()
-        waiting: List[Tuple[float, str, Optional[str]]] = []
-        for _weight, name, shard in units:
-            if unit_deps(name, shard) <= ingested:
-                submit_unit(name, shard)
-            else:
-                waiting.append((_weight, name, shard))
-
-        def release(workload: str) -> None:
-            """An ingest unit finished: submit the units it unblocks."""
-            ingested.add(workload)
-            still: List[Tuple[float, str, Optional[str]]] = []
-            for weight, name, shard in waiting:
-                if unit_deps(name, shard) <= ingested:
-                    submit_unit(name, shard)
-                else:
-                    still.append((weight, name, shard))
-            waiting[:] = still
-
+            for _weight, name, shard in units
+        }
         try:
             with run_signal_handlers():
                 while not_done and not abort:
                     done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                     for future in done:
-                        result = future.result()
-                        if result[0] == _INGEST:
-                            _tag, workload, status, duration, error = result
-                            if status == STATUS_OK:
-                                echo(f"(ingest) {workload} ready in {duration:.1f}s")
-                            else:
-                                # Non-fatal: dependents just run cold.
-                                echo(
-                                    f"(ingest) {workload} {status.upper()} "
-                                    f"after {duration:.1f}s; continuing without it"
-                                )
-                            release(workload)
-                        else:
-                            absorb(result)
+                        absorb(future.result())
         except (KeyboardInterrupt, RunInterrupted) as exc:
             # Operator interrupt: cancel everything not yet started, reap
             # the worker processes (their dumps are atomic, so a unit
@@ -771,14 +559,10 @@ def _run_pending_parallel(
             for future in not_done:
                 future.cancel()
             # In-flight units finish (their dumps/payloads stay valid);
-            # record whatever completes into whole exhibits.  Units still
-            # gated on ingestion were never submitted — like cancelled
-            # futures, they are dropped from the manifest below.
+            # record whatever completes into whole exhibits.
             for future in not_done:
                 if not future.cancelled():
-                    result = future.result()
-                    if result[0] != _INGEST:
-                        absorb(result)
+                    absorb(future.result())
             for name in shard_map:
                 if name not in results and len(shard_payloads[name]) == len(
                     shard_map[name]
@@ -844,9 +628,9 @@ def run_exhibits(
             Exact, so output is unchanged; ``None`` disables.
         stream_store: Directory of a persistent stream store
             (:mod:`repro.core.stream_store`); recorded fragment streams
-            and NoLS baselines are published there once machine-wide and
-            memory-mapped by every other process.  Exact, so output is
-            unchanged; ``None`` disables.
+            are published there once machine-wide and memory-mapped by
+            every other process.  Exact, so output is unchanged; ``None``
+            disables.
         mp_start_method: multiprocessing start method for ``jobs > 1``
             (default ``"spawn"`` for hermetic workers; tests use
             ``"fork"`` to exercise failure injection).
@@ -902,10 +686,8 @@ def run_exhibits(
     previous_store = common.trace_store()
     previous_stream_store = common.stream_store()
     common.set_fast_replay(fast)
-    if trace_store is not None:
-        common.set_trace_store(trace_store)
-    if stream_store is not None:
-        common.set_stream_store(stream_store)
+    common.set_trace_store(trace_store)
+    common.set_stream_store(stream_store)
     common.drain_fallback_counts()  # attribute counts per exhibit, not run
     outcomes: List[ExhibitOutcome] = []
     try:
@@ -973,10 +755,8 @@ def run_exhibits(
                         break
     finally:
         common.set_fast_replay(previous_fast)
-        if trace_store is not None:
-            common.set_trace_store(previous_store)
-        if stream_store is not None:
-            common.set_stream_store(previous_stream_store)
+        common.set_trace_store(previous_store)
+        common.set_stream_store(previous_stream_store)
     return outcomes
 
 

@@ -1,8 +1,8 @@
 """The persistent fragment-stream store (repro.core.stream_store).
 
-The store publishes recorded plain-LS streams and NoLS baseline summaries
-keyed by trace *content* (:meth:`~repro.trace.trace.Trace.content_key`),
-so any process replaying the same workload shares one recording.  These
+The store publishes recorded plain-LS streams keyed by trace *content*
+(:meth:`~repro.trace.trace.Trace.content_key`), so any process replaying
+the same workload shares one recording.  These
 tests pin the contract: exact round-trips (arrays, scalars and the
 downstream kernels), read-only memory-mapped views, and healing — torn,
 truncated, corrupt or foreign-schema entries count as misses, are
@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.core.config import PAPER_CONFIGS
-from repro.core.outcomes import SimStats
 from repro.core.stream import (
     record_fragment_stream,
     stream_fragment_stats,
@@ -150,55 +148,17 @@ class TestStreamHealing:
         assert store.load_stream(trace) is not None  # original untouched
 
 
-class TestBaselines:
-    def _stats(self, trace):
-        from repro.core.batch import batch_replay
-        from repro.core.config import NOLS
-
-        return batch_replay(trace, NOLS).stats
-
-    def test_round_trip(self, trace, store):
-        stats = self._stats(trace)
-        store.store_baseline(trace, stats)
-        assert store.load_baseline(trace) == stats
-        assert (store.baseline_hits, store.baseline_misses) == (1, 0)
-
-    def test_miss_then_heal(self, trace, store):
-        assert store.load_baseline(trace) is None
-        stats = self._stats(trace)
-        path = store.store_baseline(trace, stats)
-        path.write_text("{ torn")
-        assert store.load_baseline(trace) is None
-        assert not path.exists()
-        store.store_baseline(trace, stats)
-        assert store.load_baseline(trace) == stats
-
-    def test_foreign_field_set_heals(self, trace, store):
-        stats = self._stats(trace)
-        path = store.store_baseline(trace, stats)
-        blob = json.loads(path.read_text())
-        blob["stats"]["from_the_future"] = 1
-        path.write_text(json.dumps(blob))
-        assert store.load_baseline(trace) is None
-        assert not path.exists()
-
-    def test_stats_fields_cover_simstats(self, trace, store):
-        """The stored field set is exactly SimStats — a SimStats change
-        must invalidate old entries rather than half-load them."""
-        stats = self._stats(trace)
-        path = store.store_baseline(trace, stats)
-        blob = json.loads(path.read_text())
-        assert set(blob["stats"]) == {f.name for f in fields(SimStats)}
-
-
 class TestHousekeeping:
     def test_entries_len_and_clear(self, trace, recorded, store):
-        from repro.core.batch import batch_replay
-        from repro.core.config import NOLS
-
+        """Everything under the root is an entry — a ``.nols.json`` left
+        by an older version included — except in-flight ``.tmp`` publishes."""
         store.store_stream(trace, recorded)
-        store.store_baseline(trace, batch_replay(trace, NOLS).stats)
+        (store.root / f"{stream_key(trace)}.nols.json").write_text("{}")
+        (store.root / f"{stream_key(trace)}.1234.tmp").mkdir()
         assert len(store) == 2
         assert len(store.entries()) == 2
         assert store.clear() == 2
         assert len(store) == 0
+        assert [path.name for path in store.root.iterdir()] == [
+            f"{stream_key(trace)}.1234.tmp"
+        ]

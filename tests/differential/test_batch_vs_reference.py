@@ -221,13 +221,14 @@ def test_unsupported_translator_is_refused():
 
 
 def test_fast_replay_falls_back_when_recorders_present(traces):
-    # replay(fast=True) with a recorder must silently use the reference
+    # replay_with(fast=True) with a recorder must silently use the reference
     # path — recorders see per-op events the kernels never materialize.
     from repro.core.recorders import SeekLogRecorder
+    from repro.experiments.common import replay_with
 
     trace = traces["w91"]
     recorder = SeekLogRecorder()
-    fast = replay(trace, build_translator(trace, LS), [recorder], fast=True)
+    fast = replay_with(trace, LS, [recorder], fast=True)
     slow = replay(trace, build_translator(trace, LS))
     assert fast.stats == slow.stats
     assert len(recorder.distances) == (

@@ -120,11 +120,10 @@ def test_warm_store_records_each_stream_at_most_once(tmp_path, monkeypatch):
     root = tmp_path / "stream-store"
     _run(names, tmp_path / "cold", jobs=4, fast=True, stream_store=str(root))
 
-    # One published stream entry per distinct workload (dirs; baselines
-    # are *.nols.json files).
+    # One published stream entry per distinct workload, however many of the
+    # four workers raced to record it (first rename wins), and no torn one.
     workloads = set(fig4.FIG4_WORKLOADS) | set(fig5.FIG5_WORKLOADS)
-    stream_entries = [p for p in root.iterdir() if p.is_dir()]
-    assert len(stream_entries) == len(workloads)
+    assert len(list(root.iterdir())) == len(StreamStore(root)) == len(workloads)
 
     def boom(*args, **kwargs):
         raise AssertionError("stream re-recorded despite a warm store")
@@ -150,3 +149,17 @@ def test_warm_store_records_each_stream_at_most_once(tmp_path, monkeypatch):
     )
     assert store.misses == 0
     assert store.hits >= len(workloads)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_none_means_no_store_whatever_the_process_had_set(tmp_path, jobs):
+    """``trace_store=None`` / ``stream_store=None`` disable the stores for
+    the run — serially as under the pool, where each worker sets what the
+    run was given — and the caller's process-wide stores come back after."""
+    traces, streams = tmp_path / "traces", tmp_path / "streams"
+    common.set_trace_store(str(traces))
+    common.set_stream_store(str(streams))
+    before = common.trace_store(), common.stream_store()
+    _run(["fig4"], tmp_path / "out", jobs=jobs, fast=True)
+    assert not list(traces.glob("*")) and not list(streams.glob("*"))
+    assert (common.trace_store(), common.stream_store()) == before

@@ -42,7 +42,7 @@ def test_all_run_evaluates_each_distinct_point_once(monkeypatch):
 
     def asking(self, trace, config, recorders=(), retry_policy=None):
         if not recorders and retry_policy is None:
-            technique = dataclasses.replace(config, name="", fast=False)
+            technique = dataclasses.replace(config, name="")
             asked.append((trace.content_key(), technique))
         return real_replay(self, trace, config, recorders, retry_policy)
 

@@ -116,11 +116,11 @@ def _small(name):
 def _technique(config):
     """Every field of ``config`` a simulated number can depend on."""
     fields = dataclasses.asdict(config)
-    del fields["name"], fields["fast"]
+    del fields["name"]
     return fields
 
 
-_labels = st.fixed_dictionaries({"name": st.text(max_size=6), "fast": st.booleans()})
+_labels = st.fixed_dictionaries({"name": st.text(max_size=6)})
 _techniques = st.one_of(
     st.just({"log_structured": False}),
     st.builds(
@@ -209,13 +209,11 @@ class TestResultTable:
         reference = engine.replay(trace, config)
         assert (engine.results_computed, len(reference_runs)) == (2, 1)
         assert kernel == reference
-        # Each mode is now served by its own row, and config.fast asks
-        # for the kernels whatever the flag says.
+        # Each mode is now served by its own row.
         assert engine.replay(trace, config) == reference
-        assert engine.replay(trace, dataclasses.replace(config, fast=True)) == kernel
         common.set_fast_replay(True)
         assert engine.replay(trace, config) == kernel
-        assert (engine.results_computed, engine.results_shared) == (2, 3)
+        assert (engine.results_computed, engine.results_shared) == (2, 2)
         assert len(reference_runs) == 1
 
     def test_recorders_and_retry_policies_bypass_the_table(self):
@@ -249,7 +247,7 @@ class TestResultTable:
             LS_CACHE,
             LS_DEFRAG,
             TechniqueConfig(name="cache64", cache=SelectiveCacheConfig(capacity_mib=64.0)),
-            dataclasses.replace(LS_DEFRAG, name="again", fast=True),
+            dataclasses.replace(LS_DEFRAG, name="again"),
         ]
         results = engine.sweep(_small("hm_1"), configs)
         assert (engine.results_computed, engine.results_shared) == (2, 2)
@@ -317,55 +315,64 @@ class TestStreamStoreIntegration:
         assert loaded.pba.tolist() == recorded.pba.tolist()
         assert loaded.group_start.tolist() == recorded.group_start.tolist()
 
-    def test_store_serves_baselines_across_engines(self, tmp_path):
+    @staticmethod
+    def _ask_for_the_nols_row(tmp_path, fast):
         from repro.core.stream_store import StreamStore
 
         store = StreamStore(tmp_path / "streams")
-        cold = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
-        stats = cold.baseline("hm_1")
-        assert (store.baseline_hits, store.baseline_misses) == (0, 1)
+        engine = SweepEngine(seed=SEED, scale=SCALE, fast=fast, stream_store=store)
+        stats = engine.baseline("hm_1")
+        assert engine.replay(engine.trace("hm_1"), NOLS).stats == stats
+        assert engine.saf("hm_1", NOLS).total == 1.0
+        return engine, store
 
-        warm = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
-        assert warm.baseline("hm_1") == stats
-        assert (store.baseline_hits, store.baseline_misses) == (1, 1)
-
-    @pytest.mark.parametrize("first", ["replay", "sweep", "baseline"])
-    def test_nols_row_loads_through_the_store_whoever_asks_first(self, tmp_path, first):
-        from repro.core.stream_store import StreamStore
-
-        def ask(engine):
-            trace = engine.trace("hm_1")
-            if first == "replay":
-                engine.replay(trace, NOLS)
-            elif first == "sweep":
-                engine.sweep(trace, [LS, dataclasses.replace(NOLS, name="in-place")])
-            return engine.baseline("hm_1")
-
-        store = StreamStore(tmp_path / "streams")
-        cold = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
-        stats = ask(cold)
-        assert store.load_baseline(cold.trace("hm_1")) == stats, "store not primed"
-        assert (store.baseline_hits, store.baseline_misses) == (1, 1)
-
-        warm = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
-        assert ask(warm) == stats
-        assert (store.baseline_hits, store.baseline_misses) == (2, 1)
-        assert warm.replay(warm.trace("hm_1"), NOLS) == cold.replay(cold.trace("hm_1"), NOLS)
-        # A loaded row was not simulated here; only the LS point of the sweep was.
-        assert warm.results_computed == (1 if first == "sweep" else 0)
+    def test_kernel_engine_computes_the_nols_row_without_the_store(self, tmp_path):
+        """The baseline is a row like any other (~0.2 ms a trace to compute,
+        less than a file to publish): nothing is loaded, nothing written."""
+        engine, store = self._ask_for_the_nols_row(tmp_path, fast=True)
+        assert (engine.results_computed, engine.results_shared) == (1, 3)
+        assert (store.hits, store.misses) == (0, 0)
+        assert not store.root.exists()
 
     def test_reference_engine_never_consults_the_store(self, tmp_path):
-        from repro.core.stream_store import StreamStore
+        engine, store = self._ask_for_the_nols_row(tmp_path, fast=False)
+        engine.replay(engine.trace("hm_1"), LS)
+        assert (store.hits, store.misses) == (0, 0), "reference path must stay store-free"
+        assert not store.root.exists()
 
+    def test_store_written_by_the_parent_commit_still_serves(self, tmp_path, monkeypatch):
+        """Stores written while NoLS baselines were persisted hold a
+        ``<key>.nols.json`` beside each stream: the streams are hits, the
+        sidecars are ignored, and ``clear()`` removes both."""
+        from repro.core.stream_store import STREAM_SCHEMA, StreamStore, stream_key
+
+        monkeypatch.setattr(fig11, "MSR_WORKLOADS", ("hm_1",))
+        monkeypatch.setattr(fig11, "CLOUDPHYSICS_WORKLOADS", ("w91",))
+        common.set_fast_replay(True)
         store = StreamStore(tmp_path / "streams")
-        primer = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
-        primer.baseline("hm_1")
+        common.set_stream_store(store)
+        _quiet(fig11.run, seed=SEED, scale=SCALE, out_dir=str(tmp_path / "cold"))
+        for name in ("hm_1", "w91"):
+            trace = common.workload_trace(name, SEED, SCALE)
+            sidecar = {
+                "schema": STREAM_SCHEMA,
+                "trace": trace.content_key(),
+                "stats": dataclasses.asdict(sweep_engine(SEED, SCALE).baseline(name)),
+            }
+            (store.root / f"{stream_key(trace)}.nols.json").write_text(json.dumps(sidecar))
+        listing = sorted(path.name for path in store.root.iterdir())
 
-        reference = SweepEngine(
-            seed=SEED, scale=SCALE, fast=False, stream_store=store
-        )
-        reference.baseline("hm_1")
-        assert store.baseline_hits == 0, "reference path must stay store-free"
+        reset_sweep_engines()
+        store.hits = store.misses = 0
+        _quiet(fig11.run, seed=SEED, scale=SCALE, out_dir=str(tmp_path / "warm"))
+        assert (store.hits, store.misses) == (2, 0)
+        assert sweep_engine(SEED, SCALE).streams_recorded == 0
+        assert (tmp_path / "warm" / "fig11.json").read_bytes() == (
+            tmp_path / "cold" / "fig11.json"
+        ).read_bytes()
+        assert sorted(path.name for path in store.root.iterdir()) == listing
+        assert store.clear() == len(listing) == 4
+        assert list(store.root.iterdir()) == []
 
 
 class TestByteIdenticalExhibits:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.core.config import LS, LS_DEFRAG
+from repro.core.config import LS, LS_DEFRAG, config_to_dict
 from repro.service.client import ReplayClient, ServiceError
 from repro.service.smoke import _DaemonThread
 from repro.service.wire import encode_payload
@@ -91,6 +91,24 @@ def test_close_and_reattach_preserves_applied_seq(server):
         # And the config is pinned: reopening differently is refused.
         with pytest.raises(ServiceError, match="different"):
             client.open(LS_DEFRAG, CAPACITY)
+
+
+def test_open_request_carrying_a_fast_key_is_the_same_config(server):
+    """Clients written while ``TechniqueConfig`` had a ``fast`` field send
+    the key; a re-open differing only in it attaches instead of refusing."""
+    is_read, lba, length = make_columns(20, seed=25)
+    with _client(server, "stale-key") as client:
+        client.open(LS, CAPACITY)
+        client.apply_with_retry(is_read, lba, length)
+        response = client.request(
+            {
+                "op": "open",
+                "tenant": "stale-key",
+                "config": {**config_to_dict(LS), "fast": True},
+                "capacity_sectors": CAPACITY,
+            }
+        )
+        assert response["ok"] and response["applied_seq"] == 1
 
 
 def test_ops_require_an_open_session(server):

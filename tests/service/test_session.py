@@ -6,11 +6,12 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core.config import LS, LS_ALL, LS_DEFRAG, NOLS
+from repro.core.config import LS, LS_ALL, LS_DEFRAG, NOLS, config_to_dict
 from repro.faults.service_faults import corrupt_newest_checkpoint
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import ReplaySession, SequenceGapError
 from repro.service.wire import encode_payload
+from repro.util.npystore import remove_entry
 from tests.service.helpers import (
     CAPACITY,
     batches,
@@ -126,6 +127,38 @@ def test_kill9_recovery_is_bit_identical(tmp_path, config):
 
     recovered = ReplaySession.open(
         "t", root, config, CAPACITY, checkpoint_interval_ops=120
+    )
+    assert recovered.applied_seq == 7
+    for seq, is_read, lba, length in all_batches[7:]:
+        recovered.apply_batch(seq, is_read, lba, length)
+    assert session_queries(recovered) == expected
+    recovered.close()
+
+
+def test_checkpoint_header_carrying_a_fast_key_recovers_bit_identical(tmp_path):
+    """Headers written while ``TechniqueConfig`` had a ``fast`` field carry
+    the key; it changed no simulated number, so it is ignored on open."""
+    columns = make_columns(400, seed=3)
+    expected = reference_queries(tmp_path / "ref", LS_DEFRAG, columns, batch_ops=40)
+    root = tmp_path / "old"
+    session = ReplaySession.create(
+        "t", root, LS_DEFRAG, CAPACITY, checkpoint_interval_ops=120
+    )
+    all_batches = batches(columns, 40)
+    for seq, is_read, lba, length in all_batches[:7]:
+        session.apply_batch(seq, is_read, lba, length)
+    del session  # kill -9: batch 7 lives only in the journal tail
+
+    store = CheckpointStore(root)
+    for seq in store.sequence_numbers():
+        state = store.load(seq)
+        assert state["config"] == config_to_dict(LS_DEFRAG)
+        state["config"]["fast"] = True
+        remove_entry(store.entry_path(seq))
+        store.save(seq, state)
+
+    recovered = ReplaySession.open(
+        "t", root, LS_DEFRAG, CAPACITY, checkpoint_interval_ops=120
     )
     assert recovered.applied_seq == 7
     for seq, is_read, lba, length in all_batches[7:]:

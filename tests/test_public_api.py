@@ -5,6 +5,10 @@ must exist, be importable, and stay consistent with ``__all__``.
 """
 
 import importlib
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +70,23 @@ class TestSubpackages:
                 item = getattr(module, name)
                 if callable(item) or isinstance(item, type):
                     assert item.__doc__, f"{module_name}.{name} lacks a docstring"
+
+
+def test_core_sits_below_the_experiment_harness():
+    """Nothing in ``repro.core`` imports ``repro.experiments`` — neither when
+    every core module is loaded, nor lazily inside a function."""
+    loaded = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import importlib, pkgutil, sys, repro.core\n"
+            "for m in pkgutil.walk_packages(repro.core.__path__, 'repro.core.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))",
+        ],
+        capture_output=True, text=True,
+    )
+    assert loaded.stdout.strip() == "[]", loaded.stdout + loaded.stderr
+    for path in (Path(repro.__file__).parent / "core").rglob("*.py"):
+        assert not re.search(
+            r"^\s*(from|import) repro\.experiments", path.read_text(), re.M
+        ), path

@@ -4,6 +4,8 @@ A code line carries a token that is neither a comment nor part of a
 docstring; blank lines count towards physical only.  ``--max-physical N``
 exits non-zero when ``src/repro`` has more than ``N`` physical lines: the
 budget ``make loc`` and ``tests/test_loc_budget.py`` hold, lowered PR by PR.
+``tests/`` and ``bench/`` are printed beside it, ungated, so that lines
+moved out of ``src/`` to meet the budget show.
 """
 import argparse
 import ast
@@ -12,7 +14,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -39,6 +42,8 @@ def main(argv=None) -> int:
     groups["src/repro total"] = SRC.rglob("*.py")
     groups["core/batch.py + core/stream.py"] = [SRC / "core/batch.py", SRC / "core/stream.py"]
     groups["core/fragment_policy.py"] = [SRC / "core/fragment_policy.py"]
+    groups["tests/"] = (REPO / "tests").rglob("*.py")
+    groups["bench/"] = (REPO / "bench").rglob("*.py")
     print(f"{'':32s}{'files':>6s}{'physical':>10s}{'code':>8s}")
     totals = {}
     for name, files in groups.items():
