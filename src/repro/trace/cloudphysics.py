@@ -107,19 +107,11 @@ def parse_cloudphysics_file(
     """
     check_choice("engine", engine, PARSE_ENGINES)
     path = Path(path)
+    parse = parse_cloudphysics_lines
     if engine == "columnar":
-        from repro.trace.columnar import parse_cloudphysics_text
-
-        return parse_cloudphysics_text(
-            path.read_text(),
-            name=path.stem,
-            max_ops=max_ops,
-            policy=policy,
-            capacity_sectors=capacity_sectors,
-            report=report,
-        )
-    with path.open() as handle:
-        return parse_cloudphysics_lines(
+        from repro.trace.columnar import parse_cloudphysics_text as parse
+    with path.open() as handle:  # read block by block, never held whole
+        return parse(
             handle,
             name=path.stem,
             max_ops=max_ops,

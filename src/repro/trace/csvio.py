@@ -114,24 +114,22 @@ def read_csv_trace(
     check_choice("engine", engine, PARSE_ENGINES)
     path = Path(path)
     trace_name = name or path.stem
-    if engine == "columnar":
-        from repro.trace.columnar import parse_csv_text
-
-        # newline="" matches the reference csv.reader handle: no newline
-        # translation, so fallback parses the identical character stream.
-        with path.open(newline="") as handle:
-            text = handle.read()
-        return parse_csv_text(
-            text,
-            name=trace_name,
-            # Error messages cite the full path (more useful than the stem).
-            report_name=name or str(path),
-            policy=policy,
-            capacity_sectors=capacity_sectors,
-            report=report,
-        )
-    report = make_report(report, name or str(path), policy)
+    # newline="": no newline translation, which is what csv.reader expects
+    # and so what the columnar engine's fallback re-reads.
     with path.open(newline="") as handle:
+        if engine == "columnar":
+            from repro.trace.columnar import parse_csv_text
+
+            return parse_csv_text(
+                handle,
+                name=trace_name,
+                # Error messages cite the full path (more useful than the stem).
+                report_name=name or str(path),
+                policy=policy,
+                capacity_sectors=capacity_sectors,
+                report=report,
+            )
+        report = make_report(report, name or str(path), policy)
         return read_csv_rows(
             csv.reader(handle),
             trace_name=trace_name,

@@ -135,20 +135,11 @@ def parse_msr_file(
     """
     check_choice("engine", engine, PARSE_ENGINES)
     path = Path(path)
+    parse = parse_msr_lines
     if engine == "columnar":
-        from repro.trace.columnar import parse_msr_text
-
-        return parse_msr_text(
-            path.read_text(),
-            name=path.stem,
-            disk_number=disk_number,
-            max_ops=max_ops,
-            policy=policy,
-            capacity_sectors=capacity_sectors,
-            report=report,
-        )
-    with path.open() as handle:
-        return parse_msr_lines(
+        from repro.trace.columnar import parse_msr_text as parse
+    with path.open() as handle:  # read block by block, never held whole
+        return parse(
             handle,
             name=path.stem,
             disk_number=disk_number,

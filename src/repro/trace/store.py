@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Optional, Union
 
@@ -300,18 +301,24 @@ def load_trace(
 
     On a store hit the source file is hashed but not parsed; on a miss it
     is parsed (columnar engine) and the result is compiled into the store
-    for next time.  With ``store=None`` this is just a parse.
+    for next time — unless the file changed while that was going on.  With
+    ``store=None`` this is just a parse.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"fmt must be one of {_FORMATS}, got {fmt!r}")
     if store is None:
         return _parse(path, fmt, policy, parse_args)
+    before = os.stat(path)
     meta = file_meta(path, fmt, policy=policy, **parse_args)
     cached = store.load(meta)
     if cached is not None:
         return cached
     trace = _parse(path, fmt, policy, parse_args)
-    store.store(trace, meta)
+    after = os.stat(path)
+    # The hash and the parse are two reads: a file that changed in between
+    # (a collector still appending) must not be stored under the old key.
+    if (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns):
+        store.store(trace, meta)
     return trace
 
 

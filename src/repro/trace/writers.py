@@ -17,14 +17,21 @@ from repro.util.units import SECTOR_BYTES
 
 _FILETIME_EPOCH_TICKS = 128_166_372_000_000_000  # an arbitrary 2007 instant
 _TICKS_PER_SECOND = 10_000_000
+_SLAB_OPS = 1 << 16  # ops turned into Python scalars at a time
 
 
 def column_rows(trace: Trace, read=OpType.READ.value, write=OpType.WRITE.value):
     """``(timestamp, op token, lba, length)`` per op as Python scalars, read
-    off the columns (no :class:`~repro.trace.record.IORequest` is built)."""
+    off the columns a slab at a time (no :class:`~repro.trace.record.IORequest`
+    is built, and the scalars alive at once do not grow with the trace)."""
     is_read, lba, length = trace.as_arrays()
-    ops = [read if r else write for r in is_read.tolist()]
-    return zip(trace.timestamps().tolist(), ops, lba.tolist(), length.tolist())
+    timestamps = trace.timestamps()
+    for start in range(0, len(lba), _SLAB_OPS):
+        slab = slice(start, start + _SLAB_OPS)
+        ops = [read if r else write for r in is_read[slab].tolist()]
+        yield from zip(
+            timestamps[slab].tolist(), ops, lba[slab].tolist(), length[slab].tolist()
+        )
 
 
 def write_msr_trace(

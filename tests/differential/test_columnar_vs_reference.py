@@ -9,19 +9,24 @@ enforce that on
 
 * generated Table I workloads round-tripped through every format writer,
 * the parse options (``max_ops``, ``disk_number``, ``capacity_sectors``),
-* dirty inputs under every error policy, and
-* hypothesis-generated line soup that hits the wholesale-fallback path.
+* dirty inputs under every error policy,
+* hypothesis-generated line soup that hits the wholesale-fallback path, and
+* all of those again as *files* read in 16- and 64-character blocks, so a
+  block boundary falls at every position of every shape.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import csv
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.trace import columnar as columnar_module
 from repro.trace.cloudphysics import parse_cloudphysics_file, parse_cloudphysics_lines
 from repro.trace.columnar import (
     ColumnarTrace,
@@ -76,6 +81,46 @@ def _csv_reference(text, name="trace", policy="strict", capacity_sectors=None):
         capacity_sectors=capacity_sectors,
         report=make_report(None, name, policy),
     )
+
+
+@contextlib.contextmanager
+def block_chars(chars):
+    """Shrink the driver's block so that a few lines already span several."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columnar_module, "_BLOCK_CHARS", chars)
+        yield
+
+
+def assert_file_parses_match(path, data, parse, **kwargs):
+    """``data`` as a file: the columnar engine, cutting it into 16- and
+    64-character blocks, does what the reference engine does — the same
+    trace and report, or the same error."""
+    path.write_bytes(data)
+
+    def outcome(engine):
+        try:
+            return parse(path, engine=engine, **kwargs)
+        except (TraceParseError, UnicodeDecodeError) as exc:
+            return exc
+
+    reference = outcome("reference")
+    for chars in (16, 64):
+        with block_chars(chars):
+            columnar = outcome("columnar")
+        if isinstance(reference, Exception):
+            assert type(columnar) is type(reference)
+            if isinstance(reference, TraceParseError):
+                assert str(columnar) == str(reference)
+                assert columnar.line == reference.line
+        else:
+            assert_parses_match(columnar, reference)
+
+
+@pytest.fixture(scope="module")
+def soup_file(tmp_path_factory):
+    """One path the generated examples overwrite (function-scoped fixtures
+    are not reset between hypothesis examples)."""
+    return tmp_path_factory.mktemp("soup") / "s.csv"
 
 
 # --- Table I workloads through every format writer -----------------------
@@ -225,6 +270,8 @@ EDGE_TEXTS = [
     "1,READ      junk,2,3\n",  # token with interior whitespace
     "1," + "r" + " " * 20 + ",2,3\n",  # wider than the fast path's op field
     "۱,r,2,3\n",  # non-ASCII digits (Python-only int spelling)
+    "1,r\0,2,3\n",  # a NUL would end the token in a fixed-width field
+    "1, Read ,2,3\n2,wR,4,5\n3,\x1cw,6,7\n",  # padded / oddly-cased tokens the reference accepts
 ]
 
 
@@ -267,19 +314,176 @@ _clean_line = st.tuples(
 _texts = st.lists(st.one_of(_clean_line, _soup_line), max_size=25).map("\n".join)
 
 
+_msr_line = st.tuples(
+    st.integers(0, 10**17),
+    st.integers(0, 2),
+    st.sampled_from(["Read", "Write", "r", "W", "RD", "wr", "0", "1", "rEAD"]),
+    st.integers(-512, 10**12),
+    st.integers(0, 10**6),
+).map(lambda t: f"{t[0]},hm,{t[1]},{t[2]},{t[3]},{t[4]},9")
+_msr_texts = st.lists(st.one_of(_msr_line, _msr_line, _soup_line), max_size=25).map(
+    "\n".join
+)
+
+
+@given(
+    text=_msr_texts,
+    policy=st.sampled_from(["lenient", "quarantine"]),
+    disk_number=st.sampled_from([None, 1]),
+    max_ops=st.sampled_from([None, 3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_msr_soup_matches(text, policy, disk_number, max_ops, soup_file):
+    kwargs = dict(policy=policy, disk_number=disk_number, max_ops=max_ops)
+    assert_parses_match(
+        parse_msr_text(text, name="s", **kwargs),
+        parse_msr_lines(text.split("\n"), name="s", **kwargs),
+    )
+    assert_file_parses_match(soup_file, text.encode(), parse_msr_file, **kwargs)
+
+
 @given(text=_texts)
 @settings(max_examples=200, deadline=None)
-def test_cloudphysics_soup_matches(text):
+def test_cloudphysics_soup_matches(text, soup_file):
     assert_parses_match(
         parse_cloudphysics_text(text, name="s", policy="lenient"),
         parse_cloudphysics_lines(text.split("\n"), name="s", policy="lenient"),
+    )
+    assert_file_parses_match(
+        soup_file, text.encode(), parse_cloudphysics_file, policy="lenient"
     )
 
 
 @given(text=_texts, policy=st.sampled_from(["lenient", "quarantine"]))
 @settings(max_examples=200, deadline=None)
-def test_csv_soup_matches(text, policy):
+def test_csv_soup_matches(text, policy, soup_file):
     assert_parses_match(
         parse_csv_text(text, name="s", policy=policy),
         _csv_reference(text, name="s", policy=policy),
     )
+    assert_file_parses_match(soup_file, text.encode(), read_csv_trace, policy=policy)
+
+
+# --- files, cut at every position ----------------------------------------
+
+FILE_PARSERS = {
+    "msr": parse_msr_file,
+    "cloudphysics": parse_cloudphysics_file,
+    "csv": read_csv_trace,
+}
+#: Two clean records and the header line of each dialect (MSR has none: there
+#: it is one more malformed record).
+FILE_LINES = {
+    "msr": (
+        b"128166372003061629,hm,0,Read,512,4096,9",
+        b"128166372003071629,hm,1,WRITE,8192,512,9",
+        b"Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime",
+    ),
+    "cloudphysics": (b"100,r,0,8", b"250.5,Write,16,8", b"timestamp_us,op,lba,length"),
+    "csv": (b"0.1,read,0,8", b"0.7,W,16,8", b"timestamp,op,lba,length"),
+}
+FILE_SHAPES = {
+    "crlf": b"H\r\nA\r\nB\r\nA\r\n",
+    "lone_cr": b"A\rB\rA\r",
+    "mixed_newlines": b"A\nB\r\nA\rB\n",
+    "no_trailing_newline": b"H\nA\nB\nA",
+    "no_newline_at_all": b"A",
+    "header_only": b"H",
+    "blank_run": b"A\n" + b"\n" * 40 + b"B\n\n\n",
+    "only_blank_lines": b"\n" * 40,
+    "comment_over_a_cut": b"A\n# " + b"a comment longer than any block " * 3 + b"\nB\n",
+    "hash_mid_line": b"A\nB # trailing note\nA\n",
+    "header_in_a_later_block": b"A\nB\nA\nB\nA\nH\nB\n",
+    "header_opens_a_later_block": b"A\nB\nH\nA\n",
+    "header_twice": b"H\nH\nA\nB\n",
+    "whitespace": b"  A  \n\t\nB\x1c\n \n",
+    "bom": b"\xef\xbb\xbfA\nB\n",
+    "non_ascii_extra_field": b"A,caf\xc3\xa9\nB\nA,\xe2\x80\xa8\nB\n",
+    "undecodable": b"A\nB\nA\nB\nA\n\xff\xfe\nB\n",
+    "nul": b"A\nB\0\nA\n",
+    "quoted": b'A\n"B"\nA\n',
+    "malformed_tail": b"A\nB\nA\nB\nA\nB\n1,2\n",
+}
+
+
+@pytest.mark.parametrize("policy", ["strict", "quarantine"])
+@pytest.mark.parametrize("shape", sorted(FILE_SHAPES))
+@pytest.mark.parametrize("fmt", sorted(FILE_PARSERS))
+def test_file_shapes_match(fmt, shape, policy, tmp_path):
+    first, second, header = FILE_LINES[fmt]
+    data = (
+        FILE_SHAPES[shape].replace(b"A", first).replace(b"B", second).replace(b"H", header)
+    )
+    assert_file_parses_match(tmp_path / "f.csv", data, FILE_PARSERS[fmt], policy=policy)
+
+
+TEXT_TABLES = {
+    "msr-clean": MSR_CLEAN,
+    "msr-dirty": MSR_DIRTY,
+    "cloudphysics-dirty": CP_DIRTY,
+    "csv-dirty": CSV_DIRTY,
+    **{f"cloudphysics-edge{i}": text for i, text in enumerate(EDGE_TEXTS)},
+    **{f"csv-edge{i}": text for i, text in enumerate(EDGE_TEXTS + CSV_EDGE_TEXTS)},
+}
+
+
+@pytest.mark.parametrize("policy", ["strict", "lenient"])
+@pytest.mark.parametrize("table", sorted(TEXT_TABLES))
+def test_text_tables_match_as_files(table, policy, tmp_path):
+    parse = FILE_PARSERS[table.split("-")[0]]
+    assert_file_parses_match(
+        tmp_path / "f.csv", TEXT_TABLES[table].encode(), parse, policy=policy
+    )
+
+
+# --- max_ops bounds the work, not just the result ------------------------
+
+CP_CLEAN = "timestamp_us,op,lba,length\n" + "".join(
+    f"{i * 100},{'rW'[i % 2]},{i * 8},8\n" for i in range(2000)
+)
+
+
+@pytest.fixture
+def tokenizer_calls(monkeypatch):
+    """Count the blocks that reach numpy's tokenizer."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
+@pytest.mark.parametrize("max_ops", [-1, 0, 1, 7, 40])
+@pytest.mark.parametrize(
+    "fmt, text, kwargs",
+    [
+        ("msr", MSR_CLEAN + "\n", {}),
+        ("msr", MSR_CLEAN + "\n", {"disk_number": 2}),
+        ("cloudphysics", CP_CLEAN, {}),
+    ],
+    ids=["msr", "msr-disk2", "cloudphysics"],
+)
+def test_max_ops_stops_the_read(fmt, text, kwargs, max_ops, tmp_path, tokenizer_calls):
+    parse = FILE_PARSERS[fmt]
+    clean, dirty = tmp_path / "clean" / "t.csv", tmp_path / "dirty" / "t.csv"
+    clean.parent.mkdir()
+    dirty.parent.mkdir()
+    clean.write_text(text)
+    dirty.write_bytes(text.encode() + b"what the reference parser never reads\n\xff\xfe")
+    reference = parse(clean, engine="reference", max_ops=max_ops, **kwargs)
+    assert reference.parse_report.records < 200  # the cut is well inside the file
+    chars = 256
+    for path in (clean, dirty):
+        del tokenizer_calls[:]
+        with block_chars(chars):
+            columnar = parse(path, max_ops=max_ops, **kwargs)
+        assert isinstance(columnar, ColumnarTrace)  # no fallback, garbage or not
+        assert_parses_match(columnar, reference)
+        # Blocks are `chars` characters and the rest of a line: the lines
+        # the reference consumed fit in this many, plus the header's.
+        consumed = sum(len(line) + 1 for line in text.split("\n")[: reference.parse_report.records])
+        assert len(tokenizer_calls) <= -(-consumed // chars) + 1

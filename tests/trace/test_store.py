@@ -124,6 +124,25 @@ class TestHitsAndMisses:
         assert len(trace) == 4
         assert len(store) == 2  # the stale entry lands on a different key
 
+    def test_source_changed_during_the_parse_is_not_stored(
+        self, source, store, parse_counter, monkeypatch
+    ):
+        parse = store_mod._parse
+
+        def collector_still_writing(path, *args):
+            if not parse_counter:
+                with open(path, "a") as handle:
+                    handle.write("0.3,write,32,8\n")
+            return parse(path, *args)
+
+        monkeypatch.setattr(store_mod, "_parse", collector_still_writing)
+        # The key was hashed from three good rows, the parse then read four:
+        # filed under that key, the four would be served for the old bytes.
+        assert len(load_trace(source, "csv", store=store, policy="lenient")) == 4
+        assert len(store) == 0
+        assert len(load_trace(source, "csv", store=store, policy="lenient")) == 4
+        assert len(parse_counter) == 2 and len(store) == 1
+
     def test_policy_change_misses(self, source, store, parse_counter):
         load_trace(source, "csv", store=store, policy="lenient")
         load_trace(source, "csv", store=store, policy="quarantine")
@@ -143,6 +162,35 @@ class TestHitsAndMisses:
         monkeypatch.setattr(store_mod, "COLUMNAR_PARSER_VERSION", 999_999)
         load_trace(source, "csv", store=store, policy="lenient")
         assert len(parse_counter) == 2
+
+    def test_entries_compiled_by_the_whole_file_parser_still_hit(self, tmp_path, store):
+        """The literals are what commit 20ba2eb (``read_text()``, one
+        ``np.loadtxt`` over the whole file) compiled for this file: the
+        block driver lands on the same key with the same bytes, so a store
+        filled before it keeps serving (COLUMNAR_PARSER_VERSION not bumped)."""
+        import hashlib
+
+        source = tmp_path / "hm.csv"
+        source.write_text("".join(
+            f"{128166372003061629 + i * 10_000},hm,{i % 3},{'Read' if i % 3 else 'Write'},"
+            f"{(i * 7 % 5000) * 512},{(1 + i % 64) * 512},42\n"
+            for i in range(500)
+        ))
+        trace = load_trace(source, "msr", store=store, disk_number=1)
+        (entry,) = store.entries()
+        assert entry.name == "c7ce35004efd77da9daafb67017412f81e0c211c561661e7b4c820d12a52c2ec"
+        columns = b"".join(
+            (entry / f"{key}.npy").read_bytes()
+            for key in ("timestamp", "is_read", "lba", "length")
+        )
+        assert hashlib.sha256(columns).hexdigest() == (
+            "6b226b2a9e8db7e02030ab8a9dbe454d6f2073a65999d76b17a4564fd1a45107"
+        )
+        assert trace.content_key() == (
+            "ae860683c70695536f5659c3422331fb674fa021f1a4de3c576cba41e2dc9e34"
+        )
+        report = trace.parse_report
+        assert (report.records, report.accepted, report.filtered) == (500, 167, 333)
 
     def test_meta_key_is_canonical(self):
         a = {"kind": "synthetic", "name": "x", "seed": 1, "scale": 1.0, "version": "1"}
