@@ -28,8 +28,6 @@ Sub-packages:
 * :mod:`repro.cache` — LRU and prefetch-buffer substrates.
 * :mod:`repro.trace` — trace records, parsers (MSR, CloudPhysics), I/O,
   and the strict/lenient/quarantine parse error policies.
-* :mod:`repro.faults` — deterministic fault injection (corrupt lines,
-  damaged traces, transient device errors); see docs/ROBUSTNESS.md.
 * :mod:`repro.workloads` — synthetic workload archetypes for the paper's
   21 Table-I traces.
 * :mod:`repro.analysis` — fragmentation, seek-distance, mis-ordered-write

@@ -9,10 +9,6 @@ Commands:
 * ``repro serve-smoke`` — the self-contained chaos smoke run
   (:mod:`repro.service.smoke`): 3 tenants, one worker kill, one corrupt
   checkpoint, exact-recovery assertions, clean shutdown.
-* ``repro load`` — the serving load harness (:mod:`repro.load`): boots a
-  throwaway daemon (or targets ``--host/--port``), streams multi-tenant
-  Table-I mixtures at 10–100M-op scale with live queries, and prints a
-  JSON report (throughput, p99 latencies, peak RSS).
 
 Experiment exhibits keep their own entry point
 (``python -m repro.experiments`` / ``repro-experiments``).
@@ -66,74 +62,6 @@ async def _serve(args) -> int:
     return 0
 
 
-def _load(args) -> int:
-    import json
-    import tempfile
-
-    from repro.core.config import LS, LS_CACHE, LS_DEFRAG
-    from repro.load.driver import TenantLoad, run_load
-    from repro.load.mixture import preset
-
-    components = preset(args.mixture)
-    configs = (LS, LS_DEFRAG, LS_CACHE)
-    tenants = [
-        TenantLoad(
-            name=f"tenant_{i}",
-            components=components,
-            config=configs[i % len(configs)],
-            total_ops=args.ops,
-            batch_ops=args.batch_ops,
-            window=args.window,
-            seed=17 + i,
-        )
-        for i in range(args.tenants)
-    ]
-
-    def drive(host: str, port: int) -> dict:
-        report = run_load(
-            host,
-            port,
-            tenants,
-            target_ops_per_s=args.rate,
-            schedule=args.schedule,
-            period_s=args.period,
-            live_queries=not args.no_queries,
-        )
-        return report.to_dict()
-
-    if args.host is not None:
-        result = drive(args.host, args.port)
-    else:
-        from repro.service.harness import DaemonThread
-
-        def boot_and_drive(root: str) -> dict:
-            # Size the per-tenant queue for the pipeline window, or every
-            # tenant sheds (and resyncs) the moment its window fills.
-            server = DaemonThread(
-                root,
-                config=DaemonConfig(
-                    port=0, queue_depth=max(2 * args.window, 64)
-                ),
-            )
-            port = server.start()
-            try:
-                return drive("127.0.0.1", port)
-            finally:
-                server.stop()
-
-        if args.root is not None:
-            result = boot_and_drive(args.root)
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-load-") as tmp:
-                result = boot_and_drive(tmp)
-
-    text = json.dumps(result, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -157,29 +85,6 @@ def main(argv=None) -> int:
     smoke.add_argument("--root", default=None, help="state dir (default: temp)")
     smoke.add_argument("--ops", type=int, default=3400, help="ops per tenant")
 
-    load = commands.add_parser(
-        "load", help="drive a daemon with multi-tenant mixture traffic"
-    )
-    load.add_argument("--host", default=None, help="target an already-running daemon")
-    load.add_argument("--port", type=int, default=7272)
-    load.add_argument("--root", default=None, help="state dir for a throwaway daemon (default: temp)")
-    load.add_argument("--ops", type=int, default=1_000_000, help="total ops per tenant")
-    load.add_argument("--tenants", type=int, default=3, help="number of tenants")
-    load.add_argument("--batch-ops", type=int, default=2_000, help="ops per batch")
-    load.add_argument("--window", type=int, default=32, help="pipelined batches in flight")
-    load.add_argument(
-        "--mixture", default="user_heavy", help="preset mixture name (see repro.load.mixture)"
-    )
-    load.add_argument(
-        "--rate", type=float, default=None, help="combined target ops/s (default: unthrottled)"
-    )
-    load.add_argument(
-        "--schedule", default="steady", choices=("steady", "diurnal", "burst")
-    )
-    load.add_argument("--period", type=float, default=10.0, help="schedule period seconds")
-    load.add_argument("--no-queries", action="store_true", help="skip the live-query sidecar")
-    load.add_argument("--out", default=None, help="write the JSON report here too")
-
     args = parser.parse_args(argv)
     if args.command == "serve":
         return asyncio.run(_serve(args))
@@ -190,8 +95,6 @@ def main(argv=None) -> int:
         if args.root:
             smoke_argv += ["--root", args.root]
         return smoke_main(smoke_argv)
-    if args.command == "load":
-        return _load(args)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -19,12 +19,7 @@ from repro.core.translators import (
 from repro.core.defrag import DefragConfig, OpportunisticDefrag
 from repro.core.prefetch import LookAheadBehindPrefetcher, PrefetchConfig
 from repro.core.selective_cache import SelectiveCacheConfig, SelectiveFragmentCache
-from repro.core.errors import (
-    RetriesExhaustedError,
-    SimulationError,
-    TransientIOError,
-)
-from repro.core.simulator import RetryPolicy, RunResult, Simulator, replay
+from repro.core.simulator import RunResult, Simulator, replay
 from repro.core.batch import (
     BatchRunResult,
     BatchSupport,
@@ -91,7 +86,6 @@ __all__ = [
     "SelectiveCacheConfig",
     "SelectiveFragmentCache",
     "RunResult",
-    "RetryPolicy",
     "Simulator",
     "replay",
     "BatchRunResult",
@@ -114,9 +108,6 @@ __all__ = [
     "supports_stream",
     "StreamStore",
     "stream_key",
-    "SimulationError",
-    "TransientIOError",
-    "RetriesExhaustedError",
     "Recorder",
     "SeekRecord",
     "SeekLogRecorder",

@@ -54,8 +54,8 @@ Everything is **exact**, not approximate: seek counts, the seek-distance
 log, aggregate statistics and the final translator state equal the
 reference path's bit for bit (the differential suite under
 ``tests/differential/`` is the oracle), whatever the batch size, run
-shape or extent-map tier.  Translator features outside this model —
-fault injection, retry policies, recorders — fall back to the reference
+shape or extent-map tier.  What lies outside this model — recorders, a
+translator type without a placement — falls back to the reference
 simulator when selected through
 :func:`repro.experiments.common.replay_with`, which reports *why* via
 :class:`BatchSupport` / :attr:`BatchUnsupportedError.reason`.
@@ -152,7 +152,7 @@ class BatchUnsupportedError(ValueError):
 
     Attributes:
         reason: Short structured tag naming the feature that forced the
-            reference fallback (e.g. ``"translator FaultyTranslator"``);
+            reference fallback (e.g. ``"translator MediaCacheSTL"``);
             surfaced in exhibit manifests and the CLI ``--fast`` summary
             so fallbacks are visible rather than silent.
     """
@@ -217,9 +217,9 @@ def batch_support(config: TechniqueConfig) -> BatchSupport:
     Every :class:`TechniqueConfig` is covered — NoLS, plain LS, the three
     seek-reduction techniques in any combination, and multi-frontier
     placement (``multi_frontier``).  Only objects outside the config
-    system (and translator features like fault injection, recorders or
-    retry policies, which never reach this check) force the reference
-    simulator; the returned :class:`BatchSupport` names the culprit.
+    system (and recorders, which never reach this check) force the
+    reference simulator; the returned :class:`BatchSupport` names the
+    culprit.
     """
     if not isinstance(config, TechniqueConfig):
         return BatchSupport(

@@ -111,6 +111,7 @@ class SimStats:
     defrag_rewritten_sectors: int = 0
     sectors_read: int = 0
     sectors_written: int = 0
+    # Always zero: kept because ``asdict(SimStats)`` is a serialised format.
     transient_errors: int = 0
     retried_ops: int = 0
     retry_backoff_s: float = 0.0
@@ -118,15 +119,6 @@ class SimStats:
     @property
     def ops(self) -> int:
         return self.reads + self.writes
-
-    @property
-    def seek_counters(self) -> Tuple[int, int, int]:
-        """The (read, write, defrag) seek triple — the SAF-relevant core.
-
-        Fault-injection tests compare this across runs: transient errors
-        retried by the simulator must never perturb seek accounting.
-        """
-        return (self.read_seeks, self.write_seeks, self.defrag_write_seeks)
 
     @property
     def total_seeks(self) -> int:

@@ -9,7 +9,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from repro.core.batch import BatchUnsupportedError, batch_replay
 from repro.core.config import TechniqueConfig, build_translator
 from repro.core.recorders import Recorder
-from repro.core.simulator import RetryPolicy, RunResult, Simulator
+from repro.core.simulator import RunResult, Simulator
 from repro.trace.trace import Trace
 from repro.util.io import atomic_write_json
 from repro.workloads import synthesize_workload
@@ -149,10 +149,9 @@ def note_reference_fallback(reason: str) -> None:
 
     ``reason`` is the structured tag naming the feature that forced the
     fallback (:attr:`~repro.core.batch.BatchUnsupportedError.reason`, or
-    ``"recorders"`` / ``"retry-policy"`` for replay-call features the
-    kernels never see).  The exhibit runner drains the per-process counts
-    into the run manifest so a ``--fast`` run shows *where* it silently
-    ran at reference speed.
+    ``"recorders"`` for the replay-call feature the kernels never see).
+    The exhibit runner drains the per-process counts into the run manifest
+    so a ``--fast`` run shows *where* it silently ran at reference speed.
     """
     _fallback_counts[reason] = _fallback_counts.get(reason, 0) + 1
 
@@ -169,16 +168,14 @@ def replay_with(
     config: TechniqueConfig,
     recorders: Sequence[Recorder] = (),
     fast: Optional[bool] = None,
-    retry_policy: Optional[RetryPolicy] = None,
 ) -> RunResult:
     """Replay ``trace`` under ``config`` with optional recorders attached.
 
     ``fast`` selects the vectorized batch kernel
     (:mod:`repro.core.batch`); ``None`` defers to the process-wide
     default set by :func:`set_fast_replay`.  The kernel is
-    exact, and replays it cannot serve — recorders attached, or a
-    ``retry_policy`` (the kernel never injects faults) — fall back to the
-    reference simulator, so enabling it never changes results; each
+    exact, and replays it cannot serve — recorders attached — fall back to
+    the reference simulator, so enabling it never changes results; each
     fallback is tallied by reason (:func:`note_reference_fallback`) so
     ``--fast`` runs surface where they ran at reference speed.
     """
@@ -187,17 +184,13 @@ def replay_with(
     if fast:
         if recorders:
             note_reference_fallback("recorders")
-        elif retry_policy is not None:
-            note_reference_fallback("retry-policy")
         else:
             try:
                 return batch_replay(trace, config).run_result
             except BatchUnsupportedError as exc:
                 note_reference_fallback(exc.reason)
     translator = build_translator(trace, config)
-    return Simulator(
-        recorders=list(recorders), retry_policy=retry_policy
-    ).run(trace, translator)
+    return Simulator(recorders).run(trace, translator)
 
 
 def save_json(exhibit: str, data: dict, out_dir: Optional[str]) -> Optional[Path]:

@@ -57,7 +57,7 @@ from repro.core.config import NOLS, TechniqueConfig
 from repro.core.metrics import SeekAmplification, seek_amplification
 from repro.core.outcomes import SimStats
 from repro.core.recorders import Recorder
-from repro.core.simulator import RetryPolicy, RunResult
+from repro.core.simulator import RunResult
 from repro.core.stream import (
     FragmentStream,
     record_fragment_stream,
@@ -182,12 +182,11 @@ class SweepEngine:
         trace: Trace,
         config: TechniqueConfig,
         recorders: Sequence[Recorder] = (),
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> RunResult:
         """Replay via the cheapest exact path for ``config``, once.
 
-        Dispatch: recorders, a retry policy or a config no kernel covers
-        force the reference simulator (through :func:`replay_with`'s own
+        Dispatch: recorders or a config no kernel covers force the
+        reference simulator (through :func:`replay_with`'s own
         fallback) and bypass the result table.  Otherwise a point already
         in the table, under any name, is answered from it; defrag-free
         configs evaluate against the recorded stream, and everything else
@@ -195,10 +194,8 @@ class SweepEngine:
         reference path (fast off) never touches the stream store, so
         reference runs stay purely reference.
         """
-        if recorders or retry_policy is not None:
-            return replay_with(
-                trace, config, recorders, retry_policy=retry_policy
-            )
+        if recorders:
+            return replay_with(trace, config, recorders)
         fast = self.fast_enabled()
         support = batch_support(config)
         if not support:

@@ -1,30 +1,19 @@
-"""Heavy-traffic load harness for the streaming replay service.
+"""Deterministic multi-tenant traffic for the streaming replay service.
 
-The ROADMAP's north star is a service that "serves heavy traffic from
-millions of users … as fast as the hardware allows"; this package is the
-instrument that proves (or falsifies) the claim with numbers:
+The building blocks of a many-tenant load (ROADMAP item 1); what drives
+a daemon with them, and times it from due time, lives in ``bench/``:
 
 * :mod:`repro.load.mixture` — synthesizes multi-tenant op streams as
   weighted mixtures of the Table-I workload archetypes, riffled so hot
   overwrites, scans, and replays interleave the way mixed traffic does.
 * :mod:`repro.load.schedule` — arrival schedules (steady, diurnal
   sinusoid, on/off bursts) that pace batches at a target ops/s.
-* :mod:`repro.load.driver` — drives a live daemon with concurrent
-  per-tenant apply streams plus live queries, and reports sustained
-  throughput, p50/p99 apply and query latency, and peak RSS.
-
-Entry point: ``repro load`` (see :mod:`repro.__main__`), or
-:func:`repro.load.driver.run_load` in-process.
 """
 
-from repro.load.driver import LoadReport, TenantLoad, run_load
 from repro.load.mixture import build_mixture
 from repro.load.schedule import arrival_offsets
 
 __all__ = [
-    "LoadReport",
-    "TenantLoad",
     "arrival_offsets",
     "build_mixture",
-    "run_load",
 ]

@@ -1,4 +1,4 @@
-"""Weighted Table-I workload mixtures for the load harness.
+"""Weighted Table-I workload mixtures for multi-tenant serving loads.
 
 A serving tenant is rarely one archetype: a home directory's rename storm
 rides on top of a source tree's compile reads and a media volume's long
@@ -12,7 +12,7 @@ and the translator's cleaning policy both actually feel.
 
 Everything is derived from ``(components, seed, total_ops)`` — two calls
 with the same arguments produce identical columns, which is what lets
-the differential tests replay a load run offline.
+the differential tests replay a served mixture offline.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ RUN_OPS = 2048
 def _component_columns(
     name: str, ops: int, seed: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Columns for one archetype sized to ~`ops` operations."""
+    """Columns for one archetype truncated to exactly ``ops`` operations."""
     spec = get_spec(name)
     scale = max(ops / max(1, spec.total_ops), 0.001)
     trace = generate_workload(spec, seed=seed, scale=scale)
+    if len(trace) < ops:
+        raise ValueError(f"{name} at scale {scale:g} has {len(trace)} ops, not {ops}")
     is_read, lba, length = trace.as_arrays()
     return is_read[:ops], lba[:ops], length[:ops], int(trace.max_end)
 
@@ -48,9 +50,11 @@ def build_mixture(
     """Compose a deterministic mixture stream from Table-I archetypes.
 
     ``components`` is a sequence of ``(workload_name, weight)``; weights
-    are normalized, each component contributes ``weight * total_ops``
-    operations, and the streams are riffled together in ``run_ops``-sized
-    runs.  Returns ``(is_read, lba, length, capacity)``.
+    are normalized, the ``total_ops`` operations are apportioned to the
+    components by largest remainder (exactly ``total_ops`` in all; a
+    component whose share is zero drops out), and the streams are riffled
+    together in ``run_ops``-sized runs.  Returns
+    ``(is_read, lba, length, capacity)``.
 
     Each component occupies its **own region** of the tenant's LBA space
     (offsets stacked back to back, capacity = the sum) — the way a real
@@ -66,12 +70,16 @@ def build_mixture(
     weights = np.asarray([w for _, w in components], dtype=np.float64)
     if (weights <= 0).any():
         raise ValueError("component weights must be positive")
-    weights = weights / weights.sum()
+    quotas = weights / weights.sum() * total_ops
+    shares = np.floor(quotas).astype(np.int64)
+    leftover = total_ops - int(shares.sum())
+    shares[np.argsort(shares - quotas, kind="stable")[:leftover]] += 1
 
     columns: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     capacity = 0
-    for (name, _), fraction in zip(components, weights):
-        ops = max(int(round(fraction * total_ops)), 1)
+    for (name, _), ops in zip(components, shares.tolist()):
+        if ops == 0:
+            continue
         is_read, lba, length, max_end = _component_columns(name, ops, seed)
         columns.append((is_read, lba + capacity, length))
         capacity += max_end
@@ -98,7 +106,7 @@ def build_mixture(
     return is_read, lba, length, capacity
 
 
-#: Named mixtures used by ``repro load`` and the serving benchmark.
+#: Named mixtures for multi-tenant serving loads (ROADMAP item 1).
 #: Weights echo Table I's population: user/home churn dominates, with
 #: compile-read and media-scan traffic in supporting roles.
 PRESET_MIXTURES = {

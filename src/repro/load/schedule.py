@@ -1,7 +1,7 @@
 """Arrival schedules: when each batch of a load run should be sent.
 
 A schedule is just an array of send-time *offsets* (seconds from run
-start, one per batch, non-decreasing).  The driver sleeps until each
+start, one per batch, non-decreasing).  A driver sleeps until each
 offset before dispatching its batch; an all-zeros schedule means "as
 fast as the daemon will take it", which is what throughput benchmarks
 want, while paced schedules exercise the coalescer's deadline budget

@@ -27,7 +27,7 @@ import json
 import socket
 import time
 from collections import deque
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -232,7 +232,6 @@ class ReplayClient:
         self,
         batches: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         window: int = 32,
-        on_ack: Optional[Callable[[dict], None]] = None,
         max_attempts: int = 8,
         backoff_s: float = 0.05,
         sleep=time.sleep,
@@ -353,8 +352,6 @@ class ReplayClient:
             if response.get("ok"):
                 attempts = 0
                 note_ack(response, idx)
-                if on_ack is not None:
-                    on_ack(response)
                 continue
             if response.get("shed") or response.get("kind") == "SequenceGapError":
                 resync()

@@ -1,8 +1,8 @@
 """In-process daemon harness: a real daemon on its own background loop.
 
 Everything that needs a live :class:`~repro.service.daemon.ReplayDaemon`
-without owning the process — the chaos smoke run, the daemon test suite,
-the load harness — boots one of these: a real TCP server on a free port,
+without owning the process — the chaos smoke run, the daemon test
+suite — boots one of these: a real TCP server on a free port,
 its asyncio loop isolated in a daemon thread, with
 :meth:`DaemonThread.stop` performing the clean every-session checkpoint
 shutdown.

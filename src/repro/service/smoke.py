@@ -27,6 +27,8 @@ can print or assert on it.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -43,11 +45,12 @@ from repro.core.config import (
     TechniqueConfig,
     build_translator_for_base,
 )
-from repro.faults.service_faults import corrupt_newest_checkpoint, kill_worker
+from repro.service.checkpoint import CheckpointStore
 from repro.service.client import ReplayClient
 from repro.service.daemon import DaemonConfig
 from repro.service.harness import DaemonThread
 from repro.service.supervisor import SupervisorConfig
+from repro.util.npystore import PAGE_ALIGN
 from repro.workloads.generator import generate_workload
 from repro.workloads.table1 import get_spec
 
@@ -94,6 +97,25 @@ def _offline_reference(
     )
     engine.feed_arrays(is_read, lba, length)
     return engine
+
+
+def _corrupt_newest_checkpoint(session_root: Path) -> Path:
+    """Flip one payload byte of the newest checkpoint's largest array.
+
+    The byte lies past the page-aligned ``.npy`` header, so the file still
+    parses: only the checkpoint's content checksum catches the damage.
+    """
+    store = CheckpointStore(session_root)
+    entry = store.entry_path(store.sequence_numbers()[-1])
+    target = max(entry.glob("*.npy"), key=lambda path: path.stat().st_size)
+    size = target.stat().st_size
+    assert size > PAGE_ALIGN, f"{target} has no payload to damage"
+    with open(target, "r+b") as handle:
+        handle.seek((PAGE_ALIGN + size) // 2)
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte[0] ^ 0xA5]))
+    return entry
 
 
 def run_smoke(
@@ -168,7 +190,7 @@ def run_smoke(
         pid = server.daemon.supervisor.worker_pid("alpha")
         if pid is not None:
             say(f"chaos: kill -9 alpha worker (pid {pid})")
-            kill_worker(pid)
+            os.kill(pid, signal.SIGKILL)
     resume["alpha"].set()
 
     # Chaos 2: force a bravo checkpoint, corrupt it on disk, then kill the
@@ -178,14 +200,14 @@ def run_smoke(
     if not errors:
         with ReplayClient("127.0.0.1", port, "bravo") as chaos_client:
             chaos_client.checkpoint()
-        damaged = corrupt_newest_checkpoint(
-            server.daemon.supervisor.tenant_root("bravo"), seed=13
+        damaged = _corrupt_newest_checkpoint(
+            server.daemon.supervisor.tenant_root("bravo")
         )
         say(f"chaos: corrupted {damaged}")
         pid = server.daemon.supervisor.worker_pid("bravo")
         if pid is not None:
             say(f"chaos: kill -9 bravo worker (pid {pid})")
-            kill_worker(pid)
+            os.kill(pid, signal.SIGKILL)
     resume["bravo"].set()
 
     deadline = time.monotonic() + 300

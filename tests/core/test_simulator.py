@@ -1,7 +1,5 @@
 """Simulator / SimStats / recorder-dispatch tests."""
 
-import pytest
-
 from repro.core.outcomes import SimStats
 from repro.core.recorders import OutcomeLogRecorder
 from repro.core.simulator import Simulator, replay
@@ -28,16 +26,6 @@ class TestSimulatorRun:
         recorder = OutcomeLogRecorder()
         replay(tiny_trace, InPlaceTranslator(), [recorder])
         assert len(recorder.outcomes) == len(tiny_trace)
-
-    def test_progress_callback(self, tiny_trace):
-        calls = []
-        sim = Simulator(progress_every=2, progress=lambda done, total: calls.append((done, total)))
-        sim.run(tiny_trace, InPlaceTranslator())
-        assert calls == [(2, 6), (4, 6), (6, 6)]
-
-    def test_invalid_progress_every(self):
-        with pytest.raises(ValueError):
-            Simulator(progress_every=0)
 
     def test_add_recorder(self, tiny_trace):
         sim = Simulator()

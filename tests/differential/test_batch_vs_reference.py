@@ -211,13 +211,14 @@ def test_supports_batch_covers_every_stock_config():
 
 def test_unsupported_translator_is_refused():
     from repro.core.translators import InPlaceTranslator
-    from repro.faults.transient import FaultyTranslator, TransientFaultConfig
+
+    class KernellessTranslator(InPlaceTranslator):
+        pass
 
     trace = _trace([IORequest.write(0, 8)])
-    translator = FaultyTranslator(InPlaceTranslator(), TransientFaultConfig())
     with pytest.raises(BatchUnsupportedError) as exc:
-        batch_replay_translator(trace, translator)
-    assert exc.value.reason == "translator FaultyTranslator"
+        batch_replay_translator(trace, KernellessTranslator())
+    assert exc.value.reason == "translator KernellessTranslator"
 
 
 def test_fast_replay_falls_back_when_recorders_present(traces):

@@ -14,11 +14,10 @@ The coalesced path earns its throughput only if it is
   no ops lost or double-applied.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.config import LS, LS_ALL
-from repro.load.driver import TenantLoad, run_load
+from repro.load.mixture import build_mixture
 from repro.service.client import ReplayClient
 from repro.service.daemon import DaemonConfig
 from repro.service.harness import DaemonThread
@@ -201,51 +200,31 @@ def test_overload_shed_and_resend_converge(tmp_path):
 
 
 @pytest.mark.slow
-def test_load_driver_run_is_replayable_offline(tmp_path):
-    """The harness's own mixture stream through the daemon == offline.
-
-    This is what makes `repro load` a *differential* workload, not just
-    a throughput toy: every run it drives is reproducible from
-    (components, seed, ops) after the fact.
-    """
-    spec = TenantLoad(
-        name="t0",
-        components=(("hm_1", 0.8), ("usr_1", 0.2)),
-        config=LS,
-        total_ops=6_000,
-        batch_ops=500,
-        window=8,
-        seed=29,
+def test_mixture_stream_is_replayable_offline(tmp_path):
+    """A ``build_mixture`` stream through the daemon == offline: a served
+    mixture is reproducible from (components, seed, ops) after the fact."""
+    *columns, capacity = build_mixture(
+        (("hm_1", 0.8), ("usr_1", 0.2)), 6_000, seed=29
     )
+    stream = batches(columns, 500)
     server = DaemonThread(
         tmp_path / "state", config=DaemonConfig(port=0, queue_depth=64)
     )
     port = server.start()
     try:
-        report = run_load(
-            "127.0.0.1", port, [spec], live_queries=False
-        )
-        assert report.resyncs == 0
         with ReplayClient("127.0.0.1", port, "t0") as client:
+            client.open(LS, capacity)
+            result = client.apply_stream((b[1:] for b in stream), window=8)
             live_stats = client.query("stats")
     finally:
         server.stop()
+    assert (result["batches"], result["resyncs"]) == (len(stream), 0)
 
-    from repro.load.mixture import build_mixture
-
-    is_read, lba, length, capacity = build_mixture(
-        spec.components, spec.total_ops, seed=spec.seed
-    )
     offline = ReplaySession.create(
         "offline", tmp_path / "offline", LS, capacity,
         checkpoint_interval_ops=10**9,
     )
-    for i in range(0, spec.total_ops, spec.batch_ops):
-        stop = min(i + spec.batch_ops, spec.total_ops)
-        n = len(lba)
-        idx = np.arange(i, stop) % n  # driver cycles its base columns
-        offline.apply_batch(
-            i // spec.batch_ops + 1, is_read[idx], lba[idx], length[idx]
-        )
+    for batch in stream:
+        offline.apply_batch(*batch)
     assert live_stats == offline.query("stats")
     offline.close()

@@ -40,11 +40,11 @@ def test_all_run_evaluates_each_distinct_point_once(monkeypatch):
 
     real_replay = SweepEngine.replay
 
-    def asking(self, trace, config, recorders=(), retry_policy=None):
-        if not recorders and retry_policy is None:
+    def asking(self, trace, config, recorders=()):
+        if not recorders:
             technique = dataclasses.replace(config, name="")
             asked.append((trace.content_key(), technique))
-        return real_replay(self, trace, config, recorders, retry_policy)
+        return real_replay(self, trace, config, recorders)
 
     def counting(name):
         real = getattr(sweep_module, name)

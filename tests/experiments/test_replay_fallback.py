@@ -1,8 +1,7 @@
 """``replay_with`` must fall back to the reference simulator — silently
 and exactly — whenever the replay needs something the kernels cannot do:
-recorders observing per-request events, or a retry policy injecting
-fault handling.  Parametrized over every paper config so a future kernel
-for a new technique can't regress the fallback.
+recorders observing per-request events.  Parametrized over every paper
+config so a future kernel for a new technique can't regress the fallback.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import pytest
 
 from repro.core.config import PAPER_CONFIGS, build_translator
 from repro.core.recorders import SeekLogRecorder
-from repro.core.simulator import RetryPolicy, Simulator
+from repro.core.simulator import Simulator
 from repro.experiments import common
 from repro.experiments.common import replay_with
 from repro.workloads import synthesize_workload
@@ -24,11 +23,8 @@ def trace():
     return synthesize_workload("usr_0", seed=42, scale=0.02)
 
 
-def _reference(trace, config, recorders=(), retry_policy=None):
-    translator = build_translator(trace, config)
-    return Simulator(
-        recorders=list(recorders), retry_policy=retry_policy
-    ).run(trace, translator)
+def _reference(trace, config, recorders=()):
+    return Simulator(recorders).run(trace, build_translator(trace, config))
 
 
 @pytest.mark.parametrize("config", PAPER_CONFIGS, ids=CONFIG_IDS)
@@ -47,18 +43,6 @@ def test_recorder_forces_reference_simulator(trace, config):
     assert [r.is_read for r in recorder.records] == [
         r.is_read for r in check.records
     ]
-
-
-@pytest.mark.parametrize("config", PAPER_CONFIGS, ids=CONFIG_IDS)
-def test_retry_policy_forces_reference_simulator(trace, config):
-    policy = RetryPolicy(max_retries=2)
-    fast = replay_with(trace, config, fast=True, retry_policy=policy)
-    reference = _reference(trace, config, retry_policy=RetryPolicy(max_retries=2))
-    assert fast.stats == reference.stats
-    assert fast.translator == reference.translator
-    # No faults are injected here, so the retry counters must stay zero —
-    # proof the policy rode along without perturbing the replay.
-    assert fast.stats.retried_ops == 0
 
 
 @pytest.mark.parametrize("config", PAPER_CONFIGS, ids=CONFIG_IDS)

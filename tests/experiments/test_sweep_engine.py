@@ -29,7 +29,6 @@ from repro.core.defrag import DefragConfig
 from repro.core.prefetch import PrefetchConfig
 from repro.core.recorders import SeekLogRecorder
 from repro.core.selective_cache import SelectiveCacheConfig
-from repro.core.simulator import RetryPolicy
 from repro.experiments import ablations, common, fig9, fig10, fig11
 from repro.experiments import sweep as sweep_module
 from repro.experiments.sweep import SweepEngine, reset_sweep_engines, sweep_engine
@@ -216,17 +215,21 @@ class TestResultTable:
         assert (engine.results_computed, engine.results_shared) == (2, 2)
         assert len(reference_runs) == 1
 
-    def test_recorders_and_retry_policies_bypass_the_table(self):
+    def test_recorders_bypass_the_table(self):
         engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
         trace = _small("hm_1")
-        for _ in range(2):  # nothing written by the first, nothing read by the second
-            result = engine.replay(trace, LS_DEFRAG, retry_policy=RetryPolicy(max_retries=2))
-            assert not engine._results
-        assert result == engine.replay(trace, LS_DEFRAG)
-        for _ in range(2):  # the row is there now, and still not used
+
+        def recorded():
             recorder = SeekLogRecorder()
             result = engine.replay(trace, LS_DEFRAG, [recorder])
             assert len(recorder.distances) == result.stats.total_seeks > 0
+            return result
+
+        for _ in range(2):  # nothing written by the first, nothing read by the second
+            result = recorded()
+            assert not engine._results
+        assert result == engine.replay(trace, LS_DEFRAG)
+        assert recorded() == result  # the row is there now, and still not used
         assert (engine.results_computed, engine.results_shared) == (1, 0)
 
     def test_unsupported_config_tallies_one_fallback_per_call(self):

@@ -1,4 +1,6 @@
-"""Mixture synthesis: determinism, disjoint regions, riffle shape."""
+"""Mixture synthesis: determinism, exact counts, disjoint regions, riffle shape."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -40,14 +42,37 @@ def test_components_occupy_disjoint_lba_regions():
     assert below > above
 
 
-def test_ops_land_near_the_requested_total():
-    total = 30_000
-    is_read, lba, length, _ = build_mixture(TWO, total, seed=5)
-    assert len(is_read) == len(lba) == len(length)
-    # Generators emit whole phase schedules, so the count tracks the
-    # request loosely, not exactly; each component is truncated to its
-    # weighted share.
-    assert 0 < len(lba) <= total
+@pytest.mark.parametrize("name", sorted(PRESET_MIXTURES))
+@pytest.mark.parametrize("total", (1, 2, 3, 7, 997, 6_000, 99_999))
+def test_mixture_has_exactly_the_requested_ops(name, total):
+    # Rounded per-component shares summed to 100 000 for media_scan at
+    # 99 999, 996 at 997 and 3 for user_heavy at 1.
+    is_read, lba, length, capacity = build_mixture(preset(name), total, seed=3)
+    assert len(is_read) == len(lba) == len(length) == total
+    assert int(lba.min()) >= 0 and int((lba + length).max()) <= capacity
+
+
+def test_component_with_a_zero_share_drops_out_of_the_capacity():
+    lone = build_mixture(preset("user_heavy"), 1, seed=3)
+    solo = build_mixture(preset("user_heavy")[:1], 1, seed=3)
+    assert lone[3] == solo[3]
+    np.testing.assert_array_equal(lone[1], solo[1])
+
+
+@pytest.mark.parametrize(
+    "name, total, seed, digest",
+    [  # taken at the parent commit, whose rounding was already exact here
+        ("user_heavy", 6_000, 3, "4fa40ee10a9d1172e8c254269253a848282c4910728239b6ac1cd6964fd2c856"),
+        ("read_hot", 997, 5, "ffac8bfefa9c4a479de0901f10ec7e5b95abc26346b01fcc951081c86d56fa5a"),
+    ],
+)
+def test_sizes_that_were_already_exact_keep_their_bytes(name, total, seed, digest):
+    *columns, capacity = build_mixture(preset(name), total, seed=seed)
+    sha = hashlib.sha256()
+    for column in columns:
+        sha.update(np.ascontiguousarray(column).tobytes())
+    sha.update(str(capacity).encode())
+    assert sha.hexdigest() == digest
 
 
 def test_riffle_leads_with_the_first_component():

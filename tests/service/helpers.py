@@ -23,20 +23,29 @@ def make_columns(n: int, capacity: int = CAPACITY, seed: int = 7):
     return np.ascontiguousarray(is_read), lba, length
 
 
-def batches(columns, batch_ops: int):
-    """Slice op columns into (seq, is_read, lba, length) batches from 1."""
-    is_read, lba, length = columns
-    out = []
-    for index, start in enumerate(range(0, len(lba), batch_ops)):
-        end = min(start + batch_ops, len(lba))
-        out.append(
-            (index + 1, is_read[start:end], lba[start:end], length[start:end])
-        )
-    return out
+def batches(columns, batch_ops):
+    """Slice op columns into (seq, is_read, lba, length) batches from 1;
+    ``batch_ops`` is one size for all of them or a sequence of sizes."""
+    if isinstance(batch_ops, int):
+        batch_ops = [batch_ops] * -(-len(columns[1]) // batch_ops)
+    edges = np.cumsum([0, *batch_ops])
+    return [
+        (seq, *(column[start:end] for column in columns))
+        for seq, (start, end) in enumerate(zip(edges, edges[1:]), start=1)
+    ]
+
+
+def flip_byte(path, offset: int) -> None:
+    """Invert the byte of ``path`` at ``offset`` in place."""
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(offset)
+        handle.write(bytes([byte[0] ^ 0xFF]))
 
 
 def reference_queries(
-    tmp_root, config: TechniqueConfig, columns, batch_ops: int = 50
+    tmp_root, config: TechniqueConfig, columns, batch_ops=50
 ) -> dict:
     """Queries of an uninterrupted session fed the whole stream."""
     session = ReplaySession.create(

@@ -1,11 +1,11 @@
-"""Service fault injectors: deterministic schedules, checkpoint corruption."""
+"""Misdelivered streams: duplicated and held-back batches, generated."""
 
-import numpy as np
-import pytest
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import LS
-from repro.faults.service_faults import ChaosSchedule, corrupt_newest_checkpoint
-from repro.service.checkpoint import CheckpointCorruptError, CheckpointStore
 from repro.service.session import ReplaySession, SequenceGapError
 from tests.service.helpers import (
     CAPACITY,
@@ -15,73 +15,47 @@ from tests.service.helpers import (
     session_queries,
 )
 
-
-def test_schedule_is_deterministic_and_complete():
-    items = list(range(1, 41))
-    first = ChaosSchedule(seed=3, duplicate_rate=0.3, delay_rate=0.3).arrange(items)
-    second = ChaosSchedule(seed=3, duplicate_rate=0.3, delay_rate=0.3).arrange(items)
-    assert first == second
-    delivered = [batch for _, batch in first]
-    assert sorted(set(delivered)) == items  # every batch delivered >= once
-    assert {tag for tag, _ in first} <= {"send", "duplicate", "delayed"}
-    # A different seed produces a different schedule (with these rates).
-    assert ChaosSchedule(seed=4, duplicate_rate=0.3, delay_rate=0.3).arrange(items) != first
+_plans = st.lists(
+    st.tuples(st.integers(1, 60), st.sampled_from(("send", "duplicate", "hold"))),
+    min_size=1,
+    max_size=15,
+)
 
 
-def test_zero_rates_is_the_clean_stream():
-    items = list(range(10))
-    schedule = ChaosSchedule(seed=0, duplicate_rate=0.0, delay_rate=0.0).arrange(items)
-    assert schedule == [("send", item) for item in items]
-
-
-def test_delayed_batch_lands_after_its_successor():
-    items = list(range(1, 101))
-    schedule = ChaosSchedule(seed=1, duplicate_rate=0.0, delay_rate=0.5).arrange(items)
-    position = {}
-    for index, (tag, batch) in enumerate(schedule):
-        position.setdefault(batch, index)
-        if tag == "delayed":
-            assert batch + 1 in position and position[batch + 1] < index
-    assert pytest.approx(0.5, abs=0.2) == sum(
-        1 for tag, _ in schedule if tag == "delayed"
-    ) / len(items)
-
-
-def test_misdelivered_stream_converges_to_clean_state(tmp_path):
+@given(plan=_plans)
+@settings(max_examples=40, deadline=None)
+def test_misdelivered_stream_converges_to_clean_state(plan):
     """Duplicates ack as duplicates, gaps defer and retry: the final state
-    must equal the clean in-order stream's exactly."""
-    columns = make_columns(300, seed=31)
-    expected = reference_queries(tmp_path / "ref", LS, columns, batch_ops=30)
+    must equal the clean in-order stream's exactly.  ``hold`` delivers a
+    batch one hop late, after its successor (which therefore hits a gap)."""
+    sizes = [ops for ops, _ in plan]
+    columns = make_columns(sum(sizes), seed=31)
+    with tempfile.TemporaryDirectory() as tmp:
+        expected = reference_queries(f"{tmp}/ref", LS, columns, batch_ops=sizes)
+        session = ReplaySession.create("t", f"{tmp}/chaos", LS, CAPACITY)
+        deferred = []
 
-    session = ReplaySession.create("t", tmp_path / "chaos", LS, CAPACITY)
-    schedule = ChaosSchedule(seed=7, duplicate_rate=0.4, delay_rate=0.4).arrange(
-        batches(columns, 30)
-    )
-    assert {tag for tag, _ in schedule} == {"send", "duplicate", "delayed"}
-    deferred = []
-    for _, (seq, is_read, lba, length) in schedule:
-        try:
-            session.apply_batch(seq, is_read, lba, length)
-        except SequenceGapError:
-            deferred.append((seq, is_read, lba, length))
-    for seq, is_read, lba, length in sorted(deferred, key=lambda b: b[0]):
-        session.apply_batch(seq, is_read, lba, length)
-    assert session.applied_seq == 10
-    assert session_queries(session) == expected
-    session.close()
+        def deliver(batch):
+            try:
+                session.apply_batch(*batch)
+            except SequenceGapError:
+                deferred.append(batch)
 
-
-def test_corrupt_newest_checkpoint_targets_only_the_newest(tmp_path):
-    state = {"payload": np.arange(4000, dtype=np.int64)}
-    store = CheckpointStore(tmp_path)
-    store.save(1, state)
-    store.save(2, state)
-    damaged = corrupt_newest_checkpoint(tmp_path, seed=5)
-    assert damaged == store.entry_path(2)
-    with pytest.raises(CheckpointCorruptError):
-        store.load(2)
-    assert store.load(1)["payload"].shape == (4000,)
-
-
-def test_corrupt_newest_checkpoint_without_checkpoints_is_a_noop(tmp_path):
-    assert corrupt_newest_checkpoint(tmp_path) is None
+        held = None
+        for batch, (_, action) in zip(batches(columns, sizes), plan):
+            if action == "hold" and held is None:
+                held = batch
+                continue
+            deliver(batch)
+            if action == "duplicate":
+                deliver(batch)
+            if held is not None:
+                deliver(held)
+                held = None
+        if held is not None:
+            deliver(held)
+        for batch in sorted(deferred, key=lambda b: b[0]):
+            session.apply_batch(*batch)
+        assert session.applied_seq == len(plan)
+        assert session_queries(session) == expected
+        session.close()

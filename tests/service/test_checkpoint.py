@@ -11,6 +11,7 @@ from repro.service.checkpoint import (
     CheckpointStore,
 )
 from repro.util.npystore import PAGE_ALIGN
+from tests.service.helpers import flip_byte
 
 
 def _state(tag: int) -> dict:
@@ -54,11 +55,7 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
     store = CheckpointStore(tmp_path)
     store.save(7, _state(1))
     target = sorted(store.entry_path(7).glob("*.npy"))[0]
-    with open(target, "r+b") as handle:
-        handle.seek(PAGE_ALIGN + 16)
-        byte = handle.read(1)
-        handle.seek(PAGE_ALIGN + 16)
-        handle.write(bytes([byte[0] ^ 0xFF]))
+    flip_byte(target, PAGE_ALIGN + 16)
     with pytest.raises(CheckpointCorruptError, match="checksum"):
         store.load(7)
 
@@ -79,9 +76,7 @@ def test_load_latest_falls_back_and_self_heals(tmp_path):
     store.save(1, _state(1))
     store.save(5, _state(5))
     newest = sorted(store.entry_path(5).glob("*.npy"))[0]
-    with open(newest, "r+b") as handle:
-        handle.seek(PAGE_ALIGN + 8)
-        handle.write(b"\xa5" * 32)
+    flip_byte(newest, PAGE_ALIGN + 8)
     seq, state = store.load_latest()
     assert seq == 1
     assert state["tag"] == 1

@@ -23,7 +23,7 @@ from repro.service.checkpoint import CheckpointCorruptError, CheckpointStore
 from repro.service.session import ReplaySession
 from repro.util.npystore import PAGE_ALIGN
 
-from tests.service.helpers import CAPACITY, batches, make_columns, session_queries
+from tests.service.helpers import CAPACITY, batches, flip_byte, make_columns, session_queries
 
 MULTI_FRONTIER = dataclasses.replace(
     LS, name="LS+MF", multi_frontier=MultiFrontierConfig(window=512)
@@ -129,11 +129,7 @@ def test_flipped_histogram_byte_fails_checksum_and_falls_back(tmp_path):
 
     (histogram,) = newest.glob("*distances.read_hist.npy")
     assert histogram.stat().st_size > PAGE_ALIGN
-    with open(histogram, "r+b") as handle:
-        handle.seek(PAGE_ALIGN + 8)  # the first pair's count
-        byte = handle.read(1)
-        handle.seek(PAGE_ALIGN + 8)
-        handle.write(bytes([byte[0] ^ 0x01]))
+    flip_byte(histogram, PAGE_ALIGN + 8)  # the first pair's count
 
     store = CheckpointStore(tmp_path)
     with pytest.raises(CheckpointCorruptError, match="checksum mismatch"):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import LS, LS_ALL, LS_DEFRAG, NOLS, config_to_dict
-from repro.faults.service_faults import corrupt_newest_checkpoint
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import ReplaySession, SequenceGapError
 from repro.service.wire import encode_payload
@@ -15,6 +14,7 @@ from repro.util.npystore import remove_entry
 from tests.service.helpers import (
     CAPACITY,
     batches,
+    flip_byte,
     make_columns,
     reference_queries,
     session_queries,
@@ -184,9 +184,9 @@ def test_corrupt_newest_checkpoint_falls_back_bit_identical(tmp_path):
     session.checkpoint()  # older, intact
     for seq, is_read, lba, length in all_batches[4:7]:
         session.apply_batch(seq, is_read, lba, length)
-    session.checkpoint()  # newest — about to be damaged
-    damaged = corrupt_newest_checkpoint(root, seed=13)
-    assert damaged is not None
+    newest = session.checkpoint()  # about to be damaged
+    largest = max(newest.glob("*.npy"), key=lambda path: path.stat().st_size)
+    flip_byte(largest, largest.stat().st_size - 1)
     del session
 
     recovered = ReplaySession.open("t", root, config, CAPACITY)

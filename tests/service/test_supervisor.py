@@ -4,10 +4,12 @@ These tests boot real spawned worker processes; op counts are kept small
 so the suite stays fast (each boot is one interpreter start).
 """
 
+import os
+import signal
+
 import pytest
 
 from repro.core.config import LS, LS_DEFRAG
-from repro.faults.service_faults import kill_worker
 from repro.service.supervisor import (
     Supervisor,
     SupervisorConfig,
@@ -53,7 +55,7 @@ def test_kill9_midstream_restart_is_transparent(tmp_path):
 
         pid = supervisor.worker_pid("t")
         assert pid is not None
-        kill_worker(pid)
+        os.kill(pid, signal.SIGKILL)
 
         # The very next call detects the death, restarts the worker (WAL
         # recovery inside) and replays the call once — the caller just
@@ -113,13 +115,13 @@ def test_restart_budget_retires_tenant(tmp_path):
     try:
         supervisor.ensure_tenant("t", LS, CAPACITY)
         for _ in range(2):
-            kill_worker(supervisor.worker_pid("t"))
+            os.kill(supervisor.worker_pid("t"), signal.SIGKILL)
             assert supervisor.call("t", {"cmd": "ping"})["ok"]
         # Second restart in the window backed off exponentially from base.
         assert sleeps == [0.25]
         assert deaths == [("t", 1), ("t", 2)]
 
-        kill_worker(supervisor.worker_pid("t"))
+        os.kill(supervisor.worker_pid("t"), signal.SIGKILL)
         with pytest.raises(TenantFailedError, match="retiring"):
             supervisor.call("t", {"cmd": "ping"})
         # The tenant stays failed: no further boot attempts are made.

@@ -2,7 +2,7 @@
 
 ROADMAP aim 2 asks for the same numbers from less code: a PR that shrinks
 ``src/repro`` lowers ``LOC_BUDGET`` in the Makefile to what it reached, and
-none raises it.
+none raises it.  ``tests/`` and the option/name surface ratchet likewise.
 """
 
 import re
@@ -22,7 +22,7 @@ def loc(*args):
 
 def test_src_is_within_the_makefile_budget():
     budget = re.search(r"^LOC_BUDGET = (\d+)$", (REPO / "Makefile").read_text(), re.M)
-    assert int(budget[1]) <= 20992  # what the last PR to shrink src/repro reached
+    assert int(budget[1]) <= 19868  # what the last PR to shrink src/repro reached
     done = loc("--max-physical", budget[1])
     assert done.returncode == 0, done.stderr
 
@@ -32,10 +32,14 @@ def test_over_budget_exits_nonzero_and_says_by_how_much():
     assert done.returncode == 1
     assert re.search(r"over the budget of 1000 by \d+", done.stderr)
     assert "src/repro total" in done.stdout
-    # The other half of the target ("tests/ and bench/ not growing to
-    # compensate") is printed beside it, ungated.
-    assert re.search(r"^tests/\s+\d+\s+\d+", done.stdout, re.M)
     assert re.search(r"^bench/\s+\d+\s+\d+", done.stdout, re.M)
-    # So is the surface that lines do not measure (ROADMAP item 5).
-    for row in ("add_argument( calls", "environment variables read", "__all__ names"):
-        assert re.search(rf"^src/repro {re.escape(row)}\s+\d+$", done.stdout, re.M)
+    # The other half of the target ("tests/ not growing to compensate") and
+    # the surface that lines do not measure (ROADMAP item 5) ratchet the same
+    # way: each literal is what the last PR to lower it reached.
+    for row, ceiling in (
+        (r"tests/\s+\d+", 15273),  # ROADMAP's ceiling for the round: 15 399
+        (r"src/repro add_argument\( calls", 27),
+        (r"src/repro environment variables read", 1),
+        (r"src/repro __all__ names", 259),
+    ):
+        assert int(re.search(rf"^{row}\s+(\d+)\b", done.stdout, re.M)[1]) <= ceiling, row
