@@ -5,10 +5,10 @@ The paper counts seeks but motivates them by cost: short backward hops
 (missed rotations) cost a full platter revolution, short forward skips
 almost nothing, long seeks head travel plus half a revolution.  This
 example replays a workload under each configuration, weighs the resulting
-seek logs with both the distance-bucketed SeekTimeModel and the exact
-angular model, and reports the time amplification factor (TAF) next to
-the paper's SAF — showing that prefetching looks *better* under time than
-under counts (it specifically removes the most expensive hops).
+seek logs with the distance-bucketed SeekTimeModel, and reports the time
+amplification factor (TAF) next to the paper's SAF — showing that
+prefetching looks *better* under time than under counts (it specifically
+removes the most expensive hops).
 
 Run:  python examples/seek_time_costs.py
 """
@@ -23,7 +23,6 @@ from repro import (
 )
 from repro.core.metrics import time_amplification
 from repro.core.recorders import SeekLogRecorder
-from repro.disk.angular import AngularSeekModel
 from repro.disk.seek_time import SeekTimeModel
 
 
@@ -34,7 +33,6 @@ def main() -> None:
     baseline_rec = SeekLogRecorder()
     baseline = replay(trace, build_translator(trace, NOLS), [baseline_rec])
     model = SeekTimeModel()
-    angular = AngularSeekModel()
 
     print(f"{'config':14} {'seeks':>7} {'SAF':>6} {'TAF':>6} "
           f"{'missed rotations':>17}")
@@ -56,8 +54,7 @@ def main() -> None:
     print(f"{'NoLS (base)':14} {base_seeks:>7} {1.0:>6.2f} {1.0:>6.2f}")
 
     print(
-        f"\nmissed-rotation cost (exact angular model): "
-        f"{angular.missed_rotation_ms():.1f} ms "
+        f"\nmissed-rotation cost: {model.seek_ms(-8):.1f} ms "
         f"vs {model.geometry.transfer_ms(100):.2f} ms for a short forward skip"
     )
     print(

@@ -23,8 +23,7 @@ Sub-packages:
 
 * :mod:`repro.core` — translators, techniques, simulator, SAF metric.
 * :mod:`repro.extentmap` — LBA→PBA extent mapping structures.
-* :mod:`repro.disk` — head/seek model, seek-time costs, SMR zones,
-  media-cache STL baseline.
+* :mod:`repro.disk` — head/seek model, seek-time costs, SMR zones.
 * :mod:`repro.cache` — LRU and prefetch-buffer substrates.
 * :mod:`repro.trace` — trace records, parsers (MSR, CloudPhysics), I/O,
   and the strict/lenient/quarantine parse error policies.

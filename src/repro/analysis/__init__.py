@@ -36,7 +36,6 @@ from repro.analysis.fast import (
     nols_windowed_long_seeks,
     popularity_curve_fast,
 )
-from repro.analysis.service import ServiceTimeEstimate, estimate_service_time
 from repro.analysis.classify import (
     LogSensitivity,
     WorkloadCharacter,
@@ -63,8 +62,6 @@ __all__ = [
     "characterize",
     "classify_saf",
     "classify_stats",
-    "ServiceTimeEstimate",
-    "estimate_service_time",
     # Vectorized equivalents (exact; see tests/differential/)
     "distance_cdf_fast",
     "fraction_within_fast",

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.outcomes import SimStats
 from repro.trace.trace import Trace
+from repro.util.cells import cells, cover, range_min_max
 
 
 class LogSensitivity(enum.Enum):
@@ -99,60 +100,51 @@ class WorkloadCharacter:
         return LogSensitivity.LOG_FRIENDLY
 
 
-#: (op, block) pairs expanded at a time: bounds the scratch arrays whatever
-#: the trace's size or its largest request.
-_SLAB_PAIRS = 1 << 18
-
-
-def _block_pairs(ops: np.ndarray, first_block: np.ndarray, n_blocks: np.ndarray):
-    """Yield ``(op, block)`` arrays — one pair per 4 KiB block each of ``ops``
-    touches, in op order — ``_SLAB_PAIRS`` pairs at a time (a slab boundary
-    may fall inside one request)."""
-    first_block, n_blocks = first_block[ops], n_blocks[ops]
-    ends = np.cumsum(n_blocks)
-    for lo in range(0, int(ends[-1]) if len(ends) else 0, _SLAB_PAIRS):
-        pair = np.arange(lo, min(lo + _SLAB_PAIRS, int(ends[-1])))
-        at = np.searchsorted(ends, pair, side="right")
-        yield ops[at], first_block[at] + n_blocks[at] - (ends[at] - pair)
-
-
 def characterize(trace: Trace) -> WorkloadCharacter:
-    """Extract the predictive features from a trace's columns (memory
-    follows the blocks the trace writes, never its highest LBA)."""
+    """Extract the predictive features from a trace's columns.
+
+    Scratch memory is O(requests): never the number of 4 KiB blocks the
+    requests span, nor the trace's highest LBA.  The write block ranges cut
+    the LBA line into elementary cells, each labelled with the op that
+    wrote it first; a read is mixed iff the labels over its cells (an
+    uncovered part counting as never written) fall on both sides of it.
+    """
     is_read, lba, length = trace.as_arrays()
     reads, writes = trace.read_count, trace.write_count
     first_block = lba // 8
-    n_blocks = (lba + length - 1) // 8 - first_block + 1
+    end_block = (lba + length - 1) // 8 + 1
     read_ops, write_ops = np.flatnonzero(is_read), np.flatnonzero(~is_read)
 
     read_lba = lba[read_ops]
     read_end = read_lba + length[read_ops]
     sequential_reads = int(np.count_nonzero(read_lba[1:] == read_end[:-1]))
 
-    # Every block written, sorted, with the op that wrote it first (pairs come
-    # in op order, so the first occurrence is the first writer).  The sentinel
-    # sorts last and is "written" after the trace, so a lookup always lands.
-    blocks, writers = [np.array([np.iinfo(np.int64).max])], [np.array([len(lba)])]
-    for op, block in _block_pairs(write_ops, first_block, n_blocks):
-        distinct, at = np.unique(block, return_index=True)
-        blocks.append(distinct)
-        writers.append(op[at])
-    written, at = np.unique(np.concatenate(blocks), return_index=True)
-    first_writer = np.concatenate(writers)[at]
-    # A write pair overwrites unless it is its block's first.
-    overwritten = 8 * (int(n_blocks[write_ops].sum()) - (len(written) - 1))
+    overwritten = mixed = 0
+    if len(write_ops):
+        # Rows are the write ops in op order, so the least row covering a
+        # cell is its first writer; a cell no write covers gets len(lba),
+        # "written" after the trace.
+        cuts, first, last = cells(first_block[write_ops], end_block[write_ops])
+        row = cover(first, last, len(cuts) - 1, np.minimum, len(write_ops))
+        writer = np.append(write_ops, len(lba))[row]
+        # A written block overwrites unless it is the first write to it.
+        written = int(np.diff(cuts)[row < len(write_ops)].sum())
+        overwritten = 8 * (int((end_block - first_block)[write_ops].sum()) - written)
 
-    written_before = np.zeros(len(lba), dtype=np.int64)  # blocks, per read
-    for op, block in _block_pairs(read_ops, first_block, n_blocks):
-        at = np.searchsorted(written, block)
-        before = (written[at] == block) & (first_writer[at] < op)
-        np.add.at(written_before, op[before], 1)
-    mixed = (0 < written_before) & (written_before < n_blocks)
+        read_first, read_last = first_block[read_ops], end_block[read_ops]
+        lo = np.maximum(np.searchsorted(cuts, read_first, side="right") - 1, 0)
+        hi = np.minimum(np.searchsorted(cuts, read_last), len(cuts) - 1)
+        inside = np.flatnonzero(lo < hi)  # the other reads see no write at all
+        low, high = range_min_max(writer, lo[inside], hi[inside])
+        outside = (read_first[inside] < cuts[0]) | (read_last[inside] > cuts[-1])
+        high[outside] = len(lba)
+        op = read_ops[inside]
+        mixed = int(np.count_nonzero((low < op) & (op < high)))
     written_total = int(length[write_ops].sum())
     return WorkloadCharacter(
         write_intensity=(writes / reads) if reads else float("inf"),
         sequential_read_share=(sequential_reads / reads) if reads else 0.0,
         overwrite_ratio=(overwritten / written_total) if written_total else 0.0,
-        mixed_read_share=(int(mixed.sum()) / reads) if reads else 0.0,
+        mixed_read_share=(mixed / reads) if reads else 0.0,
         read_fraction=reads / max(1, reads + writes),
     )

@@ -152,9 +152,9 @@ class BatchUnsupportedError(ValueError):
 
     Attributes:
         reason: Short structured tag naming the feature that forced the
-            reference fallback (e.g. ``"translator MediaCacheSTL"``);
-            surfaced in exhibit manifests and the CLI ``--fast`` summary
-            so fallbacks are visible rather than silent.
+            reference fallback (``"translator <class name>"``); surfaced
+            in exhibit manifests and the CLI ``--fast`` summary so
+            fallbacks are visible rather than silent.
     """
 
     def __init__(self, message: str, reason: Optional[str] = None) -> None:
@@ -271,8 +271,7 @@ def batch_replay_translator(
     The translator must be freshly constructed (or in the exact state a
     previous batch/reference replay left it — the kernel continues from
     the current head/frontier/map state).  Raises
-    :class:`BatchUnsupportedError` for translator types without a kernel
-    (fault wrappers, the media-cache STL).
+    :class:`BatchUnsupportedError` for translator types without a kernel.
     """
     if chunk_ops <= 0:
         raise ValueError(f"chunk_ops must be > 0, got {chunk_ops}")

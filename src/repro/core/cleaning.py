@@ -7,8 +7,8 @@ provides that substrate: a log-structured translator whose log lives in
 SMR zones (:class:`~repro.disk.zones.ZonedAddressSpace`), with a
 selectable victim policy — greedy (least-valid-first) or LFS-style
 cost-benefit — so write amplification and seek amplification can be
-studied *jointly*: the trade-off Fig. 11 and the media-cache baseline
-only bracket from either side.
+studied *jointly*: the trade-off the paper's infinite disk (§II) sets
+aside.
 
 Layout: logical space ``[0, frontier_base)`` doubles as the identity
 region for pre-trace data (as in the infinite model); the log occupies

@@ -10,16 +10,16 @@ order out for the reference translator; :func:`serve_fragments` holds it
 once for the fast paths (:func:`repro.core.stream.stream_replay` and the
 batch driver's read runs) and runs it over a whole fragment list.
 
-Everything that is a pure function of the list — block ids, fragment
-ends, clipped and truncated window bounds, the ``length > 0`` /
-``pba >= 0`` checks — is computed vectorised up front.  The sequential
-residue is one loop over plain ints (converted in slabs of ``_SLAB``
-fragments, so the int lists stay small whatever the list's size) that
-mutates the policy objects' own ``OrderedDict`` / ``deque`` in place; the
-counters are folded back at the end.  The objects are left exactly as the
-per-call sequence leaves them (``state_dict()``, checkpoints), which
-``tests/property/test_fragment_policy_kernel.py`` checks with the
-per-call API as oracle.
+The list is served in slabs of ``_SLAB`` fragments, so scratch stays
+slab-sized whatever the list's length.  Everything that is a pure
+function of a slab — block ids, fragment ends, clipped and truncated
+window bounds, the ``length > 0`` / ``pba >= 0`` checks — is computed
+vectorised; the sequential residue is one loop over the slab's plain ints
+that mutates the policy objects' own ``OrderedDict`` / ``deque`` in
+place; the counters are folded back at the end.  The objects are left
+exactly as the per-call sequence leaves them (``state_dict()``,
+checkpoints), which ``tests/property/test_fragment_policy_kernel.py``
+checks with the per-call API as oracle.
 """
 
 from __future__ import annotations
@@ -54,37 +54,44 @@ def serve_fragments(
     """
     pba = np.asarray(pba, dtype=np.int64)
     length = np.asarray(length, dtype=np.int64)
-    end = pba + length
-    invalid = length <= 0
-    first = last = w_start = w_end = None
     if cache is not None:
         lru = cache._lru
         blocks = lru._blocks
-        capacity_blocks = lru.capacity_blocks
+        capacity_blocks, block_sectors = lru.capacity_blocks, lru.block_sectors
         touch = blocks.move_to_end
         evict = blocks.popitem
         evictions = 0
-        invalid |= pba < 0
-        first = pba // lru.block_sectors
-        last = (end - 1) // lru.block_sectors
     if prefetcher is not None:
         buffer = prefetcher._buffer
         windows = buffer._windows
         capacity = buffer.capacity_sectors
         used = buffer.used_sectors
-        # add_window's clip at pba 0 and truncation to the buffer's size.
-        w_end = end + prefetcher.ahead_sectors
-        w_start = np.maximum(pba - prefetcher.behind_sectors, w_end - capacity)
-        np.maximum(w_start, 0, out=w_start)
-        invalid |= w_end <= w_start
-    stop = int(invalid.argmax()) if invalid.any() else len(pba)
+        ahead, behind = prefetcher.ahead_sectors, prefetcher.behind_sectors
 
-    served = bytearray(len(pba))
-    for base in range(0, stop, _SLAB):
-        top = min(base + _SLAB, stop)
-        slab = [range(base, top)]
-        for column in (pba, end, first, last, w_start, w_end):
-            slab.append(repeat(0) if column is None else column[base:top].tolist())
+    stop = len(pba)
+    served = bytearray(stop)
+    for base in range(0, len(pba), _SLAB):
+        slab_pba = pba[base : base + _SLAB]
+        slab_len = length[base : base + _SLAB]
+        slab_end = slab_pba + slab_len
+        invalid = slab_len <= 0
+        columns = [slab_pba, slab_end, None, None, None, None]
+        if cache is not None:
+            invalid |= slab_pba < 0
+            columns[2] = slab_pba // block_sectors
+            columns[3] = (slab_end - 1) // block_sectors
+        if prefetcher is not None:
+            # add_window's clip at pba 0 and truncation to the buffer's size.
+            w_end = slab_end + ahead
+            w_start = np.maximum(slab_pba - behind, w_end - capacity)
+            np.maximum(w_start, 0, out=w_start)
+            invalid |= w_end <= w_start
+            columns[4:] = w_start, w_end
+        if invalid.any():
+            stop = base + int(invalid.argmax())
+        slab = [range(base, min(base + _SLAB, stop))]
+        for column in columns:
+            slab.append(repeat(0) if column is None else column[: stop - base].tolist())
         for i, start, stop_at, block, last_block, fetch_start, fetch_end in zip(*slab):
             if cache is not None:
                 if block == last_block:  # most fragments: no range to walk
@@ -122,6 +129,8 @@ def serve_fragments(
                 while len(blocks) > capacity_blocks:
                     evict(last=False)
                     evictions += 1
+        if stop < len(pba):
+            break
 
     outcome = np.frombuffer(served, dtype=np.uint8)
     if cache is not None:

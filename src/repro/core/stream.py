@@ -61,7 +61,8 @@ Doctest (one recording, two cache sizes, no re-replay)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +74,7 @@ from repro.core.batch import (
     classify_seeks,
 )
 from repro.core.config import TechniqueConfig
-from repro.core.fragment_policy import filter_accesses
+from repro.core.fragment_policy import _SLAB, filter_accesses
 from repro.core.outcomes import SimStats
 from repro.core.prefetch import LookAheadBehindPrefetcher
 from repro.core.selective_cache import SelectiveFragmentCache
@@ -184,15 +185,18 @@ class FragmentStream:
 
     def fragment_access_indices(self) -> np.ndarray:
         """Indices (into the access stream) of all policy-eligible fragments."""
-        if self.group_size.size == 0:
-            return np.empty(0, dtype=np.int64)
-        total = int(self.group_size.sum())
-        offsets = np.repeat(
-            np.cumsum(self.group_size) - self.group_size, self.group_size
-        )
-        return np.repeat(self.group_start, self.group_size) + (
-            np.arange(total, dtype=np.int64) - offsets
-        )
+        return _eligible(self, 0, self.accesses)
+
+
+def _eligible(stream: FragmentStream, lo: int, hi: int) -> np.ndarray:
+    """Stream indices in ``[lo, hi)`` of policy-eligible fragments, read
+    off the groups that overlap the range (groups are sorted, disjoint)."""
+    start, size = stream.group_start, stream.group_size
+    g0 = max(int(np.searchsorted(start, lo, side="right")) - 1, 0)
+    g1 = int(np.searchsorted(start, hi))
+    first = np.maximum(start[g0:g1], lo)
+    count = np.maximum(np.minimum(start[g0:g1] + size[g0:g1], hi) - first, 0)
+    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
 
 
 @dataclass(frozen=True)
@@ -351,22 +355,40 @@ def _stream_stats(
 def _result(
     stream: FragmentStream,
     config: TechniqueConfig,
-    keep: Optional[np.ndarray],
-    cache_hits: int,
-    buffer_hits: int,
-    cache: Optional[SelectiveFragmentCache],
-    prefetcher: Optional[LookAheadBehindPrefetcher],
+    keep: Optional[Callable[[int, int], Tuple[np.ndarray, int, int]]],
+    cache: Optional[SelectiveFragmentCache] = None,
+    prefetcher: Optional[LookAheadBehindPrefetcher] = None,
 ) -> StreamRunResult:
-    if keep is None:
-        kept = (stream.pba, stream.length, stream.kind)
-    else:
-        kept = (stream.pba[keep], stream.length[keep], stream.kind[keep])
-    # A fresh head: the first access never seeks.
-    _seek, distances, seek_kinds, head = classify_seeks(*kept, None)
-    distance_is_read = seek_kinds == _KIND_READ
+    """Seek-classify the accesses that reach the disk, ``_SLAB`` at a time
+    with the head carried across slabs: only ``distances`` and
+    ``distance_is_read`` grow with the stream.
+
+    ``keep(lo, hi)`` returns ``(mask, cache_hits, buffer_hits)`` for
+    accesses ``[lo, hi)`` and is called once per slab, in stream order;
+    ``None`` sends every access to the disk.
+    """
+    # Grown in place (not chunks joined at the end), so the outputs are
+    # never held twice.
+    distances, is_read = bytearray(), bytearray()
+    head = None  # a fresh head: the first access never seeks
+    cache_hits = buffer_hits = 0
+    accesses = stream.accesses
+    for lo in range(0, accesses, _SLAB):
+        hi = min(lo + _SLAB, accesses)
+        kept = stream.pba[lo:hi], stream.length[lo:hi], stream.kind[lo:hi]
+        if keep is not None:
+            mask, slab_cache_hits, slab_buffer_hits = keep(lo, hi)
+            cache_hits += slab_cache_hits
+            buffer_hits += slab_buffer_hits
+            kept = [column[mask] for column in kept]
+        _seek, slab_distances, seek_kinds, head = classify_seeks(*kept, head)
+        distances.extend(slab_distances)
+        is_read.extend(seek_kinds == _KIND_READ)
+    distances = np.frombuffer(distances, dtype=np.int64)
+    distance_is_read = np.frombuffer(is_read, dtype=bool)
     read_seeks = int(np.count_nonzero(distance_is_read))
     stats = _stream_stats(
-        stream, cache_hits, buffer_hits, read_seeks, len(seek_kinds) - read_seeks
+        stream, cache_hits, buffer_hits, read_seeks, len(distances) - read_seeks
     )
     return StreamRunResult(
         run_result=RunResult(
@@ -388,7 +410,7 @@ def stream_replay(
 ) -> StreamRunResult:
     """Evaluate one defrag-free configuration against a recorded stream.
 
-    Eligible indices → the fragment-policy kernel
+    Per slab of the stream: eligible indices → the fragment-policy kernel
     (:mod:`repro.core.fragment_policy`, which holds the reference service
     order) → keep mask → :func:`~repro.core.batch.classify_seeks`.  Only
     the fragments of fragmented reads are eligible; every other access
@@ -406,12 +428,15 @@ def stream_replay(
         LookAheadBehindPrefetcher(config.prefetch) if config.prefetch else None
     )
     if cache is None and prefetcher is None:
-        return _result(stream, config, None, 0, 0, None, None)
+        return _result(stream, config, None)
 
-    keep, cache_hits, buffer_hits = filter_accesses(
-        cache, prefetcher, stream.pba, stream.length, stream.fragment_access_indices()
-    )
-    return _result(stream, config, keep, cache_hits, buffer_hits, cache, prefetcher)
+    def keep(lo: int, hi: int):
+        return filter_accesses(
+            cache, prefetcher, stream.pba[lo:hi], stream.length[lo:hi],
+            _eligible(stream, lo, hi) - lo,
+        )
+
+    return _result(stream, config, keep, cache, prefetcher)
 
 
 # --------------------------------------------------------------------- #
@@ -541,18 +566,21 @@ def stream_cache_sweep(
     capacities = [SelectiveFragmentCache(c.cache).capacity_blocks for c in configs]
     if thresholds is None:
         thresholds = cache_hit_thresholds(stream, block_sectors)
-    access_indices, min_blocks = thresholds
 
-    results: List[StreamRunResult] = []
-    for config, capacity_blocks in zip(configs, capacities):
-        hit = min_blocks <= capacity_blocks
-        keep = np.ones(stream.accesses, dtype=bool)
-        keep[access_indices[hit]] = False
-        cache_hits = int(np.count_nonzero(hit))
-        results.append(
-            _result(stream, config, keep, cache_hits, 0, None, None)
-        )
-    return results
+    return [
+        _result(stream, config, partial(_hits_at, *thresholds, capacity_blocks))
+        for config, capacity_blocks in zip(configs, capacities)
+    ]
+
+
+def _hits_at(access_indices, min_blocks, capacity_blocks: int, lo: int, hi: int):
+    """A sweep point's ``keep`` for accesses ``[lo, hi)``: the eligible ones
+    whose threshold ``capacity_blocks`` reaches are cache hits."""
+    i0, i1 = np.searchsorted(access_indices, (lo, hi))
+    hits = access_indices[i0:i1][min_blocks[i0:i1] <= capacity_blocks]
+    mask = np.ones(hi - lo, dtype=bool)
+    mask[hits - lo] = False
+    return mask, len(hits), 0
 
 
 # --------------------------------------------------------------------- #
@@ -584,14 +612,16 @@ def stream_windowed_long_seeks(
     n_requests = stream.reads + stream.writes
     if n_requests == 0:
         return []
-    n_windows = (n_requests - 1) // window_ops + 1
-    seek, distances, _kinds, _end = classify_seeks(
-        stream.pba, stream.length, stream.kind, None
-    )
-    long = np.flatnonzero(seek)[np.abs(distances) >= kib_to_sectors(min_seek_kib)]
-    counts = np.bincount(
-        stream.op_index[long] // window_ops, minlength=n_windows
-    )
+    min_seek = kib_to_sectors(min_seek_kib)
+    counts = np.zeros((n_requests - 1) // window_ops + 1, dtype=np.int64)
+    head = None
+    for lo in range(0, stream.accesses, _SLAB):
+        hi = lo + _SLAB
+        seek, distances, _kinds, head = classify_seeks(
+            stream.pba[lo:hi], stream.length[lo:hi], stream.kind[lo:hi], head
+        )
+        long = lo + np.flatnonzero(seek)[np.abs(distances) >= min_seek]
+        np.add.at(counts, stream.op_index[long] // window_ops, 1)
     return counts.tolist()
 
 

@@ -1,33 +1,23 @@
-"""Disk substrate: head/seek model, seek-time costs, geometry, SMR zones,
-and the drive-managed media-cache translation baseline.
+"""Disk substrate: head/seek model, seek-time costs, geometry, SMR zones.
 
 The paper's metric layer is the :class:`~repro.disk.head.DiskHead` model —
 a seek occurs when an I/O starts anywhere other than the sector immediately
 following the previous I/O (§II).  Everything else in this package supports
-the Background-section claims: seek *cost* as a function of distance (§III),
-SMR zone semantics (Fig. 1), and the simple media-cache STL that trades
-cleaning overhead for spatial order (§II).
+the Background-section claims: seek *cost* as a function of distance (§III)
+and SMR zone semantics (Fig. 1).
 """
 
 from repro.disk.head import DiskHead, AccessEvent
 from repro.disk.seek_time import SeekTimeModel
-from repro.disk.angular import AngularSeekModel
 from repro.disk.geometry import DiskGeometry
 from repro.disk.zones import Zone, ZonedAddressSpace, SequentialZoneError
-from repro.disk.media_cache import MediaCacheSTL, MediaCacheStats
-from repro.disk.cmr import ConventionalDisk, ServiceTimeStats
 
 __all__ = [
     "DiskHead",
     "AccessEvent",
     "SeekTimeModel",
-    "AngularSeekModel",
     "DiskGeometry",
     "Zone",
     "ZonedAddressSpace",
     "SequentialZoneError",
-    "MediaCacheSTL",
-    "MediaCacheStats",
-    "ConventionalDisk",
-    "ServiceTimeStats",
 ]

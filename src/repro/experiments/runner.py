@@ -294,9 +294,9 @@ def _json_dump_valid(path: Path) -> bool:
 def format_fallbacks(fallbacks: Dict[str, int]) -> str:
     """Render per-reason reference-fallback counts for CLI output.
 
-    ``{"recorders": 3, "translator MediaCacheSTL": 1}`` becomes
-    ``"3x recorders, 1x translator MediaCacheSTL"`` (descending count,
-    then reason, so the dominant downgrade leads the line).
+    ``{"recorders": 3, "defrag": 1}`` becomes ``"3x recorders, 1x
+    defrag"`` (descending count, then reason, so the dominant downgrade
+    leads the line).
     """
     ordered = sorted(fallbacks.items(), key=lambda item: (-item[1], item[0]))
     return ", ".join(f"{count}x {reason}" for reason, count in ordered)

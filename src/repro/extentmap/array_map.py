@@ -65,6 +65,7 @@ import numpy as np
 from repro.extentmap.base import AddressMap, Segment
 from repro.extentmap.extent import Extent
 from repro.extentmap.extent_map import ExtentMap, validate_extent_rows
+from repro.util.cells import cells, cover
 
 #: Overlay extents accumulated before a vectorized merge into the base.
 #: Purely a performance knob: results are threshold-independent.  The
@@ -658,24 +659,9 @@ def _net_extents(lba: np.ndarray, pba: np.ndarray, end: np.ndarray):
     s_lba, s_end = lba[order], end[order]
     if (s_lba[1:] >= s_end[:-1]).all():  # pairwise disjoint: order is moot
         return _coalesce(s_lba, pba[order], s_end)
-    # Elementary cells between consecutive boundaries; each belongs to the
-    # last row covering it — a range-max of the row index, pushed down a
-    # sparse table one level at a time (a row of span s covers its range
-    # with two blocks of size 2**floor(log2(s))).
-    cuts = np.unique(np.concatenate((lba, end)))
-    first = np.searchsorted(cuts, lba)
-    last = np.searchsorted(cuts, end)
-    level = np.frexp(last - first)[1] - 1
-    winner = np.full(len(cuts) - 1, -1, dtype=_I8)
-    for lv in range(int(level.max()), -1, -1):
-        rows = np.flatnonzero(level == lv)
-        np.maximum.at(winner, first[rows], rows)
-        np.maximum.at(winner, last[rows] - (1 << lv), rows)
-        if lv:
-            half = 1 << (lv - 1)
-            above = winner
-            winner = above.copy()
-            np.maximum(winner[half:], above[:-half], out=winner[half:])
+    # Each elementary cell belongs to the last row covering it.
+    cuts, first, last = cells(lba, end)
+    winner = cover(first, last, len(cuts) - 1, np.maximum, -1)
     cell = np.flatnonzero(winner >= 0)
     won = winner[cell]
     start = cuts[cell]

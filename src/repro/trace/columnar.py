@@ -445,7 +445,12 @@ def _parse_blocks(
             if fmt.ticks_per_second is not None:
                 if first_stamp is None:
                     first_stamp = stamp[0].item()
-                stamp = (stamp - first_stamp) / fmt.ticks_per_second
+                ticks = stamp - first_stamp
+                stamp = ticks / fmt.ticks_per_second
+                # Past 2**53 the int64 -> float64 cast rounds before the
+                # division does; the reference divides Python ints (once).
+                wide = np.flatnonzero(np.abs(ticks) >= 1 << 53)
+                stamp[wide] = [t / fmt.ticks_per_second for t in ticks[wide].tolist()]
             # Indexing by ``keep`` copies: no part pins its block's table.
             parts.append((stamp, is_read[keep], lba[keep], length[keep]))
         if accepted == limit:

@@ -4,13 +4,11 @@ them builds no ``IORequest``."""
 
 import contextlib
 import io
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import classify
 from repro.analysis.classify import characterize
 from repro.experiments import ablations, common, fig7, table1
 from repro.experiments.sweep import reset_sweep_engines
@@ -53,10 +51,9 @@ def assert_kernels_equal_loops(trace):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=OPS, slab=st.sampled_from([1, 3, 7, 1 << 18]))
-def test_kernels_equal_request_loops(ops, slab):
-    with mock.patch.object(classify, "_SLAB_PAIRS", slab):  # small: splits requests
-        assert_kernels_equal_loops(trace_of(ops))
+@given(ops=OPS)
+def test_kernels_equal_request_loops(ops):
+    assert_kernels_equal_loops(trace_of(ops))
 
 
 R, W = True, False
@@ -74,14 +71,22 @@ R, W = True, False
         # the same block written after the read that saw it unwritten
         [(R, 0, 0, 16, 0.0), (W, 0, 8, 8, 1.0), (R, 0, 0, 16, 2.0)],
         [(W, (1 << 40) - 40, 1, 69, 0.0), (R, (1 << 40) - 40, 0, 70, 9.0)],
+        # overlapping writes cut each other and the reads into several cells
+        [(W, 0, 0, 40, 0.0), (W, 0, 20, 40, 1.0), (R, 0, 10, 60, 2.0),
+         (W, 0, 5, 10, 3.0), (R, 0, 0, 80, 4.0), (R, 0, 22, 30, 5.0)],
+        # a read over two writes, the gap between them and past the last
+        [(W, 0, 0, 8, 0.0), (W, 0, 32, 8, 1.0), (R, 0, 0, 48, 2.0), (R, 0, 33, 5, 3.0)],
+        # every cell written before the read, by different writes
+        [(W, 0, 0, 24, 0.0), (W, 0, 8, 8, 1.0), (R, 0, 3, 18, 2.0)],
     ],
     ids=["empty", "read-only", "write-only", "one-block", "straddle",
-         "write-after-read", "near-2**40"],
+         "write-after-read", "near-2**40", "overlapping-writes", "gap-and-tail",
+         "all-written-before"],
 )
-@pytest.mark.parametrize("slab", [2, 1 << 18])
-def test_named_cases(monkeypatch, ops, slab):
-    monkeypatch.setattr(classify, "_SLAB_PAIRS", slab)
-    assert_kernels_equal_loops(trace_of(ops))
+@pytest.mark.parametrize("shift", [2, 1 << 18])  # unaligned, and a far aligned base
+def test_named_cases(ops, shift):
+    shifted = [(r, base + shift, offset, n, t) for r, base, offset, n, t in ops]
+    assert_kernels_equal_loops(trace_of(shifted))
 
 
 def test_straddling_read_is_mixed_and_overwrite_counts_whole_blocks():

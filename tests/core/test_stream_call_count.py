@@ -1,9 +1,13 @@
-"""Tripwire: ``stream_replay`` makes a constant number of Python calls.
+"""Tripwire: ``stream_replay`` makes a constant number of Python calls
+per slab of the stream, and none per fragment.
 
 The policy configurations used to cost three to five Python-level calls
-per fragment; the fragment-policy kernel costs none.  Counting ``call``
-events under :func:`sys.setprofile` is deterministic (no timing), and the
-count must not depend on how many fragments the stream holds.
+per fragment; the fragment-policy kernel costs none.  The stream is
+served and seek-classified ``_SLAB`` accesses at a time so that scratch
+stays slab-sized, which costs a fixed handful of calls per slab.
+Counting ``call`` events under :func:`sys.setprofile` is deterministic
+(no timing): a stream with twice the fragments adds only the calls of
+its extra slabs.
 """
 
 import sys
@@ -16,6 +20,7 @@ from repro.core.stream import record_fragment_stream, stream_replay
 from repro.workloads import get_spec, synthesize_workload
 
 MAX_PYTHON_CALLS = 200
+PER_SLAB_CALLS = 40
 
 CONFIGS = [
     LS_PREFETCH,
@@ -56,10 +61,11 @@ def streams():
 def test_stream_replay_python_calls_are_constant(streams, config):
     small, large = streams
     fragments = [int(stream.group_size.sum()) for stream in streams]
-    # Twice the fragments, and more kernel slabs: per-slab calls would show.
+    # Twice the fragments, and more slabs: a per-fragment call would show.
     assert fragments[1] >= 1.9 * fragments[0]
     assert -(-fragments[1] // fragment_policy._SLAB) > -(-fragments[0] // fragment_policy._SLAB)
 
-    calls = python_calls(stream_replay, small, config)
-    assert calls <= MAX_PYTHON_CALLS
-    assert python_calls(stream_replay, large, config) == calls
+    slabs = [-(-stream.accesses // fragment_policy._SLAB) for stream in streams]
+    calls = [python_calls(stream_replay, stream, config) for stream in streams]
+    assert calls[0] <= MAX_PYTHON_CALLS
+    assert calls[1] - calls[0] <= PER_SLAB_CALLS * (slabs[1] - slabs[0])

@@ -23,7 +23,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.trace import columnar as columnar_module
@@ -333,6 +333,11 @@ _msr_texts = st.lists(st.one_of(_msr_line, _msr_line, _soup_line), max_size=25).
     max_ops=st.sampled_from([None, 3]),
 )
 @settings(max_examples=200, deadline=None)
+# A span of 2**53 or more ticks: float64 cannot hold the difference exactly.
+@example(
+    text="0,hm,0,Read,0,1,9\n0,hm,0,Read,0,1,9\n12499999999999997,hm,0,Read,0,1,9",
+    policy="lenient", disk_number=None, max_ops=None,
+)
 def test_msr_soup_matches(text, policy, disk_number, max_ops, soup_file):
     kwargs = dict(policy=policy, disk_number=disk_number, max_ops=max_ops)
     assert_parses_match(

@@ -1,4 +1,4 @@
-"""End-to-end flows: public API, trace persistence, substrate ablation."""
+"""End-to-end flows: public API and trace persistence."""
 
 from repro import (
     LS,
@@ -9,7 +9,6 @@ from repro import (
     seek_amplification,
     synthesize_workload,
 )
-from repro.disk.media_cache import MediaCacheSTL
 from repro.trace.csvio import read_csv_trace, write_csv_trace
 
 
@@ -42,25 +41,3 @@ class TestTracePersistence:
         base_b = replay(loaded, build_translator(loaded, NOLS)).stats
         assert base_a.total_seeks == base_b.total_seeks
 
-
-class TestMediaCacheVsLogStructured:
-    def test_paper_section2_tradeoff(self):
-        """Media-cache STL: low read-seek amplification, WAF > 1.
-        Log-structured STL: WAF 1.0 (no cleaning), read seeks amplified.
-        This is the §II trade-off that motivates the paper."""
-        trace = synthesize_workload("w91", seed=7, scale=0.1)
-        baseline = replay(trace, build_translator(trace, NOLS))
-        ls = replay(trace, build_translator(trace, LS))
-
-        stl = MediaCacheSTL(data_sectors=trace.max_end, cache_mib=8)
-        stl.replay(trace)
-
-        # Cleaning makes the media-cache STL write more than the host did.
-        assert stl.stats.write_amplification > 1.0
-        # The log-structured translator never cleans.
-        assert ls.stats.defrag_rewritten_sectors == 0
-        # And amplifies read seeks where the media-cache design does not
-        # (both measured against the same conventional baseline).
-        ls_read_ratio = ls.stats.read_seeks / max(1, baseline.stats.read_seeks)
-        mc_read_ratio = stl.stats.read_seeks / max(1, baseline.stats.read_seeks)
-        assert ls_read_ratio > mc_read_ratio

@@ -79,9 +79,10 @@ def test_out_holds_every_completed_pair_when_a_later_run_fails(monkeypatch, tmp_
 
     def failing_in_pair_three(checkout, workload, seed, seconds):
         runs.append(checkout.name)
-        if len(runs) == 6:  # the second side of pair 3
+        if len(runs) == 8:  # the second side of pair 3, after the warm-up pair
             raise SystemExit("change/w: run failed")
-        return {"ops_per_s": float(len(runs)), "setup_s": 1.0, "peak_rss_mib": 100.0}
+        return {"ops_per_s": float(len(runs)), "setup_s": 1.0, "peak_rss_mib": 100.0,
+                "cpu_s": 1.0}
 
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: dest.mkdir(parents=True))
     monkeypatch.setattr(bench_pairs, "run_once", failing_in_pair_three)
@@ -89,8 +90,8 @@ def test_out_holds_every_completed_pair_when_a_later_run_fails(monkeypatch, tmp_
     with pytest.raises(SystemExit, match="run failed"):
         bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "5", "--out", str(out)])
     kept = json.loads(out.read_text())["workloads"]["w"]
-    assert [r["ops_per_s"] for r in kept["runs"]["parent"]] == [1.0, 4.0]
-    assert [r["ops_per_s"] for r in kept["runs"]["change"]] == [2.0, 3.0]
+    assert [r["ops_per_s"] for r in kept["runs"]["parent"]] == [3.0, 6.0]
+    assert [r["ops_per_s"] for r in kept["runs"]["change"]] == [4.0, 5.0]
     assert "summary" not in kept  # of a finished workload only
 
 
@@ -106,6 +107,7 @@ def test_main_cycles_seeds_per_pair_and_prints_regressed(monkeypatch, capsys):
             "ops_per_s": (200.0 if change else 100.0) + seed % 7,
             "setup_s": 1.0,
             "peak_rss_mib": 120.0 if change else 100.0,
+            "cpu_s": 2.0,
         }
 
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: dest.mkdir(parents=True))
@@ -114,7 +116,8 @@ def test_main_cycles_seeds_per_pair_and_prints_regressed(monkeypatch, capsys):
         ["--parent", "HEAD", "--workload", "w", "--pairs", "5", "--seed", "11", "12", "13"]
     ) == 0
 
-    pairs = [calls[i : i + 2] for i in range(0, len(calls), 2)]
+    assert calls[:2] == [("parent", 11), ("change", 11)]  # the discarded warm-up
+    pairs = [calls[i : i + 2] for i in range(2, len(calls), 2)]
     assert [{side for side, _seed in pair} for pair in pairs] == [{"parent", "change"}] * 5
     assert [[seed for _side, seed in pair] for pair in pairs] == [
         [11, 11], [12, 12], [13, 13], [11, 11], [12, 12]
@@ -129,3 +132,30 @@ def test_main_cycles_seeds_per_pair_and_prints_regressed(monkeypatch, capsys):
     assert "GAIN" in verdicts["ops_per_s"] and "REGRESSED" not in verdicts["ops_per_s"]
     assert "REGRESSED" in verdicts["peak_rss_mib"] and "GAIN" not in verdicts["peak_rss_mib"]
     assert "REGRESSED" not in verdicts["setup_s"] and "GAIN" not in verdicts["setup_s"]
+    assert "GAIN" not in verdicts["cpu_s"]
+
+
+def test_position_effect_is_taken_off_every_second_run():
+    # The parent runs first in even pairs; whichever side runs second reads
+    # 10 higher, and the change itself is 5 higher.
+    parent = [100.0, 110.0, 100.0, 110.0]
+    change = [115.0, 105.0, 115.0, 105.0]
+    summary = bench_pairs.summarise(parent, change, higher_is_better=True)
+    assert summary["position_effect"] == 10.0
+    assert summary["without_position"] == [100.0, 105.0]
+
+
+def test_cpu_s_counts_a_reaped_grandchild(tmp_path):
+    """``cpu_s`` is the run's rusage delta over its reaped descendants: a
+    benchmark whose daemon burns the CPU still shows it."""
+    burn = "import time\nend = time.process_time() + 0.3\nwhile time.process_time() < end: pass"
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, subprocess, sys\n"
+        f"subprocess.run([sys.executable, '-c', {burn!r}], check=True)\n"
+        "print(json.dumps({'correct': True, 'failed': 0,"
+        " 'metrics': {'ops_per_s': {'value': 1.0}}}))\n"
+    )
+    metrics = bench_pairs.run_once(tmp_path, "w", 1, 0.1)
+    assert metrics["ops_per_s"] == 1.0
+    assert metrics["cpu_s"] >= 0.3

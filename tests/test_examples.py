@@ -28,7 +28,6 @@ class TestExamples:
         assert {
             "quickstart",
             "database_scan_workload",
-            "archival_smr_store",
             "technique_tuning",
             "replay_real_trace",
             "cleaning_and_waf",

@@ -7,19 +7,25 @@
 Exports the parent commit (``git archive``) and the change — another ref,
 or by default the working tree's tracked and unignored files — into two
 fresh temporary directories, then runs ``bench/run.py --workload W --seed S
---seconds N --trace 0`` in each, alternating which side goes first.  Several
-``--seed`` values are cycled pair by pair — both sides of a pair share the
-seed, as the driver varies seeds between its runs.  Per end-to-end metric of
-``BENCHMARK.json`` it prints both medians with their quartiles, the ratio,
-and in how many pairs the change was better.  ``GAIN`` marks a metric the
-change wins in at least nine pairs in ten with medians further apart than
-the parent's interquartile distance; ``REGRESSED`` one whose change median
-is worse than the parent's by more than the metric's ``bound``;
-``UNRESOLVED`` one where either side's interquartile distance exceeds
-``bound`` x the parent's median, so the runs cannot say "unchanged" —
-unless every run of the change beats every run of the parent.  ``--out``
-is rewritten after every completed pair, so a failed run loses only the
-pair it was part of.
+--seconds N --trace 0`` in each, alternating which side goes first, after
+one discarded warm-up pair.  Several ``--seed`` values are cycled pair by
+pair — both sides of a pair share the seed, so seeds vary between pairs
+and never within one.  Besides the benchmark's own metrics every run reports
+``cpu_s``: the user + system CPU time of the run and of every descendant
+it reaped (the daemon and its workers), which a fixed amount of work
+should hold steadier than wall-clock rates on a shared box.  Per
+end-to-end metric of ``BENCHMARK.json``, and for ``cpu_s``, it prints both
+medians with their quartiles, the ratio, and in how many pairs the change
+was better; then the position effect — the median of (second run − first
+run) within a pair — and both medians with it taken off every run that
+went second.  ``GAIN`` marks a metric the change wins in at least nine
+pairs in ten with medians further apart than the parent's interquartile
+distance; ``REGRESSED`` one whose change median is worse than the
+parent's by more than the metric's ``bound``; ``UNRESOLVED`` one where
+either side's interquartile distance exceeds ``bound`` x the parent's
+median, so the runs cannot say "unchanged" — unless every run of the
+change beats every run of the parent.  ``--out`` is rewritten after every
+completed pair, so a failed run loses only the pair it was part of.
 
 It only *calls* the benchmark: nothing under ``bench/`` is imported or
 edited, and both sides run their own checkout's copy of it.
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -59,12 +66,15 @@ def export(ref, dest: Path) -> None:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run; the metrics of its last stdout line."""
+    """One untraced run; the metrics of its last stdout line, plus ``cpu_s``
+    (the run's and its reaped descendants' user + system CPU seconds)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
         line = json.loads(done.stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):
@@ -73,7 +83,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(
             f"{checkout.name}/{workload}: run failed\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
         )
-    return {name: entry["value"] for name, entry in line["metrics"].items()}
+    metrics = {name: entry["value"] for name, entry in line["metrics"].items()}
+    metrics["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return metrics
 
 
 def quartiles(values):
@@ -105,11 +117,21 @@ def summarise(parent, change, higher_is_better: bool, bound=None) -> dict:
         and max(p_q3 - p_q1, c_q3 - c_q1) > bound * p_med
         and not separated
     )
+    # The parent runs first in even pairs: take the median (second - first)
+    # off every run that went second.
+    went_second = [i % 2 for i in range(len(parent))]
+    effect = statistics.median(
+        (p - c) if second else (c - p) for p, c, second in zip(parent, change, went_second)
+    )
     return {
         "parent": [p_med, p_q1, p_q3], "change": [c_med, c_q1, c_q3],
         "ratio": c_med / p_med if p_med else float("nan"),
         "wins": wins, "pairs": decided, "gain": gain, "regressed": regressed,
-        "unresolved": unresolved,
+        "unresolved": unresolved, "position_effect": effect,
+        "without_position": [
+            statistics.median(p - effect * second for p, second in zip(parent, went_second)),
+            statistics.median(c - effect * (1 - second) for c, second in zip(change, went_second)),
+        ],
     }
 
 
@@ -126,6 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics.append({"name": "cpu_s", "better": "lower"})
     report = {"args": vars(args), "workloads": {}}
 
     def save():
@@ -139,6 +162,8 @@ def main(argv=None) -> int:
         for workload in args.workload:
             runs = {"parent": [], "change": []}
             report["workloads"][workload] = {"runs": runs}
+            for side in runs:  # warm-up: page cache, imports, CPU clocks
+                run_once(sides[side], workload, args.seed[0], args.seconds)
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 seed = args.seed[pair % len(args.seed)]
@@ -150,7 +175,8 @@ def main(argv=None) -> int:
                 for side in order:
                     runs[side].append(done[side])
                 print(f"{workload} pair {pair + 1}/{args.pairs} seed {seed} " + "  ".join(
-                    f"{side} {done[side][metrics[0]['name']]:.4g}" for side in order
+                    f"{side} {done[side][metrics[0]['name']]:.4g} cpu {done[side]['cpu_s']:.3g} s"
+                    for side in order
                 ), flush=True)
                 save()
             summary = {
@@ -174,6 +200,11 @@ def main(argv=None) -> int:
                     + ("  GAIN" if s["gain"] else "")
                     + ("  REGRESSED" if s["regressed"] else "")
                     + ("  UNRESOLVED" if s["unresolved"] else "")
+                )
+                print(
+                    f"{'':18s} {'':13s} position effect (second - first) "
+                    "{:+.4g}; without it parent {:.4g}  change {:.4g}".format(
+                        s["position_effect"], *s["without_position"])
                 )
     return 0
 
