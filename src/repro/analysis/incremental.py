@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.disk.seek_time import SeekTimeModel
-from repro.util.bulkstate import hist_to_pairs, pairs_to_hist
+from repro.util.bulkstate import int_rows
 from repro.util.units import gib_to_sectors
 
 
@@ -116,13 +116,29 @@ class IncrementalNolsBaseline:
         self._head = None if head is None else int(head)
 
 
+def _counted(hist: np.ndarray, values: np.ndarray, counts=1) -> np.ndarray:
+    """Sorted ``(n, 2)`` ``[value, count]`` rows with ``values`` (``counts``
+    each) added, as a new array; ``hist`` itself when there are none."""
+    if not len(values):
+        return hist
+    keys, inverse = np.unique(np.concatenate((hist[:, 0], values)), return_inverse=True)
+    totals = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(totals, inverse, np.concatenate((hist[:, 1], np.broadcast_to(counts, len(values)))))
+    return np.column_stack((keys, totals))
+
+
 class IncrementalDistances:
     """Bounded streaming summary of a replay's seek-distance log.
 
-    Accumulates a ``{signed_distance: count}`` histogram from the arrays
+    Keeps a histogram per seek direction as a sorted ``(n, 2)`` int64
+    ``[distance, count]`` array, built from the arrays
     :meth:`~repro.core.batch.IncrementalBatchReplay.drain_distances`
-    yields, split by seek direction.  Supports the live queries the batch
-    analyses answer from the full log:
+    yields.  :meth:`feed` only queues them; the queue is folded in once it
+    outgrows the histograms and before any read, so memory stays
+    O(distinct distances + one interval).  A fold replaces the arrays
+    rather than mutating them, so :meth:`state_dict` hands them out as
+    they are.  Supports the live queries the batch analyses answer from
+    the full log:
 
     * :meth:`total_seek_ms` — the session's seek budget, summed over the
       histogram in sorted-distance order (mathematically equal to
@@ -131,48 +147,48 @@ class IncrementalDistances:
       recovery-stable, which is what the service's byte-identical
       recovery check needs).
     * :meth:`fraction_within` — exact: integer counts, ``int / int``.
-    * :meth:`cdf` — exact per :func:`fragment_cdf_from_hist`'s argument
-      (``np.unique`` + cumulative ``int / int`` collapses to histogram
-      iteration).
     """
 
     def __init__(self, model: Optional[SeekTimeModel] = None) -> None:
         self._model = SeekTimeModel() if model is None else model
-        self._read_hist: Dict[int, int] = {}
-        self._write_hist: Dict[int, int] = {}
+        self._read_hist = self._write_hist = np.empty((0, 2), dtype=np.int64)
+        self._queued: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._queued_n = 0
 
     @property
     def seeks(self) -> int:
-        return sum(self._read_hist.values()) + sum(self._write_hist.values())
+        return self.read_seeks + int(self._folded()[1][:, 1].sum())
 
     @property
     def read_seeks(self) -> int:
-        return sum(self._read_hist.values())
+        return int(self._folded()[0][:, 1].sum())
 
     def feed(self, distances: np.ndarray, distance_is_read: np.ndarray) -> None:
-        """Fold one drained ``(distances, distance_is_read)`` pair in."""
-        if len(distances) == 0:
-            return
-        for hist, mask in (
-            (self._read_hist, distance_is_read),
-            (self._write_hist, ~distance_is_read),
-        ):
-            values, counts = np.unique(distances[mask], return_counts=True)
-            for value, count in zip(values.tolist(), counts.tolist()):
-                hist[value] = hist.get(value, 0) + count
+        """Queue one drained ``(distances, distance_is_read)`` pair."""
+        if len(distances):
+            self._queued.append((distances, distance_is_read))
+            self._queued_n += len(distances)
+            if self._queued_n > len(self._read_hist) + len(self._write_hist):
+                self._folded()
 
-    def _merged(self) -> Dict[int, int]:
-        merged = dict(self._read_hist)
-        for value, count in self._write_hist.items():
-            merged[value] = merged.get(value, 0) + count
-        return merged
+    def _folded(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(read_hist, write_hist)`` with every queued distance counted."""
+        if self._queued:
+            distances, is_read = (np.concatenate(column) for column in zip(*self._queued))
+            self._read_hist = _counted(self._read_hist, distances[is_read])
+            self._write_hist = _counted(self._write_hist, distances[~is_read])
+            self._queued, self._queued_n = [], 0
+        return self._read_hist, self._write_hist
+
+    def _hist(self, read_only: bool) -> np.ndarray:
+        read, write = self._folded()
+        return read if read_only else _counted(read, write[:, 0], write[:, 1])
 
     def total_seek_ms(self, read_only: bool = False) -> float:
         """Aggregate seek time (the session's running seek budget)."""
-        hist = self._read_hist if read_only else self._merged()
         return sum(
             self._model.seek_ms(distance) * count
-            for distance, count in sorted(hist.items())
+            for distance, count in self._hist(read_only).tolist()
         )
 
     def fraction_within(self, window_gib: float, read_only: bool = True) -> float:
@@ -183,47 +199,22 @@ class IncrementalDistances:
         """
         if window_gib <= 0:
             raise ValueError(f"window_gib must be > 0, got {window_gib}")
-        hist = self._read_hist if read_only else self._merged()
-        n = sum(hist.values())
+        hist = self._hist(read_only)
+        n = int(hist[:, 1].sum())
         if n == 0:
             return 0.0
         limit = gib_to_sectors(window_gib)
-        within = sum(
-            count for distance, count in hist.items() if -limit <= distance <= limit
-        )
-        return within / n
-
-    def cdf(
-        self, window_gib: float = 2.0, read_only: bool = True
-    ) -> List[Tuple[float, float]]:
-        """Clipped distance CDF (Fig. 4); agrees exactly with
-        :func:`repro.analysis.fast.distance_cdf_fast` over the
-        corresponding distance log."""
-        if window_gib <= 0:
-            raise ValueError(f"window_gib must be > 0, got {window_gib}")
-        hist = self._read_hist if read_only else self._merged()
-        limit = gib_to_sectors(window_gib)
-        clipped = sorted(
-            (distance, count)
-            for distance, count in hist.items()
-            if -limit <= distance <= limit
-        )
-        n = sum(count for _, count in clipped)
-        points: List[Tuple[float, float]] = []
-        cumulative = 0
-        for distance, count in clipped:
-            cumulative += count
-            points.append((float(distance), cumulative / n))
-        return points
+        inside = (hist[:, 0] >= -limit) & (hist[:, 0] <= limit)
+        return int(hist[inside, 1].sum()) / n
 
     def state_dict(self) -> dict:
         """Both histograms as ``(n, 2)`` int64 ``[distance, count]`` arrays
-        sorted by distance (``(0, 2)`` when empty)."""
-        return {
-            "read_hist": hist_to_pairs(self._read_hist),
-            "write_hist": hist_to_pairs(self._write_hist),
-        }
+        sorted by distance (``(0, 2)`` when empty) — the arrays held, not
+        copies: a later fold replaces them."""
+        read, write = self._folded()
+        return {"read_hist": read, "write_hist": write}
 
     def load_state(self, state: dict) -> None:
-        self._read_hist = pairs_to_hist(state["read_hist"])
-        self._write_hist = pairs_to_hist(state["write_hist"])
+        self._read_hist = int_rows(state["read_hist"], 2)
+        self._write_hist = int_rows(state["write_hist"], 2)
+        self._queued, self._queued_n = [], 0

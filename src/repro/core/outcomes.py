@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.trace.record import IORequest
 
@@ -87,11 +87,6 @@ class IOOutcome:
     def fragmented(self) -> bool:
         """True when the request resolved to more than one physical piece."""
         return self.fragments > 1
-
-    @property
-    def seek_distances(self) -> List[int]:
-        """Signed distances of the seeks in this outcome, in service order."""
-        return [a.distance for a in self.accesses if a.seek]
 
 
 @dataclass

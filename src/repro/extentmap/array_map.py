@@ -65,7 +65,7 @@ import numpy as np
 from repro.extentmap.base import AddressMap, Segment
 from repro.extentmap.extent import Extent
 from repro.extentmap.extent_map import ExtentMap, validate_extent_rows
-from repro.util.cells import cells, cover
+from repro.util.cells import cells, cover, unique
 
 #: Overlay extents accumulated before a vectorized merge into the base.
 #: Purely a performance knob: results are threshold-independent.  The
@@ -611,7 +611,7 @@ def _merge_over(l_lba, l_pba, l_end, u_lba, u_pba, u_end):
         return _coalesce(u_lba, u_pba, u_end)
     # 1. Cut lower rows at upper boundaries so every piece is either
     # fully covered by an upper row or fully clear of them all.
-    cuts = np.unique(np.concatenate((u_lba, u_end)))
+    cuts = unique(np.concatenate((u_lba, u_end)))
     lo = np.searchsorted(cuts, l_lba, side="right")
     hi = np.searchsorted(cuts, l_end, side="left")
     inner = hi - lo

@@ -127,19 +127,10 @@ class CheckpointStore:
 
     def sequence_numbers(self) -> List[int]:
         """Applied-batch seqs of the published checkpoints, ascending."""
-        if not self._dir.is_dir():
-            return []
-        seqs = []
-        for entry in self._dir.iterdir():
-            name = entry.name
-            if name.startswith("ckpt-") and not name.endswith(".tmp"):
-                try:
-                    seqs.append(int(name[len("ckpt-") :]))
-                except ValueError:
-                    continue
-        return sorted(seqs)
+        published = self._dir.glob("ckpt-" + "[0-9]" * 12)
+        return sorted(int(entry.name[len("ckpt-") :]) for entry in published)
 
-    def save(self, seq: int, state: dict) -> Path:
+    def _save(self, seq: int, state: dict) -> Path:
         """Commit ``state`` as the checkpoint after batch ``seq``; prune."""
         if seq < 0:
             raise ValueError(f"seq must be >= 0, got {seq}")
@@ -160,6 +151,10 @@ class CheckpointStore:
         path, _won = commit_entry_dir(self.entry_path(seq), arrays, header)
         self._prune()
         return path
+
+    # The session's writer thread calls ``_save``, so whatever a caller wraps
+    # around ``save`` only ever runs on the caller's own thread.
+    save = _save
 
     def load(self, seq: int) -> dict:
         """Load and verify the checkpoint at ``seq``.
@@ -198,8 +193,12 @@ class CheckpointStore:
 
         Returns ``(seq, state)``, or None when no valid checkpoint exists
         (fresh session, or every entry destroyed — the journal then
-        replays from batch one).
+        replays from batch one).  Temp entries are deleted too: one
+        process serves a tenant, so any ``ckpt-*.tmp`` here was left by a
+        writer killed mid-save.
         """
+        for stale in self._dir.glob("ckpt-*.tmp"):
+            remove_entry(stale)
         for seq in reversed(self.sequence_numbers()):
             try:
                 return seq, self.load(seq)

@@ -194,15 +194,8 @@ class OpJournal:
         return self._dir
 
     def segment_first_seqs(self) -> List[int]:
-        seqs = []
-        for entry in self._dir.iterdir():
-            name = entry.name
-            if name.startswith("seg-") and name.endswith(".log"):
-                try:
-                    seqs.append(int(name[len("seg-") : -len(".log")]))
-                except ValueError:
-                    continue
-        return sorted(seqs)
+        segments = self._dir.glob("seg-" + "[0-9]" * 12 + ".log")
+        return sorted(int(entry.name[len("seg-") : -len(".log")]) for entry in segments)
 
     def _segment_path(self, first_seq: int) -> Path:
         return self._dir / f"seg-{first_seq:012d}.log"

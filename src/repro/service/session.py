@@ -25,10 +25,13 @@ Apply path (:meth:`ReplaySession.apply_batch`), in order:
    *before* journaling, leaving no trace.
 3. **Journal, fsynced.**  The batch is durable before any state changes.
 4. **Apply.**  Feed the engine, the baseline, and the distance summary.
-5. **Maybe checkpoint.**  Every ``checkpoint_interval_ops`` applied ops.
-   The batch is already durable, so an ``OSError`` (ENOSPC, EIO) from
-   this automatic snapshot is counted (``health`` query), not raised: the
-   previous checkpoint plus a longer journal tail recover the same state.
+5. **Maybe checkpoint.**  Every ``checkpoint_interval_ops`` applied ops
+   the state is snapshotted here and saved by the session's writer
+   thread, at most one save in flight; the next batch or query collects
+   the outcome, and only then rotates the journal.  The batch is already
+   durable, so an ``OSError`` (ENOSPC, EIO) from this automatic save is
+   counted (``health`` query), not raised: the previous checkpoint plus a
+   longer journal tail recover the same state.
 
 Recovery (:meth:`ReplaySession.open`) inverts this: restore the newest
 checkpoint that verifies (the store deletes ones that don't and falls
@@ -43,6 +46,7 @@ corruption).
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -129,6 +133,8 @@ class ReplaySession:
         self._applied_seq = applied_seq
         self._interval = checkpoint_interval_ops
         self._ops_at_checkpoint = engine.ops_applied
+        self._writer = ThreadPoolExecutor(max_workers=1)
+        self._saving: Optional[Future] = None  # the interval save in flight
         # Checkpoint health since this process opened the session (not
         # part of the checkpointed state: recovery must stay bit-identical).
         self._health = {
@@ -207,15 +213,15 @@ class ReplaySession:
             return cls.create(
                 tenant, root, config, frontier_base, checkpoint_interval_ops
             )
+        # With no latest checkpoint the journal exists but every entry was
+        # destroyed: replay everything from scratch (checkpoint zero
+        # covers this in practice; total loss still recovers, just slower).
+        translator = build_translator_for_base(frontier_base, config, _SERVICE_MAP_TIER())
+        baseline, distances, applied = IncrementalNolsBaseline(), IncrementalDistances(), 0
         if latest is None:
-            # Journal exists but every checkpoint was destroyed: replay
-            # everything from scratch (checkpoint zero covers this in
-            # practice; total loss still recovers, just slower).
-            seq, state = 0, None
+            engine = IncrementalBatchReplay(translator, trace_name=tenant, track_fragments=True)
         else:
-            seq, state = latest
-
-        if state is not None:
+            state = latest[1]
             saved_config = config_from_dict(state["config"])
             if saved_config != config or int(state["frontier_base"]) != frontier_base:
                 raise ValueError(
@@ -226,24 +232,10 @@ class ReplaySession:
                 raise ValueError(
                     f"session {tenant!r}: unsupported checkpoint version"
                 )
-            engine = IncrementalBatchReplay.from_state(
-                build_translator_for_base(frontier_base, config, _SERVICE_MAP_TIER()),
-                state["engine"],
-            )
-            baseline = IncrementalNolsBaseline()
+            engine = IncrementalBatchReplay.from_state(translator, state["engine"])
             baseline.load_state(state["baseline"])
-            distances = IncrementalDistances()
             distances.load_state(state["distances"])
             applied = int(state["applied_seq"])
-        else:
-            engine = IncrementalBatchReplay(
-                build_translator_for_base(frontier_base, config, _SERVICE_MAP_TIER()),
-                trace_name=tenant,
-                track_fragments=True,
-            )
-            baseline = IncrementalNolsBaseline()
-            distances = IncrementalDistances()
-            applied = 0
 
         journal = OpJournal(root)
         session = cls(
@@ -449,51 +441,66 @@ class ReplaySession:
         }
 
     def checkpoint(self) -> Path:
-        """Snapshot now; rotate the journal; prune unneeded segments."""
-        path = self._save_snapshot()
-        self._advance_journal()
+        """Once any background save is collected: snapshot now, rotate the
+        journal, prune unneeded segments."""
+        self._collect_save(wait=True)
+        path = self._published(
+            *self._timed(self._checkpoints.save, self._applied_seq, self.state_dict())
+        )
+        self._ops_at_checkpoint = self._engine.ops_applied
         return path
 
-    def _save_snapshot(self) -> Path:
+    @staticmethod
+    def _timed(save, seq: int, state: dict) -> Tuple[Path, float]:
         started = time.perf_counter()
-        path = self._checkpoints.save(self._applied_seq, self.state_dict())
-        self._ops_at_checkpoint = self._engine.ops_applied
+        return save(seq, state), (time.perf_counter() - started) * 1e3
+
+    def _published(self, path: Path, ms: float) -> Path:
         self._health["checkpoints"] += 1
-        self._health["last_checkpoint_ms"] = (time.perf_counter() - started) * 1e3
+        self._health["last_checkpoint_ms"] = ms
         self._health["last_checkpoint_bytes"] = sum(
             member.stat().st_size for member in path.iterdir()
         )
-        return path
-
-    def _checkpoint_if_due(self) -> None:
-        """The interval-triggered checkpoint, after a batch is durable.
-
-        Only the snapshot's own ``OSError`` is absorbed (the store leaves
-        nothing half-published, so this equals a skipped checkpoint); the
-        journal rotates only after a successful one and its errors raise.
-        """
-        ops = self._engine.ops_applied
-        if ops - self._ops_at_checkpoint < self._interval:
-            return
-        try:
-            self._save_snapshot()
-        except OSError as exc:
-            self._health["checkpoint_failures"] += 1
-            self._health["last_checkpoint_error"] = f"{type(exc).__name__}: {exc}"
-            self._ops_at_checkpoint = ops  # retry one interval on, not every batch
-            return
-        self._advance_journal()
-
-    def _advance_journal(self) -> None:
         self._journal.rotate(self._applied_seq + 1)
         retained = self._checkpoints.sequence_numbers()
         if retained:
             self._journal.prune_below(min(retained) + 1)
+        return path
+
+    def _checkpoint_if_due(self) -> None:
+        """The interval checkpoint, after a batch is durable: the snapshot
+        is taken here and saved by the writer thread, at most one at a
+        time — a save due while one is in flight waits for its collection."""
+        self._collect_save()
+        ops = self._engine.ops_applied
+        if self._saving is None and ops - self._ops_at_checkpoint >= self._interval:
+            self._ops_at_checkpoint = ops
+            self._saving = self._writer.submit(
+                self._timed, self._checkpoints._save, self._applied_seq, self.state_dict()
+            )
+
+    def _collect_save(self, wait: bool = False) -> None:
+        """Take the background save's outcome on the apply thread, once it
+        is done (or ``wait``).  Its ``OSError`` is counted, not raised: the
+        batches are in the WAL, and the journal rotates only after an
+        entry is published."""
+        saving = self._saving
+        if saving is None or not (wait or saving.done()):
+            return
+        self._saving = None
+        try:
+            saved = saving.result()
+        except OSError as exc:
+            self._health["checkpoint_failures"] += 1
+            self._health["last_checkpoint_error"] = f"{type(exc).__name__}: {exc}"
+            return
+        self._published(*saved)
 
     def close(self) -> None:
-        """Checkpoint and release the journal handle."""
+        """Checkpoint and release the journal handle and the writer."""
         self.checkpoint()
         self._journal.close()
+        self._writer.shutdown()
 
     # ----------------------------------------------------------------- #
     # Live queries
@@ -512,6 +519,7 @@ class ReplaySession:
         and last cost since this process opened the session, plus the
         array-tier extent map's level sizes and work counters).
         """
+        self._collect_save()
         if kind == "applied":
             return {
                 "applied_seq": self._applied_seq,

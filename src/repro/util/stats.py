@@ -69,10 +69,6 @@ class OnlineStats:
         return self._m2 / (self._count - 1)
 
     @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
     def min(self) -> float:
         if not self._count:
             raise ValueError("no observations")

@@ -103,9 +103,7 @@ class TestTaxonomy:
 
     def test_prediction_mostly_agrees(self):
         data = ablations.run_taxonomy(**SMALL)
-        clear = [
-            row for row in data.values() if row["measured"] != "log-agnostic"
-        ]
+        clear = [row for row in data.values() if row["measured"] != "log-agnostic"]
         agree = sum(1 for row in clear if row["measured"] == row["predicted"])
         assert agree >= int(0.75 * len(clear))
 

@@ -77,15 +77,9 @@ def test_full_matrix_is_byte_identical(tmp_path):
     cells = {
         "ref_jobs4": _run(names, tmp_path / "ref4", jobs=4, fast=False),
         "fast_jobs1_cold": _run(names, tmp_path / "f1c", jobs=1, fast=True),
-        "fast_jobs4_cold": _run(
-            names, tmp_path / "f4c", jobs=4, fast=True, stream_store=store
-        ),
-        "fast_jobs4_warm": _run(
-            names, tmp_path / "f4w", jobs=4, fast=True, stream_store=store
-        ),
-        "fast_jobs1_warm": _run(
-            names, tmp_path / "f1w", jobs=1, fast=True, stream_store=store
-        ),
+        "fast_jobs4_cold": _run(names, tmp_path / "f4c", jobs=4, fast=True, stream_store=store),
+        "fast_jobs4_warm": _run(names, tmp_path / "f4w", jobs=4, fast=True, stream_store=store),
+        "fast_jobs1_warm": _run(names, tmp_path / "f1w", jobs=1, fast=True, stream_store=store),
     }
     assert set(reference) == {"fig4.json", "fig11.json"}
     for cell, dumps in cells.items():

@@ -40,9 +40,7 @@ def test_recorder_forces_reference_simulator(trace, config):
     assert fast.stats == reference.stats
     # The recorder must have seen the full reference event stream.
     assert recorder.distances == check.distances
-    assert [r.is_read for r in recorder.records] == [
-        r.is_read for r in check.records
-    ]
+    assert [r.is_read for r in recorder.records] == [r.is_read for r in check.records]
 
 
 @pytest.mark.parametrize("config", PAPER_CONFIGS, ids=CONFIG_IDS)

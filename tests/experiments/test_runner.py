@@ -55,9 +55,7 @@ class TestRunExhibits:
         assert "gamma" not in fake_exhibits
 
     def test_keep_going_runs_everything(self, fake_exhibits):
-        outcomes = run_exhibits(
-            ["alpha", "beta", "gamma"], keep_going=True, echo=lambda s: None
-        )
+        outcomes = run_exhibits(["alpha", "beta", "gamma"], keep_going=True, echo=lambda s: None)
         assert [o.status for o in outcomes] == [STATUS_OK, STATUS_FAILED, STATUS_OK]
         failed = outcomes[1]
         assert "beta exploded" in failed.error
@@ -100,16 +98,12 @@ class TestRunExhibits:
         run_exhibits(["alpha"], out_dir=str(tmp_path), echo=lambda s: None)
         (tmp_path / "alpha.json").unlink()
         fake_exhibits.clear()
-        outcomes = run_exhibits(
-            ["alpha"], out_dir=str(tmp_path), resume=True, echo=lambda s: None
-        )
+        outcomes = run_exhibits(["alpha"], out_dir=str(tmp_path), resume=True, echo=lambda s: None)
         assert outcomes[0].status == STATUS_OK
         assert fake_exhibits == ["alpha"]
 
     def test_resume_reruns_failed(self, fake_exhibits, tmp_path):
-        run_exhibits(
-            ["beta"], out_dir=str(tmp_path), keep_going=True, echo=lambda s: None
-        )
+        run_exhibits(["beta"], out_dir=str(tmp_path), keep_going=True, echo=lambda s: None)
         fake_exhibits.clear()
         run_exhibits(["beta"], out_dir=str(tmp_path), resume=True, echo=lambda s: None)
         assert fake_exhibits == ["beta"]

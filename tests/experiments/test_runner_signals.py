@@ -62,9 +62,7 @@ def test_sigterm_mid_exhibit_finalizes_manifest_for_resume(
     sigterm_exhibits, monkeypatch, tmp_path
 ):
     with pytest.raises(RunInterrupted):
-        run_exhibits(
-            ["alpha", "beta", "gamma"], out_dir=str(tmp_path), echo=lambda s: None
-        )
+        run_exhibits(["alpha", "beta", "gamma"], out_dir=str(tmp_path), echo=lambda s: None)
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
     assert manifest["exhibits"]["alpha"]["status"] == STATUS_OK
     assert manifest["exhibits"]["beta"]["status"] == STATUS_FAILED
@@ -98,9 +96,7 @@ def test_sigterm_mid_exhibit_finalizes_manifest_for_resume(
     assert original_beta is not tame_beta
 
 
-def test_parallel_interrupt_cancels_reaps_and_finalizes(
-    sigterm_exhibits, monkeypatch, tmp_path
-):
+def test_parallel_interrupt_cancels_reaps_and_finalizes(sigterm_exhibits, monkeypatch, tmp_path):
     """An interrupt while waiting on the pool cancels pending futures,
     terminates workers and leaves no dangling 'running' manifest entry."""
     reaped = []
@@ -128,9 +124,7 @@ def test_parallel_interrupt_cancels_reaps_and_finalizes(
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
     # The placeholder 'running' entries were dropped: the manifest tells
     # the truth (nothing completed) and a resume re-runs both.
-    assert all(
-        entry["status"] != "running" for entry in manifest["exhibits"].values()
-    )
+    assert all(entry["status"] != "running" for entry in manifest["exhibits"].values())
 
 
 def test_cli_exit_code_is_128_plus_signum(monkeypatch, capsys):

@@ -16,7 +16,7 @@ Three kinds of check, none of them a wall-clock assert:
 from contextlib import contextmanager
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ import pytest
 from repro.extentmap import array_map
 from repro.extentmap.array_map import ArrayExtentMap
 from repro.extentmap.extent_map import ExtentMap
+from repro.util.cells import cells, unique
 
 ADDRESS_SPACE = 160
 I8 = np.int64
@@ -264,3 +265,31 @@ class TestWorkCounters:
         assert guarded <= per_row
         # ... nor more than the whole-map flush this replaced (n_base per flush).
         assert guarded <= flushes * final_rows
+
+
+_int64s = st.one_of(st.integers(-40, 40), st.sampled_from([2**62 - 1, 2**62, -(2**62)]))
+
+
+@given(st.lists(_int64s, max_size=60))
+@example([])
+@example([9] * 12)
+@settings(max_examples=200, deadline=None)
+def test_sort_based_unique_equals_numpy(values):
+    values = np.array(values, dtype=I8)
+    assert unique(values).dtype == I8 and np.array_equal(unique(values), np.unique(values))
+
+
+def test_write_path_never_takes_the_hashing_unique():
+    """numpy 2.x answers a bare ``np.unique`` from a hash table, 17x slower."""
+    rng, real, amap = np.random.default_rng(5), np.unique, ArrayExtentMap()
+
+    def flagged_only(values, **flags):
+        assert any(flags.get(f"return_{k}") for k in ("index", "inverse", "counts"))
+        return real(values, **flags)
+
+    for patched in (real, flagged_only):  # populate, then overwrite the populated map
+        lba, length = rng.integers(0, 1 << 16, 4096), rng.integers(1, 64, 4096)
+        with mock.patch.object(np, "unique", patched):
+            amap.map_range_batch(lba, lba + (1 << 20), length)
+            cells(lba, lba + length)
+    assert amap.run_merges == 2

@@ -21,9 +21,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 def _spawn(args, cwd=None):
     env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.Popen(
         [sys.executable, "-m", "repro.experiments", *args],
         env=env,
@@ -48,9 +46,7 @@ class TestKillAndResume:
         # Scale 0.1 keeps the full run around ten seconds — long enough
         # that a kill shortly after the first JSONs appear lands mid-run
         # with completed exhibits behind it.
-        proc = _spawn(
-            ["all", "--scale", "0.1", "--seed", "11", "--out", str(out), "--keep-going"]
-        )
+        proc = _spawn(["all", "--scale", "0.1", "--seed", "11", "--out", str(out), "--keep-going"])
         try:
             deadline = time.time() + 120
             while time.time() < deadline:
@@ -101,7 +97,5 @@ class TestKillAndResume:
         from repro.experiments.registry import EXHIBITS
 
         assert set(manifest["exhibits"]) == set(EXHIBITS)
-        assert all(
-            entry["status"] == "ok" for entry in manifest["exhibits"].values()
-        )
+        assert all(entry["status"] == "ok" for entry in manifest["exhibits"].values())
         _assert_all_json_valid(out)

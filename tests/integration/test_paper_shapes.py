@@ -91,9 +91,7 @@ class TestFig11MSR:
 class TestFig11CloudPhysics:
     def test_majority_amplify(self, saf_matrix):
         matrix, _ = saf_matrix
-        amplified = sum(
-            1 for name in CLOUDPHYSICS_WORKLOADS if matrix[name]["LS"] > 1.0
-        )
+        amplified = sum(1 for name in CLOUDPHYSICS_WORKLOADS if matrix[name]["LS"] > 1.0)
         assert amplified > len(CLOUDPHYSICS_WORKLOADS) / 2
 
     def test_w91_is_worst(self, saf_matrix):
@@ -120,9 +118,7 @@ class TestDefrag:
     def test_defrag_best_improvement_roughly_paper_scale(self, saf_matrix):
         # Paper headline: up to ~4x SAF improvement from defrag.
         matrix, _ = saf_matrix
-        best = max(
-            matrix[name]["LS"] / matrix[name]["LS+defrag"] for name in TABLE1
-        )
+        best = max(matrix[name]["LS"] / matrix[name]["LS+defrag"] for name in TABLE1)
         assert 1.5 <= best <= 6.0
 
 
@@ -149,9 +145,7 @@ class TestPrefetch:
     def test_best_prefetch_gain_roughly_paper_scale(self, saf_matrix):
         # Paper headline: up to ~3.7x from prefetching.
         matrix, _ = saf_matrix
-        best = max(
-            matrix[name]["LS"] / matrix[name]["LS+prefetch"] for name in TABLE1
-        )
+        best = max(matrix[name]["LS"] / matrix[name]["LS+prefetch"] for name in TABLE1)
         assert 2.0 <= best <= 6.0
 
 

@@ -101,12 +101,8 @@ class TestParallelSemantics:
             assert parallel_entry["status"] == serial_entry["status"] == STATUS_OK
             assert parallel_entry["fingerprint"] == serial_entry["fingerprint"]
         # The dumps themselves (everything but wall-clock) are identical.
-        serial_bytes = {
-            k: v for k, v in _exhibit_bytes(serial).items() if k.endswith(".json")
-        }
-        parallel_bytes = {
-            k: v for k, v in _exhibit_bytes(parallel).items() if k.endswith(".json")
-        }
+        serial_bytes = {k: v for k, v in _exhibit_bytes(serial).items() if k.endswith(".json")}
+        parallel_bytes = {k: v for k, v in _exhibit_bytes(parallel).items() if k.endswith(".json")}
         assert parallel_bytes == serial_bytes
 
     def test_outcomes_keep_names_order(self, fake_exhibits, tmp_path):
@@ -205,9 +201,7 @@ class TestResumeUnderPool:
         assert _runs(tmp_path, "gamma") == 2
         assert _manifest(tmp_path)["exhibits"]["gamma"]["status"] == STATUS_OK
 
-    def test_parallel_resume_all_skipped_touches_nothing(
-        self, fake_exhibits, tmp_path
-    ):
+    def test_parallel_resume_all_skipped_touches_nothing(self, fake_exhibits, tmp_path):
         run_exhibits(["alpha", "gamma"], out_dir=str(tmp_path), **QUIET)
         before = _exhibit_bytes(tmp_path)
         outcomes = run_exhibits(

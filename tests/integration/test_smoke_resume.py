@@ -44,9 +44,7 @@ class TestSmokeRun:
         fakes = dict(registry.EXHIBITS)
         fakes["fig2"] = boom
         monkeypatch.setattr(registry, "EXHIBITS", fakes)
-        code = main(
-            ["fig2", "fig3", "--scale", "0.05", "--out", str(tmp_path), "--keep-going"]
-        )
+        code = main(["fig2", "fig3", "--scale", "0.05", "--out", str(tmp_path), "--keep-going"])
         output = capsys.readouterr().out
         assert code == 1
         assert "1/2 exhibits ok" in output

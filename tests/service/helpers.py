@@ -44,19 +44,12 @@ def flip_byte(path, offset: int) -> None:
         handle.write(bytes([byte[0] ^ 0xFF]))
 
 
-def reference_queries(
-    tmp_root, config: TechniqueConfig, columns, batch_ops=50
-) -> dict:
+def reference_queries(tmp_root, config: TechniqueConfig, columns, batch_ops=50) -> dict:
     """Queries of an uninterrupted session fed the whole stream."""
-    session = ReplaySession.create(
-        "reference", tmp_root, config, CAPACITY, checkpoint_interval_ops=10**9
-    )
-    for seq, is_read, lba, length in batches(columns, batch_ops):
-        session.apply_batch(seq, is_read, lba, length)
-    out = {
-        kind: session.query(kind)
-        for kind in ("applied", "stats", "saf", "fragment_cdf", "seek_budget")
-    }
+    session = ReplaySession.create("reference", tmp_root, config, CAPACITY, 10**9)
+    for batch in batches(columns, batch_ops):
+        session.apply_batch(*batch)
+    out = session_queries(session)
     session.close()
     return out
 

@@ -36,9 +36,7 @@ def test_roundtrip_preserves_arrays_and_scalars(tmp_path):
     assert loaded["tag"] == 9
     assert loaded["np_scalar"] == 9
     assert loaded["items"][1]["scalar"] == 12.5
-    np.testing.assert_array_equal(
-        loaded["nested"]["columns"], np.arange(2000, dtype=np.int64) * 9
-    )
+    np.testing.assert_array_equal(loaded["nested"]["columns"], np.arange(2000, dtype=np.int64) * 9)
     assert loaded["nested"]["columns"].dtype == np.int64
     np.testing.assert_array_equal(loaded["nested"]["flags"], [True, False, False])
     np.testing.assert_array_equal(loaded["items"][0]["distance"], np.full(700, 9))

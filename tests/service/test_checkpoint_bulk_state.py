@@ -35,20 +35,14 @@ def _answers(session: ReplaySession) -> str:
     return json.dumps(session_queries(session))
 
 
-@pytest.mark.parametrize(
-    "config", PAPER_CONFIGS + (LS_ALL, MULTI_FRONTIER), ids=lambda c: c.name
-)
+@pytest.mark.parametrize("config", PAPER_CONFIGS + (LS_ALL, MULTI_FRONTIER), ids=lambda c: c.name)
 def test_checkpoint_skeleton_stays_small(tmp_path, monkeypatch, config):
     """30k ops, thousands of distinct seek distances: the committed header
     stays under 16 KiB and the array split walks a few hundred nodes."""
     capacity = 1 << 22
-    session = ReplaySession.create(
-        "t", tmp_path, config, capacity, checkpoint_interval_ops=10**9
-    )
-    for seq, is_read, lba, length in batches(
-        make_columns(30_000, capacity=capacity, seed=3), 1000
-    ):
-        session.apply_batch(seq, is_read, lba, length)
+    session = ReplaySession.create("t", tmp_path, config, capacity, checkpoint_interval_ops=10**9)
+    for batch in batches(make_columns(30_000, capacity=capacity, seed=3), 1000):
+        session.apply_batch(*batch)
     distances = session.state_dict()["distances"]
     assert len(distances["read_hist"]) + len(distances["write_hist"]) >= 5000
 
@@ -74,9 +68,7 @@ def _as_written_before_arrays(state: dict) -> dict:
     engine["fragment_hist"] = engine["fragment_hist"].tolist()
     for key in ("read_hist", "write_hist"):
         state["distances"][key] = state["distances"][key].tolist()
-    for part, key in (
-        ("defrag", "access_counts"), ("cache", "blocks"), ("classifier", "recent")
-    ):
+    for part, key in (("defrag", "access_counts"), ("cache", "blocks"), ("classifier", "recent")):
         if translator.get(part):
             translator[part][key] = translator[part][key].tolist()
     return state
@@ -115,27 +107,19 @@ def test_pair_list_checkpoint_opens_like_an_array_one(tmp_path, config):
 
 
 def test_flipped_histogram_byte_fails_checksum_and_falls_back(tmp_path):
-    session = ReplaySession.create(
-        "t", tmp_path, LS, CAPACITY, checkpoint_interval_ops=10**9
-    )
-    stream = batches(make_columns(400, seed=5), 40)
-    for seq, is_read, lba, length in stream[:4]:
-        session.apply_batch(seq, is_read, lba, length)
-    session.checkpoint()
-    for seq, is_read, lba, length in stream[4:7]:
-        session.apply_batch(seq, is_read, lba, length)
-    newest = session.checkpoint()
+    session = ReplaySession.create("t", tmp_path, LS, CAPACITY, checkpoint_interval_ops=10**9)
+    for batch in batches(make_columns(400, seed=5), 40)[:7]:
+        session.apply_batch(*batch)
+        if batch[0] in (4, 7):
+            newest = session.checkpoint()
     del session
-
     (histogram,) = newest.glob("*distances.read_hist.npy")
     assert histogram.stat().st_size > PAGE_ALIGN
     flip_byte(histogram, PAGE_ALIGN + 8)  # the first pair's count
-
     store = CheckpointStore(tmp_path)
     with pytest.raises(CheckpointCorruptError, match="checksum mismatch"):
         store.load(7)
-    seq, _state = store.load_latest()
-    assert seq == 4
+    assert store.load_latest()[0] == 4
     assert store.sequence_numbers() == [4]  # the damaged entry was removed
 
 

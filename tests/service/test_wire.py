@@ -79,13 +79,9 @@ def test_split_group_payload_rejects_leftover_bytes():
 def test_concat_columns_matches_numpy_concatenate():
     batches = [make_columns(n, seed=n) for n in (7, 13, 1)]
     is_read, lba, length = concat_columns(batches)
-    np.testing.assert_array_equal(
-        is_read, np.concatenate([b[0] for b in batches])
-    )
+    np.testing.assert_array_equal(is_read, np.concatenate([b[0] for b in batches]))
     np.testing.assert_array_equal(lba, np.concatenate([b[1] for b in batches]))
-    np.testing.assert_array_equal(
-        length, np.concatenate([b[2] for b in batches])
-    )
+    np.testing.assert_array_equal(length, np.concatenate([b[2] for b in batches]))
     # Single batch passes through without copying.
     single = make_columns(5)
     assert concat_columns([single]) is single

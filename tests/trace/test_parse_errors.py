@@ -137,9 +137,7 @@ class TestGeometryValidation:
         assert trace.parse_report.skipped == 1
 
     def test_cloudphysics_range_straddling_capacity(self):
-        trace = parse_cloudphysics_lines(
-            ["1,R,1020,8"], capacity_sectors=1024, policy="lenient"
-        )
+        trace = parse_cloudphysics_lines(["1,R,1020,8"], capacity_sectors=1024, policy="lenient")
         assert trace.parse_report.skipped == 1
 
     def test_in_range_records_pass(self):
@@ -159,9 +157,7 @@ class TestCsvTraceReader:
             read_csv_trace(path)
 
     def test_lenient_report(self, tmp_path):
-        path = self._write(
-            tmp_path, ["0.0,R,0,8", "0.1,R,zero,8", "0.2,W,8,0", "0.3,W"]
-        )
+        path = self._write(tmp_path, ["0.0,R,0,8", "0.1,R,zero,8", "0.2,W,8,0", "0.3,W"])
         trace = read_csv_trace(path, policy="lenient")
         report = trace.parse_report
         assert len(trace) == 1

@@ -88,9 +88,7 @@ class TestRoundTrip:
             assert np.array_equal(got, want)
         assert np.array_equal(loaded.timestamps(), parsed.timestamps())
         assert loaded.timestamps().dtype == np.float64
-        assert _report_tuple(loaded.parse_report) == _report_tuple(
-            parsed.parse_report
-        )
+        assert _report_tuple(loaded.parse_report) == _report_tuple(parsed.parse_report)
 
     def test_synthetic_round_trip_without_report(self, store):
         trace = synthesize_workload("hm_1", seed=7, scale=0.01)
@@ -150,14 +148,10 @@ class TestHitsAndMisses:
 
     def test_parse_arg_change_misses(self, source, store, parse_counter):
         load_trace(source, "csv", store=store, policy="lenient")
-        load_trace(
-            source, "csv", store=store, policy="lenient", capacity_sectors=10**9
-        )
+        load_trace(source, "csv", store=store, policy="lenient", capacity_sectors=10**9)
         assert len(parse_counter) == 2
 
-    def test_parser_version_change_misses(
-        self, source, store, parse_counter, monkeypatch
-    ):
+    def test_parser_version_change_misses(self, source, store, parse_counter, monkeypatch):
         load_trace(source, "csv", store=store, policy="lenient")
         monkeypatch.setattr(store_mod, "COLUMNAR_PARSER_VERSION", 999_999)
         load_trace(source, "csv", store=store, policy="lenient")

@@ -13,9 +13,7 @@ def to_msr_lines(trace):
     for request in trace:
         ticks = int(request.timestamp * 10_000_000) + 128_166_372_000_000_000
         op = "Read" if request.is_read else "Write"
-        lines.append(
-            f"{ticks},host,0,{op},{request.lba * 512},{request.length * 512},100"
-        )
+        lines.append(f"{ticks},host,0,{op},{request.lba * 512},{request.length * 512},100")
     return lines
 
 
@@ -48,9 +46,7 @@ class TestFormatRoundTrips:
         self.assert_equivalent(parse_msr_lines(to_msr_lines(self.trace)))
 
     def test_cloudphysics_round_trip(self):
-        self.assert_equivalent(
-            parse_cloudphysics_lines(to_cloudphysics_lines(self.trace))
-        )
+        self.assert_equivalent(parse_cloudphysics_lines(to_cloudphysics_lines(self.trace)))
 
     def test_native_csv_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -94,17 +94,13 @@ class TestMisorderedPattern:
 
 class TestClusteredOverwritePattern:
     def test_cluster_locality(self):
-        pattern = ClusteredOverwritePattern(
-            rng(), 0, 1_000_000, 8.0, cluster=8, span_sectors=1024
-        )
+        pattern = ClusteredOverwritePattern(rng(), 0, 1_000_000, 8.0, cluster=8, span_sectors=1024)
         spans = [pattern.emit() for _ in range(8)]
         lbas = [s[0] for s in spans]
         assert max(lbas) - min(lbas) <= 1024
 
     def test_new_anchor_per_cluster(self):
-        pattern = ClusteredOverwritePattern(
-            rng(), 0, 10_000_000, 8.0, cluster=2, span_sectors=64
-        )
+        pattern = ClusteredOverwritePattern(rng(), 0, 10_000_000, 8.0, cluster=2, span_sectors=64)
         first = [pattern.emit() for _ in range(2)]
         second = [pattern.emit() for _ in range(2)]
         assert abs(first[0][0] - second[0][0]) > 64  # overwhelmingly likely

@@ -31,9 +31,7 @@ class TestCheckExpectations:
         assert report.failures() == []
 
     def test_amplification_mismatch_fails(self):
-        report = check_expectations(
-            "x", saf(ls=0.5, cache=0.3), Expectations(ls_amplifies=True)
-        )
+        report = check_expectations("x", saf(ls=0.5, cache=0.3), Expectations(ls_amplifies=True))
         assert not report.passed
         assert any(c.name == "ls_amplifies" for c in report.failures())
 
@@ -76,9 +74,7 @@ class TestCheckExpectations:
             saf(ls=1.0, prefetch=1.5, cache=0.5),
             Expectations(ls_amplifies=False),
         )
-        assert any(
-            c.name == "LS+prefetch_never_hurts" for c in report.failures()
-        )
+        assert any(c.name == "LS+prefetch_never_hurts" for c in report.failures())
 
 
 class TestValidateArchetype:
