@@ -22,12 +22,9 @@ from repro.core.selective_cache import SelectiveCacheConfig, SelectiveFragmentCa
 from repro.core.simulator import RunResult, Simulator, replay
 from repro.core.batch import (
     BatchRunResult,
-    BatchSupport,
     BatchUnsupportedError,
     batch_replay,
     batch_replay_translator,
-    batch_support,
-    supports_batch,
 )
 from repro.core.stream import (
     FragmentStream,
@@ -89,12 +86,9 @@ __all__ = [
     "Simulator",
     "replay",
     "BatchRunResult",
-    "BatchSupport",
     "BatchUnsupportedError",
     "batch_replay",
     "batch_replay_translator",
-    "batch_support",
-    "supports_batch",
     "FragmentStream",
     "StreamRunResult",
     "StreamUnsupportedError",

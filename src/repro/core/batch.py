@@ -55,10 +55,9 @@ log, aggregate statistics and the final translator state equal the
 reference path's bit for bit (the differential suite under
 ``tests/differential/`` is the oracle), whatever the batch size, run
 shape or extent-map tier.  What lies outside this model — recorders, a
-translator type without a placement — falls back to the reference
-simulator when selected through
-:func:`repro.experiments.common.replay_with`, which reports *why* via
-:class:`BatchSupport` / :attr:`BatchUnsupportedError.reason`.
+translator type without a placement — is the reference simulator's
+alone: a translator with no placement raises
+:class:`BatchUnsupportedError`.
 
 Resumable replay
 ----------------
@@ -148,35 +147,8 @@ _READ_RESOLVE_WINDOW = 512
 
 
 class BatchUnsupportedError(ValueError):
-    """The requested translator/configuration has no batch kernel.
-
-    Attributes:
-        reason: Short structured tag naming the feature that forced the
-            reference fallback (``"translator <class name>"``); surfaced
-            in exhibit manifests and the CLI ``--fast`` summary so
-            fallbacks are visible rather than silent.
-    """
-
-    def __init__(self, message: str, reason: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.reason = reason if reason is not None else message
-
-
-@dataclass(frozen=True)
-class BatchSupport:
-    """Whether the batch kernels cover a configuration, and if not, why.
-
-    Attributes:
-        supported: True if :func:`batch_replay` covers the configuration.
-        reason: ``None`` when supported; otherwise the feature that forces
-            the reference-simulator fallback.
-    """
-
-    supported: bool
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.supported
+    """The translator type has no batch kernel (replay it with the
+    reference :class:`~repro.core.simulator.Simulator`)."""
 
 
 @dataclass(frozen=True)
@@ -211,32 +183,6 @@ class BatchRunResult:
         return self.distances[self.distance_is_read]
 
 
-def batch_support(config: TechniqueConfig) -> BatchSupport:
-    """Coverage verdict (with fallback reason) for a configuration.
-
-    Every :class:`TechniqueConfig` is covered — NoLS, plain LS, the three
-    seek-reduction techniques in any combination, and multi-frontier
-    placement (``multi_frontier``).  Only objects outside the config
-    system (and recorders, which never reach this check) force the
-    reference simulator; the returned :class:`BatchSupport` names the
-    culprit.
-    """
-    if not isinstance(config, TechniqueConfig):
-        return BatchSupport(
-            False, f"config type {type(config).__name__} has no batch kernel"
-        )
-    return BatchSupport(True)
-
-
-def supports_batch(config: TechniqueConfig) -> bool:
-    """True if :func:`batch_replay` covers this technique configuration.
-
-    Boolean shorthand for :func:`batch_support`, which also reports *why*
-    an unsupported configuration falls back.
-    """
-    return batch_support(config).supported
-
-
 def batch_replay(
     trace: Trace,
     config: TechniqueConfig,
@@ -248,13 +194,10 @@ def batch_replay(
     :func:`~repro.core.config.build_translator` and drives it through
     :func:`batch_replay_translator`; the returned ``run_result`` equals the
     reference ``replay(trace, build_translator(trace, config))`` result.
+    Every :class:`TechniqueConfig` has a kernel: NoLS, plain LS, the three
+    seek-reduction techniques in any combination, and multi-frontier
+    placement.
     """
-    support = batch_support(config)
-    if not support:
-        raise BatchUnsupportedError(
-            f"no batch kernel for config {config!r}; use the reference Simulator",
-            reason=support.reason,
-        )
     translator = build_translator(
         trace, config, address_map_tier=resolve_map_tier(DEFAULT_KERNEL_TIER)
     )
@@ -912,8 +855,7 @@ class IncrementalBatchReplay:
         except KeyError:
             raise BatchUnsupportedError(
                 f"no batch kernel for {type(translator).__name__}; "
-                "use the reference Simulator",
-                reason=f"translator {type(translator).__name__}",
+                "use the reference Simulator"
             ) from None
         self._translator = translator
         self.trace_name = trace_name

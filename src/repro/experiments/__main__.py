@@ -6,12 +6,13 @@ Examples::
     python -m repro.experiments fig11 fig10 --seed 7
     python -m repro.experiments all --out results/ --keep-going --timeout 600
     python -m repro.experiments all --out results/ --resume
-    python -m repro.experiments all --out results/ --jobs 4 --fast
+    python -m repro.experiments all --out results/ --jobs 2 --trace-store ts/
     repro-experiments table1
 
-``--jobs N`` fans exhibits out across N worker processes and ``--fast``
-replays through the vectorized batch kernels; both are exact — exhibit
-JSON is byte-identical to a serial, reference-path run.
+Exhibits are always computed by the exact column kernels.  ``--jobs N``
+fills the per-trace result table over N worker processes, one trace per
+task, before the exhibits render; exhibit JSON is byte-identical to a
+serial run.
 
 Long runs are crash-safe (see docs/ROBUSTNESS.md): with ``--out`` every
 exhibit JSON and the ``run.json`` manifest are written atomically, and
@@ -90,16 +91,14 @@ def main(argv=None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run exhibits across N worker processes (default 1 = serial; "
-        "results are identical either way)",
+        help="fill the per-trace result table over N worker processes, one "
+        "trace per task (default 1 = serial; results are identical either way)",
     )
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="replay through the vectorized batch kernels (exact; replays "
-        "the kernels cannot serve fall back to the reference path, "
-        "reported per exhibit as '(fallback) <count>x <reason>' lines and "
-        "a 'fallbacks' key in the run.json manifest)",
+        help="accepted for compatibility and ignored: the exact kernels "
+        "always run",
     )
     parser.add_argument(
         "--trace-store",
@@ -116,7 +115,7 @@ def main(argv=None) -> int:
         metavar="DIR",
         help="persistent fragment-stream store: plain-LS streams are "
         "recorded under DIR once machine-wide and memory-mapped by every "
-        "process (exact; only consulted with --fast; delete DIR to clear)",
+        "process (exact; delete DIR to clear)",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -149,7 +148,6 @@ def main(argv=None) -> int:
             timeout_s=args.timeout,
             resume=args.resume,
             jobs=args.jobs,
-            fast=args.fast,
             trace_store=args.trace_store,
             stream_store=args.stream_store,
         )

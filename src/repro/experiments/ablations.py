@@ -25,42 +25,96 @@ from typing import Optional
 from repro.analysis.classify import characterize, classify_saf
 from repro.core.batch import batch_replay_translator
 from repro.core.cleaning import ZonedCleaningTranslator
-from repro.core.config import NOLS, TechniqueConfig, build_translator
+from repro.core.config import LS, LS_ALL, NOLS, TechniqueConfig, build_translator
 from repro.core.defrag import DefragConfig
 from repro.core.metrics import seek_amplification
 from repro.core.multifrontier import MultiFrontierTranslator
 from repro.core.prefetch import PrefetchConfig
 from repro.core.selective_cache import SelectiveCacheConfig
-from repro.core.simulator import replay
 from repro.core.translators import LogStructuredTranslator
-from repro.experiments.common import fast_replay_default, save_json
+from repro.experiments.common import save_json
 from repro.experiments.render import format_table
 from repro.experiments.sweep import SweepEngine, sweep_engine
 from repro.extentmap.tiers import DEFAULT_KERNEL_TIER, make_address_map, resolve_map_tier
 from repro.util.units import mib_to_sectors
-from repro.workloads import ReadMix, WorkloadSpec, WriteMix, generate_workload
+from repro.workloads import TABLE1, ReadMix, WorkloadSpec, WriteMix, generate_workload
+
+CACHE_SIZES = (4.0, 16.0, 64.0, 256.0)
+CACHE_GRID = [TechniqueConfig(name="LS")] + [
+    TechniqueConfig(name=f"cache{mib:g}", cache=SelectiveCacheConfig(capacity_mib=mib))
+    for mib in CACHE_SIZES
+]
+DEFRAG_THROTTLES = [(n, k) for n in (2, 4, 8) for k in (1, 2, 4)]
+DEFRAG_GRID = [TechniqueConfig(name="LS")] + [
+    TechniqueConfig(
+        name=f"defrag{n}:{k}", defrag=DefragConfig(min_fragments=n, min_accesses=k)
+    )
+    for n, k in DEFRAG_THROTTLES
+]
+PREFETCH_WINDOWS = (64.0, 128.0, 256.0, 512.0)
+PREFETCH_GRID = [TechniqueConfig(name="LS")] + [
+    TechniqueConfig(
+        name=f"pf{kib:g}", prefetch=PrefetchConfig(behind_kib=kib, ahead_kib=kib)
+    )
+    for kib in PREFETCH_WINDOWS
+]
+SINGLE_CONFIGS = (
+    TechniqueConfig(name="LS"),
+    TechniqueConfig(name="LS+defrag", defrag=DefragConfig()),
+    TechniqueConfig(name="LS+prefetch", prefetch=PrefetchConfig()),
+    TechniqueConfig(name="LS+cache", cache=SelectiveCacheConfig()),
+)
+CACHE_WORKLOADS = ("w91", "usr_1", "hm_1")
+DEFRAG_WORKLOADS = ("w91", "w20")
+PREFETCH_WORKLOADS = ("w91", "hm_1")
 
 
-def _ablation_replay(trace, translator):
-    """Replay a hand-built ablation translator via the cheapest exact path.
+def _kernel_map():
+    """Extent map for a hand-built ablation translator (the kernels' tier)."""
+    return make_address_map(resolve_map_tier(DEFAULT_KERNEL_TIER))
+
+
+def _replay(trace, translator):
+    """Replay a hand-built ablation translator through its batch kernel.
 
     The finite-log ablations construct their translators directly (they
     sweep constructor knobs no :class:`TechniqueConfig` exposes), so they
-    bypass the sweep engine's dispatch.  Under the process-wide ``--fast``
-    default this routes the replay through the matching batch kernel —
-    exact, so exhibit JSON stays byte-identical to a reference run; all
-    four translator types built here (in-place, single-frontier LS,
-    zoned cleaning, multi-frontier) have one.
+    bypass the sweep engine; their oracles are
+    ``tests/differential/test_cleaning_vs_reference.py`` and
+    ``test_multifrontier_vs_reference.py``.
     """
-    if fast_replay_default():
-        return batch_replay_translator(trace, translator).run_result
-    return replay(trace, translator)
+    return batch_replay_translator(trace, translator).run_result
 
 
-def _ablation_map():
-    """Extent map for an ablation translator (array tier under ``--fast``)."""
-    tier = resolve_map_tier(DEFAULT_KERNEL_TIER) if fast_replay_default() else None
-    return make_address_map(tier)
+# What each exhibit below reads from the result table (registry.NEEDS).
+
+
+def _grid_needs(workloads, grid) -> dict:
+    return {name: [NOLS, *grid] for name in workloads}
+
+
+def cache_needs(seed: int = 42, scale: float = 1.0) -> dict:
+    return _grid_needs(CACHE_WORKLOADS, CACHE_GRID)
+
+
+def defrag_needs(seed: int = 42, scale: float = 1.0) -> dict:
+    return _grid_needs(DEFRAG_WORKLOADS, DEFRAG_GRID)
+
+
+def prefetch_needs(seed: int = 42, scale: float = 1.0) -> dict:
+    return _grid_needs(PREFETCH_WORKLOADS, PREFETCH_GRID)
+
+
+def combined_needs(seed: int = 42, scale: float = 1.0) -> dict:
+    return _grid_needs(TABLE1, SINGLE_CONFIGS + (LS_ALL,))
+
+
+def multifrontier_needs(seed: int = 42, scale: float = 1.0) -> dict:
+    return {"w91": [frontier_layouts]}
+
+
+def taxonomy_needs(seed: int = 42, scale: float = 1.0) -> dict:
+    return {name: [NOLS, LS, character] for name in TABLE1}
 
 
 def _sweep_safs(
@@ -77,19 +131,12 @@ def _sweep_safs(
 def run_cache(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
     """Selective-cache capacity sweep on a cache-friendly workload (w91),
     a capacity-limited one (usr_1) and a small-working-set one (hm_1)."""
-    sizes = (4.0, 16.0, 64.0, 256.0)
+    sizes = CACHE_SIZES
     engine = sweep_engine(seed, scale)
     data = {}
     rows = []
-    for name in ("w91", "usr_1", "hm_1"):
-        configs = [TechniqueConfig(name="LS")] + [
-            TechniqueConfig(
-                name=f"cache{mib:g}",
-                cache=SelectiveCacheConfig(capacity_mib=mib),
-            )
-            for mib in sizes
-        ]
-        safs = _sweep_safs(engine, name, configs)
+    for name in CACHE_WORKLOADS:
+        safs = _sweep_safs(engine, name, CACHE_GRID)
         row = {"LS": safs[0]}
         for mib, saf in zip(sizes, safs[1:]):
             row[f"{mib:g}MB"] = round(saf, 3)
@@ -108,21 +155,14 @@ def run_cache(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None)
 
 def run_defrag(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
     """Defrag throttle grid (N x k) on w91 (defrag helps) and w20 (hurts)."""
-    grid = [(n, k) for n in (2, 4, 8) for k in (1, 2, 4)]
     engine = sweep_engine(seed, scale)
     data = {}
-    for name in ("w91", "w20"):
-        configs = [TechniqueConfig(name="LS")] + [
-            TechniqueConfig(
-                name=f"defrag{n}:{k}",
-                defrag=DefragConfig(min_fragments=n, min_accesses=k),
-            )
-            for n, k in grid
-        ]
-        safs = _sweep_safs(engine, name, configs)
+    for name in DEFRAG_WORKLOADS:
+        safs = _sweep_safs(engine, name, DEFRAG_GRID)
         ls = safs[0]
         cells = {
-            f"N{n}k{k}": round(saf, 3) for (n, k), saf in zip(grid, safs[1:])
+            f"N{n}k{k}": round(saf, 3)
+            for (n, k), saf in zip(DEFRAG_THROTTLES, safs[1:])
         }
         data[name] = {"LS": round(ls, 3), "grid": cells}
         rows = [
@@ -143,19 +183,12 @@ def run_defrag(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None
 def run_prefetch(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
     """Prefetch window sweep on w91 (cluster-local fragments) and hm_1
     (temporally scattered fragments — windows cannot help much)."""
-    windows = (64.0, 128.0, 256.0, 512.0)
+    windows = PREFETCH_WINDOWS
     engine = sweep_engine(seed, scale)
     data = {}
     rows = []
-    for name in ("w91", "hm_1"):
-        configs = [TechniqueConfig(name="LS")] + [
-            TechniqueConfig(
-                name=f"pf{kib:g}",
-                prefetch=PrefetchConfig(behind_kib=kib, ahead_kib=kib),
-            )
-            for kib in windows
-        ]
-        safs = _sweep_safs(engine, name, configs)
+    for name in PREFETCH_WORKLOADS:
+        safs = _sweep_safs(engine, name, PREFETCH_GRID)
         row = {"LS": round(safs[0], 3)}
         for kib, saf in zip(windows, safs[1:]):
             row[f"{kib:g}KB"] = round(saf, 3)
@@ -200,7 +233,7 @@ def run_cleaning(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = No
     model sidesteps.
     """
     trace = _overwrite_workload(seed, scale)
-    baseline = _ablation_replay(trace, build_translator(trace, NOLS)).stats
+    baseline = _replay(trace, build_translator(trace, NOLS)).stats
     data = {}
     rows = []
     for n_zones in (12, 16, 24, 40):
@@ -209,9 +242,9 @@ def run_cleaning(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = No
             zone_mib=1.0,
             n_zones=n_zones,
             reserve_zones=2,
-            address_map=_ablation_map(),
+            address_map=_kernel_map(),
         )
-        stats = _ablation_replay(trace, translator).stats
+        stats = _replay(trace, translator).stats
         cs = translator.cleaning_stats
         total = stats.total_seeks + cs.cleaning_seeks
         over = n_zones * 1.0 / 8.0  # log capacity / workload LBA space
@@ -246,32 +279,24 @@ def run_cleaning(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = No
     return data
 
 
-def run_multifrontier(
-    seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None
-) -> dict:
-    """Single vs WOLF-style dual frontier on a hot/cold mixed workload."""
-    trace = sweep_engine(seed, scale).trace("w91")
-    baseline = _ablation_replay(trace, build_translator(trace, NOLS)).stats
-
+def frontier_layouts(engine, trace) -> dict:
+    """Single vs dual frontier on one workload: the multifrontier row."""
+    baseline = engine.replay(trace, NOLS).stats
     single = LogStructuredTranslator(
-        frontier_base=trace.max_end, address_map=_ablation_map()
+        frontier_base=trace.max_end, address_map=_kernel_map()
     )
-    single_stats = _ablation_replay(trace, single).stats
-
+    single_stats = _replay(trace, single).stats
     dual = MultiFrontierTranslator(
         frontier_base=trace.max_end,
         region_sectors=mib_to_sectors(2048),
-        address_map=_ablation_map(),
+        address_map=_kernel_map(),
     )
-    dual_stats = _ablation_replay(trace, dual).stats
-
-    data = {
+    dual_stats = _replay(trace, dual).stats
+    return {
         "single": {
             "write_seeks": single_stats.write_seeks,
             "read_seeks": single_stats.read_seeks,
-            "saf": round(
-                seek_amplification(single_stats, baseline).total, 3
-            ),
+            "saf": round(seek_amplification(single_stats, baseline).total, 3),
         },
         "dual": {
             "write_seeks": dual_stats.write_seeks,
@@ -282,19 +307,27 @@ def run_multifrontier(
             "saf": round(seek_amplification(dual_stats, baseline).total, 3),
         },
     }
+
+
+def run_multifrontier(
+    seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None
+) -> dict:
+    """Single vs WOLF-style dual frontier on a hot/cold mixed workload."""
+    data = sweep_engine(seed, scale).analysis("w91", frontier_layouts)
+    single, dual = data["single"], data["dual"]
     print(
         format_table(
             ["layout", "write seeks", "read seeks", "SAF"],
             [
-                ["single frontier", single_stats.write_seeks,
-                 single_stats.read_seeks, f"{data['single']['saf']:.2f}"],
-                ["hot/cold frontiers", dual_stats.write_seeks,
-                 dual_stats.read_seeks, f"{data['dual']['saf']:.2f}"],
+                ["single frontier", single["write_seeks"],
+                 single["read_seeks"], f"{single['saf']:.2f}"],
+                ["hot/cold frontiers", dual["write_seeks"],
+                 dual["read_seeks"], f"{dual['saf']:.2f}"],
             ],
             title=(
                 "Ablation: WOLF-style frontier separation "
-                f"({dual.frontier_switches} switches, "
-                f"{dual.hot_writes} hot / {dual.cold_writes} cold writes)"
+                f"({dual['frontier_switches']} switches, "
+                f"{dual['hot_writes']} hot / {dual['cold_writes']} cold writes)"
             ),
         )
     )
@@ -310,23 +343,13 @@ def run_combined(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = No
     selective cache, then prefetch buffer, then media (with defrag after
     the read) — see :class:`LogStructuredTranslator`.
     """
-    from repro.core.config import LS_ALL
-    from repro.workloads import TABLE1
-
-    combined = LS_ALL
     engine = sweep_engine(seed, scale)
     data = {}
     rows = []
     for name in TABLE1:
-        single_configs = (
-            TechniqueConfig(name="LS"),
-            TechniqueConfig(name="LS+defrag", defrag=DefragConfig()),
-            TechniqueConfig(name="LS+prefetch", prefetch=PrefetchConfig()),
-            TechniqueConfig(name="LS+cache", cache=SelectiveCacheConfig()),
-        )
-        safs = _sweep_safs(engine, name, single_configs + (combined,))
+        safs = _sweep_safs(engine, name, SINGLE_CONFIGS + (LS_ALL,))
         singles = {
-            config.name: saf for config, saf in zip(single_configs, safs)
+            config.name: saf for config, saf in zip(SINGLE_CONFIGS, safs)
         }
         best_single = min(
             (value, key) for key, value in singles.items() if key != "LS"
@@ -364,20 +387,21 @@ def run_combined(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = No
     return data
 
 
+def character(engine, trace):
+    """The taxonomy's feature row of one workload: :func:`characterize`."""
+    return characterize(trace)
+
+
 def run_taxonomy(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
     """§III taxonomy: classify every workload, predicted vs measured."""
-    from repro.core.config import LS
-    from repro.workloads import TABLE1
-
     engine = sweep_engine(seed, scale)
     data = {}
     rows = []
     agree = 0
     for name in TABLE1:
-        trace = engine.trace(name)
         saf = engine.saf(name, LS).total
         measured = classify_saf(saf)
-        predicted = characterize(trace).predicted_sensitivity()
+        predicted = engine.analysis(name, character).predicted_sensitivity()
         matches = predicted is measured or (
             # agnostic is a thin band; count adjacent predictions as a pass
             measured.value == "log-agnostic"

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
-from repro.core.batch import BatchUnsupportedError, batch_replay
-from repro.core.config import TechniqueConfig, build_translator
-from repro.core.recorders import Recorder
-from repro.core.simulator import RunResult, Simulator
 from repro.trace.trace import Trace
 from repro.util.io import atomic_write_json
 from repro.workloads import synthesize_workload
@@ -119,78 +115,6 @@ def clear_trace_cache() -> None:
 def trace_cache_size() -> int:
     """Number of traces currently memoized."""
     return len(_trace_cache)
-
-
-_fast_replay_default = False
-
-
-def set_fast_replay(enabled: bool) -> None:
-    """Process-wide default for :func:`replay_with`'s fast path.
-
-    Flipped by the experiment CLI's ``--fast`` flag (and by the parallel
-    runner inside each worker process) so every exhibit replays through
-    the vectorized batch kernel without each call site opting in.
-    Replays that attach recorders still use the reference simulator.
-    """
-    global _fast_replay_default
-    _fast_replay_default = bool(enabled)
-
-
-def fast_replay_default() -> bool:
-    """Current process-wide fast-replay default (see :func:`set_fast_replay`)."""
-    return _fast_replay_default
-
-
-_fallback_counts: Dict[str, int] = {}
-
-
-def note_reference_fallback(reason: str) -> None:
-    """Record one fast-path request served by the reference simulator.
-
-    ``reason`` is the structured tag naming the feature that forced the
-    fallback (:attr:`~repro.core.batch.BatchUnsupportedError.reason`, or
-    ``"recorders"`` for the replay-call feature the kernels never see).
-    The exhibit runner drains the per-process counts into the run manifest
-    so a ``--fast`` run shows *where* it silently ran at reference speed.
-    """
-    _fallback_counts[reason] = _fallback_counts.get(reason, 0) + 1
-
-
-def drain_fallback_counts() -> Dict[str, int]:
-    """Return and clear the per-reason reference-fallback counts."""
-    global _fallback_counts
-    counts, _fallback_counts = _fallback_counts, {}
-    return counts
-
-
-def replay_with(
-    trace: Trace,
-    config: TechniqueConfig,
-    recorders: Sequence[Recorder] = (),
-    fast: Optional[bool] = None,
-) -> RunResult:
-    """Replay ``trace`` under ``config`` with optional recorders attached.
-
-    ``fast`` selects the vectorized batch kernel
-    (:mod:`repro.core.batch`); ``None`` defers to the process-wide
-    default set by :func:`set_fast_replay`.  The kernel is
-    exact, and replays it cannot serve — recorders attached — fall back to
-    the reference simulator, so enabling it never changes results; each
-    fallback is tallied by reason (:func:`note_reference_fallback`) so
-    ``--fast`` runs surface where they ran at reference speed.
-    """
-    if fast is None:
-        fast = _fast_replay_default
-    if fast:
-        if recorders:
-            note_reference_fallback("recorders")
-        else:
-            try:
-                return batch_replay(trace, config).run_result
-            except BatchUnsupportedError as exc:
-                note_reference_fallback(exc.reason)
-    translator = build_translator(trace, config)
-    return Simulator(recorders).run(trace, translator)
 
 
 def save_json(exhibit: str, data: dict, out_dir: Optional[str]) -> Optional[Path]:

@@ -1,20 +1,20 @@
 """Fig. 10 — fragment popularity and cumulative cache-size curves.
 
-Sharded: one shard per workload (see :mod:`repro.experiments.registry`).
-Under ``--fast`` each shard builds the popularity curve straight off the
-recorded fragment stream —
-:func:`~repro.core.stream.stream_fragment_stats` reproduces the
-reference recorder's ``(count, size)`` pairs in first-access order, and
+The popularity curve is built straight off the recorded fragment stream —
+:func:`~repro.core.stream.stream_fragment_stats` reproduces the reference
+recorder's ``(count, size)`` pairs in first-access order, and
 :func:`~repro.analysis.fast.popularity_curve_fast` the stable-sorted
-curve — so no recorder replay is needed and the result is exact.
+curve — so no recorder replay is needed and the result is exact (the
+recorder replay is the oracle in
+``tests/differential/test_exhibits_vs_reference.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.analysis.popularity import FragmentPopularityRecorder
-from repro.core.config import LS
+from repro.analysis.fast import popularity_curve_fast
+from repro.core.stream import stream_fragment_stats
 from repro.experiments.common import downsample, save_json
 from repro.experiments.render import format_table
 from repro.experiments.sweep import sweep_engine
@@ -23,26 +23,8 @@ from repro.workloads import FIG10_WORKLOADS
 EXHIBIT = "fig10"
 
 
-def shard_names(seed: int = 42, scale: float = 1.0) -> List[str]:
-    """One shard per Fig. 10 workload."""
-    return list(FIG10_WORKLOADS)
-
-
-def run_shard(name: str, seed: int = 42, scale: float = 1.0) -> dict:
-    """The full popularity curve of one workload (picklable payload)."""
-    engine = sweep_engine(seed, scale)
-    trace = engine.trace(name)
-    if engine.fast_enabled():
-        from repro.analysis.fast import popularity_curve_fast
-        from repro.core.stream import stream_fragment_stats
-
-        curve = popularity_curve_fast(stream_fragment_stats(engine.stream_for(trace)))
-    else:
-        recorder = FragmentPopularityRecorder()
-        # The recorder observes per-request outcomes, so the engine routes
-        # this replay to the reference simulator.
-        engine.replay(trace, LS, [recorder])
-        curve = recorder.curve()
+def popularity_row(curve) -> dict:
+    """The Fig. 10 row of one workload's popularity curve (full lists)."""
     return {
         "fragments": curve.fragment_count,
         "total_accesses": curve.total_accesses,
@@ -55,17 +37,29 @@ def run_shard(name: str, seed: int = 42, scale: float = 1.0) -> dict:
     }
 
 
-def merge(
-    payloads: Dict[str, dict],
-    seed: int = 42,
-    scale: float = 1.0,
-    out_dir: Optional[str] = None,
-) -> dict:
-    """Assemble shard payloads, print the table, write the JSON."""
+def popularity(engine, trace) -> dict:
+    """The popularity row of one workload."""
+    stats = stream_fragment_stats(engine.stream_for(trace))
+    return popularity_row(popularity_curve_fast(stats))
+
+
+def needs(seed: int = 42, scale: float = 1.0) -> dict:
+    """The popularity row of every Fig. 10 workload."""
+    return {name: [popularity] for name in FIG10_WORKLOADS}
+
+
+def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+    """Regenerate Fig. 10 for the paper's eight workloads.
+
+    Shape to check: fragment accesses are highly skewed, and the fragments
+    covering the bulk of accesses (say 80–90 %) total at most a few tens
+    of MB — comfortably inside a 64 MB selective cache.
+    """
+    engine = sweep_engine(seed, scale)
     data = {}
     rows = []
     for name in FIG10_WORKLOADS:
-        payload = payloads[name]
+        payload = engine.analysis(name, popularity)
         mib_50, mib_80, mib_90 = payload["mib_50"], payload["mib_80"], payload["mib_90"]
         cumulative_mib = payload["cumulative_mib"]
         data[name] = {
@@ -107,16 +101,3 @@ def merge(
     )
     save_json(EXHIBIT, data, out_dir)
     return data
-
-
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
-    """Regenerate Fig. 10 for the paper's eight workloads.
-
-    Shape to check: fragment accesses are highly skewed, and the fragments
-    covering the bulk of accesses (say 80–90 %) total at most a few tens
-    of MB — comfortably inside a 64 MB selective cache.
-    """
-    payloads = {
-        name: run_shard(name, seed, scale) for name in shard_names(seed, scale)
-    }
-    return merge(payloads, seed, scale, out_dir)

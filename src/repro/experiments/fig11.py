@@ -1,17 +1,16 @@
 """Fig. 11 — seek amplification factors of LS and the three techniques.
 
-Sharded: one shard per workload (see :mod:`repro.experiments.registry`).
-Each shard runs one workload's full technique sweep through the shared
+Each workload's technique sweep runs through the shared
 :class:`~repro.experiments.sweep.SweepEngine` (NoLS baseline + recorded
-fragment stream, both persistent-store-backed under ``--fast``), so a
-parallel run pays each recording once machine-wide.
+fragment stream, the stream persistent-store-backed), so a run pays each
+recording once machine-wide.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.core.config import PAPER_CONFIGS
+from repro.core.config import NOLS, PAPER_CONFIGS
 from repro.core.metrics import seek_amplification
 from repro.experiments.common import save_json
 from repro.experiments.render import format_table
@@ -21,56 +20,12 @@ from repro.workloads import CLOUDPHYSICS_WORKLOADS, MSR_WORKLOADS
 EXHIBIT = "fig11"
 
 
-def shard_names(seed: int = 42, scale: float = 1.0) -> List[str]:
-    """One shard per Fig. 11 workload (both families)."""
-    return list(MSR_WORKLOADS) + list(CLOUDPHYSICS_WORKLOADS)
-
-
-def run_shard(name: str, seed: int = 42, scale: float = 1.0) -> dict:
-    """The full technique-grid SAF sweep for one workload."""
-    engine = sweep_engine(seed, scale)
-    family = "msr" if name in MSR_WORKLOADS else "cloudphysics"
-    baseline = engine.baseline(name)
-    safs = {}
-    for config, result in zip(
-        PAPER_CONFIGS, engine.workload_sweep(name, PAPER_CONFIGS)
-    ):
-        saf = seek_amplification(result.stats, baseline)
-        safs[config.name] = {
-            "read": round(saf.read, 3),
-            "write": round(saf.write, 3),
-            "total": round(saf.total, 3),
-        }
-    return {"family": family, "saf": safs}
-
-
-def merge(
-    payloads: Dict[str, dict],
-    seed: int = 42,
-    scale: float = 1.0,
-    out_dir: Optional[str] = None,
-) -> dict:
-    """Assemble shard payloads, print both family tables, write the JSON."""
-    data = {}
-    for family, names in (("msr", MSR_WORKLOADS), ("cloudphysics", CLOUDPHYSICS_WORKLOADS)):
-        rows = []
-        for name in names:
-            entry = payloads[name]
-            data[name] = entry
-            safs = entry["saf"]
-            rows.append(
-                [name]
-                + [f"{safs[c.name]['total']:.2f}" for c in PAPER_CONFIGS]
-            )
-        print(
-            format_table(
-                ["workload"] + [c.name for c in PAPER_CONFIGS],
-                rows,
-                title=f"Fig. 11 ({family}): total seek amplification factor",
-            )
-        )
-    save_json(EXHIBIT, data, out_dir)
-    return data
+def needs(seed: int = 42, scale: float = 1.0) -> dict:
+    """NoLS and every paper config, on every workload of both families."""
+    return {
+        name: [NOLS, *PAPER_CONFIGS]
+        for name in MSR_WORKLOADS + CLOUDPHYSICS_WORKLOADS
+    }
 
 
 def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
@@ -84,7 +39,33 @@ def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> di
     marginal for usr_1/hm_1/w55/w33; caching is the best technique nearly
     everywhere.
     """
-    payloads = {
-        name: run_shard(name, seed, scale) for name in shard_names(seed, scale)
-    }
-    return merge(payloads, seed, scale, out_dir)
+    engine = sweep_engine(seed, scale)
+    data = {}
+    for family, names in (("msr", MSR_WORKLOADS), ("cloudphysics", CLOUDPHYSICS_WORKLOADS)):
+        rows = []
+        for name in names:
+            baseline = engine.baseline(name)
+            safs = {}
+            for config, result in zip(
+                PAPER_CONFIGS, engine.workload_sweep(name, PAPER_CONFIGS)
+            ):
+                saf = seek_amplification(result.stats, baseline)
+                safs[config.name] = {
+                    "read": round(saf.read, 3),
+                    "write": round(saf.write, 3),
+                    "total": round(saf.total, 3),
+                }
+            data[name] = {"family": family, "saf": safs}
+            rows.append(
+                [name]
+                + [f"{safs[c.name]['total']:.2f}" for c in PAPER_CONFIGS]
+            )
+        print(
+            format_table(
+                ["workload"] + [c.name for c in PAPER_CONFIGS],
+                rows,
+                title=f"Fig. 11 ({family}): total seek amplification factor",
+            )
+        )
+    save_json(EXHIBIT, data, out_dir)
+    return data

@@ -1,17 +1,10 @@
-"""Fig. 2 — read and write seek counts, NoLS vs LS, per workload.
-
-Sharded: one shard per workload (see :mod:`repro.experiments.registry`).
-``run_shard`` produces a picklable per-workload payload; ``merge``
-assembles payloads into the exhibit dict, prints the table and writes the
-JSON.  ``run`` is merge-over-serial-shards, so serial and sharded
-parallel runs share one code path and are byte-identical by construction.
-"""
+"""Fig. 2 — read and write seek counts, NoLS vs LS, per workload."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.core.config import LS
+from repro.core.config import LS, NOLS
 from repro.experiments.common import save_json
 from repro.experiments.render import format_table
 from repro.experiments.sweep import sweep_engine
@@ -20,54 +13,42 @@ from repro.workloads import FIG2_CLOUDPHYSICS, FIG2_MSR
 EXHIBIT = "fig2"
 
 
-def shard_names(seed: int = 42, scale: float = 1.0) -> List[str]:
-    """One shard per Fig. 2 workload."""
-    return list(FIG2_MSR) + list(FIG2_CLOUDPHYSICS)
+def needs(seed: int = 42, scale: float = 1.0) -> dict:
+    """The NoLS and LS points of every Fig. 2 workload."""
+    return {name: [NOLS, LS] for name in FIG2_MSR + FIG2_CLOUDPHYSICS}
 
 
-def run_shard(name: str, seed: int = 42, scale: float = 1.0) -> dict:
-    """NoLS/LS seek counts for one workload (picklable payload).
+def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+    """Regenerate Fig. 2: per-workload read/write seek counts for the
+    untranslated (NoLS) and log-structured (LS) replays.
 
-    Routed through the sweep engine: the NoLS baseline and the plain-LS
-    stream replay both come from the shared (store-backed) state under
-    ``--fast``, and from the reference pipeline otherwise.
+    The paper's observations to check against: write seeks collapse under
+    LS everywhere; read seeks rise modestly for some workloads (src2_2,
+    wdev_0, w36), hugely for others (w91, w33, w20).
     """
     engine = sweep_engine(seed, scale)
-    family = "msr" if name in FIG2_MSR else "cloudphysics"
-    nols = engine.baseline(name)
-    ls = engine.workload_replay(name, LS).stats
-    return {
-        "family": family,
-        "nols": {"read_seeks": nols.read_seeks, "write_seeks": nols.write_seeks},
-        "ls": {"read_seeks": ls.read_seeks, "write_seeks": ls.write_seeks},
-    }
-
-
-def merge(
-    payloads: Dict[str, dict],
-    seed: int = 42,
-    scale: float = 1.0,
-    out_dir: Optional[str] = None,
-) -> dict:
-    """Assemble shard payloads, print the Fig. 2 table, write the JSON."""
     data = {}
     rows = []
     for family, names in (("msr", FIG2_MSR), ("cloudphysics", FIG2_CLOUDPHYSICS)):
         for name in names:
-            entry = payloads[name]
-            data[name] = entry
-            nols, ls = entry["nols"], entry["ls"]
-            total_ratio = (ls["read_seeks"] + ls["write_seeks"]) / max(
-                1, nols["read_seeks"] + nols["write_seeks"]
+            nols = engine.baseline(name)
+            ls = engine.workload_replay(name, LS).stats
+            data[name] = {
+                "family": family,
+                "nols": {"read_seeks": nols.read_seeks, "write_seeks": nols.write_seeks},
+                "ls": {"read_seeks": ls.read_seeks, "write_seeks": ls.write_seeks},
+            }
+            total_ratio = (ls.read_seeks + ls.write_seeks) / max(
+                1, nols.read_seeks + nols.write_seeks
             )
             rows.append(
                 [
                     name,
                     family,
-                    nols["read_seeks"],
-                    nols["write_seeks"],
-                    ls["read_seeks"],
-                    ls["write_seeks"],
+                    nols.read_seeks,
+                    nols.write_seeks,
+                    ls.read_seeks,
+                    ls.write_seeks,
                     f"{total_ratio:.2f}",
                 ]
             )
@@ -80,17 +61,3 @@ def merge(
     )
     save_json(EXHIBIT, data, out_dir)
     return data
-
-
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
-    """Regenerate Fig. 2: per-workload read/write seek counts for the
-    untranslated (NoLS) and log-structured (LS) replays.
-
-    The paper's observations to check against: write seeks collapse under
-    LS everywhere; read seeks rise modestly for some workloads (src2_2,
-    wdev_0, w36), hugely for others (w91, w33, w20).
-    """
-    payloads = {
-        name: run_shard(name, seed, scale) for name in shard_names(seed, scale)
-    }
-    return merge(payloads, seed, scale, out_dir)

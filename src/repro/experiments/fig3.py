@@ -1,25 +1,21 @@
 """Fig. 3 — long-seek (>500 KB) overhead over time, LS minus NoLS.
 
-Sharded: one shard per workload (see :mod:`repro.experiments.registry`).
-Under ``--fast`` each shard derives both windowed series without a
-recorder replay — the LS side from the recorded fragment stream
-(:func:`~repro.core.stream.stream_windowed_long_seeks`, store-backed) and
-the NoLS side from the vectorized baseline kernel
-(:func:`~repro.analysis.fast.nols_windowed_long_seeks`); both are exact,
-so the payload is byte-identical to the reference recorder path.
+Both windowed series come without a recorder replay: the LS side from the
+recorded fragment stream (:func:`~repro.core.stream.
+stream_windowed_long_seeks`, store-backed) and the NoLS side from the
+vectorized baseline kernel (:func:`~repro.analysis.fast.
+nols_windowed_long_seeks`).  The recorder replay they equal is the
+oracle in ``tests/differential/test_exhibits_vs_reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.analysis.temporal import (
-    WindowedSeekRecorder,
-    long_seek_difference,
-    long_seek_difference_series,
-)
-from repro.core.config import LS, NOLS
-from repro.experiments.common import downsample, replay_with, save_json
+from repro.analysis.fast import nols_windowed_long_seeks
+from repro.analysis.temporal import long_seek_difference_series
+from repro.core.stream import stream_windowed_long_seeks
+from repro.experiments.common import downsample, save_json
 from repro.experiments.render import sparkline
 from repro.experiments.sweep import sweep_engine
 from repro.workloads import FIG3_WORKLOADS
@@ -29,43 +25,31 @@ WINDOW_OPS = 500
 MIN_SEEK_KIB = 500.0
 
 
-def shard_names(seed: int = 42, scale: float = 1.0) -> List[str]:
-    """One shard per Fig. 3 workload."""
-    return list(FIG3_WORKLOADS)
+def long_seek_diff(engine, trace) -> list:
+    """The full-resolution LS − NoLS difference series of one workload."""
+    ls_series = stream_windowed_long_seeks(
+        engine.stream_for(trace), WINDOW_OPS, MIN_SEEK_KIB
+    )
+    nols_series = nols_windowed_long_seeks(trace, WINDOW_OPS, MIN_SEEK_KIB)
+    return long_seek_difference_series(ls_series, nols_series)
 
 
-def run_shard(name: str, seed: int = 42, scale: float = 1.0) -> dict:
-    """The full-resolution difference series for one workload."""
+def needs(seed: int = 42, scale: float = 1.0) -> dict:
+    """The difference series of every Fig. 3 workload."""
+    return {name: [long_seek_diff] for name in FIG3_WORKLOADS}
+
+
+def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+    """Regenerate Fig. 3 for usr_1, web_0, w91 and w55.
+
+    Shape to check: the difference series is strongly bursty — seek
+    overhead concentrates in read-phase windows (the paper's diurnal
+    pattern), rather than spreading evenly over the trace.
+    """
     engine = sweep_engine(seed, scale)
-    trace = engine.trace(name)
-    if engine.fast_enabled():
-        from repro.analysis.fast import nols_windowed_long_seeks
-        from repro.core.stream import stream_windowed_long_seeks
-
-        ls_series = stream_windowed_long_seeks(
-            engine.stream_for(trace), WINDOW_OPS, MIN_SEEK_KIB
-        )
-        nols_series = nols_windowed_long_seeks(trace, WINDOW_OPS, MIN_SEEK_KIB)
-        diff = long_seek_difference_series(ls_series, nols_series)
-    else:
-        ls_rec = WindowedSeekRecorder(window_ops=WINDOW_OPS, min_seek_kib=MIN_SEEK_KIB)
-        nols_rec = WindowedSeekRecorder(window_ops=WINDOW_OPS, min_seek_kib=MIN_SEEK_KIB)
-        replay_with(trace, LS, [ls_rec])
-        replay_with(trace, NOLS, [nols_rec])
-        diff = long_seek_difference(ls_rec, nols_rec)
-    return {"diff": diff}
-
-
-def merge(
-    payloads: Dict[str, dict],
-    seed: int = 42,
-    scale: float = 1.0,
-    out_dir: Optional[str] = None,
-) -> dict:
-    """Assemble shard payloads, print the sparklines, write the JSON."""
     data = {}
     for name in FIG3_WORKLOADS:
-        diff = payloads[name]["diff"]
+        diff = engine.analysis(name, long_seek_diff)
         positive = [d for d in diff if d > 0]
         burstiness = (max(diff) / (sum(diff) / len(diff))) if diff and sum(diff) else 0.0
         data[name] = {
@@ -83,16 +67,3 @@ def merge(
         print("  " + sparkline(diff))
     save_json(EXHIBIT, data, out_dir)
     return data
-
-
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
-    """Regenerate Fig. 3 for usr_1, web_0, w91 and w55.
-
-    Shape to check: the difference series is strongly bursty — seek
-    overhead concentrates in read-phase windows (the paper's diurnal
-    pattern), rather than spreading evenly over the trace.
-    """
-    payloads = {
-        name: run_shard(name, seed, scale) for name in shard_names(seed, scale)
-    }
-    return merge(payloads, seed, scale, out_dir)

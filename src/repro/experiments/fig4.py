@@ -1,24 +1,28 @@
 """Fig. 4 — CDFs of access (seek) distances, NoLS vs LS, ±2 GB window.
 
-Sharded: one shard per workload (see :mod:`repro.experiments.registry`).
-Under ``--fast`` each shard derives both distance logs without a recorder
-replay — the LS side from the recorded fragment stream (its kept-access
-seek log equals :class:`~repro.core.recorders.SeekLogRecorder`'s,
-differentially tested) and the NoLS side from
+Both distance logs come without a recorder replay: the LS side from the
+recorded fragment stream (its kept-access seek log equals
+:class:`~repro.core.recorders.SeekLogRecorder`'s) and the NoLS side from
 :func:`~repro.analysis.fast.nols_seek_distances`; the vectorized CDF /
-fraction kernels agree exactly with the reference helpers.  Payloads
-carry the *full-resolution* CDFs (the terminal step plot needs them);
-``merge`` downsamples for the JSON.
+fraction kernels agree exactly with the reference helpers, and the
+recorder replay is the oracle in
+``tests/differential/test_exhibits_vs_reference.py``.  Rows carry the
+*full-resolution* CDFs (the terminal step plot needs them); ``run``
+downsamples for the JSON.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.analysis.distances import distance_cdf, fraction_within
-from repro.core.config import LS, NOLS
-from repro.core.recorders import SeekLogRecorder
-from repro.experiments.common import downsample, replay_with, save_json
+from repro.analysis.fast import (
+    distance_cdf_fast,
+    fraction_within_fast,
+    nols_seek_distances,
+)
+from repro.core.config import LS
+from repro.core.stream import stream_replay
+from repro.experiments.common import downsample, save_json
 from repro.experiments.render import step_cdf
 from repro.experiments.sweep import sweep_engine
 from repro.util.units import sectors_to_gib
@@ -31,56 +35,38 @@ EXHIBIT = "fig4"
 WINDOW_GIB = 0.25
 
 
-def shard_names(seed: int = 42, scale: float = 1.0) -> List[str]:
-    """One shard per Fig. 4 workload."""
-    return list(FIG4_WORKLOADS)
-
-
-def run_shard(name: str, seed: int = 42, scale: float = 1.0) -> dict:
-    """Both seek-distance CDFs for one workload (full resolution)."""
-    engine = sweep_engine(seed, scale)
-    trace = engine.trace(name)
-    if engine.fast_enabled():
-        from repro.analysis.fast import (
-            distance_cdf_fast,
-            fraction_within_fast,
-            nols_seek_distances,
-        )
-        from repro.core.stream import stream_replay
-
-        nols_distances = nols_seek_distances(trace)
-        ls_distances = stream_replay(engine.stream_for(trace), LS).distances
-        nols_cdf = distance_cdf_fast(nols_distances, WINDOW_GIB)
-        ls_cdf = distance_cdf_fast(ls_distances, WINDOW_GIB)
-        nols_fraction = fraction_within_fast(nols_distances, WINDOW_GIB)
-        ls_fraction = fraction_within_fast(ls_distances, WINDOW_GIB)
-    else:
-        nols_rec = SeekLogRecorder()
-        ls_rec = SeekLogRecorder()
-        replay_with(trace, NOLS, [nols_rec])
-        replay_with(trace, LS, [ls_rec])
-        nols_cdf = distance_cdf(nols_rec.distances, WINDOW_GIB)
-        ls_cdf = distance_cdf(ls_rec.distances, WINDOW_GIB)
-        nols_fraction = fraction_within(nols_rec.distances, WINDOW_GIB)
-        ls_fraction = fraction_within(ls_rec.distances, WINDOW_GIB)
+def distance_cdfs(engine, trace) -> dict:
+    """Both seek-distance CDFs of one workload (full resolution)."""
+    nols_distances = nols_seek_distances(trace)
+    ls_distances = stream_replay(engine.stream_for(trace), LS).distances
     return {
-        "nols_fraction": nols_fraction,
-        "ls_fraction": ls_fraction,
-        "nols_cdf": [(int(x), float(f)) for x, f in nols_cdf],
-        "ls_cdf": [(int(x), float(f)) for x, f in ls_cdf],
+        "nols_fraction": fraction_within_fast(nols_distances, WINDOW_GIB),
+        "ls_fraction": fraction_within_fast(ls_distances, WINDOW_GIB),
+        "nols_cdf": [
+            (int(x), float(f)) for x, f in distance_cdf_fast(nols_distances, WINDOW_GIB)
+        ],
+        "ls_cdf": [
+            (int(x), float(f)) for x, f in distance_cdf_fast(ls_distances, WINDOW_GIB)
+        ],
     }
 
 
-def merge(
-    payloads: Dict[str, dict],
-    seed: int = 42,
-    scale: float = 1.0,
-    out_dir: Optional[str] = None,
-) -> dict:
-    """Assemble shard payloads, print the step plots, write the JSON."""
+def needs(seed: int = 42, scale: float = 1.0) -> dict:
+    """Both CDFs of every Fig. 4 workload."""
+    return {name: [distance_cdfs] for name in FIG4_WORKLOADS}
+
+
+def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+    """Regenerate Fig. 4 for src2_2, usr_0, w84 and w64.
+
+    Shape to check: the LS distance distribution is much wider than the
+    NoLS one — a smaller fraction of LS seeks fall inside the window that
+    contains virtually all the original trace's seeks.
+    """
+    engine = sweep_engine(seed, scale)
     data = {}
     for name in FIG4_WORKLOADS:
-        payload = payloads[name]
+        payload = engine.analysis(name, distance_cdfs)
         nols_cdf = payload["nols_cdf"]
         ls_cdf = payload["ls_cdf"]
         data[name] = {
@@ -101,16 +87,3 @@ def merge(
         print(step_cdf(gib_cdf, title=f"  LS access-distance CDF (GiB), {name}"))
     save_json(EXHIBIT, data, out_dir)
     return data
-
-
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
-    """Regenerate Fig. 4 for src2_2, usr_0, w84 and w64.
-
-    Shape to check: the LS distance distribution is much wider than the
-    NoLS one — a smaller fraction of LS seeks fall inside the window that
-    contains virtually all the original trace's seeks.
-    """
-    payloads = {
-        name: run_shard(name, seed, scale) for name in shard_names(seed, scale)
-    }
-    return merge(payloads, seed, scale, out_dir)

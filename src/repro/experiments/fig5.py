@@ -1,25 +1,23 @@
 """Fig. 5 — CDFs of dynamic fragmentation across fragmented reads.
 
-Sharded: one shard per workload (see :mod:`repro.experiments.registry`).
-Under ``--fast`` each shard reads the fragmented-read fragment counts
-straight off the recorded stream (``group_size`` is exactly the
+The fragmented-read fragment counts come straight off the recorded
+stream (``group_size`` is exactly the
 :class:`~repro.core.recorders.FragmentationRecorder` multiset — every
 Fig. 5 statistic filters to fragments > 1 and sorts, so read order is
-immaterial) and runs the vectorized CDF/concentration kernels, which
-agree exactly with the reference helpers.
+immaterial) into the vectorized CDF/concentration kernels, which agree
+exactly with the reference helpers; the recorder replay is the oracle in
+``tests/differential/test_exhibits_vs_reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.analysis.fragmentation import (
-    fragment_cdf,
-    fraction_of_fragments_in_top_reads,
+from repro.analysis.fast import (
+    fraction_of_fragments_in_top_reads_fast,
+    fragment_cdf_fast,
 )
-from repro.core.config import LS
-from repro.core.recorders import FragmentationRecorder
-from repro.experiments.common import replay_with, save_json
+from repro.experiments.common import save_json
 from repro.experiments.render import step_cdf
 from repro.experiments.sweep import sweep_engine
 from repro.workloads import FIG5_WORKLOADS
@@ -27,50 +25,33 @@ from repro.workloads import FIG5_WORKLOADS
 EXHIBIT = "fig5"
 
 
-def shard_names(seed: int = 42, scale: float = 1.0) -> List[str]:
-    """One shard per Fig. 5 workload."""
-    return list(FIG5_WORKLOADS)
-
-
-def run_shard(name: str, seed: int = 42, scale: float = 1.0) -> dict:
-    """Fragmentation statistics + full CDF for one workload."""
-    engine = sweep_engine(seed, scale)
-    trace = engine.trace(name)
-    if engine.fast_enabled():
-        from repro.analysis.fast import (
-            fragment_cdf_fast,
-            fraction_of_fragments_in_top_reads_fast,
-        )
-
-        stream = engine.stream_for(trace)
-        fragments = stream.group_size.tolist()
-        top20 = fraction_of_fragments_in_top_reads_fast(fragments, 0.2)
-        cdf = fragment_cdf_fast(fragments)
-    else:
-        recorder = FragmentationRecorder()
-        replay_with(trace, LS, [recorder])
-        fragments = recorder.fragmented_read_fragments
-        top20 = fraction_of_fragments_in_top_reads(recorder.read_fragments, 0.2)
-        cdf = fragment_cdf(recorder.read_fragments)
+def fragmentation(engine, trace) -> dict:
+    """Fragmentation statistics + full CDF of one workload."""
+    fragments = engine.stream_for(trace).group_size.tolist()
     return {
         "fragmented_reads": len(fragments),
         "total_fragments": sum(fragments),
         "max_fragments_per_read": max(fragments) if fragments else 0,
-        "top20": top20,
-        "cdf": [(float(x), float(f)) for x, f in cdf],
+        "top20": fraction_of_fragments_in_top_reads_fast(fragments, 0.2),
+        "cdf": [(float(x), float(f)) for x, f in fragment_cdf_fast(fragments)],
     }
 
 
-def merge(
-    payloads: Dict[str, dict],
-    seed: int = 42,
-    scale: float = 1.0,
-    out_dir: Optional[str] = None,
-) -> dict:
-    """Assemble shard payloads, print the step plots, write the JSON."""
+def needs(seed: int = 42, scale: float = 1.0) -> dict:
+    """The fragmentation row of every Fig. 5 workload."""
+    return {name: [fragmentation] for name in FIG5_WORKLOADS}
+
+
+def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+    """Regenerate Fig. 5 for usr_0, hm_1, w20 and w36.
+
+    Shape to check: fragments concentrate — the most-fragmented ~20 % of
+    fragmented reads hold >=50 % of all fragments (more extreme for w36).
+    """
+    engine = sweep_engine(seed, scale)
     data = {}
     for name in FIG5_WORKLOADS:
-        payload = payloads[name]
+        payload = engine.analysis(name, fragmentation)
         cdf = payload["cdf"]
         data[name] = {
             "fragmented_reads": payload["fragmented_reads"],
@@ -87,15 +68,3 @@ def merge(
         print(step_cdf(cdf, title=f"  CDF of fragments per fragmented read, {name}"))
     save_json(EXHIBIT, data, out_dir)
     return data
-
-
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
-    """Regenerate Fig. 5 for usr_0, hm_1, w20 and w36.
-
-    Shape to check: fragments concentrate — the most-fragmented ~20 % of
-    fragmented reads hold >=50 % of all fragments (more extreme for w36).
-    """
-    payloads = {
-        name: run_shard(name, seed, scale) for name in shard_names(seed, scale)
-    }
-    return merge(payloads, seed, scale, out_dir)

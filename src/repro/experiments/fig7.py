@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import downsample, save_json, workload_trace
+from repro.experiments.common import save_json
 from repro.experiments.render import sparkline
+from repro.experiments.sweep import sweep_engine
 from repro.workloads import FIG7_WORKLOADS
 
 EXHIBIT = "fig7"
@@ -19,6 +20,27 @@ def _descending_step_fraction(lbas) -> float:
     return int((lbas[1:] < lbas[:-1]).sum()) / (len(lbas) - 1)
 
 
+def write_sample(engine, trace) -> dict:
+    """The Fig. 7 row of one workload: its first write LBAs and how often
+    consecutive writes step backwards."""
+    is_read, lba, _ = trace.as_arrays()
+    write_lbas = lba[~is_read]
+    window = write_lbas[:SAMPLE_OPS].tolist()
+    return {
+        "sample_ops": len(window),
+        "lbas": window,
+        "descending_step_fraction_sample": round(
+            _descending_step_fraction(write_lbas[:SAMPLE_OPS]), 4
+        ),
+        "descending_step_fraction_all": round(_descending_step_fraction(write_lbas), 4),
+    }
+
+
+def needs(seed: int = 42, scale: float = 1.0) -> dict:
+    """The write sample of every Fig. 7 workload."""
+    return {name: [write_sample] for name in FIG7_WORKLOADS}
+
+
 def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
     """Regenerate Fig. 7 for hm_1 and w106: a window of the write stream's
     LBAs, showing locally descending runs (the mis-ordered pattern).
@@ -26,27 +48,15 @@ def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> di
     Shape to check: a visible fraction of consecutive writes step
     *backwards* in LBA even though the data is logically sequential.
     """
+    engine = sweep_engine(seed, scale)
     data = {}
     for name in FIG7_WORKLOADS:
-        trace = workload_trace(name, seed, scale)
-        is_read, lba, _ = trace.as_arrays()
-        write_lbas = lba[~is_read]
-        window = write_lbas[:SAMPLE_OPS].tolist()
-        data[name] = {
-            "sample_ops": len(window),
-            "lbas": downsample(window, 400),
-            "descending_step_fraction_sample": round(
-                _descending_step_fraction(write_lbas[:SAMPLE_OPS]), 4
-            ),
-            "descending_step_fraction_all": round(
-                _descending_step_fraction(write_lbas), 4
-            ),
-        }
+        data[name] = engine.analysis(name, write_sample)
         print(
-            f"Fig. 7 [{name}] first {len(window)} write LBAs "
+            f"Fig. 7 [{name}] first {data[name]['sample_ops']} write LBAs "
             f"({data[name]['descending_step_fraction_all']:.1%} of all "
             f"consecutive writes step backwards):"
         )
-        print("  " + sparkline([float(x) for x in window]))
+        print("  " + sparkline([float(x) for x in data[name]["lbas"]]))
     save_json(EXHIBIT, data, out_dir)
     return data

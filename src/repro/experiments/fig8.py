@@ -1,17 +1,17 @@
 """Fig. 8 — mis-ordered writes within a 256 KB horizon, per workload.
 
-Sharded: one shard per workload (see :mod:`repro.experiments.registry`).
-Under ``--fast`` each shard uses the vectorized
-:func:`~repro.analysis.fast.misorder_rate_fast` kernel, which agrees
-exactly with the reference scan.
+The vectorized :func:`~repro.analysis.fast.misorder_rate_fast` kernel
+agrees exactly with the reference scan
+(:func:`~repro.analysis.misorder.misorder_rate`, its oracle in
+``tests/differential/test_exhibits_vs_reference.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.analysis.misorder import misorder_rate
-from repro.experiments.common import save_json, workload_trace
+from repro.analysis.fast import misorder_rate_fast
+from repro.experiments.common import save_json
 from repro.experiments.render import hbar_chart
 from repro.experiments.sweep import sweep_engine
 from repro.workloads import TABLE1
@@ -20,40 +20,14 @@ EXHIBIT = "fig8"
 HORIZON_KIB = 256.0
 
 
-def shard_names(seed: int = 42, scale: float = 1.0) -> List[str]:
-    """One shard per Table I workload."""
-    return list(TABLE1)
+def misorder(engine, trace) -> float:
+    """The mis-ordered write rate of one workload."""
+    return round(misorder_rate_fast(trace, HORIZON_KIB), 5)
 
 
-def run_shard(name: str, seed: int = 42, scale: float = 1.0) -> dict:
-    """Mis-ordered write rate for one workload."""
-    trace = workload_trace(name, seed, scale)
-    if sweep_engine(seed, scale).fast_enabled():
-        from repro.analysis.fast import misorder_rate_fast
-
-        rate = misorder_rate_fast(trace, HORIZON_KIB)
-    else:
-        rate = misorder_rate(trace, HORIZON_KIB)
-    return {"rate": round(rate, 5)}
-
-
-def merge(
-    payloads: Dict[str, dict],
-    seed: int = 42,
-    scale: float = 1.0,
-    out_dir: Optional[str] = None,
-) -> dict:
-    """Assemble shard payloads, print the chart, write the JSON."""
-    data = {name: payloads[name]["rate"] for name in TABLE1}
-    print(
-        hbar_chart(
-            sorted(data.items(), key=lambda kv: -kv[1]),
-            title=f"Fig. 8: mis-ordered write rate (horizon {HORIZON_KIB:g} KB)",
-            fmt="{:.4f}",
-        )
-    )
-    save_json(EXHIBIT, data, out_dir)
-    return data
+def needs(seed: int = 42, scale: float = 1.0) -> dict:
+    """The rate of every Table I workload."""
+    return {name: [misorder] for name in TABLE1}
 
 
 def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
@@ -63,7 +37,14 @@ def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> di
     Shape to check: rates reach roughly 1-in-20 for src2_2 and 1-in-25
     for w106, and are near zero for workloads without mis-ordered runs.
     """
-    payloads = {
-        name: run_shard(name, seed, scale) for name in shard_names(seed, scale)
-    }
-    return merge(payloads, seed, scale, out_dir)
+    engine = sweep_engine(seed, scale)
+    data = {name: engine.analysis(name, misorder) for name in TABLE1}
+    print(
+        hbar_chart(
+            sorted(data.items(), key=lambda kv: -kv[1]),
+            title=f"Fig. 8: mis-ordered write rate (horizon {HORIZON_KIB:g} KB)",
+            fmt="{:.4f}",
+        )
+    )
+    save_json(EXHIBIT, data, out_dir)
+    return data

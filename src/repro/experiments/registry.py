@@ -1,17 +1,16 @@
 """Exhibit registry mapping names to runner modules.
 
-Exhibits that iterate independent workloads also declare a
-:class:`Sharding`: ``shards(seed, scale)`` lists the shard names,
-``run_shard(shard, seed, scale)`` produces one picklable payload, and
-``merge(payloads, seed, scale, out_dir)`` deterministically reassembles
-the exhibit (prints + JSON).  Each module's ``run`` is defined as merge
-over a serial shard loop, so serial and sharded-parallel runs share one
-code path and their output is byte-identical by construction.
+Every exhibit is a view over the per-trace result table of
+:class:`~repro.experiments.sweep.SweepEngine`.  Those that read Table I
+workloads declare what they read in :data:`NEEDS`: ``needs(seed, scale)``
+maps each workload to the technique configs (point rows) and analysis
+functions ``f(engine, trace)`` (analysis rows) the exhibit asks for.  The
+parallel runner fills those rows one trace per task before it runs the
+exhibits serially; a serial run computes them on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import (
@@ -54,25 +53,24 @@ EXHIBITS: Dict[str, Runner] = {
 """All regenerable exhibits: the paper's (in its order) plus ablations."""
 
 
-@dataclass(frozen=True)
-class Sharding:
-    """How the parallel runner splits one exhibit into workload shards."""
-
-    shards: Callable[[int, float], List[str]]
-    run_shard: Callable[..., dict]
-    merge: Callable[..., dict]
-
-
-SHARDED: Dict[str, Sharding] = {
-    "fig2": Sharding(fig2.shard_names, fig2.run_shard, fig2.merge),
-    "fig3": Sharding(fig3.shard_names, fig3.run_shard, fig3.merge),
-    "fig4": Sharding(fig4.shard_names, fig4.run_shard, fig4.merge),
-    "fig5": Sharding(fig5.shard_names, fig5.run_shard, fig5.merge),
-    "fig8": Sharding(fig8.shard_names, fig8.run_shard, fig8.merge),
-    "fig10": Sharding(fig10.shard_names, fig10.run_shard, fig10.merge),
-    "fig11": Sharding(fig11.shard_names, fig11.run_shard, fig11.merge),
+NEEDS: Dict[str, Callable[[int, float], dict]] = {
+    "table1": table1.needs,
+    "fig2": fig2.needs,
+    "fig3": fig3.needs,
+    "fig4": fig4.needs,
+    "fig5": fig5.needs,
+    "fig7": fig7.needs,
+    "fig8": fig8.needs,
+    "fig10": fig10.needs,
+    "fig11": fig11.needs,
+    "ablation_cache": ablations.cache_needs,
+    "ablation_defrag": ablations.defrag_needs,
+    "ablation_prefetch": ablations.prefetch_needs,
+    "ablation_multifrontier": ablations.multifrontier_needs,
+    "ablation_combined": ablations.combined_needs,
+    "taxonomy": ablations.taxonomy_needs,
 }
-"""Exhibits the parallel runner may split into per-workload shards."""
+"""What each Table-I-reading exhibit asks of the result table, per workload."""
 
 
 def resolve_names(requested: Sequence[str]) -> List[str]:

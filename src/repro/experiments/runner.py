@@ -9,37 +9,23 @@ module wraps :func:`~repro.experiments.registry.run_exhibit` with:
   full traceback) and, with ``keep_going``, the run continues.
 * **Per-exhibit timeout** — a SIGALRM-based watchdog (POSIX main thread
   only; silently disabled elsewhere) turns a hung exhibit into a
-  ``timeout`` failure instead of a hung run.  In parallel mode every
-  worker task runs in its own process's main thread, so the watchdog arms
-  there too.
+  ``timeout`` failure instead of a hung run; it arms in pool tasks too.
 * **A run manifest** — ``<out_dir>/run.json``, rewritten atomically after
   every exhibit, records per-exhibit status, duration, error traceback and
   a ``(name, seed, scale, version)`` fingerprint.
 * **Resume** — a rerun with ``resume=True`` skips exhibits whose manifest
   entry is ``ok``, whose fingerprint matches the current parameters, and
   whose JSON dump is present and valid; everything else is re-run.
-* **Parallelism** — ``jobs=N`` fans the exhibits out across a process
-  pool.  Exhibits are pure functions of ``(name, seed, scale)``, and each
-  worker defensively reseeds the global :mod:`random` state per exhibit
-  via :class:`~repro.util.rngtools.SeedSequenceFactory`, so a parallel
-  run writes byte-identical exhibit JSON to a serial run; only the
-  manifest's wall-clock durations differ.  The manifest stays
-  single-writer (the parent), so checkpointing and resume work unchanged.
-* **Grid sharding** — exhibits that declare a
-  :class:`~repro.experiments.registry.Sharding` are split into
-  per-workload shards under ``jobs > 1``: the pool schedules all units
-  longest-first (shards weighted by their workload's operation count,
-  unsplittable exhibits ahead of them), workers return picklable shard
-  payloads, and the parent deterministically reassembles each exhibit
-  with the module's ``merge`` — the same code path a serial run uses — so
-  exhibit JSON and stdout stay byte-identical while fig11-class sweeps no
-  longer pin one worker.  The manifest still tracks whole exhibits: a
-  shard failure/timeout fails its exhibit (error prefixed ``shard <id>:``),
-  and resume semantics are unchanged (exhibit-level fingerprints).  Every
-  unit is submitted at once: two workers that race to synthesize one
-  trace or record one stream are deduplicated by the persistent stores'
-  atomic publish (first rename wins, the loser adopts the entry), not by
-  the scheduler.
+* **Parallelism** — ``jobs=N`` first fills the per-trace result table
+  (:class:`~repro.experiments.sweep.SweepEngine`) over a ``spawn`` process
+  pool, one task per Table-I trace the pending exhibits read
+  (:data:`~repro.experiments.registry.NEEDS`), longest first by op count.
+  A task synthesises or loads its trace once, records its stream once and
+  returns its rows; the parent absorbs them and then runs exactly the
+  serial path, so failure, timeout, ``keep_going``, resume and manifest
+  semantics are serial by construction and exhibit JSON is byte-identical.
+  A row a task did not return (it raised or timed out) is recomputed by
+  the exhibit that asks for it.
 
 Because exhibit JSON dumps and the manifest are both written via
 tmp-file+rename (:mod:`repro.util.io`), a run killed at any instant leaves
@@ -49,23 +35,21 @@ only complete, parseable JSON on disk.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import multiprocessing
-import random
 import signal
 import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.experiments.registry import SHARDED, run_exhibit
+from repro.experiments import common, registry
+from repro.experiments.sweep import SweepEngine, sweep_engine
 from repro.util.io import atomic_write_json
-from repro.util.rngtools import SeedSequenceFactory
 
 MANIFEST_NAME = "run.json"
 
@@ -227,19 +211,13 @@ class RunManifest:
         fingerprint: str,
         duration_s: float,
         error: Optional[str] = None,
-        fallbacks: Optional[Dict[str, int]] = None,
     ) -> None:
-        entry = {
+        self.exhibits[name] = {
             "status": status,
             "fingerprint": fingerprint,
             "duration_s": round(duration_s, 3),
             "error": error,
         }
-        if fallbacks:
-            # Per-reason counts of replays a --fast run served through the
-            # reference simulator (see repro.experiments.common).
-            entry["fallbacks"] = dict(fallbacks)
-        self.exhibits[name] = entry
         self.save()
 
     def completed_ok(self, name: str, fingerprint: str) -> bool:
@@ -291,82 +269,20 @@ def _json_dump_valid(path: Path) -> bool:
         return False
 
 
-def format_fallbacks(fallbacks: Dict[str, int]) -> str:
-    """Render per-reason reference-fallback counts for CLI output.
-
-    ``{"recorders": 3, "defrag": 1}`` becomes ``"3x recorders, 1x
-    defrag"`` (descending count, then reason, so the dominant downgrade
-    leads the line).
-    """
-    ordered = sorted(fallbacks.items(), key=lambda item: (-item[1], item[0]))
-    return ", ".join(f"{count}x {reason}" for reason, count in ordered)
-
-
-def _pool_worker(
-    task: Tuple[
-        str, Optional[str], int, float, Optional[str], Optional[str],
-        Optional[float], bool, Optional[str], Optional[str],
-    ],
-) -> Tuple[
-    str, Optional[str], str, float, Optional[str], List[str], str,
-    Optional[dict], Dict[str, int],
-]:
-    """Run one scheduling unit (whole exhibit or one shard) in a worker.
-
-    Returns ``(name, shard, status, duration_s, error, svg_paths,
-    captured_stdout, payload, fallbacks)``; ``payload`` is the shard's
-    picklable result (None for whole exhibits, whose JSON the worker
-    writes itself) and ``fallbacks`` the per-reason reference-fallback
-    counts the unit accrued under ``--fast`` (empty otherwise).  Never
-    raises: every failure mode is folded into the status so the parent
-    keeps its single-writer control of the manifest.
-    """
-    (
-        name, shard, seed, scale, out_dir, svg_dir, timeout_s, fast,
-        trace_store, stream_store,
-    ) = task
-    # Exhibits are pure functions of (name, seed, scale), but reseed the
-    # process-global random state per exhibit anyway so any stray global
-    # RNG use is deterministic per (seed, exhibit) rather than dependent
-    # on worker task scheduling.
-    random.seed(SeedSequenceFactory(seed).seed_for(f"exhibit:{name}"))
-    from repro.experiments import common
-
-    common.set_fast_replay(fast)
+def _fill_task(task: tuple) -> tuple:
+    """One pool task: every row the pending exhibits read from one trace
+    (:meth:`~repro.experiments.sweep.SweepEngine.fill`), under the
+    per-exhibit time budget."""
+    name, items, seed, scale, timeout_s, trace_store, stream_store = task
     common.set_trace_store(trace_store)
     common.set_stream_store(stream_store)
-    captured = io.StringIO()
-    svg_paths: List[str] = []
-    payload: Optional[dict] = None
-    start = time.time()
-    status, error = STATUS_OK, None
-    try:
-        with redirect_stdout(captured), exhibit_timeout(timeout_s):
-            if shard is not None:
-                payload = SHARDED[name].run_shard(shard, seed=seed, scale=scale)
-            else:
-                data = run_exhibit(name, seed=seed, scale=scale, out_dir=out_dir)
-                if svg_dir:
-                    from repro.experiments.charts import render_svg
-
-                    svg_paths = [str(p) for p in render_svg(name, data, svg_dir)]
-    except ExhibitTimeoutError as exc:
-        status, error = STATUS_TIMEOUT, str(exc)
-    except BaseException:
-        status, error = STATUS_FAILED, traceback.format_exc()
-    return (
-        name, shard, status, time.time() - start, error, svg_paths,
-        captured.getvalue(), payload, common.drain_fallback_counts(),
-    )
+    with exhibit_timeout(timeout_s):
+        return SweepEngine(seed, scale).fill(name, items)
 
 
 def _reap_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate and join a pool's worker processes (best effort).
-
-    Used on interrupt: waiting politely for an in-flight fig11-class
-    sweep defeats the point of Ctrl-C.  Exhibit/manifest writes are all
-    atomic-rename, so killing workers mid-write leaves no torn files.
-    """
+    """Terminate and join a pool's workers (best effort), on interrupt.
+    Store writes are all atomic-rename: a killed worker leaves no torn file."""
     processes = list((getattr(pool, "_processes", None) or {}).values())
     for process in processes:
         try:
@@ -380,214 +296,54 @@ def _reap_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _shard_weight(shard: str) -> int:
-    """Longest-first scheduling weight of one shard (workload op count)."""
-    try:
-        from repro.workloads import get_spec
+def _needs(names: Sequence[str], seed: int, scale: float) -> Dict[str, list]:
+    """The rows ``names`` read, per workload, each item once."""
+    wanted: Dict[str, list] = {}
+    for name in names:
+        needs = registry.NEEDS.get(name)
+        for workload, items in (needs(seed, scale) if needs else {}).items():
+            bucket = wanted.setdefault(workload, [])
+            for item in items:
+                if item not in bucket:
+                    bucket.append(item)
+    return wanted
 
-        return int(get_spec(shard).total_ops)
-    except Exception:
-        return 0
 
+def _fill_table(
+    names: Sequence[str], seed: int, scale: float, jobs: int, echo, *settings
+) -> None:
+    """Fill the ``(seed, scale)`` result table over a ``spawn`` pool: one
+    task per trace ``names`` read, longest first by op count.  Each task
+    adopts ``settings``: the run's time budget and stores."""
+    from repro.workloads import get_spec
 
-def _run_pending_parallel(
-    pending: Sequence[str],
-    manifest: Optional[RunManifest],
-    seed: int,
-    scale: float,
-    out_dir: Optional[str],
-    svg_dir: Optional[str],
-    keep_going: bool,
-    timeout_s: Optional[float],
-    jobs: int,
-    fast: bool,
-    trace_store: Optional[str],
-    stream_store: Optional[str],
-    echo: Callable[[str], None],
-    mp_start_method: Optional[str],
-) -> Dict[str, ExhibitOutcome]:
-    """Fan ``pending`` exhibits (and their shards) out over a process pool.
-
-    The parent is the sole manifest writer: every pending exhibit is
-    marked ``running`` up front (preserving the serial manifest's entry
-    order), then marked done as it finishes.  Sharded exhibits
-    (:data:`~repro.experiments.registry.SHARDED`) are expanded into
-    per-workload shard units; all units are submitted longest-first
-    (unsplittable exhibits ahead, then shards by descending workload op
-    count), and an exhibit finishes when its last shard arrives and the
-    parent's deterministic ``merge`` reassembles it.  Without
-    ``keep_going`` the first failing unit cancels the not-yet-started
-    units; exhibits left without a recorded outcome have their
-    placeholder entries removed so the manifest matches a serial run that
-    stopped at the failure.
-    """
-    context = multiprocessing.get_context(mp_start_method or "spawn")
-    fingerprints = {name: exhibit_fingerprint(name, seed, scale) for name in pending}
-    if manifest is not None:
-        for name in pending:
-            manifest.exhibits[name] = {
-                "status": STATUS_RUNNING,
-                "fingerprint": fingerprints[name],
-                "duration_s": 0.0,
-                "error": None,
-            }
-        manifest.save()
-
-    # Expand sharded exhibits into units and order everything longest-first.
-    shard_map: Dict[str, List[str]] = {}
-    units: List[Tuple[float, str, Optional[str]]] = []
-    for name in pending:
-        sharding = SHARDED.get(name)
-        shards = list(sharding.shards(seed, scale)) if sharding is not None else []
-        if len(shards) > 1:
-            shard_map[name] = shards
-            for shard in shards:
-                units.append((float(_shard_weight(shard)), name, shard))
-        else:
-            units.append((float("inf"), name, None))
-    units.sort(key=lambda unit: -unit[0])
-
-    shard_payloads: Dict[str, Dict[str, dict]] = {n: {} for n in shard_map}
-    shard_durations: Dict[str, float] = {n: 0.0 for n in shard_map}
-    shard_fallbacks: Dict[str, Dict[str, int]] = {n: {} for n in shard_map}
-    shard_failures: Dict[str, Tuple[str, Optional[str]]] = {}
-    results: Dict[str, ExhibitOutcome] = {}
-    abort = False
-
-    def record(name, status, duration, error, svg_paths, output, fallbacks=None):
-        nonlocal abort
-        if manifest is not None:
-            manifest.mark_done(
-                name, status, fingerprints[name], duration, error,
-                fallbacks=fallbacks,
-            )
-        results[name] = ExhibitOutcome(name, status, duration, error)
-        echo(f"=== {name} " + "=" * max(0, 66 - len(name)))
-        if output.rstrip():
-            echo(output.rstrip())
-        for path in svg_paths:
-            echo(f"(svg) {path}")
-        if fallbacks:
-            echo(f"(fallback) {format_fallbacks(fallbacks)}")
-        if status == STATUS_OK:
-            echo(f"--- {name} done in {duration:.1f}s\n")
-        else:
-            echo(f"--- {name} {status.upper()} after {duration:.1f}s")
-            if error:
-                echo(error.rstrip())
-            echo("")
-            if not keep_going:
-                abort = True
-
-    def merge_exhibit(name):
-        """Deterministically reassemble a fully-sharded exhibit (parent)."""
-        captured = io.StringIO()
-        svg_paths: List[str] = []
-        start = time.time()
-        status, error = STATUS_OK, None
-        try:
-            with redirect_stdout(captured):
-                data = SHARDED[name].merge(
-                    shard_payloads[name], seed=seed, scale=scale, out_dir=out_dir
-                )
-            if svg_dir:
-                from repro.experiments.charts import render_svg
-
-                svg_paths = [str(p) for p in render_svg(name, data, svg_dir)]
-        except Exception:
-            status, error = STATUS_FAILED, traceback.format_exc()
-        duration = shard_durations[name] + (time.time() - start)
-        record(name, status, duration, error, svg_paths, captured.getvalue(),
-               fallbacks=shard_fallbacks[name])
-
-    def absorb(result):
-        """Fold one worker result into exhibit-level bookkeeping."""
-        (
-            name, shard, status, duration, error, svg_paths, output, payload,
-            fallbacks,
-        ) = result
-        if shard is None:
-            record(name, status, duration, error, svg_paths, output,
-                   fallbacks=fallbacks)
-            return
-        shard_durations[name] += duration
-        for reason, count in fallbacks.items():
-            bucket = shard_fallbacks[name]
-            bucket[reason] = bucket.get(reason, 0) + count
-        if name in results:
-            return  # exhibit already failed on an earlier shard
-        if status != STATUS_OK:
-            if name not in shard_failures:
-                shard_failures[name] = (status, f"shard {shard}: {error}")
-                failure_status, failure_error = shard_failures[name]
-                record(name, failure_status, shard_durations[name],
-                       failure_error, [], output,
-                       fallbacks=shard_fallbacks[name])
-            return
-        shard_payloads[name][shard] = payload
-        if len(shard_payloads[name]) == len(shard_map[name]):
-            merge_exhibit(name)
-
-    interrupt: Optional[BaseException] = None
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        not_done = {
-            pool.submit(
-                _pool_worker,
-                (
-                    name, shard, seed, scale, out_dir, svg_dir, timeout_s,
-                    fast, trace_store, stream_store,
-                ),
-            )
-            for _weight, name, shard in units
+    wanted = _needs(names, seed, scale)
+    if not wanted:
+        return
+    order = sorted(wanted, key=lambda workload: -get_spec(workload).total_ops)
+    engine = sweep_engine(seed, scale)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=min(jobs, len(order)), mp_context=context) as pool:
+        tasks = {
+            pool.submit(_fill_task, (workload, wanted[workload], seed, scale, *settings)): workload
+            for workload in order
         }
+        not_done = set(tasks)
         try:
-            with run_signal_handlers():
-                while not_done and not abort:
-                    done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        absorb(future.result())
-        except (KeyboardInterrupt, RunInterrupted) as exc:
-            # Operator interrupt: cancel everything not yet started, reap
-            # the worker processes (their dumps are atomic, so a unit
-            # killed mid-write leaves no torn file), and fall through to
-            # finalize the manifest before re-raising.
-            interrupt = exc
+            while not_done:
+                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                for future in done:
+                    try:
+                        filled = future.result()
+                    except Exception as exc:  # the exhibits that ask recompute its rows
+                        echo(f"(fill) {tasks[future]}: {type(exc).__name__}: {exc}")
+                        continue
+                    engine.absorb(filled)
+        except (KeyboardInterrupt, RunInterrupted):
             for future in not_done:
                 future.cancel()
             _reap_pool(pool)
-        if interrupt is None and abort:
-            for future in not_done:
-                future.cancel()
-            # In-flight units finish (their dumps/payloads stay valid);
-            # record whatever completes into whole exhibits.
-            for future in not_done:
-                if not future.cancelled():
-                    absorb(future.result())
-            for name in shard_map:
-                if name not in results and len(shard_payloads[name]) == len(
-                    shard_map[name]
-                ):
-                    merge_exhibit(name)
-            if manifest is not None:
-                # Exhibits with no recorded outcome were never attempted
-                # end-to-end; a serial manifest has no entry for them.
-                dropped = [n for n in pending if n not in results]
-                for name in dropped:
-                    manifest.exhibits.pop(name, None)
-                if dropped:
-                    manifest.save()
-    if interrupt is not None:
-        # Finalize: no exhibit may be left marked ``running`` — resume
-        # treats such entries as incomplete, but the manifest must say
-        # what actually happened, not lie mid-sentence.
-        if manifest is not None:
-            dropped = [n for n in pending if n not in results]
-            for name in dropped:
-                manifest.exhibits.pop(name, None)
-            if dropped:
-                manifest.save()
-        raise interrupt
-    return results
+            raise
 
 
 def run_exhibits(
@@ -601,27 +357,20 @@ def run_exhibits(
     resume: bool = False,
     echo: Callable[[str], None] = print,
     jobs: int = 1,
-    fast: bool = False,
     trace_store: Optional[str] = None,
     stream_store: Optional[str] = None,
-    mp_start_method: Optional[str] = None,
 ) -> List[ExhibitOutcome]:
     """Run ``names`` with isolation, checkpointing, resume and parallelism.
 
     Returns one :class:`ExhibitOutcome` per *attempted* exhibit, in
     ``names`` order; without ``keep_going`` the run stops at the first
-    failure (serial: later exhibits are not attempted; parallel: exhibits
-    not yet started are cancelled, in-flight ones finish and are
-    recorded).  The manifest is maintained only when ``out_dir`` is given
-    (resume requires it).
+    failure (later exhibits are not attempted).  The manifest is
+    maintained only when ``out_dir`` is given (resume requires it).
 
     Args:
-        jobs: Worker process count; ``1`` replays the classic serial path.
-            With ``jobs > 1`` sharded exhibits split into per-workload
-            units scheduled longest-first.  Exhibit JSON output is
-            byte-identical either way.
-        fast: Replay exhibits through the vectorized batch kernel
-            (:mod:`repro.core.batch`; exact, so output is unchanged).
+        jobs: Worker processes that fill the result table first, one
+            Table-I trace per task; ``1`` computes every row on demand in
+            this process.  Exhibit JSON is byte-identical either way.
         trace_store: Directory of a persistent compiled-trace store
             (:mod:`repro.trace.store`); synthesized workload traces are
             compiled there on first use and loaded back on later runs.
@@ -631,9 +380,6 @@ def run_exhibits(
             are published there once machine-wide and memory-mapped by
             every other process.  Exact, so output is unchanged; ``None``
             disables.
-        mp_start_method: multiprocessing start method for ``jobs > 1``
-            (default ``"spawn"`` for hermetic workers; tests use
-            ``"fork"`` to exercise failure injection).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -659,39 +405,21 @@ def run_exhibits(
             and _json_dump_valid(Path(out_dir) / f"{name}.json")
         )
 
-    if jobs > 1:
-        skipped: Dict[str, ExhibitOutcome] = {}
-        pending: List[str] = []
-        for name in names:
-            if skip_on_resume(name, exhibit_fingerprint(name, seed, scale)):
-                echo(f"=== {name}: already complete, skipping (resume)")
-                skipped[name] = ExhibitOutcome(name, STATUS_SKIPPED)
-            else:
-                pending.append(name)
-        results = _run_pending_parallel(
-            pending, manifest, seed, scale, out_dir, svg_dir,
-            keep_going, timeout_s, jobs, fast, trace_store, stream_store,
-            echo, mp_start_method,
-        )
-        return [
-            outcome
-            for name in names
-            for outcome in (skipped.get(name) or results.get(name),)
-            if outcome is not None
-        ]
-
-    from repro.experiments import common
-
-    previous_fast = common.fast_replay_default()
     previous_store = common.trace_store()
     previous_stream_store = common.stream_store()
-    common.set_fast_replay(fast)
     common.set_trace_store(trace_store)
     common.set_stream_store(stream_store)
-    common.drain_fallback_counts()  # attribute counts per exhibit, not run
     outcomes: List[ExhibitOutcome] = []
     try:
         with run_signal_handlers():
+            if jobs > 1:
+                pending = [
+                    name for name in names
+                    if not skip_on_resume(name, exhibit_fingerprint(name, seed, scale))
+                ]
+                _fill_table(
+                    pending, seed, scale, jobs, echo, timeout_s, trace_store, stream_store
+                )
             for name in names:
                 fingerprint = exhibit_fingerprint(name, seed, scale)
                 if skip_on_resume(name, fingerprint):
@@ -705,7 +433,7 @@ def run_exhibits(
                 status, error = STATUS_OK, None
                 try:
                     with exhibit_timeout(timeout_s):
-                        data = run_exhibit(
+                        data = registry.run_exhibit(
                             name, seed=seed, scale=scale, out_dir=out_dir
                         )
                         if svg_dir:
@@ -734,16 +462,10 @@ def run_exhibits(
                 except Exception:
                     status, error = STATUS_FAILED, traceback.format_exc()
                 duration = time.time() - start
-                fallbacks = common.drain_fallback_counts()
 
                 if manifest is not None:
-                    manifest.mark_done(
-                        name, status, fingerprint, duration, error,
-                        fallbacks=fallbacks,
-                    )
+                    manifest.mark_done(name, status, fingerprint, duration, error)
                 outcomes.append(ExhibitOutcome(name, status, duration, error))
-                if fallbacks:
-                    echo(f"(fallback) {format_fallbacks(fallbacks)}")
                 if status == STATUS_OK:
                     echo(f"--- {name} done in {duration:.1f}s\n")
                 else:
@@ -754,7 +476,6 @@ def run_exhibits(
                     if not keep_going:
                         break
     finally:
-        common.set_fast_replay(previous_fast)
         common.set_trace_store(previous_store)
         common.set_stream_store(previous_stream_store)
     return outcomes

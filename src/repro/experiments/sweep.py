@@ -1,44 +1,43 @@
-"""Shared-replay sweep engine for (workload x technique x parameter) grids.
+"""The per-trace result table every exhibit is a view over.
 
-Every headline exhibit replays each workload several times: fig11 runs a
-NoLS baseline plus four technique configs per workload, and the ablations
-revisit those points beside a fresh full replay per parameter point.  The
+Every headline exhibit reads the same 21 workloads several times: fig11
+runs a NoLS baseline plus four technique configs per workload, and the
+ablations revisit those points beside fresh parameter points.  The
 replays are highly redundant — the NoLS baseline is shared by every grid
 point, and all defrag-free configurations resolve reads against the
 *identical* plain-LS layout (see :mod:`repro.core.stream`).
-:class:`SweepEngine` plans a grid so the expensive work happens once:
+:class:`SweepEngine` keeps one table so the expensive work happens once:
 
-* every **result** is kept in one table, ``(trace.content_key(),
-  technique, kernels on?) -> RunResult``, consulted before a replay and
-  filled after it: an engine simulates no point twice, whichever exhibit
-  or report label asks, and the **NoLS baseline** is its NoLS row;
+* a **point row** is ``(trace.content_key(), technique) -> RunResult``,
+  consulted before a replay and filled after it: an engine simulates no
+  point twice, whichever exhibit or report label asks, and the **NoLS
+  baseline** is its NoLS row;
+* an **analysis row** is what a module-level ``f(engine, trace)`` returns
+  for one workload (an exhibit's series, rate or sample): computed on
+  demand and not kept, unless a ``--jobs N`` pool task filled it ahead of
+  the exhibit (:meth:`fill` in the worker, :meth:`absorb` in the parent);
 * the **fragment-access stream** is recorded once per trace
   (:func:`~repro.core.stream.record_fragment_stream`) and every
-  cache/prefetch grid point is evaluated against the recording, one
-  LRU pass a point (a capacity grid of nine or more points is cheaper in
-  one :func:`~repro.core.stream.stream_cache_sweep` pass over the same
-  stream, called directly: no exhibit sweeps more than four);
-* **defrag** grid points (layout-mutating) run through the chunked batch
-  kernel (:mod:`repro.core.batch`), NoLS/unknown configs likewise.
+  cache/prefetch grid point is evaluated against the recording, one LRU
+  pass a point (a capacity grid of nine or more points is cheaper in one
+  :func:`~repro.core.stream.stream_cache_sweep` pass over the same stream,
+  called directly: no exhibit sweeps more than four);
+* **defrag** grid points (layout-mutating) and NoLS run through the
+  chunked batch kernel (:mod:`repro.core.batch`).
 
 All paths are exact, so exhibit JSON is byte-identical to the reference
-pipeline; replays that attach recorders or a retry policy fall back to
-the reference simulator automatically (the kernels cannot observe
-per-request events or inject faults) and bypass the table.  The engine
-defers to the process-wide ``--fast`` switch (:func:`~repro.experiments.
-common.set_fast_replay`): with fast replay off, every call routes through
-the reference path, answered only from rows that path computed.
+simulator's.  ``SweepEngine(fast=False)`` answers every point through the
+reference :class:`~repro.core.simulator.Simulator` instead — the oracle
+the differential tests compare the kernels against, never a run mode.
 
 Engines are memoized per ``(seed, scale)`` via :func:`sweep_engine`, so
-exhibits running in one process (serial ``all`` runs, one pool worker
-handling several exhibits) share results and recorded streams.  Traces
-themselves still come from :func:`~repro.experiments.common.
-workload_trace`, which consults the compiled-trace store — parallel
-workers therefore stop re-parsing once the store is primed.  When a
+exhibits running in one process share results and recorded streams.
+Traces themselves come from :func:`~repro.experiments.common.
+workload_trace`, which consults the compiled-trace store.  When a
 persistent :class:`~repro.core.stream_store.StreamStore` is active
 (:func:`~repro.experiments.common.set_stream_store` or the constructor
 argument), recorded streams are shared **across processes** too: the
-first worker to need a stream records and publishes it, everyone else
+first process to need a stream records and publishes it, everyone else
 memory-maps the published arrays zero-copy.  The in-memory LRU — keyed by
 :meth:`~repro.trace.trace.Trace.content_key`, so logically identical
 traces from different load paths share one entry — stays in front of the
@@ -50,26 +49,20 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.core.batch import batch_replay, batch_support
-from repro.core.config import NOLS, TechniqueConfig
+from repro.core.batch import batch_replay
+from repro.core.config import NOLS, TechniqueConfig, build_translator
 from repro.core.metrics import SeekAmplification, seek_amplification
 from repro.core.outcomes import SimStats
-from repro.core.recorders import Recorder
-from repro.core.simulator import RunResult
+from repro.core.simulator import RunResult, replay
 from repro.core.stream import (
     FragmentStream,
     record_fragment_stream,
     stream_replay,
     supports_stream,
 )
-from repro.experiments.common import (
-    fast_replay_default,
-    note_reference_fallback,
-    replay_with,
-    workload_trace,
-)
+from repro.experiments.common import workload_trace
 from repro.trace.trace import Trace
 
 #: Recorded fragment streams an engine keeps alive (LRU).  A stream is a
@@ -80,16 +73,12 @@ _MAX_STREAMS = 2
 
 
 class SweepEngine:
-    """Plans and executes a replay grid with per-workload shared state.
-
-    One engine is scoped to a ``(seed, scale)`` pair (the identity of a
-    synthesized workload trace, together with its name).  ``fast=None``
-    defers to the process-wide fast-replay default *per call*, so a single
-    engine behaves correctly even when the CLI flag flips between runs.
+    """The result table of one ``(seed, scale)`` workload set.
 
     Args:
         seed / scale: Workload synthesis parameters.
-        fast: Force the kernels on (True) / off (False), or defer (None).
+        fast: Compute points with the kernels (True) or the reference
+            :class:`~repro.core.simulator.Simulator` (False, the oracle).
         stream_store: Persistent stream store to share recordings across
             processes, or None to defer to the process-wide store
             (:func:`~repro.experiments.common.set_stream_store`).
@@ -99,33 +88,36 @@ class SweepEngine:
         self,
         seed: int = 42,
         scale: float = 1.0,
-        fast: Optional[bool] = None,
+        fast: bool = True,
         stream_store=None,
     ) -> None:
         self.seed = seed
         self.scale = scale
-        self._fast = fast
+        self.fast = fast
         self._stream_store_override = stream_store
         # trace.content_key() -> stream; the content key survives
         # re-loads of the same workload, so a trace reaching this engine
         # through a different path (fresh synthesis vs compiled-store
         # mmap) still hits the same entry.
         self._streams: "OrderedDict[str, FragmentStream]" = OrderedDict()
-        # _result_key(trace, config) -> the RunResult computed for it; the
+        # (content key, technique) -> the RunResult computed for it; the
         # table owns its rows (SimStats is mutable): answers are copies.
         # About 1 KB a row (an ``all`` run fills ~160), freed with the engine.
         self._results: Dict[tuple, RunResult] = {}
+        # (content key, f) -> f's row, absorbed from a pool task and
+        # handed out once; serial runs never fill it.
+        self._analyses: Dict[tuple, object] = {}
+        # Workload name -> content key, so a filled row is found without
+        # loading the trace it came from.
+        self._keys: Dict[str, str] = {}
         self.streams_recorded = 0
         self.results_computed = 0  # points simulated (each one a new row)
         self.results_shared = 0  # answers read from the table
+        self.analyses_computed = 0
 
     # ----------------------------------------------------------------- #
     # Shared state
     # ----------------------------------------------------------------- #
-
-    def fast_enabled(self) -> bool:
-        """Whether this call should use the kernels (mirrors replay_with)."""
-        return fast_replay_default() if self._fast is None else self._fast
 
     def trace(self, name: str) -> Trace:
         """The workload trace (memoized + compiled-store-backed)."""
@@ -163,59 +155,50 @@ class SweepEngine:
             self._streams.popitem(last=False)
         return stream
 
-    def _result_key(self, trace: Trace, config: TechniqueConfig) -> tuple:
-        """Result-table key of a point.  The report label changes no
-        simulated number; which path answers is in the key so that a
-        reference run is served reference results only."""
-        return trace.content_key(), replace(config, name=""), self.fast_enabled()
+    def _workload_key(self, name: str) -> str:
+        key = self._keys.get(name)
+        if key is None:
+            key = self._keys[name] = self.trace(name).content_key()
+        return key
 
     def baseline(self, name: str) -> SimStats:
         """The workload's NoLS baseline stats (the result table's NoLS row)."""
         return self.workload_replay(name, NOLS).stats
 
     # ----------------------------------------------------------------- #
-    # Replay dispatch
+    # Point rows
     # ----------------------------------------------------------------- #
 
-    def replay(
-        self,
-        trace: Trace,
-        config: TechniqueConfig,
-        recorders: Sequence[Recorder] = (),
+    def _point(
+        self, key: str, config: TechniqueConfig, trace_of: Callable[[], Trace]
     ) -> RunResult:
-        """Replay via the cheapest exact path for ``config``, once.
-
-        Dispatch: recorders or a config no kernel covers force the
-        reference simulator (through :func:`replay_with`'s own
-        fallback) and bypass the result table.  Otherwise a point already
-        in the table, under any name, is answered from it; defrag-free
-        configs evaluate against the recorded stream, and everything else
-        (NoLS, defrag combinations) uses the batch kernel.  The
-        reference path (fast off) never touches the stream store, so
-        reference runs stay purely reference.
-        """
-        if recorders:
-            return replay_with(trace, config, recorders)
-        fast = self.fast_enabled()
-        support = batch_support(config)
-        if not support:
-            if fast:
-                note_reference_fallback(support.reason)
-            return replay_with(trace, config, fast=False)
-        key = self._result_key(trace, config)
-        result = self._results.get(key)
+        """The row of ``(key, config)``, computed on a miss.  The report
+        label changes no simulated number, so it is not in the key."""
+        row = (key, replace(config, name=""))
+        result = self._results.get(row)
         if result is not None:
             self.results_shared += 1
-            return replace(result, stats=replace(result.stats))
-        if not fast:
-            result = replay_with(trace, config, fast=False)
-        elif supports_stream(config):
-            result = stream_replay(self.stream_for(trace), config).run_result
         else:
-            result = batch_replay(trace, config).run_result
-        self.results_computed += 1
-        self._results[key] = result
+            trace = trace_of()
+            if not self.fast:
+                result = replay(trace, build_translator(trace, config))
+            elif supports_stream(config):
+                result = stream_replay(self.stream_for(trace), config).run_result
+            else:
+                result = batch_replay(trace, config).run_result
+            self.results_computed += 1
+            self._results[row] = result
         return replace(result, stats=replace(result.stats))
+
+    def replay(self, trace: Trace, config: TechniqueConfig) -> RunResult:
+        """Replay via the cheapest exact path for ``config``, once.
+
+        A point already in the table, under any name, is answered from
+        it; defrag-free configs evaluate against the recorded stream, and
+        everything else (NoLS, defrag combinations) uses the batch kernel.
+        A reference engine (``fast=False``) never touches the stream store.
+        """
+        return self._point(trace.content_key(), config, lambda: trace)
 
     def sweep(
         self, trace: Trace, configs: Sequence[TechniqueConfig]
@@ -225,22 +208,60 @@ class SweepEngine:
         computed once)."""
         return [self.replay(trace, config) for config in configs]
 
-    # ----------------------------------------------------------------- #
-    # Workload-level conveniences (what the exhibits call)
-    # ----------------------------------------------------------------- #
-
     def workload_replay(self, name: str, config: TechniqueConfig) -> RunResult:
-        return self.replay(self.trace(name), config)
+        """:meth:`replay` of a workload; a filled row needs no trace."""
+        return self._point(self._workload_key(name), config, lambda: self.trace(name))
 
     def workload_sweep(
         self, name: str, configs: Sequence[TechniqueConfig]
     ) -> List[RunResult]:
-        return self.sweep(self.trace(name), configs)
+        return [self.workload_replay(name, config) for config in configs]
 
     def saf(self, name: str, config: TechniqueConfig) -> SeekAmplification:
         """Seek amplification of ``config`` on ``name`` vs the NoLS baseline."""
         stats = self.workload_replay(name, config).stats
         return seek_amplification(stats, self.baseline(name))
+
+    # ----------------------------------------------------------------- #
+    # Analysis rows and pool tasks
+    # ----------------------------------------------------------------- #
+
+    def analysis(self, name: str, fn: Callable[["SweepEngine", Trace], object]):
+        """``fn(self, trace)`` for workload ``name``: the row a pool task
+        filled (handed out once), else computed now and not kept."""
+        row = self._analyses.pop((self._keys.get(name), fn), None)
+        if row is None:
+            self.analyses_computed += 1
+            row = fn(self, self.trace(name))
+        return row
+
+    def fill(self, name: str, items: Sequence) -> tuple:
+        """Compute workload ``name``'s rows for ``items`` (technique
+        configs and analysis functions): one pool task, whose return value
+        :meth:`absorb` takes in the parent."""
+        trace = self.trace(name)
+        analyses = {}
+        for item in items:
+            if isinstance(item, TechniqueConfig):
+                self.replay(trace, item)
+            else:
+                analyses[item] = item(self, trace)
+                self.analyses_computed += 1
+        counts = (self.results_computed, self.analyses_computed, self.streams_recorded)
+        return name, trace.content_key(), self._results, analyses, counts
+
+    def absorb(self, filled: tuple) -> None:
+        """Take one :meth:`fill` result into this table; its work counts
+        here too, so the counters total every process's."""
+        name, key, points, analyses, counts = filled
+        self._keys[name] = key
+        for row, result in points.items():
+            self._results.setdefault(row, result)
+        for fn, row in analyses.items():
+            self._analyses[key, fn] = row
+        self.results_computed += counts[0]
+        self.analyses_computed += counts[1]
+        self.streams_recorded += counts[2]
 
 
 # --------------------------------------------------------------------- #
@@ -254,11 +275,9 @@ _engines: "OrderedDict[Tuple[int, float], SweepEngine]" = OrderedDict()
 def sweep_engine(seed: int = 42, scale: float = 1.0) -> SweepEngine:
     """The shared engine for ``(seed, scale)`` (bounded LRU registry).
 
-    Exhibits fetch their engine here so a serial ``all`` run — or one pool
-    worker handling several exhibits — shares results (the NoLS baselines
-    among them) and recorded streams across exhibits.  Engines defer to
-    the process-wide fast default and key results by it, so the registry
-    is safe to share between fast and reference runs.
+    Exhibits fetch their engine here so a run shares results (the NoLS
+    baselines among them), recorded streams and pool-filled rows across
+    exhibits.
     """
     key = (seed, scale)
     engine = _engines.get(key)

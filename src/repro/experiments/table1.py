@@ -4,12 +4,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import save_json, workload_trace
+from repro.experiments.common import save_json
 from repro.experiments.render import format_table
+from repro.experiments.sweep import sweep_engine
 from repro.trace.stats import compute_stats
 from repro.workloads import TABLE1
 
 EXHIBIT = "table1"
+
+
+def trace_stats(engine, trace):
+    """The Table I row of one workload: :func:`compute_stats`."""
+    return compute_stats(trace)
+
+
+def needs(seed: int = 42, scale: float = 1.0) -> dict:
+    """The stats of every Table I workload."""
+    return {name: [trace_stats] for name in TABLE1}
 
 
 def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
@@ -19,11 +30,11 @@ def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> di
     comparison columns are therefore *read fraction* and *mean write size*
     (scale-invariant), alongside the raw synthetic counts.
     """
+    engine = sweep_engine(seed, scale)
     rows = []
     data = {}
     for name, entry in TABLE1.items():
-        trace = workload_trace(name, seed, scale)
-        stats = compute_stats(trace)
+        stats = engine.analysis(name, trace_stats)
         paper = entry.paper
         data[name] = {
             "paper": {

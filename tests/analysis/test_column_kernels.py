@@ -126,7 +126,6 @@ def test_no_request_object_between_the_seed_and_the_kernels(
 def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions):
     common.clear_trace_cache()
     reset_sweep_engines()
-    common.set_fast_replay(True)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             for run in (table1.run, ablations.run_taxonomy, fig7.run):
@@ -136,6 +135,5 @@ def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions):
         assert not any(trace.materialized for trace in cached)
         assert not request_constructions
     finally:
-        common.set_fast_replay(False)
         common.clear_trace_cache()
         reset_sweep_engines()

@@ -30,7 +30,6 @@ from repro.core.batch import (
     IncrementalBatchReplay,
     batch_replay,
     batch_replay_translator,
-    supports_batch,
 )
 from repro.core.config import MultiFrontierConfig, TechniqueConfig
 from repro.core.multifrontier import MultiFrontierTranslator, RecencyClassifier
@@ -99,7 +98,6 @@ def test_config_level_spelling_matches(traces):
         name="LS+wolf",
         multi_frontier=MultiFrontierConfig(window=256, block_sectors=8),
     )
-    assert supports_batch(config)
     assert_batch_matches_reference(trace, config)
 
 

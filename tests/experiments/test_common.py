@@ -1,7 +1,6 @@
 """experiments.common plumbing tests."""
 
-from repro.core.config import NOLS
-from repro.experiments.common import replay_with, workload_trace
+from repro.experiments.common import workload_trace
 
 
 class TestWorkloadTraceMemo:
@@ -17,18 +16,3 @@ class TestWorkloadTraceMemo:
         assert a is not b and a is not c
         assert len(c) > len(a)
 
-
-class TestReplayWith:
-    def test_fresh_translator_per_call(self):
-        trace = workload_trace("ts_0", 42, 0.05)
-        first = replay_with(trace, NOLS).stats
-        second = replay_with(trace, NOLS).stats
-        assert first.total_seeks == second.total_seeks
-
-    def test_recorders_attached(self):
-        from repro.core.recorders import OutcomeLogRecorder
-
-        trace = workload_trace("ts_0", 42, 0.05)
-        recorder = OutcomeLogRecorder()
-        replay_with(trace, NOLS, [recorder])
-        assert len(recorder.outcomes) == len(trace)

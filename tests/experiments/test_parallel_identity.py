@@ -1,14 +1,12 @@
 """Exhibit JSON is byte-identical across every execution configuration.
 
-The PR-5 contract: the grid-sharded parallel runner, the vectorized fast
-path, and the persistent trace/stream stores are *unobservable* in the
-results.  These tests run real (workload-reduced) exhibits through the
-full matrix — {reference, fast} x {jobs=1, jobs=4} x {cold, warm stream
-store} — and assert every cell writes the same bytes, and that a warm
-store means each workload's fragment stream is never re-recorded.
-
-The pool uses the ``fork`` start method so the workload-set monkeypatches
-survive into the workers.
+The ``--jobs`` pool and the persistent trace/stream stores are
+*unobservable* in the results.  These tests run real (workload-reduced)
+exhibits through {jobs=1, jobs=4} x {cold, warm stream store} and assert
+every cell writes the same bytes, and that a warm store means each
+workload's fragment stream is never re-recorded.  The workload-set
+monkeypatches live in the parent, which is where exhibits and their
+``needs`` run; pool tasks only compute the rows they are sent.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import pytest
 
 from repro.experiments import common, fig4, fig5, fig11
 from repro.experiments.runner import run_exhibits
-from repro.experiments.sweep import reset_sweep_engines
+from repro.experiments.sweep import reset_sweep_engines, sweep_engine
 
 QUIET = {"echo": lambda s: None}
 SEED, SCALE = 42, 0.05
@@ -32,13 +30,11 @@ def _clean_state(monkeypatch):
     monkeypatch.setattr(fig5, "FIG5_WORKLOADS", ("usr_0", "hm_1"))
     monkeypatch.setattr(fig11, "MSR_WORKLOADS", ("hm_1",))
     monkeypatch.setattr(fig11, "CLOUDPHYSICS_WORKLOADS", ("w91",))
-    common.set_fast_replay(False)
     common.set_trace_store(None)
     common.set_stream_store(None)
     common.clear_trace_cache()
     reset_sweep_engines()
     yield
-    common.set_fast_replay(False)
     common.set_trace_store(None)
     common.set_stream_store(None)
     common.clear_trace_cache()
@@ -53,16 +49,15 @@ def _dumps(out_dir) -> dict:
     }
 
 
-def _run(names, out_dir, jobs, fast, stream_store=None):
+def _run(names, out_dir, jobs, stream_store=None):
+    reset_sweep_engines()
     outcomes = run_exhibits(
         names,
         seed=SEED,
         scale=SCALE,
         out_dir=str(out_dir),
         jobs=jobs,
-        fast=fast,
         stream_store=stream_store,
-        mp_start_method="fork" if jobs > 1 else None,
         **QUIET,
     )
     bad = [(o.name, o.status, o.error) for o in outcomes if not o.ok]
@@ -73,74 +68,61 @@ def _run(names, out_dir, jobs, fast, stream_store=None):
 def test_full_matrix_is_byte_identical(tmp_path):
     names = ["fig4", "fig11"]
     store = str(tmp_path / "stream-store")
-    reference = _run(names, tmp_path / "ref1", jobs=1, fast=False)
+    serial = _run(names, tmp_path / "f1", jobs=1)
     cells = {
-        "ref_jobs4": _run(names, tmp_path / "ref4", jobs=4, fast=False),
-        "fast_jobs1_cold": _run(names, tmp_path / "f1c", jobs=1, fast=True),
-        "fast_jobs4_cold": _run(names, tmp_path / "f4c", jobs=4, fast=True, stream_store=store),
-        "fast_jobs4_warm": _run(names, tmp_path / "f4w", jobs=4, fast=True, stream_store=store),
-        "fast_jobs1_warm": _run(names, tmp_path / "f1w", jobs=1, fast=True, stream_store=store),
+        "jobs4_cold": _run(names, tmp_path / "f4c", jobs=4, stream_store=store),
+        "jobs4_warm": _run(names, tmp_path / "f4w", jobs=4, stream_store=store),
+        "jobs1_warm": _run(names, tmp_path / "f1w", jobs=1, stream_store=store),
     }
-    assert set(reference) == {"fig4.json", "fig11.json"}
+    assert set(serial) == {"fig4.json", "fig11.json"}
     for cell, dumps in cells.items():
-        assert dumps == reference, f"{cell} diverged from the serial reference"
+        assert dumps == serial, f"{cell} diverged from the serial run"
 
 
 def test_map_tier_is_byte_identical_across_jobs(tmp_path, monkeypatch):
     """Forcing either extent-map tier via ``REPRO_EXTENT_MAP`` must leave
-    exhibit JSON untouched, serially and under the fork pool (workers
+    exhibit JSON untouched, serially and under the pool (spawned workers
     inherit the env, so every worker replays on the forced tier)."""
     from repro.extentmap.tiers import ENV_TIER, MAP_TIERS
 
     names = ["fig4", "fig11"]
-    reference = _run(names, tmp_path / "ref", jobs=1, fast=True)
+    reference = _run(names, tmp_path / "ref", jobs=1)
     assert set(reference) == {"fig4.json", "fig11.json"}
     for tier in MAP_TIERS:
         monkeypatch.setenv(ENV_TIER, tier)
         for jobs in (1, 4):
             common.clear_trace_cache()
-            reset_sweep_engines()
-            dumps = _run(names, tmp_path / f"{tier}{jobs}", jobs=jobs, fast=True)
+            dumps = _run(names, tmp_path / f"{tier}{jobs}", jobs=jobs)
             assert dumps == reference, f"tier={tier} jobs={jobs} diverged"
 
 
 def test_warm_store_records_each_stream_at_most_once(tmp_path, monkeypatch):
     """With a primed store, no process ever re-records a fragment stream —
-    including pool workers (fork propagates the poisoned recorder) and
-    workloads shared across exhibits (fig4 and fig5 both replay usr_0)."""
+    pool workers included (their counts reach the parent's engine) — and
+    workloads shared across exhibits (fig4 and fig5 both read usr_0) are
+    one task each."""
     from repro.core.stream_store import StreamStore
 
     names = ["fig4", "fig5"]
     root = tmp_path / "stream-store"
-    _run(names, tmp_path / "cold", jobs=4, fast=True, stream_store=str(root))
-
-    # One published stream entry per distinct workload, however many of the
-    # four workers raced to record it (first rename wins), and no torn one.
+    _run(names, tmp_path / "cold", jobs=4, stream_store=str(root))
     workloads = set(fig4.FIG4_WORKLOADS) | set(fig5.FIG5_WORKLOADS)
+    assert sweep_engine(SEED, SCALE).streams_recorded == len(workloads)
     assert len(list(root.iterdir())) == len(StreamStore(root)) == len(workloads)
 
     def boom(*args, **kwargs):
         raise AssertionError("stream re-recorded despite a warm store")
 
     monkeypatch.setattr("repro.experiments.sweep.record_fragment_stream", boom)
-    warm = _run(names, tmp_path / "warm4", jobs=4, fast=True, stream_store=str(root))
+    warm = _run(names, tmp_path / "warm4", jobs=4, stream_store=str(root))
     assert warm == _dumps(tmp_path / "cold")
+    assert sweep_engine(SEED, SCALE).streams_recorded == 0
 
     # Serially (in-process) the store counters are observable: everything
     # is a hit, nothing is a miss.
     store = StreamStore(root)
     common.clear_trace_cache()
-    reset_sweep_engines()
-    run_exhibits(
-        names,
-        seed=SEED,
-        scale=SCALE,
-        out_dir=str(tmp_path / "warm1"),
-        jobs=1,
-        fast=True,
-        stream_store=store,
-        **QUIET,
-    )
+    _run(names, tmp_path / "warm1", jobs=1, stream_store=store)
     assert store.misses == 0
     assert store.hits >= len(workloads)
 
@@ -148,12 +130,12 @@ def test_warm_store_records_each_stream_at_most_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_none_means_no_store_whatever_the_process_had_set(tmp_path, jobs):
     """``trace_store=None`` / ``stream_store=None`` disable the stores for
-    the run — serially as under the pool, where each worker sets what the
+    the run — serially as under the pool, where each task sets what the
     run was given — and the caller's process-wide stores come back after."""
     traces, streams = tmp_path / "traces", tmp_path / "streams"
     common.set_trace_store(str(traces))
     common.set_stream_store(str(streams))
     before = common.trace_store(), common.stream_store()
-    _run(["fig4"], tmp_path / "out", jobs=jobs, fast=True)
+    _run(["fig4"], tmp_path / "out", jobs=jobs)
     assert not list(traces.glob("*")) and not list(streams.glob("*"))
     assert (common.trace_store(), common.stream_store()) == before

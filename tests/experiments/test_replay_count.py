@@ -1,11 +1,12 @@
-"""Tripwire: an ``all`` run simulates each (trace, technique) point once.
+"""Tripwire: an ``all`` run computes each row of the result table once.
 
 The exhibits revisit each other's points — ``ablation_combined`` asks for
 all four Fig. 11 configs again on all 21 workloads, ``fig2`` / ``taxonomy``
 and three ablations for plain LS — and the sweep engine's result table
-must answer every repeat.  Counting kernel evaluations is deterministic
-(no timing): they must equal the number of *distinct* points asked for,
-whatever the exhibit set happens to be.
+must answer every repeat.  Counting evaluations is deterministic (no
+timing): across every process of the run, they must equal the number of
+*distinct* points and analyses asked for, whatever the exhibit set
+happens to be.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ from repro.experiments import sweep as sweep_module
 from repro.experiments.registry import EXHIBITS
 from repro.experiments.runner import run_exhibits
 from repro.experiments.sweep import SweepEngine, reset_sweep_engines, sweep_engine
+from repro.workloads import TABLE1
 
 SEED, SCALE = 42, 0.05
 
@@ -34,17 +36,36 @@ def _clean_state():
     reset_sweep_engines()
 
 
+def _table1_guard(real, what):
+    def guarded(first, *args, **kwargs):
+        assert getattr(first, "name", first) not in TABLE1, f"the parent {what} {first}"
+        return real(first, *args, **kwargs)
+
+    return guarded
+
+
 def test_all_run_evaluates_each_distinct_point_once(monkeypatch):
-    asked = []  # one (content key, technique) per table-eligible replay() call
-    evaluated = []  # one entry per kernel call
+    _all_run_computes_each_row_once(monkeypatch, jobs=1)
 
-    real_replay = SweepEngine.replay
 
-    def asking(self, trace, config, recorders=()):
-        if not recorders:
-            technique = dataclasses.replace(config, name="")
-            asked.append((trace.content_key(), technique))
-        return real_replay(self, trace, config, recorders)
+def test_pool_run_computes_each_row_in_one_process(monkeypatch):
+    _all_run_computes_each_row_once(monkeypatch, jobs=2)
+
+
+def _all_run_computes_each_row_once(monkeypatch, jobs):
+    asked = []  # one (content key, technique) per point asked for
+    analyses = []  # one (workload, function) per analysis asked for
+    evaluated = []  # one entry per kernel call in this process
+
+    real_point, real_analysis = SweepEngine._point, SweepEngine.analysis
+
+    def asking(self, key, config, trace_of):
+        asked.append((key, dataclasses.replace(config, name="")))
+        return real_point(self, key, config, trace_of)
+
+    def analysing(self, name, fn):
+        analyses.append((name, fn))
+        return real_analysis(self, name, fn)
 
     def counting(name):
         real = getattr(sweep_module, name)
@@ -55,18 +76,34 @@ def test_all_run_evaluates_each_distinct_point_once(monkeypatch):
 
         monkeypatch.setattr(sweep_module, name, wrapper)
 
-    monkeypatch.setattr(SweepEngine, "replay", asking)
+    monkeypatch.setattr(SweepEngine, "_point", asking)
+    monkeypatch.setattr(SweepEngine, "analysis", analysing)
     counting("stream_replay")
     counting("batch_replay")
+    if jobs > 1:
+        # The spawned workers import the real modules; in the parent, with
+        # no stores, any Table-I trace or stream would be built here.
+        for module, name, what in (
+            (common, "synthesize_workload", "synthesised"),
+            (sweep_module, "record_fragment_stream", "recorded the stream of"),
+        ):
+            monkeypatch.setattr(module, name, _table1_guard(getattr(module, name), what))
 
     with contextlib.redirect_stdout(io.StringIO()):
         outcomes = run_exhibits(
-            list(EXHIBITS), seed=SEED, scale=SCALE, fast=True, echo=lambda line: None
+            list(EXHIBITS), seed=SEED, scale=SCALE, jobs=jobs, echo=lambda line: None
         )
-    assert all(outcome.ok for outcome in outcomes)
+    assert all(outcome.ok for outcome in outcomes), [o.error for o in outcomes]
 
     engine = sweep_engine(SEED, SCALE)
     distinct = len(set(asked))
     assert 100 < distinct < len(asked), "the exhibits no longer revisit points?"
-    assert len(evaluated) == distinct == engine.results_computed
-    assert engine.results_shared == len(asked) - distinct
+    assert engine.results_computed == distinct == len(engine._results)
+    # With a pool, the parent computes only what no task was sent (fig9's toy trace).
+    table1_keys = set(engine._keys.values())
+    local = {row for row in asked if jobs == 1 or row[0] not in table1_keys}
+    assert len(evaluated) == len(local)
+    assert engine.results_shared == len(asked) - len(evaluated)
+    assert engine.analyses_computed == len(set(analyses)) == len(analyses)
+    if jobs > 1:  # one recording per trace (serially, the LRU of two evicts)
+        assert engine.streams_recorded == len({key for key, _ in asked})

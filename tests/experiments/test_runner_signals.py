@@ -6,6 +6,7 @@ import signal
 
 import pytest
 
+from repro.core.config import LS
 from repro.experiments import registry, runner
 from repro.experiments.runner import (
     MANIFEST_NAME,
@@ -97,8 +98,8 @@ def test_sigterm_mid_exhibit_finalizes_manifest_for_resume(
 
 
 def test_parallel_interrupt_cancels_reaps_and_finalizes(sigterm_exhibits, monkeypatch, tmp_path):
-    """An interrupt while waiting on the pool cancels pending futures,
-    terminates workers and leaves no dangling 'running' manifest entry."""
+    """An interrupt while the pool fills the result table cancels pending
+    tasks, terminates workers and leaves no dangling 'running' entry."""
     reaped = []
     original_reap = runner._reap_pool
 
@@ -111,13 +112,14 @@ def test_parallel_interrupt_cancels_reaps_and_finalizes(sigterm_exhibits, monkey
 
     monkeypatch.setattr(runner, "_reap_pool", spy_reap)
     monkeypatch.setattr(runner, "wait", interrupting_wait)
+    monkeypatch.setitem(registry.NEEDS, "alpha", lambda seed, scale: {"hm_1": [LS]})
 
     with pytest.raises(RunInterrupted):
         run_exhibits(
             ["alpha", "gamma"],
+            scale=0.05,
             out_dir=str(tmp_path),
             jobs=2,
-            mp_start_method="fork",
             echo=lambda s: None,
         )
     assert len(reaped) == 1

@@ -1,6 +1,6 @@
-"""Sweep-engine behavior: shared state, dispatch, store integration, and
-byte-identical exhibit JSON between the fast and reference paths.
-"""
+"""Sweep-engine behavior: shared state, dispatch, the result table and
+store integration (exhibit bytes against the reference simulator are
+``tests/differential/test_exhibits_vs_reference.py``)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import dataclasses
 import functools
 import io
 import json
-import types
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,9 +25,8 @@ from repro.core.config import (
 )
 from repro.core.defrag import DefragConfig
 from repro.core.prefetch import PrefetchConfig
-from repro.core.recorders import SeekLogRecorder
 from repro.core.selective_cache import SelectiveCacheConfig
-from repro.experiments import ablations, common, fig9, fig10, fig11
+from repro.experiments import common, fig11
 from repro.experiments import sweep as sweep_module
 from repro.experiments.sweep import SweepEngine, reset_sweep_engines, sweep_engine
 from repro.trace.store import TraceStore
@@ -41,13 +38,11 @@ SEED, SCALE = 42, 0.05
 @pytest.fixture(autouse=True)
 def _clean_state():
     """Each test starts and ends with no shared replay state."""
-    common.set_fast_replay(False)
     common.set_trace_store(None)
     common.set_stream_store(None)
     common.clear_trace_cache()
     reset_sweep_engines()
     yield
-    common.set_fast_replay(False)
     common.set_trace_store(None)
     common.set_stream_store(None)
     common.clear_trace_cache()
@@ -80,13 +75,6 @@ class TestEngineSharing:
         first = engine.baseline("hm_1")
         assert engine.baseline("hm_1") == first
         assert (engine.results_computed, engine.results_shared) == (1, 1)
-
-    def test_recorder_routes_to_reference(self):
-        engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
-        trace = engine.trace("hm_1")
-        recorder = SeekLogRecorder()
-        result = engine.replay(trace, LS, [recorder])
-        assert len(recorder.distances) == result.stats.total_seeks
 
     def test_fast_and_reference_agree(self):
         reference = SweepEngine(seed=SEED, scale=SCALE, fast=False)
@@ -152,7 +140,7 @@ _property = settings(
 
 
 class TestResultTable:
-    """One row per (trace content, technique, kernels on?) — no more, no fewer."""
+    """One row per (trace content, technique) — no more, no fewer."""
 
     #: Lives across every generated example, so its table fills up and a
     #: key that confused two points would hand out the wrong row.
@@ -192,57 +180,28 @@ class TestResultTable:
 
     @pytest.mark.parametrize("config", (NOLS,) + PAPER_CONFIGS, ids=lambda c: c.name)
     def test_kernel_and_reference_rows_are_kept_apart(self, config, monkeypatch):
+        """``fast`` is a constructor argument: a reference engine answers
+        through the Simulator and its own table, never the kernels'."""
         reference_runs = []
-        real = sweep_module.replay_with
+        real = sweep_module.replay
         monkeypatch.setattr(
             sweep_module,
-            "replay_with",
-            lambda *args, **kwargs: reference_runs.append(1) or real(*args, **kwargs),
+            "replay",
+            lambda *args: reference_runs.append(1) or real(*args),
         )
-        engine = SweepEngine(seed=SEED, scale=SCALE)  # fast=None: follows the flag
+        kernel_engine = SweepEngine(seed=SEED, scale=SCALE)
+        reference_engine = SweepEngine(seed=SEED, scale=SCALE, fast=False)
         trace = _small("hm_1")
-        common.set_fast_replay(True)
-        kernel = engine.replay(trace, config)
-        assert (engine.results_computed, len(reference_runs)) == (1, 0)
-        common.set_fast_replay(False)
-        reference = engine.replay(trace, config)
-        assert (engine.results_computed, len(reference_runs)) == (2, 1)
-        assert kernel == reference
-        # Each mode is now served by its own row.
-        assert engine.replay(trace, config) == reference
-        common.set_fast_replay(True)
-        assert engine.replay(trace, config) == kernel
-        assert (engine.results_computed, engine.results_shared) == (2, 2)
+        kernel = kernel_engine.replay(trace, config)
+        assert len(reference_runs) == 0
+        reference = reference_engine.replay(trace, config)
         assert len(reference_runs) == 1
-
-    def test_recorders_bypass_the_table(self):
-        engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
-        trace = _small("hm_1")
-
-        def recorded():
-            recorder = SeekLogRecorder()
-            result = engine.replay(trace, LS_DEFRAG, [recorder])
-            assert len(recorder.distances) == result.stats.total_seeks > 0
-            return result
-
-        for _ in range(2):  # nothing written by the first, nothing read by the second
-            result = recorded()
-            assert not engine._results
-        assert result == engine.replay(trace, LS_DEFRAG)
-        assert recorded() == result  # the row is there now, and still not used
-        assert (engine.results_computed, engine.results_shared) == (1, 0)
-
-    def test_unsupported_config_tallies_one_fallback_per_call(self):
-        engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
-        trace = _small("hm_1")
-        duck = types.SimpleNamespace(**vars(LS))  # no kernel takes this type
-        common.drain_fallback_counts()
-        results = [engine.replay(trace, duck) for _ in range(3)]
-        assert common.drain_fallback_counts() == {
-            "config type SimpleNamespace has no batch kernel": 3
-        }
-        assert not engine._results
-        assert results == [engine.replay(trace, LS)] * 3
+        assert kernel == reference
+        assert reference_engine.replay(trace, config) == reference
+        assert kernel_engine.replay(trace, config) == kernel
+        for engine in (kernel_engine, reference_engine):
+            assert (engine.results_computed, engine.results_shared) == (1, 1)
+        assert len(reference_runs) == 1
 
     def test_duplicates_inside_one_sweep_are_computed_once(self):
         engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
@@ -351,7 +310,6 @@ class TestStreamStoreIntegration:
 
         monkeypatch.setattr(fig11, "MSR_WORKLOADS", ("hm_1",))
         monkeypatch.setattr(fig11, "CLOUDPHYSICS_WORKLOADS", ("w91",))
-        common.set_fast_replay(True)
         store = StreamStore(tmp_path / "streams")
         common.set_stream_store(store)
         _quiet(fig11.run, seed=SEED, scale=SCALE, out_dir=str(tmp_path / "cold"))
@@ -376,40 +334,3 @@ class TestStreamStoreIntegration:
         assert sorted(path.name for path in store.root.iterdir()) == listing
         assert store.clear() == len(listing) == 4
         assert list(store.root.iterdir()) == []
-
-
-class TestByteIdenticalExhibits:
-    def _run_both(self, tmp_path, runs, monkeypatch=None):
-        for mode, out in (("ref", False), ("fast", True)):
-            common.set_fast_replay(out)
-            common.clear_trace_cache()
-            reset_sweep_engines()
-            for fn in runs:
-                _quiet(fn, seed=SEED, scale=SCALE, out_dir=str(tmp_path / mode))
-        ref_dir, fast_dir = tmp_path / "ref", tmp_path / "fast"
-        dumps = sorted(ref_dir.glob("*.json"))
-        assert dumps, "exhibits produced no JSON"
-        for path in dumps:
-            assert path.read_bytes() == (fast_dir / path.name).read_bytes(), (
-                f"{path.name} differs between reference and fast paths"
-            )
-
-    def test_fig9_and_fig10(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fig10, "FIG10_WORKLOADS", ("hm_1", "w91"))
-        self._run_both(tmp_path, [fig9.run, fig10.run])
-
-    def test_fig11(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fig11, "MSR_WORKLOADS", ("usr_0", "hm_1"))
-        monkeypatch.setattr(fig11, "CLOUDPHYSICS_WORKLOADS", ("w91",))
-        self._run_both(tmp_path, [fig11.run])
-
-    def test_ablation_sweeps(self, tmp_path):
-        self._run_both(
-            tmp_path,
-            [ablations.run_cache, ablations.run_defrag, ablations.run_prefetch],
-        )
-
-    def test_dump_content_is_valid_json(self, tmp_path):
-        common.set_fast_replay(True)
-        data = _quiet(fig9.run, seed=SEED, scale=SCALE, out_dir=str(tmp_path))
-        assert json.loads(Path(tmp_path, "fig9.json").read_text()) == data

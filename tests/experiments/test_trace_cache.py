@@ -18,7 +18,6 @@ from repro.workloads.generator import WorkloadGenerator
 @pytest.fixture(autouse=True)
 def _clean_state():
     def reset():
-        common.set_fast_replay(False)
         common.clear_trace_cache()
         reset_sweep_engines()
 

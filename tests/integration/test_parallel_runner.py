@@ -3,13 +3,14 @@
 The headline guarantee of ``jobs=N`` is that it is *unobservable* in the
 results: exhibit JSON dumps are byte-identical to a serial run, and the
 manifest carries the same statuses and fingerprints (only wall-clock
-durations may differ).  The fake-registry tests use the ``fork`` start
-method so monkeypatched exhibits survive into the workers; the real-
-registry test uses the default hermetic ``spawn`` path end to end.
+durations may differ).  Exhibits always run in the parent, after the pool
+has filled the result table, so the fake registries below hold under
+``jobs=2`` too; the real-registry test drives the spawn pool end to end.
 """
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -54,8 +55,6 @@ def fake_exhibits(monkeypatch):
                 with open(Path(out_dir) / f"{name}.ran", "a") as handle:
                     handle.write(f"{os.getpid()}\n")
             if sleep:
-                import time
-
                 time.sleep(sleep)
             if fail:
                 raise RuntimeError(f"{name} exploded")
@@ -77,6 +76,12 @@ def fake_exhibits(monkeypatch):
     return fakes
 
 
+def nap(engine, trace):
+    """An analysis row that outlasts any test's time budget (spawn workers
+    import it from this module)."""
+    time.sleep(5.0)
+
+
 def _runs(out_dir, name) -> int:
     path = Path(out_dir) / f"{name}.ran"
     return len(path.read_text().splitlines()) if path.exists() else 0
@@ -90,7 +95,6 @@ class TestParallelSemantics:
             ["alpha", "gamma"],
             out_dir=str(parallel),
             jobs=2,
-            mp_start_method="fork",
             **QUIET,
         )
         serial_manifest, parallel_manifest = _manifest(serial), _manifest(parallel)
@@ -110,7 +114,6 @@ class TestParallelSemantics:
             ["gamma", "alpha"],
             out_dir=str(tmp_path),
             jobs=2,
-            mp_start_method="fork",
             **QUIET,
         )
         assert [o.name for o in outcomes] == ["gamma", "alpha"]
@@ -121,7 +124,6 @@ class TestParallelSemantics:
             ["alpha", "beta", "gamma"],
             out_dir=str(tmp_path),
             jobs=2,
-            mp_start_method="fork",
             **QUIET,
         )
         by_name = {o.name: o for o in outcomes}
@@ -138,7 +140,6 @@ class TestParallelSemantics:
             ["alpha", "beta", "gamma"],
             out_dir=str(tmp_path),
             jobs=2,
-            mp_start_method="fork",
             keep_going=True,
             **QUIET,
         )
@@ -147,18 +148,23 @@ class TestParallelSemantics:
         assert _runs(tmp_path, "alpha") == 1
         assert _runs(tmp_path, "gamma") == 1
 
-    def test_timeout_fires_inside_worker(self, fake_exhibits, tmp_path):
+    def test_timeout_fires_inside_worker(self, fake_exhibits, monkeypatch, tmp_path):
+        """A pool task over budget gives up (its row is recomputed by the
+        exhibit that asks), instead of holding the run for its full nap."""
+        monkeypatch.setitem(registry.NEEDS, "sleepy", lambda seed, scale: {"hm_1": [nap]})
+        start = time.time()
         outcomes = run_exhibits(
             ["sleepy"],
+            scale=0.05,
             out_dir=str(tmp_path),
             jobs=2,
-            mp_start_method="fork",
             timeout_s=0.2,
             keep_going=True,
             **QUIET,
         )
         assert outcomes[0].status == STATUS_TIMEOUT
         assert _manifest(tmp_path)["exhibits"]["sleepy"]["status"] == STATUS_TIMEOUT
+        assert time.time() - start < 4.0
 
     def test_jobs_must_be_positive(self, fake_exhibits):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
@@ -173,7 +179,6 @@ class TestResumeUnderPool:
             out_dir=str(tmp_path),
             resume=True,
             jobs=2,
-            mp_start_method="fork",
             **QUIET,
         )
         assert [o.status for o in outcomes] == [STATUS_SKIPPED, STATUS_OK]
@@ -193,7 +198,6 @@ class TestResumeUnderPool:
             out_dir=str(tmp_path),
             resume=True,
             jobs=2,
-            mp_start_method="fork",
             **QUIET,
         )
         assert [o.status for o in outcomes] == [STATUS_SKIPPED, STATUS_OK]
@@ -209,7 +213,6 @@ class TestResumeUnderPool:
             out_dir=str(tmp_path),
             resume=True,
             jobs=4,
-            mp_start_method="fork",
             **QUIET,
         )
         assert [o.status for o in outcomes] == [STATUS_SKIPPED, STATUS_SKIPPED]
@@ -217,7 +220,7 @@ class TestResumeUnderPool:
 
 
 class TestRealExhibitsByteIdentical:
-    """End-to-end over the real registry with the default spawn pool."""
+    """End-to-end over the real registry with the spawn pool."""
 
     def test_parallel_and_fast_dumps_match_serial(self, tmp_path):
         names = ["fig8", "fig11"]
@@ -226,7 +229,7 @@ class TestRealExhibitsByteIdentical:
         outcomes = run_exhibits(names, scale=0.05, out_dir=str(serial), **QUIET)
         assert all(o.status == STATUS_OK for o in outcomes)
         outcomes = run_exhibits(
-            names, scale=0.05, out_dir=str(parallel), jobs=2, fast=True, **QUIET
+            names, scale=0.05, out_dir=str(parallel), jobs=2, **QUIET
         )
         assert all(o.status == STATUS_OK for o in outcomes)
 
