@@ -1,14 +1,9 @@
 """Top-level CLI: ``python -m repro <command>`` (console script ``repro``).
 
-Commands:
-
-* ``repro serve`` — boot the streaming replay daemon
-  (:mod:`repro.service.daemon`) and run until SIGINT/SIGTERM; sessions
-  checkpoint on the way down, so a later boot with the same ``--root``
-  resumes every tenant.
-* ``repro serve-smoke`` — the self-contained chaos smoke run
-  (:mod:`repro.service.smoke`): 3 tenants, one worker kill, one corrupt
-  checkpoint, exact-recovery assertions, clean shutdown.
+One command: ``repro serve`` boots the streaming replay daemon
+(:mod:`repro.service.daemon`) and runs until SIGINT/SIGTERM; sessions
+checkpoint on the way down, so a later boot with the same ``--root``
+resumes every tenant.
 
 Experiment exhibits keep their own entry point
 (``python -m repro.experiments`` / ``repro-experiments``).
@@ -24,20 +19,17 @@ import sys
 from pathlib import Path
 
 from repro.service.daemon import DaemonConfig, ReplayDaemon
-from repro.service.supervisor import SupervisorConfig
+from repro.service.supervisor import Supervisor
 
 
 async def _serve(args) -> int:
     daemon = ReplayDaemon(
-        Path(args.root),
-        config=DaemonConfig(
+        Supervisor(Path(args.root), checkpoint_interval_ops=args.checkpoint_interval),
+        DaemonConfig(
             host=args.host,
             port=args.port,
             queue_depth=args.queue_depth,
             deadline_s=args.deadline,
-        ),
-        supervisor_config=SupervisorConfig(
-            checkpoint_interval_ops=args.checkpoint_interval,
         ),
     )
     await daemon.start()
@@ -79,24 +71,7 @@ def main(argv=None) -> int:
         "--checkpoint-interval", type=int, default=50_000, help="ops between checkpoints"
     )
 
-    smoke = commands.add_parser(
-        "serve-smoke", help="3-tenant chaos smoke run against a throwaway daemon"
-    )
-    smoke.add_argument("--root", default=None, help="state dir (default: temp)")
-    smoke.add_argument("--ops", type=int, default=3400, help="ops per tenant")
-
-    args = parser.parse_args(argv)
-    if args.command == "serve":
-        return asyncio.run(_serve(args))
-    if args.command == "serve-smoke":
-        from repro.service.smoke import main as smoke_main
-
-        smoke_argv = ["--ops", str(args.ops)]
-        if args.root:
-            smoke_argv += ["--root", args.root]
-        return smoke_main(smoke_argv)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return asyncio.run(_serve(parser.parse_args(argv)))
 
 
 if __name__ == "__main__":

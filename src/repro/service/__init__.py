@@ -30,8 +30,6 @@ Layered bottom-up:
   group commit.
 * :mod:`repro.service.client` — a small blocking client with
   resync-after-reconnect.
-* :mod:`repro.service.smoke` — the self-contained chaos smoke run
-  (``make serve-smoke``).
 
 ``python -m repro serve`` (see :mod:`repro.__main__`) boots the daemon.
 """
@@ -39,7 +37,7 @@ Layered bottom-up:
 from repro.service.checkpoint import CheckpointCorruptError, CheckpointStore
 from repro.service.journal import OpJournal
 from repro.service.session import ReplaySession, SequenceGapError
-from repro.service.supervisor import Supervisor, SupervisorConfig, TenantFailedError
+from repro.service.supervisor import Supervisor, TenantFailedError
 from repro.service.daemon import ReplayDaemon, DaemonConfig
 from repro.service.client import ReplayClient
 
@@ -50,7 +48,6 @@ __all__ = [
     "ReplaySession",
     "SequenceGapError",
     "Supervisor",
-    "SupervisorConfig",
     "TenantFailedError",
     "ReplayDaemon",
     "DaemonConfig",

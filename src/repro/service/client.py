@@ -6,19 +6,16 @@ streaming client actually needs —
 * **Sequencing.**  :meth:`ReplayClient.apply` numbers batches itself
   (contiguous from the session's last acknowledged seq), so callers just
   hand over op columns.
-* **Resync.**  After a reconnect, a shed batch, or a duplicated/delayed
-  send (the chaos schedule produces all three),
-  :meth:`apply_with_retry` re-queries the server's ``applied`` seq and
-  resends from there — the server's dedupe/gap checks make this safe to
-  repeat arbitrarily.
 * **One wire.**  Every batch travels as one framed columnar buffer
   (:mod:`repro.service.wire`) behind a small JSON header; control
   requests and all replies are newline-JSON.
-* **Pipelining.**  :meth:`apply_stream` keeps a window of batches in
-  flight on one socket (responses come back in request order) — this is
-  what lets the daemon's dispatcher find contiguous queued batches to
-  coalesce into group commits.  Sheds, gaps, and reconnects resync
-  exactly like :meth:`apply_with_retry`.
+* **Pipelining + resync.**  :meth:`apply_stream` is the one delivery
+  path: it keeps a window of batches in flight on one socket (responses
+  come back in request order) — this is what lets the daemon's
+  dispatcher find contiguous queued batches to coalesce into group
+  commits — and after a reconnect, a shed batch or a sequence gap it
+  re-queries the server's ``applied`` seq and resends from there; the
+  server's dedupe/gap checks make this safe to repeat arbitrarily.
 """
 
 from __future__ import annotations
@@ -33,6 +30,12 @@ import numpy as np
 
 from repro.core.config import TechniqueConfig, config_to_dict
 from repro.service.wire import WIRE_BINARY, encode_payload, payload_crc
+
+#: Consecutive resyncs without progress before :meth:`apply_stream` gives up.
+MAX_RESYNC_ATTEMPTS = 8
+
+#: Sleep before the *k*-th consecutive resync is ``k`` times this.
+RESYNC_BACKOFF_S = 0.05
 
 
 class ServiceError(RuntimeError):
@@ -98,10 +101,7 @@ class ReplayClient:
             self.connect()
         self._file.write(json.dumps(payload).encode("utf-8") + b"\n")
         self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("daemon closed the connection")
-        return json.loads(line)
+        return self._read_response()
 
     # ----------------------------------------------------------------- #
     # Session operations
@@ -179,62 +179,10 @@ class ReplayClient:
         result = self.query("applied")
         return int(result["applied_seq"])
 
-    def apply_with_retry(
-        self,
-        is_read: np.ndarray,
-        lba: np.ndarray,
-        length: np.ndarray,
-        max_attempts: int = 8,
-        backoff_s: float = 0.05,
-        sleep=time.sleep,
-    ) -> dict:
-        """Deliver one batch come what may (shed, gap, crash, reconnect).
-
-        Sheds back off and resend; gaps resync ``next_seq`` from the
-        server and resend; transport errors reconnect.  Duplicate acks
-        count as success (the batch landed, the ack got lost).
-        """
-        seq = self.next_seq
-        for attempt in range(max_attempts):
-            try:
-                response = self.apply(is_read, lba, length, seq=seq)
-            except (ConnectionError, OSError):
-                sleep(backoff_s * (attempt + 1))
-                try:
-                    self.connect()
-                    applied = self.applied_seq()
-                except (ConnectionError, OSError, ServiceError):
-                    continue
-                if applied >= seq:
-                    # The batch landed; only the ack was lost.
-                    self.next_seq = max(self.next_seq, applied + 1)
-                    return {"ok": True, "seq": seq, "applied_seq": applied,
-                            "duplicate": True}
-                continue
-            if response.get("ok"):
-                return response
-            if response.get("shed"):
-                sleep(backoff_s * (attempt + 1))
-                continue
-            if response.get("kind") == "SequenceGapError":
-                # A delayed/duplicated earlier send confused the order;
-                # trust the server's applied seq and renumber.
-                seq = int(response["expected"])
-                self.next_seq = seq
-                continue
-            raise ServiceError(response)
-        raise TimeoutError(
-            f"batch not delivered after {max_attempts} attempts "
-            f"(tenant {self.tenant!r}, seq {seq})"
-        )
-
     def apply_stream(
         self,
         batches: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         window: int = 32,
-        max_attempts: int = 8,
-        backoff_s: float = 0.05,
-        sleep=time.sleep,
         deadline_s: Optional[float] = None,
     ) -> dict:
         """Deliver a whole stream of batches with ``window`` in flight.
@@ -245,11 +193,11 @@ class ReplayClient:
         coalesce into group commits.  Only unacknowledged batches are
         retained, so ``batches`` may be a generator of any length.
 
-        Failures resync exactly like :meth:`apply_with_retry`: on a shed,
-        a sequence gap, or a transport error the client reconnects,
-        queries the server's ``applied`` seq, and resumes from the first
-        unacknowledged batch — dedupe makes overlap harmless.
-        ``max_attempts`` bounds *consecutive* resyncs without progress.
+        On a shed, a sequence gap, or a transport error the client
+        reconnects, queries the server's ``applied`` seq, and resumes
+        from the first unacknowledged batch — dedupe makes overlap
+        harmless.  :data:`MAX_RESYNC_ATTEMPTS` bounds *consecutive*
+        resyncs without progress.  One batch is a one-element stream.
 
         Returns ``{"ok", "batches", "applied_seq", "resyncs",
         "duplicate_acks"}``.
@@ -303,13 +251,13 @@ class ReplayClient:
             resyncs += 1
             while True:
                 attempts += 1
-                if attempts > max_attempts:
+                if attempts > MAX_RESYNC_ATTEMPTS:
                     raise TimeoutError(
-                        f"stream stalled after {max_attempts} resync "
+                        f"stream stalled after {MAX_RESYNC_ATTEMPTS} resync "
                         f"attempts (tenant {self.tenant!r}, "
                         f"seq {base + acked_idx + 1})"
                     )
-                sleep(backoff_s * attempts)
+                time.sleep(RESYNC_BACKOFF_S * attempts)
                 try:
                     self.connect()
                     applied = self.applied_seq()

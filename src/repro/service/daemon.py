@@ -12,23 +12,22 @@ header is followed by its framed columnar payload
   back in strict request order (FIFO), so clients may **pipeline** —
   keep many requests in flight on one socket — and still match
   responses positionally.  In-flight requests per connection are
-  bounded (:attr:`DaemonConfig.pipeline_depth`).
-* One **bounded** :class:`asyncio.Queue` plus one dispatcher task per
-  tenant.  The dispatcher pops a request, checks its deadline, and runs
-  the supervisor call in the shared thread pool — so one slow tenant
-  occupies one pool thread, not the event loop, and ops for a tenant
-  stay strictly ordered.  The pair lives from a tenant's ``open`` to its
-  ``close`` (or to a first ``open`` that fails); whatever is still
-  queued then is shed.
+  bounded (:data:`PIPELINE_DEPTH`).
+* Per tenant, one **bounded** :class:`asyncio.Queue`, one dispatcher
+  task and one thread.  The dispatcher pops a request, checks its
+  deadline, and runs the supervisor call on the tenant's thread — so a
+  slow tenant occupies its own thread, never the event loop or a
+  neighbour's, and ops for a tenant stay strictly ordered.  The three
+  live from a tenant's ``open`` to its ``close`` (or to a first ``open``
+  that fails); whatever is still queued then is shed.
 
 **Coalescing + group commit:** when a tenant's dispatcher pops an apply
 and more contiguous applies are already queued behind it, it merges
-them — up to
-:attr:`DaemonConfig.coalesce_batches` / ``coalesce_ops`` /
-``coalesce_bytes`` — into ONE worker call (byte concatenation; the
-payloads are never re-encoded).  The session journals the group under a
-single CRC frame with a single fsync and acks every member batch exactly
-as the one-at-a-time path would have (see
+them — until the group holds :data:`COALESCE_BYTES` of payload or the
+queue runs out — into ONE worker call (byte concatenation; the payloads
+are never re-encoded).  The session journals the group under a single
+CRC frame with a single fsync and acks every member batch exactly as
+the one-at-a-time path would have (see
 :meth:`ReplaySession.apply_group_payload`), so at streaming rates the
 dominant per-batch costs — pipe crossings and WAL fsyncs — are paid per
 *group*.
@@ -36,7 +35,7 @@ dominant per-batch costs — pipe crossings and WAL fsyncs — are paid per
 Backpressure and shedding, per tenant:
 
 * **Admission.**  A request arriving to a full queue is refused
-  immediately (``error: "overloaded"``, ``shed: true``) — the client
+  immediately (``error: "tenant … queue full"``, ``shed: true``) — the client
   slows down or goes away; memory stays bounded either way.  Oversized
   requests get a structured ``error: "too_large"`` (the frame is drained
   exactly, never desynced) instead of a dropped connection.
@@ -44,8 +43,8 @@ Backpressure and shedding, per tenant:
   dispatcher pops it after ``deadline_s`` (daemon default, overridable
   per request), it is shed without touching the worker — a queue that
   built up behind a slow batch drains at queue speed, not worker speed.
-* **Isolation.**  Queues, dispatchers and worker processes are per
-  tenant, so a dead-slow or disconnected client stalls only its own
+* **Isolation.**  Queues, dispatchers, threads and worker processes are
+  per tenant, so a dead-slow or disconnected client stalls only its own
   stream; neighbours' queries keep answering at their own pace.
 
 Shed/refused batches are *not* lost: the sequence-number protocol means
@@ -58,11 +57,10 @@ import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import config_from_dict
-from repro.service.supervisor import Supervisor, SupervisorConfig, TenantFailedError
+from repro.service.supervisor import Supervisor, TenantFailedError
 from repro.service.wire import (
     SUPPORTED_WIRES,
     WIRE_BINARY,
@@ -70,11 +68,22 @@ from repro.service.wire import (
     payload_nbytes,
 )
 
-#: Default ceiling on one request header line (headers carry no ops).
+#: Ceiling on one request header line (headers carry no ops); an
+#: oversized line gets a structured ``too_large`` error, not a dropped
+#: connection.
 MAX_LINE_BYTES = 64 * 1024
 
-#: Default ceiling on one out-of-line binary payload.
+#: Ceiling on one binary payload; an oversized frame is drained exactly
+#: (its length is in the header) and refused with ``too_large``.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: In-flight requests allowed per client connection (responses always
+#: return in request order).
+PIPELINE_DEPTH = 256
+
+#: A coalesced group stops growing once it holds this much payload.  At
+#: 17 B/op that is under 2**20 ops; the tenant's queue bounds its batches.
+COALESCE_BYTES = 16 * 1024 * 1024
 
 
 def _refusal(error: str) -> dict:
@@ -84,7 +93,7 @@ def _refusal(error: str) -> dict:
 
 @dataclass(frozen=True)
 class DaemonConfig:
-    """Front-end policy knobs.
+    """Front-end deployment settings.
 
     Attributes:
         host/port: Bind address (``port=0`` picks a free port; read it
@@ -92,49 +101,18 @@ class DaemonConfig:
         queue_depth: Bounded per-tenant queue length (admission control).
         deadline_s: Default time a request may wait in queue before being
             shed.
-        executor_threads: Pool threads shared by all tenants' supervisor
-            calls (each call blocks one thread for its duration).
-        max_line_bytes: Ceiling on one request header line; an oversized
-            line gets a structured ``too_large`` error, not a dropped
-            connection.
-        max_frame_bytes: Ceiling on one binary payload; an oversized
-            frame is drained exactly (its length is in the header) and
-            refused with ``too_large``.
-        coalesce_batches/coalesce_ops/coalesce_bytes: Group-commit
-            budgets — a coalesced worker call stops growing at whichever
-            limit it hits first.  ``coalesce_batches=1`` disables
-            coalescing.
-        pipeline_depth: In-flight requests allowed per client
-            connection (responses always return in request order).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     queue_depth: int = 16
     deadline_s: float = 30.0
-    executor_threads: int = 8
-    max_line_bytes: int = MAX_LINE_BYTES
-    max_frame_bytes: int = MAX_FRAME_BYTES
-    coalesce_batches: int = 64
-    coalesce_ops: int = 1_048_576
-    coalesce_bytes: int = 16 * 1024 * 1024
-    pipeline_depth: int = 256
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
-        if self.executor_threads < 1:
-            raise ValueError("executor_threads must be >= 1")
-        if self.max_line_bytes < 4096:
-            raise ValueError("max_line_bytes must be >= 4096")
-        if self.max_frame_bytes < 4096:
-            raise ValueError("max_frame_bytes must be >= 4096")
-        if self.coalesce_batches < 1 or self.coalesce_ops < 1 or self.coalesce_bytes < 1:
-            raise ValueError("coalesce budgets must be >= 1")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
 
 
 class _Pending:
@@ -172,25 +150,18 @@ class ReplayDaemon:
 
     Usage::
 
-        daemon = ReplayDaemon(root, DaemonConfig(port=0))
+        daemon = ReplayDaemon(Supervisor(root), DaemonConfig(port=0))
         await daemon.start()
         ...                      # clients connect to daemon.port
         await daemon.stop()      # checkpoints every session
     """
 
     def __init__(
-        self,
-        root: Path,
-        config: Optional[DaemonConfig] = None,
-        supervisor: Optional[Supervisor] = None,
-        supervisor_config: Optional[SupervisorConfig] = None,
+        self, supervisor: Supervisor, config: Optional[DaemonConfig] = None
     ) -> None:
         self._config = config or DaemonConfig()
-        self._supervisor = supervisor or Supervisor(
-            Path(root), config=supervisor_config
-        )
+        self._supervisor = supervisor
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._queues: Dict[str, asyncio.Queue] = {}
         self._dispatchers: Dict[str, asyncio.Task] = {}
         self._stopping = False
@@ -205,18 +176,14 @@ class ReplayDaemon:
     # ----------------------------------------------------------------- #
 
     async def start(self) -> None:
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._config.executor_threads,
-            thread_name_prefix="repro-serve",
-        )
-        # The StreamReader hard limit sits above the soft max_line_bytes
+        # The StreamReader hard limit sits above the soft MAX_LINE_BYTES
         # so an oversized-but-bounded line is read whole and refused with
         # a structured error instead of a torn connection.
         self._server = await asyncio.start_server(
             self._serve_client,
             host=self._config.host,
             port=self._config.port,
-            limit=2 * self._config.max_line_bytes,
+            limit=2 * MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -237,10 +204,7 @@ class ReplayDaemon:
         self._dispatchers.clear()
         for queue in self._queues.values():
             self._shed_queued(queue, "daemon stopping")
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._executor, self._supervisor.shutdown)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        await asyncio.to_thread(self._supervisor.shutdown)
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -256,7 +220,7 @@ class ReplayDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         responses: asyncio.Queue = asyncio.Queue()
-        slots = asyncio.Semaphore(self._config.pipeline_depth)
+        slots = asyncio.Semaphore(PIPELINE_DEPTH)
         writer_task = asyncio.create_task(
             self._write_responses(responses, writer, slots)
         )
@@ -274,7 +238,7 @@ class ReplayDaemon:
                     break
                 if not line:
                     break
-                if len(line) > self._config.max_line_bytes:
+                if len(line) > MAX_LINE_BYTES:
                     await slots.acquire()
                     await responses.put(("error", self._too_large("line")))
                     continue
@@ -330,11 +294,7 @@ class ReplayDaemon:
                 try:
                     response = await result
                 except Exception as exc:  # keep the connection alive
-                    response = {
-                        "ok": False,
-                        "error": str(exc),
-                        "kind": type(exc).__name__,
-                    }
+                    response = _failure(exc)
             else:
                 response = result
             slots.release()
@@ -349,14 +309,15 @@ class ReplayDaemon:
             if op == "shutdown" and response.get("ok"):
                 asyncio.get_running_loop().create_task(self._shutdown_soon())
 
-    def _too_large(self, what: str) -> dict:
+    @staticmethod
+    def _too_large(what: str) -> dict:
         return {
             "ok": False,
             "error": "too_large",
             "kind": "ValueError",
             "what": what,
-            "max_line_bytes": self._config.max_line_bytes,
-            "max_frame_bytes": self._config.max_frame_bytes,
+            "max_line_bytes": MAX_LINE_BYTES,
+            "max_frame_bytes": MAX_FRAME_BYTES,
         }
 
     async def _read_payload(
@@ -376,7 +337,7 @@ class ReplayDaemon:
         if type(n) is not int or n < 0:
             return None, _refusal("apply needs an integer op count 'n' >= 0")
         nbytes = payload_nbytes(n)
-        if nbytes > self._config.max_frame_bytes:
+        if nbytes > MAX_FRAME_BYTES:
             remaining = nbytes
             while remaining:
                 chunk = await reader.readexactly(min(remaining, 1 << 20))
@@ -403,8 +364,8 @@ class ReplayDaemon:
             return {
                 "ok": True,
                 "wires": list(SUPPORTED_WIRES),
-                "max_line_bytes": self._config.max_line_bytes,
-                "max_frame_bytes": self._config.max_frame_bytes,
+                "max_line_bytes": MAX_LINE_BYTES,
+                "max_frame_bytes": MAX_FRAME_BYTES,
             }
         if op == "shutdown":
             return {"ok": True, "stopping": True}
@@ -449,7 +410,7 @@ class ReplayDaemon:
             queue = asyncio.Queue(maxsize=self._config.queue_depth)
             self._queues[tenant] = queue
             self._dispatchers[tenant] = loop.create_task(
-                self._dispatch_tenant(tenant, queue), name=f"dispatch-{tenant}"
+                self._dispatch(tenant, queue), name=f"dispatch-{tenant}"
             )
         try:
             queue.put_nowait(pending)
@@ -478,120 +439,96 @@ class ReplayDaemon:
     def _expired(self, pending: _Pending, loop) -> bool:
         return loop.time() - pending.enqueued_at > pending.deadline_s
 
-    async def _dispatch_tenant(self, tenant: str, queue: asyncio.Queue) -> None:
+    async def _dispatch(self, tenant: str, queue: asyncio.Queue) -> None:
+        """Serve one tenant's queue, one worker call at a time, on the
+        tenant's own thread."""
         loop = asyncio.get_running_loop()
+        thread = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
         carry: Optional[_Pending] = None
         opened = False
-        while True:
-            if carry is not None:
-                pending, carry = carry, None
-            else:
-                pending = await queue.get()
-            if self._expired(pending, loop):
-                # Expired in queue: shed without burning worker time.
-                self._shed(pending, "deadline expired in queue")
-                ok = False
-            elif pending.payload is not None:
-                carry = await self._dispatch_group(tenant, pending, queue, loop)
-                continue
-            else:
-                try:
-                    response = await loop.run_in_executor(
-                        self._executor, self._call_blocking, tenant, pending.message
-                    )
-                except asyncio.CancelledError:
-                    self._shed(pending, "daemon stopping")
-                    raise
-                except TenantFailedError as exc:
-                    response = {"ok": False, "error": str(exc), "failed": True}
-                except Exception as exc:  # keep the dispatcher alive
+        try:
+            while True:
+                head = carry if carry is not None else await queue.get()
+                group, carry = [head], None
+                if self._expired(head, loop):
+                    # Expired in queue: shed without burning worker time.
                     response = {
-                        "ok": False,
-                        "error": str(exc),
-                        "kind": type(exc).__name__,
+                        "ok": False, "error": "deadline expired in queue", "shed": True,
                     }
-                if not pending.future.done():
-                    pending.future.set_result(response)
-                ok = bool(response.get("ok"))
-            op = pending.message.get("op")
-            if op == "open" and ok:
-                opened = True
-            elif (op == "close" and ok) or (op == "open" and not opened):
-                # A closed tenant, or one whose first open never succeeded,
-                # keeps no queue and no task; requests behind it are shed
-                # (no await since the reply was set, so none can slip in).
-                del self._queues[tenant], self._dispatchers[tenant]
-                self._shed_queued(queue, f"tenant {tenant!r} not open")
-                return
+                else:
+                    if head.payload is not None:
+                        carry = self._take_applies(group, queue, loop)
+                    try:
+                        response = await loop.run_in_executor(
+                            thread, self._call, tenant, group
+                        )
+                    except asyncio.CancelledError:
+                        for pending in group if carry is None else [*group, carry]:
+                            self._shed(pending, "daemon stopping")
+                        raise
+                    except TenantFailedError as exc:
+                        response = {"ok": False, "error": str(exc), "failed": True}
+                    except Exception as exc:  # keep the dispatcher alive
+                        response = _failure(exc)
+                acks = response.get("acks") if response.get("ok") else None
+                if acks is None or len(acks) != len(group):
+                    acks = [response] * len(group)
+                for pending, ack in zip(group, acks):
+                    if not pending.future.done():
+                        pending.future.set_result(ack)
+                op, ok = head.message.get("op"), bool(response.get("ok"))
+                if op == "open" and ok:
+                    opened = True
+                elif (op == "close" and ok) or (op == "open" and not opened):
+                    # A closed tenant, or one whose first open never
+                    # succeeded, keeps no queue, task or thread; requests
+                    # behind it are shed (no await since the reply was
+                    # set, so none can slip in).
+                    del self._queues[tenant], self._dispatchers[tenant]
+                    self._shed_queued(queue, f"tenant {tenant!r} not open")
+                    return
+        finally:
+            thread.shutdown(wait=False, cancel_futures=True)
 
-    async def _dispatch_group(
-        self, tenant: str, first: _Pending, queue: asyncio.Queue, loop
+    def _take_applies(
+        self, group: List[_Pending], queue: asyncio.Queue, loop
     ) -> Optional[_Pending]:
-        """Merge queued contiguous applies behind ``first`` into one worker
-        call; returns a popped-but-not-coalescible carry (the next loop
-        iteration's head) or None."""
-        cfg = self._config
-        group = [first]
-        total_ops = first.n
-        total_bytes = len(first.payload)
-        carry: Optional[_Pending] = None
-        while (
-            len(group) < cfg.coalesce_batches
-            and total_ops < cfg.coalesce_ops
-            and total_bytes < cfg.coalesce_bytes
-        ):
+        """Append to ``group`` the contiguous applies queued behind its
+        head; returns a popped request that cannot join (the next head)."""
+        nbytes = len(group[0].payload)
+        while nbytes < COALESCE_BYTES:
             try:
                 nxt = queue.get_nowait()
             except asyncio.QueueEmpty:
-                break
+                return None
             if self._expired(nxt, loop):
                 self._shed(nxt, "deadline expired in queue")
-                break
+                return None
             if nxt.payload is None or nxt.seq != group[-1].seq + 1:
-                carry = nxt
-                break
+                return nxt
             group.append(nxt)
-            total_ops += nxt.n
-            total_bytes += len(nxt.payload)
-        message = {
-            "cmd": "apply_group",
-            "first_seq": first.seq,
-            "counts": [p.n for p in group],
-            # Coalescing IS this join: the payloads arrive in wire
-            # layout and leave in wire layout, no per-op work.
-            "payload": b"".join(p.payload for p in group),
-        }
-        try:
-            response = await loop.run_in_executor(
-                self._executor, self._supervisor.call, tenant, message
-            )
-        except asyncio.CancelledError:
-            for p in group:
-                self._shed(p, "daemon stopping")
-            if carry is not None:
-                self._shed(carry, "daemon stopping")
-            raise
-        except TenantFailedError as exc:
-            response = {"ok": False, "error": str(exc), "failed": True}
-        except Exception as exc:  # keep the dispatcher alive
-            response = {"ok": False, "error": str(exc), "kind": type(exc).__name__}
-        acks = response.get("acks") if response.get("ok") else None
-        if acks is not None and len(acks) == len(group):
-            for p, ack in zip(group, acks):
-                if not p.future.done():
-                    p.future.set_result(ack)
-        else:
-            for p in group:
-                if not p.future.done():
-                    p.future.set_result(response)
-        return carry
+            nbytes += len(nxt.payload)
+        return None
 
     # ----------------------------------------------------------------- #
-    # Blocking side (runs in the executor)
+    # Blocking side (runs on the tenant's thread)
     # ----------------------------------------------------------------- #
 
-    def _call_blocking(self, tenant: str, request: dict) -> dict:
+    def _call(self, tenant: str, group: List[_Pending]) -> dict:
+        request = group[0].message
         op = request["op"]
+        if op == "apply":
+            return self._supervisor.call(
+                tenant,
+                {
+                    "cmd": "apply_group",
+                    "first_seq": group[0].seq,
+                    "counts": [p.n for p in group],
+                    # Coalescing IS this join: the payloads arrive in wire
+                    # layout and leave in wire layout, no per-op work.
+                    "payload": b"".join(p.payload for p in group),
+                },
+            )
         if op == "open":
             config = config_from_dict(request["config"])
             frontier_base = int(request["capacity_sectors"])
@@ -617,3 +554,8 @@ class ReplayDaemon:
             self._supervisor.stop_tenant(tenant)
             return {"ok": True, "tenant": tenant, "closed": True}
         raise ValueError(f"unknown op {op!r}")
+
+
+def _failure(exc: Exception) -> dict:
+    """The reply to a request whose handling raised."""
+    return {"ok": False, "error": str(exc), "kind": type(exc).__name__}

@@ -1,8 +1,8 @@
 """In-process daemon harness: a real daemon on its own background loop.
 
 Everything that needs a live :class:`~repro.service.daemon.ReplayDaemon`
-without owning the process — the chaos smoke run, the daemon test
-suite — boots one of these: a real TCP server on a free port,
+without owning the process — the daemon and differential test suites —
+boots one of these: a real TCP server on a free port,
 its asyncio loop isolated in a daemon thread, with
 :meth:`DaemonThread.stop` performing the clean every-session checkpoint
 shutdown.
@@ -12,27 +12,19 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.service.daemon import DaemonConfig, ReplayDaemon
-from repro.service.supervisor import SupervisorConfig
+from repro.service.supervisor import Supervisor
 
 
 class DaemonThread:
     """A daemon with its own event loop in a background thread."""
 
     def __init__(
-        self,
-        root: Union[str, Path],
-        config: Optional[DaemonConfig] = None,
-        supervisor_config: Optional[SupervisorConfig] = None,
+        self, supervisor: Supervisor, config: Optional[DaemonConfig] = None
     ) -> None:
-        self.daemon = ReplayDaemon(
-            Path(root),
-            config=config or DaemonConfig(port=0),
-            supervisor_config=supervisor_config,
-        )
+        self.daemon = ReplayDaemon(supervisor, config)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._run, name="repro-daemon-thread", daemon=True

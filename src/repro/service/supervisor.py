@@ -5,24 +5,22 @@ tenant and is the only component that talks to them.  Its contract with
 the daemon above it:
 
 * **Crash transparency.**  A call that finds the worker dead (or kills it
-  for wedging past the call timeout) restarts it — recovery inside
+  for wedging past :data:`CALL_TIMEOUT_S`) restarts it — recovery inside
   :meth:`ReplaySession.open` restores checkpoint + journal tail — and
   replays the call **once**.  This is safe for every command the daemon
   sends: ``apply_group`` is idempotent under the session's sequence-number
   dedupe, and queries are read-only.
-* **Bounded exponential backoff.**  Consecutive restarts within
-  :attr:`SupervisorConfig.crash_window_s` sleep
-  ``backoff_base_s * 2**(n-1)`` (capped at ``backoff_cap_s``) before
-  relaunching, so a session whose state crashes its worker on boot can't
-  spin the host.  After ``max_restarts`` such crashes the tenant is
-  marked **failed** and every further call raises
+* **Bounded exponential backoff.**  Crashes are counted over the last
+  :data:`CRASH_WINDOW_S`; call the count, this crash included, the
+  *burst*.  The first restart in a burst relaunches at once; each later
+  one first sleeps ``BACKOFF_BASE_S * 2**(burst-2)`` (capped at
+  :data:`BACKOFF_CAP_S`), so a session whose state crashes its worker on
+  boot can't spin the host.  A burst past :data:`MAX_RESTARTS` marks the
+  tenant **failed** and every further call raises
   :class:`TenantFailedError` — one poisoned tenant never consumes the
   supervisor, and its neighbours keep streaming.
 * **Determinism hooks.**  The wall clock and the sleep are injectable
-  (``clock``/``sleep``), so supervision tests and chaos schedules run
-  clock-free; ``on_worker_death`` fires between detecting a dead worker
-  and relaunching it — the chaos harness uses it to corrupt the newest
-  checkpoint at exactly the nastiest moment.
+  (``clock``/``sleep``), so supervision tests run clock-free.
 """
 
 from __future__ import annotations
@@ -47,36 +45,21 @@ class WorkerCallError(RuntimeError):
     """The worker could not serve the call even after a restart."""
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Supervision policy knobs.
+#: Sleep before the second restart in a burst; each later one doubles it.
+BACKOFF_BASE_S = 0.05
 
-    Attributes:
-        backoff_base_s: Sleep before the second restart in a burst; each
-            further restart doubles it.
-        backoff_cap_s: Upper bound on one backoff sleep.
-        max_restarts: Crash budget within ``crash_window_s`` before the
-            tenant is failed.
-        crash_window_s: Sliding window over which crashes are counted.
-        call_timeout_s: Per-call ceiling; a worker silent past it is
-            presumed wedged, killed, and the call handled as a crash.
-        checkpoint_interval_ops: Forwarded to each session.
-    """
+#: Upper bound on one backoff sleep.
+BACKOFF_CAP_S = 2.0
 
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    max_restarts: int = 5
-    crash_window_s: float = 30.0
-    call_timeout_s: float = 60.0
-    checkpoint_interval_ops: int = DEFAULT_CHECKPOINT_INTERVAL
+#: Restarts allowed within one crash window before the tenant is failed.
+MAX_RESTARTS = 5
 
-    def __post_init__(self) -> None:
-        if self.backoff_base_s < 0 or self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError("need 0 <= backoff_base_s <= backoff_cap_s")
-        if self.max_restarts < 1:
-            raise ValueError("max_restarts must be >= 1")
-        if self.call_timeout_s <= 0 or self.crash_window_s <= 0:
-            raise ValueError("timeouts must be > 0")
+#: Sliding window over which crashes are counted (seconds).
+CRASH_WINDOW_S = 30.0
+
+#: Per-call ceiling; a worker silent past it is presumed wedged, killed,
+#: and the call handled as a crash.
+CALL_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -99,16 +82,14 @@ class Supervisor:
     def __init__(
         self,
         root: Path,
-        config: Optional[SupervisorConfig] = None,
+        checkpoint_interval_ops: int = DEFAULT_CHECKPOINT_INTERVAL,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        on_worker_death: Optional[Callable[[str, int], None]] = None,
     ) -> None:
         self._root = Path(root)
-        self._config = config or SupervisorConfig()
+        self._checkpoint_interval_ops = checkpoint_interval_ops
         self._clock = clock
         self._sleep = sleep
-        self._on_worker_death = on_worker_death
         self._tenants: Dict[str, _Tenant] = {}
         self._registry_lock = threading.Lock()
         self._ctx = multiprocessing.get_context("spawn")
@@ -175,7 +156,7 @@ class Supervisor:
                     self._restart(tenant)
                 try:
                     tenant.conn.send(message)
-                    if tenant.conn.poll(self._config.call_timeout_s):
+                    if tenant.conn.poll(CALL_TIMEOUT_S):
                         return tenant.conn.recv()
                     # Wedged: no response within the ceiling.  Kill it;
                     # the session's WAL makes this indistinguishable from
@@ -200,12 +181,12 @@ class Supervisor:
             if self._alive(tenant):
                 try:
                     tenant.conn.send({"cmd": "shutdown"})
-                    tenant.conn.poll(self._config.call_timeout_s)
+                    tenant.conn.poll(CALL_TIMEOUT_S)
                     if tenant.conn.poll(0):
                         tenant.conn.recv()
                 except (BrokenPipeError, EOFError, OSError):
                     pass
-                tenant.process.join(timeout=self._config.call_timeout_s)
+                tenant.process.join(timeout=CALL_TIMEOUT_S)
                 if tenant.process.is_alive():
                     tenant.process.kill()
                     tenant.process.join()
@@ -249,7 +230,7 @@ class Supervisor:
                 str(tenant.root),
                 config_to_dict(tenant.config),
                 tenant.frontier_base,
-                self._config.checkpoint_interval_ops,
+                self._checkpoint_interval_ops,
             ),
             daemon=True,
             name=f"repro-session-{tenant.name}",
@@ -258,7 +239,7 @@ class Supervisor:
         child_conn.close()
         # Wait for the ready handshake: recovery happens before it, so a
         # successful boot means the session state is consistent.
-        if not parent_conn.poll(self._config.call_timeout_s):
+        if not parent_conn.poll(CALL_TIMEOUT_S):
             process.kill()
             process.join()
             raise WorkerCallError(f"tenant {tenant.name!r}: worker boot timed out")
@@ -273,7 +254,7 @@ class Supervisor:
         tenant.conn = parent_conn
 
     def _restart(self, tenant: _Tenant) -> None:
-        """Handle a detected crash: budget check, backoff, death hook, boot."""
+        """Handle a detected crash: budget check, backoff, boot."""
         if tenant.conn is not None:
             tenant.conn.close()
             tenant.conn = None
@@ -281,26 +262,19 @@ class Supervisor:
             tenant.process.join(timeout=1.0)
             tenant.process = None
         now = self._clock()
-        window_start = now - self._config.crash_window_s
+        window_start = now - CRASH_WINDOW_S
         tenant.crash_times = [t for t in tenant.crash_times if t >= window_start]
         tenant.crash_times.append(now)
         burst = len(tenant.crash_times)
-        if burst > self._config.max_restarts:
+        if burst > MAX_RESTARTS:
             tenant.failed = True
             raise TenantFailedError(
                 f"tenant {tenant.name!r}: {burst - 1} restarts within "
-                f"{self._config.crash_window_s:g}s; retiring the session"
+                f"{CRASH_WINDOW_S:g}s; retiring the session"
             )
         if burst > 1:
-            self._sleep(
-                min(
-                    self._config.backoff_cap_s,
-                    self._config.backoff_base_s * 2 ** (burst - 2),
-                )
-            )
+            self._sleep(min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (burst - 2)))
         tenant.restarts += 1
-        if self._on_worker_death is not None:
-            self._on_worker_death(tenant.name, tenant.restarts)
         self._start_worker(tenant)
 
 

@@ -5,27 +5,36 @@ The coalesced path earns its throughput only if it is
 
 * a coalesced group commit leaves the session in exactly the state N
   per-batch applies would have (same queries, same stats);
-* a daemon serving a pipelined client (``apply_stream``) and one
-  serving a batch-at-a-time client (``apply_with_retry``) both converge
-  to the state of an offline replay of the same columns;
+* a daemon serving a pipelined client (``apply_stream``) converges to
+  the state of an offline replay of the same columns (see also
+  ``tests/service/test_daemon.py``);
 * ``kill -9`` mid-group recovers byte-identically (a group WAL record
-  expands to the same ops the per-batch records would have held);
+  expands to the same ops the per-batch records would have held), also
+  with a live window in flight and when the newest checkpoint is damaged;
 * overload sheds + client resend converge to the reference state with
   no ops lost or double-applied.
 """
 
+import os
+import signal
+import threading
+
 import pytest
 
-from repro.core.config import LS, LS_ALL
+from repro.core.config import LS, LS_ALL, LS_DEFRAG
 from repro.load.mixture import build_mixture
+from repro.service.checkpoint import CheckpointStore
 from repro.service.client import ReplayClient
 from repro.service.daemon import DaemonConfig
 from repro.service.harness import DaemonThread
 from repro.service.session import ReplaySession
+from repro.service.supervisor import Supervisor
 from repro.service.wire import encode_payload
+from repro.util.npystore import PAGE_ALIGN
 from tests.service.helpers import (
     CAPACITY,
     batches,
+    flip_byte,
     make_columns,
     reference_queries,
     session_queries,
@@ -135,41 +144,6 @@ def test_kill9_mid_group_recovers_byte_identical(tmp_path):
 
 
 @pytest.mark.slow
-def test_pipelined_and_sequential_clients_match_offline(tmp_path):
-    """Same columns through both client send paths of a live daemon ==
-    offline replay."""
-    columns = make_columns(4000, seed=21)
-    all_batches = batches(columns, 250)
-    expected = jsonify(
-        reference_queries(tmp_path / "ref", LS, columns, batch_ops=250)
-    )
-
-    server = DaemonThread(
-        tmp_path / "state", config=DaemonConfig(port=0, queue_depth=64)
-    )
-    port = server.start()
-    try:
-        with ReplayClient("127.0.0.1", port, "seq_t") as seq_c:
-            seq_c.open(LS, CAPACITY)
-            for _, is_read, lba, length in all_batches:
-                assert seq_c.apply_with_retry(is_read, lba, length)["ok"]
-            sequential_queries = {k: seq_c.query(k) for k in QUERY_KINDS}
-
-        with ReplayClient("127.0.0.1", port, "pipe_t") as pipe_c:
-            pipe_c.open(LS, CAPACITY)
-            result = pipe_c.apply_stream(
-                (b[1:] for b in all_batches), window=16
-            )
-            assert result["batches"] == len(all_batches)
-            pipelined_queries = {k: pipe_c.query(k) for k in QUERY_KINDS}
-    finally:
-        server.stop()
-
-    assert pipelined_queries == expected
-    assert sequential_queries == expected
-
-
-@pytest.mark.slow
 def test_overload_shed_and_resend_converge(tmp_path):
     """A queue two deep against a 16-wide window must shed; the client's
     resync+resend must still land every op exactly once."""
@@ -179,10 +153,7 @@ def test_overload_shed_and_resend_converge(tmp_path):
         reference_queries(tmp_path / "ref", LS, columns, batch_ops=100)
     )
 
-    server = DaemonThread(
-        tmp_path / "state",
-        config=DaemonConfig(port=0, queue_depth=2, coalesce_batches=4),
-    )
+    server = DaemonThread(Supervisor(tmp_path / "state"), DaemonConfig(queue_depth=2))
     port = server.start()
     try:
         with ReplayClient("127.0.0.1", port, "t") as client:
@@ -208,7 +179,7 @@ def test_mixture_stream_is_replayable_offline(tmp_path):
     )
     stream = batches(columns, 500)
     server = DaemonThread(
-        tmp_path / "state", config=DaemonConfig(port=0, queue_depth=64)
+        Supervisor(tmp_path / "state"), DaemonConfig(queue_depth=64)
     )
     port = server.start()
     try:
@@ -228,3 +199,63 @@ def test_mixture_stream_is_replayable_offline(tmp_path):
         offline.apply_batch(*batch)
     assert live_stats == offline.query("stats")
     offline.close()
+
+
+@pytest.mark.slow
+def test_kill9_and_corrupt_checkpoint_mid_window_match_offline(tmp_path):
+    """Two pipelined tenants, each held halfway with a window in flight:
+    alpha's worker is ``kill -9``'d; bravo checkpoints, has a payload byte
+    of that checkpoint flipped (only the SHA can tell) and is killed.
+    Both resume and must equal an offline replay exactly."""
+    configs = {"alpha": LS, "bravo": LS_DEFRAG}
+    columns = {t: make_columns(2400, seed=31 + i) for i, t in enumerate(configs)}
+    halfway, resume = ({t: threading.Event() for t in configs} for _ in range(2))
+    errors = []
+    server = DaemonThread(Supervisor(tmp_path / "state", checkpoint_interval_ops=500))
+    port, supervisor = server.start(), server.daemon.supervisor
+
+    def stream(tenant):
+        def held():
+            for seq, *batch in batches(columns[tenant], 100):
+                yield batch
+                if seq == 12:  # up to 7 earlier batches are still in flight
+                    halfway[tenant].set()
+                    assert resume[tenant].wait(timeout=60), "never resumed"
+
+        try:
+            with ReplayClient("127.0.0.1", port, tenant) as client:
+                client.open(configs[tenant], CAPACITY)
+                assert client.apply_stream(held(), window=8)["batches"] == 24
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+            halfway[tenant].set()
+
+    threads = [threading.Thread(target=stream, args=(t,), daemon=True) for t in configs]
+    try:
+        for thread in threads:
+            thread.start()
+        for tenant in configs:
+            assert halfway[tenant].wait(timeout=60) and not errors, errors
+            if tenant == "bravo":
+                with ReplayClient("127.0.0.1", port, tenant) as client:
+                    client.checkpoint()
+                store = CheckpointStore(supervisor.tenant_root(tenant))
+                entry = store.entry_path(store.sequence_numbers()[-1])
+                target = max(entry.glob("*.npy"), key=lambda path: path.stat().st_size)
+                flip_byte(target, (PAGE_ALIGN + target.stat().st_size) // 2)
+            os.kill(supervisor.worker_pid(tenant), signal.SIGKILL)
+            resume[tenant].set()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "a tenant stream did not finish"
+        assert not errors, errors
+        for tenant, config in configs.items():
+            expected = jsonify(reference_queries(tmp_path / tenant, config, columns[tenant]))
+            with ReplayClient("127.0.0.1", port, tenant) as client:
+                for kind in ("stats", "saf", "fragment_cdf", "seek_budget"):
+                    assert client.query(kind) == expected[kind], (tenant, kind)
+            assert supervisor.restart_count(tenant) >= 1, tenant
+    finally:
+        for event in resume.values():
+            event.set()
+        server.stop()

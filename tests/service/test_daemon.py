@@ -2,19 +2,22 @@
 
 import asyncio
 import json
+import threading
+import time
 
 import pytest
 
 from repro.core.config import LS, LS_DEFRAG, config_to_dict
 from repro.service.client import ReplayClient, ServiceError
-from repro.service.smoke import _DaemonThread
+from repro.service.harness import DaemonThread
+from repro.service.supervisor import Supervisor
 from repro.service.wire import encode_payload
 from tests.service.helpers import CAPACITY, batches, make_columns, reference_queries
 
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
-    thread = _DaemonThread(tmp_path_factory.mktemp("daemon-state"))
+    thread = DaemonThread(Supervisor(tmp_path_factory.mktemp("daemon-state")))
     thread.start()
     yield thread
     thread.stop()
@@ -29,9 +32,8 @@ def test_stream_matches_offline_reference(server, tmp_path):
     expected = reference_queries(tmp_path / "ref", LS_DEFRAG, columns, batch_ops=50)
     with _client(server, "roundtrip") as client:
         client.open(LS_DEFRAG, CAPACITY)
-        for _, is_read, lba, length in batches(columns, 50):
-            ack = client.apply_with_retry(is_read, lba, length)
-            assert ack["ok"]
+        result = client.apply_stream(b[1:] for b in batches(columns, 50))
+        assert result["batches"] == 6
         assert client.applied_seq() == 6
         assert client.query("stats") == expected["stats"]
         assert client.query("saf") == expected["saf"]
@@ -56,9 +58,8 @@ def test_duplicate_ack_and_gap_resync(server):
         assert gap["kind"] == "SequenceGapError"
         assert gap["expected"] == 2
 
-        # apply_with_retry trusts the server's expected seq and renumbers.
-        client.next_seq = 7
-        ack = client.apply_with_retry(is_read[10:20], lba[10:20], length[10:20])
+        # The refused batch left next_seq at the server's expected seq.
+        ack = client.apply_stream([(is_read[10:20], lba[10:20], length[10:20])])
         assert ack["ok"] and ack["applied_seq"] == 2
 
 
@@ -72,17 +73,15 @@ def test_expired_deadline_is_shed_not_applied(server):
         assert client.applied_seq() == 0
         # The shed batch was refused, not half-applied: a plain resend of
         # the same seq goes through.
-        ack = client.apply_with_retry(is_read, lba, length)
+        ack = client.apply_stream([(is_read, lba, length)])
         assert ack["ok"]
         assert client.applied_seq() == 1
 
 
 def test_close_and_reattach_preserves_applied_seq(server):
-    is_read, lba, length = make_columns(40, seed=24)
     with _client(server, "reattach") as client:
         client.open(LS, CAPACITY)
-        client.apply_with_retry(is_read[:20], lba[:20], length[:20])
-        client.apply_with_retry(is_read[20:], lba[20:], length[20:])
+        client.apply_stream(b[1:] for b in batches(make_columns(40, seed=24), 20))
         client.close_session()
     with _client(server, "reattach") as client:
         response = client.open(LS, CAPACITY)
@@ -99,7 +98,7 @@ def test_open_request_carrying_a_fast_key_is_the_same_config(server):
     is_read, lba, length = make_columns(20, seed=25)
     with _client(server, "stale-key") as client:
         client.open(LS, CAPACITY)
-        client.apply_with_retry(is_read, lba, length)
+        client.apply_stream([(is_read, lba, length)])
         response = client.request(
             {
                 "op": "open",
@@ -139,15 +138,14 @@ def test_closed_and_never_opened_tenants_leave_no_queue_or_task(tmp_path):
     """A tenant's queue and dispatcher live from its open to its close."""
     columns = make_columns(40, seed=25)
     expected = reference_queries(tmp_path / "ref", LS, columns, batch_ops=20)
-    server = _DaemonThread(tmp_path / "state")
+    server = DaemonThread(Supervisor(tmp_path / "state"))
     server.start()
     try:
         for i in range(50):
             with _client(server, f"cycle-{i}") as client:
                 client.open(LS, CAPACITY)
                 if i == 0:
-                    for _, is_read, lba, length in batches(columns, 20):
-                        client.apply_with_retry(is_read, lba, length)
+                    client.apply_stream(b[1:] for b in batches(columns, 20))
                 client.close_session()
                 with pytest.raises(ServiceError, match="not open"):
                     client.query("applied")
@@ -196,3 +194,48 @@ def test_requests_queued_behind_a_close_are_shed(server):
             assert not late["ok"] and "not open" in late["error"]
         assert server.daemon.supervisor.restart_count("closing") == 0
         assert client.open(LS, CAPACITY)["applied_seq"] == 0
+
+
+class _BlockingSupervisor:
+    """Answers every call at once, except those of tenants named
+    ``stuck-*``, which block until ``release`` is set."""
+
+    def __init__(self):
+        self.release, self.stuck = threading.Event(), set()
+
+    def call(self, name, message):
+        if name.startswith("stuck-"):
+            self.stuck.add(name)
+            self.release.wait(timeout=30)
+        return {"ok": True, "result": {"applied_seq": 0}}
+
+    def ensure_tenant(self, *args):
+        pass
+
+    shutdown = ensure_tenant
+
+
+def test_blocked_tenants_do_not_stall_a_new_one():
+    """Nine tenants each wedged in a worker call; a tenth still answers."""
+    supervisor = _BlockingSupervisor()
+    server = DaemonThread(supervisor)
+    port = server.start()
+    try:
+        with ReplayClient("127.0.0.1", port, "stuck") as stuck:
+            config = config_to_dict(LS)
+            for i in range(9):
+                opening = {"op": "open", "tenant": f"stuck-{i}", "config": config,
+                           "capacity_sectors": CAPACITY}
+                stuck._file.write(json.dumps(opening).encode() + b"\n")
+            stuck._file.flush()
+            deadline = time.monotonic() + 2.0
+            while len(supervisor.stuck) < 9 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            started = time.monotonic()
+            with ReplayClient("127.0.0.1", port, "free", timeout_s=1.0) as free:
+                free.open(LS, CAPACITY)
+                assert free.query("stats") == {"applied_seq": 0}
+            assert time.monotonic() - started < 1.0
+    finally:
+        supervisor.release.set()
+        server.stop()

@@ -14,13 +14,14 @@ import random
 import pytest
 
 from repro.core.config import LS
+from repro.service import daemon
 from repro.service.client import ReplayClient
-from repro.service.daemon import MAX_LINE_BYTES, DaemonConfig
 from repro.service.harness import DaemonThread
+from repro.service.supervisor import Supervisor
 from repro.service.wire import OP_BYTES, encode_payload, payload_crc
 from tests.service.helpers import CAPACITY, make_columns
 
-MAX_FRAME_BYTES = 4096  # the smallest the config allows: cheap to exceed
+MAX_FRAME_BYTES = 4096  # cheap to exceed
 TOO_MANY_OPS = MAX_FRAME_BYTES // OP_BYTES + 1
 PAYLOAD = encode_payload(*make_columns(3, seed=41))
 CRC = payload_crc(PAYLOAD)
@@ -29,15 +30,14 @@ JSON_OPS = {"is_read": [0, 1, 0], "lba": [0, 8, 16], "length": [8, 8, 8]}
 
 @pytest.fixture(scope="module")
 def port(tmp_path_factory):
-    server = DaemonThread(
-        tmp_path_factory.mktemp("protocol-state"),
-        config=DaemonConfig(port=0, max_frame_bytes=MAX_FRAME_BYTES),
-    )
-    port = server.start()
-    with ReplayClient("127.0.0.1", port, "t") as client:
-        client.open(LS, CAPACITY)
-    yield port
-    server.stop()
+    server = DaemonThread(Supervisor(tmp_path_factory.mktemp("protocol-state")))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(daemon, "MAX_FRAME_BYTES", MAX_FRAME_BYTES)
+        port = server.start()
+        with ReplayClient("127.0.0.1", port, "t") as client:
+            client.open(LS, CAPACITY)
+        yield port
+        server.stop()
 
 
 def exchange(client: ReplayClient, sent: bytes) -> dict:
@@ -112,7 +112,7 @@ CASES = [
     ),
     (
         "oversized line",
-        line({"op": "ping", "pad": "x" * (MAX_LINE_BYTES + 1)}),
+        line({"op": "ping", "pad": "x" * (daemon.MAX_LINE_BYTES + 1)}),
         decoder("too_large", what="line", max_line_bytes=64 * 1024),
     ),
 ]
@@ -203,5 +203,5 @@ def test_mutated_headers_always_get_a_reply(port):
     is_read, lba, length = make_columns(50, seed=42)
     with ReplayClient("127.0.0.1", port, "after") as client:
         client.open(LS, CAPACITY)
-        assert client.apply_with_retry(is_read, lba, length)["ok"]
+        assert client.apply_stream([(is_read, lba, length)])["ok"]
         assert client.query("applied") == {"applied_seq": 1, "ops": 50}

@@ -10,12 +10,8 @@ import signal
 import pytest
 
 from repro.core.config import LS, LS_DEFRAG
-from repro.service.supervisor import (
-    Supervisor,
-    SupervisorConfig,
-    TenantFailedError,
-    WorkerCallError,
-)
+from repro.service import supervisor as supervision
+from repro.service.supervisor import Supervisor, TenantFailedError, WorkerCallError
 from repro.service.wire import encode_payload
 from tests.service.helpers import CAPACITY, batches, make_columns, reference_queries
 
@@ -40,10 +36,7 @@ def _apply(supervisor, tenant, batch):
 def test_kill9_midstream_restart_is_transparent(tmp_path):
     columns = make_columns(300, seed=2)
     expected = reference_queries(tmp_path / "ref", LS_DEFRAG, columns, batch_ops=50)
-    supervisor = Supervisor(
-        tmp_path / "state",
-        SupervisorConfig(backoff_base_s=0.01, checkpoint_interval_ops=100),
-    )
+    supervisor = Supervisor(tmp_path / "state", checkpoint_interval_ops=100)
     try:
         supervisor.ensure_tenant("t", LS_DEFRAG, CAPACITY)
         with pytest.raises(ValueError, match="different"):
@@ -80,9 +73,7 @@ def test_kill9_midstream_restart_is_transparent(tmp_path):
 
 
 def test_crash_during_call_twice_raises_then_recovers(tmp_path):
-    supervisor = Supervisor(
-        tmp_path / "state", SupervisorConfig(backoff_base_s=0.0, backoff_cap_s=0.0)
-    )
+    supervisor = Supervisor(tmp_path / "state")
     try:
         supervisor.ensure_tenant("t", LS, CAPACITY)
         # "crash" kills the worker before it can answer; the replayed
@@ -97,29 +88,24 @@ def test_crash_during_call_twice_raises_then_recovers(tmp_path):
         supervisor.shutdown()
 
 
-def test_restart_budget_retires_tenant(tmp_path):
+def test_restart_budget_retires_tenant(tmp_path, monkeypatch):
     sleeps = []
-    deaths = []
+    monkeypatch.setattr(supervision, "BACKOFF_BASE_S", 0.25)
+    monkeypatch.setattr(supervision, "MAX_RESTARTS", 2)
     supervisor = Supervisor(
         tmp_path / "state",
-        SupervisorConfig(
-            backoff_base_s=0.25,
-            backoff_cap_s=1.0,
-            max_restarts=2,
-            crash_window_s=30.0,
-        ),
         clock=lambda: 0.0,  # every crash lands in one window
         sleep=sleeps.append,  # recorded, never actually slept
-        on_worker_death=lambda name, n: deaths.append((name, n)),
     )
     try:
         supervisor.ensure_tenant("t", LS, CAPACITY)
         for _ in range(2):
             os.kill(supervisor.worker_pid("t"), signal.SIGKILL)
             assert supervisor.call("t", {"cmd": "ping"})["ok"]
-        # Second restart in the window backed off exponentially from base.
+        # The first restart in the window relaunched at once; the second
+        # slept the base.
         assert sleeps == [0.25]
-        assert deaths == [("t", 1), ("t", 2)]
+        assert supervisor.restart_count("t") == 2
 
         os.kill(supervisor.worker_pid("t"), signal.SIGKILL)
         with pytest.raises(TenantFailedError, match="retiring"):
