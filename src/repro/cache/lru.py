@@ -79,8 +79,9 @@ class LRUCache:
         Returns True and marks every covering block most-recently-used
         iff all of them are resident; on a miss nothing is touched.
         Exactly equivalent to the two-call sequence, but computes the
-        block range once and probes the resident set once per block —
-        this sits on the per-fragment hot path of the batch kernels.
+        block range once and probes the resident set once per block.
+        The reference translator's ``lookup`` calls it; the fast paths run
+        the compiled fragment-policy kernel, for which it is the oracle.
         """
         blocks = self._blocks
         covering = self._block_range(pba, length)
@@ -140,7 +141,7 @@ class LRUCache:
             )
         if len(set(blocks)) != len(blocks):
             raise ValueError("restored block list contains duplicates")
-        self._blocks = OrderedDict((block, None) for block in blocks)
+        self._blocks = OrderedDict.fromkeys(blocks)
         self.evictions = int(evictions)
 
     def __len__(self) -> int:

@@ -105,7 +105,7 @@ import numpy as np
 
 from repro.core.cleaning import ZonedCleaningTranslator
 from repro.core.config import TechniqueConfig, build_translator
-from repro.core.fragment_policy import filter_accesses
+from repro.core.fragment_policy import FragmentPolicies, filter_accesses
 from repro.core.multifrontier import (
     MultiFrontierTranslator,
     RecencyClassifier,
@@ -863,6 +863,10 @@ class IncrementalBatchReplay:
         self._track_fragments = track_fragments
         self.fragment_hist: Dict[int, int] = {}
         self._counters: Dict[str, int] = {key: 0 for key, _field in _COUNTERS}
+        # The cache and prefetcher state, owned by the fragment-policy
+        # kernel from the first fragmented read run on; synced back into
+        # the translator wherever the translator is handed out.
+        self._policies: Optional[FragmentPolicies] = None
 
         # Undrained seek-distance log, in access order.
         self._distance_chunks: List[np.ndarray] = []
@@ -874,7 +878,12 @@ class IncrementalBatchReplay:
 
     @property
     def translator(self) -> Translator:
+        self._sync_policies()
         return self._translator
+
+    def _sync_policies(self) -> None:
+        if self._policies is not None:
+            self._policies.sync()
 
     @property
     def log_structured(self) -> bool:
@@ -1028,8 +1037,10 @@ class IncrementalBatchReplay:
             pba, length, kind = sink.take()
         if policies and len(pba) > len(counts):  # some read is fragmented
             eligible = np.flatnonzero(kind == _KIND_READ)[np.repeat(counts > 1, counts)]
+            if self._policies is None:
+                self._policies = FragmentPolicies(placement.cache, placement.prefetcher)
             keep, cache_hits, buffer_hits = filter_accesses(
-                placement.cache, placement.prefetcher, pba, length, eligible
+                self._policies, pba, length, eligible
             )
             pba, length, kind = pba[keep], length[keep], kind[keep]
             self._counters["cache_hits"] += cache_hits
@@ -1206,6 +1217,7 @@ class IncrementalBatchReplay:
         was never called — draining moves distances out of the engine).
         """
         distances, dist_is_read = self._distance_log()
+        self._sync_policies()
         return BatchRunResult(
             run_result=RunResult(
                 trace_name=trace_name or self.trace_name,
@@ -1236,6 +1248,7 @@ class IncrementalBatchReplay:
         if distances.size:
             self._distance_chunks = [distances]
             self._read_flag_chunks = [dist_is_read]
+        self._sync_policies()
         return {
             "trace_name": self.trace_name,
             "ops_applied": self.ops_applied,

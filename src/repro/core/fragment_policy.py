@@ -6,25 +6,26 @@ per fragment of every fragmented read, in the paper's service order:
 selective-cache lookup, then prefetch-buffer cover, then the disk access
 followed by the window insert and the cache admit.  The per-call methods
 (``lookup`` / ``covers`` / ``note_fragment_read`` / ``admit``) spell that
-order out for the reference translator; :func:`serve_fragments` holds it
-once for the fast paths (:func:`repro.core.stream.stream_replay` and the
-batch driver's read runs) and runs it over a whole fragment list.
+order out for the reference translator and are the oracle; the fast paths
+(:func:`repro.core.stream.stream_replay` and the batch driver's read runs)
+hold it once, in one compiled loop over a whole fragment list
+(``_fragment_policy.c``), through a :class:`FragmentPolicies`.
 
-The list is served in slabs of ``_SLAB`` fragments, so scratch stays
-slab-sized whatever the list's length.  Everything that is a pure
-function of a slab — block ids, fragment ends, clipped and truncated
-window bounds, the ``length > 0`` / ``pba >= 0`` checks — is computed
-vectorised; the sequential residue is one loop over the slab's plain ints
-that mutates the policy objects' own ``OrderedDict`` / ``deque`` in
-place; the counters are folded back at the end.  The objects are left
-exactly as the per-call sequence leaves them (``state_dict()``,
-checkpoints), which ``tests/property/test_fragment_policy_kernel.py``
-checks with the per-call API as oracle.
+The C source is built at import time with the system ``cc`` into
+``__pycache__`` (a fresh temporary directory if that is not writable),
+named by a hash of the source, the flags and the interpreter's extension
+suffix, and loaded with :mod:`ctypes`.  Without ``cc`` the import fails.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+import ctypes
+import hashlib
+import os
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,128 +33,149 @@ import numpy as np
 from repro.core.prefetch import LookAheadBehindPrefetcher
 from repro.core.selective_cache import SelectiveFragmentCache
 
-#: Per-fragment outcome codes returned by :func:`serve_fragments`.
+#: Per-fragment outcome codes returned by :meth:`FragmentPolicies.serve`.
 DISK, CACHE_HIT, BUFFER_HIT = 0, 1, 2
 
-_SLAB = 1 << 14
+#: Header fields of the two state arrays, in the C structs' order.
+_LRU_FIELDS = ("capacity", "block_sectors", "shift", "table_size", "count",
+               "head", "tail", "hits", "misses", "evictions")
+_RING_FIELDS = ("capacity", "ahead", "behind", "size", "first", "count", "used",
+                "window_reads")
+
+_FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv")
 
 
-def serve_fragments(
-    cache: Optional[SelectiveFragmentCache],
-    prefetcher: Optional[LookAheadBehindPrefetcher],
-    pba,
-    length,
-) -> np.ndarray:
-    """Serve the fragments ``(pba[i], length[i])`` of fragmented reads in
-    order; returns one uint8 outcome code per fragment.
+def _load_library() -> ctypes.CDLL:
+    """Build ``_fragment_policy.c`` once per source and interpreter; load it."""
+    source = Path(__file__).with_name("_fragment_policy.c")
+    key = source.read_bytes() + " ".join(_FLAGS).encode()
+    key += sysconfig.get_config_var("EXT_SUFFIX").encode()
+    name = f"_fragment_policy-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    for directory in (source.parent / "__pycache__", None):
+        directory = directory or Path(tempfile.mkdtemp(prefix="repro-kernel-"))
+        target = directory / name
+        if target.is_file():
+            return ctypes.CDLL(str(target))
+        try:
+            directory.mkdir(exist_ok=True)
+            handle, partial = tempfile.mkstemp(suffix=".so", dir=directory)
+            os.close(handle)
+        except OSError:
+            continue  # not writable: build in a fresh temporary directory
+        try:
+            subprocess.run(["cc", *_FLAGS, "-o", partial, str(source)],
+                           check=True, capture_output=True, text=True)
+            os.replace(partial, target)  # atomic: concurrent importers are safe
+        except FileNotFoundError:
+            raise ImportError(
+                "repro needs a C compiler on PATH as `cc` to build its "
+                "fragment-policy kernel"
+            ) from None
+        except subprocess.CalledProcessError as error:
+            raise ImportError(f"`cc` failed to build {source}:\n{error.stderr}") from None
+        finally:
+            Path(partial).unlink(missing_ok=True)
+        return ctypes.CDLL(str(target))
 
-    At least one of ``cache`` and ``prefetcher`` is given.  Equivalent to —
-    and leaves both exactly as — the per-call sequence on each fragment in
-    turn.  The first fragment that sequence would reject raises its
-    ``ValueError``, the fragments ahead of it applied.
+
+_LIBRARY = _load_library()
+_LIBRARY.fp_serve.restype = ctypes.c_int64
+_LIBRARY.fp_serve.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                              ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+_LIBRARY.fp_load.argtypes = (ctypes.c_void_p,)
+_LIBRARY.fp_order.argtypes = (ctypes.c_void_p, ctypes.c_void_p)
+
+
+class FragmentPolicies:
+    """A cache and a prefetcher whose state the compiled kernel owns.
+
+    Loads the objects' ``state_dict()``\\ s into preallocated arrays —
+    O(cache blocks + buffer sectors), never O(stream) — which every
+    :meth:`serve` then advances in place.  :meth:`sync` writes them back
+    through the objects' ``load_state``; until it runs the objects are
+    stale, so an owner syncs before anyone reads them.  At least one of
+    ``cache`` and ``prefetcher`` is given.
     """
-    pba = np.asarray(pba, dtype=np.int64)
-    length = np.asarray(length, dtype=np.int64)
-    if cache is not None:
-        lru = cache._lru
-        blocks = lru._blocks
-        capacity_blocks, block_sectors = lru.capacity_blocks, lru.block_sectors
-        touch = blocks.move_to_end
-        evict = blocks.popitem
-        evictions = 0
-    if prefetcher is not None:
-        buffer = prefetcher._buffer
-        windows = buffer._windows
-        capacity = buffer.capacity_sectors
-        used = buffer.used_sectors
-        ahead, behind = prefetcher.ahead_sectors, prefetcher.behind_sectors
 
-    stop = len(pba)
-    served = bytearray(stop)
-    for base in range(0, len(pba), _SLAB):
-        slab_pba = pba[base : base + _SLAB]
-        slab_len = length[base : base + _SLAB]
-        slab_end = slab_pba + slab_len
-        invalid = slab_len <= 0
-        columns = [slab_pba, slab_end, None, None, None, None]
+    def __init__(
+        self,
+        cache: Optional[SelectiveFragmentCache],
+        prefetcher: Optional[LookAheadBehindPrefetcher],
+    ) -> None:
+        self.cache, self.prefetcher = cache, prefetcher
+        self._lru = self._ring = None
         if cache is not None:
-            invalid |= slab_pba < 0
-            columns[2] = slab_pba // block_sectors
-            columns[3] = (slab_end - 1) // block_sectors
+            state = cache.state_dict()
+            capacity, blocks = cache.capacity_blocks, state["blocks"]
+            table = 1 << (2 * capacity - 1).bit_length()  # at most half full
+            self._lru = np.zeros(len(_LRU_FIELDS) + table + 3 * capacity, np.int64)
+            self._lru[: len(_LRU_FIELDS)] = (
+                capacity, cache.config.block_sectors, 65 - table.bit_length(), table,
+                len(blocks), -1, -1, state["hits"], state["misses"], state["evictions"],
+            )
+            self._lru[len(_LRU_FIELDS) + table :: 3][: len(blocks)] = blocks
+            _LIBRARY.fp_load(self._lru.ctypes.data)
         if prefetcher is not None:
-            # add_window's clip at pba 0 and truncation to the buffer's size.
-            w_end = slab_end + ahead
-            w_start = np.maximum(slab_pba - behind, w_end - capacity)
-            np.maximum(w_start, 0, out=w_start)
-            invalid |= w_end <= w_start
-            columns[4:] = w_start, w_end
-        if invalid.any():
-            stop = base + int(invalid.argmax())
-        slab = [range(base, min(base + _SLAB, stop))]
-        for column in columns:
-            slab.append(repeat(0) if column is None else column[: stop - base].tolist())
-        for i, start, stop_at, block, last_block, fetch_start, fetch_end in zip(*slab):
-            if cache is not None:
-                if block == last_block:  # most fragments: no range to walk
-                    if block in blocks:
-                        touch(block)
-                        served[i] = CACHE_HIT
-                        continue
-                else:
-                    for covering in range(block, last_block + 1):
-                        if covering not in blocks:
-                            break
-                    else:
-                        for covering in range(block, last_block + 1):
-                            touch(covering)
-                        served[i] = CACHE_HIT
-                        continue
-            if prefetcher is not None:
-                for window_start, window_end in windows:
-                    if window_start <= start and stop_at <= window_end:
-                        served[i] = BUFFER_HIT
-                        break
-                if served[i]:
-                    continue
-                windows.append((fetch_start, fetch_end))
-                used += fetch_end - fetch_start
-                while used > capacity:
-                    window_start, window_end = windows.popleft()
-                    used -= window_end - window_start
-            if cache is not None:
-                for admitted in range(block, last_block + 1):
-                    if admitted in blocks:
-                        touch(admitted)
-                    else:
-                        blocks[admitted] = None
-                while len(blocks) > capacity_blocks:
-                    evict(last=False)
-                    evictions += 1
-        if stop < len(pba):
-            break
+            state = prefetcher.state_dict()
+            windows = np.asarray(state["windows"], dtype=np.int64).reshape(-1, 2)
+            # A window holds >= 1 sector: `capacity` fit, plus one mid-insert.
+            capacity = prefetcher._buffer.capacity_sectors
+            self._ring = np.empty(len(_RING_FIELDS) + 2 * (capacity + 1), np.int64)
+            self._ring[: len(_RING_FIELDS)] = (
+                capacity, prefetcher.ahead_sectors, prefetcher.behind_sectors, capacity + 1,
+                0, len(windows), np.sum(windows[:, 1] - windows[:, 0]), state["window_reads"],
+            )
+            self._ring[len(_RING_FIELDS) :][: windows.size] = windows.ravel()
+        self._addresses = tuple(
+            None if array is None else array.ctypes.data for array in (self._lru, self._ring)
+        )
 
-    outcome = np.frombuffer(served, dtype=np.uint8)
-    if cache is not None:
-        hits = int(np.count_nonzero(outcome == CACHE_HIT))
-        cache.hits += hits
-        cache.misses += stop - hits
-        lru.evictions += evictions
-    if prefetcher is not None:
-        buffer._used = used
-        prefetcher.window_reads += int(np.count_nonzero(outcome[:stop] == DISK))
-    if stop < len(pba):
-        # The per-call API raises for it; which check fires is its business.
-        rejected = int(pba[stop]), int(length[stop])
-        if cache is not None:
-            cache.lookup(*rejected)
-        prefetcher.covers(*rejected)
-        prefetcher.note_fragment_read(*rejected)
-    return outcome
+    def serve(self, pba, length) -> np.ndarray:
+        """Serve the fragments ``(pba[i], length[i])`` of fragmented reads in
+        order; returns one uint8 outcome code per fragment.
+
+        Equivalent to the per-call sequence on each fragment in turn.  The
+        first fragment that sequence would reject raises its
+        ``ValueError``, the fragments ahead of it applied and synced.
+        """
+        pba = np.ascontiguousarray(pba, dtype=np.int64)
+        length = np.ascontiguousarray(length, dtype=np.int64)
+        if len(pba) != len(length):
+            raise ValueError(f"{len(pba)} pbas but {len(length)} lengths")
+        codes = np.empty(len(pba), dtype=np.uint8)
+        stop = _LIBRARY.fp_serve(pba.ctypes.data, length.ctypes.data, len(pba),
+                                 codes.ctypes.data, *self._addresses)
+        if stop < len(pba):
+            # The per-call API raises for it; which check fires is its business.
+            self.sync()
+            rejected = int(pba[stop]), int(length[stop])
+            if self.cache is not None:
+                self.cache.lookup(*rejected)
+            self.prefetcher.covers(*rejected)
+            self.prefetcher.note_fragment_read(*rejected)
+        return codes
+
+    def sync(self) -> None:
+        """Write the kernel's state back into the cache and prefetcher."""
+        if self.cache is not None:
+            header = dict(zip(_LRU_FIELDS, self._lru[: len(_LRU_FIELDS)].tolist()))
+            blocks = np.empty(header["count"], dtype=np.int64)
+            _LIBRARY.fp_order(self._lru.ctypes.data, blocks.ctypes.data)
+            self.cache.load_state(
+                {key: header[key] for key in ("hits", "misses", "evictions")}
+                | {"blocks": blocks}
+            )
+        if self.prefetcher is not None:
+            header = dict(zip(_RING_FIELDS, self._ring[: len(_RING_FIELDS)].tolist()))
+            ring = self._ring[len(_RING_FIELDS):].reshape(-1, 2)
+            order = (header["first"] + np.arange(header["count"])) % header["size"]
+            self.prefetcher.load_state(
+                {"windows": ring[order].tolist(), "window_reads": header["window_reads"]}
+            )
 
 
 def filter_accesses(
-    cache: Optional[SelectiveFragmentCache],
-    prefetcher: Optional[LookAheadBehindPrefetcher],
+    policies: FragmentPolicies,
     pba: np.ndarray,
     length: np.ndarray,
     eligible: np.ndarray,
@@ -165,7 +187,7 @@ def filter_accesses(
     cache_hits, buffer_hits)``: the mask of accesses that still reach the
     disk, and how many were served from the cache and from the buffer.
     """
-    served = serve_fragments(cache, prefetcher, pba[eligible], length[eligible])
+    served = policies.serve(pba[eligible], length[eligible])
     keep = np.ones(len(pba), dtype=bool)
     keep[eligible[served != DISK]] = False
     return (

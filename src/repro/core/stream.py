@@ -74,7 +74,7 @@ from repro.core.batch import (
     classify_seeks,
 )
 from repro.core.config import TechniqueConfig
-from repro.core.fragment_policy import _SLAB, filter_accesses
+from repro.core.fragment_policy import FragmentPolicies, filter_accesses
 from repro.core.outcomes import SimStats
 from repro.core.prefetch import LookAheadBehindPrefetcher
 from repro.core.selective_cache import SelectiveFragmentCache
@@ -86,6 +86,10 @@ from repro.extentmap.tiers import (
     resolve_map_tier,
 )
 from repro.trace.trace import Trace
+
+#: Accesses served and seek-classified per step: scratch stays slab-sized
+#: whatever the stream's length.
+_SLAB = 1 << 14
 
 #: Threshold sentinel for fragments that can never hit (a block was never
 #: cached before), larger than any real capacity in blocks.
@@ -356,8 +360,7 @@ def _result(
     stream: FragmentStream,
     config: TechniqueConfig,
     keep: Optional[Callable[[int, int], Tuple[np.ndarray, int, int]]],
-    cache: Optional[SelectiveFragmentCache] = None,
-    prefetcher: Optional[LookAheadBehindPrefetcher] = None,
+    policies: Optional[FragmentPolicies] = None,
 ) -> StreamRunResult:
     """Seek-classify the accesses that reach the disk, ``_SLAB`` at a time
     with the head carried across slabs: only ``distances`` and
@@ -365,7 +368,8 @@ def _result(
 
     ``keep(lo, hi)`` returns ``(mask, cache_hits, buffer_hits)`` for
     accesses ``[lo, hi)`` and is called once per slab, in stream order;
-    ``None`` sends every access to the disk.
+    ``None`` sends every access to the disk.  ``policies`` (what ``keep``
+    serves through) is synced into its objects before they are returned.
     """
     # Grown in place (not chunks joined at the end), so the outputs are
     # never held twice.
@@ -386,6 +390,8 @@ def _result(
         is_read.extend(seek_kinds == _KIND_READ)
     distances = np.frombuffer(distances, dtype=np.int64)
     distance_is_read = np.frombuffer(is_read, dtype=bool)
+    if policies is not None:
+        policies.sync()
     read_seeks = int(np.count_nonzero(distance_is_read))
     stats = _stream_stats(
         stream, cache_hits, buffer_hits, read_seeks, len(distances) - read_seeks
@@ -400,8 +406,8 @@ def _result(
         distance_is_read=distance_is_read,
         frontier=stream.frontier,
         head_position=head,
-        cache=cache,
-        prefetcher=prefetcher,
+        cache=policies and policies.cache,
+        prefetcher=policies and policies.prefetcher,
     )
 
 
@@ -429,14 +435,15 @@ def stream_replay(
     )
     if cache is None and prefetcher is None:
         return _result(stream, config, None)
+    policies = FragmentPolicies(cache, prefetcher)
 
     def keep(lo: int, hi: int):
         return filter_accesses(
-            cache, prefetcher, stream.pba[lo:hi], stream.length[lo:hi],
+            policies, stream.pba[lo:hi], stream.length[lo:hi],
             _eligible(stream, lo, hi) - lo,
         )
 
-    return _result(stream, config, keep, cache, prefetcher)
+    return _result(stream, config, keep, policies)
 
 
 # --------------------------------------------------------------------- #

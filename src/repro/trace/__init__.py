@@ -3,8 +3,7 @@
 Provides the :class:`~repro.trace.record.IORequest` record type shared by the
 whole simulator, an in-memory :class:`~repro.trace.trace.Trace` container,
 parsers for the MSR Cambridge and CloudPhysics-style CSV formats the paper
-uses, a generic CSV reader/writer, trace statistics (the Table I columns),
-and sampling/windowing utilities.
+uses, a generic CSV reader/writer, and trace statistics (the Table I columns).
 """
 
 from repro.trace.record import IORequest, OpType
@@ -30,14 +29,6 @@ from repro.trace.csvio import read_csv_trace, write_csv_trace
 from repro.trace.msr import parse_msr_file, parse_msr_lines
 from repro.trace.cloudphysics import parse_cloudphysics_file, parse_cloudphysics_lines
 from repro.trace.writers import write_msr_trace, write_cloudphysics_trace
-from repro.trace.sampling import (
-    head_sample,
-    stride_sample,
-    time_window,
-    op_window,
-    split_by_op,
-    op_index_buckets,
-)
 
 __all__ = [
     "IORequest",
@@ -68,10 +59,4 @@ __all__ = [
     "parse_cloudphysics_lines",
     "write_msr_trace",
     "write_cloudphysics_trace",
-    "head_sample",
-    "stride_sample",
-    "time_window",
-    "op_window",
-    "split_by_op",
-    "op_index_buckets",
 ]

@@ -20,7 +20,6 @@ from repro.util.units import (
     kib_to_sectors,
     mib_to_sectors,
     gib_to_sectors,
-    format_sectors,
 )
 from repro.util.validation import (
     check_non_negative,
@@ -32,14 +31,7 @@ from repro.util.validation import (
 )
 from repro.util.io import atomic_write_json, atomic_write_text
 from repro.util.rngtools import SeedSequenceFactory, spawn_rng, zipf_weights
-from repro.util.stats import (
-    OnlineStats,
-    Histogram,
-    weighted_percentile,
-    empirical_cdf,
-    cdf_at,
-    quantile_from_cdf,
-)
+from repro.util.stats import empirical_cdf
 
 __all__ = [
     "BYTES_PER_KIB",
@@ -57,7 +49,6 @@ __all__ = [
     "kib_to_sectors",
     "mib_to_sectors",
     "gib_to_sectors",
-    "format_sectors",
     "check_non_negative",
     "check_positive",
     "check_probability",
@@ -69,10 +60,5 @@ __all__ = [
     "SeedSequenceFactory",
     "spawn_rng",
     "zipf_weights",
-    "OnlineStats",
-    "Histogram",
-    "weighted_percentile",
     "empirical_cdf",
-    "cdf_at",
-    "quantile_from_cdf",
 ]

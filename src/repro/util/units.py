@@ -83,25 +83,3 @@ def gib_to_sectors(n_gib: float) -> int:
     """Convert GiB to whole sectors, rounding up."""
     return mib_to_sectors(n_gib * 1024)
 
-
-def format_sectors(n_sectors: int) -> str:
-    """Render a sector count as a human-readable size string.
-
-    Negative values (signed seek distances) keep their sign.
-
-    >>> format_sectors(1)
-    '512B'
-    >>> format_sectors(2048)
-    '1.0MiB'
-    >>> format_sectors(-4)
-    '-2.0KiB'
-    """
-    sign = "-" if n_sectors < 0 else ""
-    n_bytes = abs(n_sectors) * SECTOR_BYTES
-    if n_bytes < BYTES_PER_KIB:
-        return f"{sign}{n_bytes}B"
-    if n_bytes < BYTES_PER_MIB:
-        return f"{sign}{n_bytes / BYTES_PER_KIB:.1f}KiB"
-    if n_bytes < BYTES_PER_GIB:
-        return f"{sign}{n_bytes / BYTES_PER_MIB:.1f}MiB"
-    return f"{sign}{n_bytes / BYTES_PER_GIB:.2f}GiB"

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.core import fragment_policy
+from repro.core import stream as stream_module
 from repro.core.config import LS_CACHE, LS_PREFETCH, TechniqueConfig
 from repro.core.stream import record_fragment_stream, stream_replay
 from repro.workloads import get_spec, synthesize_workload
@@ -63,9 +63,9 @@ def test_stream_replay_python_calls_are_constant(streams, config):
     fragments = [int(stream.group_size.sum()) for stream in streams]
     # Twice the fragments, and more slabs: a per-fragment call would show.
     assert fragments[1] >= 1.9 * fragments[0]
-    assert -(-fragments[1] // fragment_policy._SLAB) > -(-fragments[0] // fragment_policy._SLAB)
+    assert -(-fragments[1] // stream_module._SLAB) > -(-fragments[0] // stream_module._SLAB)
 
-    slabs = [-(-stream.accesses // fragment_policy._SLAB) for stream in streams]
+    slabs = [-(-stream.accesses // stream_module._SLAB) for stream in streams]
     calls = [python_calls(stream_replay, stream, config) for stream in streams]
     assert calls[0] <= MAX_PYTHON_CALLS
     assert calls[1] - calls[0] <= PER_SLAB_CALLS * (slabs[1] - slabs[0])

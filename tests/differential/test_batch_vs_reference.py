@@ -15,6 +15,7 @@ same final extent-map state.  These tests enforce that contract on
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.batch import (
@@ -217,21 +218,20 @@ def test_seek_distance_histograms_match(traces):
     # Bucketed distance distributions (what the figures plot) agree too —
     # a coarser but figure-facing view of the distance-log equality above.
     from repro.core.recorders import SeekLogRecorder
-    from repro.util.stats import Histogram
 
     trace = traces["usr_0"]
     recorder = SeekLogRecorder()
     replay(trace, build_translator(trace, LS_ALL), [recorder])
     batch = batch_replay(trace, LS_ALL)
 
-    for bucket_width in (1, 64, 4096):
-        reference_hist = Histogram(bucket_width=bucket_width)
-        for distance in recorder.read_distances:
-            reference_hist.add(distance)
-        batch_hist = Histogram(bucket_width=bucket_width)
-        for distance in batch.read_distances:
-            batch_hist.add(int(distance))
-        assert batch_hist.items() == reference_hist.items()
+    reference = np.asarray(recorder.read_distances, dtype=np.int64)
+    both = np.concatenate([reference, batch.read_distances])
+    span = (both.min(), both.max())
+    for bins in (16, 1024, 65536):
+        assert np.array_equal(
+            np.histogram(batch.read_distances, bins, span)[0],
+            np.histogram(reference, bins, span)[0],
+        )
 
 
 def test_lookup_pieces_matches_lookup():

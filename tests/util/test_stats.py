@@ -1,104 +1,6 @@
-"""Streaming-statistics tests."""
+"""Empirical-CDF tests."""
 
-import math
-
-import pytest
-
-from repro.util.stats import (
-    Histogram,
-    OnlineStats,
-    cdf_at,
-    empirical_cdf,
-    quantile_from_cdf,
-    weighted_percentile,
-)
-
-
-class TestOnlineStats:
-    def test_empty(self):
-        s = OnlineStats()
-        assert s.count == 0
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    def test_single_value(self):
-        s = OnlineStats()
-        s.add(5.0)
-        assert s.mean == 5.0
-        assert s.variance == 0.0
-        assert s.min == s.max == 5.0
-
-    def test_known_variance(self):
-        s = OnlineStats()
-        s.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert abs(s.mean - 5.0) < 1e-12
-        assert abs(s.variance - 32.0 / 7.0) < 1e-12
-
-    def test_total(self):
-        s = OnlineStats()
-        s.extend([1, 2, 3])
-        assert s.total == 6
-
-    def test_min_max_empty_raises(self):
-        with pytest.raises(ValueError):
-            OnlineStats().min
-
-    def test_matches_batch_computation(self):
-        values = [math.sin(i) * 10 for i in range(100)]
-        s = OnlineStats()
-        s.extend(values)
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        assert abs(s.mean - mean) < 1e-9
-        assert abs(s.variance - var) < 1e-9
-
-
-class TestHistogram:
-    def test_bucket_assignment(self):
-        h = Histogram(bucket_width=10)
-        h.add(5)
-        h.add(9)
-        h.add(10)
-        assert h.items() == [(0, 2), (10, 1)]
-
-    def test_negative_keys(self):
-        h = Histogram(bucket_width=10)
-        h.add(-1)
-        assert h.items() == [(-10, 1)]
-
-    def test_cdf(self):
-        h = Histogram(bucket_width=1)
-        for v in (1, 1, 2, 3):
-            h.add(v)
-        assert h.cdf() == [(1, 0.5), (2, 0.75), (3, 1.0)]
-
-    def test_total(self):
-        h = Histogram()
-        h.add(0, count=5)
-        assert h.total == 5
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            Histogram(bucket_width=0)
-
-
-class TestWeightedPercentile:
-    def test_median(self):
-        assert weighted_percentile([10, 20, 30], [1, 1, 2], 0.5) == 20
-
-    def test_full_fraction(self):
-        assert weighted_percentile([1, 2, 3], [1, 1, 1], 1.0) == 3
-
-    def test_unsorted_input(self):
-        assert weighted_percentile([30, 10, 20], [2, 1, 1], 0.25) == 10
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            weighted_percentile([], [], 0.5)
-        with pytest.raises(ValueError):
-            weighted_percentile([1], [1, 2], 0.5)
-        with pytest.raises(ValueError):
-            weighted_percentile([1], [1], 1.5)
+from repro.util.stats import empirical_cdf
 
 
 class TestEmpiricalCdf:
@@ -107,18 +9,3 @@ class TestEmpiricalCdf:
 
     def test_empty(self):
         assert empirical_cdf([]) == []
-
-    def test_cdf_at(self):
-        cdf = empirical_cdf([1, 2, 3, 4])
-        assert cdf_at(cdf, 0) == 0.0
-        assert cdf_at(cdf, 2) == 0.5
-        assert cdf_at(cdf, 10) == 1.0
-
-    def test_quantile(self):
-        cdf = empirical_cdf([1, 2, 3, 4])
-        assert quantile_from_cdf(cdf, 0.5) == 2
-        assert quantile_from_cdf(cdf, 1.0) == 4
-
-    def test_quantile_empty_raises(self):
-        with pytest.raises(ValueError):
-            quantile_from_cdf([], 0.5)

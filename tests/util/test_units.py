@@ -44,22 +44,3 @@ class TestRoundTrips:
         assert units.SECTORS_PER_MIB == 2048
         assert units.SECTORS_PER_GIB == 2048 * 1024
 
-
-class TestFormatSectors:
-    def test_bytes(self):
-        assert units.format_sectors(1) == "512B"
-
-    def test_kib(self):
-        assert units.format_sectors(4) == "2.0KiB"
-
-    def test_mib(self):
-        assert units.format_sectors(2048) == "1.0MiB"
-
-    def test_gib(self):
-        assert units.format_sectors(units.gib_to_sectors(3)) == "3.00GiB"
-
-    def test_negative_keeps_sign(self):
-        assert units.format_sectors(-4) == "-2.0KiB"
-
-    def test_zero(self):
-        assert units.format_sectors(0) == "0B"

@@ -1,7 +1,8 @@
 """Physical and code lines per ``src/repro`` package (``make loc``).
 
-A code line carries a token that is neither a comment nor part of a
-docstring; blank lines count towards physical only.  ``--max-physical N``
+Python and C sources both count.  A code line carries a token that is
+neither a comment nor part of a docstring; blank lines count towards
+physical only.  ``--max-physical N``
 exits non-zero when ``src/repro`` has more than ``N`` physical lines: the
 budget ``make loc`` and ``tests/test_loc_budget.py`` hold, lowered PR by PR.
 ``tests/`` and ``bench/`` are printed beside it so that lines moved out
@@ -13,6 +14,7 @@ holds the ``tests/`` row and the three surface rows to ceilings too.
 import argparse
 import ast
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -26,6 +28,9 @@ DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 def count(path: Path) -> tuple:
     text = path.read_text()
+    if path.suffix == ".c":
+        bare = re.sub(r"/\*.*?\*/|//[^\n]*", lambda m: "\n" * m[0].count("\n"), text, flags=re.S)
+        return len(text.splitlines()), sum(1 for line in bare.splitlines() if line.strip())
     code = set()
     for token in tokenize.generate_tokens(io.StringIO(text).readline):
         if token.type not in NOT_CODE:
@@ -58,11 +63,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-physical", type=int, metavar="N")
     args = parser.parse_args(argv)
-    groups = {f"repro.{d.name}": d.rglob("*.py") for d in sorted(SRC.iterdir()) if d.is_dir()}
-    groups["repro (top level)"] = SRC.glob("*.py")
-    groups["src/repro total"] = SRC.rglob("*.py")
+    def sources(directory: Path, glob=Path.rglob) -> list:
+        return [*glob(directory, "*.py"), *glob(directory, "*.c")]
+
+    groups = {f"repro.{d.name}": sources(d) for d in sorted(SRC.iterdir()) if d.is_dir()}
+    groups["repro (top level)"] = sources(SRC, Path.glob)
+    groups["src/repro total"] = sources(SRC)
     groups["core/batch.py + core/stream.py"] = [SRC / "core/batch.py", SRC / "core/stream.py"]
-    groups["core/fragment_policy.py"] = [SRC / "core/fragment_policy.py"]
+    groups["core/fragment_policy.py"] = [SRC / "core/fragment_policy.py",
+                                         SRC / "core/_fragment_policy.c"]
     groups["tests/"] = (REPO / "tests").rglob("*.py")
     groups["bench/"] = (REPO / "bench").rglob("*.py")
     print(f"{'':32s}{'files':>6s}{'physical':>10s}{'code':>8s}")
