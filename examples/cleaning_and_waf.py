@@ -17,7 +17,7 @@ from repro.core.cleaning import ZonedCleaningTranslator
 from repro.workloads import ReadMix, WorkloadSpec, WriteMix, generate_workload
 
 
-def overwrite_workload():
+def overwrite_workload(scale: float = 1.0):
     return generate_workload(
         WorkloadSpec(
             name="oltp-churn",
@@ -33,11 +33,12 @@ def overwrite_workload():
             phases=4,
         ),
         seed=5,
+        scale=scale,
     )
 
 
-def main() -> None:
-    trace = overwrite_workload()
+def main(scale: float = 1.0) -> None:
+    trace = overwrite_workload(scale)
     baseline = replay(trace, build_translator(trace, NOLS))
     print(
         f"workload: {len(trace)} ops over an 8 MiB volume "

@@ -41,7 +41,7 @@ def database_spec(scans_weight: float) -> WorkloadSpec:
     )
 
 
-def main() -> None:
+def main(scale: float = 1.0) -> None:
     print("SAF vs share of reads that sequentially scan the database:\n")
     header = f"{'scan share':>10} | " + " | ".join(
         f"{c.name:>11}" for c in PAPER_CONFIGS
@@ -49,7 +49,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for scans_weight in (0.0, 0.25, 0.5, 0.75, 0.95):
-        trace = generate_workload(database_spec(max(scans_weight, 1e-9)), seed=7)
+        trace = generate_workload(
+            database_spec(max(scans_weight, 1e-9)), seed=7, scale=scale
+        )
         baseline = replay(trace, build_translator(trace, NOLS))
         cells = []
         for config in PAPER_CONFIGS:

@@ -19,8 +19,8 @@ from repro import (
 )
 
 
-def main() -> None:
-    trace = synthesize_workload("w91", seed=42)
+def main(scale: float = 1.0) -> None:
+    trace = synthesize_workload("w91", seed=42, scale=scale)
     print(f"workload: {trace.name}  ({len(trace)} ops, "
           f"{trace.read_count} reads / {trace.write_count} writes)")
 

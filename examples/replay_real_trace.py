@@ -50,7 +50,7 @@ def write_demo_msr_file(path: Path, n_ops: int = 4000) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def main() -> None:
+def main(argv=None, scale: float = 1.0) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", nargs="?", help="MSR-format CSV trace file")
     parser.add_argument("--max-ops", type=int, default=None)
@@ -62,13 +62,13 @@ def main() -> None:
         help="malformed-record handling; real dumps are dirty, so the "
         "example defaults to lenient (see docs/ROBUSTNESS.md)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.trace:
         path = Path(args.trace)
     else:
         path = Path(tempfile.mkdtemp()) / "demo_msr.csv"
-        write_demo_msr_file(path)
+        write_demo_msr_file(path, n_ops=max(8, int(4000 * scale)))
         print(f"(no trace given: wrote demo MSR file to {path})")
 
     trace = parse_msr_file(

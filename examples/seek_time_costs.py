@@ -26,8 +26,8 @@ from repro.core.recorders import SeekLogRecorder
 from repro.disk.seek_time import SeekTimeModel
 
 
-def main() -> None:
-    trace = synthesize_workload("w95", seed=42)
+def main(scale: float = 1.0) -> None:
+    trace = synthesize_workload("w95", seed=42, scale=scale)
     print(f"workload: {trace.name} ({len(trace)} ops; heavy mis-ordered writes)\n")
 
     baseline_rec = SeekLogRecorder()

@@ -26,8 +26,8 @@ def saf_for(trace, baseline, config: TechniqueConfig) -> float:
     return seek_amplification(result.stats, baseline.stats).total
 
 
-def main() -> None:
-    trace = synthesize_workload("w91", seed=42)
+def main(scale: float = 1.0) -> None:
+    trace = synthesize_workload("w91", seed=42, scale=scale)
     baseline = replay(trace, build_translator(trace, NOLS))
     ls_saf = saf_for(trace, baseline, TechniqueConfig(name="LS"))
     print(f"w91 archetype, plain LS SAF = {ls_saf:.2f}\n")

@@ -17,7 +17,6 @@ from repro.analysis.fragmentation import (
     fragment_cdf,
     fragment_concentration,
     fraction_of_fragments_in_top_reads,
-    static_fragmentation_series,
 )
 from repro.analysis.misorder import misordered_writes, misorder_rate
 from repro.analysis.popularity import (
@@ -28,7 +27,6 @@ from repro.analysis.fast import (
     distance_cdf_fast,
     fraction_within_fast,
     fragment_cdf_fast,
-    fragment_concentration_fast,
     fraction_of_fragments_in_top_reads_fast,
     misorder_rate_fast,
     nols_seek_counts,
@@ -41,7 +39,6 @@ from repro.analysis.classify import (
     WorkloadCharacter,
     characterize,
     classify_saf,
-    classify_stats,
 )
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "fragment_cdf",
     "fragment_concentration",
     "fraction_of_fragments_in_top_reads",
-    "static_fragmentation_series",
     "misordered_writes",
     "misorder_rate",
     "FragmentPopularityRecorder",
@@ -61,12 +57,10 @@ __all__ = [
     "WorkloadCharacter",
     "characterize",
     "classify_saf",
-    "classify_stats",
     # Vectorized equivalents (exact; see tests/differential/)
     "distance_cdf_fast",
     "fraction_within_fast",
     "fragment_cdf_fast",
-    "fragment_concentration_fast",
     "fraction_of_fragments_in_top_reads_fast",
     "misorder_rate_fast",
     "nols_seek_counts",

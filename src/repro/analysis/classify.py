@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.outcomes import SimStats
 from repro.trace.trace import Trace
 from repro.util.cells import cells, cover, range_min_max
 
@@ -45,13 +44,6 @@ def classify_saf(
     if total_saf >= sensitive_above:
         return LogSensitivity.LOG_SENSITIVE
     return LogSensitivity.LOG_AGNOSTIC
-
-
-def classify_stats(translated: SimStats, baseline: SimStats) -> LogSensitivity:
-    """Classify from two replays (translated vs conventional baseline)."""
-    from repro.core.metrics import seek_amplification
-
-    return classify_saf(seek_amplification(translated, baseline).total)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ agreement with the reference path.
 
 The stateful log-structured replay has its own vectorized kernel in
 :mod:`repro.core.batch` (chunked sweeps over the extent map with
-vectorized seek classification); :func:`nols_sim_stats` below exposes the
-batch NoLS kernel at analysis level for symmetry.
+vectorized seek classification).
 """
 
 from __future__ import annotations
@@ -30,19 +29,6 @@ def trace_arrays(trace: Trace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     the decomposition on the trace; treat the arrays as read-only.
     """
     return trace.as_arrays()
-
-
-def nols_sim_stats(trace: Trace):
-    """Full :class:`~repro.core.outcomes.SimStats` of the NoLS replay.
-
-    Vectorized equivalent of ``replay(trace, InPlaceTranslator()).stats``
-    (exact-match tested by the differential suite); use this instead of
-    :func:`nols_seek_counts` when the complete counter set is wanted.
-    """
-    from repro.core.batch import batch_replay
-    from repro.core.config import NOLS
-
-    return batch_replay(trace, NOLS).stats
 
 
 def nols_seek_counts(trace: Trace) -> Tuple[int, int]:
@@ -144,24 +130,6 @@ def fragment_cdf_fast(read_fragments: Sequence[int]) -> List[Tuple[float, float]
     :func:`repro.analysis.fragmentation.fragment_cdf`."""
     fragments = np.asarray(read_fragments, dtype=np.int64)
     return _empirical_cdf_points(fragments[fragments > 1])
-
-
-def fragment_concentration_fast(
-    read_fragments: Sequence[int],
-) -> List[Tuple[float, float]]:
-    """Vectorized Fig. 5 concentration curve; agrees exactly with
-    :func:`repro.analysis.fragmentation.fragment_concentration`."""
-    fragments = np.asarray(read_fragments, dtype=np.int64)
-    descending = np.sort(fragments[fragments > 1])[::-1]
-    n = int(descending.size)
-    if n == 0:
-        return []
-    cumulative = np.cumsum(descending).tolist()
-    total = cumulative[-1]
-    return [
-        (rank / n, running / total)
-        for rank, running in enumerate(cumulative, start=1)
-    ]
 
 
 def fraction_of_fragments_in_top_reads_fast(

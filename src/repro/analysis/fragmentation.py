@@ -17,40 +17,6 @@ from typing import List, Sequence, Tuple
 from repro.util.stats import empirical_cdf
 
 
-def static_fragmentation_series(
-    trace,
-    config,
-    sample_every: int = 1000,
-) -> List[Tuple[int, int]]:
-    """Static fragmentation (mapped extent count) over a replay.
-
-    Static fragmentation is "the number of seeks which would be incurred
-    by a sequential read of the entire LBA space" (§IV-A).  This replays
-    ``trace`` under ``config`` and samples the translator's extent count
-    every ``sample_every`` operations, returning ``(op_index, extents)``
-    pairs — the growth curve opportunistic defragmentation bends down.
-
-    Only log-structured configurations have a map to sample; passing the
-    NoLS baseline raises :class:`ValueError`.
-    """
-    from repro.core.config import build_translator
-    from repro.core.translators import LogStructuredTranslator
-
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    translator = build_translator(trace, config)
-    if not isinstance(translator, LogStructuredTranslator):
-        raise ValueError("static fragmentation requires a log-structured config")
-    series: List[Tuple[int, int]] = []
-    for op_index, request in enumerate(trace):
-        translator.submit(request)
-        if (op_index + 1) % sample_every == 0:
-            series.append((op_index + 1, translator.static_fragmentation()))
-    if not series or series[-1][0] != len(trace):
-        series.append((len(trace), translator.static_fragmentation()))
-    return series
-
-
 def fragment_cdf(read_fragments: Sequence[int]) -> List[Tuple[float, float]]:
     """CDF of per-read fragment counts over *fragmented* reads only.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.outcomes import IOOutcome
-from repro.util.units import sectors_to_mib
+from repro.util.units import BYTES_PER_MIB, SECTOR_BYTES
 
 
 @dataclass(frozen=True)
@@ -136,5 +136,5 @@ class FragmentPopularityRecorder:
         running_sectors = 0
         for _, sectors in ranked:
             running_sectors += sectors
-            cumulative.append(sectors_to_mib(running_sectors))
+            cumulative.append(running_sectors * SECTOR_BYTES / BYTES_PER_MIB)
         return PopularityCurve(access_counts=counts, cumulative_mib=cumulative)

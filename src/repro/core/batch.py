@@ -99,7 +99,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -822,14 +822,13 @@ _COUNTERS = (
 class IncrementalBatchReplay:
     """Chunk-resumable exact replay with explicit serializable state.
 
-    Feed operations in arbitrary batches (:meth:`feed` /
-    :meth:`feed_arrays`); counters, the seek-distance log and the
-    translator state advance exactly as a one-shot :func:`batch_replay`
-    of the concatenated stream would — batch boundaries are invisible in
-    the result.  At any boundary the complete kernel state can be
-    exported (:meth:`state_dict`), persisted, and later restored
-    (:meth:`from_state`) to continue the replay bit-identically, possibly
-    in a different process.
+    Feed operations in arbitrary batches (:meth:`feed_arrays`); counters,
+    the seek-distance log and the translator state advance exactly as a
+    one-shot :func:`batch_replay` of the concatenated stream would — batch
+    boundaries are invisible in the result.  At any boundary the complete
+    kernel state can be exported (:meth:`state_dict`), persisted, and later
+    restored (:meth:`from_state`) to continue the replay bit-identically,
+    possibly in a different process.
 
     Args:
         translator: A fresh (or restored) :class:`InPlaceTranslator`,
@@ -894,31 +893,15 @@ class IncrementalBatchReplay:
     # Feeding
     # ----------------------------------------------------------------- #
 
-    def feed(self, requests: Sequence[IORequest]) -> None:
-        """Replay one batch of requests, advancing the resident state.
-
-        A mid-batch error (e.g. a read crossing the frontier base) leaves
-        the engine partially advanced — discard it and restore from the
-        last snapshot; this is exactly what the service's recovery path
-        does.
-        """
-        n = len(requests)
-        if n == 0:
-            return
-        packed = np.fromiter(
-            ((r.is_read, r.lba, r.length) for r in requests),
-            dtype=[("is_read", "?"), ("lba", "<i8"), ("length", "<i8")],
-            count=n,
-        )
-        self.feed_arrays(packed["is_read"], packed["lba"], packed["length"])
-
     def feed_arrays(
         self, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray
     ) -> None:
         """Replay one batch already in column form (any translator).
 
-        The zero-conversion entry point (:meth:`feed` is a thin packing
-        wrapper over this).  Columns are coerced to contiguous bool /
+        A mid-batch error (e.g. a read crossing the frontier base) leaves
+        the engine partially advanced — discard it and restore from the
+        last snapshot; this is exactly what the service's recovery path
+        does.  Columns are coerced to contiguous bool /
         int64 / int64 — a no-op for arrays already in that form — so wire
         payloads (``uint8`` flags) and plain lists replay identically;
         columns of unequal length raise ``ValueError``.

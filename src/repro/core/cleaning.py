@@ -160,7 +160,7 @@ class ZonedCleaningTranslator(Translator):
         return sum(1 for z in self._zones.zones if z.is_empty)
 
     def live_sectors(self) -> int:
-        return self._live.total()
+        return int(self._live.counts.sum())
 
     def address_map(self) -> AddressMap:
         return self._map
@@ -196,7 +196,7 @@ class ZonedCleaningTranslator(Translator):
                 [list(entry) for entry in zone_entries]
                 for zone_entries in self._entries
             ],
-            "live_counts": self._live.state_list(),
+            "live_counts": [int(c) for c in self._live.counts],
             "open_order": list(self._open_order),
             "open_idx": self._open_idx,
             "write_seq": self._write_seq,
@@ -214,57 +214,6 @@ class ZonedCleaningTranslator(Translator):
             "map_pba": map_pba,
             "map_length": map_length,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto this translator.
-
-        The translator must have been built with the same layout and
-        policy as the snapshotted one; a mismatch raises rather than
-        corrupting the log.
-        """
-        if state.get("kind") != "zoned-cleaning":
-            raise ValueError(
-                f"not a zoned-cleaning translator state: {state.get('kind')!r}"
-            )
-        for name, ours in (
-            ("frontier_base", self._base),
-            ("zone_sectors", self._zones.zone_sectors),
-            ("n_zones", len(self._zones.zones)),
-            ("reserve_zones", self._reserve),
-            ("policy", self._policy),
-        ):
-            theirs = state[name]
-            if (theirs if name == "policy" else int(theirs)) != ours:
-                raise ValueError(
-                    f"layout mismatch restoring state: {name} is {ours!r} on "
-                    f"the translator but {theirs!r} in the snapshot"
-                )
-        self._map = type(self._map).from_extent_arrays(
-            state["map_lba"], state["map_pba"], state["map_length"]
-        )
-        for zone, pointer in zip(self._zones.zones, state["write_pointers"]):
-            zone.write_pointer = int(pointer)
-        self._entries = [
-            [tuple(int(v) for v in entry) for entry in zone_entries]
-            for zone_entries in state["entries"]
-        ]
-        self._live.load_state_list(state["live_counts"])
-        self._open_order = [int(z) for z in state["open_order"]]
-        self._open_idx = int(state["open_idx"])
-        self._write_seq = int(state["write_seq"])
-        self._zone_write_seq = np.asarray(state["zone_write_seq"], dtype=np.int64)
-        snapshot = state["cleaning_stats"]
-        self.cleaning_stats = CleaningStats(
-            cleanings=int(snapshot["cleanings"]),
-            relocated_sectors=int(snapshot["relocated_sectors"]),
-            cleaning_read_seeks=int(snapshot["cleaning_read_seeks"]),
-            cleaning_write_seeks=int(snapshot["cleaning_write_seeks"]),
-            host_written_sectors=int(snapshot["host_written_sectors"]),
-            zone_resets=int(snapshot["zone_resets"]),
-        )
-        head = state["head_position"]
-        self._head.restore_position(None if head is None else int(head))
-        self._cleaning = False
 
     # ------------------------------------------------------------------ #
 

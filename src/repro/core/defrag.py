@@ -61,15 +61,6 @@ class OpportunisticDefrag:
         self._config = config
         self._access_counts: Dict[Tuple[int, int], int] = {}
 
-    @property
-    def config(self) -> DefragConfig:
-        return self._config
-
-    @property
-    def tracked_ranges(self) -> int:
-        """Number of fragmented ranges currently being access-counted."""
-        return len(self._access_counts)
-
     def should_defragment(self, lba: int, length: int, fragments: int) -> bool:
         """Decide whether the just-served fragmented read warrants a rewrite.
 

@@ -29,16 +29,6 @@ class SeekAmplification:
     write: float
     total: float
 
-    def improvement_over(self, other: "SeekAmplification") -> float:
-        """How many times lower this total SAF is than ``other``'s.
-
-        Used for the paper's headline claims ("up to 18x improvement of
-        seek amplification factor").  Values > 1 mean *this* is better.
-        """
-        if self.total == 0:
-            return math.inf if other.total > 0 else 1.0
-        return other.total / self.total
-
 
 def _ratio(numerator: int, denominator: int) -> float:
     if denominator == 0:

@@ -80,10 +80,6 @@ class IOOutcome:
     buffer_fragment_hits: int = 0
 
     @property
-    def total_seeks(self) -> int:
-        return self.read_seeks + self.write_seeks + self.defrag_write_seeks
-
-    @property
     def fragmented(self) -> bool:
         """True when the request resolved to more than one physical piece."""
         return self.fragments > 1
@@ -112,10 +108,6 @@ class SimStats:
     retry_backoff_s: float = 0.0
 
     @property
-    def ops(self) -> int:
-        return self.reads + self.writes
-
-    @property
     def total_seeks(self) -> int:
         """All seeks: host reads + host writes + defrag rewrites."""
         return self.read_seeks + self.write_seeks + self.defrag_write_seeks
@@ -124,20 +116,6 @@ class SimStats:
     def total_write_seeks(self) -> int:
         """Write-direction seeks including defrag traffic."""
         return self.write_seeks + self.defrag_write_seeks
-
-    @property
-    def write_amplification(self) -> float:
-        """Log bytes written per host byte written (1.0 without defrag).
-
-        Opportunistic defragmentation "does not come for free" (§IV-A):
-        every rewrite consumes log space and, on a finite disk, brings
-        cleaning closer.  This is that cost as a WAF.
-        """
-        if self.sectors_written == 0:
-            return 1.0
-        return (
-            self.sectors_written + self.defrag_rewritten_sectors
-        ) / self.sectors_written
 
     def absorb(self, outcome: IOOutcome) -> None:
         """Fold one outcome into the aggregate."""

@@ -71,10 +71,6 @@ class LookAheadBehindPrefetcher:
         self.window_reads = 0
 
     @property
-    def config(self) -> PrefetchConfig:
-        return self._config
-
-    @property
     def behind_sectors(self) -> int:
         return self._behind
 
@@ -94,10 +90,6 @@ class LookAheadBehindPrefetcher:
         """
         self._buffer.add_window(pba - self._behind, pba + length + self._ahead)
         self.window_reads += 1
-
-    def clear(self) -> None:
-        """Drop all buffered windows (e.g. between replays)."""
-        self._buffer.clear()
 
     def state_dict(self) -> dict:
         """JSON-serializable mutable state (checkpoint snapshot).

@@ -70,25 +70,8 @@ class SelectiveFragmentCache:
         return self._config
 
     @property
-    def used_bytes(self) -> int:
-        return self._lru.used_bytes
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self._lru.capacity_bytes
-
-    @property
     def capacity_blocks(self) -> int:
         return self._lru.capacity_blocks
-
-    @property
-    def evictions(self) -> int:
-        return self._lru.evictions
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def lookup(self, pba: int, length: int) -> bool:
         """CheckCache: True (and refresh recency) if the fragment is resident."""
@@ -101,9 +84,6 @@ class SelectiveFragmentCache:
     def admit(self, pba: int, length: int) -> None:
         """WriteCache: admit a fragment just read from disk."""
         self._lru.insert_range(pba, length)
-
-    def clear(self) -> None:
-        self._lru.clear()
 
     def state_dict(self) -> dict:
         """Mutable state (checkpoint snapshot): the resident blocks as an

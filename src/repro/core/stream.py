@@ -54,7 +54,7 @@ Doctest (one recording, two cache sizes, no re-replay)::
     >>> stream.fragmented_reads, stream.accesses
     (3, 11)
     >>> cached = TechniqueConfig(name="c", cache=SelectiveCacheConfig(1.0))
-    >>> stream_replay(stream, cached).stats.cache_fragment_hits
+    >>> stream_replay(stream, cached).run_result.stats.cache_fragment_hits
     6
 """
 
@@ -229,15 +229,6 @@ class StreamRunResult:
     head_position: Optional[int]
     cache: Optional[SelectiveFragmentCache]
     prefetcher: Optional[LookAheadBehindPrefetcher]
-
-    @property
-    def stats(self) -> SimStats:
-        return self.run_result.stats
-
-    @property
-    def read_distances(self) -> np.ndarray:
-        """Distances of read-direction seeks only (Fig. 4's input)."""
-        return self.distances[self.distance_is_read]
 
 
 # --------------------------------------------------------------------- #

@@ -170,22 +170,3 @@ class StreamStore:
     # ----------------------------------------------------------------- #
     # Maintenance
     # ----------------------------------------------------------------- #
-
-    def entries(self):
-        """Every path under the root but in-flight ``.tmp`` publishes."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path for path in self.root.iterdir() if not path.name.endswith(".tmp")
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries())
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self.entries():
-            remove_entry(path)
-            removed += 1
-        return removed

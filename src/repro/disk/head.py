@@ -75,20 +75,6 @@ class DiskHead:
         self._position = pba + length
         return event
 
-    def peek_distance(self, pba: int) -> int:
-        """Signed distance a seek to ``pba`` would cover (0 if none needed)."""
-        if self._position is None or pba == self._position:
-            return 0
-        return pba - self._position
-
-    def would_seek(self, pba: int) -> bool:
-        """True if accessing ``pba`` next would count as a seek."""
-        return self._position is not None and pba != self._position
-
-    def reset(self) -> None:
-        """Forget the head position (used between independent replays)."""
-        self._position = None
-
     def restore_position(self, position: Optional[int]) -> None:
         """Set the head state directly (checkpoint restore).
 

@@ -76,9 +76,3 @@ class SeekTimeModel:
     def total_ms(self, distances: Iterable[int]) -> float:
         """Aggregate seek time over an iterable of signed distances."""
         return sum(self.seek_ms(d) for d in distances)
-
-    def service_ms(self, distance_sectors: int, transfer_sectors: int) -> float:
-        """Seek plus transfer time for one access."""
-        if transfer_sectors < 0:
-            raise ValueError(f"transfer_sectors must be >= 0, got {transfer_sectors}")
-        return self.seek_ms(distance_sectors) + self.geometry.transfer_ms(transfer_sectors)

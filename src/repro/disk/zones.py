@@ -14,7 +14,7 @@ allocator the log-structured translator's write frontier runs on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.util.units import SECTORS_PER_MIB
 
@@ -46,10 +46,6 @@ class Zone:
     @property
     def end(self) -> int:
         return self.start + self.length
-
-    @property
-    def written_sectors(self) -> int:
-        return self.write_pointer - self.start
 
     @property
     def remaining_sectors(self) -> int:
@@ -150,31 +146,3 @@ class ZonedAddressSpace:
         """Reset a zone's write pointer, discarding its contents."""
         zone = self._zones[zone_id]
         zone.write_pointer = zone.start
-
-    def append(self, length: int, start_zone: int = 0) -> List[Tuple[int, int]]:
-        """Allocate ``length`` sectors at the device's global write frontier.
-
-        Fills sequential zones in order from ``start_zone``, splitting the
-        allocation across zone boundaries as needed (each returned
-        ``(pba, length)`` piece lies in one zone).  This is the allocator a
-        zone-aware log-structured frontier uses.
-
-        Raises:
-            SequentialZoneError: if the device runs out of zone space.
-        """
-        if length <= 0:
-            raise ValueError(f"length must be > 0, got {length}")
-        pieces: List[Tuple[int, int]] = []
-        remaining = length
-        for zone in self._zones[start_zone:]:
-            if zone.conventional or zone.is_full:
-                continue
-            take = min(remaining, zone.remaining_sectors)
-            pieces.append((zone.write_pointer, take))
-            self.write(zone.write_pointer, take)
-            remaining -= take
-            if remaining == 0:
-                return pieces
-        raise SequentialZoneError(
-            f"device full: {remaining} of {length} sectors unallocated"
-        )

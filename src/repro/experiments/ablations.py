@@ -83,7 +83,7 @@ def _replay(trace, translator):
     ``tests/differential/test_cleaning_vs_reference.py`` and
     ``test_multifrontier_vs_reference.py``.
     """
-    return batch_replay_translator(trace, translator).run_result
+    return batch_replay_translator(trace, translator)
 
 
 # What each exhibit below reads from the result table (registry.NEEDS).

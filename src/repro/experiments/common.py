@@ -63,11 +63,7 @@ def workload_trace(name: str, seed: int, scale: float) -> Trace:
         from repro.trace.store import synthetic_meta
 
         meta = synthetic_meta(name, seed, scale)
-        trace = _trace_store.load(meta)
-        if trace is not None:
-            # Stored traces lose their name (keyed by meta); restore it so
-            # exhibits label results identically either way.
-            trace = trace if trace.name == name else trace.renamed(name)
+        trace = _trace_store.load(meta)  # the entry keeps the trace's name
     if trace is None:
         trace = synthesize_workload(name, seed=seed, scale=scale)
         if _trace_store is not None:
@@ -105,16 +101,6 @@ def set_stream_store(root: Optional[str]) -> None:
 def stream_store():
     """The active :class:`~repro.core.stream_store.StreamStore`, or None."""
     return _stream_store
-
-
-def clear_trace_cache() -> None:
-    """Drop all memoized workload traces (frees the memory immediately)."""
-    _trace_cache.clear()
-
-
-def trace_cache_size() -> int:
-    """Number of traces currently memoized."""
-    return len(_trace_cache)
 
 
 def save_json(exhibit: str, data: dict, out_dir: Optional[str]) -> Optional[Path]:

@@ -32,8 +32,7 @@ def _scenario_trace() -> Trace:
     return Trace(requests, name="fig9")
 
 
-def _scenario(engine, config: TechniqueConfig) -> dict:
-    stats = engine.replay(_scenario_trace(), config).stats
+def _scenario(stats) -> dict:
     return {
         "fragments": stats.read_fragments,
         "read_seeks": stats.read_seeks,
@@ -48,10 +47,12 @@ def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> di
     1..5 pays 5 seeks; with look-ahead-behind it pays 3, with LBAs 3 and 4
     served from the prefetch buffer.
     """
-    engine = sweep_engine(seed, scale)
+    without, with_prefetch = sweep_engine(seed, scale).sweep(
+        _scenario_trace(), [LS, WITH_PREFETCH]
+    )
     data = {
-        "without_prefetch": _scenario(engine, LS),
-        "with_prefetch": _scenario(engine, WITH_PREFETCH),
+        "without_prefetch": _scenario(without.stats),
+        "with_prefetch": _scenario(with_prefetch.stats),
     }
     wo, wp = data["without_prefetch"], data["with_prefetch"]
     print("Fig. 9 scenario (LBAs 1..6 contiguous; Wr 3; Wr 2; Wr 4; Rd 1-5)")

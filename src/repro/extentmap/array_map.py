@@ -58,12 +58,11 @@ plateaus.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.extentmap.base import AddressMap, Segment
-from repro.extentmap.extent import Extent
 from repro.extentmap.extent_map import ExtentMap, validate_extent_rows
 from repro.util.cells import cells, cover, unique
 
@@ -137,21 +136,6 @@ class ArrayExtentMap(AddressMap):
         self.rows_merged = 0
         self.rows_moved = 0
         self.run_merges = 0
-
-    def __len__(self) -> int:
-        self.flush()
-        return self._n
-
-    def __iter__(self) -> Iterator[Extent]:
-        """Iterate extents in LBA order (do not mutate while iterating)."""
-        lba, pba, length = (column.tolist() for column in self.extent_arrays())
-        return iter([Extent(*row) for row in zip(lba, pba, length)])
-
-    def __repr__(self) -> str:
-        return (
-            f"ArrayExtentMap(n_base={self._n}, "
-            f"n_overlay={len(self._overlay)}, flushes={self.flush_count})"
-        )
 
     def counters(self) -> Dict[str, int]:
         """Level sizes and the monotone work counters, read as they stand

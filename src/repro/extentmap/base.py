@@ -92,12 +92,3 @@ class AddressMap(abc.ABC):
             (segment.lba if segment.is_hole else segment.pba, segment.length, segment.is_hole)
             for segment in self.lookup(lba, length)
         ]
-
-    def fragment_count(self, lba: int, length: int) -> int:
-        """Dynamic fragmentation of a read: number of mapped, discontiguous
-        physical pieces needed to serve ``[lba, lba+length)``.
-
-        Holes count as one piece each (they resolve to identity placement,
-        which is contiguous per hole).
-        """
-        return len(self.lookup(lba, length))

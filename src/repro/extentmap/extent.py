@@ -50,15 +50,3 @@ class Extent:
         if not 0 < n < self.length:
             raise ValueError(f"trim_back n must be in (0, {self.length}), got {n}")
         self.length -= n
-
-    def __repr__(self) -> str:
-        return f"Extent(lba={self.lba}, pba={self.pba}, length={self.length})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Extent):
-            return NotImplemented
-        return (
-            self.lba == other.lba
-            and self.pba == other.pba
-            and self.length == other.length
-        )

@@ -27,8 +27,6 @@ invalidation batch at once.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 
@@ -48,23 +46,12 @@ class ZoneLiveCounts:
         self._counts = np.zeros(n_zones, dtype=np.int64)
 
     @property
-    def zone_sectors(self) -> int:
-        return self._zone_sectors
-
-    @property
-    def n_zones(self) -> int:
-        return len(self._counts)
-
-    @property
     def counts(self) -> np.ndarray:
         """The live int64 counts array (mutate through the methods)."""
         return self._counts
 
     def get(self, zone_id: int) -> int:
         return int(self._counts[zone_id])
-
-    def total(self) -> int:
-        return int(self._counts.sum())
 
     def add(self, zone_id: int, sectors: int) -> None:
         """Credit an append of ``sectors`` to ``zone_id``."""
@@ -154,19 +141,3 @@ class ZoneLiveCounts:
         piece_start = np.maximum(pba.repeat(reps), zone_ids * zone_sectors)
         piece_end = np.minimum(end.repeat(reps), (zone_ids + 1) * zone_sectors)
         np.add.at(counts, zone_ids, piece_end - piece_start)
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-
-    def state_list(self) -> List[int]:
-        return [int(c) for c in self._counts]
-
-    def load_state_list(self, counts) -> None:
-        values = [int(c) for c in counts]
-        if len(values) != len(self._counts):
-            raise ValueError(
-                f"zone count mismatch restoring live counts: have "
-                f"{len(self._counts)} zones, snapshot has {len(values)}"
-            )
-        self._counts = np.asarray(values, dtype=np.int64)

@@ -118,10 +118,6 @@ class CheckpointStore:
         self._dir = Path(root) / "checkpoints"
         self._keep = keep
 
-    @property
-    def directory(self) -> Path:
-        return self._dir
-
     def entry_path(self, seq: int) -> Path:
         return self._dir / f"ckpt-{seq:012d}"
 

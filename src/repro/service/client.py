@@ -156,25 +156,6 @@ class ReplayClient:
             raise ConnectionError("daemon closed the connection")
         return json.loads(line)
 
-    def apply(
-        self,
-        is_read: np.ndarray,
-        lba: np.ndarray,
-        length: np.ndarray,
-        seq: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-    ) -> dict:
-        """Send one batch at ``seq`` (default: the next unacknowledged)."""
-        seq = self.next_seq if seq is None else seq
-        if self._file is None:
-            self.connect()
-        self._file.write(self._apply_frame(is_read, lba, length, seq, deadline_s))
-        self._file.flush()
-        response = self._read_response()
-        if response.get("ok"):
-            self.next_seq = max(self.next_seq, seq + 1)
-        return response
-
     def applied_seq(self) -> int:
         result = self.query("applied")
         return int(result["applied_seq"])

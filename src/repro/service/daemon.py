@@ -167,10 +167,6 @@ class ReplayDaemon:
         self._stopping = False
         self.port: Optional[int] = None
 
-    @property
-    def supervisor(self) -> Supervisor:
-        return self._supervisor
-
     # ----------------------------------------------------------------- #
     # Lifecycle
     # ----------------------------------------------------------------- #

@@ -77,9 +77,6 @@ class JournalRecord:
         self.lba = lba
         self.length = length
 
-    def __len__(self) -> int:
-        return len(self.lba)
-
 
 def _encode(seq: int, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray) -> bytes:
     n = len(lba)

@@ -288,7 +288,7 @@ class ReplaySession:
             return {
                 "seq": seq,
                 "applied_seq": self._applied_seq,
-                "ops": self._engine.ops_applied,
+                "ops": self.ops_applied,
                 "duplicate": True,
             }
         if seq != self._applied_seq + 1:
@@ -303,7 +303,7 @@ class ReplaySession:
         return {
             "seq": seq,
             "applied_seq": self._applied_seq,
-            "ops": self._engine.ops_applied,
+            "ops": self.ops_applied,
             "duplicate": False,
         }
 
@@ -353,7 +353,7 @@ class ReplaySession:
         triples = split_group_payload(payload, counts)
         results: List[dict] = []
         virtual = self._applied_seq
-        virtual_ops = self._engine.ops_applied
+        virtual_ops = self.ops_applied
         run_start: Optional[int] = None
         run: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for i, (is_read, lba, length) in enumerate(triples):
@@ -447,7 +447,7 @@ class ReplaySession:
         path = self._published(
             *self._timed(self._checkpoints.save, self._applied_seq, self.state_dict())
         )
-        self._ops_at_checkpoint = self._engine.ops_applied
+        self._ops_at_checkpoint = self.ops_applied
         return path
 
     @staticmethod
@@ -472,7 +472,7 @@ class ReplaySession:
         is taken here and saved by the writer thread, at most one at a
         time — a save due while one is in flight waits for its collection."""
         self._collect_save()
-        ops = self._engine.ops_applied
+        ops = self.ops_applied
         if self._saving is None and ops - self._ops_at_checkpoint >= self._interval:
             self._ops_at_checkpoint = ops
             self._saving = self._writer.submit(
@@ -523,15 +523,15 @@ class ReplaySession:
         if kind == "applied":
             return {
                 "applied_seq": self._applied_seq,
-                "ops": self._engine.ops_applied,
+                "ops": self.ops_applied,
             }
         if kind == "stats":
-            stats = self._engine.stats()
+            stats = self.stats()
             return {field: getattr(stats, field) for field in stats.__dataclass_fields__}
         if kind == "saf":
             baseline = SimStats()
             baseline.read_seeks, baseline.write_seeks = self._baseline.counts()
-            saf = seek_amplification(self._engine.stats(), baseline)
+            saf = seek_amplification(self.stats(), baseline)
             return {
                 "read": saf.read,
                 "write": saf.write,
@@ -559,5 +559,3 @@ class ReplaySession:
                 health["extent_map"] = address_map.counters()
             return health
         raise ValueError(f"unknown query kind {kind!r}")
-
-

@@ -136,10 +136,6 @@ class Supervisor:
         """Times this tenant's worker has been restarted after a crash."""
         return self._get(name).restarts
 
-    def tenant_root(self, name: str) -> Path:
-        """On-disk session directory of ``name`` (checkpoints + journal)."""
-        return self._get(name).root
-
     def call(self, name: str, message: dict) -> dict:
         """Send one command to the tenant's worker and await its response.
 

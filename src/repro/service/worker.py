@@ -1,8 +1,8 @@
 """Session worker: one tenant's session hosted in a spawned process.
 
-Isolation is the point: a worker that segfaults, leaks, is ``kill -9``'d
-by the chaos harness, or wedges in a long apply takes down *one* tenant's
-process, and the supervisor restarts it — :meth:`ReplaySession.open`
+Isolation is the point: a worker that segfaults, leaks, is ``kill -9``'d,
+or wedges in a long apply takes down *one* tenant's process, and the
+supervisor restarts it — :meth:`ReplaySession.open`
 recovers the state from checkpoint + journal, so the restart is
 semantically invisible to the client (at most one resent batch, deduped
 by sequence number).
@@ -19,13 +19,11 @@ dwarfs everything else at streaming rates):
   ``{"ok": True, "acks": [one response dict per batch]}``.
 * ``{"cmd": "query", "kind", "params"}``
 * ``{"cmd": "checkpoint"}``
-* ``{"cmd": "crash"}`` — chaos hook: ``os._exit`` without cleanup,
-  exactly what a ``kill -9`` looks like from the parent's side.
 * ``{"cmd": "shutdown"}`` — checkpoint, ack, exit 0.
 
 Responses are ``{"ok": True, ...}`` or ``{"ok": False, "error", "kind"}``.
 A request that raises keeps the worker alive (the error is the client's);
-only ``crash``/``shutdown``/pipe-EOF end the loop.
+only ``shutdown`` or pipe EOF ends the loop.
 """
 
 from __future__ import annotations
@@ -88,9 +86,6 @@ def worker_main(
                 conn.send({"ok": True, "applied_seq": session.applied_seq})
             elif cmd == "ping":
                 conn.send({"ok": True, "pid": os.getpid()})
-            elif cmd == "crash":
-                # Chaos: die like kill -9 — no checkpoint, no cleanup.
-                os._exit(42)
             elif cmd == "shutdown":
                 session.close()
                 conn.send({"ok": True, "applied_seq": session.applied_seq})

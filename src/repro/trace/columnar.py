@@ -106,10 +106,6 @@ class TraceColumns:
         return len(self.timestamp)
 
     @classmethod
-    def empty(cls) -> "TraceColumns":
-        return cls((), (), (), ())  # the constructor sets the dtypes
-
-    @classmethod
     def from_trace(cls, trace: Trace) -> "TraceColumns":
         """Extract columns from any trace (free for a :class:`ColumnarTrace`)."""
         if isinstance(trace, ColumnarTrace):
@@ -118,7 +114,7 @@ class TraceColumns:
         return cls(trace.timestamps(), is_read, lba, length)
 
     def select(self, index) -> "TraceColumns":
-        """Columns for ``trace[index]``-style slicing or boolean masking."""
+        """Columns for ``trace[index]``-style slicing."""
         return TraceColumns(
             self.timestamp[index],
             self.is_read[index],
@@ -171,11 +167,6 @@ class ColumnarTrace(Trace):
             ]
         return self._materialized
 
-    @property
-    def materialized(self) -> bool:
-        """True once the per-record ``IORequest`` list has been built."""
-        return self._materialized is not None
-
     def __len__(self) -> int:
         return len(self._columns)
 
@@ -184,8 +175,7 @@ class ColumnarTrace(Trace):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            sliced = ColumnarTrace(self._columns.select(index), name=self._name)
-            return sliced
+            return ColumnarTrace(self._columns.select(index), name=self._name)
         cols = self._columns
         i = int(index)
         return IORequest(
@@ -194,24 +184,6 @@ class ColumnarTrace(Trace):
             lba=int(cols.lba[i]),
             length=int(cols.length[i]),
         )
-
-    def __repr__(self) -> str:
-        return f"ColumnarTrace(name={self._name!r}, n_ops={len(self._columns)})"
-
-    def filter(self, op: OpType) -> "ColumnarTrace":
-        mask = (
-            self._columns.is_read
-            if op is OpType.READ
-            else ~self._columns.is_read
-        )
-        return ColumnarTrace(
-            self._columns.select(mask), name=f"{self._name}.{op.value}"
-        )
-
-    def renamed(self, name: str) -> "ColumnarTrace":
-        renamed = ColumnarTrace(self._columns, name=name)
-        renamed._materialized = self._materialized
-        return renamed
 
 
 # --------------------------------------------------------------------- #
@@ -455,7 +427,10 @@ def _parse_blocks(
             parts.append((stamp, is_read[keep], lba[keep], length[keep]))
         if accepted == limit:
             break
-    columns = TraceColumns(*map(np.concatenate, zip(*parts))) if parts else TraceColumns.empty()
+    if parts:
+        columns = TraceColumns(*map(np.concatenate, zip(*parts)))
+    else:
+        columns = TraceColumns((), (), (), ())  # the constructor sets the dtypes
     trace = ColumnarTrace(columns, name=name)
     report.records += records
     report.accepted += accepted

@@ -102,13 +102,6 @@ class ParseReport:
         """Total bad records encountered (skipped + quarantined)."""
         return self.skipped + self.quarantined
 
-    @property
-    def balanced(self) -> bool:
-        """True when every candidate record is accounted for exactly once."""
-        return self.records == (
-            self.accepted + self.skipped + self.quarantined + self.filtered
-        )
-
     def note_record(self) -> None:
         """Count one candidate (non-blank, non-comment) input record."""
         self.records += 1
@@ -136,30 +129,6 @@ class ParseReport:
             self.quarantine.append(issue)
         else:
             self.skipped += 1
-
-    def summary(self) -> dict:
-        """JSON-friendly digest (used by exhibit dumps and run manifests)."""
-        return {
-            "name": self.name,
-            "policy": self.policy,
-            "records": self.records,
-            "accepted": self.accepted,
-            "skipped": self.skipped,
-            "quarantined": self.quarantined,
-            "filtered": self.filtered,
-            "error_samples": [
-                {"line_no": i.line_no, "reason": i.reason, "line": i.line}
-                for i in self.errors
-            ],
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"ParseReport({self.name}: policy={self.policy}, "
-            f"records={self.records}, accepted={self.accepted}, "
-            f"skipped={self.skipped}, quarantined={self.quarantined}, "
-            f"filtered={self.filtered})"
-        )
 
 
 def make_report(

@@ -46,10 +46,6 @@ class OpType(enum.Enum):
     def is_read(self) -> bool:
         return self is OpType.READ
 
-    @property
-    def is_write(self) -> bool:
-        return self is OpType.WRITE
-
 
 @dataclass(frozen=True)
 class IORequest:
@@ -93,10 +89,6 @@ class IORequest:
     @property
     def is_write(self) -> bool:
         return self.op is OpType.WRITE
-
-    def overlaps(self, other: "IORequest") -> bool:
-        """True if this request shares at least one sector with ``other``."""
-        return self.lba < other.end and other.lba < self.end
 
     @staticmethod
     def read(lba: int, length: int, timestamp: float = 0.0) -> "IORequest":

@@ -48,28 +48,11 @@ class TraceStats:
         return sectors_to_kib(self.written_sectors) / self.write_count
 
     @property
-    def mean_read_size_kib(self) -> float:
-        if self.read_count == 0:
-            return 0.0
-        return sectors_to_kib(self.read_sectors) / self.read_count
-
-    @property
     def read_fraction(self) -> float:
         """Fraction of operations that are reads (0 for an empty trace)."""
         if self.op_count == 0:
             return 0.0
         return self.read_count / self.op_count
-
-    @property
-    def write_intensity(self) -> float:
-        """Writes per read; ``inf`` if the trace has writes but no reads.
-
-        The paper's §V explanation for why most MSR workloads see SAF < 1 is
-        that they are write-intensive — this is that quantity.
-        """
-        if self.read_count == 0:
-            return float("inf") if self.write_count else 0.0
-        return self.write_count / self.read_count
 
 
 def compute_stats(trace: Trace) -> TraceStats:

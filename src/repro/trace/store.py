@@ -142,7 +142,7 @@ def _issue_from_dict(data: dict) -> ParseIssue:
 
 
 def report_to_dict(report: Optional[ParseReport]) -> Optional[dict]:
-    """Full (lossless) encoding — unlike ``ParseReport.summary()``."""
+    """Full (lossless) encoding of a parse report."""
     if report is None:
         return None
     return {
@@ -260,27 +260,6 @@ class TraceStore:
         if not won:
             self.hits += 1
         return path
-
-    def entries(self):
-        """The store's entry paths (empty if the directory doesn't exist)."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path
-            for path in self.root.iterdir()
-            if path.is_dir() and not path.name.endswith(".tmp")
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries())
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self.entries():
-            remove_entry(path)
-            removed += 1
-        return removed
 
 
 # --------------------------------------------------------------------- #

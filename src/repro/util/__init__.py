@@ -13,24 +13,15 @@ from repro.util.units import (
     SECTORS_PER_MIB,
     SECTORS_PER_GIB,
     bytes_to_sectors,
-    sectors_to_bytes,
     sectors_to_kib,
-    sectors_to_mib,
     sectors_to_gib,
     kib_to_sectors,
     mib_to_sectors,
     gib_to_sectors,
 )
-from repro.util.validation import (
-    check_non_negative,
-    check_positive,
-    check_probability,
-    check_choice,
-    check_range,
-    check_type,
-)
+from repro.util.validation import check_choice
 from repro.util.io import atomic_write_json, atomic_write_text
-from repro.util.rngtools import SeedSequenceFactory, spawn_rng, zipf_weights
+from repro.util.rngtools import SeedSequenceFactory, zipf_weights
 from repro.util.stats import empirical_cdf
 
 __all__ = [
@@ -42,23 +33,15 @@ __all__ = [
     "SECTORS_PER_MIB",
     "SECTORS_PER_GIB",
     "bytes_to_sectors",
-    "sectors_to_bytes",
     "sectors_to_kib",
-    "sectors_to_mib",
     "sectors_to_gib",
     "kib_to_sectors",
     "mib_to_sectors",
     "gib_to_sectors",
-    "check_non_negative",
-    "check_positive",
-    "check_probability",
     "check_choice",
-    "check_range",
-    "check_type",
     "atomic_write_json",
     "atomic_write_text",
     "SeedSequenceFactory",
-    "spawn_rng",
     "zipf_weights",
     "empirical_cdf",
 ]

@@ -98,15 +98,11 @@ class CommitOutcome(NamedTuple):
     ``path`` is the published entry either way; ``won`` is False when a
     concurrent writer of the same key published first and this writer's
     (byte-identical) work was discarded — callers can count that as a
-    cache hit instead of a store.  Unpacks as a tuple; ``os.fspath`` works
-    on it too, so path-like uses keep working.
+    cache hit instead of a store.  Unpacks as a tuple.
     """
 
     path: Path
     won: bool
-
-    def __fspath__(self) -> str:
-        return str(self.path)
 
 
 def commit_entry_dir(

@@ -29,10 +29,6 @@ class SeedSequenceFactory:
     def __init__(self, root_seed: int) -> None:
         self._root_seed = int(root_seed)
 
-    @property
-    def root_seed(self) -> int:
-        return self._root_seed
-
     def seed_for(self, label: str) -> int:
         """Return a 64-bit seed deterministically derived from ``label``."""
         digest = hashlib.sha256(f"{self._root_seed}:{label}".encode()).digest()
@@ -41,11 +37,6 @@ class SeedSequenceFactory:
     def rng_for(self, label: str) -> random.Random:
         """Return a fresh :class:`random.Random` seeded for ``label``."""
         return random.Random(self.seed_for(label))
-
-
-def spawn_rng(seed: int, label: str = "") -> random.Random:
-    """One-shot convenience wrapper around :class:`SeedSequenceFactory`."""
-    return SeedSequenceFactory(seed).rng_for(label)
 
 
 def zipf_weights(n: int, alpha: float) -> List[float]:

@@ -39,23 +39,9 @@ def bytes_to_sectors(n_bytes: int) -> int:
     return -(-n_bytes // SECTOR_BYTES)
 
 
-def sectors_to_bytes(n_sectors: int) -> int:
-    """Convert a sector count to bytes.
-
-    >>> sectors_to_bytes(2)
-    1024
-    """
-    return n_sectors * SECTOR_BYTES
-
-
 def sectors_to_kib(n_sectors: int) -> float:
     """Convert sectors to KiB as a float (for reporting)."""
     return n_sectors * SECTOR_BYTES / BYTES_PER_KIB
-
-
-def sectors_to_mib(n_sectors: int) -> float:
-    """Convert sectors to MiB as a float (for reporting)."""
-    return n_sectors * SECTOR_BYTES / BYTES_PER_MIB
 
 
 def sectors_to_gib(n_sectors: int) -> float:
@@ -82,4 +68,3 @@ def mib_to_sectors(n_mib: float) -> int:
 def gib_to_sectors(n_gib: float) -> int:
     """Convert GiB to whole sectors, rounding up."""
     return mib_to_sectors(n_gib * 1024)
-

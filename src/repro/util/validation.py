@@ -1,50 +1,13 @@
-"""Small argument-validation helpers.
+"""Argument-validation helper.
 
-Centralising these keeps error messages consistent across the library and
+Keeps the "must be one of" error message the same across the parsers and
 keeps constructors flat (an early ``raise`` per invalid argument, then the
 happy path).
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Tuple, Type, Union
-
-
-def check_non_negative(name: str, value: Union[int, float]) -> Union[int, float]:
-    """Raise :class:`ValueError` unless ``value >= 0``; return it otherwise."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def check_positive(name: str, value: Union[int, float]) -> Union[int, float]:
-    """Raise :class:`ValueError` unless ``value > 0``; return it otherwise."""
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    return value
-
-
-def check_range(
-    name: str,
-    value: Union[int, float],
-    lo: Union[int, float],
-    hi: Union[int, float],
-) -> Union[int, float]:
-    """Raise :class:`ValueError` unless ``lo <= value <= hi``."""
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-    return value
-
-
-def check_probability(name: str, value: Union[int, float]) -> float:
-    """Raise :class:`ValueError` unless ``0 <= value <= 1``; return a float.
-
-    Fault-injection rates and sampling fractions all funnel through here so
-    a mistyped percentage (``5`` instead of ``0.05``) fails loudly.
-    """
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return float(value)
+from typing import Any, Sequence
 
 
 def check_choice(name: str, value: Any, choices: Sequence[Any]) -> Any:
@@ -52,27 +15,4 @@ def check_choice(name: str, value: Any, choices: Sequence[Any]) -> Any:
     if value not in choices:
         options = ", ".join(repr(c) for c in choices)
         raise ValueError(f"{name} must be one of {options}; got {value!r}")
-    return value
-
-
-def check_type(
-    name: str,
-    value: Any,
-    expected: Union[Type, Tuple[Type, ...]],
-) -> Any:
-    """Raise :class:`TypeError` unless ``value`` is an instance of ``expected``.
-
-    ``bool`` is rejected where an integer is expected, because ``True`` and
-    ``False`` silently behaving as 1/0 sector addresses is a classic source
-    of simulator bugs.
-    """
-    if expected is int and isinstance(value, bool):
-        raise TypeError(f"{name} must be int, got bool {value!r}")
-    if not isinstance(value, expected):
-        exp_name = (
-            expected.__name__
-            if isinstance(expected, type)
-            else "/".join(t.__name__ for t in expected)
-        )
-        raise TypeError(f"{name} must be {exp_name}, got {type(value).__name__}")
     return value

@@ -4,7 +4,10 @@ The MSR and CloudPhysics traces the paper replays are not redistributable;
 this package substitutes calibrated synthetic archetypes whose structural
 parameters (write intensity, scan behaviour, mis-ordered writes, fragment
 popularity skew, hot-region size) reproduce each workload's qualitative
-seek behaviour.  See DESIGN.md §2 for the substitution argument.
+seek behaviour.  See DESIGN.md §2 for the substitution argument.  Each
+:data:`TABLE1` entry also records the paper's verdicts on it
+(:class:`Expectations`); ``tests/integration/test_paper_shapes.py`` holds
+every archetype to them.
 
 Primary entry point::
 
@@ -16,13 +19,6 @@ from repro.trace.trace import Trace
 from repro.workloads.spec import ReadMix, WorkloadSpec, WriteMix
 from repro.workloads.patterns import BLOCK_SECTORS, WrittenExtentLog
 from repro.workloads.generator import WorkloadGenerator, generate_workload
-from repro.workloads.validation import (
-    Check,
-    ValidationReport,
-    check_expectations,
-    measure_saf,
-    validate_archetype,
-)
 from repro.workloads.table1 import (
     TABLE1,
     Table1Entry,
@@ -78,9 +74,4 @@ __all__ = [
     "FIG7_WORKLOADS",
     "FIG10_WORKLOADS",
     "get_spec",
-    "Check",
-    "ValidationReport",
-    "check_expectations",
-    "measure_saf",
-    "validate_archetype",
 ]

@@ -82,10 +82,6 @@ class WorkloadGenerator:
     def __init__(self, spec: WorkloadSpec) -> None:
         self._spec = spec
 
-    @property
-    def spec(self) -> WorkloadSpec:
-        return self._spec
-
     def generate(self, seed: int = 42, scale: float = 1.0) -> ColumnarTrace:
         """Generate the archetype trace, as columns (no per-op object).
 

@@ -7,8 +7,8 @@ from repro.analysis.classify import (
     WorkloadCharacter,
     characterize,
     classify_saf,
-    classify_stats,
 )
+from repro.core.metrics import seek_amplification
 from repro.core.outcomes import SimStats
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
@@ -38,7 +38,8 @@ class TestClassifySaf:
     def test_classify_stats(self):
         translated = SimStats(read_seeks=30)
         baseline = SimStats(read_seeks=10)
-        assert classify_stats(translated, baseline) is LogSensitivity.LOG_SENSITIVE
+        saf = seek_amplification(translated, baseline).total
+        assert classify_saf(saf) is LogSensitivity.LOG_SENSITIVE
 
 
 class TestCharacterize:

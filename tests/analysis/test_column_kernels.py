@@ -118,13 +118,13 @@ def test_no_request_object_between_the_seed_and_the_kernels(
     compute_stats(trace)
     characterize(trace)
     assert not request_constructions
-    assert not trace.materialized
+    assert trace._materialized is None
     trace.requests  # the counter does see a materialisation
     assert len(request_constructions) == len(trace)
 
 
 def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions):
-    common.clear_trace_cache()
+    common._trace_cache.clear()
     reset_sweep_engines()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -132,8 +132,8 @@ def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions):
                 run(seed=42, scale=0.05)
         cached = list(common._trace_cache.values())
         assert len(cached) == 21
-        assert not any(trace.materialized for trace in cached)
+        assert all(trace._materialized is None for trace in cached)
         assert not request_constructions
     finally:
-        common.clear_trace_cache()
+        common._trace_cache.clear()
         reset_sweep_engines()

@@ -10,6 +10,7 @@ from repro.analysis.fast import (
     nols_seek_distances,
     trace_arrays,
 )
+from repro.analysis.incremental import IncrementalNolsBaseline
 from repro.analysis.misorder import misorder_rate
 from repro.core.config import NOLS, build_translator
 from repro.core.recorders import SeekLogRecorder
@@ -55,6 +56,13 @@ class TestSeekCounts:
         trace = synthesize_workload("ts_0", seed=3, scale=0.1)
         stats = replay(trace, build_translator(trace, NOLS)).stats
         assert nols_seek_counts(trace) == (stats.read_seeks, stats.write_seeks)
+        # The streaming baseline a session keeps equals the one-shot count,
+        # however the stream is cut.
+        baseline = IncrementalNolsBaseline()
+        columns = trace.as_arrays()
+        for cut in range(0, len(trace), 997):
+            baseline.feed_arrays(*(column[cut:cut + 997] for column in columns))
+        assert baseline.counts() == nols_seek_counts(trace)
 
 
 class TestSeekDistances:

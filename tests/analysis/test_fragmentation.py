@@ -57,44 +57,3 @@ class TestTopReadsShare:
             fraction_of_fragments_in_top_reads([2], top_fraction=0.0)
         with pytest.raises(ValueError):
             fraction_of_fragments_in_top_reads([2], top_fraction=1.5)
-
-
-class TestStaticFragmentationSeries:
-    def test_growth_without_defrag(self):
-        from repro.analysis.fragmentation import static_fragmentation_series
-        from repro.core.config import LS
-        from repro.workloads import synthesize_workload
-
-        trace = synthesize_workload("w91", seed=42, scale=0.1)
-        series = static_fragmentation_series(trace, LS, sample_every=500)
-        assert series[-1][0] == len(trace)
-        # Fragmentation accumulates over the run.
-        assert series[-1][1] > series[0][1]
-
-    def test_defrag_reduces_terminal_fragmentation(self):
-        from repro.analysis.fragmentation import static_fragmentation_series
-        from repro.core.config import LS, LS_DEFRAG
-        from repro.workloads import synthesize_workload
-
-        trace = synthesize_workload("w91", seed=42, scale=0.1)
-        plain = static_fragmentation_series(trace, LS, sample_every=10_000)
-        defrag = static_fragmentation_series(trace, LS_DEFRAG, sample_every=10_000)
-        assert defrag[-1][1] < plain[-1][1]
-
-    def test_nols_rejected(self):
-        from repro.analysis.fragmentation import static_fragmentation_series
-        from repro.core.config import NOLS
-        from repro.workloads import synthesize_workload
-
-        trace = synthesize_workload("ts_0", seed=42, scale=0.02)
-        with pytest.raises(ValueError, match="log-structured"):
-            static_fragmentation_series(trace, NOLS)
-
-    def test_sample_every_validated(self):
-        from repro.analysis.fragmentation import static_fragmentation_series
-        from repro.core.config import LS
-        from repro.workloads import synthesize_workload
-
-        trace = synthesize_workload("ts_0", seed=42, scale=0.02)
-        with pytest.raises(ValueError):
-            static_fragmentation_series(trace, LS, sample_every=0)

@@ -7,7 +7,7 @@ from repro.core.simulator import replay
 from repro.core.translators import LogStructuredTranslator
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
-from repro.util.units import sectors_to_mib
+from repro.util.units import SECTORS_PER_MIB
 
 
 class TestRecorder:
@@ -48,7 +48,7 @@ class TestRecorder:
             ]
         )
         curve = recorder.curve()
-        assert curve.cumulative_mib[-1] >= sectors_to_mib(8)
+        assert curve.cumulative_mib[-1] >= 8 / SECTORS_PER_MIB
 
 
 class TestPopularityCurve:

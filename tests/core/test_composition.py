@@ -7,6 +7,10 @@ from repro.core.translators import LogStructuredTranslator
 from repro.trace.record import IORequest
 
 
+def _seeks(outcome):
+    return outcome.read_seeks + outcome.write_seeks + outcome.defrag_write_seeks
+
+
 def make_translator(defrag=False, prefetch=False, cache=False):
     return LogStructuredTranslator(
         frontier_base=10_000,
@@ -92,8 +96,8 @@ class TestAllThree:
             IORequest.read(0, 12),
             IORequest.read(16, 12),
         ]
-        plain_seeks = sum(plain.submit(op).total_seeks for op in ops)
-        composed_seeks = sum(composed.submit(op).total_seeks for op in ops)
+        plain_seeks = sum(_seeks(plain.submit(op)) for op in ops)
+        composed_seeks = sum(_seeks(composed.submit(op)) for op in ops)
         assert composed_seeks <= plain_seeks
         # Both must resolve the same logical mapping at the end.
         for lba in (4, 8, 20):

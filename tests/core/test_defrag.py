@@ -56,9 +56,9 @@ class TestPolicyDecisions:
     def test_note_defragmented_clears_state(self):
         policy = OpportunisticDefrag(DefragConfig(min_accesses=5))
         policy.should_defragment(0, 10, fragments=2)
-        assert policy.tracked_ranges == 1
+        assert len(policy.state_dict()["access_counts"]) == 1
         policy.note_defragmented(0, 10)
-        assert policy.tracked_ranges == 0
+        assert len(policy.state_dict()["access_counts"]) == 0
 
 
 class TestDefragInTranslator:

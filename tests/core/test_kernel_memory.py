@@ -75,6 +75,7 @@ def long_stream():
 @pytest.mark.parametrize("config", [LS_CACHE, LS_PREFETCH], ids=lambda c: c.name)
 def test_stream_replay_scratch_is_slab_sized(long_stream, config):
     peak, result = peak_of(stream_replay, long_stream, config)
-    served = result.stats.cache_fragment_hits + result.stats.buffer_fragment_hits
+    stats = result.run_result.stats
+    served = stats.cache_fragment_hits + stats.buffer_fragment_hits
     assert served > 0 and len(result.distances) > long_stream.accesses // 2
     assert peak - result.distances.nbytes - result.distance_is_read.nbytes <= SLAB_BOUND

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.core.metrics import SeekAmplification, seek_amplification
+from repro.core.metrics import seek_amplification
 from repro.core.outcomes import SimStats
 
 
@@ -30,15 +30,3 @@ class TestSeekAmplification:
     def test_zero_over_zero_is_one(self):
         saf = seek_amplification(stats(), stats())
         assert saf.read == saf.write == saf.total == 1.0
-
-    def test_improvement_over(self):
-        a = SeekAmplification(read=1, write=1, total=4.0)
-        b = SeekAmplification(read=1, write=1, total=1.0)
-        assert b.improvement_over(a) == 4.0
-        assert a.improvement_over(b) == 0.25
-
-    def test_improvement_over_zero_total(self):
-        zero = SeekAmplification(read=0, write=0, total=0.0)
-        other = SeekAmplification(read=1, write=1, total=2.0)
-        assert math.isinf(zero.improvement_over(other))
-        assert zero.improvement_over(zero) == 1.0

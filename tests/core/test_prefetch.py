@@ -41,12 +41,6 @@ class TestWindowBookkeeping:
         assert pf.behind_sectors == 8
         assert pf.ahead_sectors == 16
 
-    def test_clear(self):
-        pf = small_prefetcher()
-        pf.note_fragment_read(1000, 8)
-        pf.clear()
-        assert not pf.covers(1000, 8)
-
     def test_window_reads_counter(self):
         pf = small_prefetcher()
         pf.note_fragment_read(0, 8)

@@ -13,7 +13,7 @@ class TestSimulatorRun:
         result = replay(tiny_trace, InPlaceTranslator())
         assert result.trace_name == "tiny"
         assert result.translator == "NoLS"
-        assert result.stats.ops == 6
+        assert result.stats.reads + result.stats.writes == 6
 
     def test_stats_aggregate_outcomes(self, tiny_trace):
         result = replay(tiny_trace, InPlaceTranslator())
@@ -55,31 +55,5 @@ class TestSimStats:
 
     def test_empty_trace(self):
         result = replay(Trace([]), InPlaceTranslator())
-        assert result.stats.ops == 0
+        assert result.stats.reads + result.stats.writes == 0
         assert result.stats.total_seeks == 0
-
-
-class TestWriteAmplification:
-    def test_no_defrag_is_one(self):
-        from repro.core.config import LS, build_translator
-
-        trace = Trace([IORequest.write(0, 8), IORequest.read(0, 8)])
-        stats = replay(trace, build_translator(trace, LS)).stats
-        assert stats.write_amplification == 1.0
-
-    def test_defrag_rewrites_amplify(self):
-        from repro.core.config import LS_DEFRAG, build_translator
-
-        trace = Trace(
-            [
-                IORequest.write(4, 2),
-                IORequest.write(8, 2),
-                IORequest.read(0, 12),   # fragmented -> defrag rewrite of 12
-            ]
-        )
-        stats = replay(trace, build_translator(trace, LS_DEFRAG)).stats
-        assert stats.write_amplification == (4 + 12) / 4
-
-    def test_no_writes_is_one(self):
-        stats = SimStats()
-        assert stats.write_amplification == 1.0

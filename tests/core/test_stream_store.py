@@ -146,19 +146,3 @@ class TestStreamHealing:
         assert store.load_stream(other) is None
         assert not squatting.exists()
         assert store.load_stream(trace) is not None  # original untouched
-
-
-class TestHousekeeping:
-    def test_entries_len_and_clear(self, trace, recorded, store):
-        """Everything under the root is an entry — a ``.nols.json`` left
-        by an older version included — except in-flight ``.tmp`` publishes."""
-        store.store_stream(trace, recorded)
-        (store.root / f"{stream_key(trace)}.nols.json").write_text("{}")
-        (store.root / f"{stream_key(trace)}.1234.tmp").mkdir()
-        assert len(store) == 2
-        assert len(store.entries()) == 2
-        assert store.clear() == 2
-        assert len(store) == 0
-        assert [path.name for path in store.root.iterdir()] == [
-            f"{stream_key(trace)}.1234.tmp"
-        ]

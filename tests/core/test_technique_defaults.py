@@ -26,15 +26,15 @@ def test_default_cache_instances_do_not_alias() -> None:
     assert first.lookup(0, 8)
     assert (first.hits, first.misses) == (1, 0)
     assert (second.hits, second.misses) == (0, 0)
-    assert second.used_bytes == 0
+    assert second.state_dict()["blocks"].size == 0
     assert not second.lookup(0, 8)
 
 
 def test_default_prefetcher_instances_do_not_alias() -> None:
     first = LookAheadBehindPrefetcher()
     second = LookAheadBehindPrefetcher()
-    assert first.config is not second.config
-    assert first.config == PrefetchConfig()
+    assert first._config is not second._config
+    assert first._config == PrefetchConfig()
 
     first.note_fragment_read(10_000, 8)
     assert first.window_reads == 1
@@ -46,17 +46,17 @@ def test_default_prefetcher_instances_do_not_alias() -> None:
 def test_default_defrag_instances_do_not_alias() -> None:
     first = OpportunisticDefrag(DefragConfig(min_fragments=2, min_accesses=2))
     second = OpportunisticDefrag(DefragConfig(min_fragments=2, min_accesses=2))
-    assert first.config is not second.config
+    assert first._config is not second._config
 
     assert not first.should_defragment(0, 64, fragments=3)
-    assert first.tracked_ranges == 1
-    assert second.tracked_ranges == 0
+    assert len(first.state_dict()["access_counts"]) == 1
+    assert len(second.state_dict()["access_counts"]) == 0
     # The second instance starts its own count: first sighting never fires.
     assert not second.should_defragment(0, 64, fragments=3)
 
     defaults = (OpportunisticDefrag(), OpportunisticDefrag())
-    assert defaults[0].config is not defaults[1].config
-    assert defaults[0].config == DefragConfig()
+    assert defaults[0]._config is not defaults[1]._config
+    assert defaults[0]._config == DefragConfig()
 
 
 def test_explicit_config_still_respected() -> None:
@@ -64,6 +64,6 @@ def test_explicit_config_still_respected() -> None:
     cache = SelectiveFragmentCache(config)
     assert cache.config is config
     prefetcher = LookAheadBehindPrefetcher(PrefetchConfig(behind_kib=64.0))
-    assert prefetcher.config.behind_kib == 64.0
+    assert prefetcher.behind_sectors == 128
     defrag = OpportunisticDefrag(DefragConfig(min_fragments=4))
-    assert defrag.config.min_fragments == 4
+    assert defrag._config.min_fragments == 4

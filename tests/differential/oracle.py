@@ -21,7 +21,7 @@ from repro.trace.trace import Trace
 
 def map_snapshot(translator) -> list:
     """The extent map as comparable (lba, pba, length) tuples."""
-    return [(e.lba, e.pba, e.length) for e in translator.address_map]
+    return list(zip(*(column.tolist() for column in translator.address_map.extent_arrays())))
 
 
 def normalized(value):
@@ -94,6 +94,11 @@ def assert_translator_matches_reference(
         )
 
 
+def feed_requests(engine, requests) -> None:
+    """Feed request objects to an ``IncrementalBatchReplay`` as columns."""
+    engine.feed_arrays(*Trace(list(requests)).as_arrays())
+
+
 def assert_batch_matches_reference(trace: Trace, config: TechniqueConfig) -> None:
     """Replay ``trace`` both ways under ``config`` and demand exactness."""
     reference_translator = build_translator(trace, config)
@@ -132,9 +137,9 @@ def assert_batch_matches_reference(trace: Trace, config: TechniqueConfig) -> Non
         if reference_translator.cache is not None:
             assert batch.translator.cache.hits == reference_translator.cache.hits
             assert batch.translator.cache.misses == reference_translator.cache.misses
-            assert (
-                batch.translator.cache.used_bytes
-                == reference_translator.cache.used_bytes
+            assert np.array_equal(
+                batch.translator.cache.state_dict()["blocks"],
+                reference_translator.cache.state_dict()["blocks"],
             )
         if reference_translator.prefetcher is not None:
             assert (
@@ -142,9 +147,9 @@ def assert_batch_matches_reference(trace: Trace, config: TechniqueConfig) -> Non
                 == reference_translator.prefetcher.window_reads
             )
         if reference_translator.defrag is not None:
-            assert (
-                batch.translator.defrag.tracked_ranges
-                == reference_translator.defrag.tracked_ranges
+            assert np.array_equal(
+                batch.translator.defrag.state_dict()["access_counts"],
+                reference_translator.defrag.state_dict()["access_counts"],
             )
 
 
@@ -171,8 +176,9 @@ def assert_stream_matches_reference(
     label = f"{trace.name}/{config.name} (stream)"
     assert result.run_result.trace_name == reference.trace_name, label
     assert result.run_result.translator == reference.translator, label
-    assert result.stats == reference.stats, (
-        f"{label}: stats diverge\nreference={reference.stats}\nstream={result.stats}"
+    assert result.run_result.stats == reference.stats, (
+        f"{label}: stats diverge\nreference={reference.stats}\n"
+        f"stream={result.run_result.stats}"
     )
     assert list(result.distances) == recorder.distances, (
         f"{label}: seek-distance logs diverge"
@@ -194,8 +200,9 @@ def assert_stream_matches_reference(
         assert result.cache is not None, label
         assert result.cache.hits == reference_translator.cache.hits, label
         assert result.cache.misses == reference_translator.cache.misses, label
-        assert (
-            result.cache.used_bytes == reference_translator.cache.used_bytes
+        assert np.array_equal(
+            result.cache.state_dict()["blocks"],
+            reference_translator.cache.state_dict()["blocks"],
         ), label
     else:
         assert result.cache is None, label

@@ -20,7 +20,6 @@ from repro.analysis.fast import (
     fraction_of_fragments_in_top_reads_fast,
     fraction_within_fast,
     fragment_cdf_fast,
-    fragment_concentration_fast,
     misorder_rate_fast,
     nols_seek_distances,
     nols_windowed_long_seeks,
@@ -28,7 +27,6 @@ from repro.analysis.fast import (
 )
 from repro.analysis.fragmentation import (
     fragment_cdf,
-    fragment_concentration,
     fraction_of_fragments_in_top_reads,
 )
 from repro.analysis.misorder import misorder_rate
@@ -79,14 +77,6 @@ distance_lists = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_fragment_cdf_exact(fragments):
     assert fragment_cdf_fast(fragments) == fragment_cdf(fragments)
-
-
-@given(fragments=fragment_lists)
-@settings(max_examples=200, deadline=None)
-def test_fragment_concentration_exact(fragments):
-    assert fragment_concentration_fast(fragments) == fragment_concentration(
-        fragments
-    )
 
 
 @given(

@@ -12,8 +12,7 @@ translator's own reference code, so these tests demand bit-exactness on
   (``greedy`` and ``cost_benefit``),
 * Hypothesis request soups over a tight LBA space against a small log
   (cleaning-trigger churn),
-* chunk-size independence (episode splits must not be observable),
-* checkpoint/restore with cleaning episodes on both sides of the cut, and
+* chunk-size independence (episode splits must not be observable), and
 * error equality for the log-full / boundary-crossing failure modes.
 
 Every comparison includes the translator's complete ``state_dict()``:
@@ -27,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import IncrementalBatchReplay, batch_replay_translator
+from repro.core.batch import batch_replay_translator
 from repro.core.cleaning import CLEANING_POLICIES, ZonedCleaningTranslator
 from repro.core.simulator import replay
 from repro.disk.zones import SequentialZoneError
@@ -184,7 +183,7 @@ def test_boundary_crossing_raises_identically():
     assert str(batch_exc.value) == str(ref_exc.value)
 
 
-# --- hypothesis + checkpointing -----------------------------------------
+# --- hypothesis ----------------------------------------------------------
 
 _LBA_SPACE = 256
 _MAX_LENGTH = 24
@@ -222,35 +221,3 @@ def _soup_factory(policy):
 def test_request_soup_matches(requests, policy):
     trace = _trace(requests, name="soup")
     assert_translator_matches_reference(trace, _soup_factory(policy))
-
-
-@given(
-    requests=st.lists(
-        st.integers(min_value=0, max_value=_LBA_SPACE - _MAX_LENGTH).map(
-            lambda lba: IORequest.write(lba, 16)
-        ),
-        min_size=40,
-        max_size=120,
-    ),
-    cut_fraction=st.floats(min_value=0.2, max_value=0.8),
-    policy=st.sampled_from(CLEANING_POLICIES),
-)
-@settings(max_examples=25, deadline=None)
-def test_checkpoint_restore_with_cleaning_on_both_sides(
-    requests, cut_fraction, policy
-):
-    """Snapshot between cleaning episodes, restore into a fresh translator,
-    and demand the continuation is indistinguishable from one-shot."""
-    make = _soup_factory(policy)
-    oneshot = IncrementalBatchReplay(make(), trace_name="soup")
-    oneshot.feed(requests)
-
-    cut = int(len(requests) * cut_fraction)
-    engine = IncrementalBatchReplay(make(), trace_name="soup")
-    engine.feed(requests[:cut])
-    state = engine.state_dict()
-    resumed = IncrementalBatchReplay.from_state(make(), state)
-    resumed.feed(requests[cut:])
-
-    assert resumed.result().stats == oneshot.result().stats
-    assert normalized(resumed.state_dict()) == normalized(oneshot.state_dict())

@@ -34,6 +34,7 @@ from repro.core.batch import IncrementalBatchReplay
 from repro.core.config import LS, LS_ALL, NOLS, build_translator_for_base
 from repro.service.checkpoint import CheckpointStore, _join_arrays, _split_arrays
 from repro.trace.record import IORequest
+from tests.differential.oracle import feed_requests
 
 # A tight LBA space maximizes overlap/rewrite churn per op (matches the
 # existing differential hypothesis suite).
@@ -136,13 +137,13 @@ def _assert_engines_identical(resumed, oneshot):
 def test_resume_at_arbitrary_boundaries_is_bit_identical(config, case):
     requests, cuts = case
     oneshot = _engine(config)
-    oneshot.feed(requests)
+    feed_requests(oneshot, requests)
 
     # At every cut: snapshot, serialize through real bytes, restore into
     # a FRESH translator, and continue — repeatedly, in a chain.
     engine = _engine(config)
     for segment in _segments(requests, cuts):
-        engine.feed(segment)
+        feed_requests(engine, segment)
         state = _serialize_roundtrip(engine.state_dict())
         engine = IncrementalBatchReplay.from_state(
             build_translator_for_base(_FRONTIER_BASE, config), state
@@ -156,12 +157,12 @@ def test_resume_through_on_disk_checkpoint_store(case, tmp_path_factory):
     """Same property through the real on-disk checkpoint entry format."""
     requests, cuts = case
     oneshot = _engine(LS_ALL)
-    oneshot.feed(requests)
+    feed_requests(oneshot, requests)
 
     root = tmp_path_factory.mktemp("ckpt")
     engine = _engine(LS_ALL)
     for i, segment in enumerate(_segments(requests, cuts)):
-        engine.feed(segment)
+        feed_requests(engine, segment)
         store = CheckpointStore(root / f"chain-{i}")
         store.save(i, engine.state_dict())
         state = store.load(i)

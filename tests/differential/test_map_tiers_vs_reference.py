@@ -29,6 +29,7 @@ from repro.trace.trace import Trace
 
 from tests.differential.oracle import (
     assert_batch_matches_reference,
+    feed_requests,
     map_snapshot,
 )
 
@@ -137,19 +138,19 @@ def test_checkpoint_state_crosses_tiers(trace, save_tier, restore_tier):
         build_translator_for_base(frontier_base, LS_ALL, save_tier),
         trace_name=trace.name,
     )
-    oneshot.feed(trace.requests)
+    feed_requests(oneshot, trace.requests)
 
     half = len(trace.requests) // 2
     first = IncrementalBatchReplay(
         build_translator_for_base(frontier_base, LS_ALL, save_tier),
         trace_name=trace.name,
     )
-    first.feed(trace.requests[:half])
+    feed_requests(first, trace.requests[:half])
     resumed = IncrementalBatchReplay.from_state(
         build_translator_for_base(frontier_base, LS_ALL, restore_tier),
         first.state_dict(),
     )
-    resumed.feed(trace.requests[half:])
+    feed_requests(resumed, trace.requests[half:])
 
     got, want = resumed.result(), oneshot.result()
     assert got.run_result.stats == want.run_result.stats

@@ -42,6 +42,7 @@ from repro.workloads import synthesize_workload
 from tests.differential.oracle import (
     assert_batch_matches_reference,
     assert_translator_matches_reference,
+    feed_requests,
     normalized,
 )
 
@@ -244,13 +245,13 @@ def test_request_soup_matches(requests, window):
 def test_checkpoint_restore_is_invisible(requests, cuts):
     make = _soup_factory(window=4)
     oneshot = IncrementalBatchReplay(make(), trace_name="soup")
-    oneshot.feed(requests)
+    feed_requests(oneshot, requests)
 
     bounds = sorted({min(c, len(requests)) for c in cuts})
     engine = IncrementalBatchReplay(make(), trace_name="soup")
     last = 0
     for cut in bounds + [len(requests)]:
-        engine.feed(requests[last:cut])
+        feed_requests(engine, requests[last:cut])
         last = cut
         engine = IncrementalBatchReplay.from_state(make(), engine.state_dict())
     assert engine.result().stats == oneshot.result().stats

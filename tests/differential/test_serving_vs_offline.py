@@ -26,13 +26,13 @@ from repro.load.mixture import build_mixture
 from repro.service.checkpoint import CheckpointStore
 from repro.service.client import ReplayClient
 from repro.service.daemon import DaemonConfig
-from repro.service.harness import DaemonThread
 from repro.service.session import ReplaySession
 from repro.service.supervisor import Supervisor
 from repro.service.wire import encode_payload
 from repro.util.npystore import PAGE_ALIGN
 from tests.service.helpers import (
     CAPACITY,
+    DaemonThread,
     batches,
     flip_byte,
     make_columns,
@@ -212,7 +212,7 @@ def test_kill9_and_corrupt_checkpoint_mid_window_match_offline(tmp_path):
     halfway, resume = ({t: threading.Event() for t in configs} for _ in range(2))
     errors = []
     server = DaemonThread(Supervisor(tmp_path / "state", checkpoint_interval_ops=500))
-    port, supervisor = server.start(), server.daemon.supervisor
+    port = server.start()
 
     def stream(tenant):
         def held():
@@ -239,11 +239,11 @@ def test_kill9_and_corrupt_checkpoint_mid_window_match_offline(tmp_path):
             if tenant == "bravo":
                 with ReplayClient("127.0.0.1", port, tenant) as client:
                     client.checkpoint()
-                store = CheckpointStore(supervisor.tenant_root(tenant))
+                store = CheckpointStore(tmp_path / "state" / tenant)
                 entry = store.entry_path(store.sequence_numbers()[-1])
                 target = max(entry.glob("*.npy"), key=lambda path: path.stat().st_size)
                 flip_byte(target, (PAGE_ALIGN + target.stat().st_size) // 2)
-            os.kill(supervisor.worker_pid(tenant), signal.SIGKILL)
+            os.kill(server.supervisor.worker_pid(tenant), signal.SIGKILL)
             resume[tenant].set()
         for thread in threads:
             thread.join(timeout=120)
@@ -254,7 +254,7 @@ def test_kill9_and_corrupt_checkpoint_mid_window_match_offline(tmp_path):
             with ReplayClient("127.0.0.1", port, tenant) as client:
                 for kind in ("stats", "saf", "fragment_cdf", "seek_budget"):
                     assert client.query(kind) == expected[kind], (tenant, kind)
-            assert supervisor.restart_count(tenant) >= 1, tenant
+            assert server.supervisor.restart_count(tenant) >= 1, tenant
     finally:
         for event in resume.values():
             event.set()

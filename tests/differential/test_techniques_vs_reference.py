@@ -210,7 +210,7 @@ def test_random_traces_cache_sweep_matches_single_points(requests):
     swept = stream_cache_sweep(stream, configs)
     for config, result in zip(configs, swept):
         single = stream_replay(stream, config)
-        assert result.stats == single.stats, config.name
+        assert result.run_result.stats == single.run_result.stats, config.name
         assert np.array_equal(result.distances, single.distances), config.name
         assert_stream_matches_reference(trace, config)
 
@@ -232,7 +232,7 @@ def test_recording_chunk_size_is_unobservable(traces, chunk_ops):
     config = STREAM_CONFIGS["LS+prefetch+cache"]
     a = stream_replay(baseline, config)
     b = stream_replay(rechunked, config)
-    assert a.stats == b.stats
+    assert a.run_result.stats == b.run_result.stats
     assert np.array_equal(a.distances, b.distances)
 
 
@@ -248,7 +248,7 @@ def test_cache_sweep_matches_single_points_and_reference(traces, workload):
     assert len(swept) == len(configs)
     for config, result in zip(configs, swept):
         single = stream_replay(stream, config)
-        assert result.stats == single.stats, config.name
+        assert result.run_result.stats == single.run_result.stats, config.name
         assert np.array_equal(result.distances, single.distances), config.name
         assert np.array_equal(
             result.distance_is_read, single.distance_is_read
@@ -262,7 +262,7 @@ def test_cache_sweep_monotone_hits(traces):
     # Stack inclusion: a larger cache can never hit less often.
     stream = record_fragment_stream(traces["w91"])
     swept = stream_cache_sweep(stream, _cache_configs())
-    hits = [r.stats.cache_fragment_hits for r in swept]
+    hits = [r.run_result.stats.cache_fragment_hits for r in swept]
     assert hits == sorted(hits)
 
 
@@ -272,7 +272,7 @@ def test_cache_sweep_alternate_block_size(traces):
     stream = record_fragment_stream(trace)
     for config, result in zip(configs, stream_cache_sweep(stream, configs)):
         single = stream_replay(stream, config)
-        assert result.stats == single.stats, config.name
+        assert result.run_result.stats == single.run_result.stats, config.name
     assert_stream_matches_reference(trace, configs[1])
 
 
@@ -353,10 +353,10 @@ def test_empty_trace_records_empty_stream():
     assert stream.accesses == 0
     result = stream_replay(stream, STREAM_CONFIGS["LS+prefetch+cache"])
     assert result.head_position is None
-    assert result.stats.reads == result.stats.writes == 0
+    assert result.run_result.stats.reads == result.run_result.stats.writes == 0
     assert result.distances.size == 0
     swept = stream_cache_sweep(stream, _cache_configs(sizes=(1.0, 64.0)))
-    assert all(r.stats.cache_fragment_hits == 0 for r in swept)
+    assert all(r.run_result.stats.cache_fragment_hits == 0 for r in swept)
 
 
 # --- the sweep engine, end to end -----------------------------------------

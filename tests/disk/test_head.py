@@ -42,27 +42,6 @@ class TestSeekDefinition:
 
 
 class TestHelpers:
-    def test_peek_distance(self):
-        head = DiskHead()
-        assert head.peek_distance(100) == 0  # no prior access
-        head.access(0, 10)
-        assert head.peek_distance(10) == 0
-        assert head.peek_distance(20) == 10
-
-    def test_would_seek(self):
-        head = DiskHead()
-        assert not head.would_seek(5)
-        head.access(0, 10)
-        assert not head.would_seek(10)
-        assert head.would_seek(11)
-
-    def test_reset(self):
-        head = DiskHead()
-        head.access(0, 10)
-        head.reset()
-        assert head.position is None
-        assert not head.access(500, 1).seek
-
     def test_invalid_access(self):
         head = DiskHead()
         with pytest.raises(ValueError):

@@ -54,11 +54,6 @@ class TestAggregates:
             - sum(model.seek_ms(d) for d in distances)
         ) < 1e-12
 
-    def test_service_ms(self, model):
-        assert model.service_ms(0, 1000) == model.geometry.transfer_ms(1000)
-        with pytest.raises(ValueError):
-            model.service_ms(0, -1)
-
 
 class TestValidation:
     def test_invalid_parameters(self):

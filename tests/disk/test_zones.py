@@ -73,35 +73,11 @@ class TestConventionalZones:
             zas.write(150, 10)
 
 
-class TestAppendAllocator:
-    def test_append_within_zone(self, zas):
-        pieces = zas.append(30)
-        assert pieces == [(0, 30)]
-
-    def test_append_across_zones(self, zas):
-        zas.append(90)
-        pieces = zas.append(30)
-        assert pieces == [(90, 10), (100, 20)]
-
-    def test_append_skips_conventional(self):
-        zas = ZonedAddressSpace(zone_sectors=100, n_zones=3, conventional_zones=1)
-        assert zas.append(10) == [(100, 10)]
-
-    def test_append_device_full(self, zas):
-        zas.append(400)
-        with pytest.raises(SequentialZoneError, match="device full"):
-            zas.append(1)
-
-    def test_append_invalid(self, zas):
-        with pytest.raises(ValueError):
-            zas.append(0)
-
-
 class TestZoneProperties:
     def test_counters(self, zas):
         zone = zas.zones[0]
         assert zone.remaining_sectors == 100
         zas.write(0, 40)
-        assert zone.written_sectors == 40
+        assert zone.write_pointer - zone.start == 40
         assert zone.remaining_sectors == 60
         assert not zone.is_full and not zone.is_empty

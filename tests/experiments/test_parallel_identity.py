@@ -32,12 +32,12 @@ def _clean_state(monkeypatch):
     monkeypatch.setattr(fig11, "CLOUDPHYSICS_WORKLOADS", ("w91",))
     common.set_trace_store(None)
     common.set_stream_store(None)
-    common.clear_trace_cache()
+    common._trace_cache.clear()
     reset_sweep_engines()
     yield
     common.set_trace_store(None)
     common.set_stream_store(None)
-    common.clear_trace_cache()
+    common._trace_cache.clear()
     reset_sweep_engines()
 
 
@@ -91,7 +91,7 @@ def test_map_tier_is_byte_identical_across_jobs(tmp_path, monkeypatch):
     for tier in MAP_TIERS:
         monkeypatch.setenv(ENV_TIER, tier)
         for jobs in (1, 4):
-            common.clear_trace_cache()
+            common._trace_cache.clear()
             dumps = _run(names, tmp_path / f"{tier}{jobs}", jobs=jobs)
             assert dumps == reference, f"tier={tier} jobs={jobs} diverged"
 
@@ -108,7 +108,7 @@ def test_warm_store_records_each_stream_at_most_once(tmp_path, monkeypatch):
     _run(names, tmp_path / "cold", jobs=4, stream_store=str(root))
     workloads = set(fig4.FIG4_WORKLOADS) | set(fig5.FIG5_WORKLOADS)
     assert sweep_engine(SEED, SCALE).streams_recorded == len(workloads)
-    assert len(list(root.iterdir())) == len(StreamStore(root)) == len(workloads)
+    assert len(list(root.iterdir())) == len(workloads)
 
     def boom(*args, **kwargs):
         raise AssertionError("stream re-recorded despite a warm store")
@@ -121,7 +121,7 @@ def test_warm_store_records_each_stream_at_most_once(tmp_path, monkeypatch):
     # Serially (in-process) the store counters are observable: everything
     # is a hit, nothing is a miss.
     store = StreamStore(root)
-    common.clear_trace_cache()
+    common._trace_cache.clear()
     _run(names, tmp_path / "warm1", jobs=1, stream_store=store)
     assert store.misses == 0
     assert store.hits >= len(workloads)

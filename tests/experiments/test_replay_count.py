@@ -29,10 +29,10 @@ SEED, SCALE = 42, 0.05
 def _clean_state():
     common.set_trace_store(None)
     common.set_stream_store(None)
-    common.clear_trace_cache()
+    common._trace_cache.clear()
     reset_sweep_engines()
     yield
-    common.clear_trace_cache()
+    common._trace_cache.clear()
     reset_sweep_engines()
 
 

@@ -40,12 +40,12 @@ def _clean_state():
     """Each test starts and ends with no shared replay state."""
     common.set_trace_store(None)
     common.set_stream_store(None)
-    common.clear_trace_cache()
+    common._trace_cache.clear()
     reset_sweep_engines()
     yield
     common.set_trace_store(None)
     common.set_stream_store(None)
-    common.clear_trace_cache()
+    common._trace_cache.clear()
     reset_sweep_engines()
 
 
@@ -228,7 +228,7 @@ class TestTraceStoreIntegration:
         _quiet(fig11.run, seed=SEED, scale=SCALE)  # misses prime the store
         assert store.hits == 0 and store.misses == 2
 
-        common.clear_trace_cache()
+        common._trace_cache.clear()
         reset_sweep_engines()
         store.hits = store.misses = 0
         _quiet(fig11.run, seed=SEED, scale=SCALE)
@@ -332,5 +332,4 @@ class TestStreamStoreIntegration:
             tmp_path / "cold" / "fig11.json"
         ).read_bytes()
         assert sorted(path.name for path in store.root.iterdir()) == listing
-        assert store.clear() == len(listing) == 4
-        assert list(store.root.iterdir()) == []
+        assert len(listing) == 4

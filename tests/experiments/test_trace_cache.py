@@ -18,7 +18,7 @@ from repro.workloads.generator import WorkloadGenerator
 @pytest.fixture(autouse=True)
 def _clean_state():
     def reset():
-        common.clear_trace_cache()
+        common._trace_cache.clear()
         reset_sweep_engines()
 
     reset()
@@ -33,7 +33,7 @@ def generated(monkeypatch):
     generate = WorkloadGenerator.generate
 
     def counting(self, seed=42, scale=1.0):
-        calls[self.spec.name, seed, scale] += 1
+        calls[self._spec.name, seed, scale] += 1
         return generate(self, seed=seed, scale=scale)
 
     monkeypatch.setattr(WorkloadGenerator, "generate", counting)
@@ -54,21 +54,21 @@ def test_cache_evicts_oldest_beyond_the_byte_budget(generated, monkeypatch):
 
     a, b, c = list(TABLE1)[:3]
     ops = {name: len(fetch(name)) for name in (a, b, c)}
-    assert common.trace_cache_size() == 3
-    common.clear_trace_cache()
+    assert len(common._trace_cache) == 3
+    common._trace_cache.clear()
     generated.clear()
 
     # Room for the last two only (25 column bytes per op).
     monkeypatch.setattr(common, "_TRACE_CACHE_BYTES", 25 * (ops[b] + ops[c]))
     for name in (a, b, c, c, b):
         fetch(name)
-    assert common.trace_cache_size() == 2
+    assert len(common._trace_cache) == 2
     assert generated[b, 1, 0.05] == generated[c, 1, 0.05] == 1
     fetch(a)  # was evicted: synthesized again
     assert generated[a, 1, 0.05] == 2
 
     # A trace larger than the whole budget is still served, and kept.
     monkeypatch.setattr(common, "_TRACE_CACHE_BYTES", 1)
-    common.clear_trace_cache()
+    common._trace_cache.clear()
     assert [fetch(name).name for name in (a, b)] == [a, b]
-    assert common.trace_cache_size() == 1
+    assert len(common._trace_cache) == 1

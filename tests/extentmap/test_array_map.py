@@ -10,7 +10,7 @@ from repro.extentmap.extent_map import ExtentMap
 
 
 def _triples(mapping):
-    return [(e.lba, e.pba, e.length) for e in mapping]
+    return list(zip(*(column.tolist() for column in mapping.extent_arrays())))
 
 
 @pytest.fixture
@@ -34,13 +34,13 @@ class TestScalarInterface:
             Segment(3, 200, 4),
             Segment(7, 107, 3),
         ]
-        assert len(amap) == 3
+        assert amap.mapped_extent_count() == 3
 
     def test_adjacent_extents_merge(self, amap):
         amap.map_range(0, 100, 5)
         amap.map_range(5, 105, 5)
         amap.flush()
-        assert len(amap) == 1
+        assert amap.mapped_extent_count() == 1
         assert amap.lookup(0, 10) == [Segment(0, 100, 10)]
 
     def test_invalid_arguments(self, amap):

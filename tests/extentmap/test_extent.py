@@ -31,11 +31,6 @@ class TestExtentBasics:
         with pytest.raises(ValueError):
             Extent(0, -1, 1)
 
-    def test_equality(self):
-        assert Extent(1, 2, 3) == Extent(1, 2, 3)
-        assert Extent(1, 2, 3) != Extent(1, 2, 4)
-        assert Extent(1, 2, 3) != "not an extent"
-
 
 class TestTrim:
     def test_trim_front(self):

@@ -134,12 +134,6 @@ class TestCounters:
         emap.map_range(2, 200, 4)  # overlaps two sectors
         assert emap.mapped_sector_count() == 6
 
-    def test_fragment_count(self, emap):
-        emap.map_range(2, 100, 2)
-        emap.map_range(6, 200, 2)
-        # [hole, piece, hole, piece, hole]
-        assert emap.fragment_count(0, 10) == 5
-
     def test_hole_merging_in_lookup(self, emap):
         segments = emap.lookup(0, 100)
         assert len(segments) == 1 and segments[0].is_hole

@@ -86,8 +86,8 @@ def _apply(ops):
 @settings(max_examples=200, deadline=None)
 def test_op_soup_matches_dict_model(ops):
     live, model = _apply(ops)
-    assert live.state_list() == [model.counts[z] for z in range(N_ZONES)]
-    assert live.total() == sum(model.counts.values())
+    assert live.counts.tolist() == [model.counts[z] for z in range(N_ZONES)]
+    assert int(live.counts.sum()) == sum(model.counts.values())
     for zone in range(N_ZONES):
         assert live.get(zone) == model.counts[zone]
 
@@ -108,7 +108,7 @@ def test_batched_decrement_equals_scalar_sequence(ops, batch):
     )
     for pba, length in batch:
         live_scalar.decrement_range(pba, length)
-    assert live_batched.state_list() == live_scalar.state_list()
+    assert live_batched.counts.tolist() == live_scalar.counts.tolist()
 
 
 # Non-overlapping extent sets (what a real address map exports): sort
@@ -148,8 +148,8 @@ def test_recompute_from_extents_equals_incremental(ranges):
         np.array([p for p, _ in ranges], dtype=np.int64),
         np.array([n for _, n in ranges], dtype=np.int64),
     )
-    assert rebuilt.state_list() == incremental.state_list()
-    assert rebuilt.state_list() == [model.counts[z] for z in range(N_ZONES)]
+    assert rebuilt.counts.tolist() == incremental.counts.tolist()
+    assert rebuilt.counts.tolist() == [model.counts[z] for z in range(N_ZONES)]
 
 
 def test_recompute_from_extents_empty_clears():
@@ -158,17 +158,7 @@ def test_recompute_from_extents_empty_clears():
     live.recompute_from_extents(
         np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     )
-    assert live.state_list() == [0] * N_ZONES
-
-
-@given(ops=_ops)
-@settings(max_examples=100, deadline=None)
-def test_state_round_trip(ops):
-    live, _ = _apply(ops)
-    restored = ZoneLiveCounts(zone_sectors=ZONE_SECTORS, n_zones=N_ZONES)
-    restored.load_state_list(live.state_list())
-    assert restored.state_list() == live.state_list()
-    assert restored.counts.dtype == np.int64
+    assert live.counts.tolist() == [0] * N_ZONES
 
 
 def test_counts_never_negative_and_clamped():
@@ -180,7 +170,7 @@ def test_counts_never_negative_and_clamped():
         np.array([0, ZONE_SECTORS], dtype=np.int64),
         np.array([8, 8], dtype=np.int64),
     )
-    assert live.state_list() == [0] * N_ZONES
+    assert live.counts.tolist() == [0] * N_ZONES
 
 
 def test_constructor_validation():
@@ -188,6 +178,3 @@ def test_constructor_validation():
         ZoneLiveCounts(zone_sectors=0, n_zones=4)
     with pytest.raises(ValueError):
         ZoneLiveCounts(zone_sectors=8, n_zones=0)
-    live = ZoneLiveCounts(zone_sectors=8, n_zones=4)
-    with pytest.raises(ValueError):
-        live.load_state_list([1, 2, 3])  # wrong zone count

@@ -32,28 +32,55 @@ def saf_matrix():
     for name in TABLE1:
         trace = synthesize_workload(name, seed=SEED)
         traces[name] = trace
-        baseline = replay(trace, build_translator(trace, NOLS)).stats
-        matrix[name] = {
-            config.name: seek_amplification(
-                replay(trace, build_translator(trace, config)).stats, baseline
-            ).total
-            for config in PAPER_CONFIGS
-        }
+        matrix[name] = saf_by_config(trace)
     return matrix, traces
+
+
+def saf_by_config(trace):
+    baseline = replay(trace, build_translator(trace, NOLS)).stats
+    return {
+        config.name: seek_amplification(
+            replay(trace, build_translator(trace, config)).stats, baseline
+        ).total
+        for config in PAPER_CONFIGS
+    }
+
+
+def expectation_failures(name, saf):
+    """Every recorded §V expectation of ``name`` that ``saf`` contradicts.
+
+    The prefetch bands are the synthetic substitution's structural floor,
+    not the paper's "<1 %": look-ahead always removes the seek back from a
+    log fragment into the following hole (EXPERIMENTS.md, deviation #4).
+    """
+    expect, ls = TABLE1[name].expect, saf["LS"]
+    best = min(saf.values())
+    others_best = min(v for k, v in saf.items() if k != "LS+cache")
+    gain = ls / saf["LS+prefetch"] if saf["LS+prefetch"] else float("inf")
+    checks = {
+        "ls_amplifies": (ls > 1.0) == expect.ls_amplifies,
+        "prefetch_never_hurts": saf["LS+prefetch"] <= ls * 1.02,
+        "cache_never_hurts": saf["LS+cache"] <= ls * 1.02,
+        "cache_is_best": (
+            saf["LS+cache"] <= best * 1.25 + 0.02
+            if expect.cache_is_best
+            else saf["LS+cache"] > others_best
+        ),
+        "defrag_hurts": not expect.defrag_hurts or saf["LS+defrag"] > ls * 1.02,
+        "prefetch_gain": (
+            expect.prefetch_gain_large is None
+            or (gain >= 1.30 if expect.prefetch_gain_large else gain <= 1.50)
+        ),
+    }
+    return [f"{name}.{check}: {saf}" for check, held in checks.items() if not held]
 
 
 class TestArchetypeValidation:
     def test_every_archetype_passes_its_expectations(self, saf_matrix):
-        """The library's own validation API must agree: every Table-I
-        archetype satisfies all its recorded paper expectations."""
-        from repro.workloads.validation import check_expectations
-
+        """Every Table-I archetype satisfies all its recorded paper
+        expectations."""
         matrix, _ = saf_matrix
-        failures = []
-        for name, entry in TABLE1.items():
-            report = check_expectations(name, matrix[name], entry.expect)
-            for check in report.failures():
-                failures.append(f"{name}.{check.name}: {check.detail}")
+        failures = [f for name in TABLE1 for f in expectation_failures(name, matrix[name])]
         assert not failures, "; ".join(failures)
 
 
@@ -62,13 +89,13 @@ class TestSeedRobustness:
         """The reproduction must not be an artifact of one RNG seed: every
         archetype's expectations also hold at seed 7 (half scale keeps the
         runtime bounded)."""
-        from repro.workloads.validation import validate_archetype
-
-        failures = []
-        for name in TABLE1:
-            report = validate_archetype(name, seed=7, scale=0.5)
-            for check in report.failures():
-                failures.append(f"{name}.{check.name}: {check.detail}")
+        failures = [
+            f
+            for name in TABLE1
+            for f in expectation_failures(
+                name, saf_by_config(synthesize_workload(name, seed=7, scale=0.5))
+            )
+        ]
         assert not failures, "; ".join(failures)
 
 

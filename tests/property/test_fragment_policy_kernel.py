@@ -41,7 +41,7 @@ def end_state(cache, prefetcher):
     return (
         cache and {
             "blocks": cache._lru.resident_blocks(),
-            "evictions": cache.evictions,
+            "evictions": cache._lru.evictions,
             "hits": cache.hits,
             "misses": cache.misses,
         },

@@ -89,7 +89,7 @@ def test_pair_list_checkpoint_opens_like_an_array_one(tmp_path, config):
     seq, state = store.load_latest()
     old_state = _as_written_before_arrays(state)
     assert isinstance(old_state["distances"]["read_hist"], list)
-    shutil.rmtree(store.directory)
+    shutil.rmtree(old_root / "checkpoints")
     store.save(seq, old_state)
     header = json.loads((store.entry_path(seq) / "header.json").read_text())
     assert isinstance(header["state"]["distances"]["read_hist"], list)

@@ -2,17 +2,29 @@
 
 import asyncio
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import LS, LS_DEFRAG, config_to_dict
 from repro.service.client import ReplayClient, ServiceError
-from repro.service.harness import DaemonThread
+from repro.service.session import ReplaySession
 from repro.service.supervisor import Supervisor
 from repro.service.wire import encode_payload
-from tests.service.helpers import CAPACITY, batches, make_columns, reference_queries
+from tests.service.helpers import (
+    CAPACITY,
+    DaemonThread,
+    batches,
+    make_columns,
+    reference_queries,
+    send,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +58,14 @@ def test_duplicate_ack_and_gap_resync(server):
     is_read, lba, length = make_columns(30, seed=22)
     with _client(server, "dedupe") as client:
         client.open(LS, CAPACITY)
-        first = client.apply(is_read[:10], lba[:10], length[:10], seq=1)
+        first = send(client, is_read[:10], lba[:10], length[:10], seq=1)
         assert first["ok"] and first["duplicate"] is False
 
-        resent = client.apply(is_read[:10], lba[:10], length[:10], seq=1)
+        resent = send(client, is_read[:10], lba[:10], length[:10], seq=1)
         assert resent["ok"] and resent["duplicate"] is True
         assert resent["applied_seq"] == 1
 
-        gap = client.apply(is_read[10:20], lba[10:20], length[10:20], seq=7)
+        gap = send(client, is_read[10:20], lba[10:20], length[10:20], seq=7)
         assert not gap["ok"]
         assert gap["kind"] == "SequenceGapError"
         assert gap["expected"] == 2
@@ -67,7 +79,7 @@ def test_expired_deadline_is_shed_not_applied(server):
     is_read, lba, length = make_columns(20, seed=23)
     with _client(server, "deadline") as client:
         client.open(LS, CAPACITY)
-        shed = client.apply(is_read, lba, length, deadline_s=-1.0)
+        shed = send(client, is_read, lba, length, deadline_s=-1.0)
         assert not shed["ok"]
         assert shed["shed"] is True
         assert client.applied_seq() == 0
@@ -192,7 +204,7 @@ def test_requests_queued_behind_a_close_are_shed(server):
         assert closed["ok"] and closed["closed"]
         for late in (apply, query):
             assert not late["ok"] and "not open" in late["error"]
-        assert server.daemon.supervisor.restart_count("closing") == 0
+        assert server.supervisor.restart_count("closing") == 0
         assert client.open(LS, CAPACITY)["applied_seq"] == 0
 
 
@@ -239,3 +251,33 @@ def test_blocked_tenants_do_not_stall_a_new_one():
     finally:
         supervisor.release.set()
         server.stop()
+
+
+def test_shutdown_op_checkpoints_every_session_and_exits_zero(tmp_path):
+    """A remote ``shutdown`` stops ``repro serve`` the way SIGTERM does:
+    every session checkpoints, the verb says bye and exits 0, and the
+    state directory reopens at the last acknowledged batch."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    root = tmp_path / "state"
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--root", str(root), "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        port = int(re.search(r"listening on [^:]+:(\d+)", daemon.stdout.readline())[1])
+        with ReplayClient("127.0.0.1", port, "t") as client:
+            client.open(LS, CAPACITY)
+            assert client.apply_stream([make_columns(50, seed=25)])["applied_seq"] == 1
+            assert client.shutdown_daemon()["stopping"]
+        output, _ = daemon.communicate(timeout=60)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+    assert daemon.returncode == 0, output
+    assert "all sessions checkpointed; bye" in output
+    session = ReplaySession.open("t", root / "t", LS, CAPACITY)
+    assert session.applied_seq == 1
+    session.close()

@@ -16,10 +16,9 @@ import pytest
 from repro.core.config import LS
 from repro.service import daemon
 from repro.service.client import ReplayClient
-from repro.service.harness import DaemonThread
 from repro.service.supervisor import Supervisor
 from repro.service.wire import OP_BYTES, encode_payload, payload_crc
-from tests.service.helpers import CAPACITY, make_columns
+from tests.service.helpers import CAPACITY, DaemonThread, make_columns
 
 MAX_FRAME_BYTES = 4096  # cheap to exceed
 TOO_MANY_OPS = MAX_FRAME_BYTES // OP_BYTES + 1

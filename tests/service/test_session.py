@@ -141,7 +141,7 @@ def test_background_saves_hold_the_state_of_their_seq(tmp_path, monkeypatch):
 
 def test_open_removes_the_temp_entry_of_a_killed_writer(tmp_path):
     ReplaySession.create("t", tmp_path, LS, CAPACITY).close()
-    stale = CheckpointStore(tmp_path).directory / "ckpt-000000000007.99999.tmp"
+    stale = tmp_path / "checkpoints" / "ckpt-000000000007.99999.tmp"
     stale.mkdir()
     (stale / "a0_engine.npy").write_bytes(b"torn")
     ReplaySession.open("t", tmp_path, LS, CAPACITY).close()
@@ -388,7 +388,7 @@ def test_failed_auto_checkpoint_does_not_fail_the_durable_batch(tmp_path, monkey
         assert health["checkpoint_failures"] == 1
         assert "No space left on device" in health["last_checkpoint_error"]
         assert store.sequence_numbers() == [0] and session._journal.segment_first_seqs() == [1]
-        assert not list(store.directory.glob("*.tmp"))
+        assert not list((tmp_path / "checkpoints").glob("*.tmp"))
         # Explicit checkpoints still raise.
         with pytest.raises(OSError):
             session.checkpoint()

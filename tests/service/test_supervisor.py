@@ -72,14 +72,21 @@ def test_kill9_midstream_restart_is_transparent(tmp_path):
         supervisor.shutdown()
 
 
+class _ExitOnUnpickle:
+    """Kills whichever process unpickles it, before it can answer."""
+
+    def __reduce__(self):
+        return os._exit, (42,)
+
+
 def test_crash_during_call_twice_raises_then_recovers(tmp_path):
     supervisor = Supervisor(tmp_path / "state")
     try:
         supervisor.ensure_tenant("t", LS, CAPACITY)
-        # "crash" kills the worker before it can answer; the replayed
-        # attempt crashes again, so the call itself must fail cleanly...
+        # The worker dies receiving the message; the replayed attempt
+        # dies again, so the call itself must fail cleanly...
         with pytest.raises(WorkerCallError, match="died twice"):
-            supervisor.call("t", {"cmd": "crash"})
+            supervisor.call("t", {"cmd": "ping", "poison": _ExitOnUnpickle()})
         # ...but the tenant is not poisoned: the next call restarts.
         response = supervisor.call("t", {"cmd": "ping"})
         assert response["ok"]

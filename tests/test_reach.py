@@ -1,0 +1,123 @@
+"""Reached or oracle: ``tools/reach.py`` runs every product entry point and
+``tests/reach_allowlist.txt`` names each function none of them reaches.
+
+Every such function is the oracle of one reached fast path, a fault
+handler, or code ``bench/`` pins until Benchmark v2 (ROADMAP aim 2,
+"exactly one oracle per fast path").  The first test runs the entry points
+(about 15 s); the rest check the allowlist rules on tiny inputs.
+"""
+
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("reach", REPO / "tools" / "reach.py")
+reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
+
+
+def test_every_unreached_function_is_allowlisted_exactly():
+    # Reach is measured on the default map tiers (ROADMAP 3(g)).
+    env = {name: value for name, value in os.environ.items() if name != "REPRO_EXTENT_MAP"}
+    done = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "reach.py"), "--check"],
+        capture_output=True, text=True, timeout=900, env=env,
+    )
+    assert done.returncode == 0, done.stdout[-6000:] + done.stderr[-6000:]
+    assert re.search(r"^src/repro total(\s+\d+){3}\s+0$", done.stdout, re.M), done.stdout
+
+
+def fn(name, reached):
+    module, qualname = name.rsplit(".", 1)
+    return reach.Function(module, qualname, f"src/{module}.py", 1, 3, reached)
+
+
+FOUND = [
+    fn("pkg.fast.kernel", True),
+    fn("pkg.fast.other", True),
+    fn("pkg.ref.kernel", False),
+    fn("pkg.ref.helper", False),
+    fn("pkg.err.handler", False),
+    fn("pkg.live.used", True),
+]
+EXACT = [
+    "pkg.ref oracle pkg.fast.kernel tests/test_tiny.py::test_kernel",
+    "pkg.err.handler fault tests/test_tiny.py::TestErrors::test_handler",
+]
+
+
+@pytest.fixture
+def repo(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_tiny.py").write_text(
+        "def test_kernel():\n    pass\n\n\n"
+        "class TestErrors:\n    def test_handler(self):\n        pass\n"
+    )
+    return tmp_path
+
+
+def check(lines, repo):
+    return reach.violations(FOUND, "\n".join(lines), repo, label="allow")
+
+
+def test_an_exact_allowlist_passes(repo):
+    assert check(EXACT, repo) == []
+
+
+@pytest.mark.parametrize(
+    "lines, entry, says",
+    [
+        (EXACT + ["pkg.live pinned 3(f)"], "allow:3: pkg.live", "stale"),
+        (
+            ["pkg.ref.kernel oracle pkg.fast.kernel tests/test_tiny.py::test_kernel",
+             "pkg.ref.helper oracle pkg.fast tests/test_tiny.py::test_kernel", EXACT[1]],
+            "allow:2: pkg.ref.helper",
+            "already has an oracle on line 1",
+        ),
+        (
+            ["pkg.ref oracle pkg.err.handler tests/test_tiny.py::test_kernel", EXACT[1]],
+            "allow:1: pkg.ref",
+            "which no entry point reaches",
+        ),
+        (
+            [EXACT[0], "pkg.err.handler fault tests/test_tiny.py::TestErrors::test_gone"],
+            "allow:2: pkg.err.handler",
+            "no test tests/test_tiny.py::TestErrors::test_gone",
+        ),
+        (EXACT[:1], "pkg.err.handler", "unreached and not allowlisted"),
+        (EXACT + ["pkg.err pinned 4(i)"], "allow:3: pkg.err", "already allowlisted on line 2"),
+        (EXACT + ["pkg.fast pinned 9"], "allow:3: pkg.fast", "only ROADMAP items"),
+    ],
+    ids=["stale", "two-oracles", "fast-path-unreached", "no-such-test", "no-entry",
+         "two-entries", "unpinned-item"],
+)
+def test_each_broken_rule_names_its_entry(repo, lines, entry, says):
+    problems = check(lines, repo)
+    assert any(p.startswith(entry) and says in p for p in problems), problems
+
+
+def test_nested_defs_count_for_their_enclosing_function(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "def outer():\n"
+        "    def inner():\n"
+        "        return 1\n"
+        "    return inner\n"
+        "\n\n"
+        "class Base:\n"
+        "    def declared(self):\n"
+        "        raise NotImplementedError\n"
+    )
+    found = [function for function in reach.functions(package)
+             if function.module.endswith("mod")]
+    assert [function.qualname for function in found] == ["outer"]  # stubs are not counted
+    reach.mark_reached(found, {(str(package / "mod.py"), 2)})  # only inner() was called
+    assert found[0].reached

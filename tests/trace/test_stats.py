@@ -19,25 +19,11 @@ class TestComputeStats:
         stats = compute_stats(trace)
         assert stats.mean_write_size_kib == (6 * 512 / 1024) / 2
 
-    def test_mean_read_size_empty(self):
-        stats = compute_stats(Trace([IORequest.write(0, 1)]))
-        assert stats.mean_read_size_kib == 0.0
-
     def test_read_fraction(self, tiny_trace):
         assert compute_stats(tiny_trace).read_fraction == 0.5
 
     def test_read_fraction_empty(self):
         assert compute_stats(Trace([])).read_fraction == 0.0
-
-    def test_write_intensity(self, tiny_trace):
-        assert compute_stats(tiny_trace).write_intensity == 1.0
-
-    def test_write_intensity_no_reads(self):
-        stats = compute_stats(Trace([IORequest.write(0, 1)]))
-        assert stats.write_intensity == float("inf")
-
-    def test_write_intensity_empty(self):
-        assert compute_stats(Trace([])).write_intensity == 0.0
 
     def test_volume_gib(self):
         trace = Trace([IORequest.read(0, gib_to_sectors(2))])

@@ -72,7 +72,7 @@ class TestWritersReadColumns:
         write_msr_trace(trace, tmp_path / "msr.csv", hostname="srv", disk_number=2)
         write_cloudphysics_trace(trace, tmp_path / "cp.csv")
         write_csv_trace(trace, tmp_path / "native.csv")
-        assert not trace.materialized
+        assert trace._materialized is None
 
         ticks = [128_166_372_000_000_000 + int(r.timestamp * 10_000_000) for r in requests]
         assert (tmp_path / "msr.csv").read_text() == "".join(

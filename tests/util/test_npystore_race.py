@@ -122,10 +122,7 @@ def test_second_commit_of_published_entry_reports_lost_without_rebuilding(
     assert (tmp_path / "entry" / "payload.npy").stat().st_mtime_ns == mtime
 
 
-def test_outcome_is_path_like(tmp_path):
-    import os
-
+def test_outcome_unpacks_to_path_and_won(tmp_path):
     outcome = commit_entry_dir(tmp_path / "entry", _entry_arrays(), {"s": 1})
-    assert os.fspath(outcome) == str(tmp_path / "entry")
     path, won = outcome
     assert isinstance(path, Path) and won is True

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.rngtools import SeedSequenceFactory, spawn_rng, zipf_weights
+from repro.util.rngtools import SeedSequenceFactory, zipf_weights
 
 
 class TestSeedSequenceFactory:
@@ -28,9 +28,6 @@ class TestSeedSequenceFactory:
         f2 = SeedSequenceFactory(42)
         f2.rng_for("zzz")  # consuming another stream first must not matter
         assert f2.rng_for("a").random() == r1
-
-    def test_spawn_rng_shortcut(self):
-        assert spawn_rng(42, "x").random() == SeedSequenceFactory(42).rng_for("x").random()
 
 
 class TestZipfWeights:

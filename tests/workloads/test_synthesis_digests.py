@@ -57,7 +57,7 @@ def test_synthesis_is_bit_identical_to_the_per_request_generator(name, seed, sca
     else:
         trace = synthesize_workload(name, seed=seed, scale=scale)
     assert trace.name == name
-    assert not trace.materialized
+    assert trace._materialized is None
     assert column_digest(trace) == PINNED[name, seed, scale]
 
 
