@@ -23,7 +23,7 @@ from repro import (
 )
 from repro.core.metrics import time_amplification
 from repro.core.recorders import SeekLogRecorder
-from repro.disk.seek_time import SeekTimeModel
+from repro.disk.seek_time import TRACK_SECTORS, SeekTimeModel, transfer_ms
 
 
 def main(scale: float = 1.0) -> None:
@@ -41,11 +41,11 @@ def main(scale: float = 1.0) -> None:
         recorder = SeekLogRecorder()
         result = replay(trace, build_translator(trace, config), [recorder])
         saf = seek_amplification(result.stats, baseline.stats).total
-        taf = time_amplification(recorder.distances, baseline_rec.distances, model)
+        taf = time_amplification(recorder.distances, baseline_rec.distances)
         missed = sum(
             1
             for d in recorder.distances
-            if d < 0 and -d <= model.geometry.track_sectors
+            if d < 0 and -d <= TRACK_SECTORS
         )
         print(
             f"{config.name:14} {result.stats.total_seeks:>7} "
@@ -55,7 +55,7 @@ def main(scale: float = 1.0) -> None:
 
     print(
         f"\nmissed-rotation cost: {model.seek_ms(-8):.1f} ms "
-        f"vs {model.geometry.transfer_ms(100):.2f} ms for a short forward skip"
+        f"vs {transfer_ms(100):.2f} ms for a short forward skip"
     )
     print(
         "\nReading: plain LS turns the mis-ordered write pattern into\n"

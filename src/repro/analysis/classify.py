@@ -29,19 +29,18 @@ class LogSensitivity(enum.Enum):
     LOG_SENSITIVE = "log-sensitive"
 
 
-def classify_saf(
-    total_saf: float,
-    friendly_below: float = 0.9,
-    sensitive_above: float = 1.1,
-) -> LogSensitivity:
+#: Total SAF at or below which a workload is log-friendly, and at or above
+#: which it is log-sensitive; between them it is log-agnostic.
+FRIENDLY_BELOW, SENSITIVE_ABOVE = 0.9, 1.1
+
+
+def classify_saf(total_saf: float) -> LogSensitivity:
     """Classify a workload by its total seek amplification factor."""
     if total_saf < 0:
         raise ValueError(f"total_saf must be >= 0, got {total_saf}")
-    if friendly_below >= sensitive_above:
-        raise ValueError("friendly_below must be < sensitive_above")
-    if total_saf <= friendly_below:
+    if total_saf <= FRIENDLY_BELOW:
         return LogSensitivity.LOG_FRIENDLY
-    if total_saf >= sensitive_above:
+    if total_saf >= SENSITIVE_ABOVE:
         return LogSensitivity.LOG_SENSITIVE
     return LogSensitivity.LOG_AGNOSTIC
 

@@ -21,6 +21,12 @@ import numpy as np
 from repro.trace.trace import Trace
 from repro.util.units import SECTOR_BYTES, BYTES_PER_MIB, gib_to_sectors, kib_to_sectors
 
+#: The paper's thresholds: a write is mis-ordered when a write ending at its
+#: LBA follows within 256 KB of written volume (Fig. 8); a seek is long at
+#: 500 KB (Fig. 3); Fig. 5's headline is the share of fragments held by the
+#: most-fragmented 20 % of reads.
+MISORDER_HORIZON_KIB, LONG_SEEK_KIB, TOP_READS_FRACTION = 256.0, 500.0, 0.2
+
 
 def trace_arrays(trace: Trace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decompose a trace into (is_read, lba, length) numpy arrays.
@@ -57,11 +63,11 @@ def nols_seek_distances(trace: Trace) -> np.ndarray:
     return deltas[deltas != 0]
 
 
-def misorder_rate_fast(trace: Trace, horizon_kib: float = 256.0) -> float:
+def misorder_rate_fast(trace: Trace) -> float:
     """Vectorized Fig. 8 mis-ordered-write rate.
 
     For each write *i*, scans the following writes until the cumulative
-    written volume passes the horizon, looking for one that ends exactly
+    written volume passes :data:`MISORDER_HORIZON_KIB`, looking for one that ends exactly
     at *i*'s LBA.  Fully vectorized: the per-write window end comes from
     one batched searchsorted over the volume prefix sums, and the
     "does any window write end at my LBA" membership test becomes a
@@ -71,8 +77,6 @@ def misorder_rate_fast(trace: Trace, horizon_kib: float = 256.0) -> float:
     LBA, which is then compared against the window bound.  Agrees exactly
     with :func:`repro.analysis.misorder.misorder_rate`.
     """
-    if horizon_kib <= 0:
-        raise ValueError(f"horizon_kib must be > 0, got {horizon_kib}")
     is_read, all_lba, all_length = trace_arrays(trace)
     write_mask = ~is_read
     lba = all_lba[write_mask]
@@ -81,7 +85,7 @@ def misorder_rate_fast(trace: Trace, horizon_kib: float = 256.0) -> float:
     if n == 0:
         return 0.0
     ends = lba + length
-    horizon = kib_to_sectors(horizon_kib)
+    horizon = kib_to_sectors(MISORDER_HORIZON_KIB)
     # volume[i] = sectors written by writes 0..i-1; write i's window is
     # writes j in (i, k[i]) where the cumulative volume of writes
     # i+1..j-1 stays below the horizon.
@@ -132,23 +136,19 @@ def fragment_cdf_fast(read_fragments: Sequence[int]) -> List[Tuple[float, float]
     return _empirical_cdf_points(fragments[fragments > 1])
 
 
-def fraction_of_fragments_in_top_reads_fast(
-    read_fragments: Sequence[int],
-    top_fraction: float = 0.2,
-) -> float:
-    """Vectorized top-reads fragment share; agrees exactly with
+def fraction_of_fragments_in_top_reads_fast(read_fragments: Sequence[int]) -> float:
+    """Vectorized share of fragments in the :data:`TOP_READS_FRACTION` most
+    fragmented reads; agrees exactly with
     :func:`repro.analysis.fragmentation.fraction_of_fragments_in_top_reads`."""
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
     fragments = np.asarray(read_fragments, dtype=np.int64)
     descending = np.sort(fragments[fragments > 1])[::-1]
     n = int(descending.size)
     if n == 0:
         return 0.0
     # The reference walks (rank/n, running/total) points until
-    # rank/n >= top_fraction; reproduce its float comparison verbatim.
+    # rank/n >= TOP_READS_FRACTION; reproduce its float comparison verbatim.
     ranks = np.arange(1, n + 1, dtype=np.int64) / n
-    index = int(np.searchsorted(ranks, top_fraction, side="left"))
+    index = int(np.searchsorted(ranks, TOP_READS_FRACTION, side="left"))
     cumulative = np.cumsum(descending)
     total = int(cumulative[-1])
     return int(cumulative[index]) / total
@@ -181,12 +181,9 @@ def fraction_within_fast(distances: Sequence[int], window_gib: float) -> float:
     return within / n
 
 
-def nols_windowed_long_seeks(
-    trace: Trace,
-    window_ops: int = 1000,
-    min_seek_kib: float = 500.0,
-) -> List[int]:
-    """Per-window long-seek counts of the NoLS replay (Fig. 3 baseline side).
+def nols_windowed_long_seeks(trace: Trace, window_ops: int = 1000) -> List[int]:
+    """Per-window counts of :data:`LONG_SEEK_KIB` seeks of the NoLS replay
+    (Fig. 3 baseline side).
 
     Vectorized equivalent of replaying through
     :class:`~repro.core.translators.InPlaceTranslator` with a
@@ -195,13 +192,11 @@ def nols_windowed_long_seeks(
     """
     if window_ops <= 0:
         raise ValueError(f"window_ops must be > 0, got {window_ops}")
-    if min_seek_kib < 0:
-        raise ValueError(f"min_seek_kib must be >= 0, got {min_seek_kib}")
     n = len(trace)
     if n == 0:
         return []
     _, lba, length = trace_arrays(trace)
-    threshold = kib_to_sectors(min_seek_kib)
+    threshold = kib_to_sectors(LONG_SEEK_KIB)
     deltas = lba[1:] - (lba[:-1] + length[:-1])
     long_seek = (deltas != 0) & (np.abs(deltas) >= threshold)
     # Op i (1-based here; op 0 never seeks) falls in window i // window_ops;

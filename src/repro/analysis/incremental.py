@@ -38,6 +38,8 @@ from repro.disk.seek_time import SeekTimeModel
 from repro.util.bulkstate import int_rows
 from repro.util.units import gib_to_sectors
 
+_SEEK_TIME = SeekTimeModel()
+
 
 def fragment_cdf_from_hist(hist: Dict[int, int]) -> List[Tuple[float, float]]:
     """Fig. 5 fragment-count CDF from a ``{fragment_count: reads}`` histogram.
@@ -149,8 +151,7 @@ class IncrementalDistances:
     * :meth:`fraction_within` — exact: integer counts, ``int / int``.
     """
 
-    def __init__(self, model: Optional[SeekTimeModel] = None) -> None:
-        self._model = SeekTimeModel() if model is None else model
+    def __init__(self) -> None:
         self._read_hist = self._write_hist = np.empty((0, 2), dtype=np.int64)
         self._queued: List[Tuple[np.ndarray, np.ndarray]] = []
         self._queued_n = 0
@@ -187,19 +188,19 @@ class IncrementalDistances:
     def total_seek_ms(self, read_only: bool = False) -> float:
         """Aggregate seek time (the session's running seek budget)."""
         return sum(
-            self._model.seek_ms(distance) * count
+            _SEEK_TIME.seek_ms(distance) * count
             for distance, count in self._hist(read_only).tolist()
         )
 
-    def fraction_within(self, window_gib: float, read_only: bool = True) -> float:
-        """Fraction of seeks within ±``window_gib`` (Fig. 4 headline).
+    def fraction_within(self, window_gib: float) -> float:
+        """Fraction of read seeks within ±``window_gib`` (Fig. 4 headline).
 
         Agrees exactly with :func:`repro.analysis.fast.fraction_within_fast`
         over the corresponding distance log.
         """
         if window_gib <= 0:
             raise ValueError(f"window_gib must be > 0, got {window_gib}")
-        hist = self._hist(read_only)
+        hist = self._folded()[0]
         n = int(hist[:, 1].sum())
         if n == 0:
             return 0.0

@@ -13,33 +13,26 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator
 
-from repro.util.units import SECTOR_BYTES
+from repro.util.units import BLOCK_SECTORS, SECTOR_BYTES
+
+_BLOCK_BYTES = BLOCK_SECTORS * SECTOR_BYTES
 
 
 class LRUCache:
-    """LRU set of fixed-size blocks keyed by block index, bounded in bytes.
+    """LRU set of 4 KiB blocks keyed by block index, bounded in bytes.
 
     Args:
         capacity_bytes: Total budget; at least one block.
-        block_sectors: Block size in sectors (default 8 = 4 KiB).
     """
 
-    def __init__(self, capacity_bytes: int, block_sectors: int = 8) -> None:
-        if block_sectors <= 0:
-            raise ValueError(f"block_sectors must be > 0, got {block_sectors}")
-        block_bytes = block_sectors * SECTOR_BYTES
-        if capacity_bytes < block_bytes:
+    def __init__(self, capacity_bytes: int) -> None:
+        if capacity_bytes < _BLOCK_BYTES:
             raise ValueError(
-                f"capacity_bytes {capacity_bytes} below one block ({block_bytes})"
+                f"capacity_bytes {capacity_bytes} below one block ({_BLOCK_BYTES})"
             )
-        self._block_sectors = block_sectors
-        self._capacity_blocks = capacity_bytes // block_bytes
+        self._capacity_blocks = capacity_bytes // _BLOCK_BYTES
         self._blocks: "OrderedDict[int, None]" = OrderedDict()
         self.evictions = 0
-
-    @property
-    def block_sectors(self) -> int:
-        return self._block_sectors
 
     @property
     def capacity_blocks(self) -> int:
@@ -47,7 +40,7 @@ class LRUCache:
 
     @property
     def capacity_bytes(self) -> int:
-        return self._capacity_blocks * self._block_sectors * SECTOR_BYTES
+        return self._capacity_blocks * _BLOCK_BYTES
 
     @property
     def used_blocks(self) -> int:
@@ -55,15 +48,15 @@ class LRUCache:
 
     @property
     def used_bytes(self) -> int:
-        return len(self._blocks) * self._block_sectors * SECTOR_BYTES
+        return len(self._blocks) * _BLOCK_BYTES
 
     def _block_range(self, pba: int, length: int) -> range:
         if length <= 0:
             raise ValueError(f"length must be > 0, got {length}")
         if pba < 0:
             raise ValueError(f"pba must be >= 0, got {pba}")
-        first = pba // self._block_sectors
-        last = (pba + length - 1) // self._block_sectors
+        first = pba // BLOCK_SECTORS
+        last = (pba + length - 1) // BLOCK_SECTORS
         return range(first, last + 1)
 
     def contains_range(self, pba: int, length: int) -> bool:

@@ -48,11 +48,7 @@ from repro.core.recorders import (
     FragmentationRecorder,
 )
 from repro.core.metrics import SeekAmplification, seek_amplification, time_amplification
-from repro.core.cleaning import (
-    CLEANING_POLICIES,
-    CleaningStats,
-    ZonedCleaningTranslator,
-)
+from repro.core.cleaning import CleaningStats, ZonedCleaningTranslator
 from repro.core.multifrontier import MultiFrontierTranslator, RecencyClassifier
 from repro.core.config import (
     MultiFrontierConfig,
@@ -110,7 +106,6 @@ __all__ = [
     "SeekAmplification",
     "seek_amplification",
     "time_amplification",
-    "CLEANING_POLICIES",
     "CleaningStats",
     "ZonedCleaningTranslator",
     "MultiFrontierTranslator",

@@ -37,7 +37,7 @@ write run's sectors go*:
 
 * single frontier (plain LS): the frontier plus one exclusive cumsum;
   defrag rewrites allocate from the same frontier;
-* N frontiers (:class:`~repro.core.multifrontier.MultiFrontierTranslator`):
+* cold/hot frontiers (:class:`~repro.core.multifrontier.MultiFrontierTranslator`):
   a sequential classification loop — each write's verdict depends on the
   recent set as *its* predecessors left it — that keeps one running
   frontier per class;
@@ -106,11 +106,7 @@ import numpy as np
 from repro.core.cleaning import ZonedCleaningTranslator
 from repro.core.config import TechniqueConfig, build_translator
 from repro.core.fragment_policy import FragmentPolicies, filter_accesses
-from repro.core.multifrontier import (
-    MultiFrontierTranslator,
-    RecencyClassifier,
-    _frontier_label,
-)
+from repro.core.multifrontier import FRONTIERS, MultiFrontierTranslator
 from repro.core.outcomes import SimStats
 from repro.core.simulator import RunResult
 from repro.core.translators import (
@@ -123,6 +119,7 @@ from repro.extentmap.tiers import DEFAULT_KERNEL_TIER, resolve_map_tier
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 from repro.util.bulkstate import hist_to_pairs, pairs_to_hist
+from repro.util.units import BLOCK_SECTORS
 
 #: Operations swept per chunk by the log-structured kernel.  The result is
 #: chunk-size independent (head position carries across chunks); the value
@@ -434,11 +431,12 @@ class _MultiFrontier(_Placement):
 
     Classification is inherently sequential — each write's verdict depends
     on the recent-block set exactly as *its* predecessors left it — so the
-    loop stays scalar, with the stock :class:`RecencyClassifier` LRU update
-    inlined (no method dispatch, no per-op objects); any other classifier
-    goes through ``classify_and_note`` per op.  The PBAs the loop assigns
-    *are* the N-frontier exclusive cumsum, so a long run still maps in one
-    call, in op order (overlapping writes resolve like the reference).
+    loop stays scalar, with the
+    :class:`~repro.core.multifrontier.RecencyClassifier` LRU update
+    inlined (no method dispatch, no per-op objects).  The PBAs the loop
+    assigns *are* the two-frontier exclusive cumsum, so a long run still
+    maps in one call, in op order (overlapping writes resolve like the
+    reference).
     """
 
     def range_error(self, lba: int, length: int) -> str:
@@ -449,12 +447,8 @@ class _MultiFrontier(_Placement):
 
     def write_run(self, run_lba: np.ndarray, run_len: np.ndarray) -> None:
         translator = self.translator
-        classifier = translator.classifier
-        inline_classify = type(classifier) is RecencyClassifier
-        if inline_classify:
-            recent = classifier._recent
-            window = classifier._window
-            block_sectors = classifier._block
+        recent = translator.classifier._recent
+        window = translator.classifier._window
         frontier_base = translator.frontier_base
         region_sectors = translator.region_sectors
         frontiers = translator._frontiers
@@ -470,24 +464,21 @@ class _MultiFrontier(_Placement):
         pba_list: List[int] = []
         exhausted: Optional[int] = None
         for op_lba, op_length in zip(run_lba.tolist(), run_len.tolist()):
-            if inline_classify:
-                first_block = op_lba // block_sectors
-                last_block = (op_lba + op_length - 1) // block_sectors
-                hot = False
-                for block in range(first_block, last_block + 1):
-                    if block in recent:
-                        hot = True
-                        break
-                for block in range(first_block, last_block + 1):
-                    if block in recent:
-                        recent.move_to_end(block)
-                    else:
-                        recent[block] = None
-                while len(recent) > window:
-                    recent.popitem(last=False)
-                index = 1 if hot else 0
-            else:
-                index = int(classifier.classify_and_note(op_lba, op_length))
+            first_block = op_lba // BLOCK_SECTORS
+            last_block = (op_lba + op_length - 1) // BLOCK_SECTORS
+            hot = False
+            for block in range(first_block, last_block + 1):
+                if block in recent:
+                    hot = True
+                    break
+            for block in range(first_block, last_block + 1):
+                if block in recent:
+                    recent.move_to_end(block)
+                else:
+                    recent[block] = None
+            while len(recent) > window:
+                recent.popitem(last=False)
+            index = 1 if hot else 0
             frontier_writes[index] += 1
             frontier = frontiers[index]
             if frontier + op_length > frontier_base + (index + 1) * region_sectors:
@@ -515,7 +506,7 @@ class _MultiFrontier(_Placement):
         translator._last_frontier = last_idx
         if exhausted is not None:
             raise ValueError(
-                f"{_frontier_label(exhausted)} log region exhausted; "
+                f"{FRONTIERS[exhausted]} log region exhausted; "
                 "enlarge region_sectors"
             )
 
@@ -570,9 +561,7 @@ class _ZonedWithEpisodes(_Placement):
         open_order = translator._open_order
         live = translator._live
         entries = translator._entries
-        zone_write_seq = translator._zone_write_seq
         cleaning_stats = translator.cleaning_stats
-        write_seq = translator._write_seq
         writable = self.writable
         free = self.free
         host_written = 0
@@ -671,7 +660,7 @@ class _ZonedWithEpisodes(_Placement):
                     # exactly as scalar would).
                     amap.map_range_batch(piece_lba, piece_pba, piece_len)
                     buffer.extend(piece_pba, piece_len, _KIND_WRITE)
-                    # Ledger, write stamps, zone pointers per zone.
+                    # Ledger and zone pointers per zone.
                     region_counts = np.bincount(
                         piece_region, minlength=len(caps)
                     ).tolist()
@@ -685,21 +674,18 @@ class _ZonedWithEpisodes(_Placement):
                         zone = zones_list[open_order[zone_pos[region]]]
                         if zone.write_pointer == zone.start:
                             free -= 1
-                        zone_id = zone.zone_id
-                        entries[zone_id].extend(
+                        entries[zone.zone_id].extend(
                             zip(
                                 pba_list[pos : pos + count],
                                 lba_list[pos : pos + count],
                                 len_list[pos : pos + count],
                             )
                         )
-                        zone_write_seq[zone_id] = write_seq + pos + count - 1
                         zone.write_pointer += (
                             min(total, int(zone_ends[region]))
                             - int(zone_starts[region])
                         )
                         pos += count
-                    write_seq += n_pieces
                     writable -= total
                     translator._open_idx = zone_pos[int(piece_region[-1])]
                     host_written += total
@@ -728,11 +714,9 @@ class _ZonedWithEpisodes(_Placement):
                 # head, run the episode via the translator's own cleaning
                 # code, resync.
                 self.flush()
-                translator._write_seq = write_seq
                 cleaning_stats.host_written_sectors += host_written
                 host_written = 0
                 translator._ensure_room(op_length)
-                write_seq = translator._write_seq
                 writable = translator._writable_sectors()
                 free = translator.free_zones()
             # Invalidate what this write supersedes (against the pre-write
@@ -774,13 +758,10 @@ class _ZonedWithEpisodes(_Placement):
                 zone_id = zone.zone_id
                 live.add(zone_id, take)
                 entries[zone_id].append((base + pba, cursor, take))
-                zone_write_seq[zone_id] = write_seq
-                write_seq += 1
                 writable -= take
                 cursor += take
                 remaining -= take
 
-        translator._write_seq = write_seq
         cleaning_stats.host_written_sectors += host_written
         self.writable = writable
         self.free = free
@@ -1192,7 +1173,7 @@ class IncrementalBatchReplay:
         self._read_flag_chunks = []
         return log
 
-    def result(self, trace_name: Optional[str] = None) -> BatchRunResult:
+    def result(self) -> BatchRunResult:
         """Package the cumulative state as a :class:`BatchRunResult`.
 
         Equals the one-shot :func:`batch_replay` result for the
@@ -1203,7 +1184,7 @@ class IncrementalBatchReplay:
         self._sync_policies()
         return BatchRunResult(
             run_result=RunResult(
-                trace_name=trace_name or self.trace_name,
+                trace_name=self.trace_name,
                 translator=self._translator.description,
                 stats=self.stats(),
             ),

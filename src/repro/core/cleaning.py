@@ -4,11 +4,10 @@ The paper's evaluation uses an infinite disk ("for archival workloads
 cleaning may never be needed", §II) — but a deployable SMR translation
 layer eventually fills its zones and must garbage-collect.  This module
 provides that substrate: a log-structured translator whose log lives in
-SMR zones (:class:`~repro.disk.zones.ZonedAddressSpace`), with a
-selectable victim policy — greedy (least-valid-first) or LFS-style
-cost-benefit — so write amplification and seek amplification can be
-studied *jointly*: the trade-off the paper's infinite disk (§II) sets
-aside.
+SMR zones (:class:`~repro.disk.zones.ZonedAddressSpace`), with greedy
+(least-valid-first) victim selection, so write amplification and seek
+amplification can be studied *jointly*: the trade-off the paper's
+infinite disk (§II) sets aside.
 
 Layout: logical space ``[0, frontier_base)`` doubles as the identity
 region for pre-trace data (as in the infinite model); the log occupies
@@ -39,9 +38,6 @@ from repro.extentmap.extent_map import ExtentMap
 from repro.extentmap.live_counts import ZoneLiveCounts
 from repro.trace.record import IORequest
 from repro.util.units import mib_to_sectors
-
-#: Victim-selection policies (the ``policy=`` constructor argument).
-CLEANING_POLICIES = ("greedy", "cost_benefit")
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -82,12 +78,8 @@ class ZonedCleaningTranslator(Translator):
             can be written between cleanings.
         reserve_zones: Cleaning starts when free zones drop to this count
             (must be >= 1 so a cleaning destination always exists).
-        policy: Victim selection — ``"greedy"`` takes the closed zone
-            with the least live data; ``"cost_benefit"`` maximizes the
-            LFS score ``(1-u)·age/(1+u)`` (utilization ``u`` = live
-            fraction, ``age`` = appends since the zone was last written),
-            which prefers old, mostly-dead zones over young ones still
-            being invalidated.
+
+    The victim is the closed zone with the least live data (greedy).
     """
 
     def __init__(
@@ -97,7 +89,6 @@ class ZonedCleaningTranslator(Translator):
         n_zones: int = 16,
         reserve_zones: int = 2,
         address_map: Optional[AddressMap] = None,
-        policy: str = "greedy",
     ) -> None:
         super().__init__()
         if frontier_base < 0:
@@ -108,17 +99,11 @@ class ZonedCleaningTranslator(Translator):
             raise ValueError(
                 f"n_zones ({n_zones}) must exceed reserve_zones ({reserve_zones})"
             )
-        if policy not in CLEANING_POLICIES:
-            raise ValueError(
-                f"unknown cleaning policy {policy!r}; choose from "
-                f"{CLEANING_POLICIES}"
-            )
         zone_sectors = mib_to_sectors(zone_mib)
         self._base = frontier_base
         self._zones = ZonedAddressSpace(zone_sectors=zone_sectors, n_zones=n_zones)
         self._map = address_map if address_map is not None else ExtentMap()
         self._reserve = reserve_zones
-        self._policy = policy
         self._live = ZoneLiveCounts(zone_sectors=zone_sectors, n_zones=n_zones)
         self._entries: List[List[Tuple[int, int, int]]] = [
             [] for _ in range(n_zones)
@@ -128,10 +113,6 @@ class ZonedCleaningTranslator(Translator):
         self._open_order: List[int] = list(range(n_zones))  # allocation order
         self._open_idx = 0
         self._cleaning = False
-        #: Monotone append sequence; per-zone last-write stamps feed the
-        #: cost-benefit age term.
-        self._write_seq = 0
-        self._zone_write_seq = np.zeros(n_zones, dtype=np.int64)
         self.cleaning_stats = CleaningStats()
 
     # ------------------------------------------------------------------ #
@@ -143,10 +124,6 @@ class ZonedCleaningTranslator(Translator):
     @property
     def frontier_base(self) -> int:
         return self._base
-
-    @property
-    def policy(self) -> str:
-        return self._policy
 
     @property
     def zone_sectors(self) -> int:
@@ -190,7 +167,6 @@ class ZonedCleaningTranslator(Translator):
             "zone_sectors": self._zones.zone_sectors,
             "n_zones": len(self._zones.zones),
             "reserve_zones": self._reserve,
-            "policy": self._policy,
             "write_pointers": [z.write_pointer for z in self._zones.zones],
             "entries": [
                 [list(entry) for entry in zone_entries]
@@ -199,8 +175,6 @@ class ZonedCleaningTranslator(Translator):
             "live_counts": [int(c) for c in self._live.counts],
             "open_order": list(self._open_order),
             "open_idx": self._open_idx,
-            "write_seq": self._write_seq,
-            "zone_write_seq": [int(s) for s in self._zone_write_seq],
             "cleaning_stats": {
                 "cleanings": stats.cleanings,
                 "relocated_sectors": stats.relocated_sectors,
@@ -311,8 +285,6 @@ class ZonedCleaningTranslator(Translator):
         """Ledger one appended piece (shared with the batch kernel)."""
         self._live.add(zone_id, length)
         self._entries[zone_id].append((pba, lba, length))
-        self._zone_write_seq[zone_id] = self._write_seq
-        self._write_seq += 1
 
     def _current_zone(self) -> Zone:
         """The zone the frontier writes into, advancing past full zones."""
@@ -348,11 +320,11 @@ class ZonedCleaningTranslator(Translator):
         return sum(z.remaining_sectors for z in self._zones.zones)
 
     def _pick_victim(self) -> Optional[int]:
-        """Select the victim zone under the configured policy.
+        """Select the victim zone: the least live data wins.
 
         Candidates are non-empty zones other than the frontier zone; ties
-        break to the lowest zone id (``argmin``/``argmax`` take the first
-        extremal entry, matching a zone-id-ordered scan).
+        break to the lowest zone id (``argmin`` takes the first minimal
+        entry, matching a zone-id-ordered scan).
         """
         frontier_zone = None
         if self._open_idx < len(self._open_order):
@@ -370,15 +342,7 @@ class ZonedCleaningTranslator(Translator):
         )
         if not eligible.any():
             return None
-        counts = self._live.counts
-        if self._policy == "greedy":
-            keyed = np.where(eligible, counts, _INT64_MAX)
-            return int(keyed.argmin())
-        utilization = counts / float(self._zones.zone_sectors)
-        age = (self._write_seq - self._zone_write_seq).astype(np.float64)
-        score = (1.0 - utilization) * age / (1.0 + utilization)
-        score[~eligible] = -np.inf
-        return int(score.argmax())
+        return int(np.where(eligible, self._live.counts, _INT64_MAX).argmin())
 
     def _clean_zone(self, zone_id: int) -> None:
         """Relocate the victim's live extents to the frontier, then reset it.

@@ -9,53 +9,31 @@ selective caching.  :class:`TechniqueConfig` names one such bundle;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
+from repro.core import multifrontier
 from repro.core.defrag import DefragConfig, OpportunisticDefrag
-from repro.core.multifrontier import MultiFrontierTranslator, RecencyClassifier
+from repro.core.multifrontier import MultiFrontierTranslator
 from repro.core.prefetch import LookAheadBehindPrefetcher, PrefetchConfig
 from repro.core.selective_cache import SelectiveCacheConfig, SelectiveFragmentCache
 from repro.core.translators import InPlaceTranslator, LogStructuredTranslator, Translator
 from repro.trace.trace import Trace
-from repro.util.units import mib_to_sectors
+from repro.util.units import BLOCK_SECTORS, mib_to_sectors
+from repro.util.validation import check_fixed
 
 
 @dataclass(frozen=True)
 class MultiFrontierConfig:
-    """Hot/cold-separated (WOLF-style) log placement settings.
+    """Hot/cold-separated (WOLF-style) log placement.
 
     Attaching this to a :class:`TechniqueConfig` swaps the single-frontier
     :class:`LogStructuredTranslator` for a
     :class:`~repro.core.multifrontier.MultiFrontierTranslator`: writes are
-    classified by recency and each class appends at its own frontier.
-
-    Attributes:
-        frontiers: Number of write frontiers (2 = the stock cold/hot
-            split; higher counts are the seam for K BIT-classified
-            frontiers, see ROADMAP item 2).
-        region_mib: Size of *each* frontier's log region, in MiB.
-        window: Recency window of the classifier, in distinct 4 KiB
-            blocks (:class:`~repro.core.multifrontier.RecencyClassifier`).
-        block_sectors: Classification granularity in sectors.
+    classified by recency and the cold and the hot class each append at
+    their own frontier, in a region of
+    :data:`~repro.core.multifrontier.REGION_MIB` each.
     """
-
-    frontiers: int = 2
-    region_mib: float = 2048.0
-    window: int = 4096
-    block_sectors: int = 8
-
-    def __post_init__(self) -> None:
-        if self.frontiers < 2:
-            raise ValueError(f"frontiers must be >= 2, got {self.frontiers}")
-        if self.region_mib <= 0:
-            raise ValueError(f"region_mib must be > 0, got {self.region_mib}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.block_sectors < 1:
-            raise ValueError(
-                f"block_sectors must be >= 1, got {self.block_sectors}"
-            )
 
 
 @dataclass(frozen=True)
@@ -147,15 +125,10 @@ def build_translator_for_base(
                 "with defrag/prefetch/cache (the multi-frontier translator "
                 "has no technique hooks)"
             )
-        mf = config.multi_frontier
         return MultiFrontierTranslator(
             frontier_base=frontier_base,
-            region_sectors=mib_to_sectors(mf.region_mib),
-            classifier=RecencyClassifier(
-                window=mf.window, block_sectors=mf.block_sectors
-            ),
+            region_sectors=mib_to_sectors(multifrontier.REGION_MIB),
             address_map=make_address_map(address_map_tier),
-            n_frontiers=mf.frontiers,
         )
     return LogStructuredTranslator(
         frontier_base=frontier_base,
@@ -166,39 +139,57 @@ def build_translator_for_base(
     )
 
 
+#: The technique parts of a :class:`TechniqueConfig`, by field.
+_PARTS = {
+    "defrag": DefragConfig,
+    "prefetch": PrefetchConfig,
+    "cache": SelectiveCacheConfig,
+    "multi_frontier": MultiFrontierConfig,
+}
+#: Fields older ``open`` requests and checkpoint headers still carry whose
+#: values are constants now: each is read only at that value.
+_RETIRED = {
+    "cache": {"block_sectors": BLOCK_SECTORS},
+    "multi_frontier": {
+        "frontiers": len(multifrontier.FRONTIERS),
+        "region_mib": multifrontier.REGION_MIB,
+        "window": multifrontier.RECENCY_WINDOW,
+        "block_sectors": BLOCK_SECTORS,
+    },
+}
+
+
 def config_to_dict(config: TechniqueConfig) -> dict:
     """JSON-serializable encoding of a :class:`TechniqueConfig`.
 
     Round-trips exactly through :func:`config_from_dict`; used by the
-    service wire protocol and checkpoint headers.
+    service wire protocol and checkpoint headers.  A part that is off
+    encodes as ``None``; one that is on as its fields (``{}`` for
+    :class:`MultiFrontierConfig`, which has none).
     """
-    from dataclasses import asdict
-
+    parts = {key: getattr(config, key) for key in _PARTS}
     return {
         "name": config.name,
         "log_structured": config.log_structured,
-        "defrag": asdict(config.defrag) if config.defrag else None,
-        "prefetch": asdict(config.prefetch) if config.prefetch else None,
-        "cache": asdict(config.cache) if config.cache else None,
-        "multi_frontier": (
-            asdict(config.multi_frontier) if config.multi_frontier else None
-        ),
+        **{key: None if part is None else asdict(part) for key, part in parts.items()},
     }
 
 
 def config_from_dict(data: dict) -> TechniqueConfig:
     """Inverse of :func:`config_to_dict`.  A key it does not know is
     ignored: older checkpoint headers and ``open`` requests carry
-    ``"fast"``, which changed no simulated number."""
+    ``"fast"``, which changed no simulated number.  A field in
+    :data:`_RETIRED` is accepted at its fixed value and refused at any
+    other."""
+    parts = {}
+    for key, part in _PARTS.items():
+        fields, retired = data.get(key), _RETIRED.get(key, {})
+        if fields is not None:
+            check_fixed(key, fields, retired)
+            fields = part(**{name: v for name, v in fields.items() if name not in retired})
+        parts[key] = fields
     return TechniqueConfig(
         name=data["name"],
         log_structured=bool(data.get("log_structured", True)),
-        defrag=DefragConfig(**data["defrag"]) if data.get("defrag") else None,
-        prefetch=PrefetchConfig(**data["prefetch"]) if data.get("prefetch") else None,
-        cache=SelectiveCacheConfig(**data["cache"]) if data.get("cache") else None,
-        multi_frontier=(
-            MultiFrontierConfig(**data["multi_frontier"])
-            if data.get("multi_frontier")
-            else None
-        ),
+        **parts,
     )

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.prefetch import LookAheadBehindPrefetcher
 from repro.core.selective_cache import SelectiveFragmentCache
+from repro.util.units import BLOCK_SECTORS
 
 #: Per-fragment outcome codes returned by :meth:`FragmentPolicies.serve`.
 DISK, CACHE_HIT, BUFFER_HIT = 0, 1, 2
@@ -110,7 +111,7 @@ class FragmentPolicies:
             table = 1 << (2 * capacity - 1).bit_length()  # at most half full
             self._lru = np.zeros(len(_LRU_FIELDS) + table + 3 * capacity, np.int64)
             self._lru[: len(_LRU_FIELDS)] = (
-                capacity, cache.config.block_sectors, 65 - table.bit_length(), table,
+                capacity, BLOCK_SECTORS, 65 - table.bit_length(), table,
                 len(blocks), -1, -1, state["hits"], state["misses"], state["evictions"],
             )
             self._lru[len(_LRU_FIELDS) + table :: 3][: len(blocks)] = blocks

@@ -49,11 +49,7 @@ def seek_amplification(translated: SimStats, baseline: SimStats) -> SeekAmplific
     )
 
 
-def time_amplification(
-    translated_distances,
-    baseline_distances,
-    model=None,
-) -> float:
+def time_amplification(translated_distances, baseline_distances) -> float:
     """Seek-*time* amplification factor (TAF).
 
     The paper evaluates by counting seeks but motivates them by cost
@@ -66,14 +62,13 @@ def time_amplification(
         translated_distances: Signed seek distances of the translated
             replay (e.g. ``SeekLogRecorder.distances``).
         baseline_distances: Same for the conventional-drive replay.
-        model: :class:`~repro.disk.seek_time.SeekTimeModel` (default one).
 
     Returns ``inf`` when the baseline spent no seek time but the
     translated replay did, and 1.0 when neither spent any.
     """
     from repro.disk.seek_time import SeekTimeModel
 
-    model = model or SeekTimeModel()
+    model = SeekTimeModel()
     translated_ms = model.total_ms(translated_distances)
     baseline_ms = model.total_ms(baseline_distances)
     if baseline_ms == 0.0:

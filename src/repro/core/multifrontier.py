@@ -8,21 +8,15 @@ so that overhead is measurable: each switch between frontiers is a write
 seek a single-frontier log would not pay, but hot data clusters
 physically, which reduces the fragmentation that scans of cold ranges see.
 
-The translator is generalized to ``n_frontiers`` regions so that a
-BIT-style classifier (segregating writes into K frontiers by predicted
-invalidation time — PAPERS.md) slots in without touching the translator:
-any classifier whose ``classify_and_note`` returns an index below
-``n_frontiers`` works (``bool`` is an index for the stock two-frontier
-hot/cold layout, where frontier 0 is cold and frontier 1 is hot).
-
-Classification is recency-based by default: an LBA block overwritten
-while still in the recent-writes window is hot.
+Classification is recency-based: an LBA block overwritten while still in
+the recent-writes window is hot.  Frontier 0 takes the cold writes and
+frontier 1 the hot ones.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -31,42 +25,30 @@ from repro.core.translators import Translator
 from repro.extentmap.base import AddressMap
 from repro.extentmap.extent_map import ExtentMap
 from repro.trace.record import IORequest
+from repro.util.units import BLOCK_SECTORS
+from repro.util.validation import check_fixed
 
-#: Frontier labels used in exhaustion errors; higher indices fall back to
-#: a numeric label.  Index 0 is the cold region, index 1 the hot region.
-_FRONTIER_NAMES = {0: "cold", 1: "hot"}
-
-
-def _frontier_label(index: int) -> str:
-    return _FRONTIER_NAMES.get(index, f"frontier-{index}")
+#: The frontiers by index: a write the classifier finds hot goes to 1.
+FRONTIERS = ("cold", "hot")
+#: How many distinct recently written 4 KiB blocks the classifier keeps.
+RECENCY_WINDOW = 4096
+#: Each frontier's log region: 2 GiB, more than any Table I trace writes.
+REGION_MIB = 2048.0
 
 
 class RecencyClassifier:
-    """Flags writes whose first block was written within the last
-    ``window`` distinct recent blocks (4 KiB granularity)."""
+    """Flags writes whose blocks were written within the last
+    :data:`RECENCY_WINDOW` distinct recent blocks (4 KiB granularity)."""
 
-    def __init__(self, window: int = 4096, block_sectors: int = 8) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if block_sectors < 1:
-            raise ValueError(f"block_sectors must be >= 1, got {block_sectors}")
-        self._window = window
-        self._block = block_sectors
+    def __init__(self) -> None:
+        self._window = RECENCY_WINDOW
         self._recent: "OrderedDict[int, None]" = OrderedDict()
-
-    @property
-    def window(self) -> int:
-        return self._window
-
-    @property
-    def block_sectors(self) -> int:
-        return self._block
 
     def classify_and_note(self, lba: int, length: int) -> bool:
         """Return True (hot) if the write re-touches recently written
         blocks, then record its blocks as recent."""
-        first_block = lba // self._block
-        last_block = (lba + length - 1) // self._block
+        first_block = lba // BLOCK_SECTORS
+        last_block = (lba + length - 1) // BLOCK_SECTORS
         hot = any(
             block in self._recent for block in range(first_block, last_block + 1)
         )
@@ -82,68 +64,47 @@ class RecencyClassifier:
     def state_dict(self) -> dict:
         """Complete mutable state: the recent-block set as an int64 array,
         oldest first."""
-        return {
-            "window": self._window,
-            "block_sectors": self._block,
-            "recent": np.asarray(list(self._recent), dtype=np.int64),
-        }
+        return {"recent": np.asarray(list(self._recent), dtype=np.int64)}
 
     def load_state(self, state: dict) -> None:
         """Restore :meth:`state_dict` output onto this classifier."""
-        if int(state["window"]) != self._window or int(
-            state["block_sectors"]
-        ) != self._block:
-            raise ValueError(
-                "classifier mismatch restoring state: snapshot is "
-                f"(window={state['window']}, block_sectors="
-                f"{state['block_sectors']}), classifier is "
-                f"(window={self._window}, block_sectors={self._block})"
-            )
+        check_fixed("classifier", state, {"window": self._window, "block_sectors": BLOCK_SECTORS})
         recent = np.asarray(state["recent"], dtype=np.int64).tolist()
         self._recent = OrderedDict.fromkeys(recent)
 
 
 class MultiFrontierTranslator(Translator):
-    """Log-structured translation with separate per-class write frontiers.
+    """Log-structured translation with a cold and a hot write frontier.
 
     Args:
         frontier_base: Start of the log (above the identity region, as in
-            :class:`LogStructuredTranslator`).  Frontier ``i`` owns
-            ``[frontier_base + i*region_sectors,
+            :class:`LogStructuredTranslator`).  Frontier ``i`` of
+            :data:`FRONTIERS` owns ``[frontier_base + i*region_sectors,
             frontier_base + (i+1)*region_sectors)``.
         region_sectors: Size of each log region.
-        classifier: Write classifier (default recency-based hot/cold);
-            ``classify_and_note(lba, length)`` must return the target
-            frontier index (a bool works for two frontiers).
-        n_frontiers: Number of write frontiers (default 2: cold then hot).
     """
 
     def __init__(
         self,
         frontier_base: int,
         region_sectors: int,
-        classifier: Optional[RecencyClassifier] = None,
         address_map: Optional[AddressMap] = None,
-        n_frontiers: int = 2,
     ) -> None:
         super().__init__()
         if frontier_base < 0:
             raise ValueError(f"frontier_base must be >= 0, got {frontier_base}")
         if region_sectors <= 0:
             raise ValueError(f"region_sectors must be > 0, got {region_sectors}")
-        if n_frontiers < 2:
-            raise ValueError(f"n_frontiers must be >= 2, got {n_frontiers}")
         self._map = address_map if address_map is not None else ExtentMap()
         self._region_sectors = region_sectors
         self._frontier_base = frontier_base
-        self._n_frontiers = n_frontiers
         self._frontiers: List[int] = [
-            frontier_base + i * region_sectors for i in range(n_frontiers)
+            frontier_base + i * region_sectors for i in range(len(FRONTIERS))
         ]
-        self._classifier = classifier or RecencyClassifier()
+        self._classifier = RecencyClassifier()
         self._last_frontier: Optional[int] = None
         self.frontier_switches = 0
-        self._frontier_writes: List[int] = [0] * n_frontiers
+        self._frontier_writes: List[int] = [0] * len(FRONTIERS)
 
     @property
     def description(self) -> str:
@@ -158,26 +119,12 @@ class MultiFrontierTranslator(Translator):
         return self._region_sectors
 
     @property
-    def n_frontiers(self) -> int:
-        return self._n_frontiers
-
-    @property
     def address_map(self) -> AddressMap:
         return self._map
 
     @property
     def classifier(self) -> RecencyClassifier:
         return self._classifier
-
-    @property
-    def frontiers(self) -> Tuple[int, ...]:
-        """Current write position of every frontier, index order."""
-        return tuple(self._frontiers)
-
-    @property
-    def frontier_writes(self) -> Tuple[int, ...]:
-        """Host writes routed to each frontier, index order."""
-        return tuple(self._frontier_writes)
 
     @property
     def cold_writes(self) -> int:
@@ -209,7 +156,6 @@ class MultiFrontierTranslator(Translator):
             "kind": "multi-frontier",
             "frontier_base": self._frontier_base,
             "region_sectors": self._region_sectors,
-            "n_frontiers": self._n_frontiers,
             "frontiers": list(self._frontiers),
             "frontier_writes": list(self._frontier_writes),
             "frontier_switches": self.frontier_switches,
@@ -225,8 +171,8 @@ class MultiFrontierTranslator(Translator):
         """Restore :meth:`state_dict` output onto this translator.
 
         The translator must have been built with the same layout
-        (``frontier_base``, ``region_sectors``, ``n_frontiers``) as the
-        snapshotted one; a mismatch raises rather than corrupting the log.
+        (``frontier_base``, ``region_sectors``) as the snapshotted one; a
+        mismatch raises rather than corrupting the log.
         """
         if state.get("kind") != "multi-frontier":
             raise ValueError(
@@ -235,13 +181,13 @@ class MultiFrontierTranslator(Translator):
         for name, ours in (
             ("frontier_base", self._frontier_base),
             ("region_sectors", self._region_sectors),
-            ("n_frontiers", self._n_frontiers),
         ):
             if int(state[name]) != ours:
                 raise ValueError(
                     f"layout mismatch restoring state: {name} is {ours} on "
                     f"the translator but {state[name]} in the snapshot"
                 )
+        check_fixed("multi-frontier", state, {"n_frontiers": len(FRONTIERS)})
         self._map = type(self._map).from_extent_arrays(
             state["map_lba"], state["map_pba"], state["map_length"]
         )
@@ -270,7 +216,7 @@ class MultiFrontierTranslator(Translator):
         region_end = self._frontier_base + (index + 1) * self._region_sectors
         if frontier + request.length > region_end:
             raise ValueError(
-                f"{_frontier_label(index)} log region exhausted; "
+                f"{FRONTIERS[index]} log region exhausted; "
                 "enlarge region_sectors"
             )
         self._frontiers[index] += request.length

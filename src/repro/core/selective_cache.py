@@ -30,18 +30,15 @@ class SelectiveCacheConfig:
     """Sizing for the selective fragment cache.
 
     Attributes:
-        capacity_mib: RAM budget; the paper evaluates with 64 MB.
-        block_sectors: Caching granularity (4 KiB blocks by default).
+        capacity_mib: RAM budget; the paper evaluates with 64 MB.  The
+            cache holds 4 KiB blocks.
     """
 
     capacity_mib: float = 64.0
-    block_sectors: int = 8
 
     def __post_init__(self) -> None:
         if self.capacity_mib <= 0:
             raise ValueError(f"capacity_mib must be > 0, got {self.capacity_mib}")
-        if self.block_sectors <= 0:
-            raise ValueError(f"block_sectors must be > 0, got {self.block_sectors}")
 
 
 class SelectiveFragmentCache:
@@ -57,17 +54,9 @@ class SelectiveFragmentCache:
         # A `config=SelectiveCacheConfig()` default would be evaluated once
         # at def time and shared by every instance; build one per instance.
         config = SelectiveCacheConfig() if config is None else config
-        self._config = config
-        self._lru = LRUCache(
-            capacity_bytes=int(config.capacity_mib * BYTES_PER_MIB),
-            block_sectors=config.block_sectors,
-        )
+        self._lru = LRUCache(capacity_bytes=int(config.capacity_mib * BYTES_PER_MIB))
         self.hits = 0
         self.misses = 0
-
-    @property
-    def config(self) -> SelectiveCacheConfig:
-        return self._config
 
     @property
     def capacity_blocks(self) -> int:

@@ -86,6 +86,7 @@ from repro.extentmap.tiers import (
     resolve_map_tier,
 )
 from repro.trace.trace import Trace
+from repro.util.units import BLOCK_SECTORS
 
 #: Accesses served and seek-classified per step: scratch stays slab-sized
 #: whatever the stream's length.
@@ -466,15 +467,13 @@ class _Fenwick:
         return total
 
 
-def cache_hit_thresholds(
-    stream: FragmentStream, block_sectors: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def cache_hit_thresholds(stream: FragmentStream) -> Tuple[np.ndarray, np.ndarray]:
     """Minimum hitting capacity, in blocks, for every policy-eligible fragment.
 
     One Mattson stack-distance pass over the fragment accesses of the
     recorded stream.  Returns ``(access_indices, min_blocks)``: for the
     fragment at stream index ``access_indices[i]``, a selective cache of
-    ``c`` blocks (and this ``block_sectors``) hits **iff**
+    ``c`` blocks hits **iff**
     ``min_blocks[i] <= c``.  Fragments touching a never-before-cached
     block get a sentinel larger than any real capacity.
 
@@ -485,15 +484,13 @@ def cache_hit_thresholds(
     recently touched distinct blocks (LRU stack inclusion) and residency
     reduces to a stack-distance threshold.
     """
-    if block_sectors <= 0:
-        raise ValueError(f"block_sectors must be > 0, got {block_sectors}")
     access_indices = stream.fragment_access_indices()
     if access_indices.size == 0:
         return access_indices, np.empty(0, dtype=np.int64)
     pba = stream.pba[access_indices]
     length = stream.length[access_indices]
-    first_blocks = pba // block_sectors
-    last_blocks = (pba + length - 1) // block_sectors
+    first_blocks = pba // BLOCK_SECTORS
+    last_blocks = (pba + length - 1) // BLOCK_SECTORS
     total_touches = int((last_blocks - first_blocks + 1).sum())
 
     fenwick = _Fenwick(total_touches)
@@ -538,8 +535,8 @@ def stream_cache_sweep(
 ) -> List[StreamRunResult]:
     """Evaluate a selective-cache capacity sweep against one recording.
 
-    Every config must satisfy :func:`supports_cache_sweep` and share one
-    ``block_sectors``.  The stack-distance pass runs once (pass a
+    Every config must satisfy :func:`supports_cache_sweep`.  The
+    stack-distance pass runs once (pass a
     precomputed ``thresholds`` pair to reuse it across calls); each sweep
     point then costs a threshold compare plus the vectorized seek
     classification.  Results are exact and in ``configs`` order; sweep
@@ -555,15 +552,10 @@ def stream_cache_sweep(
                 f"config {config.name!r} cannot join a shared cache sweep "
                 "(requires log-structured + cache only)"
             )
-    block_sectors = configs[0].cache.block_sectors
-    if any(c.cache.block_sectors != block_sectors for c in configs):
-        raise StreamUnsupportedError(
-            "cache sweep requires a single block_sectors across all configs"
-        )
     # Before the stack-distance pass: an undersized point fails fast.
     capacities = [SelectiveFragmentCache(c.cache).capacity_blocks for c in configs]
     if thresholds is None:
-        thresholds = cache_hit_thresholds(stream, block_sectors)
+        thresholds = cache_hit_thresholds(stream)
 
     return [
         _result(stream, config, partial(_hits_at, *thresholds, capacity_blocks))
@@ -586,31 +578,26 @@ def _hits_at(access_indices, min_blocks, capacity_blocks: int, lo: int, hi: int)
 # --------------------------------------------------------------------- #
 
 
-def stream_windowed_long_seeks(
-    stream: FragmentStream,
-    window_ops: int = 1000,
-    min_seek_kib: float = 500.0,
-) -> List[int]:
+def stream_windowed_long_seeks(stream: FragmentStream, window_ops: int = 1000) -> List[int]:
     """Per-window long-seek counts of the plain-LS replay (Fig. 3's LS side).
 
     Exactly :class:`~repro.analysis.temporal.WindowedSeekRecorder` attached
     to a plain-LS reference replay: windows are ``op_index // window_ops``
     over the *trace* request index, a seek is an access whose pba differs
     from the previous access's end, and only ``|distance| >=
-    kib_to_sectors(min_seek_kib)`` counts.  The series is dense over every
+    kib_to_sectors(LONG_SEEK_KIB)`` counts.  The series is dense over every
     window the trace touches (the recorder observes all requests, seeking
     or not), so its length is ``(n_requests - 1) // window_ops + 1``.
     """
+    from repro.analysis.fast import LONG_SEEK_KIB
     from repro.util.units import kib_to_sectors
 
     if window_ops <= 0:
         raise ValueError(f"window_ops must be > 0, got {window_ops}")
-    if min_seek_kib < 0:
-        raise ValueError(f"min_seek_kib must be >= 0, got {min_seek_kib}")
     n_requests = stream.reads + stream.writes
     if n_requests == 0:
         return []
-    min_seek = kib_to_sectors(min_seek_kib)
+    min_seek = kib_to_sectors(LONG_SEEK_KIB)
     counts = np.zeros((n_requests - 1) // window_ops + 1, dtype=np.int64)
     head = None
     for lo in range(0, stream.accesses, _SLAB):

@@ -1,4 +1,4 @@
-"""Disk substrate: head/seek model, seek-time costs, geometry, SMR zones.
+"""Disk substrate: head/seek model, seek-time costs, SMR zones.
 
 The paper's metric layer is the :class:`~repro.disk.head.DiskHead` model —
 a seek occurs when an I/O starts anywhere other than the sector immediately
@@ -9,14 +9,12 @@ and SMR zone semantics (Fig. 1).
 
 from repro.disk.head import DiskHead, AccessEvent
 from repro.disk.seek_time import SeekTimeModel
-from repro.disk.geometry import DiskGeometry
 from repro.disk.zones import Zone, ZonedAddressSpace, SequentialZoneError
 
 __all__ = [
     "DiskHead",
     "AccessEvent",
     "SeekTimeModel",
-    "DiskGeometry",
     "Zone",
     "ZonedAddressSpace",
     "SequentialZoneError",

@@ -12,42 +12,38 @@ matter:
   distance) plus about half a revolution of rotational delay.
 
 :class:`SeekTimeModel` implements this piecewise model so seek logs can be
-converted into estimated service-time overheads.
+converted into estimated service-time overheads.  Its parameters
+approximate a 7200 RPM, 8 TB class SMR drive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.disk.geometry import DiskGeometry
+from repro.util.units import SECTORS_PER_MIB, gib_to_sectors
+
+#: Sectors per track (modern outer tracks hold ~2 MiB).
+TRACK_SECTORS = 2 * SECTORS_PER_MIB
+#: Tracks of the 7200 RPM, 8 TB class SMR drive the model approximates.
+TRACKS = gib_to_sectors(8 * 1024) // TRACK_SECTORS
+#: One platter revolution at 7200 RPM, in milliseconds.
+REVOLUTION_MS = 60_000.0 / 7200
+#: Sustained media transfer rate.
+TRANSFER_MIB_S = 180.0
+#: Head-movement time of a single-track and of a full-stroke seek.
+MIN_SEEK_MS, MAX_SEEK_MS = 1.0, 25.0
+#: Seeks spanning at most this many tracks cost rotation only.
+SHORT_SEEK_TRACKS = 1
 
 
-@dataclass(frozen=True)
+def transfer_ms(sectors: int) -> float:
+    """Media transfer time for ``sectors`` at the sustained rate."""
+    return sectors * 512 / (TRANSFER_MIB_S * 1024 * 1024) * 1000.0
+
+
 class SeekTimeModel:
-    """Piecewise seek-time estimator.
-
-    Attributes:
-        geometry: Drive geometry supplying rotation and transfer rates.
-        min_seek_ms: Head-movement time of a single-track seek.
-        max_seek_ms: Head-movement time of a full-stroke seek.
-        short_seek_tracks: Seeks spanning at most this many tracks are
-            treated as "short" (rotational-only cost).
-    """
-
-    geometry: DiskGeometry = field(default_factory=DiskGeometry)
-    min_seek_ms: float = 1.0
-    max_seek_ms: float = 25.0
-    short_seek_tracks: int = 1
-
-    def __post_init__(self) -> None:
-        if self.min_seek_ms <= 0:
-            raise ValueError(f"min_seek_ms must be > 0, got {self.min_seek_ms}")
-        if self.max_seek_ms < self.min_seek_ms:
-            raise ValueError("max_seek_ms must be >= min_seek_ms")
-        if self.short_seek_tracks < 0:
-            raise ValueError("short_seek_tracks must be >= 0")
+    """Piecewise seek-time estimator over the module's drive constants."""
 
     def seek_ms(self, distance_sectors: int) -> float:
         """Estimated time to reposition by ``distance_sectors`` (signed).
@@ -59,19 +55,17 @@ class SeekTimeModel:
         """
         if distance_sectors == 0:
             return 0.0
-        tracks = self.geometry.tracks_spanned(distance_sectors)
-        if tracks <= self.short_seek_tracks:
+        tracks = abs(distance_sectors) // TRACK_SECTORS
+        if tracks <= SHORT_SEEK_TRACKS:
             if distance_sectors > 0:
-                return self.geometry.transfer_ms(distance_sectors)
+                return transfer_ms(distance_sectors)
             # Missed rotation: wait almost a full revolution to "back up".
-            return self.geometry.revolution_ms - self.geometry.transfer_ms(
-                min(-distance_sectors, self.geometry.track_sectors)
-            )
+            return REVOLUTION_MS - transfer_ms(min(-distance_sectors, TRACK_SECTORS))
         # Long seek: head travel grows ~sqrt(distance) per classic seek
         # curves, plus an expected half rotation of latency.
-        frac = min(1.0, tracks / self.geometry.tracks)
-        head_ms = self.min_seek_ms + (self.max_seek_ms - self.min_seek_ms) * math.sqrt(frac)
-        return head_ms + self.geometry.revolution_ms / 2.0
+        frac = min(1.0, tracks / TRACKS)
+        head_ms = MIN_SEEK_MS + (MAX_SEEK_MS - MIN_SEEK_MS) * math.sqrt(frac)
+        return head_ms + REVOLUTION_MS / 2.0
 
     def total_ms(self, distances: Iterable[int]) -> float:
         """Aggregate seek time over an iterable of signed distances."""

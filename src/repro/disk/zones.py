@@ -33,15 +33,12 @@ class Zone:
         length: Zone size in sectors.
         write_pointer: Next writable sector (absolute); sectors in
             ``[start, write_pointer)`` hold data.
-        conventional: True for conventional (randomly writable) zones, such
-            as a drive's media-cache region on some models.
     """
 
     zone_id: int
     start: int
     length: int
     write_pointer: int
-    conventional: bool = False
 
     @property
     def end(self) -> int:
@@ -67,8 +64,6 @@ class ZonedAddressSpace:
         zone_sectors: Size of each zone (drives ship 256 MiB zones; tests
             use small ones).
         n_zones: Number of zones.
-        conventional_zones: How many leading zones are conventional
-            (randomly writable) — used to model media-cache regions.
     """
 
     DEFAULT_ZONE_SECTORS = 256 * SECTORS_PER_MIB
@@ -77,16 +72,11 @@ class ZonedAddressSpace:
         self,
         zone_sectors: int = DEFAULT_ZONE_SECTORS,
         n_zones: int = 64,
-        conventional_zones: int = 0,
     ) -> None:
         if zone_sectors <= 0:
             raise ValueError(f"zone_sectors must be > 0, got {zone_sectors}")
         if n_zones <= 0:
             raise ValueError(f"n_zones must be > 0, got {n_zones}")
-        if not 0 <= conventional_zones <= n_zones:
-            raise ValueError(
-                f"conventional_zones must be in [0, {n_zones}], got {conventional_zones}"
-            )
         self._zone_sectors = zone_sectors
         self._zones: List[Zone] = [
             Zone(
@@ -94,7 +84,6 @@ class ZonedAddressSpace:
                 start=i * zone_sectors,
                 length=zone_sectors,
                 write_pointer=i * zone_sectors,
-                conventional=i < conventional_zones,
             )
             for i in range(n_zones)
         ]
@@ -120,9 +109,8 @@ class ZonedAddressSpace:
     def write(self, pba: int, length: int) -> None:
         """Record a write of ``[pba, pba+length)``, enforcing zone rules.
 
-        Sequential zones demand ``pba`` equal the write pointer and the
-        write not to cross the zone end.  Conventional zones accept any
-        in-range write (their pointer tracks the high-water mark).
+        Zones demand ``pba`` equal the write pointer and the write not to
+        cross the zone end.
         """
         if length <= 0:
             raise ValueError(f"length must be > 0, got {length}")
@@ -132,9 +120,6 @@ class ZonedAddressSpace:
             raise SequentialZoneError(
                 f"write [{pba}, {end}) crosses zone {zone.zone_id} end {zone.end}"
             )
-        if zone.conventional:
-            zone.write_pointer = max(zone.write_pointer, end)
-            return
         if pba != zone.write_pointer:
             raise SequentialZoneError(
                 f"zone {zone.zone_id}: write at {pba} != write pointer "

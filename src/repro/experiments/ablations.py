@@ -28,7 +28,7 @@ from repro.core.cleaning import ZonedCleaningTranslator
 from repro.core.config import LS, LS_ALL, NOLS, TechniqueConfig, build_translator
 from repro.core.defrag import DefragConfig
 from repro.core.metrics import seek_amplification
-from repro.core.multifrontier import MultiFrontierTranslator
+from repro.core.multifrontier import REGION_MIB, MultiFrontierTranslator
 from repro.core.prefetch import PrefetchConfig
 from repro.core.selective_cache import SelectiveCacheConfig
 from repro.core.translators import LogStructuredTranslator
@@ -93,27 +93,27 @@ def _grid_needs(workloads, grid) -> dict:
     return {name: [NOLS, *grid] for name in workloads}
 
 
-def cache_needs(seed: int = 42, scale: float = 1.0) -> dict:
+def cache_needs(seed: int, scale: float) -> dict:
     return _grid_needs(CACHE_WORKLOADS, CACHE_GRID)
 
 
-def defrag_needs(seed: int = 42, scale: float = 1.0) -> dict:
+def defrag_needs(seed: int, scale: float) -> dict:
     return _grid_needs(DEFRAG_WORKLOADS, DEFRAG_GRID)
 
 
-def prefetch_needs(seed: int = 42, scale: float = 1.0) -> dict:
+def prefetch_needs(seed: int, scale: float) -> dict:
     return _grid_needs(PREFETCH_WORKLOADS, PREFETCH_GRID)
 
 
-def combined_needs(seed: int = 42, scale: float = 1.0) -> dict:
+def combined_needs(seed: int, scale: float) -> dict:
     return _grid_needs(TABLE1, SINGLE_CONFIGS + (LS_ALL,))
 
 
-def multifrontier_needs(seed: int = 42, scale: float = 1.0) -> dict:
+def multifrontier_needs(seed: int, scale: float) -> dict:
     return {"w91": [frontier_layouts]}
 
 
-def taxonomy_needs(seed: int = 42, scale: float = 1.0) -> dict:
+def taxonomy_needs(seed: int, scale: float) -> dict:
     return {name: [NOLS, LS, character] for name in TABLE1}
 
 
@@ -128,7 +128,7 @@ def _sweep_safs(
     ]
 
 
-def run_cache(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run_cache(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Selective-cache capacity sweep on a cache-friendly workload (w91),
     a capacity-limited one (usr_1) and a small-working-set one (hm_1)."""
     sizes = CACHE_SIZES
@@ -153,7 +153,7 @@ def run_cache(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None)
     return data
 
 
-def run_defrag(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run_defrag(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Defrag throttle grid (N x k) on w91 (defrag helps) and w20 (hurts)."""
     engine = sweep_engine(seed, scale)
     data = {}
@@ -180,7 +180,7 @@ def run_defrag(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None
     return data
 
 
-def run_prefetch(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run_prefetch(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Prefetch window sweep on w91 (cluster-local fragments) and hm_1
     (temporally scattered fragments — windows cannot help much)."""
     windows = PREFETCH_WINDOWS
@@ -225,7 +225,7 @@ def _overwrite_workload(seed: int, scale: float):
     return generate_workload(spec, seed=seed)
 
 
-def run_cleaning(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run_cleaning(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Over-provisioning sweep for the finite-disk cleaning translator.
 
     More spare zones → fewer, cheaper cleanings (lower WAF) at the cost of
@@ -241,7 +241,6 @@ def run_cleaning(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = No
             frontier_base=trace.max_end,
             zone_mib=1.0,
             n_zones=n_zones,
-            reserve_zones=2,
             address_map=_kernel_map(),
         )
         stats = _replay(trace, translator).stats
@@ -288,7 +287,7 @@ def frontier_layouts(engine, trace) -> dict:
     single_stats = _replay(trace, single).stats
     dual = MultiFrontierTranslator(
         frontier_base=trace.max_end,
-        region_sectors=mib_to_sectors(2048),
+        region_sectors=mib_to_sectors(REGION_MIB),
         address_map=_kernel_map(),
     )
     dual_stats = _replay(trace, dual).stats
@@ -309,9 +308,7 @@ def frontier_layouts(engine, trace) -> dict:
     }
 
 
-def run_multifrontier(
-    seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None
-) -> dict:
+def run_multifrontier(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Single vs WOLF-style dual frontier on a hot/cold mixed workload."""
     data = sweep_engine(seed, scale).analysis("w91", frontier_layouts)
     single, dual = data["single"], data["dual"]
@@ -335,7 +332,7 @@ def run_multifrontier(
     return data
 
 
-def run_combined(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run_combined(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """All three techniques composed, vs the best single technique.
 
     Fig. 11 evaluates the mechanisms one at a time; a deployed translation
@@ -392,7 +389,7 @@ def character(engine, trace):
     return characterize(trace)
 
 
-def run_taxonomy(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run_taxonomy(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """§III taxonomy: classify every workload, predicted vs measured."""
     engine = sweep_engine(seed, scale)
     data = {}

@@ -117,12 +117,13 @@ def save_json(exhibit: str, data: dict, out_dir: Optional[str]) -> Optional[Path
     return atomic_write_json(out / f"{exhibit}.json", data)
 
 
-def downsample(series: Iterable[float], max_points: int = 200) -> list:
-    """Thin a long series for JSON output, keeping first/last points."""
+def downsample(series: Iterable[float]) -> list:
+    """Thin a long series to 200 points for JSON output, keeping the
+    first and last."""
     values = list(series)
-    if len(values) <= max_points:
+    if len(values) <= 200:
         return values
-    stride = len(values) / max_points
-    picked = [values[int(i * stride)] for i in range(max_points)]
+    stride = len(values) / 200
+    picked = [values[int(i * stride)] for i in range(200)]
     picked[-1] = values[-1]
     return picked

@@ -43,12 +43,12 @@ def popularity(engine, trace) -> dict:
     return popularity_row(popularity_curve_fast(stats))
 
 
-def needs(seed: int = 42, scale: float = 1.0) -> dict:
+def needs(seed: int, scale: float) -> dict:
     """The popularity row of every Fig. 10 workload."""
     return {name: [popularity] for name in FIG10_WORKLOADS}
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate Fig. 10 for the paper's eight workloads.
 
     Shape to check: fragment accesses are highly skewed, and the fragments

@@ -20,7 +20,7 @@ from repro.workloads import CLOUDPHYSICS_WORKLOADS, MSR_WORKLOADS
 EXHIBIT = "fig11"
 
 
-def needs(seed: int = 42, scale: float = 1.0) -> dict:
+def needs(seed: int, scale: float) -> dict:
     """NoLS and every paper config, on every workload of both families."""
     return {
         name: [NOLS, *PAPER_CONFIGS]
@@ -28,7 +28,7 @@ def needs(seed: int = 42, scale: float = 1.0) -> dict:
     }
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate Fig. 11: total SAF per workload under plain LS,
     LS+opportunistic defrag, LS+look-ahead-behind prefetch and
     LS+selective caching (64 MB), for the MSR and CloudPhysics sets.

@@ -13,12 +13,12 @@ from repro.workloads import FIG2_CLOUDPHYSICS, FIG2_MSR
 EXHIBIT = "fig2"
 
 
-def needs(seed: int = 42, scale: float = 1.0) -> dict:
+def needs(seed: int, scale: float) -> dict:
     """The NoLS and LS points of every Fig. 2 workload."""
     return {name: [NOLS, LS] for name in FIG2_MSR + FIG2_CLOUDPHYSICS}
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate Fig. 2: per-workload read/write seek counts for the
     untranslated (NoLS) and log-structured (LS) replays.
 

@@ -22,24 +22,21 @@ from repro.workloads import FIG3_WORKLOADS
 
 EXHIBIT = "fig3"
 WINDOW_OPS = 500
-MIN_SEEK_KIB = 500.0
 
 
 def long_seek_diff(engine, trace) -> list:
     """The full-resolution LS − NoLS difference series of one workload."""
-    ls_series = stream_windowed_long_seeks(
-        engine.stream_for(trace), WINDOW_OPS, MIN_SEEK_KIB
-    )
-    nols_series = nols_windowed_long_seeks(trace, WINDOW_OPS, MIN_SEEK_KIB)
+    ls_series = stream_windowed_long_seeks(engine.stream_for(trace), WINDOW_OPS)
+    nols_series = nols_windowed_long_seeks(trace, WINDOW_OPS)
     return long_seek_difference_series(ls_series, nols_series)
 
 
-def needs(seed: int = 42, scale: float = 1.0) -> dict:
+def needs(seed: int, scale: float) -> dict:
     """The difference series of every Fig. 3 workload."""
     return {name: [long_seek_diff] for name in FIG3_WORKLOADS}
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate Fig. 3 for usr_1, web_0, w91 and w55.
 
     Shape to check: the difference series is strongly bursty — seek

@@ -51,12 +51,12 @@ def distance_cdfs(engine, trace) -> dict:
     }
 
 
-def needs(seed: int = 42, scale: float = 1.0) -> dict:
+def needs(seed: int, scale: float) -> dict:
     """Both CDFs of every Fig. 4 workload."""
     return {name: [distance_cdfs] for name in FIG4_WORKLOADS}
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate Fig. 4 for src2_2, usr_0, w84 and w64.
 
     Shape to check: the LS distance distribution is much wider than the

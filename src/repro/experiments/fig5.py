@@ -32,17 +32,17 @@ def fragmentation(engine, trace) -> dict:
         "fragmented_reads": len(fragments),
         "total_fragments": sum(fragments),
         "max_fragments_per_read": max(fragments) if fragments else 0,
-        "top20": fraction_of_fragments_in_top_reads_fast(fragments, 0.2),
+        "top20": fraction_of_fragments_in_top_reads_fast(fragments),
         "cdf": [(float(x), float(f)) for x, f in fragment_cdf_fast(fragments)],
     }
 
 
-def needs(seed: int = 42, scale: float = 1.0) -> dict:
+def needs(seed: int, scale: float) -> dict:
     """The fragmentation row of every Fig. 5 workload."""
     return {name: [fragmentation] for name in FIG5_WORKLOADS}
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate Fig. 5 for usr_0, hm_1, w20 and w36.
 
     Shape to check: fragments concentrate — the most-fragmented ~20 % of

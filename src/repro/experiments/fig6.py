@@ -40,7 +40,7 @@ def _scenario(defrag: bool) -> dict:
     return steps
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate the Fig. 6 walkthrough (seed/scale unused: exact scenario).
 
     Expected, matching the figure: the first read of LBAs 2..5 spans 4

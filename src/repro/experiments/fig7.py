@@ -36,12 +36,12 @@ def write_sample(engine, trace) -> dict:
     }
 
 
-def needs(seed: int = 42, scale: float = 1.0) -> dict:
+def needs(seed: int, scale: float) -> dict:
     """The write sample of every Fig. 7 workload."""
     return {name: [write_sample] for name in FIG7_WORKLOADS}
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate Fig. 7 for hm_1 and w106: a window of the write stream's
     LBAs, showing locally descending runs (the mis-ordered pattern).
 

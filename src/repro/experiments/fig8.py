@@ -10,27 +10,26 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.fast import misorder_rate_fast
+from repro.analysis.fast import MISORDER_HORIZON_KIB, misorder_rate_fast
 from repro.experiments.common import save_json
 from repro.experiments.render import hbar_chart
 from repro.experiments.sweep import sweep_engine
 from repro.workloads import TABLE1
 
 EXHIBIT = "fig8"
-HORIZON_KIB = 256.0
 
 
 def misorder(engine, trace) -> float:
     """The mis-ordered write rate of one workload."""
-    return round(misorder_rate_fast(trace, HORIZON_KIB), 5)
+    return round(misorder_rate_fast(trace), 5)
 
 
-def needs(seed: int = 42, scale: float = 1.0) -> dict:
+def needs(seed: int, scale: float) -> dict:
     """The rate of every Table I workload."""
     return {name: [misorder] for name in TABLE1}
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate Fig. 8: the fraction of writes whose LBA sequentially
     follows a write issued within the next 256 KB of written volume.
 
@@ -42,7 +41,7 @@ def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> di
     print(
         hbar_chart(
             sorted(data.items(), key=lambda kv: -kv[1]),
-            title=f"Fig. 8: mis-ordered write rate (horizon {HORIZON_KIB:g} KB)",
+            title=f"Fig. 8: mis-ordered write rate (horizon {MISORDER_HORIZON_KIB:g} KB)",
             fmt="{:.4f}",
         )
     )

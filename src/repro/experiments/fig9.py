@@ -40,7 +40,7 @@ def _scenario(stats) -> dict:
     }
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate the Fig. 9 walkthrough (seed/scale unused: exact scenario).
 
     Expected, matching the figure: without prefetching the read of LBAs

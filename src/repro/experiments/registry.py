@@ -90,12 +90,7 @@ def resolve_names(requested: Sequence[str]) -> List[str]:
     return list(requested)
 
 
-def run_exhibit(
-    name: str,
-    seed: int = 42,
-    scale: float = 1.0,
-    out_dir: Optional[str] = None,
-) -> dict:
+def run_exhibit(name: str, seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Run one exhibit by name (KeyError lists the valid names)."""
     try:
         runner = EXHIBITS[name]

@@ -32,30 +32,24 @@ def format_table(
 
 def hbar_chart(
     items: Sequence[Tuple[str, float]],
-    width: int = 50,
     title: Optional[str] = None,
     fmt: str = "{:.2f}",
 ) -> str:
-    """Render labeled horizontal bars scaled to the maximum value."""
+    """Render labeled horizontal bars, 50 characters at the maximum value."""
     if not items:
         return title or ""
     peak = max(value for _, value in items) or 1.0
     label_w = max(len(label) for label, _ in items)
     lines: List[str] = [title] if title else []
     for label, value in items:
-        bar = "#" * max(0, round(width * value / peak))
+        bar = "#" * max(0, round(50 * value / peak))
         lines.append(f"{label.ljust(label_w)} | {bar} {fmt.format(value)}")
     return "\n".join(lines)
 
 
-def step_cdf(
-    points: Sequence[Tuple[float, float]],
-    width: int = 60,
-    height: int = 12,
-    title: Optional[str] = None,
-    x_fmt: str = "{:.3g}",
-) -> str:
-    """Render a CDF as a coarse character plot (x: value, y: F(x))."""
+def step_cdf(points: Sequence[Tuple[float, float]], title: Optional[str] = None) -> str:
+    """Render a CDF as a coarse 60 x 12 character plot (x: value, y: F(x))."""
+    width, height = 60, 12
     lines: List[str] = [title] if title else []
     if not points:
         lines.append("(empty)")
@@ -72,17 +66,17 @@ def step_cdf(
         frac = 1.0 - i / (height - 1)
         lines.append(f"{frac:4.2f} |" + "".join(row))
     lines.append("     +" + "-" * width)
-    lines.append(f"      {x_fmt.format(lo)}{' ' * (width - 12)}{x_fmt.format(hi)}")
+    lines.append(f"      {lo:.3g}{' ' * (width - 12)}{hi:.3g}")
     return "\n".join(lines)
 
 
-def sparkline(values: Sequence[float], width: int = 72) -> str:
-    """Compress a series into one line of block characters."""
+def sparkline(values: Sequence[float]) -> str:
+    """Compress a series into one line of at most 72 block characters."""
     if not values:
         return "(empty)"
-    if len(values) > width:
-        stride = len(values) / width
-        values = [values[int(i * stride)] for i in range(width)]
+    if len(values) > 72:
+        stride = len(values) / 72
+        values = [values[int(i * stride)] for i in range(72)]
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0
     blocks = " .:-=+*#%@"

@@ -6,7 +6,7 @@ exhibit; this module folds them into a single human-readable
 EXPERIMENTS.md::
 
     from repro.experiments.report import write_report
-    write_report("results", "results/REPORT.md")
+    write_report("results")  # -> results/REPORT.md
 """
 
 from __future__ import annotations
@@ -153,12 +153,9 @@ def build_report(results_dir: Union[str, Path]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(
-    results_dir: Union[str, Path],
-    out_path: Union[str, Path, None] = None,
-) -> Path:
-    """Write the report (default: ``<results_dir>/REPORT.md``)."""
+def write_report(results_dir: Union[str, Path]) -> Path:
+    """Write the report to ``<results_dir>/REPORT.md``."""
     results = Path(results_dir)
-    out = Path(out_path) if out_path else results / "REPORT.md"
+    out = results / "REPORT.md"
     out.write_text(build_report(results))
     return out

@@ -210,7 +210,7 @@ class RunManifest:
         status: str,
         fingerprint: str,
         duration_s: float,
-        error: Optional[str] = None,
+        error: Optional[str],
     ) -> None:
         self.exhibits[name] = {
             "status": status,

@@ -28,11 +28,10 @@ class SvgCanvas:
         self.height = height
         self._elements: List[str] = []
 
-    def rect(self, x: float, y: float, w: float, h: float, fill: str,
-             opacity: float = 1.0) -> None:
+    def rect(self, x: float, y: float, w: float, h: float, fill: str) -> None:
         self._elements.append(
             f'<rect x="{x:.1f}" y="{y:.1f}" width="{w:.1f}" height="{h:.1f}" '
-            f'fill="{fill}" fill-opacity="{opacity:g}"/>'
+            f'fill="{fill}" fill-opacity="1"/>'
         )
 
     def line(self, x1: float, y1: float, x2: float, y2: float,
@@ -43,23 +42,21 @@ class SvgCanvas:
             f'stroke="{stroke}" stroke-width="{width:g}"{dash_attr}/>'
         )
 
-    def polyline(self, points: Sequence[Tuple[float, float]], stroke: str,
-                 width: float = 1.5) -> None:
+    def polyline(self, points: Sequence[Tuple[float, float]], stroke: str) -> None:
         coords = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
         self._elements.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width:g}"/>'
+            f'stroke-width="1.5"/>'
         )
 
     def text(self, x: float, y: float, content: str, size: int = 11,
-             anchor: str = "start", rotate: Optional[float] = None,
-             fill: str = "#222") -> None:
+             anchor: str = "start", rotate: Optional[float] = None) -> None:
         transform = (
             f' transform="rotate({rotate:g} {x:.1f} {y:.1f})"' if rotate else ""
         )
         self._elements.append(
             f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" {_FONT} '
-            f'text-anchor="{anchor}" fill="{fill}"{transform}>'
+            f'text-anchor="{anchor}" fill="#222"{transform}>'
             f"{escape(content)}</text>"
         )
 
@@ -73,15 +70,15 @@ class SvgCanvas:
         )
 
 
-def _nice_ticks(peak: float, n: int = 5) -> List[float]:
-    """A handful of round-ish axis ticks from 0 to just past ``peak``."""
+def _nice_ticks(peak: float) -> List[float]:
+    """About five round-ish axis ticks from 0 to just past ``peak``."""
     if peak <= 0:
         return [0.0, 1.0]
-    raw = peak / n
+    raw = peak / 5
     magnitude = 10 ** int(f"{raw:e}".split("e")[1])
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * magnitude
-        if step * n >= peak:
+        if step * 5 >= peak:
             break
     count = int(peak / step) + 1
     return [step * i for i in range(count + 1)]
@@ -92,11 +89,12 @@ def grouped_bar_chart(
     series_labels: Sequence[str],
     title: str,
     y_label: str = "",
-    width: int = 840,
     height: int = 420,
     reference_line: Optional[float] = None,
 ) -> str:
-    """Fig. 11-style grouped bars: one cluster per group, one bar per series."""
+    """Fig. 11-style grouped bars, 840 px wide: one cluster per group, one
+    bar per series."""
+    width = 840
     if not groups or not series_labels:
         raise ValueError("groups and series_labels must be non-empty")
     for label, values in groups:
@@ -155,10 +153,10 @@ def line_chart(
     title: str,
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 400,
 ) -> str:
-    """Fig. 3/4/5/10-style line/step chart with one polyline per series."""
+    """Fig. 3/4/5/10-style line/step chart, 720 x 400 px, with one polyline
+    per series."""
+    width, height = 720, 400
     if not series or all(not points for _, points in series):
         raise ValueError("series must contain at least one point")
     canvas = SvgCanvas(width, height)
@@ -212,10 +210,8 @@ def bar_chart(
     items: Sequence[Tuple[str, float]],
     title: str,
     y_label: str = "",
-    width: int = 840,
-    height: int = 400,
 ) -> str:
-    """Fig. 8-style single-series bar chart."""
+    """Fig. 8-style single-series bar chart, 840 x 400 px."""
     if not items:
         raise ValueError("items must be non-empty")
     return grouped_bar_chart(
@@ -223,6 +219,5 @@ def bar_chart(
         series_labels=[y_label or "value"],
         title=title,
         y_label=y_label,
-        width=width,
-        height=height,
+        height=400,
     )

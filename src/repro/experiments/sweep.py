@@ -62,6 +62,7 @@ from repro.core.stream import (
     stream_replay,
     supports_stream,
 )
+from repro.experiments import common
 from repro.experiments.common import workload_trace
 from repro.trace.trace import Trace
 
@@ -79,22 +80,15 @@ class SweepEngine:
         seed / scale: Workload synthesis parameters.
         fast: Compute points with the kernels (True) or the reference
             :class:`~repro.core.simulator.Simulator` (False, the oracle).
-        stream_store: Persistent stream store to share recordings across
-            processes, or None to defer to the process-wide store
-            (:func:`~repro.experiments.common.set_stream_store`).
+
+    Recordings are shared across processes through the process-wide
+    stream store (:func:`~repro.experiments.common.set_stream_store`).
     """
 
-    def __init__(
-        self,
-        seed: int = 42,
-        scale: float = 1.0,
-        fast: bool = True,
-        stream_store=None,
-    ) -> None:
+    def __init__(self, seed: int = 42, scale: float = 1.0, fast: bool = True) -> None:
         self.seed = seed
         self.scale = scale
         self.fast = fast
-        self._stream_store_override = stream_store
         # trace.content_key() -> stream; the content key survives
         # re-loads of the same workload, so a trace reaching this engine
         # through a different path (fresh synthesis vs compiled-store
@@ -123,14 +117,6 @@ class SweepEngine:
         """The workload trace (memoized + compiled-store-backed)."""
         return workload_trace(name, self.seed, self.scale)
 
-    def stream_store(self):
-        """The effective :class:`StreamStore` (constructor override wins)."""
-        if self._stream_store_override is not None:
-            return self._stream_store_override
-        from repro.experiments import common
-
-        return common.stream_store()
-
     def stream_for(self, trace: Trace) -> FragmentStream:
         """The recorded fragment-access stream of ``trace`` (memoized).
 
@@ -143,7 +129,7 @@ class SweepEngine:
         if stream is not None:
             self._streams.move_to_end(key)
             return stream
-        store = self.stream_store()
+        store = common.stream_store()
         stream = store.load_stream(trace) if store is not None else None
         if stream is None:
             stream = record_fragment_stream(trace)
@@ -272,7 +258,7 @@ _ENGINES_MAX = 4
 _engines: "OrderedDict[Tuple[int, float], SweepEngine]" = OrderedDict()
 
 
-def sweep_engine(seed: int = 42, scale: float = 1.0) -> SweepEngine:
+def sweep_engine(seed: int, scale: float) -> SweepEngine:
     """The shared engine for ``(seed, scale)`` (bounded LRU registry).
 
     Exhibits fetch their engine here so a run shares results (the NoLS

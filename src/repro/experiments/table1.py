@@ -18,12 +18,12 @@ def trace_stats(engine, trace):
     return compute_stats(trace)
 
 
-def needs(seed: int = 42, scale: float = 1.0) -> dict:
+def needs(seed: int, scale: float) -> dict:
     """The stats of every Table I workload."""
     return {name: [trace_stats] for name in TABLE1}
 
 
-def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> dict:
+def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     """Regenerate Table I: per-workload counts, volumes and mean sizes.
 
     Synthetic archetypes are scaled down from the paper's traces; the

@@ -52,11 +52,9 @@ def resolve_map_tier(default: str = DEFAULT_REFERENCE_TIER) -> str:
     return tier
 
 
-def make_address_map(
-    tier: Optional[str] = None, default: str = DEFAULT_REFERENCE_TIER
-) -> AddressMap:
+def make_address_map(tier: Optional[str] = None) -> AddressMap:
     """Construct a fresh address map of the requested (or resolved) tier."""
-    resolved = resolve_map_tier(default) if tier is None else tier
+    resolved = resolve_map_tier() if tier is None else tier
     if resolved == "extent":
         from repro.extentmap.extent_map import ExtentMap
 

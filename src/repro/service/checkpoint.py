@@ -109,14 +109,12 @@ class CheckpointStore:
 
     Args:
         root: Session directory; checkpoints live in ``root/checkpoints``.
-        keep: Newest entries retained (older ones pruned after commit).
+            The :data:`KEEP_CHECKPOINTS` newest entries are retained (older
+            ones pruned after commit).
     """
 
-    def __init__(self, root: Union[str, Path], keep: int = KEEP_CHECKPOINTS) -> None:
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
+    def __init__(self, root: Union[str, Path]) -> None:
         self._dir = Path(root) / "checkpoints"
-        self._keep = keep
 
     def entry_path(self, seq: int) -> Path:
         return self._dir / f"ckpt-{seq:012d}"
@@ -205,5 +203,5 @@ class CheckpointStore:
         return None
 
     def _prune(self) -> None:
-        for seq in self.sequence_numbers()[: -self._keep]:
+        for seq in self.sequence_numbers()[:-KEEP_CHECKPOINTS]:
             remove_entry(self.entry_path(seq))

@@ -372,9 +372,9 @@ def _parse_blocks(
     source: TextSource,
     name: str,
     report: ParseReport,
-    max_ops: Optional[int] = None,
-    disk_number: Optional[int] = None,
-    capacity_sectors: Optional[int] = None,
+    max_ops: Optional[int],
+    disk_number: Optional[int],
+    capacity_sectors: Optional[int],
 ) -> ColumnarTrace:
     """Bulk-parse ``source`` block by block, or raise :class:`_Fallback`
     (``report`` is written only once every block read has parsed clean)."""
@@ -492,10 +492,7 @@ def parse_cloudphysics_text(
     :func:`repro.trace.cloudphysics.parse_cloudphysics_lines`)."""
     report = make_report(report, name, policy)
     try:
-        return _parse_blocks(
-            _CLOUDPHYSICS, text, name, report, max_ops,
-            capacity_sectors=capacity_sectors,
-        )
+        return _parse_blocks(_CLOUDPHYSICS, text, name, report, max_ops, None, capacity_sectors)
     except _Fallback:
         from repro.trace.cloudphysics import parse_cloudphysics_lines
 
@@ -526,9 +523,7 @@ def parse_csv_text(
     """
     report = make_report(report, report_name or name, policy)
     try:
-        return _parse_blocks(
-            _CSV, text, name, report, capacity_sectors=capacity_sectors
-        )
+        return _parse_blocks(_CSV, text, name, report, None, None, capacity_sectors)
     except _Fallback:
         import csv
 

@@ -56,7 +56,7 @@ def parse_msr_lines(
         policy: Malformed-record handling — ``strict`` | ``lenient`` |
             ``quarantine`` (see :mod:`repro.trace.errors`).
         capacity_sectors: If given, records addressing past this capacity
-            are treated as malformed (pass ``DiskGeometry.capacity_sectors``).
+            (the disk's size in sectors) are treated as malformed.
         report: Optional pre-made :class:`ParseReport` to aggregate into
             (e.g. across several files); a fresh one is made otherwise.
 

@@ -28,8 +28,6 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
     return path
 
 
-def atomic_write_json(path: Union[str, Path], data: Any, indent: int = 2) -> Path:
-    """Serialize ``data`` as JSON and write it atomically to ``path``."""
-    return atomic_write_text(
-        path, json.dumps(data, indent=indent, sort_keys=True) + "\n"
-    )
+def atomic_write_json(path: Union[str, Path], data: Any) -> Path:
+    """Serialize ``data`` as indented JSON and write it atomically to ``path``."""
+    return atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -19,6 +19,10 @@ SECTORS_PER_KIB = BYTES_PER_KIB // SECTOR_BYTES
 SECTORS_PER_MIB = BYTES_PER_MIB // SECTOR_BYTES
 SECTORS_PER_GIB = BYTES_PER_GIB // SECTOR_BYTES
 
+BLOCK_SECTORS = 8
+"""One 4 KiB block: the alignment of synthetic requests and the
+granularity of the selective cache and the hot/cold classifier."""
+
 
 def bytes_to_sectors(n_bytes: int) -> int:
     """Convert a byte count to sectors, rounding up to a whole sector.

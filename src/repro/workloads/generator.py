@@ -112,9 +112,7 @@ class WorkloadGenerator:
             cluster=spec.overwrite_cluster,
             span_sectors=kib_to_sectors(spec.cluster_span_kib),
         )
-        write_seq = SequentialPattern(
-            seeds.rng_for("write.seq"), 0, ws, spec.mean_write_kib
-        )
+        write_seq = SequentialPattern(0, ws, spec.mean_write_kib)
         if spec.misorder_in_hot:
             misorder_start, misorder_len = hot_start, hot_len
         else:
@@ -122,22 +120,14 @@ class WorkloadGenerator:
             # exists in the write stream (Fig. 7) but reads rarely visit it.
             misorder_len = max(BLOCK_SECTORS, hot_start // 2 // BLOCK_SECTORS * BLOCK_SECTORS)
             misorder_start = 0
-        write_misordered = MisorderedPattern(
-            seeds.rng_for("write.misordered"),
-            misorder_start,
-            misorder_len,
-            spec.mean_write_kib,
-            group=spec.misorder_group,
-        )
-        read_scan = SequentialPattern(
-            seeds.rng_for("read.scan"), hot_start, hot_len, spec.mean_read_kib
-        )
+        write_misordered = MisorderedPattern(misorder_start, misorder_len, spec.mean_write_kib)
+        read_scan = SequentialPattern(hot_start, hot_len, spec.mean_read_kib)
         read_random = RandomAccessPattern(
             seeds.rng_for("read.random"), 0, ws, spec.mean_read_kib,
             cap_kib=4096.0, bulk_p=0.01,
         )
         read_hot = ZipfRereadPattern(seeds.rng_for("read.hot"), log, spec.zipf_alpha)
-        read_replay = ReplayReadPattern(log, window=spec.replay_window)
+        read_replay = ReplayReadPattern(log)
         hot_rng = seeds.rng_for("read.hot.span")
 
         n_reads = max(0, round(spec.n_reads * scale))

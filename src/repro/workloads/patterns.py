@@ -14,10 +14,14 @@ from itertools import accumulate
 from typing import Deque, List, Optional, Tuple
 
 from repro.util.rngtools import zipf_weights
-from repro.util.units import kib_to_sectors
+from repro.util.units import BLOCK_SECTORS, kib_to_sectors
 
-BLOCK_SECTORS = 8  # 4 KiB alignment for all synthetic requests
 Span = Tuple[int, int]  # (lba, length)
+
+#: Writes per reversed chunk of a mis-ordered run.
+MISORDER_GROUP = 4
+#: Recent writes a replay read covers, and recent writes the log keeps.
+REPLAY_WINDOW, RECENT_MAX = 32, 4096
 
 
 def sample_size(
@@ -77,34 +81,20 @@ class RandomAccessPattern:
 
 
 class SequentialPattern:
-    """Ascending sequential accesses sweeping a region, wrapping at the end."""
+    """Ascending sequential accesses of the mean size, 4 KiB-aligned,
+    sweeping a region and wrapping at the end."""
 
-    def __init__(
-        self,
-        rng: random.Random,
-        start: int,
-        length: int,
-        mean_kib: float,
-        fixed_size: bool = True,
-    ) -> None:
+    def __init__(self, start: int, length: int, mean_kib: float) -> None:
         if length <= 0:
             raise ValueError(f"region length must be > 0, got {length}")
-        self._rng = rng
         self._start = start
         self._length = length
-        self._mean_kib = mean_kib
-        self._fixed = fixed_size
+        self._size = max(BLOCK_SECTORS, (kib_to_sectors(mean_kib) // BLOCK_SECTORS) * BLOCK_SECTORS)
         self._cursor = start
         self.wraps = 0
 
     def emit(self) -> Span:
-        if self._fixed:
-            size = max(
-                BLOCK_SECTORS,
-                (kib_to_sectors(self._mean_kib) // BLOCK_SECTORS) * BLOCK_SECTORS,
-            )
-        else:
-            size = sample_size(self._rng, self._mean_kib)
+        size = self._size
         end = self._start + self._length
         if self._cursor + size > end:
             self._cursor = self._start
@@ -117,29 +107,19 @@ class SequentialPattern:
 class MisorderedPattern:
     """Sequential runs emitted in locally reversed chunks (Fig. 7 pattern).
 
-    An underlying ascending sweep is buffered ``group`` requests at a time
-    and released in reverse, so each chunk's writes are mis-ordered: every
-    write but the chunk's last sequentially follows a write issued just
-    after it.
+    An underlying ascending sweep is buffered :data:`MISORDER_GROUP`
+    requests at a time and released in reverse, so each chunk's writes are
+    mis-ordered: every write but the chunk's last sequentially follows a
+    write issued just after it.
     """
 
-    def __init__(
-        self,
-        rng: random.Random,
-        start: int,
-        length: int,
-        mean_kib: float,
-        group: int = 4,
-    ) -> None:
-        if group < 2:
-            raise ValueError(f"group must be >= 2, got {group}")
-        self._sweep = SequentialPattern(rng, start, length, mean_kib, fixed_size=True)
-        self._group = group
+    def __init__(self, start: int, length: int, mean_kib: float) -> None:
+        self._sweep = SequentialPattern(start, length, mean_kib)
         self._pending: List[Span] = []
 
     def emit(self) -> Span:
         if not self._pending:
-            chunk = [self._sweep.emit() for _ in range(self._group)]
+            chunk = [self._sweep.emit() for _ in range(MISORDER_GROUP)]
             chunk.reverse()
             self._pending = chunk
         return self._pending.pop(0)
@@ -199,10 +179,10 @@ class WrittenExtentLog:
     fragment popularity ranks stay fixed across the run, as in Fig. 10).
     """
 
-    def __init__(self, recent_max: int = 4096, hot_targets_max: int = 2048) -> None:
-        if recent_max < 1 or hot_targets_max < 1:
+    def __init__(self, hot_targets_max: int = 2048) -> None:
+        if hot_targets_max < 1:
             raise ValueError("log bounds must be >= 1")
-        self.recent: Deque[Span] = deque(maxlen=recent_max)
+        self.recent: Deque[Span] = deque(maxlen=RECENT_MAX)
         self.hot_targets: List[Span] = []
         self._hot_targets_max = hot_targets_max
 
@@ -234,23 +214,21 @@ class ZipfRereadPattern:
 
 
 class ReplayReadPattern:
-    """Read back the last ``window`` writes in the order they were written.
+    """Read back the last :data:`REPLAY_WINDOW` writes in the order they
+    were written.
 
     This is the paper's log-*friendly* case (§III's "small file creation
     and access"): read order mimics temporal write order, so the log serves
     the whole burst with a single seek.
     """
 
-    def __init__(self, log: WrittenExtentLog, window: int = 32) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+    def __init__(self, log: WrittenExtentLog) -> None:
         self._log = log
-        self._window = window
         self._pending: List[Span] = []
 
     def emit(self) -> Optional[Span]:
         if not self._pending:
-            recent = list(self._log.recent)[-self._window:]
+            recent = list(self._log.recent)[-REPLAY_WINDOW:]
             if not recent:
                 return None
             self._pending = recent

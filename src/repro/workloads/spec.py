@@ -103,7 +103,6 @@ class WorkloadSpec:
             a scan's fragments physically adjacent in the log, which
             look-ahead-behind prefetching exploits; 1 scatters them).
         cluster_span_kib: LBA span of one overwrite cluster.
-        misorder_group: Writes per reversed chunk in mis-ordered runs.
         interleave_writes: If True, the patterns of a write burst are
             interleaved evenly rather than emitted as contiguous
             sub-bursts.  Interleaving spaces hot-region overwrites apart in
@@ -122,7 +121,6 @@ class WorkloadSpec:
             fragment population stable across later read phases, which is
             what lets a small selective cache reach very high hit rates
             (the w91 shape).
-        replay_window: How many recent writes a replay read covers.
     """
 
     name: str
@@ -139,12 +137,10 @@ class WorkloadSpec:
     hot_targets_max: int = 2048
     overwrite_cluster: int = 1
     cluster_span_kib: float = 512.0
-    misorder_group: int = 4
     interleave_writes: bool = False
     misorder_in_hot: bool = True
     phases: int = 8
     write_phase_decay: float = 1.0
-    replay_window: int = 32
 
     def __post_init__(self) -> None:
         if self.family not in ("msr", "cloudphysics"):
@@ -169,16 +165,12 @@ class WorkloadSpec:
             raise ValueError(f"overwrite_cluster must be >= 1, got {self.overwrite_cluster}")
         if self.cluster_span_kib <= 0:
             raise ValueError(f"cluster_span_kib must be > 0, got {self.cluster_span_kib}")
-        if self.misorder_group < 2:
-            raise ValueError(f"misorder_group must be >= 2, got {self.misorder_group}")
         if self.phases < 1:
             raise ValueError(f"phases must be >= 1, got {self.phases}")
         if not 0.0 < self.write_phase_decay <= 1.0:
             raise ValueError(
                 f"write_phase_decay must be in (0, 1], got {self.write_phase_decay}"
             )
-        if self.replay_window < 1:
-            raise ValueError(f"replay_window must be >= 1, got {self.replay_window}")
 
     @property
     def n_reads(self) -> int:

@@ -88,10 +88,6 @@ class TestMisorderFast:
         trace = synthesize_workload("src2_2", seed=42, scale=0.2)
         assert misorder_rate_fast(trace) == pytest.approx(misorder_rate(trace))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            misorder_rate_fast(Trace([]), horizon_kib=0)
-
 
 class TestTraceArrays:
     def test_shapes_and_values(self, tiny_trace):

@@ -46,7 +46,6 @@ def _answers(summary: IncrementalDistances):
         summary.total_seek_ms(),
         summary.total_seek_ms(read_only=True),
         summary.fraction_within(2.0),
-        summary.fraction_within(2.0, read_only=False),
     )
 
 

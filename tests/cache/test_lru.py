@@ -5,11 +5,8 @@ import pytest
 from repro.cache.lru import LRUCache
 
 
-def make_cache(capacity_blocks=4, block_sectors=8):
-    return LRUCache(
-        capacity_bytes=capacity_blocks * block_sectors * 512,
-        block_sectors=block_sectors,
-    )
+def make_cache(capacity_blocks=4):
+    return LRUCache(capacity_bytes=capacity_blocks * 8 * 512)  # 4 KiB blocks
 
 
 class TestBasics:
@@ -102,11 +99,7 @@ class TestInvalidate:
 class TestValidation:
     def test_capacity_below_one_block(self):
         with pytest.raises(ValueError):
-            LRUCache(capacity_bytes=100, block_sectors=8)
-
-    def test_bad_block_sectors(self):
-        with pytest.raises(ValueError):
-            LRUCache(capacity_bytes=4096, block_sectors=0)
+            LRUCache(capacity_bytes=100)
 
     def test_bad_range(self):
         cache = make_cache()

@@ -42,10 +42,10 @@ def _cache():
 
 
 def _classifier():
-    classifier = RecencyClassifier(window=4, block_sectors=8)
+    classifier = RecencyClassifier()
     for lba in (800, 8, 400, 8, 1600, 0):
         classifier.classify_and_note(lba, 8)
-    return classifier, RecencyClassifier(window=4, block_sectors=8)
+    return classifier, RecencyClassifier()
 
 
 @pytest.mark.parametrize(

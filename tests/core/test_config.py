@@ -1,18 +1,31 @@
 """Technique-bundle / factory tests."""
 
+import json
+
+import pytest
+
 from repro.core.config import (
     ALL_CONFIGS,
     LS,
+    LS_ALL,
     LS_CACHE,
     LS_DEFRAG,
     LS_PREFETCH,
     NOLS,
     PAPER_CONFIGS,
+    MultiFrontierConfig,
+    TechniqueConfig,
     build_translator,
+    config_from_dict,
+    config_to_dict,
 )
+from repro.core.multifrontier import MultiFrontierTranslator
+from repro.core.simulator import replay
 from repro.core.translators import InPlaceTranslator, LogStructuredTranslator
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
+
+from tests.differential.oracle import normalized
 
 
 class TestPaperConfigs:
@@ -82,3 +95,55 @@ class TestLsAllConfig:
         from repro.core.config import LS_ALL
 
         assert ALL_CONFIGS[-1] is LS_ALL
+
+
+FRONTIERS = TechniqueConfig(name="LS+frontiers", multi_frontier=MultiFrontierConfig())
+#: The multi-frontier part as open requests and checkpoint headers carried
+#: it before its four settings became constants.
+OLD_FRONTIERS = {"frontiers": 2, "region_mib": 2048.0, "window": 4096, "block_sectors": 8}
+
+
+class TestSerializedConfigs:
+    @pytest.mark.parametrize("config", (NOLS, *PAPER_CONFIGS, LS_ALL, FRONTIERS),
+                             ids=lambda c: c.name)
+    def test_every_servable_config_round_trips(self, config):
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+    def test_frontiers_part_is_empty_but_on(self):
+        assert config_to_dict(FRONTIERS)["multi_frontier"] == {}
+        assert config_from_dict(config_to_dict(FRONTIERS)).multi_frontier is not None
+
+    def test_earlier_dicts_read_at_the_fixed_values(self):
+        old = {**config_to_dict(FRONTIERS), "multi_frontier": OLD_FRONTIERS, "fast": True}
+        assert config_from_dict(old) == FRONTIERS
+        old_cache = {**config_to_dict(LS_CACHE), "cache": {"capacity_mib": 64.0,
+                                                           "block_sectors": 8}}
+        assert config_from_dict(old_cache) == LS_CACHE
+
+    @pytest.mark.parametrize("key, field, value", [
+        ("multi_frontier", "window", 64), ("multi_frontier", "frontiers", 3),
+        ("cache", "block_sectors", 16),
+    ])
+    def test_other_values_of_a_fixed_field_are_refused(self, key, field, value):
+        base = FRONTIERS if key == "multi_frontier" else LS_CACHE
+        old = config_to_dict(base)
+        old[key] = {**(OLD_FRONTIERS if key == "multi_frontier" else old[key]), field: value}
+        with pytest.raises(ValueError, match=f"{key}.{field}"):
+            config_from_dict(old)
+
+    def test_earlier_multi_frontier_state_loads(self):
+        def translator():
+            return MultiFrontierTranslator(frontier_base=64, region_sectors=1 << 16)
+
+        source = translator()
+        replay(Trace([IORequest.write(8 * (i % 5), 8) for i in range(20)], name="t"), source)
+        state = source.state_dict()
+        old = {**state, "n_frontiers": 2,
+               "classifier": {**state["classifier"], "window": 4096, "block_sectors": 8}}
+        restored = translator()
+        restored.load_state(old)
+        assert normalized(restored.state_dict()) == normalized(state)
+        for bad, name in (({**old, "n_frontiers": 3}, "n_frontiers"),
+                          ({**old, "classifier": {**old["classifier"], "window": 64}}, "window")):
+            with pytest.raises(ValueError, match=name):
+                translator().load_state(bad)

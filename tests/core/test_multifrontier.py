@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import multifrontier
 from repro.core.multifrontier import MultiFrontierTranslator, RecencyClassifier
 from repro.trace.record import IORequest
 from repro.util.units import mib_to_sectors
@@ -16,26 +17,21 @@ def make_translator(**kwargs):
 
 class TestRecencyClassifier:
     def test_first_touch_is_cold(self):
-        c = RecencyClassifier(window=16)
+        c = RecencyClassifier()
         assert not c.classify_and_note(0, 8)
 
     def test_retouch_is_hot(self):
-        c = RecencyClassifier(window=16)
+        c = RecencyClassifier()
         c.classify_and_note(0, 8)
         assert c.classify_and_note(0, 8)
 
-    def test_window_eviction(self):
-        c = RecencyClassifier(window=2)
+    def test_window_eviction(self, monkeypatch):
+        monkeypatch.setattr(multifrontier, "RECENCY_WINDOW", 2)
+        c = RecencyClassifier()
         c.classify_and_note(0, 8)
         c.classify_and_note(8, 8)
         c.classify_and_note(16, 8)   # evicts block of lba 0
         assert not c.classify_and_note(0, 8)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RecencyClassifier(window=0)
-        with pytest.raises(ValueError):
-            RecencyClassifier(block_sectors=0)
 
 
 class TestFrontierPlacement:

@@ -19,8 +19,6 @@ class TestConfig:
     def test_invalid(self):
         with pytest.raises(ValueError):
             SelectiveCacheConfig(capacity_mib=0)
-        with pytest.raises(ValueError):
-            SelectiveCacheConfig(block_sectors=0)
 
 
 class TestHitMissAccounting:

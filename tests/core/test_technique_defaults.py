@@ -19,8 +19,8 @@ from repro.core.selective_cache import SelectiveCacheConfig, SelectiveFragmentCa
 def test_default_cache_instances_do_not_alias() -> None:
     first = SelectiveFragmentCache()
     second = SelectiveFragmentCache()
-    assert first.config is not second.config
-    assert first.config == SelectiveCacheConfig()
+    assert first._lru is not second._lru
+    assert first.capacity_blocks == SelectiveFragmentCache(SelectiveCacheConfig()).capacity_blocks
 
     first.admit(0, 8)
     assert first.lookup(0, 8)
@@ -60,9 +60,8 @@ def test_default_defrag_instances_do_not_alias() -> None:
 
 
 def test_explicit_config_still_respected() -> None:
-    config = SelectiveCacheConfig(capacity_mib=1.0, block_sectors=4)
-    cache = SelectiveFragmentCache(config)
-    assert cache.config is config
+    cache = SelectiveFragmentCache(SelectiveCacheConfig(capacity_mib=1.0))
+    assert cache.capacity_blocks == 256
     prefetcher = LookAheadBehindPrefetcher(PrefetchConfig(behind_kib=64.0))
     assert prefetcher.behind_sectors == 128
     defrag = OpportunisticDefrag(DefragConfig(min_fragments=4))

@@ -8,16 +8,15 @@ splits chunks at episode boundaries and runs the episode through the
 translator's own reference code, so these tests demand bit-exactness on
 
 * overwrite-heavy generated workloads and synthetic traces that force
-  hundreds of cleaning episodes, under **both** victim policies
-  (``greedy`` and ``cost_benefit``),
+  hundreds of cleaning episodes,
 * Hypothesis request soups over a tight LBA space against a small log
   (cleaning-trigger churn),
 * chunk-size independence (episode splits must not be observable), and
 * error equality for the log-full / boundary-crossing failure modes.
 
 Every comparison includes the translator's complete ``state_dict()``:
-zone write pointers, the per-zone ledger, live counts, allocation order,
-age sequence numbers and the cleaning counters.
+zone write pointers, the per-zone ledger, live counts, allocation order
+and the cleaning counters.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import batch_replay_translator
-from repro.core.cleaning import CLEANING_POLICIES, ZonedCleaningTranslator
+from repro.core.cleaning import ZonedCleaningTranslator
 from repro.core.simulator import replay
 from repro.disk.zones import SequentialZoneError
 from repro.extentmap.tiers import DEFAULT_KERNEL_TIER, make_address_map, resolve_map_tier
@@ -59,7 +58,7 @@ def _overwrite_trace(seed: int, total_ops: int = 3000) -> Trace:
     return generate_workload(spec, seed=seed)
 
 
-def _factory(trace, policy="greedy", zone_mib=0.0625, n_zones=12, tier=None):
+def _factory(trace, zone_mib=0.0625, n_zones=12, tier=None):
     def make():
         return ZonedCleaningTranslator(
             frontier_base=trace.max_end,
@@ -67,17 +66,15 @@ def _factory(trace, policy="greedy", zone_mib=0.0625, n_zones=12, tier=None):
             n_zones=n_zones,
             reserve_zones=2,
             address_map=make_address_map(tier),
-            policy=policy,
         )
 
     return make
 
 
-@pytest.mark.parametrize("policy", CLEANING_POLICIES)
 @pytest.mark.parametrize("seed", (42, 7))
-def test_overwrite_workload_matches(policy, seed):
+def test_overwrite_workload_matches(seed):
     trace = _overwrite_trace(seed)
-    make = _factory(trace, policy=policy, zone_mib=0.25, n_zones=24)
+    make = _factory(trace, zone_mib=0.25, n_zones=24)
     assert_translator_matches_reference(trace, make)
     # The comparison is only meaningful if cleaning actually ran.
     translator = make()
@@ -85,15 +82,13 @@ def test_overwrite_workload_matches(policy, seed):
     assert translator.cleaning_stats.cleanings > 0
 
 
-@pytest.mark.parametrize("policy", CLEANING_POLICIES)
-def test_array_map_tier_matches_too(policy):
+def test_array_map_tier_matches_too():
     trace = _overwrite_trace(seed=42, total_ops=1500)
     assert_translator_matches_reference(
         trace,
-        _factory(trace, policy=policy, zone_mib=0.25, n_zones=24),
+        _factory(trace, zone_mib=0.25, n_zones=24),
         make_batch_translator=_factory(
-            trace, policy=policy, zone_mib=0.25, n_zones=24,
-            tier=resolve_map_tier(DEFAULT_KERNEL_TIER),
+            trace, zone_mib=0.25, n_zones=24, tier=resolve_map_tier(DEFAULT_KERNEL_TIER)
         ),
     )
 
@@ -134,16 +129,15 @@ SYNTHETIC = {
 
 
 @pytest.mark.parametrize("case", sorted(SYNTHETIC))
-@pytest.mark.parametrize("policy", CLEANING_POLICIES)
-def test_synthetic_edge_cases_match(case, policy):
+def test_synthetic_edge_cases_match(case):
     trace = SYNTHETIC[case]
-    assert_translator_matches_reference(trace, _factory(trace, policy=policy))
+    assert_translator_matches_reference(trace, _factory(trace))
 
 
 @pytest.mark.parametrize("chunk_ops", [1, 3, 7, 64])
 def test_chunk_size_is_unobservable(chunk_ops):
     trace = SYNTHETIC["hot-spot-churn"]
-    make = _factory(trace, policy="cost_benefit")
+    make = _factory(trace)
     baseline = batch_replay_translator(trace, make())
     rechunked = batch_replay_translator(trace, make(), chunk_ops)
     assert rechunked.stats == baseline.stats
@@ -201,23 +195,16 @@ _requests = st.lists(
 )
 
 
-def _soup_factory(policy):
+def _soup_translator():
     # 24 zones x 64 sectors: live data (<= 256 sectors) always fits, but a
     # write-heavy soup overruns the writable budget and triggers cleaning.
-    def make():
-        return ZonedCleaningTranslator(
-            frontier_base=_LBA_SPACE,
-            zone_mib=64 / 2048,
-            n_zones=24,
-            reserve_zones=2,
-            policy=policy,
-        )
-
-    return make
+    return ZonedCleaningTranslator(
+        frontier_base=_LBA_SPACE, zone_mib=64 / 2048, n_zones=24, reserve_zones=2
+    )
 
 
-@given(requests=_requests, policy=st.sampled_from(CLEANING_POLICIES))
+@given(requests=_requests)
 @settings(max_examples=60, deadline=None)
-def test_request_soup_matches(requests, policy):
+def test_request_soup_matches(requests):
     trace = _trace(requests, name="soup")
-    assert_translator_matches_reference(trace, _soup_factory(policy))
+    assert_translator_matches_reference(trace, _soup_translator)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.distances import distance_cdf, fraction_within
 from repro.analysis.fragmentation import fragment_cdf, fraction_of_fragments_in_top_reads
+from repro.analysis.fast import LONG_SEEK_KIB, MISORDER_HORIZON_KIB
 from repro.analysis.misorder import misorder_rate
 from repro.analysis.popularity import FragmentPopularityRecorder
 from repro.analysis.temporal import WindowedSeekRecorder, long_seek_difference
@@ -40,7 +41,7 @@ def _replay(trace, config, *recorders):
 
 def fig3_reference(engine, trace):
     ls, nols = (
-        WindowedSeekRecorder(window_ops=fig3.WINDOW_OPS, min_seek_kib=fig3.MIN_SEEK_KIB)
+        WindowedSeekRecorder(window_ops=fig3.WINDOW_OPS, min_seek_kib=LONG_SEEK_KIB)
         for _ in range(2)
     )
     _replay(trace, LS, ls)
@@ -101,7 +102,7 @@ ORACLE_BODIES = (
     (fig4, "distance_cdfs", fig4_reference),
     (fig5, "fragmentation", fig5_reference),
     (fig7, "write_sample", fig7_reference),
-    (fig8, "misorder", lambda engine, trace: round(misorder_rate(trace, fig8.HORIZON_KIB), 5)),
+    (fig8, "misorder", lambda engine, trace: round(misorder_rate(trace, MISORDER_HORIZON_KIB), 5)),
     (fig10, "popularity", fig10_reference),
     (ablations, "character", lambda engine, trace: characterize_loop(trace)),
     (ablations, "_replay", lambda trace, translator: replay(trace, translator)),

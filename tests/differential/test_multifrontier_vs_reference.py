@@ -11,7 +11,8 @@ bit-exactness against the per-request reference on
 * synthetic traces targeting the kernel's edges (frontier switches,
   batched-run mapping thresholds, reads spanning holes and both regions),
 * Hypothesis request soups over a tight LBA space with a tiny recency
-  window (maximal hot/cold churn),
+  window (maximal hot/cold churn; the window is a module constant, which
+  these tests patch while they build a translator),
 * chunk-size independence, and
 * checkpoint/restore at arbitrary batch boundaries into fresh translators.
 
@@ -21,6 +22,8 @@ not just the aggregate stats.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +35,8 @@ from repro.core.batch import (
     batch_replay_translator,
 )
 from repro.core.config import MultiFrontierConfig, TechniqueConfig
-from repro.core.multifrontier import MultiFrontierTranslator, RecencyClassifier
+from repro.core import multifrontier
+from repro.core.multifrontier import MultiFrontierTranslator
 from repro.core.simulator import replay
 from repro.extentmap.tiers import DEFAULT_KERNEL_TIER, make_address_map, resolve_map_tier
 from repro.trace.record import IORequest
@@ -60,19 +64,18 @@ def _region_for(trace) -> int:
     return sum(r.length for r in trace if not r.is_read) + 4096
 
 
-def _factory(trace, window=64, n_frontiers=2, tier=None):
-    region = _region_for(trace)
-
-    def make():
+def _translator(frontier_base, region_sectors, window, tier=None):
+    with mock.patch.object(multifrontier, "RECENCY_WINDOW", window):
         return MultiFrontierTranslator(
-            frontier_base=trace.max_end,
-            region_sectors=region,
-            classifier=RecencyClassifier(window=window, block_sectors=8),
+            frontier_base=frontier_base,
+            region_sectors=region_sectors,
             address_map=make_address_map(tier),
-            n_frontiers=n_frontiers,
         )
 
-    return make
+
+def _factory(trace, window=64, tier=None):
+    region = _region_for(trace)
+    return lambda: _translator(trace.max_end, region, window, tier)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -97,7 +100,7 @@ def test_config_level_spelling_matches(traces):
     trace = traces["w91"]
     config = TechniqueConfig(
         name="LS+wolf",
-        multi_frontier=MultiFrontierConfig(window=256, block_sectors=8),
+        multi_frontier=MultiFrontierConfig(),
     )
     assert_batch_matches_reference(trace, config)
 
@@ -142,13 +145,6 @@ def test_synthetic_edge_cases_match(case):
     assert_translator_matches_reference(trace, _factory(trace, window=2))
 
 
-def test_three_frontiers_allocate_identically(traces):
-    # n_frontiers=3 exercises the per-frontier region arithmetic even
-    # though the stock classifier only ever emits classes 0 and 1.
-    trace = traces["hm_1"]
-    assert_translator_matches_reference(trace, _factory(trace, n_frontiers=3))
-
-
 @pytest.mark.parametrize("chunk_ops", [1, 3, 7, 64])
 def test_chunk_size_is_unobservable(traces, chunk_ops):
     trace = traces["w91"]
@@ -166,11 +162,7 @@ def test_exhaustion_raises_identically():
     trace = _trace([IORequest.write(i * 8, 8) for i in range(8)], name="exhaust")
 
     def make():
-        return MultiFrontierTranslator(
-            frontier_base=128,
-            region_sectors=32,
-            classifier=RecencyClassifier(window=2, block_sectors=8),
-        )
+        return _translator(128, 32, window=2)
 
     with pytest.raises(ValueError) as ref_exc:
         replay(trace, make())
@@ -220,14 +212,7 @@ _requests = st.lists(
 
 
 def _soup_factory(window):
-    def make():
-        return MultiFrontierTranslator(
-            frontier_base=_LBA_SPACE,
-            region_sectors=65536,
-            classifier=RecencyClassifier(window=window, block_sectors=8),
-        )
-
-    return make
+    return lambda: _translator(_LBA_SPACE, 65536, window)
 
 
 @given(requests=_requests, window=st.sampled_from([1, 2, 8, 4096]))

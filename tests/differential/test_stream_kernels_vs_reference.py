@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import fast
 from repro.analysis.popularity import FragmentPopularityRecorder
 from repro.analysis.temporal import WindowedSeekRecorder
 from repro.core.config import LS, build_translator
@@ -35,14 +36,12 @@ def pair(request):
 
 
 @pytest.mark.parametrize("window_ops,min_seek_kib", [(1000, 500.0), (500, 500.0), (250, 100.0)])
-def test_windowed_long_seeks_match_recorder(pair, window_ops, min_seek_kib):
+def test_windowed_long_seeks_match_recorder(pair, window_ops, min_seek_kib, monkeypatch):
     trace, stream = pair
     recorder = WindowedSeekRecorder(window_ops=window_ops, min_seek_kib=min_seek_kib)
     replay(trace, build_translator(trace, LS), [recorder])
-    assert (
-        stream_windowed_long_seeks(stream, window_ops, min_seek_kib)
-        == recorder.series()
-    )
+    monkeypatch.setattr(fast, "LONG_SEEK_KIB", min_seek_kib)  # the kernel's threshold
+    assert stream_windowed_long_seeks(stream, window_ops) == recorder.series()
 
 
 def test_fragment_stats_match_recorder(pair):

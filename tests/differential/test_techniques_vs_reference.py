@@ -73,21 +73,16 @@ STREAM_CONFIGS = {
     ),
     "tiny-cache": TechniqueConfig(
         name="tiny-cache",
-        cache=SelectiveCacheConfig(capacity_mib=1.0, block_sectors=4),
+        cache=SelectiveCacheConfig(capacity_mib=1.0),
     ),
 }
 
 CACHE_SWEEP_MIB = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
-def _cache_configs(sizes=CACHE_SWEEP_MIB, block_sectors=8):
+def _cache_configs(sizes=CACHE_SWEEP_MIB):
     return [
-        TechniqueConfig(
-            name=f"cache{mib:g}",
-            cache=SelectiveCacheConfig(
-                capacity_mib=mib, block_sectors=block_sectors
-            ),
-        )
+        TechniqueConfig(name=f"cache{mib:g}", cache=SelectiveCacheConfig(capacity_mib=mib))
         for mib in sizes
     ]
 
@@ -203,9 +198,9 @@ def test_random_traces_match(config, requests):
 @settings(max_examples=25, deadline=None)
 def test_random_traces_cache_sweep_matches_single_points(requests):
     trace = _trace(requests, name="hypothesis")
-    # A tiny block size relative to the LBA space so small capacities
-    # actually evict; exercises the stack-distance kernel's hit/miss edge.
-    configs = _cache_configs(sizes=(0.002, 0.004, 0.008, 0.064), block_sectors=2)
+    # Capacities of 1, 2, 4 and 16 blocks, so small caches actually evict;
+    # exercises the stack-distance kernel's hit/miss edge.
+    configs = _cache_configs(sizes=(0.004, 0.008, 0.016, 0.064))
     stream = record_fragment_stream(trace)
     swept = stream_cache_sweep(stream, configs)
     for config, result in zip(configs, swept):
@@ -266,16 +261,6 @@ def test_cache_sweep_monotone_hits(traces):
     assert hits == sorted(hits)
 
 
-def test_cache_sweep_alternate_block_size(traces):
-    configs = _cache_configs(sizes=(0.5, 1.0, 4.0, 16.0), block_sectors=16)
-    trace = traces["usr_0"]
-    stream = record_fragment_stream(trace)
-    for config, result in zip(configs, stream_cache_sweep(stream, configs)):
-        single = stream_replay(stream, config)
-        assert result.run_result.stats == single.run_result.stats, config.name
-    assert_stream_matches_reference(trace, configs[1])
-
-
 # --- support predicates and refusals -------------------------------------
 
 
@@ -304,12 +289,6 @@ def test_unsupported_configs_are_refused(traces):
         stream_replay(stream, LS_ALL)
     with pytest.raises(StreamUnsupportedError):
         stream_cache_sweep(stream, [LS_CACHE, LS_PREFETCH])
-    mixed_blocks = [
-        TechniqueConfig(name="a", cache=SelectiveCacheConfig(4.0, block_sectors=8)),
-        TechniqueConfig(name="b", cache=SelectiveCacheConfig(4.0, block_sectors=16)),
-    ]
-    with pytest.raises(StreamUnsupportedError):
-        stream_cache_sweep(stream, mixed_blocks)
 
 
 def test_sub_block_cache_is_refused_by_sweep_single_point_and_reference(traces):

@@ -1,36 +1,15 @@
-"""Additional DiskGeometry derived-quantity tests."""
+"""The drive figures the seek-time model is built on."""
 
-from repro.disk.geometry import DiskGeometry
+from repro.disk.seek_time import TRACK_SECTORS, TRACKS, transfer_ms
 from repro.util.units import gib_to_sectors
 
 
 class TestDerivedQuantities:
     def test_default_is_8tb_class(self):
-        geo = DiskGeometry()
-        assert geo.capacity_sectors == gib_to_sectors(8 * 1024)
-        assert geo.rpm == 7200
-
-    def test_tracks(self):
-        geo = DiskGeometry(capacity_sectors=1000, track_sectors=100)
-        assert geo.tracks == 10
-
-    def test_tracks_at_least_one(self):
-        geo = DiskGeometry(capacity_sectors=10, track_sectors=100)
-        assert geo.tracks == 1
+        assert TRACKS * TRACK_SECTORS == gib_to_sectors(8 * 1024)
 
     def test_transfer_scales_linearly(self):
-        geo = DiskGeometry()
-        assert abs(geo.transfer_ms(2000) - 2 * geo.transfer_ms(1000)) < 1e-9
+        assert abs(transfer_ms(2000) - 2 * transfer_ms(1000)) < 1e-9
 
     def test_transfer_zero(self):
-        assert DiskGeometry().transfer_ms(0) == 0.0
-
-    def test_revolution_scales_with_rpm(self):
-        assert DiskGeometry(rpm=15000).revolution_ms < DiskGeometry(rpm=5400).revolution_ms
-
-    def test_frozen(self):
-        import pytest
-
-        geo = DiskGeometry()
-        with pytest.raises(AttributeError):
-            geo.rpm = 5400
+        assert transfer_ms(0) == 0.0

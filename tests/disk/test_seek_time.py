@@ -2,13 +2,19 @@
 
 import pytest
 
-from repro.disk.geometry import DiskGeometry
-from repro.disk.seek_time import SeekTimeModel
+from repro.disk.seek_time import (
+    MAX_SEEK_MS,
+    REVOLUTION_MS,
+    TRACK_SECTORS,
+    TRACKS,
+    SeekTimeModel,
+    transfer_ms,
+)
 
 
 @pytest.fixture
 def model():
-    return SeekTimeModel(geometry=DiskGeometry())
+    return SeekTimeModel()
 
 
 class TestSeekTimeShape:
@@ -17,28 +23,28 @@ class TestSeekTimeShape:
 
     def test_short_forward_costs_transfer_time(self, model):
         sectors = 100  # well inside one track
-        assert abs(model.seek_ms(sectors) - model.geometry.transfer_ms(sectors)) < 1e-12
+        assert abs(model.seek_ms(sectors) - transfer_ms(sectors)) < 1e-12
 
     def test_short_backward_costs_near_full_rotation(self, model):
         cost = model.seek_ms(-100)
-        assert cost > 0.8 * model.geometry.revolution_ms
+        assert cost > 0.8 * REVOLUTION_MS
 
     def test_long_seek_includes_half_rotation(self, model):
-        distance = model.geometry.track_sectors * 1000
-        assert model.seek_ms(distance) >= model.geometry.revolution_ms / 2
+        distance = TRACK_SECTORS * 1000
+        assert model.seek_ms(distance) >= REVOLUTION_MS / 2
 
     def test_long_seek_monotone_in_distance(self, model):
-        d1 = model.geometry.track_sectors * 10
-        d2 = model.geometry.track_sectors * 100000
+        d1 = TRACK_SECTORS * 10
+        d2 = TRACK_SECTORS * 100000
         assert model.seek_ms(d2) > model.seek_ms(d1)
 
     def test_full_stroke_near_max(self, model):
-        cost = model.seek_ms(model.geometry.capacity_sectors)
-        expected = model.max_seek_ms + model.geometry.revolution_ms / 2
+        cost = model.seek_ms(TRACKS * TRACK_SECTORS)
+        expected = MAX_SEEK_MS + REVOLUTION_MS / 2
         assert abs(cost - expected) < 0.5
 
     def test_backward_long_same_as_forward_long(self, model):
-        distance = model.geometry.track_sectors * 500
+        distance = TRACK_SECTORS * 500
         assert model.seek_ms(distance) == model.seek_ms(-distance)
 
     def test_missed_rotation_worse_than_short_skip(self, model):
@@ -55,36 +61,16 @@ class TestAggregates:
         ) < 1e-12
 
 
-class TestValidation:
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SeekTimeModel(min_seek_ms=0)
-        with pytest.raises(ValueError):
-            SeekTimeModel(min_seek_ms=5, max_seek_ms=2)
-        with pytest.raises(ValueError):
-            SeekTimeModel(short_seek_tracks=-1)
-
-
 class TestGeometry:
     def test_revolution_7200rpm(self):
-        assert abs(DiskGeometry(rpm=7200).revolution_ms - 8.333) < 0.01
+        assert abs(REVOLUTION_MS - 8.333) < 0.01
 
     def test_transfer_ms(self):
-        geo = DiskGeometry(transfer_mib_s=100.0)
-        # 2048 sectors = 1 MiB at 100 MiB/s = 10 ms
-        assert abs(geo.transfer_ms(2048) - 10.0) < 1e-9
+        # 2048 sectors = 1 MiB at 180 MiB/s
+        assert abs(transfer_ms(2048) - 1000.0 / 180.0) < 1e-9
 
-    def test_tracks_spanned(self):
-        geo = DiskGeometry(track_sectors=100)
-        assert geo.tracks_spanned(250) == 2
-        assert geo.tracks_spanned(-250) == 2
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            DiskGeometry(capacity_sectors=0)
-        with pytest.raises(ValueError):
-            DiskGeometry(rpm=0)
-        with pytest.raises(ValueError):
-            DiskGeometry(transfer_mib_s=0)
-        with pytest.raises(ValueError):
-            DiskGeometry(track_sectors=-5)
+    def test_tracks_spanned(self, model):
+        # Up to one whole track spanned is a short seek, paid in transfer
+        # time; two is a long one, paid in head travel plus half a turn.
+        assert model.seek_ms(2 * TRACK_SECTORS - 1) == transfer_ms(2 * TRACK_SECTORS - 1)
+        assert model.seek_ms(2 * TRACK_SECTORS) > REVOLUTION_MS / 2

@@ -29,8 +29,6 @@ class TestLayout:
             ZonedAddressSpace(zone_sectors=0)
         with pytest.raises(ValueError):
             ZonedAddressSpace(n_zones=0)
-        with pytest.raises(ValueError):
-            ZonedAddressSpace(n_zones=2, conventional_zones=3)
 
 
 class TestSequentialWriteConstraint:
@@ -58,19 +56,6 @@ class TestSequentialWriteConstraint:
     def test_invalid_length(self, zas):
         with pytest.raises(ValueError):
             zas.write(0, 0)
-
-
-class TestConventionalZones:
-    def test_random_writes_allowed(self):
-        zas = ZonedAddressSpace(zone_sectors=100, n_zones=2, conventional_zones=1)
-        zas.write(50, 10)  # anywhere in zone 0
-        zas.write(0, 10)
-        assert zas.zones[0].write_pointer == 60  # high-water mark
-
-    def test_sequential_zone_still_enforced(self):
-        zas = ZonedAddressSpace(zone_sectors=100, n_zones=2, conventional_zones=1)
-        with pytest.raises(SequentialZoneError):
-            zas.write(150, 10)
 
 
 class TestZoneProperties:

@@ -44,18 +44,18 @@ class TestRegistry:
 
     def test_unknown_exhibit(self):
         with pytest.raises(KeyError, match="unknown exhibit"):
-            run_exhibit("fig99")
+            run_exhibit("fig99", **SMALL)
 
 
 class TestScenarioExhibits:
     def test_fig6_matches_paper_walkthrough(self):
-        data = fig6.run()
+        data = fig6.run(**SMALL)
         assert data["without_defrag"]["rd_2_5_first"]["read_seeks"] == 4
         assert data["with_defrag"]["rd_2_5_again"]["read_seeks"] <= 1
         assert data["with_defrag"]["rd_1_2"]["read_seeks"] == 2
 
     def test_fig9_matches_paper_walkthrough(self):
-        data = fig9.run()
+        data = fig9.run(**SMALL)
         assert data["without_prefetch"]["read_seeks"] == 5
         assert data["with_prefetch"]["read_seeks"] == 3
 
@@ -73,7 +73,7 @@ class TestTraceDrivenExhibits:
         assert all(0.0 <= rate <= 1.0 for rate in data.values())
 
     def test_json_dump(self, tmp_path):
-        data = fig6.run(out_dir=str(tmp_path))
+        data = fig6.run(**SMALL, out_dir=str(tmp_path))
         path = tmp_path / "fig6.json"
         assert path.exists()
         assert json.loads(path.read_text()) == data
@@ -81,12 +81,12 @@ class TestTraceDrivenExhibits:
 
 class TestCommonHelpers:
     def test_downsample_short_series(self):
-        assert downsample([1, 2, 3], max_points=10) == [1, 2, 3]
+        assert downsample([1, 2, 3]) == [1, 2, 3]
 
     def test_downsample_long_series(self):
         series = list(range(1000))
-        out = downsample(series, max_points=100)
-        assert len(out) == 100
+        out = downsample(series)
+        assert len(out) == 200
         assert out[0] == 0 and out[-1] == 999
 
     def test_save_json_disabled(self):

@@ -22,10 +22,10 @@ class TestFormatTable:
 
 class TestHbarChart:
     def test_scaling(self):
-        out = hbar_chart([("a", 10.0), ("b", 5.0)], width=10)
+        out = hbar_chart([("a", 10.0), ("b", 5.0)])
         a_line, b_line = out.splitlines()
-        assert a_line.count("#") == 10
-        assert b_line.count("#") == 5
+        assert a_line.count("#") == 50
+        assert b_line.count("#") == 25
 
     def test_empty(self):
         assert hbar_chart([], title="t") == "t"
@@ -37,9 +37,9 @@ class TestHbarChart:
 
 class TestStepCdf:
     def test_plot_dimensions(self):
-        out = step_cdf([(0.0, 0.5), (1.0, 1.0)], width=20, height=5)
+        out = step_cdf([(0.0, 0.5), (1.0, 1.0)])
         lines = out.splitlines()
-        assert len(lines) == 5 + 2  # rows + axis + labels
+        assert len(lines) == 12 + 2  # rows + axis + labels
 
     def test_empty(self):
         assert "(empty)" in step_cdf([])
@@ -47,7 +47,7 @@ class TestStepCdf:
 
 class TestSparkline:
     def test_length_capped(self):
-        assert len(sparkline(list(range(500)), width=50)) == 50
+        assert len(sparkline(list(range(500)))) == 72
 
     def test_constant_series(self):
         out = sparkline([3.0, 3.0, 3.0])

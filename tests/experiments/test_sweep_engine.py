@@ -110,10 +110,7 @@ def _technique(config):
 _labels = st.fixed_dictionaries({"name": st.text(max_size=6)})
 _techniques = st.one_of(
     st.just({"log_structured": False}),
-    st.builds(
-        lambda window: {"multi_frontier": MultiFrontierConfig(window=window)},
-        st.sampled_from([64, 4096]),
-    ),
+    st.just({"multi_frontier": MultiFrontierConfig()}),
     st.fixed_dictionaries(
         {
             "defrag": st.none() | st.builds(
@@ -125,7 +122,6 @@ _techniques = st.one_of(
             "cache": st.none() | st.builds(
                 SelectiveCacheConfig,
                 capacity_mib=st.sampled_from([0.25, 64.0]),
-                block_sectors=st.sampled_from([8, 16]),
             ),
         }
     ),
@@ -263,14 +259,15 @@ class TestStreamStoreIntegration:
         from repro.core.stream_store import StreamStore
 
         store = StreamStore(tmp_path / "streams")
+        common.set_stream_store(store)
         trace = synthesize_workload("hm_1", seed=SEED, scale=SCALE)
 
-        cold = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
+        cold = SweepEngine(seed=SEED, scale=SCALE, fast=True)
         recorded = cold.stream_for(trace)
         assert cold.streams_recorded == 1
         assert (store.hits, store.misses) == (0, 1)
 
-        warm = SweepEngine(seed=SEED, scale=SCALE, fast=True, stream_store=store)
+        warm = SweepEngine(seed=SEED, scale=SCALE, fast=True)
         loaded = warm.stream_for(trace)
         assert warm.streams_recorded == 0, "the store must serve this"
         assert (store.hits, store.misses) == (1, 1)
@@ -282,7 +279,8 @@ class TestStreamStoreIntegration:
         from repro.core.stream_store import StreamStore
 
         store = StreamStore(tmp_path / "streams")
-        engine = SweepEngine(seed=SEED, scale=SCALE, fast=fast, stream_store=store)
+        common.set_stream_store(store)
+        engine = SweepEngine(seed=SEED, scale=SCALE, fast=fast)
         stats = engine.baseline("hm_1")
         assert engine.replay(engine.trace("hm_1"), NOLS).stats == stats
         assert engine.saf("hm_1", NOLS).total == 1.0

@@ -20,7 +20,7 @@ class TestLRUProperties:
     @given(ops=lru_ops, capacity_blocks=st.integers(min_value=1, max_value=8))
     @settings(max_examples=150, deadline=None)
     def test_capacity_never_exceeded(self, ops, capacity_blocks):
-        cache = LRUCache(capacity_bytes=capacity_blocks * 8 * 512, block_sectors=8)
+        cache = LRUCache(capacity_bytes=capacity_blocks * 8 * 512)
         for op, pba, length in ops:
             if op == "insert":
                 cache.insert_range(pba, length)
@@ -36,7 +36,7 @@ class TestLRUProperties:
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_model(self, ops):
         """LRU semantics vs a brute-force recency-list model."""
-        cache = LRUCache(capacity_bytes=4 * 8 * 512, block_sectors=8)
+        cache = LRUCache(capacity_bytes=4 * 8 * 512)
         model = []  # blocks, LRU first
 
         def blocks_of(pba, length):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.fragmentation import fragment_concentration
 from repro.disk.head import DiskHead
-from repro.disk.seek_time import SeekTimeModel
+from repro.disk.seek_time import SHORT_SEEK_TRACKS, TRACK_SECTORS, SeekTimeModel
 from repro.trace.record import IORequest, OpType
 from repro.trace.trace import Trace
 from repro.util.stats import empirical_cdf
@@ -47,7 +47,7 @@ class TestSeekTimeProperties:
     def test_non_negative_and_symmetric_long(self, distance):
         model = SeekTimeModel()
         assert model.seek_ms(distance) >= 0.0
-        if model.geometry.tracks_spanned(distance) > model.short_seek_tracks:
+        if distance // TRACK_SECTORS > SHORT_SEEK_TRACKS:
             assert model.seek_ms(distance) == model.seek_ms(-distance)
 
     @given(
@@ -61,7 +61,7 @@ class TestSeekTimeProperties:
         # than a minimal head seek (true of real drives too).
         model = SeekTimeModel()
         lo, hi = sorted((d1, d2))
-        if model.geometry.tracks_spanned(lo) > model.short_seek_tracks:
+        if lo // TRACK_SECTORS > SHORT_SEEK_TRACKS:
             assert model.seek_ms(lo) <= model.seek_ms(hi) + 1e-9
 
 

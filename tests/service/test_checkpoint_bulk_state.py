@@ -25,9 +25,7 @@ from repro.util.npystore import PAGE_ALIGN
 
 from tests.service.helpers import CAPACITY, batches, flip_byte, make_columns, session_queries
 
-MULTI_FRONTIER = dataclasses.replace(
-    LS, name="LS+MF", multi_frontier=MultiFrontierConfig(window=512)
-)
+MULTI_FRONTIER = dataclasses.replace(LS, name="LS+MF", multi_frontier=MultiFrontierConfig())
 
 
 def _answers(session: ReplaySession) -> str:

@@ -1,10 +1,13 @@
-"""Reached or oracle: ``tools/reach.py`` runs every product entry point and
-``tests/reach_allowlist.txt`` names each function none of them reaches.
+"""Reached or oracle, set or constant: ``tools/reach.py`` runs every
+product entry point and ``tests/reach_allowlist.txt`` names each function
+none of them reaches and each option none of them sets.
 
 Every such function is the oracle of one reached fast path, a fault
 handler, or code ``bench/`` pins until Benchmark v2 (ROADMAP aim 2,
-"exactly one oracle per fast path").  The first test runs the entry points
-(about 15 s); the rest check the allowlist rules on tiny inputs.
+"exactly one oracle per fast path"); every such option is a deployment or
+documented setting, a test seam, or a keyword ``bench/`` passes.  The
+first test runs the entry points (about 15 s); the rest check the
+allowlist rules on tiny inputs.
 """
 
 import importlib.util
@@ -31,7 +34,8 @@ def test_every_unreached_function_is_allowlisted_exactly():
         capture_output=True, text=True, timeout=900, env=env,
     )
     assert done.returncode == 0, done.stdout[-6000:] + done.stderr[-6000:]
-    assert re.search(r"^src/repro total(\s+\d+){3}\s+0$", done.stdout, re.M), done.stdout
+    assert re.search(r"^src/repro total(\s+\d+){3}\s+0(\s+\d+){2}\s+0$", done.stdout, re.M), (
+        done.stdout)
 
 
 def fn(name, reached):
@@ -47,9 +51,18 @@ FOUND = [
     fn("pkg.err.handler", False),
     fn("pkg.live.used", True),
 ]
+OPTS = [
+    reach.Option("pkg.fast.kernel", "chunk", "src/pkg/fast.py", 1, reached=True),
+    reach.Option("pkg.fast.Knob", "size", "src/pkg/fast.py", 5, field=True, reached=True),
+    reach.Option("pkg.fast.Knob", "mode", "src/pkg/fast.py", 6, field=True, reached=True,
+                 set=True),
+    reach.Option("pkg.ref.kernel", "chunk", "src/pkg/ref.py", 1),  # unreached: out of scope
+]
 EXACT = [
     "pkg.ref oracle pkg.fast.kernel tests/test_tiny.py::test_kernel",
     "pkg.err.handler fault tests/test_tiny.py::TestErrors::test_handler",
+    "pkg.fast.kernel(chunk=) setting --chunk",
+    "pkg.fast.Knob(size=) setting Knob",
 ]
 
 
@@ -60,11 +73,17 @@ def repo(tmp_path):
         "def test_kernel():\n    pass\n\n\n"
         "class TestErrors:\n    def test_handler(self):\n        pass\n"
     )
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "cli.py").write_text(
+        "parser.add_argument('--chunk', type=int)\n")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "API.md").write_text(
+        "| Name | Purpose |\n|---|---|\n| `Knob(size)` | a documented knob |\n")
     return tmp_path
 
 
 def check(lines, repo):
-    return reach.violations(FOUND, "\n".join(lines), repo, label="allow")
+    return reach.violations(FOUND, "\n".join(lines), repo, label="allow", opts=OPTS)
 
 
 def test_an_exact_allowlist_passes(repo):
@@ -74,29 +93,40 @@ def test_an_exact_allowlist_passes(repo):
 @pytest.mark.parametrize(
     "lines, entry, says",
     [
-        (EXACT + ["pkg.live pinned 3(f)"], "allow:3: pkg.live", "stale"),
+        (EXACT + ["pkg.live pinned 3(f)"], "allow:5: pkg.live", "stale"),
         (
             ["pkg.ref.kernel oracle pkg.fast.kernel tests/test_tiny.py::test_kernel",
-             "pkg.ref.helper oracle pkg.fast tests/test_tiny.py::test_kernel", EXACT[1]],
+             "pkg.ref.helper oracle pkg.fast tests/test_tiny.py::test_kernel", *EXACT[1:]],
             "allow:2: pkg.ref.helper",
             "already has an oracle on line 1",
         ),
         (
-            ["pkg.ref oracle pkg.err.handler tests/test_tiny.py::test_kernel", EXACT[1]],
+            ["pkg.ref oracle pkg.err.handler tests/test_tiny.py::test_kernel", *EXACT[1:]],
             "allow:1: pkg.ref",
             "which no entry point reaches",
         ),
         (
-            [EXACT[0], "pkg.err.handler fault tests/test_tiny.py::TestErrors::test_gone"],
+            [EXACT[0], "pkg.err.handler fault tests/test_tiny.py::TestErrors::test_gone",
+             *EXACT[2:]],
             "allow:2: pkg.err.handler",
             "no test tests/test_tiny.py::TestErrors::test_gone",
         ),
-        (EXACT[:1], "pkg.err.handler", "unreached and not allowlisted"),
-        (EXACT + ["pkg.err pinned 4(i)"], "allow:3: pkg.err", "already allowlisted on line 2"),
-        (EXACT + ["pkg.fast pinned 9"], "allow:3: pkg.fast", "only ROADMAP items"),
+        (EXACT[:1] + EXACT[2:], "pkg.err.handler", "unreached and not allowlisted"),
+        (EXACT + ["pkg.err pinned 4(i)"], "allow:5: pkg.err", "already allowlisted on line 2"),
+        (EXACT + ["pkg.fast pinned 9"], "allow:5: pkg.fast", "only ROADMAP items"),
+        (EXACT + ["pkg.fast.Knob(mode=) setting Knob"], "allow:5: pkg.fast.Knob(mode=)",
+         "stale: a call sets it"),
+        (EXACT[:3], "pkg.fast.Knob(size=)", "no call sets it and it is not allowlisted"),
+        (EXACT[:2] + ["pkg.fast.kernel(chunk=) seam tests/test_tiny.py::test_gone", EXACT[3]],
+         "allow:3: pkg.fast.kernel(chunk=)", "no test tests/test_tiny.py::test_gone"),
+        (EXACT[:2] + ["pkg.fast.kernel(chunk=) setting --chunks", EXACT[3]],
+         "allow:3: pkg.fast.kernel(chunk=)", "neither a flag"),
+        (EXACT + ["pkg.ref.kernel(chunk=) pinned 3(f)"], "allow:5: pkg.ref.kernel(chunk=)",
+         "stale: nothing calls it"),
     ],
     ids=["stale", "two-oracles", "fast-path-unreached", "no-such-test", "no-entry",
-         "two-entries", "unpinned-item"],
+         "two-entries", "unpinned-item", "option-stale", "option-unlisted",
+         "option-seam-no-test", "option-setting-unknown", "option-unreached"],
 )
 def test_each_broken_rule_names_its_entry(repo, lines, entry, says):
     problems = check(lines, repo)
@@ -121,3 +151,37 @@ def test_nested_defs_count_for_their_enclosing_function(tmp_path):
     assert [function.qualname for function in found] == ["outer"]  # stubs are not counted
     reach.mark_reached(found, {(str(package / "mod.py"), 2)})  # only inner() was called
     assert found[0].reached
+
+
+def test_a_call_made_at_import_sets_an_option(tmp_path, monkeypatch):
+    package = tmp_path / "reachdemo"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Knob:\n"
+        "    size: int = 1\n"
+        "    mode: str = 'a'\n"
+        "\n\n"
+        "DEFAULT = Knob(size=2)  # made while the module is imported\n"
+        "\n\n"
+        "def scale(x, factor=1):\n"
+        "    return x * factor\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+
+    def entry(scratch):
+        from reachdemo.mod import scale
+
+        assert scale(3, factor=1) == 3  # the default, passed explicitly
+
+    opts = reach.options(package)
+    reach.record(opts, [entry], package="reachdemo")
+    state = {option.name: (option.reached, option.set) for option in opts}
+    assert state == {
+        "reachdemo.mod.Knob(size=)": (True, True),
+        "reachdemo.mod.Knob(mode=)": (True, False),
+        "reachdemo.mod.scale(factor=)": (True, False),
+    }

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.workloads import patterns
 from repro.workloads.patterns import (
     BLOCK_SECTORS,
     ClusteredOverwritePattern,
@@ -58,20 +59,20 @@ class TestRandomAccessPattern:
 
 class TestSequentialPattern:
     def test_ascending_and_wrapping(self):
-        pattern = SequentialPattern(rng(), 0, 100, 8.0)  # 16-sector reads
+        pattern = SequentialPattern(0, 100, 8.0)  # 16-sector reads
         spans = [pattern.emit() for _ in range(7)]
         assert [s[0] for s in spans[:6]] == [0, 16, 32, 48, 64, 80]
         assert spans[6][0] == 0  # wrapped
         assert pattern.wraps == 1
 
     def test_fixed_size(self):
-        pattern = SequentialPattern(rng(), 0, 10_000, 8.0)
+        pattern = SequentialPattern(0, 10_000, 8.0)
         assert len({s[1] for s in (pattern.emit() for _ in range(20))}) == 1
 
 
 class TestMisorderedPattern:
     def test_groups_locally_reversed(self):
-        pattern = MisorderedPattern(rng(), 0, 10_000, 8.0, group=4)
+        pattern = MisorderedPattern(0, 10_000, 8.0)  # chunks of 4
         spans = [pattern.emit() for _ in range(8)]
         lbas = [s[0] for s in spans]
         # First chunk descending, second chunk descending, chunks ascending.
@@ -80,16 +81,12 @@ class TestMisorderedPattern:
         assert lbas[4] > lbas[0]
 
     def test_union_is_sequential(self):
-        pattern = MisorderedPattern(rng(), 0, 10_000, 8.0, group=4)
+        pattern = MisorderedPattern(0, 10_000, 8.0)
         spans = sorted(pattern.emit() for _ in range(8))
         cursor = 0
         for lba, length in spans:
             assert lba == cursor
             cursor += length
-
-    def test_group_validation(self):
-        with pytest.raises(ValueError):
-            MisorderedPattern(rng(), 0, 100, 8.0, group=1)
 
 
 class TestClusteredOverwritePattern:
@@ -113,8 +110,9 @@ class TestClusteredOverwritePattern:
 
 
 class TestWrittenExtentLog:
-    def test_recent_bounded(self):
-        log = WrittenExtentLog(recent_max=2, hot_targets_max=10)
+    def test_recent_bounded(self, monkeypatch):
+        monkeypatch.setattr(patterns, "RECENT_MAX", 2)
+        log = WrittenExtentLog(hot_targets_max=10)
         for i in range(5):
             log.note_write(i * 8, 8, in_hot=False)
         assert len(log.recent) == 2
@@ -132,7 +130,7 @@ class TestWrittenExtentLog:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WrittenExtentLog(recent_max=0)
+            WrittenExtentLog(hot_targets_max=0)
 
 
 class TestZipfRereadPattern:
@@ -157,12 +155,8 @@ class TestReplayReadPattern:
         writes = [(100, 8), (0, 8), (50, 8)]
         for lba, length in writes:
             log.note_write(lba, length, in_hot=False)
-        pattern = ReplayReadPattern(log, window=3)
+        pattern = ReplayReadPattern(log)
         assert [pattern.emit() for _ in range(3)] == writes
 
     def test_none_when_empty(self):
         assert ReplayReadPattern(WrittenExtentLog()).emit() is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReplayReadPattern(WrittenExtentLog(), window=0)

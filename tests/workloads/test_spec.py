@@ -69,11 +69,9 @@ class TestSpecValidation:
             ("hot_targets_max", 0),
             ("overwrite_cluster", 0),
             ("cluster_span_kib", 0),
-            ("misorder_group", 1),
             ("phases", 0),
             ("write_phase_decay", 0.0),
             ("write_phase_decay", 1.5),
-            ("replay_window", 0),
         ],
     )
     def test_invalid_fields(self, field, value):

@@ -8,8 +8,10 @@ budget ``make loc`` and ``tests/test_loc_budget.py`` hold, lowered PR by PR.
 ``tests/`` and ``bench/`` are printed beside it so that lines moved out
 of ``src/`` to meet the budget show — and so is the surface of
 ``src/repro`` that lines do not measure: ``add_argument(`` calls,
-environment variables read, ``__all__`` names.  ``tests/test_loc_budget.py``
-holds the ``tests/`` row and the three surface rows to ceilings too.
+environment variables read, ``__all__`` names, and settable values
+(defaulted parameters plus defaulted fields of frozen dataclasses).
+``tests/test_loc_budget.py`` holds the ``tests/`` row and the four surface
+rows to ceilings too.
 """
 import argparse
 import ast
@@ -41,12 +43,26 @@ def count(path: Path) -> tuple:
     return len(text.splitlines()), len(code)
 
 
+def frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and ast.unparse(d.func).endswith("dataclass")
+               and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                       for k in d.keywords)
+               for d in node.decorator_list)
+
+
 def surface(paths) -> dict:
     """Options and names ``paths`` offer: what a line count cannot see grow."""
-    arguments, variables, exported = 0, set(), 0
+    arguments, variables, exported, settable = 0, set(), 0, 0
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and node.args:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                settable += len(node.args.defaults) + sum(
+                    default is not None for default in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and frozen_dataclass(node):
+                settable += sum(isinstance(field, ast.AnnAssign) and field.value is not None
+                                and "ClassVar" not in ast.unparse(field.annotation)
+                                for field in node.body)
+            elif isinstance(node, ast.Call) and node.args:
                 called = ast.unparse(node.func)
                 arguments += called.endswith(".add_argument")
                 if called.endswith(("environ.get", "getenv")):
@@ -56,7 +72,7 @@ def surface(paths) -> dict:
             elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
                 exported += len(node.value.elts)
     return {"add_argument( calls": arguments, "environment variables read": len(variables),
-            "__all__ names": exported}
+            "__all__ names": exported, "settable values": settable}
 
 
 def main(argv=None) -> int:

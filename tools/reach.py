@@ -1,4 +1,4 @@
-"""Which ``src/repro`` functions the product entry points reach (``make reach``).
+"""Which ``src/repro`` functions and options the product entry points reach (``make reach``).
 
 Runs every product entry point in this one process at toy size under
 ``sys.setprofile`` / ``threading.setprofile`` and records the code object
@@ -28,14 +28,36 @@ is one of::
 
 An oracle's fast path must be reached and may not overlap another
 oracle's, a named test must exist, and only the ROADMAP items in
-:data:`PINNED_ITEMS` pin code.  The tool prints the per-package report
-(lines in functions, in unreached ones, and in unreached ones no unit
-covers); ``--check`` adds one line per violation and exits 1 if there is
-any.
+:data:`PINNED_ITEMS` pin code.
+
+The same run is the parameter pass.  An option is a defaulted parameter
+of a function or method above, or a defaulted field of a frozen (config)
+dataclass, named ``<function or class>(<name>=)`` (a method's is
+``Class.method(name=)``, ``__init__``'s and a field's ``Class(name=)``).
+An option is set when any call of its function, or any construction of
+its class, passes a value other than the default; calls made while a
+module is imported count.  Every option of a reached function or of a
+constructed class that no call sets must be on exactly one line of the
+allowlist, and every option there must be one no call sets::
+
+    <option> setting <--flag | docs/API.md row>   a deployment or documented
+                                                  library option
+    <option> seam <tests/...::test>               a test substitutes it
+    <option> pinned <ROADMAP item>                kept while bench/ passes it
+
+A flag must be one an ``add_argument`` in ``src/repro`` declares, and an
+API row the leading name of a backticked entry in the first column of a
+``docs/API.md`` table.  Any other option no call sets is a constant.  The
+tool prints the per-package report (lines in functions, in unreached
+ones, and in unreached ones no unit covers; options, never set, and never
+set but not allowlisted); ``--check`` adds one line per violation and
+exits 1 if there is any.
 """
 import argparse
 import ast
 import contextlib
+import dataclasses
+import gc
 import io
 import os
 import re
@@ -44,6 +66,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -108,6 +131,76 @@ def functions(package: Path = PACKAGE) -> List[Function]:
                 start = min([node.lineno] + [d.lineno for d in node.decorator_list])
                 found.append(Function(module, prefix + node.name, path, start, node.end_lineno))
             elif isinstance(node, ast.ClassDef):
+                walk(node.body, module, path, f"{prefix}{node.name}.")
+            else:
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    walk(getattr(node, field, ()), module, path, prefix)
+
+    for path in sorted(package.rglob("*.py")):
+        walk(ast.parse(path.read_text()).body, module_name(path, package.parent), str(path), "")
+    return found
+
+
+@dataclass
+class Option:
+    """A defaulted parameter of a function or method, or a defaulted field
+    of a frozen dataclass (``field`` true)."""
+
+    owner: str  # module.qualname of the function, or of the class for a field
+    param: str
+    path: str
+    line: int  # the def's first line (its code object's), or the field's
+    field: bool = False
+    reached: bool = False
+    set: bool = False
+
+    @property
+    def name(self) -> str:
+        owner = self.owner[: -len(".__init__")] if self.owner.endswith(".__init__") else self.owner
+        return f"{owner}({self.param}=)"
+
+    @property
+    def package(self) -> str:
+        return ".".join(self.owner.split(".")[:2])
+
+
+def frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(decorator, ast.Call) and ast.unparse(decorator.func).endswith("dataclass")
+        and any(keyword.arg == "frozen" and getattr(keyword.value, "value", None) is True
+                for keyword in decorator.keywords)
+        for decorator in node.decorator_list
+    )
+
+
+def defaulted(node: ast.FunctionDef) -> List[str]:
+    """The names of ``node``'s parameters that have a default."""
+    arguments = node.args
+    positional = arguments.posonlyargs + arguments.args
+    names = [a.arg for a in positional[len(positional) - len(arguments.defaults):]]
+    return names + [a.arg for a, d in zip(arguments.kwonlyargs, arguments.kw_defaults)
+                    if d is not None]
+
+
+def options(package: Path = PACKAGE) -> List[Option]:
+    """Every option of the functions :func:`functions` finds, and every
+    defaulted field of a frozen dataclass under ``package``."""
+    found: List[Option] = []
+
+    def walk(body, module: str, path: str, prefix: str) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stub(node):
+                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                found.extend(Option(f"{module}.{prefix}{node.name}", name, path, start)
+                             for name in defaulted(node))
+            elif isinstance(node, ast.ClassDef):
+                if frozen_dataclass(node):
+                    found.extend(
+                        Option(f"{module}.{prefix}{node.name}", statement.target.id, path,
+                               statement.lineno, field=True)
+                        for statement in node.body
+                        if isinstance(statement, ast.AnnAssign) and statement.value is not None
+                        and "ClassVar" not in ast.unparse(statement.annotation))
                 walk(node.body, module, path, f"{prefix}{node.name}.")
             else:
                 for field in ("body", "orelse", "finalbody", "handlers"):
@@ -326,15 +419,107 @@ def _examples(scratch: Path) -> None:
 ENTRY_POINTS = (_experiments, _workloads, _load_traces, _sessions, _worker, _serve, _examples)
 
 
-def record(entry_points: Sequence = ENTRY_POINTS) -> Set[Tuple[str, int]]:
-    """``(filename, first line)`` of every code object the entry points call."""
+def differs(value, default) -> bool:
+    """Whether a call passed ``value`` where ``default`` would have gone."""
+    if value is default:
+        return False
+    if default is None:
+        return True
+    try:
+        return not bool(value == default)
+    except Exception:  # an array compared elementwise, or no comparison at all
+        return True
+
+
+def defaults_of(function: types.FunctionType) -> dict:
+    """Parameter name -> default of each defaulted parameter."""
+    code, positional = function.__code__, function.__defaults__ or ()
+    names = code.co_varnames[code.co_argcount - len(positional):code.co_argcount]
+    return {**dict(zip(names, positional)), **(function.__kwdefaults__ or {})}
+
+
+def function_of(frame) -> types.FunctionType:
+    """The function whose code ``frame`` runs: looked up by qualified name
+    in its module, else among the code object's referrers."""
+    code, scope = frame.f_code, frame.f_globals
+    with contextlib.suppress(KeyError, TypeError):
+        for part in code.co_qualname.split("."):
+            scope = scope[part] if isinstance(scope, dict) else vars(scope)[part]
+        for candidate in (scope, getattr(scope, "__func__", None),
+                          getattr(scope, "__wrapped__", None)):
+            if getattr(candidate, "__code__", None) is code:
+                return candidate
+    return next(referrer for referrer in gc.get_referrers(code)
+                if isinstance(referrer, types.FunctionType) and referrer.__code__ is code)
+
+
+def watch(frame, by_def: Dict[Tuple[str, int], List[Option]],
+          by_class: Dict[str, List[Option]]) -> Optional[list]:
+    """``(option, defaults)`` for each option a call of ``frame``'s code
+    can set, marked reached: the function's own, or a frozen dataclass's
+    fields when the code is an ``__init__`` ``dataclasses`` generated.  A
+    call leaves an option unset when it passes one of ``defaults``."""
+    code = frame.f_code
+    if code.co_filename == "<string>" and code.co_name == "__init__":
+        classes = type(frame.f_locals.get("self")).__mro__
+        found = [(option, klass.__dataclass_fields__[option.param]) for klass in classes
+                 for option in by_class.get(f"{klass.__module__}.{klass.__qualname__}", ())]
+        if not found:
+            return None
+        init = next(klass.__init__ for klass in classes
+                    if getattr(klass.__init__, "__code__", None) is code)
+        taken = defaults_of(init)  # a default_factory field's is a sentinel
+        entries = [(option, (taken[option.param], field.default_factory()
+                             if field.default is dataclasses.MISSING else field.default))
+                   for option, field in found]
+    else:
+        found = by_def.get((os.path.realpath(code.co_filename), code.co_firstlineno))
+        if not found:
+            return None
+        taken = defaults_of(function_of(frame))
+        entries = [(option, (taken[option.param],)) for option in found]
+    for option, _ in entries:
+        option.reached = True
+    return [entry for entry in entries if not entry[0].set] or None
+
+
+def record(found_options: Sequence[Option] = (), entry_points: Sequence = ENTRY_POINTS,
+           package: str = "repro") -> Set[Tuple[str, int]]:
+    """``(filename, first line)`` of every code object the entry points call.
+
+    Marks each of ``found_options`` reached when its function is called or
+    its class constructed, and set when a call passes another value.
+    ``frame.f_locals`` is read only for code objects that have options.
+    ``package`` must not be imported yet, so that the calls its modules
+    make at import are seen.
+    """
+    if any(name == package or name.startswith(package + ".") for name in sys.modules):
+        raise RuntimeError(f"{package} was imported before the profile started: "
+                           "calls made at import would go unseen")
     sys.path.insert(0, str(SRC))
-    called: set = set()
-    add = called.add
+    by_def: Dict[Tuple[str, int], List[Option]] = {}
+    by_class: Dict[str, List[Option]] = {}
+    for option in found_options:
+        if option.field:
+            by_class.setdefault(option.owner, []).append(option)
+        else:
+            by_def.setdefault((os.path.realpath(option.path), option.line), []).append(option)
+    watched: dict = {}  # every code object called -> its options not yet set
 
     def profile(frame, event, arg):
         if event == "call":
-            add(frame.f_code)
+            code = frame.f_code
+            try:
+                pending = watched[code]
+            except KeyError:
+                pending = watched[code] = watch(frame, by_def, by_class)
+            if pending:
+                values = frame.f_locals
+                for option, defaults in pending:
+                    if not option.set and all(differs(values[option.param], default)
+                                              for default in defaults):
+                        option.set = True
+                        watched[code] = [entry for entry in pending if not entry[0].set] or None
 
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch, \
             contextlib.redirect_stdout(io.StringIO()):
@@ -348,7 +533,7 @@ def record(entry_points: Sequence = ENTRY_POINTS) -> Set[Tuple[str, int]]:
         finally:
             sys.setprofile(None)
             threading.setprofile(None)
-    return {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in called}
+    return {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in watched}
 
 
 def mark_reached(found: List[Function], called: Iterable[Tuple[str, int]]) -> None:
@@ -395,14 +580,59 @@ def entries(allowlist: str) -> List[Tuple[int, List[str]]]:
     return [(number, line) for number, line in enumerate(lines, 1) if line]
 
 
+def settings(repo: Path = REPO) -> Set[str]:
+    """The CLI flags ``src/repro`` declares and the ``docs/API.md`` rows:
+    what a ``setting`` line may name."""
+    found: Set[str] = set()
+    for path in (repo / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".add_argument"):
+                found.update(arg.value for arg in node.args if isinstance(arg, ast.Constant)
+                             and str(arg.value).startswith("--"))
+    api = repo / "docs" / "API.md"
+    for row in api.read_text().splitlines() if api.is_file() else ():
+        if row.startswith("|"):
+            found.update(re.findall(r"`([A-Za-z_][\w.]*)", row.split("|")[1]))
+    return found
+
+
 def violations(found: Sequence[Function], allowlist: str, repo: Path = REPO,
-               label: str = "reach_allowlist.txt") -> List[str]:
+               label: str = "reach_allowlist.txt", opts: Sequence[Option] = ()) -> List[str]:
     """One line per broken rule (empty when the allowlist is exact)."""
     problems: List[str] = []
     owner: Dict[str, int] = {}
     oracle_of: Dict[str, int] = {}
+    by_name = {option.name: option for option in opts}
+    listed: Dict[str, int] = {}
+    declared: Optional[Set[str]] = None
     for number, line in entries(allowlist):
         where = f"{label}:{number}: {line[0]}"
+        if line[0].endswith("=)"):  # an option
+            kind = line[1] if len(line) == 3 else None
+            if kind not in ("setting", "seam", "pinned"):
+                problems.append(f"{where}: expected '<option> setting <flag or API row>', "
+                                f"'<option> seam <test>' or '<option> pinned <ROADMAP item>'")
+                continue
+            option = by_name.get(line[0])
+            if option is None:
+                problems.append(f"{where}: no such option in src/repro")
+            elif option.set or not option.reached:
+                problems.append(f"{where}: stale: "
+                                + ("a call sets it" if option.set else "nothing calls it"))
+            if line[0] in listed:
+                problems.append(f"{where}: already allowlisted on line {listed[line[0]]}")
+            listed.setdefault(line[0], number)
+            if kind == "pinned" and line[2] not in PINNED_ITEMS:
+                problems.append(f"{where}: pinned to {line[2]}; only ROADMAP items "
+                                f"{', '.join(PINNED_ITEMS)} pin code")
+            if kind == "seam" and not names_a_test(line[2], repo):
+                problems.append(f"{where}: no test {line[2]}")
+            if kind == "setting":
+                declared = settings(repo) if declared is None else declared
+                if line[2] not in declared:
+                    problems.append(f"{where}: {line[2]} is neither a flag src/repro "
+                                    f"declares nor a docs/API.md row")
+            continue
         want = {"oracle": 4, "fault": 3, "pinned": 3}.get(line[1] if len(line) > 1 else "")
         if want is None or len(line) != want:
             problems.append(f"{where}: expected '<unit> oracle <fast path> <test>', "
@@ -442,25 +672,40 @@ def violations(found: Sequence[Function], allowlist: str, repo: Path = REPO,
             problems.append(f"{function.name}: unreached and not allowlisted "
                             f"({os.path.relpath(function.path, repo)}:{function.start}, "
                             f"{function.lines} lines)")
+    for option in opts:
+        if option.reached and not option.set and option.name not in listed:
+            problems.append(f"{option.name}: no call sets it and it is not allowlisted "
+                            f"({os.path.relpath(option.path, repo)}:{option.line}); "
+                            f"make it a constant")
     return problems
 
 
-def report(found: Sequence[Function], allowlist: str) -> str:
-    """Per-package lines in unreached functions, allowlisted or not."""
+def report(found: Sequence[Function], allowlist: str, opts: Sequence[Option] = ()) -> str:
+    """Per package: lines in unreached functions, allowlisted or not, and
+    options no call sets, allowlisted or not."""
     allowed = {function.name for _, line in entries(allowlist)
                for function in members(line[0], found)}
+    allowed.update(line[0] for _, line in entries(allowlist))
     rows: Dict[str, List[int]] = {}
     for function in found:
         package = ".".join(function.module.split(".")[:2])
-        row = rows.setdefault(package, [0, 0, 0, 0])
+        row = rows.setdefault(package, [0] * 7)
         row[0] += 1
         row[1] += function.lines
         if not function.reached:
             row[2] += function.lines
             row[3] += function.lines * (function.name not in allowed)
+    for option in opts:
+        if option.reached:
+            row = rows.setdefault(option.package, [0] * 7)
+            row[4] += 1
+            row[5] += not option.set
+            row[6] += not option.set and option.name not in allowed
     rows["src/repro total"] = [sum(column) for column in zip(*rows.values())]
-    out = [f"{'':24s}{'functions':>10s}{'lines':>8s}{'unreached':>10s}{'not allowed':>12s}"]
-    out += [f"{name:24s}{a:10d}{b:8d}{c:10d}{d:12d}" for name, (a, b, c, d) in rows.items()]
+    out = [f"{'':24s}{'functions':>10s}{'lines':>8s}{'unreached':>10s}{'not allowed':>12s}"
+           f"{'options':>9s}{'never set':>10s}{'not allowed':>12s}"]
+    out += [f"{name:24s}{a:10d}{b:8d}{c:10d}{d:12d}{e:9d}{f:10d}{g:12d}"
+            for name, (a, b, c, d, e, f, g) in rows.items()]
     return "\n".join(out)
 
 
@@ -470,14 +715,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="exit 1 with one line per violation of the allowlist rules")
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    found = functions()
-    mark_reached(found, record())
+    found, opts = functions(), options()
+    mark_reached(found, record(opts))
     allowlist = ALLOWLIST.read_text()
-    print(report(found, allowlist))
+    print(report(found, allowlist, opts))
     print(f"entry points ran in {time.perf_counter() - started:.1f} s")
     if not args.check:
         return 0
-    problems = violations(found, allowlist)
+    problems = violations(found, allowlist, opts=opts)
     for problem in problems:
         print(problem)
     return 1 if problems else 0
