@@ -1,58 +1,72 @@
-/* The fragment-policy kernel: Algorithms 2 and 3 over columns.
+/* The fragment-policy kernel: Algorithms 1, 2 and 3 over columns.
  *
- * fp_serve() serves the fragments (pba[i], length[i]) of fragmented reads
- * in the paper's order -- selective-cache lookup, then prefetch-buffer
- * cover, then the disk access followed by the window insert and the cache
- * admit -- and writes one DISK / CACHE_HIT / BUFFER_HIT code per fragment.
- * The per-call Python methods (lookup / covers / note_fragment_read /
- * admit) are its oracle; repro/core/fragment_policy.py builds, loads and
- * drives it.
+ * fp_defrag() replays a window of ops on the single-frontier log under
+ * opportunistic defragmentation; fp_serve() serves the fragments of
+ * fragmented reads in the paper's order (cache lookup, buffer cover, disk
+ * access, window insert, cache admit).  The per-call Python methods are
+ * their oracle; repro/core/fragment_policy.py builds and drives them.
  *
- * All state lives in two int64 arrays the caller owns:
- *   cache:  an Lru header, then a hash table of table_size entries (slot + 1,
- *           0 when empty; linear probing, backward-shift delete), then
- *           `capacity` Nodes: the resident blocks, doubly linked LRU -> MRU.
- *   buffer: a Ring header, then `size` Windows: the prefetch buffer's FIFO.
- * Either may be NULL when that policy is not configured.  The headers'
- * field order is fragment_policy.py's _LRU_FIELDS / _RING_FIELDS.
+ * State lives in int64 arrays the caller owns, each a header (the field
+ * order of fragment_policy.py's _LRU_FIELDS / _RING_FIELDS /
+ * _DEFRAG_FIELDS) and then: for the cache, a Table of the resident blocks
+ * linked LRU -> MRU; for the buffer, `size` Windows (its FIFO); for
+ * defrag, a Table of the access counts keyed (lba, length), linked in
+ * insertion order.  A Table is a hash of table_size entries (slot + 1, 0
+ * when empty; linear probing, backward-shift delete), then `capacity`
+ * Nodes.  A policy not configured passes NULL.
  *
  * Compiled with -fwrapv: int64 overflow wraps as numpy's does.
  */
 #include <stdint.h>
+#include <string.h>
 
 enum { DISK = 0, CACHE_HIT = 1, BUFFER_HIT = 2 };
+enum { KIND_READ = 0, KIND_WRITE = 1, KIND_DEFRAG = 2 };
 
-typedef struct {
-    int64_t capacity, block_sectors, shift, table_size, count, head, tail;
-    int64_t hits, misses, evictions;
-} Lru;
-typedef struct { int64_t key, prev, next; } Node;
+typedef struct { int64_t capacity, shift, table_size, count, head, tail; } Table;
+typedef struct { int64_t key, length, value, prev, next; } Node;
+typedef struct { Table *t; int64_t *entry; Node *node; } Map;
+typedef struct { Table t; int64_t block_sectors, hits, misses, evictions; } Lru;
+typedef struct { Table t; int64_t used, min_fragments, min_accesses; } Defrag;
+/* A window's progress, in the last words of its work array. */
+typedef struct { int64_t frontier, accesses, appends, rewrites, rewritten, rows; } Progress;
 typedef struct {
     int64_t capacity, ahead, behind, size, first, count, used, window_reads;
 } Ring;
 typedef struct { int64_t start, end; } Window;
 
-static uint64_t home(const Lru *lru, int64_t block) {
-    return ((uint64_t)block * 0x9E3779B97F4A7C15u) >> lru->shift;
+static Map map_at(int64_t *state, int64_t header_words) {
+    Map m = {(Table *)state, state + header_words, 0};
+    m.node = (Node *)(m.entry + m.t->table_size);
+    return m;
 }
 
-/* The table entry holding `block`, or the empty entry it would go in. */
-static int64_t *probe(const Lru *lru, int64_t *table, const Node *node, int64_t block) {
-    uint64_t mask = (uint64_t)lru->table_size - 1, i = home(lru, block);
-    while (table[i] && node[table[i] - 1].key != block)
+static inline uint64_t home(const Map *m, int64_t key, int64_t length) {
+    return ((uint64_t)key * 0x9E3779B97F4A7C15u ^ (uint64_t)length * 0xC2B2AE3D27D4EB4Fu)
+           >> m->t->shift;
+}
+
+/* The table entry holding (key, length), or the empty entry it would go in. */
+static inline int64_t *probe(const Map *m, int64_t key, int64_t length) {
+    uint64_t mask = (uint64_t)m->t->table_size - 1, i = home(m, key, length);
+    const Node *node = m->node;
+    while (m->entry[i] &&
+           (node[m->entry[i] - 1].key != key || node[m->entry[i] - 1].length != length))
         i = (i + 1) & mask;
-    return table + i;
+    return m->entry + i;
 }
 
-static void erase(const Lru *lru, int64_t *table, const Node *node, int64_t *entry) {
-    uint64_t mask = (uint64_t)lru->table_size - 1, hole = entry - table, i = hole;
+static inline void erase(const Map *m, int64_t *entry) {
+    uint64_t mask = (uint64_t)m->t->table_size - 1, hole = entry - m->entry, i = hole;
+    int64_t *table = m->entry;
     table[hole] = 0;
     for (;;) {
         i = (i + 1) & mask;
         if (!table[i])
             return;
         /* Shift back every entry whose probe path crosses the hole. */
-        if (((i - home(lru, node[table[i] - 1].key)) & mask) >= ((i - hole) & mask)) {
+        const Node *moved = m->node + table[i] - 1;
+        if (((i - home(m, moved->key, moved->length)) & mask) >= ((i - hole) & mask)) {
             table[hole] = table[i];
             table[i] = 0;
             hole = i;
@@ -60,28 +74,30 @@ static void erase(const Lru *lru, int64_t *table, const Node *node, int64_t *ent
     }
 }
 
-static void unlink_node(Lru *lru, Node *node, int64_t slot) {
+static inline void unlink_node(const Map *m, int64_t slot) {
+    Node *node = m->node;
     int64_t prev = node[slot].prev, next = node[slot].next;
-    if (prev >= 0) node[prev].next = next; else lru->head = next;
-    if (next >= 0) node[next].prev = prev; else lru->tail = prev;
+    if (prev >= 0) node[prev].next = next; else m->t->head = next;
+    if (next >= 0) node[next].prev = prev; else m->t->tail = prev;
 }
 
-static void push_mru(Lru *lru, Node *node, int64_t slot) {
-    node[slot].prev = lru->tail;
+static inline void push_back(const Map *m, int64_t slot) {
+    Node *node = m->node;
+    node[slot].prev = m->t->tail;
     node[slot].next = -1;
-    if (lru->tail >= 0) node[lru->tail].next = slot; else lru->head = slot;
-    lru->tail = slot;
+    if (m->t->tail >= 0) node[m->t->tail].next = slot; else m->t->head = slot;
+    m->t->tail = slot;
 }
 
 /* CheckCache: on a hit every covering block becomes most recently used. */
-static int lookup(Lru *lru, int64_t *table, Node *node, int64_t first, int64_t last) {
+static int lookup(const Map *m, int64_t first, int64_t last) {
     for (int64_t block = first; block <= last; block++)
-        if (!*probe(lru, table, node, block))
+        if (!*probe(m, block, 0))
             return 0;
     for (int64_t block = first; block <= last; block++) {
-        int64_t slot = *probe(lru, table, node, block) - 1;
-        unlink_node(lru, node, slot);
-        push_mru(lru, node, slot);
+        int64_t slot = *probe(m, block, 0) - 1;
+        unlink_node(m, slot);
+        push_back(m, slot);
     }
     return 1;
 }
@@ -90,28 +106,29 @@ static int lookup(Lru *lru, int64_t *table, Node *node, int64_t first, int64_t l
  * then evicts from the LRU end down to capacity.  Detaching the range's
  * resident blocks first lets each new block evict as it goes, in the same
  * order, so the table never holds more than `capacity` blocks. */
-static void admit(Lru *lru, int64_t *table, Node *node, int64_t first, int64_t last) {
+static void admit(Lru *lru, const Map *m, int64_t first, int64_t last) {
+    Table *t = m->t;
     for (int64_t block = first; block <= last; block++) {
-        int64_t slot = *probe(lru, table, node, block) - 1;
+        int64_t slot = *probe(m, block, 0) - 1;
         if (slot >= 0)
-            unlink_node(lru, node, slot);
+            unlink_node(m, slot);
     }
     for (int64_t block = first; block <= last; block++) {
-        int64_t *entry = probe(lru, table, node, block), slot = *entry - 1;
-        if (slot < 0 && lru->count < lru->capacity) {
-            slot = lru->count++;
+        int64_t *entry = probe(m, block, 0), slot = *entry - 1;
+        if (slot < 0 && t->count < t->capacity) {
+            slot = t->count++;
         } else if (slot < 0) {
             lru->evictions++;
-            if (lru->head < 0)  /* the block itself is the oldest */
+            if (t->head < 0)  /* the block itself is the oldest */
                 continue;
-            slot = lru->head;
-            unlink_node(lru, node, slot);
-            erase(lru, table, node, probe(lru, table, node, node[slot].key));
-            entry = probe(lru, table, node, block);
+            slot = t->head;
+            unlink_node(m, slot);
+            erase(m, probe(m, m->node[slot].key, 0));
+            entry = probe(m, block, 0);
         }
-        node[slot].key = block;
+        m->node[slot] = (Node){block, 0, 0, -1, -1};
         *entry = slot + 1;
-        push_mru(lru, node, slot);
+        push_back(m, slot);
     }
 }
 
@@ -134,25 +151,22 @@ static void add_window(Ring *ring, Window *window, int64_t start, int64_t end) {
     }
 }
 
-/* Builds the LRU list and the table from the `count` keys in slots
- * 0..count-1, least recently used first (a state_dict()'s blocks). */
-void fp_load(int64_t *cache) {
-    Lru *lru = (Lru *)cache;
-    int64_t *table = cache + sizeof(Lru) / sizeof(int64_t);
-    Node *node = (Node *)(table + lru->table_size);
-    lru->head = lru->tail = -1;
-    for (int64_t slot = 0; slot < lru->count; slot++) {
-        *probe(lru, table, node, node[slot].key) = slot + 1;
-        push_mru(lru, node, slot);
+/* Builds a Table's list and hash from the `count` Nodes in slots
+ * 0..count-1, oldest first (a state_dict()'s rows). */
+void fp_load(int64_t *state, int64_t header_words) {
+    Map m = map_at(state, header_words);
+    m.t->head = m.t->tail = -1;
+    for (int64_t slot = 0; slot < m.t->count; slot++) {
+        *probe(&m, m.node[slot].key, m.node[slot].length) = slot + 1;
+        push_back(&m, slot);
     }
 }
 
-/* Writes the resident blocks to `out`, least recently used first. */
-void fp_order(int64_t *cache, int64_t *out) {
-    Lru *lru = (Lru *)cache;
-    Node *node = (Node *)(cache + sizeof(Lru) / sizeof(int64_t) + lru->table_size);
-    for (int64_t slot = lru->head; slot >= 0; slot = node[slot].next)
-        *out++ = node[slot].key;
+/* Writes a Table's (key, length, value) rows to `out`, oldest first. */
+void fp_order(int64_t *state, int64_t header_words, int64_t *out) {
+    Map m = map_at(state, header_words);
+    for (int64_t slot = m.t->head; slot >= 0; slot = m.node[slot].next, out += 3)
+        memcpy(out, m.node + slot, 3 * sizeof(int64_t));
 }
 
 /* Serves fragments 0..n-1; returns n, or the index of the first invalid
@@ -161,8 +175,7 @@ void fp_order(int64_t *cache, int64_t *out) {
 int64_t fp_serve(const int64_t *pba, const int64_t *length, int64_t n,
                  uint8_t *code, int64_t *cache, int64_t *buffer) {
     Lru *lru = (Lru *)cache;
-    int64_t *table = cache ? cache + sizeof(Lru) / sizeof(int64_t) : 0;
-    Node *node = cache ? (Node *)(table + lru->table_size) : 0;
+    Map m = cache ? map_at(cache, sizeof(Lru) / sizeof(int64_t)) : (Map){0, 0, 0};
     Ring *ring = (Ring *)buffer;
     Window *window = buffer ? (Window *)(buffer + sizeof(Ring) / sizeof(int64_t)) : 0;
     for (int64_t i = 0; i < n; i++) {
@@ -186,7 +199,7 @@ int64_t fp_serve(const int64_t *pba, const int64_t *length, int64_t n,
                 return i;
         }
         if (lru) {
-            if (lookup(lru, table, node, first, last)) {
+            if (lookup(&m, first, last)) {
                 lru->hits++;
                 code[i] = CACHE_HIT;
                 continue;
@@ -202,8 +215,144 @@ int64_t fp_serve(const int64_t *pba, const int64_t *length, int64_t n,
             ring->window_reads++;
         }
         if (lru)
-            admit(lru, table, node, first, last);
+            admit(lru, &m, first, last);
         code[i] = DISK;
     }
     return n;
+}
+
+/* A window's appends so far as sorted, disjoint rows [lba, end) -> pba,
+ * the later winning where two overlap; a piece as lookup_pieces has it. */
+typedef struct { int64_t lba, end, pba; } Row;
+typedef struct { int64_t pba, length, hole; } Piece;
+
+/* The first of the rows that ends past `lba`. */
+static int64_t first_after(const Row *row, int64_t rows, int64_t lba) {
+    int64_t lo = 0, hi = rows, mid;
+    while (lo < hi)
+        if (row[mid = (lo + hi) / 2].end <= lba) lo = mid + 1; else hi = mid;
+    return lo;
+}
+
+/* ExtentMap.map_range on the rows. */
+static void map_row(Row *row, int64_t *rows, Row new) {
+    int64_t lo = first_after(row, *rows, new.lba), stop = lo, kept;
+    while (stop < *rows && row[stop].lba < new.end)
+        stop++;
+    Row keep[3], *k = keep;  /* what replaces rows lo..stop-1 */
+    if (lo < stop && row[lo].lba < new.lba)
+        *k++ = (Row){row[lo].lba, new.lba, row[lo].pba};
+    *k++ = new;
+    if (lo < stop && row[stop - 1].end > new.end)
+        *k++ = (Row){new.end, row[stop - 1].end, row[stop - 1].pba + new.end - row[stop - 1].lba};
+    kept = k - keep;
+    memmove(row + lo + kept, row + stop, (*rows - stop) * sizeof(Row));
+    memcpy(row + lo, keep, kept * sizeof(Row));
+    *rows += kept - (stop - lo);
+}
+
+/* should_defragment, then note_defragmented on a yes (fp_defrag has
+ * checked that a new range finds a free node). */
+static int should_defragment(Defrag *d, const Map *m, int64_t lba, int64_t length,
+                             int64_t fragments) {
+    if (fragments < d->min_fragments)
+        return 0;
+    if (d->min_accesses == 1 && !d->t.count)
+        return 1;
+    int64_t *entry = probe(m, lba, length), slot = *entry - 1;
+    int64_t count = (slot >= 0 ? m->node[slot].value : 0) + 1;
+    if (count < d->min_accesses) {
+        if (slot < 0) {
+            m->node[slot = d->used++] = (Node){lba, length, 0, -1, -1};
+            *entry = slot + 1;
+            d->t.count++;
+            push_back(m, slot);
+        }
+        m->node[slot].value = count;
+        return 0;
+    }
+    if (slot >= 0) {
+        unlink_node(m, slot);
+        erase(m, entry);
+        d->t.count--;
+    }
+    return 1;
+}
+
+/* Replays ops i..n-1 of a window from `work`: their lba[n], length[n] and
+ * offsets[n + 1], then p Pieces (op i's are offsets[i]..offsets[i+1]-1:
+ * a read's as the window starts, none for a write).  A write appends at
+ * the frontier; a read resolves with the window's earlier appends laid
+ * over its pieces, merging neighbours by ExtentMap._push_piece's rule
+ * (same kind, physically contiguous), and appends when Algorithm 1 picks
+ * it.  Then writes, from work + 3n + 1 + 3p: each op's fragment count (n
+ * slots); the accesses' pba, length and kind (p + 5n slots each,
+ * `accesses` used); the appends' lba, pba and length (n slots each,
+ * `appends` used): the map rows to apply in order; scratch; the Progress
+ * (28n + 6p + 7 words in all).  Returns the ops replayed: fewer than n
+ * when the next might overflow the scratch (the caller starts a new
+ * window) or the count table (it grows the table and resumes at i). */
+int64_t fp_defrag(int64_t *state, int64_t *work, int64_t n, int64_t p, int64_t i) {
+    Defrag *d = (Defrag *)state;
+    Progress *w = (Progress *)(work + 28 * n + 6 * p + 1);
+    Map m = map_at(state, sizeof(Defrag) / sizeof(int64_t));
+    const int64_t *lba = work, *length = lba + n, *offsets = length + n;
+    const Piece *pieces = (const Piece *)(offsets + n + 1);
+    int64_t capacity = p + 5 * n, *fragments = (int64_t *)(pieces + p);
+    int64_t *out_pba = fragments + n, *out_length = out_pba + capacity;
+    int64_t *kind = out_length + capacity, *appended = kind + capacity;
+    Row *row = (Row *)(appended + 3 * n);
+    int64_t at = w->accesses, rows = w->rows;
+    for (; i < n; i++) {
+        int64_t start = lba[i], end = start + length[i], piece = offsets[i], first = at;
+        int64_t code = KIND_WRITE;
+        if (at + (offsets[i + 1] - piece) + 2 * rows + 1 > capacity ||
+            (d->min_accesses > 1 && d->used == d->t.capacity))
+            break;
+        for (int64_t cursor = start, o = first_after(row, rows, start), base = start,
+                     last = -1, to, pba, hole;
+             piece < offsets[i + 1] && cursor < end; cursor = to) {
+            if (o < rows && row[o].lba <= cursor) {
+                to = row[o].end < end ? row[o].end : end;
+                pba = row[o].pba + (cursor - row[o].lba);
+                hole = 0;
+                o++;
+            } else {
+                while (base + pieces[piece].length <= cursor)
+                    base += pieces[piece++].length;
+                to = base + pieces[piece].length < end ? base + pieces[piece].length : end;
+                if (o < rows && row[o].lba < to)
+                    to = row[o].lba;
+                /* A hole's pba is its lba, so the offset holds for both kinds. */
+                pba = pieces[piece].pba + (cursor - base);
+                hole = pieces[piece].hole;
+            }
+            if (hole == last && out_pba[at - 1] + out_length[at - 1] == pba) {
+                out_length[at - 1] += to - cursor;
+            } else {
+                out_pba[at] = pba;
+                out_length[at] = to - cursor;
+                kind[at++] = KIND_READ;
+                last = hole;
+            }
+        }
+        fragments[i] = at > first ? at - first : 1;
+        if (at > first) {  /* a read, rewritten when Algorithm 1 says so */
+            if (at - first < 2 || !should_defragment(d, &m, start, length[i], at - first))
+                continue;
+            code = KIND_DEFRAG;
+            w->rewrites++;
+            w->rewritten += length[i];
+        }
+        int64_t r = w->appends++;  /* a write, or the rewrite */
+        appended[r] = start;
+        appended[n + r] = out_pba[at] = w->frontier;
+        appended[2 * n + r] = out_length[at] = length[i];
+        kind[at++] = code;
+        map_row(row, &rows, (Row){start, end, w->frontier});
+        w->frontier += length[i];
+    }
+    w->accesses = at;
+    w->rows = rows;
+    return i;
 }

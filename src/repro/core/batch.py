@@ -2,79 +2,52 @@
 
 The reference replay path — :class:`~repro.core.simulator.Simulator`
 driving :meth:`Translator.submit` — materializes an
-:class:`~repro.core.outcomes.IOOutcome` (plus one
-:class:`~repro.core.outcomes.SegmentAccess` per fragment and one
-:class:`~repro.disk.head.AccessEvent` per head movement) for every
-operation.  That per-op object traffic is what makes multi-million-op
-replays slow, not the extent-map arithmetic.  This module replays the
-same translators over numpy op columns instead, and it does so with the
-paper's model written once: walk the ops, place each write somewhere,
-resolve each read into fragments, count a seek whenever an access does
-not start where the last one ended.
+:class:`~repro.core.outcomes.IOOutcome` (plus one access object per
+fragment and head movement) for every operation; that per-op object
+traffic, not the extent-map arithmetic, is what makes it slow.  This
+module replays the same translators over numpy op columns with the
+paper's model written once: place each write, resolve each read into
+fragments, count a seek whenever an access does not start where the last
+one ended.
 
-**The driver** (:class:`IncrementalBatchReplay`) owns everything the
-translators share:
-
-* column coercion and the range pre-scan (ops ahead of the first request
-  crossing into the log apply, then the reference's error is raised);
-* splitting the batch into maximal write runs and read runs;
-* one order-preserving access-stream buffer — vectorized runs append
-  arrays, per-op paths spill bare integers that are drained into an array
-  chunk whenever order requires it;
-* read-run resolution: one
-  :meth:`~repro.extentmap.array_map.ArrayExtentMap.lookup_pieces_batch`
-  call for a defrag-free run; with defrag, a per-read loop over windows of
-  batch-resolved pieces (a rewrite makes only the range it rewrote
-  stale); per-read ``lookup_pieces`` for tiny runs and non-array maps —
-  then cache and prefetch once over the run's fragments, through the
-  fragment-policy kernel (:mod:`repro.core.fragment_policy`);
-* the stat fold (array expressions over the op columns and the per-op
-  fragment counts), the pure seek classifier :func:`classify_seeks`, and
-  the head sync onto the translator.
+**The driver** (:class:`IncrementalBatchReplay`) owns what the
+translators share: column coercion and the range pre-scan (ops ahead of
+the first request crossing into the log apply, then the reference's
+error is raised); splitting a batch into maximal write runs and read
+runs; one order-preserving access buffer; read runs — one
+:meth:`~repro.extentmap.array_map.ArrayExtentMap.lookup_pieces_batch`
+call, or ``lookup_pieces`` per read for a tiny run or a non-array map —
+then cache and prefetch once over the run's fragments, through the
+fragment-policy kernel (:mod:`repro.core.fragment_policy`); the stat
+fold, the pure seek classifier :func:`classify_seeks`, and the head sync.
+With opportunistic defrag, which runs on the single frontier only, a
+batch is not split into runs: the compiled Algorithm 1 loop
+(:meth:`~repro.core.fragment_policy.FragmentPolicies.replay`) replays whole windows
+of ops, writes and rewrites being the same frontier append.
 
 **Placement** is what is left per translator family — *where the next
-write run's sectors go*:
+write run's sectors go*: the frontier plus one exclusive cumsum (plain
+LS); a sequential cold/hot classification loop with one running frontier
+per class (:class:`~repro.core.multifrontier.MultiFrontierTranslator`);
+batched prefixes laid out over the zone queue, split at each cleaning
+episode, which runs through the translator's own ``_ensure_room``
+(:class:`~repro.core.cleaning.ZonedCleaningTranslator`).  NoLS has no
+placement at all (PBA = LBA): its op columns are the access stream.
 
-* single frontier (plain LS): the frontier plus one exclusive cumsum;
-  defrag rewrites allocate from the same frontier;
-* cold/hot frontiers (:class:`~repro.core.multifrontier.MultiFrontierTranslator`):
-  a sequential classification loop — each write's verdict depends on the
-  recent set as *its* predecessors left it — that keeps one running
-  frontier per class;
-* zoned with episodes
-  (:class:`~repro.core.cleaning.ZonedCleaningTranslator`): batched
-  prefixes laid out over the zone queue, split at each cleaning episode,
-  which runs through the translator's own ``_ensure_room`` after the
-  driver has classified what is buffered and synced the head.
+Everything is **exact**: seek counts, the seek-distance log, aggregate
+statistics and the final translator state equal the reference path's bit
+for bit (``tests/differential/`` is the oracle), whatever the batch size,
+run shape or extent-map tier.  A translator type without a placement
+raises :class:`BatchUnsupportedError`.
 
-NoLS has no placement at all (PBA = LBA): its op columns are the access
-stream, and a batch is a handful of array expressions.
-
-Everything is **exact**, not approximate: seek counts, the seek-distance
-log, aggregate statistics and the final translator state equal the
-reference path's bit for bit (the differential suite under
-``tests/differential/`` is the oracle), whatever the batch size, run
-shape or extent-map tier.  What lies outside this model — recorders, a
-translator type without a placement — is the reference simulator's
-alone: a translator with no placement raises
-:class:`BatchUnsupportedError`.
-
-Resumable replay
-----------------
-
-:class:`IncrementalBatchReplay` is a **chunk-resumable engine with
-explicit serializable state**: feed ops in arbitrary batches, snapshot
-the complete kernel state at any batch boundary
-(:meth:`~IncrementalBatchReplay.state_dict`), restore it into a fresh
-process (:meth:`~IncrementalBatchReplay.from_state`) and continue —
-the final stats, seek-distance log and translator state are bit-identical
-to a one-shot replay of the same op stream (Hypothesis-tested in
-``tests/differential/test_incremental_vs_oneshot.py``).  This is what
-lets the streaming service (:mod:`repro.service`) keep per-tenant replay
-state resident, checkpoint it, and recover from a ``kill -9`` — and what
-bounds replay memory for arbitrarily long op streams.
-:func:`batch_replay` is a thin one-shot wrapper over the same engine, and
-:func:`repro.core.stream.record_fragment_stream` is the same driver with
+:class:`IncrementalBatchReplay` is **chunk-resumable with explicit
+serializable state**: feed ops in arbitrary batches, snapshot the kernel
+state at any batch boundary, restore it in another process and continue
+bit-identically to a one-shot replay
+(``tests/differential/test_incremental_vs_oneshot.py``) — what the
+streaming service (:mod:`repro.service`) checkpoints and recovers.
+:func:`batch_replay` is a one-shot wrapper over the same engine, and
+:func:`repro.core.stream.record_fragment_stream` the same driver with
 the classified access stream retained.
 
 Doctest (a write then a fragmenting overwrite-and-read)::
@@ -97,8 +70,8 @@ Doctest (a write then a fragmenting overwrite-and-read)::
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -109,11 +82,7 @@ from repro.core.fragment_policy import FragmentPolicies, filter_accesses
 from repro.core.multifrontier import FRONTIERS, MultiFrontierTranslator
 from repro.core.outcomes import SimStats
 from repro.core.simulator import RunResult
-from repro.core.translators import (
-    InPlaceTranslator,
-    LogStructuredTranslator,
-    Translator,
-)
+from repro.core.translators import InPlaceTranslator, LogStructuredTranslator, Translator
 from repro.extentmap.array_map import ArrayExtentMap
 from repro.extentmap.tiers import DEFAULT_KERNEL_TIER, resolve_map_tier
 from repro.trace.record import IORequest
@@ -137,10 +106,11 @@ _KIND_DEFRAG = 2
 _MIN_BATCH_WRITE_RUN = 8
 _MIN_BATCH_READ_RUN = 16
 
-#: Reads resolved per ``lookup_pieces_batch`` call on technique
-#: configurations; a defrag rewrite invalidates the resolved window, so
-#: windowing bounds the work thrown away when one fires.
-_READ_RESOLVE_WINDOW = 512
+#: Ops the compiled defrag loop replays per window: its reads cost one
+#: ``lookup_pieces_batch`` and its writes and rewrites one ``map_range_batch``,
+#: so larger is faster (hm_1's LS+defrag on a 2-core box: 0.6 M op/s at 512,
+#: 1.9 M at 8192; docs/PERFORMANCE.md Layer 2): a default chunk is one window.
+_DEFRAG_WINDOW = 8192
 
 
 class BatchUnsupportedError(ValueError):
@@ -216,15 +186,10 @@ def batch_replay_translator(
     if chunk_ops <= 0:
         raise ValueError(f"chunk_ops must be > 0, got {chunk_ops}")
     engine = IncrementalBatchReplay(translator, trace_name=trace.name)
-    if engine.log_structured:
-        is_read, lba, length = trace.as_arrays()
-        for start in range(0, len(lba), chunk_ops):
-            stop = start + chunk_ops
-            engine.feed_arrays(is_read[start:stop], lba[start:stop], length[start:stop])
-    else:
-        # NoLS needs no chunking: one fully vectorized pass over the
-        # trace's cached column arrays.
-        engine.feed_arrays(*trace.as_arrays())
+    is_read, lba, length = trace.as_arrays()
+    for start in range(0, len(lba), chunk_ops):
+        stop = start + chunk_ops
+        engine.feed_arrays(is_read[start:stop], lba[start:stop], length[start:stop])
     return engine.result()
 
 
@@ -268,59 +233,37 @@ def _concat(chunks: List[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
 
 
-def _merge_range(starts: List[int], ends: List[int], start: int, end: int) -> None:
-    """Add ``[start, end)`` to the sorted, disjoint interval set held as
-    parallel ``starts`` / ``ends`` lists, absorbing every interval it
-    overlaps or abuts."""
-    lo = bisect_left(ends, start)
-    hi = bisect_right(starts, end)
-    if lo < hi:
-        start = min(start, starts[lo])
-        end = max(end, ends[hi - 1])
-    starts[lo:hi] = [start]
-    ends[lo:hi] = [end]
-
-
 class _AccessBuffer:
     """Order-preserving access-stream buffer (disk accesses only).
 
-    Vectorized runs :meth:`extend` it with whole arrays; scalar paths append
-    bare integers to three spill lists through the bound ``append_*``
-    methods, and the spill is drained into an array chunk whenever a
-    vector chunk must follow it, so the stream stays in access order.
+    Vectorized runs :meth:`extend` it with whole arrays, scalar paths with
+    lists, which go to a spill that is drained into an array chunk
+    whenever a vector chunk must follow it, so the stream stays in access
+    order.
     """
 
-    __slots__ = (
-        "_chunks", "_pba", "_len", "_kind",
-        "append_pba", "append_len", "append_kind",
-    )
+    __slots__ = ("_chunks", "_pba", "_len", "_kind")
 
     def __init__(self) -> None:
         self._chunks: List[tuple] = []
         self._pba: List[int] = []
         self._len: List[int] = []
         self._kind: List[int] = []
-        self.append_pba = self._pba.append
-        self.append_len = self._len.append
-        self.append_kind = self._kind.append
 
     def _drain_spill(self) -> None:
         if self._pba:
-            self._chunks.append(
-                (
-                    np.asarray(self._pba, dtype=np.int64),
-                    np.asarray(self._len, dtype=np.int64),
-                    np.asarray(self._kind, dtype=np.int8),
-                )
-            )
-            # In place: the bound append_* methods must stay valid.
-            del self._pba[:]
-            del self._len[:]
-            del self._kind[:]
+            self._chunks.append((np.asarray(self._pba, np.int64), np.asarray(self._len, np.int64),
+                                 np.asarray(self._kind, np.int8)))
+            self._pba, self._len, self._kind = [], [], []
 
-    def extend(self, pba: np.ndarray, length: np.ndarray, kind) -> None:
-        """Append one vectorized run of accesses; ``kind`` is the code they
-        share, or an array with one code per access."""
+    def extend(self, pba, length, kind) -> None:
+        """Append one run of accesses: lists to the spill, arrays as a
+        chunk; ``kind`` is one code per access, or the code they share."""
+        if isinstance(pba, list):
+            self._pba += pba
+            self._len += length
+            self._kind += kind
+            return
         self._drain_spill()
         self._chunks.append((pba, length, np.full(len(pba), kind, np.int8)))
 
@@ -346,14 +289,10 @@ class _Placement:
     """Where the next write run's sectors go, for one translator family.
 
     One instance lives for one :meth:`IncrementalBatchReplay.feed_arrays`
-    call.  :meth:`write_run` assigns a PBA to every sector of a maximal
-    write run, appends the resulting accesses to the shared buffer, maps
-    them (``map_range`` per op, or one ``map_range_batch`` on an
-    :class:`ArrayExtentMap` run of at least ``_MIN_BATCH_WRITE_RUN`` ops)
-    and leaves the translator's own placement state exactly where the
-    reference per-op loop would — after every run, so the driver never has
-    to write anything back, on success or on error.  Everything else (run
-    splitting, reads, folding, seek classification) is the driver's.
+    call.  :meth:`write_run` places a maximal write run, appends its
+    accesses to the shared buffer, maps it, and leaves the translator's
+    placement state where the reference per-op loop would — after every
+    run, on success or on error.  The rest is the driver's.
     """
 
     #: The range pre-scan rejects writes too, not only reads.
@@ -379,13 +318,13 @@ class _Placement:
 
 
 class _SingleFrontier(_Placement):
-    """Plain LS: every write — host or defrag rewrite — goes to the one
-    frontier, so a run's PBAs are the frontier plus an exclusive cumsum."""
+    """Plain LS: every write goes to the one frontier, so a run's PBAs are
+    the frontier plus an exclusive cumsum (with defrag the driver replays
+    the batch through the compiled loop instead)."""
 
     def __init__(self, translator, buffer, flush) -> None:
         super().__init__(translator, buffer, flush)
-        self.defrag = translator.defrag
-        self.prefetcher = translator.prefetcher
+        self.defrag, self.prefetcher = translator.defrag, translator.prefetcher
         self.cache = translator.cache
 
     def range_error(self, lba: int, length: int) -> str:
@@ -395,35 +334,23 @@ class _SingleFrontier(_Placement):
             "workload's LBA space"
         )
 
-    def allocate(self, sectors: int) -> int:
-        """Reserve ``sectors`` at the frontier; returns their first PBA."""
-        pba = self.translator._frontier
-        self.translator._frontier = pba + sectors
-        return pba
-
     def write_run(self, run_lba: np.ndarray, run_len: np.ndarray) -> None:
         run_ops = len(run_len)
         if self.batched and run_ops >= _MIN_BATCH_WRITE_RUN:
             run_pba = np.empty(run_ops, dtype=np.int64)
             run_pba[0] = 0
             np.cumsum(run_len[:-1], out=run_pba[1:])
-            run_pba += self.allocate(int(run_pba[-1] + run_len[-1]))
+            run_pba += self.translator._frontier
+            self.translator._frontier = int(run_pba[-1] + run_len[-1])
             self.amap.map_range_batch(run_lba, run_pba, run_len)
             self.buffer.extend(run_pba, run_len, _KIND_WRITE)
             return
-        buffer = self.buffer
-        append_pba = buffer.append_pba
-        append_len = buffer.append_len
-        append_kind = buffer.append_kind
-        map_range = self.amap.map_range
-        frontier = self.translator._frontier
-        for op_lba, op_length in zip(run_lba.tolist(), run_len.tolist()):
-            append_pba(frontier)
-            append_len(op_length)
-            append_kind(_KIND_WRITE)
-            map_range(op_lba, frontier, op_length)
-            frontier += op_length
-        self.translator._frontier = frontier
+        lengths, map_range = run_len.tolist(), self.amap.map_range
+        pbas = list(accumulate(lengths, initial=self.translator._frontier))
+        self.translator._frontier = pbas.pop()
+        for row in zip(run_lba.tolist(), pbas, lengths):
+            map_range(*row)
+        self.buffer.extend(pbas, lengths, [_KIND_WRITE] * run_ops)
 
 
 class _MultiFrontier(_Placement):
@@ -433,10 +360,8 @@ class _MultiFrontier(_Placement):
     on the recent-block set exactly as *its* predecessors left it — so the
     loop stays scalar, with the
     :class:`~repro.core.multifrontier.RecencyClassifier` LRU update
-    inlined (no method dispatch, no per-op objects).  The PBAs the loop
-    assigns *are* the two-frontier exclusive cumsum, so a long run still
-    maps in one call, in op order (overlapping writes resolve like the
-    reference).
+    inlined (no method dispatch, no per-op objects).  Nothing in it reads
+    the map, so the run then maps in one call, in op order.
     """
 
     def range_error(self, lba: int, length: int) -> str:
@@ -455,12 +380,6 @@ class _MultiFrontier(_Placement):
         frontier_writes = translator._frontier_writes
         switches = translator.frontier_switches
         last_idx = translator._last_frontier
-        batch_run = self.batched and len(run_len) >= _MIN_BATCH_WRITE_RUN
-        buffer = self.buffer
-        append_pba = buffer.append_pba
-        append_len = buffer.append_len
-        append_kind = buffer.append_kind
-        map_range = self.amap.map_range
         pba_list: List[int] = []
         exhausted: Optional[int] = None
         for op_lba, op_length in zip(run_lba.tolist(), run_len.tolist()):
@@ -490,18 +409,11 @@ class _MultiFrontier(_Placement):
             if last_idx is not None and last_idx != index:
                 switches += 1
             last_idx = index
-            if batch_run:
-                pba_list.append(frontier)
-            else:
-                append_pba(frontier)
-                append_len(op_length)
-                append_kind(_KIND_WRITE)
-                map_range(op_lba, frontier, op_length)
-        if pba_list:
-            applied = len(pba_list)
-            run_pba = np.asarray(pba_list, dtype=np.int64)
-            self.amap.map_range_batch(run_lba[:applied], run_pba, run_len[:applied])
-            buffer.extend(run_pba, run_len[:applied], _KIND_WRITE)
+            pba_list.append(frontier)
+        applied = len(pba_list)
+        self.amap.map_range_batch(run_lba[:applied], np.asarray(pba_list, np.int64),
+                                  run_len[:applied])
+        self.buffer.extend(pba_list, run_len[:applied].tolist(), [_KIND_WRITE] * applied)
         translator.frontier_switches = switches
         translator._last_frontier = last_idx
         if exhausted is not None:
@@ -549,9 +461,6 @@ class _ZonedWithEpisodes(_Placement):
         lookup_pieces = amap.lookup_pieces
         map_range = amap.map_range
         buffer = self.buffer
-        append_pba = buffer.append_pba
-        append_len = buffer.append_len
-        append_kind = buffer.append_kind
 
         base = translator._base
         reserve = translator._reserve
@@ -751,9 +660,7 @@ class _ZonedWithEpisodes(_Placement):
                 zone.write_pointer = pba + take
                 if pba == zone.start:
                     free -= 1
-                append_pba(base + pba)
-                append_len(take)
-                append_kind(_KIND_WRITE)
+                buffer.extend([base + pba], [take], [_KIND_WRITE])
                 map_range(cursor, base + pba, take)
                 zone_id = zone.zone_id
                 live.add(zone_id, take)
@@ -803,13 +710,11 @@ _COUNTERS = (
 class IncrementalBatchReplay:
     """Chunk-resumable exact replay with explicit serializable state.
 
-    Feed operations in arbitrary batches (:meth:`feed_arrays`); counters,
-    the seek-distance log and the translator state advance exactly as a
-    one-shot :func:`batch_replay` of the concatenated stream would — batch
-    boundaries are invisible in the result.  At any boundary the complete
-    kernel state can be exported (:meth:`state_dict`), persisted, and later
-    restored (:meth:`from_state`) to continue the replay bit-identically,
-    possibly in a different process.
+    Feed operations in arbitrary batches (:meth:`feed_arrays`): the result
+    equals a one-shot :func:`batch_replay` of the concatenated stream.  At
+    any boundary the complete kernel state can be exported
+    (:meth:`state_dict`) and restored (:meth:`from_state`), possibly in
+    another process, to continue bit-identically.
 
     Args:
         translator: A fresh (or restored) :class:`InPlaceTranslator`,
@@ -843,9 +748,8 @@ class IncrementalBatchReplay:
         self._track_fragments = track_fragments
         self.fragment_hist: Dict[int, int] = {}
         self._counters: Dict[str, int] = {key: 0 for key, _field in _COUNTERS}
-        # The cache and prefetcher state, owned by the fragment-policy
-        # kernel from the first fragmented read run on; synced back into
-        # the translator wherever the translator is handed out.
+        # The techniques' state, owned by the fragment-policy kernel once a
+        # run needs it; synced back wherever the translator is handed out.
         self._policies: Optional[FragmentPolicies] = None
 
         # Undrained seek-distance log, in access order.
@@ -865,27 +769,25 @@ class IncrementalBatchReplay:
         if self._policies is not None:
             self._policies.sync()
 
-    @property
-    def log_structured(self) -> bool:
-        """True for stateful (chunked) kernels: LS, multi-frontier, cleaning."""
-        return self._placement is not None
+    def _kernel(self, placement: _Placement) -> FragmentPolicies:
+        if self._policies is None:
+            techniques = placement.cache, placement.prefetcher, placement.defrag
+            self._policies = FragmentPolicies(*techniques)
+        return self._policies
 
     # ----------------------------------------------------------------- #
     # Feeding
     # ----------------------------------------------------------------- #
 
-    def feed_arrays(
-        self, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray
-    ) -> None:
+    def feed_arrays(self, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray) -> None:
         """Replay one batch already in column form (any translator).
 
         A mid-batch error (e.g. a read crossing the frontier base) leaves
         the engine partially advanced — discard it and restore from the
-        last snapshot; this is exactly what the service's recovery path
-        does.  Columns are coerced to contiguous bool /
-        int64 / int64 — a no-op for arrays already in that form — so wire
-        payloads (``uint8`` flags) and plain lists replay identically;
-        columns of unequal length raise ``ValueError``.
+        last snapshot, as the service's recovery path does.  Columns are
+        coerced to contiguous bool / int64 / int64, so wire payloads
+        (``uint8`` flags) and plain lists replay identically; columns of
+        unequal length raise ``ValueError``.
         """
         is_read = np.ascontiguousarray(is_read, dtype=bool)
         lba = np.ascontiguousarray(lba, dtype=np.int64)
@@ -914,13 +816,12 @@ class IncrementalBatchReplay:
     ) -> np.ndarray:
         """The log-structured driver: run-split replay of one batch.
 
-        The batch is cut into maximal write runs and read runs.  A write
-        run goes to the translator family's :class:`_Placement`; a read
-        run resolves against the map (:meth:`_read_run`); both append to
-        one access buffer, which is seek-classified once at the end (and
-        at cleaning-episode boundaries, through the placement's ``flush``
-        hook).  All paths are exact and produce identical access streams,
-        so results are independent of run shape, map tier and batch size.
+        The batch is cut into maximal write runs, which go to the
+        translator family's :class:`_Placement`, and read runs
+        (:meth:`_read_run`) — or, with defrag, into windows of ops
+        (:meth:`_defrag_ops`).  All append to one access buffer,
+        seek-classified once at the end (and at cleaning-episode
+        boundaries, through the placement's ``flush`` hook).
 
         Ops ahead of the first request crossing into the log still apply,
         then the reference's ``ValueError`` is raised — like any placement
@@ -948,11 +849,14 @@ class IncrementalBatchReplay:
         stop = int(violation.argmax()) if violation.any() else n
 
         fragments = np.ones(n, dtype=np.int64)
-        if stop:
+        run_bounds = [0]
+        if placement.defrag is not None:
+            fragments[:stop] = self._defrag_ops(
+                placement, is_read[:stop], lba[:stop], length[:stop]
+            )
+        elif stop:
             edges = np.flatnonzero(np.diff(is_read[:stop].view(np.int8))) + 1
             run_bounds = [0, *edges.tolist(), stop]
-        else:
-            run_bounds = [0]
         for run_start, run_stop in zip(run_bounds[:-1], run_bounds[1:]):
             run_lba = lba[run_start:run_stop]
             run_len = length[run_start:run_stop]
@@ -971,127 +875,59 @@ class IncrementalBatchReplay:
         return fragments
 
     def _read_run(self, placement: _Placement, run_lba, run_len):
-        """Resolve one read run into the access buffer.
+        """Resolve one read run into the buffer (:meth:`_serve`); returns
+        the per-read fragment counts."""
+        if placement.batched and len(run_lba) >= _MIN_BATCH_READ_RUN:
+            pba, length, _hole, offsets = placement.amap.lookup_pieces_batch(run_lba, run_len)
+            kind, counts = np.zeros(len(pba), dtype=np.int8), np.diff(offsets)
+        else:  # tiny: lists, which the buffer spills without numpy calls
+            reads = list(map(placement.amap.lookup_pieces, run_lba.tolist(), run_len.tolist()))
+            pba, length, _hole = map(list, zip(*chain.from_iterable(reads)))
+            kind, counts = [_KIND_READ] * len(pba), list(map(len, reads))
+        self._serve(placement, pba, length, kind, counts)
+        return counts
 
-        Returns the per-read fragment counts.  Resolution first: one
-        ``lookup_pieces_batch`` call for a defrag-free run of at least
-        ``_MIN_BATCH_READ_RUN`` reads on an :class:`ArrayExtentMap`, read
-        by read otherwise (:meth:`_resolve_reads`).  Then cache and
-        prefetch, once over the run: unfragmented reads bypass them (the
-        ``FragmentedRead`` guard); the fragments of fragmented reads go
-        through the fragment-policy kernel and only those it sends to the
-        disk enter the buffer.  Running the policies after resolution is
-        exact because nothing upstream reads their state: neither the map
-        nor a defrag decision depends on what they served.
+    def _defrag_ops(self, placement: _Placement, is_read, lba, length) -> np.ndarray:
+        """Replay ops under opportunistic defrag (Alg. 1) in windows of
+        ``_DEFRAG_WINDOW``; returns their fragment counts (1 for writes).
+
+        On the single frontier a write and a defrag rewrite are the same
+        append, so the compiled loop replays a whole window at once, its
+        appends laid over its reads; they reach the map before the next.
         """
-        buffer = placement.buffer
+        kernel, translator, amap = self._kernel(placement), placement.translator, placement.amap
+        counts: List[np.ndarray] = []
+        start = 0
+        while start < len(lba):
+            window = slice(start, start + _DEFRAG_WINDOW)
+            done, fragments, accesses, appends, progress = kernel.replay(
+                translator._frontier, amap, is_read[window], lba[window], length[window]
+            )
+            translator._frontier = progress["frontier"]
+            amap.map_range_batch(*appends)
+            self._counters["defrag_rewrites"] += progress["rewrites"]
+            self._counters["defrag_sectors"] += progress["rewritten"]
+            self._serve(placement, *accesses, fragments[is_read[start : start + done]])
+            counts.append(fragments)
+            start += done
+        return _concat(counts, np.int64)
+
+    def _serve(self, placement: _Placement, pba, length, kind, counts) -> None:
+        """Append resolved ``(pba, length, kind)`` accesses to the buffer,
+        ``counts`` being each read's fragment count, once cache and prefetch
+        served the fragments of fragmented reads (``FragmentedRead``): exact
+        after resolution, as neither the map nor defrag reads their state.
+        """
         policies = placement.cache is not None or placement.prefetcher is not None
-        windowed = placement.batched and len(run_lba) >= _MIN_BATCH_READ_RUN
-        if windowed and placement.defrag is None:
-            pba, length, _hole, offsets = placement.amap.lookup_pieces_batch(
-                run_lba, run_len
-            )
-            kind = np.zeros(len(pba), dtype=np.int8)
-            counts = np.diff(offsets)
-        else:
-            sink = _AccessBuffer() if policies else buffer
-            counts = self._resolve_reads(placement, run_lba, run_len, windowed, sink)
-            if not policies:
-                return counts
-            pba, length, kind = sink.take()
-        if policies and len(pba) > len(counts):  # some read is fragmented
+        if policies and np.sum(counts) > len(counts):  # some read is fragmented
+            pba, length, kind, counts = map(np.asarray, (pba, length, kind, counts))
             eligible = np.flatnonzero(kind == _KIND_READ)[np.repeat(counts > 1, counts)]
-            if self._policies is None:
-                self._policies = FragmentPolicies(placement.cache, placement.prefetcher)
-            keep, cache_hits, buffer_hits = filter_accesses(
-                self._policies, pba, length, eligible
-            )
+            keep, cache_hits, buffer_hits = filter_accesses(self._kernel(placement), pba, length,
+                                                            eligible)
             pba, length, kind = pba[keep], length[keep], kind[keep]
             self._counters["cache_hits"] += cache_hits
             self._counters["buffer_hits"] += buffer_hits
-        buffer.extend(pba, length, kind)
-        return counts
-
-    def _resolve_reads(self, placement: _Placement, run_lba, run_len, windowed, sink):
-        """Resolve a read run read by read into ``sink``, opportunistic
-        defrag (Alg. 1) rewriting at the frontier as it goes.
-
-        Returns the per-read fragment counts.  A ``windowed`` run still
-        resolves ``_READ_RESOLVE_WINDOW`` reads per batch lookup: a rewrite
-        moves the map only for its own range, so the rewritten LBA ranges
-        are remembered — sorted, disjoint, merged; a read asks with one
-        ``bisect`` — and just the reads overlapping one re-resolve against
-        the live map.  A tiny run or a non-array map is the same loop with
-        nothing pre-resolved: one stale range covers every LBA.
-        """
-        amap = placement.amap
-        defrag = placement.defrag
-        lookup_pieces = amap.lookup_pieces
-        append_pba = sink.append_pba
-        append_len = sink.append_len
-        append_kind = sink.append_kind
-        run_ops = len(run_lba)
-        counts: List[int] = []
-        # Reads [window_base, window_stop) have their pieces in p_list /
-        # l_list at off_list, unless they overlap a stale LBA range.
-        window_base = 0
-        window_stop = 0 if windowed else run_ops
-        p_list: List[int] = []
-        l_list: List[int] = []
-        off_list: List[int] = []
-        stale_starts: List[int] = [] if windowed else [0]
-        stale_ends: List[int] = [] if windowed else [1 << 63]
-        for j, (req_lba, req_length) in enumerate(
-            zip(run_lba.tolist(), run_len.tolist())
-        ):
-            if j >= window_stop:
-                window_base = j
-                window_stop = min(j + _READ_RESOLVE_WINDOW, run_ops)
-                p_arr, l_arr, _hole, off = amap.lookup_pieces_batch(
-                    run_lba[window_base:window_stop],
-                    run_len[window_base:window_stop],
-                )
-                p_list = p_arr.tolist()
-                l_list = l_arr.tolist()
-                off_list = off.tolist()
-                del stale_starts[:], stale_ends[:]
-            req_end = req_lba + req_length
-            # Only the first stale range ending past req_lba can overlap.
-            nearest = bisect_right(stale_ends, req_lba)
-            if nearest < len(stale_ends) and stale_starts[nearest] < req_end:
-                pieces = lookup_pieces(req_lba, req_length)
-                op_p = [piece[0] for piece in pieces]
-                op_l = [piece[1] for piece in pieces]
-                lo = 0
-                fragments = len(pieces)
-            else:
-                op_p = p_list
-                op_l = l_list
-                lo = off_list[j - window_base]
-                fragments = off_list[j - window_base + 1] - lo
-            counts.append(fragments)
-            if fragments == 1:
-                append_pba(op_p[lo])
-                append_len(op_l[lo])
-                append_kind(_KIND_READ)
-                continue
-            for piece in range(lo, lo + fragments):
-                append_pba(op_p[piece])
-                append_len(op_l[piece])
-                append_kind(_KIND_READ)
-            if defrag is not None and defrag.should_defragment(
-                req_lba, req_length, fragments
-            ):
-                pba = placement.allocate(req_length)
-                append_pba(pba)
-                append_len(req_length)
-                append_kind(_KIND_DEFRAG)
-                amap.map_range(req_lba, pba, req_length)
-                self._counters["defrag_rewrites"] += 1
-                self._counters["defrag_sectors"] += req_length
-                defrag.note_defragmented(req_lba, req_length)
-                _merge_range(stale_starts, stale_ends, req_lba, req_end)
-        return np.asarray(counts, dtype=np.int64)
+        placement.buffer.extend(pba, length, kind)
 
     def _fold_ops(
         self, is_read: np.ndarray, length: np.ndarray, fragments: np.ndarray

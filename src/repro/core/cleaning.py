@@ -401,48 +401,26 @@ class ZonedCleaningTranslator(Translator):
         return seeks
 
     def _live_pieces(self, zone_id: int) -> List[Tuple[int, int, int]]:
-        """(pba, lba, length) pieces of the zone still referenced by the map.
-
-        On the array tier the whole ledger resolves in one
-        ``lookup_pieces_batch`` call; the scalar path below is the
-        executable specification (and the only path for plain
-        :class:`~repro.extentmap.extent_map.ExtentMap`).  Both emit pieces
-        in ledger order, then LBA order within an entry.
-        """
+        """(pba, lba, length) pieces of the zone still referenced by the map,
+        in ledger order, then LBA order within an entry: the whole ledger
+        resolves in one ``lookup_pieces_batch`` call."""
         entries = self._entries[zone_id]
         if not entries:
             return []
-        batch_lookup = getattr(self._map, "lookup_pieces_batch", None)
-        if batch_lookup is not None:
-            n = len(entries)
-            e_pba = np.fromiter((e[0] for e in entries), dtype=np.int64, count=n)
-            e_lba = np.fromiter((e[1] for e in entries), dtype=np.int64, count=n)
-            e_len = np.fromiter((e[2] for e in entries), dtype=np.int64, count=n)
-            piece_pba, piece_len, hole, offsets = batch_lookup(e_lba, e_len)
-            query = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(offsets)
-            )
-            # Pieces tile each query contiguously from its start LBA.
-            cum = np.zeros(len(piece_len), dtype=np.int64)
-            np.cumsum(piece_len[:-1], out=cum[1:])
-            piece_lba = e_lba[query] + (cum - cum[offsets[:-1]][query])
-            keep = ~hole & (piece_pba == e_pba[query] + (piece_lba - e_lba[query]))
-            return list(
-                zip(
-                    piece_pba[keep].tolist(),
-                    piece_lba[keep].tolist(),
-                    piece_len[keep].tolist(),
-                )
-            )
-        pieces: List[Tuple[int, int, int]] = []
-        for pba, lba, length in entries:
-            for segment in self._map.lookup(lba, length):
-                if segment.is_hole:
-                    continue
-                offset = segment.lba - lba
-                if segment.pba == pba + offset:
-                    pieces.append((segment.pba, segment.lba, segment.length))
-        return pieces
+        n = len(entries)
+        e_pba = np.fromiter((e[0] for e in entries), dtype=np.int64, count=n)
+        e_lba = np.fromiter((e[1] for e in entries), dtype=np.int64, count=n)
+        e_len = np.fromiter((e[2] for e in entries), dtype=np.int64, count=n)
+        piece_pba, piece_len, hole, offsets = self._map.lookup_pieces_batch(e_lba, e_len)
+        query = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        # Pieces tile each query contiguously from its start LBA.
+        cum = np.zeros(len(piece_len), dtype=np.int64)
+        np.cumsum(piece_len[:-1], out=cum[1:])
+        piece_lba = e_lba[query] + (cum - cum[offsets[:-1]][query])
+        keep = ~hole & (piece_pba == e_pba[query] + (piece_lba - e_lba[query]))
+        return list(
+            zip(piece_pba[keep].tolist(), piece_lba[keep].tolist(), piece_len[keep].tolist())
+        )
 
     def _invalidate(self, lba: int, length: int) -> None:
         """Decrement live counts for data about to be overwritten.

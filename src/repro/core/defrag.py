@@ -40,10 +40,13 @@ class DefragConfig:
     min_accesses: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_fragments < 2:
-            raise ValueError(f"min_fragments must be >= 2, got {self.min_fragments}")
-        if self.min_accesses < 1:
-            raise ValueError(f"min_accesses must be >= 1, got {self.min_accesses}")
+        # 1.5 would mean ">= 2" here but 1 to the compiled kernel's int64.
+        for name, least in (("min_fragments", 2), ("min_accesses", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 class OpportunisticDefrag:

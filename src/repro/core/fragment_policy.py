@@ -1,15 +1,15 @@
-"""The fragment-policy kernel: Algorithms 2 and 3 over columns.
+"""The fragment-policy kernel: Algorithms 1, 2 and 3 over columns.
 
-Look-ahead-behind prefetching and selective caching are tiny state
-machines — a FIFO of a few windows, an LRU of block ids — consulted once
-per fragment of every fragmented read, in the paper's service order:
-selective-cache lookup, then prefetch-buffer cover, then the disk access
-followed by the window insert and the cache admit.  The per-call methods
-(``lookup`` / ``covers`` / ``note_fragment_read`` / ``admit``) spell that
-order out for the reference translator and are the oracle; the fast paths
-(:func:`repro.core.stream.stream_replay` and the batch driver's read runs)
-hold it once, in one compiled loop over a whole fragment list
-(``_fragment_policy.c``), through a :class:`FragmentPolicies`.
+Opportunistic defragmentation decides once per fragmented read whether to
+rewrite it at the log head; prefetching and selective caching are tiny
+state machines (a FIFO of windows, an LRU of blocks) consulted once per
+fragment of a fragmented read, in the paper's service order.  The
+per-call methods (``should_defragment`` / ``note_defragmented``,
+``lookup`` / ``covers`` / ``note_fragment_read`` / ``admit``) are the
+reference translator's and the oracle; the fast paths
+(:func:`repro.core.stream.stream_replay` and the batch driver) run
+compiled loops over a window of ops or a fragment list
+(``_fragment_policy.c``) through a :class:`FragmentPolicies`.
 
 The C source is built at import time with the system ``cc`` into
 ``__pycache__`` (a fresh temporary directory if that is not writable),
@@ -30,6 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.defrag import OpportunisticDefrag
 from repro.core.prefetch import LookAheadBehindPrefetcher
 from repro.core.selective_cache import SelectiveFragmentCache
 from repro.util.units import BLOCK_SECTORS
@@ -37,11 +38,14 @@ from repro.util.units import BLOCK_SECTORS
 #: Per-fragment outcome codes returned by :meth:`FragmentPolicies.serve`.
 DISK, CACHE_HIT, BUFFER_HIT = 0, 1, 2
 
-#: Header fields of the two state arrays, in the C structs' order.
-_LRU_FIELDS = ("capacity", "block_sectors", "shift", "table_size", "count",
-               "head", "tail", "hits", "misses", "evictions")
-_RING_FIELDS = ("capacity", "ahead", "behind", "size", "first", "count", "used",
-                "window_reads")
+#: Header fields of the state arrays, in the C structs' order.
+_TABLE_FIELDS = ("capacity", "shift", "table_size", "count", "head", "tail")
+_LRU_FIELDS = _TABLE_FIELDS + ("block_sectors", "hits", "misses", "evictions")
+_RING_FIELDS = ("capacity", "ahead", "behind", "size", "first", "count", "used", "window_reads")
+_DEFRAG_FIELDS = _TABLE_FIELDS + ("used", "min_fragments", "min_accesses")
+_PROGRESS_FIELDS = ("frontier", "accesses", "appends", "rewrites", "rewritten", "rows")
+#: int64 words per table node: key, length, value, prev, next.
+_NODE_WORDS = 5
 
 _FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv")
 
@@ -83,39 +87,60 @@ _LIBRARY = _load_library()
 _LIBRARY.fp_serve.restype = ctypes.c_int64
 _LIBRARY.fp_serve.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                               ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-_LIBRARY.fp_load.argtypes = (ctypes.c_void_p,)
-_LIBRARY.fp_order.argtypes = (ctypes.c_void_p, ctypes.c_void_p)
+_LIBRARY.fp_defrag.restype = ctypes.c_int64
+_LIBRARY.fp_defrag.argtypes = (ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_int64] * 3)
+_LIBRARY.fp_load.argtypes = (ctypes.c_void_p, ctypes.c_int64)
+_LIBRARY.fp_order.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+
+
+def _table(fields: Tuple[str, ...], capacity: int, rows: np.ndarray) -> np.ndarray:
+    """A ``fields`` header (zero past the table's own), a hash table, and
+    ``capacity`` nodes holding ``(key[, length, value])`` ``rows`` in order."""
+    table = 1 << (2 * capacity - 1).bit_length()  # at most half full
+    state = np.zeros(len(fields) + table + _NODE_WORDS * capacity, np.int64)
+    state[: len(_TABLE_FIELDS)] = capacity, 65 - table.bit_length(), table, len(rows), -1, -1
+    nodes = state[len(fields) + table :].reshape(capacity, _NODE_WORDS)
+    nodes[: len(rows), : rows.shape[1]] = rows
+    return state
+
+
+def _rows(state: np.ndarray, fields: Tuple[str, ...]) -> np.ndarray:
+    """A table's ``(key, length, value)`` rows, oldest first."""
+    rows = np.empty((int(state[_TABLE_FIELDS.index("count")]), 3), dtype=np.int64)
+    _LIBRARY.fp_order(state.ctypes.data, len(fields), rows.ctypes.data)
+    return rows
 
 
 class FragmentPolicies:
-    """A cache and a prefetcher whose state the compiled kernel owns.
+    """The techniques' state, owned by the compiled kernel: Algorithm 1's
+    access counts, the cache and the prefetcher (any may be None).
 
     Loads the objects' ``state_dict()``\\ s into preallocated arrays —
-    O(cache blocks + buffer sectors), never O(stream) — which every
-    :meth:`serve` then advances in place.  :meth:`sync` writes them back
-    through the objects' ``load_state``; until it runs the objects are
-    stale, so an owner syncs before anyone reads them.  At least one of
-    ``cache`` and ``prefetcher`` is given.
+    O(state), never O(stream) — which every :meth:`replay` and
+    :meth:`serve` then advance in place; the count table grows without a
+    cap, as the counts do.  :meth:`sync` writes them back through the
+    objects' ``load_state``; until it runs the objects are stale, so an
+    owner syncs before anyone reads them.
     """
 
     def __init__(
         self,
         cache: Optional[SelectiveFragmentCache],
         prefetcher: Optional[LookAheadBehindPrefetcher],
+        defrag: Optional[OpportunisticDefrag],
     ) -> None:
-        self.cache, self.prefetcher = cache, prefetcher
+        self.cache, self.prefetcher, self.defrag = cache, prefetcher, defrag
         self._lru = self._ring = None
+        if defrag is not None:
+            rows = defrag.state_dict()["access_counts"]
+            self._count_table(rows, max(4, 2 * len(rows)))
         if cache is not None:
             state = cache.state_dict()
-            capacity, blocks = cache.capacity_blocks, state["blocks"]
-            table = 1 << (2 * capacity - 1).bit_length()  # at most half full
-            self._lru = np.zeros(len(_LRU_FIELDS) + table + 3 * capacity, np.int64)
-            self._lru[: len(_LRU_FIELDS)] = (
-                capacity, BLOCK_SECTORS, 65 - table.bit_length(), table,
-                len(blocks), -1, -1, state["hits"], state["misses"], state["evictions"],
-            )
-            self._lru[len(_LRU_FIELDS) + table :: 3][: len(blocks)] = blocks
-            _LIBRARY.fp_load(self._lru.ctypes.data)
+            blocks = np.asarray(state["blocks"], dtype=np.int64)[:, None]
+            self._lru = _table(_LRU_FIELDS, cache.capacity_blocks, blocks)
+            header = BLOCK_SECTORS, state["hits"], state["misses"], state["evictions"]
+            self._lru[len(_TABLE_FIELDS) : len(_LRU_FIELDS)] = header
+            _LIBRARY.fp_load(self._lru.ctypes.data, len(_LRU_FIELDS))
         if prefetcher is not None:
             state = prefetcher.state_dict()
             windows = np.asarray(state["windows"], dtype=np.int64).reshape(-1, 2)
@@ -130,6 +155,51 @@ class FragmentPolicies:
         self._addresses = tuple(
             None if array is None else array.ctypes.data for array in (self._lru, self._ring)
         )
+
+    def _count_table(self, rows: np.ndarray, capacity: int) -> None:
+        config, self._counts = self.defrag._config, _table(_DEFRAG_FIELDS, capacity, rows)
+        self._counts[len(_TABLE_FIELDS) : len(_DEFRAG_FIELDS)] = (
+            len(rows), config.min_fragments, config.min_accesses)
+        _LIBRARY.fp_load(self._counts.ctypes.data, len(_DEFRAG_FIELDS))
+
+    def replay(self, frontier: int, amap, is_read, lba, length):
+        """Replay a window of ops on the single-frontier log under
+        opportunistic defrag, writes and chosen rewrites appending at
+        ``frontier``: the reference translator's per-op sequence, its reads
+        resolved by one ``amap.lookup_pieces_batch`` as the window starts.
+
+        Returns ``(replayed, fragments, (pba, length, kind), (lba, pba,
+        length), progress)``: the ops replayed (fewer when a new window must
+        resume), each one's fragment count, their accesses, the map rows to
+        apply in order, and ``frontier``, ``rewrites`` and ``rewritten``.
+        """
+        reads = np.flatnonzero(is_read)
+        pba, piece_length, hole, read_offsets = amap.lookup_pieces_batch(lba[reads], length[reads])
+        n, pieces = len(lba), len(pba)
+        inputs, progress = 3 * (n + pieces) + 1, len(_PROGRESS_FIELDS)
+        work = np.empty(28 * n + 6 * pieces + 1 + progress, dtype=np.int64)
+        work[:n], work[n : 2 * n], work[2 * n : 3 * n + 1] = lba, length, 0
+        work[-progress:] = frontier, 0, 0, 0, 0, 0
+        offsets = work[2 * n : 3 * n + 1]  # into the pieces; none for a write
+        offsets[reads + 1] = np.diff(read_offsets)
+        np.cumsum(offsets, out=offsets)
+        triples = work[3 * n + 1 : inputs].reshape(pieces, 3)
+        triples[:, 0], triples[:, 1], triples[:, 2] = pba, piece_length, hole
+        replayed = 0
+        while True:
+            replayed = _LIBRARY.fp_defrag(self._counts.ctypes.data, work.ctypes.data, n, pieces,
+                                          replayed)
+            table = dict(zip(_DEFRAG_FIELDS, self._counts[: len(_DEFRAG_FIELDS)].tolist()))
+            if table["used"] < table["capacity"]:
+                break  # else compact, grow and resume the window
+            rows = _rows(self._counts, _DEFRAG_FIELDS)
+            self._count_table(rows, max(table["capacity"], 2 * len(rows)))
+        done = dict(zip(_PROGRESS_FIELDS, work[-progress:].tolist()))
+        m, r, capacity = done["accesses"], done["appends"], pieces + 5 * n
+        out = work[inputs + n :]  # copied, so that the window's scratch is freed
+        accesses = out[: 3 * capacity].reshape(3, capacity)[:, :m].copy()
+        appends = out[3 * capacity : 3 * (capacity + n)].reshape(3, n)[:, :r].copy()
+        return replayed, work[inputs : inputs + replayed].copy(), accesses, appends, done
 
     def serve(self, pba, length) -> np.ndarray:
         """Serve the fragments ``(pba[i], length[i])`` of fragmented reads in
@@ -157,14 +227,14 @@ class FragmentPolicies:
         return codes
 
     def sync(self) -> None:
-        """Write the kernel's state back into the cache and prefetcher."""
+        """Write the kernel's state back into the policy objects."""
+        if self.defrag is not None:
+            self.defrag.load_state({"access_counts": _rows(self._counts, _DEFRAG_FIELDS)})
         if self.cache is not None:
             header = dict(zip(_LRU_FIELDS, self._lru[: len(_LRU_FIELDS)].tolist()))
-            blocks = np.empty(header["count"], dtype=np.int64)
-            _LIBRARY.fp_order(self._lru.ctypes.data, blocks.ctypes.data)
             self.cache.load_state(
                 {key: header[key] for key in ("hits", "misses", "evictions")}
-                | {"blocks": blocks}
+                | {"blocks": _rows(self._lru, _LRU_FIELDS)[:, 0]}
             )
         if self.prefetcher is not None:
             header = dict(zip(_RING_FIELDS, self._ring[: len(_RING_FIELDS)].tolist()))

@@ -1,42 +1,29 @@
 """Shared-replay technique kernels over a recorded fragment-access stream.
 
-The chunked batch kernel (:mod:`repro.core.batch`) replays one
-configuration per pass, paying the extent-map work — ``lookup_pieces`` per
-read, ``map_range`` per write — every time.  But the paper's read-path
-techniques have a key structural property: **look-ahead-behind prefetching
-(Alg. 2) and selective caching (Alg. 3) never change the log layout.**
-Only writes (and opportunistic-defrag rewrites, Alg. 1) move the frontier
-or remap extents, so for any defrag-free configuration the sequence of
-physical fragments each read resolves to is *identical* to plain LS —
-the techniques merely decide, per fragment of a fragmented read, whether
-the disk access happens at all.
+The batch kernel (:mod:`repro.core.batch`) replays one configuration per
+pass, paying the extent-map work every time.  But look-ahead-behind
+prefetching (Alg. 2) and selective caching (Alg. 3) **never change the
+log layout**: only writes and opportunistic-defrag rewrites (Alg. 1) do,
+so under any defrag-free configuration every read resolves to the same
+physical fragments as under plain LS, and the techniques merely decide,
+per fragment of a fragmented read, whether the disk access happens.
 
-This module exploits that:
+* :func:`record_fragment_stream` replays a trace **once** under plain LS
+  and records every would-be disk access (pba, length, read/write kind)
+  plus the grouping of fragments into fragmented reads, as flat arrays.
+* :func:`stream_replay` evaluates a cache/prefetch configuration against
+  the stream without touching the extent map: the fragment-policy kernel
+  (:mod:`repro.core.fragment_policy`) serves the fragmented-read
+  fragments only, and seek classification of the kept accesses is fully
+  vectorized.
+* :func:`stream_cache_sweep` evaluates a whole cache-capacity sweep in one
+  pass: block-granular LRU caches obey stack inclusion, so one
+  Mattson-style stack-distance pass gives each fragment access the least
+  capacity at which it hits; each point is then an array threshold.
 
-* :func:`record_fragment_stream` performs **one** plain-LS replay of a
-  trace and records the full fragment-access stream — every would-be disk
-  access (pba, length, read/write kind) plus the grouping of fragments
-  into fragmented reads — as flat numpy arrays.
-* :func:`stream_replay` evaluates any cache/prefetch configuration
-  against the recorded stream without touching the extent map: the
-  fragment-policy kernel (:mod:`repro.core.fragment_policy`) drives the
-  stateful policies over the *fragmented-read fragments only* (the
-  minority of accesses), producing a keep-mask; seek classification over
-  the kept accesses is then fully vectorized.
-* :func:`stream_cache_sweep` evaluates an entire *cache-capacity sweep*
-  in one shared pass: block-granular LRU caches obey the stack-inclusion
-  property (a larger cache always holds a superset of a smaller one under
-  the same access sequence), so a single Mattson-style stack-distance
-  pass yields, for every fragment access, the minimum capacity at which
-  it hits — each capacity point then costs only an array threshold plus
-  the vectorized classification.
-
-All three are **exact**: results are bit-for-bit equal to the reference
-:class:`~repro.core.simulator.Simulator` (stats, seek-distance log, seek
-directions, final head/frontier and technique-internal state), enforced
-by ``tests/differential/test_techniques_vs_reference.py``.  Defrag
-configurations mutate the layout and therefore have no stream kernel —
-they stay on the chunked stateful kernel in :mod:`repro.core.batch`.
+All three equal the reference :class:`~repro.core.simulator.Simulator`
+bit for bit (``tests/differential/test_techniques_vs_reference.py``).
+Defrag configurations change the layout and stay on the batch kernel.
 
 Doctest (one recording, two cache sizes, no re-replay)::
 
@@ -141,18 +128,14 @@ class FragmentStream:
         trace_name: Name of the recorded trace.
         frontier_base: First log sector (``trace.max_end``).
         frontier: Final write frontier after the replay.
-        layout: The plain-LS translator the recording replay drove; its
-            extent map, frontier and head position are exactly the
-            reference end-state — and, because cache/prefetch never remap
-            anything, also the end-state of *every* defrag-free replay.
-            ``None`` for streams rehydrated from the persistent
-            :class:`~repro.core.stream_store.StreamStore` — only the
-            differential tests inspect the layout, and persisting a whole
-            extent map would defeat the zero-copy load.
+        layout: The plain-LS translator the recording drove, in the
+            reference end-state of *every* defrag-free replay; ``None`` for
+            streams rehydrated from the persistent
+            :class:`~repro.core.stream_store.StreamStore` (persisting a
+            whole extent map would defeat the zero-copy load).
         pba / length / kind: The access stream a technique-free LS replay
             performs, one entry per physical access (``kind`` is 0 for
-            reads, 1 for writes).  Cache/prefetch configurations serve a
-            *subset* of these accesses from RAM; they never add accesses.
+            reads, 1 for writes); cache/prefetch serve a subset from RAM.
         op_index: Originating trace request index of each access (int64,
             non-decreasing): a write contributes one entry, a read one per
             fragment.  Lets windowed/temporal analyses attribute stream
@@ -250,7 +233,10 @@ def record_fragment_stream(
     classified access stream retained, so the stream equals what
     :func:`~repro.core.batch.batch_replay` classifies by construction.
     ``chunk_ops`` is the batch size fed to the driver; it bounds working
-    memory and is unobservable in the result.
+    memory and is unobservable in the result.  ``op_index`` and the
+    fragmented-read groups are a post-pass over the driver's per-op
+    fragment counts: under plain LS a write is one access and a read one
+    per fragment, so a count is also the stream entries its op added.
     """
     if chunk_ops <= 0:
         raise ValueError(f"chunk_ops must be > 0, got {chunk_ops}")
@@ -258,19 +244,6 @@ def record_fragment_stream(
         frontier_base=trace.max_end,
         address_map=make_address_map(resolve_map_tier(DEFAULT_KERNEL_TIER)),
     )
-    return _record_with(trace, translator, chunk_ops)
-
-
-def _record_with(
-    trace: Trace, translator: LogStructuredTranslator, chunk_ops: int
-) -> FragmentStream:
-    """Drive ``translator`` over ``trace`` and freeze the recorded stream.
-
-    ``op_index`` and the fragmented-read groups are a post-pass over the
-    driver's per-op fragment counts: under plain LS a write is one access
-    and a read one access per fragment, so the count column is also the
-    number of stream entries each op contributed.
-    """
     engine = IncrementalBatchReplay(translator, trace_name=trace.name)
     is_read, op_lba, op_len = trace.as_arrays()
     segments: List[tuple] = []
@@ -317,37 +290,6 @@ def _record_with(
 # --------------------------------------------------------------------- #
 
 
-def _description(config: TechniqueConfig) -> str:
-    """The reference translator's description for a defrag-free config."""
-    parts = ["LS"]
-    if config.prefetch is not None:
-        parts.append("prefetch")
-    if config.cache is not None:
-        parts.append("cache")
-    return "+".join(parts)
-
-
-def _stream_stats(
-    stream: FragmentStream,
-    cache_hits: int,
-    buffer_hits: int,
-    read_seeks: int,
-    write_seeks: int,
-) -> SimStats:
-    stats = SimStats()
-    stats.reads = stream.reads
-    stats.writes = stream.writes
-    stats.sectors_read = stream.sectors_read
-    stats.sectors_written = stream.sectors_written
-    stats.read_fragments = stream.read_fragments
-    stats.fragmented_reads = stream.fragmented_reads
-    stats.cache_fragment_hits = cache_hits
-    stats.buffer_fragment_hits = buffer_hits
-    stats.read_seeks = read_seeks
-    stats.write_seeks = write_seeks
-    return stats
-
-
 def _result(
     stream: FragmentStream,
     config: TechniqueConfig,
@@ -385,14 +327,19 @@ def _result(
     if policies is not None:
         policies.sync()
     read_seeks = int(np.count_nonzero(distance_is_read))
-    stats = _stream_stats(
-        stream, cache_hits, buffer_hits, read_seeks, len(distances) - read_seeks
+    stats = SimStats(
+        cache_fragment_hits=cache_hits, buffer_fragment_hits=buffer_hits,
+        read_seeks=read_seeks, write_seeks=len(distances) - read_seeks,
+        **{key: getattr(stream, key) for key in (
+            "reads", "writes", "sectors_read", "sectors_written", "read_fragments",
+            "fragmented_reads")},
     )
+    # The reference translator's description of a defrag-free config.
+    techniques = [("prefetch", config.prefetch), ("cache", config.cache)]
+    description = "+".join(["LS"] + [name for name, part in techniques if part is not None])
     return StreamRunResult(
         run_result=RunResult(
-            trace_name=stream.trace_name,
-            translator=_description(config),
-            stats=stats,
+            trace_name=stream.trace_name, translator=description, stats=stats
         ),
         distances=distances,
         distance_is_read=distance_is_read,
@@ -427,7 +374,7 @@ def stream_replay(
     )
     if cache is None and prefetcher is None:
         return _result(stream, config, None)
-    policies = FragmentPolicies(cache, prefetcher)
+    policies = FragmentPolicies(cache, prefetcher, None)
 
     def keep(lo: int, hi: int):
         return filter_accesses(

@@ -44,7 +44,7 @@ The case the guard exists for: 1000-write batches spread uniformly over a
 µs/write); guarded they take the overlay route and cost what they did
 before the hull restriction (25 µs/write), while 8192-write batches —
 at or above the flush threshold — merge directly (11 vs 24 µs/write).
-Scalar ``map_range`` (defrag rewrites) and short runs stay row by row.
+Scalar ``map_range`` and short runs stay row by row.
 
 Every route is pinned to :class:`ExtentMap` bit for bit
 (``tests/extentmap/test_array_map_write_path.py``,

@@ -6,6 +6,8 @@ import abc
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -92,3 +94,18 @@ class AddressMap(abc.ABC):
             (segment.lba if segment.is_hole else segment.pba, segment.length, segment.is_hole)
             for segment in self.lookup(lba, length)
         ]
+
+    def lookup_pieces_batch(self, lba: np.ndarray, length: np.ndarray):
+        """:meth:`lookup_pieces` of many reads as ``(pba, length, is_hole,
+        offsets)`` columns, query ``q``'s pieces being rows
+        ``offsets[q]:offsets[q+1]``.  The default resolves read by read."""
+        reads = list(map(self.lookup_pieces, lba.tolist(), length.tolist()))
+        pieces = np.array([piece for read in reads for piece in read], np.int64)
+        pieces = pieces.reshape(-1, 3)
+        offsets = np.cumsum([0, *map(len, reads)], dtype=np.int64)
+        return pieces[:, 0], pieces[:, 1], pieces[:, 2].astype(bool), offsets
+
+    def map_range_batch(self, lba: np.ndarray, pba: np.ndarray, length: np.ndarray) -> None:
+        """:meth:`map_range` on each row in order."""
+        for row in zip(lba.tolist(), pba.tolist(), length.tolist()):
+            self.map_range(*row)

@@ -131,6 +131,13 @@ class TestSerializedConfigs:
         with pytest.raises(ValueError, match=f"{key}.{field}"):
             config_from_dict(old)
 
+    @pytest.mark.parametrize("field, value", [("min_accesses", 1.5), ("min_accesses", True),
+                                              ("min_fragments", 3.0)])
+    def test_defrag_thresholds_must_be_ints(self, field, value):
+        request = config_to_dict(LS_ALL) | {"defrag": {"min_fragments": 4, field: value}}
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            config_from_dict(request)
+
     def test_earlier_multi_frontier_state_loads(self):
         def translator():
             return MultiFrontierTranslator(frontier_base=64, region_sectors=1 << 16)

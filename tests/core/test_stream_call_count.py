@@ -1,26 +1,32 @@
 """Tripwire: ``stream_replay`` makes a constant number of Python calls
-per slab of the stream, and none per fragment.
+per slab of the stream and none per fragment, a defrag ``batch_replay``
+a constant number per window of ops and none per read.
 
-The policy configurations used to cost three to five Python-level calls
-per fragment; the fragment-policy kernel costs none.  The stream is
-served and seek-classified ``_SLAB`` accesses at a time so that scratch
-stays slab-sized, which costs a fixed handful of calls per slab.
-Counting ``call`` events under :func:`sys.setprofile` is deterministic
-(no timing): a stream with twice the fragments adds only the calls of
-its extra slabs.
+The policies used to cost three to five Python-level calls per fragment
+and defrag a loop turn per read; the compiled kernel costs none, and a
+slab or window a fixed handful.  Counting ``call`` events under
+:func:`sys.setprofile` is deterministic (no timing): twice the fragments
+or reads add only the calls of the extra slabs or windows.
 """
 
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro.extentmap
 from repro.core import stream as stream_module
-from repro.core.config import LS_CACHE, LS_PREFETCH, TechniqueConfig
+from repro.core.batch import _DEFRAG_WINDOW, DEFAULT_CHUNK_OPS, batch_replay
+from repro.core.config import LS_ALL, LS_CACHE, LS_DEFRAG, LS_PREFETCH, TechniqueConfig
 from repro.core.stream import record_fragment_stream, stream_replay
 from repro.workloads import get_spec, synthesize_workload
 
 MAX_PYTHON_CALLS = 200
 PER_SLAB_CALLS = 40
+PER_WINDOW_CALLS = 600
+#: The map's own work: a write row it cannot merge directly goes through
+#: its overlay one Python insert at a time (ROADMAP item 11).
+EXTENT_MAP = str(Path(repro.extentmap.__file__).parent)
 
 CONFIGS = [
     LS_PREFETCH,
@@ -31,13 +37,14 @@ CONFIGS = [
 ]
 
 
-def python_calls(function, *args) -> int:
-    """Python-level function calls made while ``function(*args)`` runs."""
+def python_calls(function, *args, outside=None) -> int:
+    """Python-level function calls made while ``function(*args)`` runs,
+    of code outside the ``outside`` directory (if given)."""
     calls = 0
 
     def profiler(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and not (outside and frame.f_code.co_filename.startswith(outside)):
             calls += 1
 
     sys.setprofile(profiler)
@@ -49,12 +56,14 @@ def python_calls(function, *args) -> int:
 
 
 @pytest.fixture(scope="module")
-def streams():
+def traces():
     per_op = 1.0 / get_spec("hm_1").total_ops
-    return [
-        record_fragment_stream(synthesize_workload("hm_1", seed=42, scale=ops * per_op))
-        for ops in (20_000, 40_000)
-    ]
+    return [synthesize_workload("hm_1", seed=42, scale=ops * per_op) for ops in (20_000, 40_000)]
+
+
+@pytest.fixture(scope="module")
+def streams(traces):
+    return [record_fragment_stream(trace) for trace in traces]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
@@ -69,3 +78,14 @@ def test_stream_replay_python_calls_are_constant(streams, config):
     calls = [python_calls(stream_replay, stream, config) for stream in streams]
     assert calls[0] <= MAX_PYTHON_CALLS
     assert calls[1] - calls[0] <= PER_SLAB_CALLS * (slabs[1] - slabs[0])
+
+
+@pytest.mark.parametrize("config", [LS_DEFRAG, LS_ALL], ids=lambda config: config.name)
+def test_defrag_batch_replay_python_calls_are_per_window(traces, config):
+    reads = [int(trace.as_arrays()[0].sum()) for trace in traces]
+    assert reads[1] >= 1.9 * reads[0]
+    window = min(_DEFRAG_WINDOW, DEFAULT_CHUNK_OPS)
+    windows = [-(-len(trace) // window) for trace in traces]
+    calls = [python_calls(batch_replay, trace, config, outside=EXTENT_MAP) for trace in traces]
+    assert calls[1] - calls[0] <= PER_WINDOW_CALLS * (windows[1] - windows[0])
+

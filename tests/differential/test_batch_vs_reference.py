@@ -18,34 +18,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import (
-    _MIN_BATCH_READ_RUN,
-    _READ_RESOLVE_WINDOW,
-    BatchUnsupportedError,
-    batch_replay,
-    batch_replay_translator,
-)
-from repro.core.config import (
-    ALL_CONFIGS,
-    LS_ALL,
-    LS_DEFRAG,
-    NOLS,
-    TechniqueConfig,
-    build_translator,
-)
-from repro.core.defrag import DefragConfig
-from repro.core.prefetch import PrefetchConfig
-from repro.core.selective_cache import SelectiveCacheConfig
+from repro.core.batch import BatchUnsupportedError, batch_replay, batch_replay_translator
+from repro.core.config import ALL_CONFIGS, LS_ALL, NOLS, build_translator
 from repro.core.simulator import replay
 from repro.core.translators import LogStructuredTranslator
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 from repro.workloads import synthesize_workload
 
-from tests.differential.oracle import (
-    assert_batch_matches_reference,
-    assert_translator_matches_reference,
-)
+from tests.differential.oracle import assert_batch_matches_reference
 
 # Both trace families, mixing read-heavy, write-heavy and scan-flavoured
 # entries so every technique (defrag, prefetch, cache) gets exercised.
@@ -123,73 +104,6 @@ def test_chunk_size_is_unobservable(traces, chunk_ops):
     assert rechunked.stats == baseline.stats
     assert list(rechunked.distances) == list(baseline.distances)
     assert list(rechunked.distance_is_read) == list(baseline.distance_is_read)
-
-
-# --- the stale-range set of a long defragmenting read run -----------------
-
-
-def _stale_set_adversary():
-    """One read run of more than two resolve windows over a log whose
-    every 16-sector stripe is in three pieces, so every read wider than a
-    piece is fragmented and — under ``DefragConfig()`` — rewritten.
-
-    The reads open with the shapes the stale-range set has to merge: a
-    range rewritten inside a later, wider one (nested), a neighbour
-    starting where a rewritten range ends (adjacent), a range straddling a
-    rewritten one's end (partially overlapping) and the same range again
-    (identical) — then a seeded soup of grid-aligned ranges that keeps
-    producing all four, with a hand-placed adjacent/nested pair rewritten
-    either side of the first window boundary.
-    """
-    import random
-
-    span = 4096
-    writes = [IORequest.write(0, span)]
-    writes += [IORequest.write(stripe + 4, 4) for stripe in range(0, span, 16)]
-    opening = [
-        (16, 16), (0, 64),        # nested: [16, 32) then [0, 64) around it
-        (64, 16),                 # adjacent to [0, 64)
-        (72, 28),                 # partially overlaps [64, 80)
-        (0, 64), (72, 28),        # identical
-        (60, 10),                 # across two rewritten ranges
-    ]
-    rng = random.Random(2024)
-    soup = [
-        (8 * rng.randrange(span // 8 - 32), rng.choice((8, 16, 24, 64, 200)))
-        for _ in range(2 * _READ_RESOLVE_WINDOW + 100)
-    ]
-    edge = _READ_RESOLVE_WINDOW - len(opening)
-    soup[edge - 2 : edge + 2] = [(2000, 48), (2048, 48), (2096, 48), (1990, 170)]
-    reads = [IORequest.read(lba, length) for lba, length in opening + soup]
-    return _trace(writes + reads, name="stale-set-adversary")
-
-
-DEFRAG_WITH_POLICIES = TechniqueConfig(
-    name="LS+defrag+prefetch+cache",
-    defrag=DefragConfig(),
-    prefetch=PrefetchConfig(behind_kib=8.0, ahead_kib=8.0, buffer_mib=0.0625),
-    cache=SelectiveCacheConfig(capacity_mib=0.25),
-)
-
-
-@pytest.mark.parametrize("chunk_ops", [8192, _MIN_BATCH_READ_RUN - 1])
-@pytest.mark.parametrize(
-    "config", [LS_DEFRAG, DEFRAG_WITH_POLICIES], ids=lambda config: config.name
-)
-def test_stale_range_set_adversary_matches_reference(config, chunk_ops):
-    # chunk_ops below _MIN_BATCH_READ_RUN makes every read run a tiny one:
-    # the same loop with a single all-covering stale range.
-    trace = _stale_set_adversary()
-    reads = sum(1 for request in trace if request.is_read)
-    assert reads >= 2 * _READ_RESOLVE_WINDOW
-    assert_translator_matches_reference(
-        trace,
-        lambda: build_translator(trace, config),
-        lambda: build_translator(trace, config, address_map_tier="array"),
-        chunk_ops=chunk_ops,
-    )
-    rewrites = batch_replay(trace, config).stats.defrag_rewrites
-    assert rewrites > _READ_RESOLVE_WINDOW // 2  # the set was actually exercised
 
 
 def test_frontier_crossing_raises_identically():

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import batch_replay
-from repro.core.config import ALL_CONFIGS, LS_ALL
+from repro.core.config import ALL_CONFIGS
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 
@@ -47,17 +46,3 @@ def _trace(requests):
 @settings(max_examples=40, deadline=None)
 def test_random_traces_match(config, requests):
     assert_batch_matches_reference(_trace(requests), config)
-
-
-@given(
-    requests=_requests,
-    chunk_ops=st.integers(min_value=1, max_value=33),
-)
-@settings(max_examples=40, deadline=None)
-def test_random_traces_chunk_invariant(requests, chunk_ops):
-    trace = _trace(requests)
-    baseline = batch_replay(trace, LS_ALL)
-    rechunked = batch_replay(trace, LS_ALL, chunk_ops=chunk_ops)
-    assert rechunked.stats == baseline.stats
-    assert list(rechunked.distances) == list(baseline.distances)
-    assert list(rechunked.distance_is_read) == list(baseline.distance_is_read)

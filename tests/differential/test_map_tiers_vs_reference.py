@@ -104,11 +104,11 @@ def test_stream_recording_raises_identically_across_tiers():
     message, whichever map tier the recording translator runs on.
 
     ``record_fragment_stream`` sizes the log at ``trace.max_end`` so the
-    public entry can never violate; drive the recording path directly
+    public entry can never violate; drive its recording driver directly
     with an undersized translator to pin the parity.
     """
     from repro.core.simulator import Simulator
-    from repro.core.stream import _record_with
+    from repro.core.batch import IncrementalBatchReplay
     from repro.core.translators import LogStructuredTranslator
     from repro.extentmap.tiers import make_address_map
 
@@ -122,7 +122,7 @@ def test_stream_recording_raises_identically_across_tiers():
             frontier_base=512, address_map=make_address_map(tier)
         )
         with pytest.raises(ValueError) as recorded:
-            _record_with(trace, recording, 8192)
+            IncrementalBatchReplay(recording)._replay_runs(*trace.as_arrays(), [])
         assert type(recorded.value) is type(reference.value), tier
         assert str(recorded.value) == str(reference.value), tier
 

@@ -3,18 +3,27 @@
 :class:`repro.core.fragment_policy.FragmentPolicies` must return the hit
 codes, and — once synced — leave the policy objects in the state, that
 calling ``lookup`` / ``covers`` / ``note_fragment_read`` / ``admit`` one
-fragment at a time produces.  The per-call API is the reference
-translator's and stays the oracle here.
+fragment at a time produces; and its Algorithm 1 windows must replay ops
+as the reference translator does one at a time.  The per-call API is the
+reference translator's and stays the oracle here.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import IncrementalBatchReplay
+from repro.core.config import TechniqueConfig, build_translator
+from repro.core.defrag import DefragConfig
 from repro.core.fragment_policy import BUFFER_HIT, CACHE_HIT, DISK, FragmentPolicies
 from repro.core.prefetch import LookAheadBehindPrefetcher, PrefetchConfig
 from repro.core.selective_cache import SelectiveCacheConfig, SelectiveFragmentCache
+from repro.core.recorders import SeekLogRecorder
+from repro.core.simulator import Simulator
+from repro.trace.record import IORequest
+from repro.trace.trace import Trace
 from repro.util.units import BYTES_PER_MIB
+from tests.differential.oracle import normalized
 
 BLOCK_BYTES = 8 * 512
 
@@ -100,7 +109,7 @@ def test_kernel_equals_per_call_sequence(warm_up, fragments, cuts, blocks, shape
     # Both sides start from the same non-trivial state and counters.
     per_call(*expected_objects, warm_up)
     per_call(*kernel_objects, warm_up)
-    policies = FragmentPolicies(*kernel_objects)
+    policies = FragmentPolicies(*kernel_objects, None)
 
     # Serve the list in calls split at arbitrary boundaries, syncing at some.
     bounds = sorted({min(cut, len(fragments)) for cut, _sync in cuts} | {len(fragments)})
@@ -146,7 +155,7 @@ def test_invalid_fragment_raises_what_the_per_call_api_raises(
         assert blocks is None and rejected[1] > 0
         message = None
 
-    policies = FragmentPolicies(*kernel_objects)
+    policies = FragmentPolicies(*kernel_objects, None)
     if message is None:
         policies.serve(*columns(fragments))
         policies.sync()
@@ -166,7 +175,66 @@ def test_a_fragment_wider_than_the_cache_keeps_its_tail():
     expected_objects = build(3, None)
     kernel_objects = build(3, None)
     expected = per_call(*expected_objects, fragments)
-    policies = FragmentPolicies(*kernel_objects)
+    policies = FragmentPolicies(*kernel_objects, None)
     assert policies.serve(*columns(fragments)).tolist() == expected
     policies.sync()
     assert end_state(*kernel_objects) == end_state(*expected_objects)
+
+
+# Ops on a 4-sector grid over 100 sectors: reads overlap the writes and
+# rewrites before them in a window, partly or wholly, and straddle holes;
+# writes abut (their log pieces must merge) and land over rewrites; long
+# reads over many 1-sector writes overflow a window's scratch; under
+# k = 3 the count table outgrows its first nodes.
+ops = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 15).map(lambda b: 4 * b),
+              st.sampled_from([1, 2, 4, 8, 12, 24, 40])),
+    max_size=90,
+)
+
+
+@given(
+    ops=ops,
+    cuts=st.lists(st.tuples(st.integers(0, 90), st.booleans()), max_size=6),
+    throttles=st.tuples(st.sampled_from([2, 3]), st.sampled_from([1, 2, 3])),
+    tier=st.sampled_from(["array", "extent"]),
+)
+# Sixteen 1-sector writes, then long reads across them, each of a new
+# range: the window's scratch and the count table both run out.
+@example(ops=[(False, 4 * b, 1) for b in range(16)] + [(True, 4 * b, 40) for b in range(6)],
+         cuts=[], throttles=(2, 3), tier="array")
+# A snapshot holding [0, 12) mid-count under k = 3 resumes; the third read
+# rewrites it.
+@example(ops=[(False, 4, 2), (False, 8, 2)] + [(True, 0, 12)] * 3 + [(False, 2, 4), (True, 0, 12)],
+         cuts=[(4, True)], throttles=(2, 3), tier="array")
+@settings(max_examples=300, deadline=None)
+def test_defrag_windows_equal_the_per_op_reference(ops, cuts, throttles, tier):
+    requests = [(IORequest.read if read else IORequest.write)(lba, length) for read, lba, length in ops]
+    trace = Trace(requests, name="d")
+    n, k = throttles
+    config = TechniqueConfig(name="d", defrag=DefragConfig(min_fragments=n, min_accesses=k))
+    reference_translator, recorder = build_translator(trace, config), SeekLogRecorder()
+    reference = Simulator(recorders=[recorder]).run(trace, reference_translator)
+
+    # Feed the ops in windows split at arbitrary boundaries, restoring a
+    # fresh engine from a snapshot at some.
+    engine = IncrementalBatchReplay(build_translator(trace, config, tier))
+    is_read, lba, length = trace.as_arrays()
+    bounds = sorted({min(cut, len(ops)) for cut, _restore in cuts} | {len(ops)})
+    restores = {min(cut, len(ops)) for cut, restore in cuts if restore}
+    lo = 0
+    for hi in bounds:
+        engine.feed_arrays(is_read[lo:hi], lba[lo:hi], length[lo:hi])
+        if hi in restores:  # the counts as an older checkpoint's plain rows
+            state = engine.state_dict()
+            state["translator"]["defrag"]["access_counts"] = state["translator"]["defrag"][
+                "access_counts"].tolist()
+            engine = IncrementalBatchReplay.from_state(build_translator(trace, config, tier), state)
+        lo = hi
+    replayed = engine.result()
+    assert replayed.stats == reference.stats
+    assert replayed.distances.tolist() == recorder.distances
+    assert normalized(replayed.translator.state_dict()) == normalized(
+        reference_translator.state_dict()
+    )
+
