@@ -78,9 +78,7 @@ class PopularityCurve:
                 self._cumulative_accesses[:limit], target, side="left"
             )
         )
-        if index < limit:
-            return self.cumulative_mib[index]
-        return self.cumulative_mib[-1] if self.cumulative_mib else 0.0
+        return self.cumulative_mib[index]  # the last rank reaches the whole total
 
 
 class FragmentPopularityRecorder:

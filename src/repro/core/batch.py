@@ -496,8 +496,10 @@ class _ZonedWithEpisodes(_Placement):
                 m = 0
                 if j < len(open_order):
                     # Zones turning non-empty strictly before each op: the
-                    # frontier's remaining r0, then whole (empty, by queue
-                    # construction) zones.
+                    # frontier's remaining r0, then whole zones.  Every zone
+                    # queued past the frontier is empty: a zone is queued
+                    # again only once reset, and the frontier zone always
+                    # holds a live piece, whose relocation moves it on.
                     frontier = zones_list[open_order[j]]
                     r0 = frontier.end - frontier.write_pointer
                     opened = (before - r0 + zone_sectors - 1) // zone_sectors
@@ -520,15 +522,11 @@ class _ZonedWithEpisodes(_Placement):
                     jj = j
                     while covered < total:
                         zone = zones_list[open_order[jj]]
-                        if jj > j and zone.write_pointer != zone.start:
-                            m = 0  # queue invariant broken: go scalar
-                            break
                         zone_caps.append(zone.end - zone.write_pointer)
                         zone_phys.append(zone.write_pointer)
                         zone_pos.append(jj)
                         covered += zone_caps[-1]
                         jj += 1
-                if m:
                     # Split ops at zone boundaries (virtual offsets
                     # 0..total over the laid-out capacity).
                     lens = seg_len[:m]
@@ -577,9 +575,7 @@ class _ZonedWithEpisodes(_Placement):
                     lba_list = piece_lba.tolist()
                     len_list = piece_len.tolist()
                     pos = 0
-                    for region, count in enumerate(region_counts):
-                        if not count:
-                            continue
+                    for region, count in enumerate(region_counts):  # none is empty
                         zone = zones_list[open_order[zone_pos[region]]]
                         if zone.write_pointer == zone.start:
                             free -= 1
@@ -1045,9 +1041,8 @@ class IncrementalBatchReplay:
         distances, dist_is_read = self._distance_log()
         # Concatenating is also a normalization — keep the merged arrays
         # so repeated snapshots don't re-concatenate ever-growing lists.
-        if distances.size:
-            self._distance_chunks = [distances]
-            self._read_flag_chunks = [dist_is_read]
+        self._distance_chunks = [distances]
+        self._read_flag_chunks = [dist_is_read]
         self._sync_policies()
         return {
             "trace_name": self.trace_name,
@@ -1081,10 +1076,6 @@ class IncrementalBatchReplay:
         engine._counters = {
             key: int(state["counters"][key]) for key, _field in _COUNTERS
         }
-        distances = np.asarray(state["distances"], dtype=np.int64)
-        if distances.size:
-            engine._distance_chunks = [distances]
-            engine._read_flag_chunks = [
-                np.asarray(state["distance_is_read"], dtype=bool)
-            ]
+        engine._distance_chunks = [np.asarray(state["distances"], dtype=np.int64)]
+        engine._read_flag_chunks = [np.asarray(state["distance_is_read"], dtype=bool)]
         return engine

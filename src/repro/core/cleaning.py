@@ -112,7 +112,6 @@ class ZonedCleaningTranslator(Translator):
         detected lazily against the map (:meth:`_live_pieces`)."""
         self._open_order: List[int] = list(range(n_zones))  # allocation order
         self._open_idx = 0
-        self._cleaning = False
         self.cleaning_stats = CleaningStats()
 
     # ------------------------------------------------------------------ #
@@ -298,17 +297,14 @@ class ZonedCleaningTranslator(Translator):
     def _ensure_room(self, length: int) -> None:
         """Clean until the write fits without exhausting reserves.
 
-        Relocation writes issued *by* cleaning bypass this check: the
-        reserve zones exist precisely so a cleaning pass always has a
-        destination (a victim's live data never exceeds one zone).
+        Relocation writes issued *by* cleaning (:meth:`_relocate`) never
+        come here: the reserve zones exist precisely so a cleaning pass
+        always has a destination (a victim's live data never exceeds one
+        zone).
         """
-        if self._cleaning:
-            return
         while self._writable_sectors() < length or self.free_zones() < self._reserve:
             victim = self._pick_victim()
-            if victim is None or (
-                self._live.get(victim) >= self._zones.zone_sectors
-            ):
+            if self._live.get(victim) >= self._zones.zone_sectors:
                 # Cleaning a fully-live zone frees nothing: the workload's
                 # live data exceeds the log's effective capacity.
                 raise SequentialZoneError(
@@ -319,12 +315,14 @@ class ZonedCleaningTranslator(Translator):
     def _writable_sectors(self) -> int:
         return sum(z.remaining_sectors for z in self._zones.zones)
 
-    def _pick_victim(self) -> Optional[int]:
+    def _pick_victim(self) -> int:
         """Select the victim zone: the least live data wins.
 
         Candidates are non-empty zones other than the frontier zone; ties
         break to the lowest zone id (``argmin`` takes the first minimal
-        entry, matching a zone-id-ordered scan).
+        entry, matching a zone-id-ordered scan).  There always is one:
+        while the frontier zone alone holds data, every other zone is free
+        and writable, so no cleaning starts.
         """
         frontier_zone = None
         if self._open_idx < len(self._open_order):
@@ -340,8 +338,6 @@ class ZonedCleaningTranslator(Translator):
             dtype=bool,
             count=len(zones),
         )
-        if not eligible.any():
-            return None
         return int(np.where(eligible, self._live.counts, _INT64_MAX).argmin())
 
     def _clean_zone(self, zone_id: int) -> None:
@@ -350,18 +346,13 @@ class ZonedCleaningTranslator(Translator):
         Copy-before-reset, as a real drive must: the reserve zones
         guarantee the relocation has a destination.
         """
-        live = self._live_pieces(zone_id)
-        self._cleaning = True
-        try:
-            for pba, lba, length in live:
-                read_evt = self._head.access(pba, length)
-                if read_evt.seek:
-                    self.cleaning_stats.cleaning_read_seeks += 1
-                seeks = self._relocate(pba, lba, length)
-                self.cleaning_stats.cleaning_write_seeks += seeks
-                self.cleaning_stats.relocated_sectors += length
-        finally:
-            self._cleaning = False
+        for pba, lba, length in self._live_pieces(zone_id):
+            read_evt = self._head.access(pba, length)
+            if read_evt.seek:
+                self.cleaning_stats.cleaning_read_seeks += 1
+            seeks = self._relocate(pba, lba, length)
+            self.cleaning_stats.cleaning_write_seeks += seeks
+            self.cleaning_stats.relocated_sectors += length
         self._zones.reset(zone_id)
         self._entries[zone_id] = []
         self._live.reset(zone_id)
@@ -375,7 +366,7 @@ class ZonedCleaningTranslator(Translator):
         """Append one live piece at the frontier; returns the write-seek count.
 
         :meth:`_append` minus two lookups it can prove redundant for a live
-        piece: ``_ensure_room`` is a no-op mid-cleaning (the reserve zones
+        piece: ``_ensure_room`` has no place mid-cleaning (the reserve zones
         are the destination), and ``_invalidate`` would look ``[lba,
         lba+length)`` up in the map only to find the single segment
         :meth:`_live_pieces` already identified — mapped contiguously at
@@ -404,9 +395,7 @@ class ZonedCleaningTranslator(Translator):
         """(pba, lba, length) pieces of the zone still referenced by the map,
         in ledger order, then LBA order within an entry: the whole ledger
         resolves in one ``lookup_pieces_batch`` call."""
-        entries = self._entries[zone_id]
-        if not entries:
-            return []
+        entries = self._entries[zone_id]  # a victim is never empty
         n = len(entries)
         e_pba = np.fromiter((e[0] for e in entries), dtype=np.int64, count=n)
         e_lba = np.fromiter((e[1] for e in entries), dtype=np.int64, count=n)

@@ -542,8 +542,6 @@ def stream_windowed_long_seeks(stream: FragmentStream, window_ops: int = 1000) -
     if window_ops <= 0:
         raise ValueError(f"window_ops must be > 0, got {window_ops}")
     n_requests = stream.reads + stream.writes
-    if n_requests == 0:
-        return []
     min_seek = kib_to_sectors(LONG_SEEK_KIB)
     counts = np.zeros((n_requests - 1) // window_ops + 1, dtype=np.int64)
     head = None
@@ -569,8 +567,6 @@ def stream_fragment_stats(stream: FragmentStream) -> List[Tuple[int, int]]:
     :func:`~repro.analysis.fast.popularity_curve_fast` relies on.
     """
     indices = stream.fragment_access_indices()
-    if indices.size == 0:
-        return []
     pbas = stream.pba[indices]
     lengths = stream.length[indices]
     _, first_seen, inverse = np.unique(

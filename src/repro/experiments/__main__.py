@@ -161,13 +161,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 128 + exc.signum
-    except KeyboardInterrupt:
-        print(
-            "\nrun interrupted; completed exhibits are checkpointed — "
-            "rerun with --resume to continue",
-            file=sys.stderr,
-        )
-        return 130
     failed = [o for o in outcomes if not o.ok]
     if args.keep_going or failed or len(outcomes) > 1:
         print(format_outcome_table(outcomes))

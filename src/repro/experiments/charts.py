@@ -32,8 +32,6 @@ def _fig2(data: dict, out_dir: Path, written: List[Path]) -> None:
             for name, row in data.items()
             if row["family"] == family
         ]
-        if not groups:
-            continue
         _write(
             out_dir,
             f"fig2_{family}",
@@ -150,8 +148,6 @@ def _fig11(data: dict, out_dir: Path, written: List[Path]) -> None:
             for name, row in data.items()
             if row["family"] == family
         ]
-        if not groups:
-            continue
         _write(
             out_dir,
             f"fig11_{family}",

@@ -15,9 +15,7 @@ SAMPLE_OPS = 400
 
 def _descending_step_fraction(lbas) -> float:
     """Fraction of consecutive write pairs (an LBA column) whose LBA decreases."""
-    if len(lbas) < 2:
-        return 0.0
-    return int((lbas[1:] < lbas[:-1]).sum()) / (len(lbas) - 1)
+    return int((lbas[1:] < lbas[:-1]).sum()) / max(1, len(lbas) - 1)
 
 
 def write_sample(engine, trace) -> dict:

@@ -99,14 +99,8 @@ def run_signal_handlers():
     def _raise(signum, frame):
         raise RunInterrupted(signum)
 
-    previous = {}
-    for signum in (signal.SIGINT, getattr(signal, "SIGTERM", None)):
-        if signum is None:
-            continue
-        try:
-            previous[signum] = signal.signal(signum, _raise)
-        except (ValueError, OSError):  # exotic hosts; run unprotected
-            pass
+    previous = {signum: signal.signal(signum, _raise)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
         yield
     finally:

@@ -94,8 +94,6 @@ _I8 = np.int64
 def _ranges(counts: np.ndarray) -> np.ndarray:
     """``[0..c0), [0..c1), ...`` concatenated — per-group aranges."""
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=_I8)
     group_start = np.cumsum(counts) - counts
     return np.arange(total, dtype=_I8) - np.repeat(group_start, counts)
 

@@ -35,14 +35,6 @@ class Segment:
             raise ValueError(f"segment pba must be >= 0, got {self.pba}")
 
     @property
-    def lba_end(self) -> int:
-        return self.lba + self.length
-
-    @property
-    def pba_end(self) -> Optional[int]:
-        return None if self.pba is None else self.pba + self.length
-
-    @property
     def is_hole(self) -> bool:
         return self.pba is None
 

@@ -112,17 +112,14 @@ class ExtentMap(AddressMap):
             if ext.lba >= end:
                 break
             if ext.lba > cursor:
-                self._append_segment(segments, Segment(cursor, None, ext.lba - cursor))
+                segments.append(Segment(cursor, None, ext.lba - cursor))
                 cursor = ext.lba
             piece_end = min(ext.lba_end, end)
-            self._append_segment(
-                segments,
-                Segment(cursor, ext.pba_for(cursor), piece_end - cursor),
-            )
+            segments.append(Segment(cursor, ext.pba_for(cursor), piece_end - cursor))
             cursor = piece_end
             idx += 1
         if cursor < end:
-            self._append_segment(segments, Segment(cursor, None, end - cursor))
+            segments.append(Segment(cursor, None, end - cursor))
         return segments
 
     def lookup_pieces(self, lba: int, length: int) -> List[Tuple[int, int, bool]]:
@@ -284,19 +281,3 @@ class ExtentMap(AddressMap):
                 pieces[-1] = (last_pba, last_length + length, hole)
                 return
         pieces.append((pba, length, hole))
-
-    @staticmethod
-    def _append_segment(segments: List[Segment], segment: Segment) -> None:
-        """Append ``segment``, merging with the previous one when contiguous."""
-        if segments:
-            last = segments[-1]
-            both_holes = last.is_hole and segment.is_hole
-            phys_contig = (
-                not last.is_hole
-                and not segment.is_hole
-                and last.pba_end == segment.pba
-            )
-            if last.lba_end == segment.lba and (both_holes or phys_contig):
-                segments[-1] = Segment(last.lba, last.pba, last.length + segment.length)
-                return
-        segments.append(segment)

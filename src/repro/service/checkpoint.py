@@ -71,8 +71,6 @@ def _split_arrays(state, path: str, arrays: Dict[str, np.ndarray]):
         return [_split_arrays(v, f"{path}{i}", arrays) for i, v in enumerate(state)]
     if isinstance(state, (np.integer,)):
         return int(state)
-    if isinstance(state, (np.floating,)):
-        return float(state)
     return state
 
 

@@ -20,6 +20,7 @@ streaming client actually needs —
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import time
@@ -47,7 +48,8 @@ class ServiceError(RuntimeError):
 
 
 class ReplayClient:
-    """One tenant's connection to a running daemon."""
+    """One tenant's connection to a running daemon: :meth:`connect` it, or
+    use it as a context manager, before the first request."""
 
     def __init__(
         self,
@@ -77,18 +79,11 @@ class ReplayClient:
         return self
 
     def close_socket(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            self._file = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        for handle in (self._file, self._sock):
+            if handle is not None:
+                with contextlib.suppress(OSError):
+                    handle.close()
+        self._file = self._sock = None
 
     def __enter__(self) -> "ReplayClient":
         return self.connect()
@@ -97,8 +92,6 @@ class ReplayClient:
         self.close_socket()
 
     def request(self, payload: dict) -> dict:
-        if self._file is None:
-            self.connect()
         self._file.write(json.dumps(payload).encode("utf-8") + b"\n")
         self._file.flush()
         return self._read_response()
@@ -251,8 +244,6 @@ class ReplayClient:
             acked_idx = new_acked
             next_idx = acked_idx + 1
 
-        if self._file is None:
-            self.connect()
         while True:
             try:
                 wrote = False

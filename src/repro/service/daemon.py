@@ -203,8 +203,7 @@ class ReplayDaemon:
         await asyncio.to_thread(self._supervisor.shutdown)
 
     async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
+        """Serve until cancelled; :meth:`start` must have run."""
         async with self._server:
             await self._server.serve_forever()
 

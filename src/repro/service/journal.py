@@ -226,8 +226,6 @@ class OpJournal:
         semantics are unchanged.
         """
         k = len(counts)
-        if k == 0:
-            return
         counts_bytes = struct.pack(f"<{k}I", *counts)
         expected = sum(int(n) for n in counts) * (1 + 8 + 8)
         if len(payload) != expected:

@@ -553,8 +553,6 @@ class ReplaySession:
         if kind == "health":
             health = dict(self._health)
             address_map = getattr(self._engine.translator, "address_map", None)
-            if callable(address_map):  # the zoned translator's is a method
-                address_map = address_map()
             if isinstance(address_map, ArrayExtentMap):
                 health["extent_map"] = address_map.counters()
             return health

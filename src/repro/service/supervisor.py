@@ -25,6 +25,7 @@ the daemon above it:
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import threading
 import time
@@ -175,13 +176,11 @@ class Supervisor:
         tenant = self._get(name)
         with tenant.lock:
             if self._alive(tenant):
-                try:
+                with contextlib.suppress(OSError, EOFError):
                     tenant.conn.send({"cmd": "shutdown"})
                     tenant.conn.poll(CALL_TIMEOUT_S)
                     if tenant.conn.poll(0):
                         tenant.conn.recv()
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
                 tenant.process.join(timeout=CALL_TIMEOUT_S)
                 if tenant.process.is_alive():
                     tenant.process.kill()

@@ -43,9 +43,7 @@ class TraceStats:
     @property
     def mean_write_size_kib(self) -> float:
         """Table I "mean write size" column (KB)."""
-        if self.write_count == 0:
-            return 0.0
-        return sectors_to_kib(self.written_sectors) / self.write_count
+        return sectors_to_kib(self.written_sectors) / max(1, self.write_count)
 
     @property
     def read_fraction(self) -> float:

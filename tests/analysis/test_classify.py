@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.classify import (
-    LogSensitivity,
-    WorkloadCharacter,
-    characterize,
-    classify_saf,
-)
+from repro.analysis.classify import LogSensitivity, WorkloadCharacter, characterize, classify_saf
 from repro.core.metrics import seek_amplification
 from repro.core.outcomes import SimStats
 from repro.trace.record import IORequest

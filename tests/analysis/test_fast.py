@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.fast import (
-    misorder_rate_fast,
-    nols_seek_counts,
-    nols_seek_distances,
-    trace_arrays,
-)
+from repro.analysis.fast import (misorder_rate_fast, nols_seek_counts, nols_seek_distances,
+                                 trace_arrays)
 from repro.analysis.incremental import IncrementalNolsBaseline
 from repro.analysis.misorder import misorder_rate
 from repro.core.config import NOLS, build_translator
@@ -57,10 +53,11 @@ class TestSeekCounts:
         stats = replay(trace, build_translator(trace, NOLS)).stats
         assert nols_seek_counts(trace) == (stats.read_seeks, stats.write_seeks)
         # The streaming baseline a session keeps equals the one-shot count,
-        # however the stream is cut.
+        # however the stream is cut, an empty last batch included.
         baseline = IncrementalNolsBaseline()
         columns = trace.as_arrays()
-        for cut in range(0, len(trace), 997):
+        assert len(trace) % 997
+        for cut in range(0, len(trace) + 997, 997):
             baseline.feed_arrays(*(column[cut:cut + 997] for column in columns))
         assert baseline.counts() == nols_seek_counts(trace)
 

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.analysis.fragmentation import (
-    fragment_cdf,
-    fragment_concentration,
-    fraction_of_fragments_in_top_reads,
-)
+from repro.analysis.fragmentation import (fragment_cdf, fragment_concentration,
+                                          fraction_of_fragments_in_top_reads)
 
 
 class TestFragmentCdf:

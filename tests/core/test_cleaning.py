@@ -58,6 +58,7 @@ class TestBasicOperation:
 class TestCleaningBehaviour:
     def test_cleaning_triggers_when_log_fills(self):
         t = make_translator()
+        assert t.cleaning_stats.write_amplification == 1.0  # nothing written yet
         fill_random(t, 3000)  # 3000 * 4 KiB ~ 12 MiB writes into 8 MiB log
         assert t.cleaning_stats.cleanings > 0
         assert t.cleaning_stats.write_amplification > 1.0

@@ -4,21 +4,9 @@ import json
 
 import pytest
 
-from repro.core.config import (
-    ALL_CONFIGS,
-    LS,
-    LS_ALL,
-    LS_CACHE,
-    LS_DEFRAG,
-    LS_PREFETCH,
-    NOLS,
-    PAPER_CONFIGS,
-    MultiFrontierConfig,
-    TechniqueConfig,
-    build_translator,
-    config_from_dict,
-    config_to_dict,
-)
+from repro.core.config import (ALL_CONFIGS, LS, LS_ALL, LS_CACHE, LS_DEFRAG, LS_PREFETCH, NOLS,
+                               PAPER_CONFIGS, MultiFrontierConfig, TechniqueConfig,
+                               build_translator, config_from_dict, config_to_dict)
 from repro.core.multifrontier import MultiFrontierTranslator
 from repro.core.simulator import replay
 from repro.core.translators import InPlaceTranslator, LogStructuredTranslator

@@ -1,11 +1,7 @@
 """Recorder tests."""
 
 from repro.core.defrag import OpportunisticDefrag
-from repro.core.recorders import (
-    FragmentationRecorder,
-    OutcomeLogRecorder,
-    SeekLogRecorder,
-)
+from repro.core.recorders import FragmentationRecorder, OutcomeLogRecorder, SeekLogRecorder
 from repro.core.simulator import replay
 from repro.core.translators import InPlaceTranslator, LogStructuredTranslator
 from repro.trace.record import IORequest

@@ -18,12 +18,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import PAPER_CONFIGS
-from repro.core.stream import (
-    record_fragment_stream,
-    stream_fragment_stats,
-    stream_replay,
-    stream_windowed_long_seeks,
-)
+from repro.core.stream import (record_fragment_stream, stream_fragment_stats, stream_replay,
+                               stream_windowed_long_seeks)
 from repro.core.stream_store import STREAM_SCHEMA, StreamStore, stream_key
 from repro.workloads import synthesize_workload
 

@@ -18,20 +18,11 @@ from hypothesis import strategies as st
 
 from repro.analysis import fast
 from repro.analysis.distances import distance_cdf, fraction_within
-from repro.analysis.fast import (
-    distance_cdf_fast,
-    fraction_of_fragments_in_top_reads_fast,
-    fraction_within_fast,
-    fragment_cdf_fast,
-    misorder_rate_fast,
-    nols_seek_distances,
-    nols_windowed_long_seeks,
-    popularity_curve_fast,
-)
-from repro.analysis.fragmentation import (
-    fragment_cdf,
-    fraction_of_fragments_in_top_reads,
-)
+from repro.analysis.fast import (distance_cdf_fast, fraction_of_fragments_in_top_reads_fast,
+                                 fraction_within_fast, fragment_cdf_fast, misorder_rate_fast,
+                                 nols_seek_distances, nols_windowed_long_seeks,
+                                 popularity_curve_fast)
+from repro.analysis.fragmentation import fragment_cdf, fraction_of_fragments_in_top_reads
 from repro.analysis.misorder import misorder_rate
 from repro.analysis.popularity import FragmentPopularityRecorder
 from repro.analysis.temporal import WindowedSeekRecorder

@@ -34,10 +34,7 @@ from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 from repro.workloads import ReadMix, WorkloadSpec, WriteMix, generate_workload
 
-from tests.differential.oracle import (
-    assert_translator_matches_reference,
-    normalized,
-)
+from tests.differential.oracle import assert_translator_matches_reference, normalized
 
 
 def _overwrite_trace(seed: int, total_ops: int = 3000) -> Trace:
@@ -125,13 +122,22 @@ SYNTHETIC = {
         # invalidation must split its delta per zone.
         [IORequest.write(0, 120), IORequest.write(0, 120), IORequest.read(0, 120)]
     ),
+    "prefix-fills-a-zone": _trace(
+        # A batched write run that ends exactly at a zone's end leaves the
+        # frontier on a full zone, which the next run must skip.
+        [*(IORequest.write(i * 8, 8) for i in range(16)), IORequest.read(0, 8),
+         *(IORequest.write(i * 8, 8) for i in range(16))]
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SYNTHETIC))
 def test_synthetic_edge_cases_match(case):
+    # The reference on its own map tier, the kernel on the one it runs on.
     trace = SYNTHETIC[case]
-    assert_translator_matches_reference(trace, _factory(trace))
+    assert_translator_matches_reference(
+        trace, _factory(trace),
+        make_batch_translator=_factory(trace, tier=resolve_map_tier(DEFAULT_KERNEL_TIER)))
 
 
 @pytest.mark.parametrize("chunk_ops", [1, 3, 7, 64])
@@ -164,17 +170,22 @@ def test_log_full_of_live_data_raises_identically():
     assert str(batch_exc.value) == str(ref_exc.value)
 
 
-def test_boundary_crossing_raises_identically():
-    trace = _trace([IORequest.read(120, 16)], name="crossing")
-
-    def make():
-        return ZonedCleaningTranslator(frontier_base=128, zone_mib=0.0625, n_zones=8)
-
+@pytest.mark.parametrize("requests, frontier_base", [
+    ([IORequest.read(120, 16)], 128),
+    # Over half the 1024-sector log: counted as host-written, then refused.
+    ([IORequest.write(0, 8), IORequest.write(0, 513)], 1024),
+], ids=["read-crossing", "oversized-write"])
+def test_boundary_crossing_raises_identically(requests, frontier_base):
+    trace = _trace(requests, name="crossing")
+    reference, batch = (ZonedCleaningTranslator(frontier_base=frontier_base, zone_mib=0.0625,
+                                                 n_zones=8) for _ in range(2))
     with pytest.raises(ValueError) as ref_exc:
-        replay(trace, make())
+        replay(trace, reference)
     with pytest.raises(ValueError) as batch_exc:
-        batch_replay_translator(trace, make())
+        batch_replay_translator(trace, batch)
     assert str(batch_exc.value) == str(ref_exc.value)
+    assert (batch.cleaning_stats.host_written_sectors
+            == reference.cleaning_stats.host_written_sectors)
 
 
 # --- hypothesis ----------------------------------------------------------

@@ -28,12 +28,8 @@ from hypothesis import strategies as st
 
 from repro.trace import columnar as columnar_module
 from repro.trace.cloudphysics import parse_cloudphysics_file, parse_cloudphysics_lines
-from repro.trace.columnar import (
-    ColumnarTrace,
-    parse_cloudphysics_text,
-    parse_csv_text,
-    parse_msr_text,
-)
+from repro.trace.columnar import (ColumnarTrace, parse_cloudphysics_text, parse_csv_text,
+                                  parse_msr_text)
 from repro.trace.csvio import read_csv_rows, read_csv_trace, write_csv_trace
 from repro.trace.errors import TraceParseError, make_report
 from repro.trace.msr import parse_msr_file, parse_msr_lines

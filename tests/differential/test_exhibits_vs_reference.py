@@ -24,9 +24,8 @@ from repro.analysis.temporal import WindowedSeekRecorder, long_seek_difference
 from repro.core.config import LS, NOLS, build_translator
 from repro.core.recorders import FragmentationRecorder, SeekLogRecorder
 from repro.core.simulator import replay
-from repro.experiments import (
-    ablations, fig2, fig3, fig4, fig5, fig7, fig8, fig10, fig11, sweep, table1,
-)
+from repro.experiments import (ablations, fig2, fig3, fig4, fig5, fig7, fig8, fig10, fig11, sweep,
+                               table1)
 from repro.experiments.registry import EXHIBITS, run_exhibit
 from repro.workloads import TABLE1
 from tests.analysis.request_loops import characterize_loop, compute_stats_loop

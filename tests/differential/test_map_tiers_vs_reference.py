@@ -27,11 +27,7 @@ from repro.extentmap.tiers import ENV_TIER, MAP_TIERS
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 
-from tests.differential.oracle import (
-    assert_batch_matches_reference,
-    feed_requests,
-    map_snapshot,
-)
+from tests.differential.oracle import assert_batch_matches_reference, feed_requests, map_snapshot
 
 
 def _churn_trace(n_ops: int = 600, space: int = 512) -> Trace:

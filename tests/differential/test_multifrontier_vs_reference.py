@@ -29,11 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import (
-    IncrementalBatchReplay,
-    batch_replay,
-    batch_replay_translator,
-)
+from repro.core.batch import IncrementalBatchReplay, batch_replay, batch_replay_translator
 from repro.core.config import MultiFrontierConfig, TechniqueConfig
 from repro.core import multifrontier
 from repro.core.multifrontier import MultiFrontierTranslator
@@ -43,12 +39,9 @@ from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 from repro.workloads import synthesize_workload
 
-from tests.differential.oracle import (
-    assert_batch_matches_reference,
-    assert_translator_matches_reference,
-    feed_requests,
-    normalized,
-)
+from tests.differential.oracle import (assert_batch_matches_reference,
+                                       assert_translator_matches_reference, feed_requests,
+                                       normalized)
 
 WORKLOADS = ("usr_0", "hm_1", "w91", "w20")
 SCALE = 0.02

@@ -30,15 +30,8 @@ from repro.service.session import ReplaySession
 from repro.service.supervisor import Supervisor
 from repro.service.wire import encode_payload
 from repro.util.npystore import PAGE_ALIGN
-from tests.service.helpers import (
-    CAPACITY,
-    DaemonThread,
-    batches,
-    flip_byte,
-    make_columns,
-    reference_queries,
-    session_queries,
-)
+from tests.service.helpers import (CAPACITY, DaemonThread, batches, flip_byte, make_columns,
+                                   reference_queries, session_queries)
 
 QUERY_KINDS = ("applied", "stats", "saf", "fragment_cdf", "seek_budget")
 

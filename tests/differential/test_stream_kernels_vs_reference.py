@@ -18,11 +18,8 @@ from repro.analysis.popularity import FragmentPopularityRecorder
 from repro.analysis.temporal import WindowedSeekRecorder
 from repro.core.config import LS, build_translator
 from repro.core.simulator import replay
-from repro.core.stream import (
-    record_fragment_stream,
-    stream_fragment_stats,
-    stream_windowed_long_seeks,
-)
+from repro.core.stream import (record_fragment_stream, stream_fragment_stats,
+                               stream_windowed_long_seeks)
 from repro.workloads import synthesize_workload
 
 SEED, SCALE = 42, 0.03

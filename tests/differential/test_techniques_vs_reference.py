@@ -24,35 +24,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import _MIN_BATCH_READ_RUN, _MIN_BATCH_WRITE_RUN
-from repro.core.config import (
-    LS,
-    LS_ALL,
-    LS_CACHE,
-    LS_DEFRAG,
-    LS_PREFETCH,
-    NOLS,
-    PAPER_CONFIGS,
-    TechniqueConfig,
-)
+from repro.core.config import (LS, LS_ALL, LS_CACHE, LS_DEFRAG, LS_PREFETCH, NOLS, PAPER_CONFIGS,
+                               TechniqueConfig)
 from repro.core.prefetch import PrefetchConfig
 from repro.core.selective_cache import SelectiveCacheConfig
-from repro.core.stream import (
-    StreamUnsupportedError,
-    record_fragment_stream,
-    stream_cache_sweep,
-    stream_replay,
-    supports_cache_sweep,
-    supports_stream,
-)
+from repro.core.stream import (StreamUnsupportedError, record_fragment_stream, stream_cache_sweep,
+                               stream_replay, supports_cache_sweep, supports_stream)
 from repro.experiments.sweep import SweepEngine
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 from repro.workloads import synthesize_workload
 
-from tests.differential.oracle import (
-    assert_batch_matches_reference,
-    assert_stream_matches_reference,
-)
+from tests.differential.oracle import (assert_batch_matches_reference,
+                                       assert_stream_matches_reference)
 
 WORKLOADS = ("usr_0", "src2_2", "hm_1", "w91", "w84", "w20")
 SCALE = 0.02

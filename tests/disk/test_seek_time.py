@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.disk.seek_time import (
-    MAX_SEEK_MS,
-    REVOLUTION_MS,
-    TRACK_SECTORS,
-    TRACKS,
-    SeekTimeModel,
-    transfer_ms,
-)
+from repro.disk.seek_time import (MAX_SEEK_MS, REVOLUTION_MS, TRACK_SECTORS, TRACKS, SeekTimeModel,
+                                  transfer_ms)
 
 
 @pytest.fixture

@@ -1,11 +1,6 @@
 """Text-rendering helper tests."""
 
-from repro.experiments.render import (
-    format_table,
-    hbar_chart,
-    sparkline,
-    step_cdf,
-)
+from repro.experiments.render import format_table, hbar_chart, sparkline, step_cdf
 
 
 class TestFormatTable:

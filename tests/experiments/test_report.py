@@ -87,8 +87,9 @@ class TestCli:
     def test_unknown_exhibit_errors(self):
         from repro.experiments.__main__ import main
 
-        with pytest.raises(SystemExit):
-            main(["fig99"])
+        for argv in (["fig99"], ["all", "--jobs", "0"], ["all", "--resume"]):
+            with pytest.raises(SystemExit):
+                main(argv)
 
     def test_single_exhibit_runs(self, capsys):
         from repro.experiments.__main__ import main

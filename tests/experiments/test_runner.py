@@ -5,20 +5,10 @@ import json
 import pytest
 
 from repro.experiments import registry
-from repro.experiments.runner import (
-    MANIFEST_NAME,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    STATUS_TIMEOUT,
-    ExhibitOutcome,
-    RunManifest,
-    exhibit_fingerprint,
-    exhibit_timeout,
-    ExhibitTimeoutError,
-    format_outcome_table,
-    run_exhibits,
-)
+from repro.experiments.runner import (MANIFEST_NAME, STATUS_FAILED, STATUS_OK, STATUS_SKIPPED,
+                                      STATUS_TIMEOUT, ExhibitOutcome, RunManifest,
+                                      exhibit_fingerprint, exhibit_timeout, ExhibitTimeoutError,
+                                      format_outcome_table, run_exhibits)
 
 
 @pytest.fixture

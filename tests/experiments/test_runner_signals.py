@@ -3,20 +3,14 @@
 import json
 import os
 import signal
+import threading
 
 import pytest
 
 from repro.core.config import LS
 from repro.experiments import registry, runner
-from repro.experiments.runner import (
-    MANIFEST_NAME,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    RunInterrupted,
-    run_exhibits,
-    run_signal_handlers,
-)
+from repro.experiments.runner import (MANIFEST_NAME, STATUS_FAILED, STATUS_OK, STATUS_SKIPPED,
+                                      RunInterrupted, run_exhibits, run_signal_handlers)
 
 
 @pytest.fixture
@@ -57,6 +51,15 @@ def test_run_signal_handlers_translates_sigterm():
     # Previous handlers are restored even on the raising path.
     assert signal.getsignal(signal.SIGTERM) is before_term
     assert signal.getsignal(signal.SIGINT) is before_int
+
+    def off_the_main_thread():
+        with run_signal_handlers():  # runs with the host's handlers
+            seen.append(signal.getsignal(signal.SIGTERM))
+
+    seen, thread = [], threading.Thread(target=off_the_main_thread)
+    thread.start()
+    thread.join()
+    assert seen == [before_term]
 
 
 def test_sigterm_mid_exhibit_finalizes_manifest_for_resume(

@@ -5,13 +5,7 @@ import xml.dom.minidom
 import pytest
 
 from repro.experiments.charts import RENDERERS, render_svg
-from repro.experiments.svg import (
-    SvgCanvas,
-    _nice_ticks,
-    bar_chart,
-    grouped_bar_chart,
-    line_chart,
-)
+from repro.experiments.svg import SvgCanvas, _nice_ticks, bar_chart, grouped_bar_chart, line_chart
 
 
 def assert_valid_svg(svg: str) -> None:
@@ -72,12 +66,13 @@ class TestCharts:
 
     def test_line_chart(self):
         svg = line_chart(
-            [("s1", [(0.0, 0.0), (1.0, 1.0)]), ("s2", [(0.0, 1.0), (1.0, 0.5)])],
+            [("s1", [(0.0, 0.0), (1.0, 1.0)]), ("s2", [(0.0, 1.0), (1.0, 0.5)]), ("s3", [])],
             title="Lines",
             x_label="x",
             y_label="y",
         )
         assert_valid_svg(svg)
+        assert "s3" not in svg  # an empty series draws no line and no legend entry
 
     def test_line_chart_flat_series(self):
         assert_valid_svg(line_chart([("s", [(0.0, 2.0), (1.0, 2.0)])], title="flat"))

@@ -14,15 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import (
-    LS,
-    LS_CACHE,
-    LS_DEFRAG,
-    NOLS,
-    PAPER_CONFIGS,
-    MultiFrontierConfig,
-    TechniqueConfig,
-)
+from repro.core.config import (LS, LS_CACHE, LS_DEFRAG, NOLS, PAPER_CONFIGS, MultiFrontierConfig,
+                               TechniqueConfig)
 from repro.core.defrag import DefragConfig
 from repro.core.prefetch import PrefetchConfig
 from repro.core.selective_cache import SelectiveCacheConfig
@@ -61,6 +54,9 @@ class TestEngineSharing:
         reset_sweep_engines()
         first = sweep_engine(1, 0.5)
         assert sweep_engine(1, 0.5) is first
+        for seed in range(2, 6):  # one more than the registry keeps
+            sweep_engine(seed, 0.5)
+        assert sweep_engine(1, 0.5) is not first
 
     def test_one_recording_serves_many_configs(self):
         engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)

@@ -149,8 +149,3 @@ class TestSegmentValidation:
             Segment(-1, 0, 1)
         with pytest.raises(ValueError):
             Segment(0, -1, 1)
-
-    def test_segment_ends(self):
-        s = Segment(10, 100, 5)
-        assert s.lba_end == 15 and s.pba_end == 105
-        assert Segment(0, None, 5).pba_end is None

@@ -1,14 +1,7 @@
 """End-to-end flows: public API and trace persistence."""
 
-from repro import (
-    LS,
-    LS_CACHE,
-    NOLS,
-    build_translator,
-    replay,
-    seek_amplification,
-    synthesize_workload,
-)
+from repro import (LS, LS_CACHE, NOLS, build_translator, replay, seek_amplification,
+                   synthesize_workload)
 from repro.trace.csvio import read_csv_trace, write_csv_trace
 
 

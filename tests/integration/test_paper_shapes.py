@@ -14,12 +14,7 @@ from repro.core.config import LS, NOLS, PAPER_CONFIGS, build_translator
 from repro.core.metrics import seek_amplification
 from repro.core.recorders import FragmentationRecorder
 from repro.core.simulator import Simulator, replay
-from repro.workloads import (
-    CLOUDPHYSICS_WORKLOADS,
-    MSR_WORKLOADS,
-    TABLE1,
-    synthesize_workload,
-)
+from repro.workloads import CLOUDPHYSICS_WORKLOADS, MSR_WORKLOADS, TABLE1, synthesize_workload
 
 SEED = 42
 

@@ -16,15 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import registry
-from repro.experiments.runner import (
-    MANIFEST_NAME,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_RUNNING,
-    STATUS_SKIPPED,
-    STATUS_TIMEOUT,
-    run_exhibits,
-)
+from repro.experiments.runner import (MANIFEST_NAME, STATUS_FAILED, STATUS_OK, STATUS_RUNNING,
+                                      STATUS_SKIPPED, STATUS_TIMEOUT, run_exhibits)
 
 QUIET = {"echo": lambda s: None}
 

@@ -46,7 +46,7 @@ class TestCleaningPreservesMapping:
         mapped = set()
         for segment in segments:
             if not segment.is_hole:
-                mapped.update(range(segment.lba, segment.lba_end))
+                mapped.update(range(segment.lba, segment.lba + segment.length))
         assert mapped == written
 
     @given(writes=write_sequences)

@@ -88,9 +88,12 @@ class TestExtentMapInvariants:
         for lba, length in qs:
             segments = emap.lookup(lba, length)
             assert segments[0].lba == lba
-            assert segments[-1].lba_end == lba + length
+            assert segments[-1].lba + segments[-1].length == lba + length
             for a, b in zip(segments, segments[1:]):
-                assert a.lba_end == b.lba
+                assert a.lba + a.length == b.lba
+                # Canonical: no two neighbours a lookup would have to merge.
+                assert (a.pba is None) != (b.pba is None) or (
+                    a.pba is not None and a.pba + a.length != b.pba)
 
     @given(ops=ops)
     @settings(max_examples=100, deadline=None)

@@ -13,14 +13,7 @@ Core guarantees under arbitrary request sequences:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import (
-    LS,
-    LS_CACHE,
-    LS_DEFRAG,
-    LS_PREFETCH,
-    NOLS,
-    build_translator,
-)
+from repro.core.config import LS, LS_CACHE, LS_DEFRAG, LS_PREFETCH, NOLS, build_translator
 from repro.core.simulator import replay
 from repro.core.translators import InPlaceTranslator, LogStructuredTranslator
 from repro.trace.record import IORequest, OpType

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import LS
 from repro.service.session import ReplaySession, SequenceGapError
-from tests.service.helpers import (
-    CAPACITY,
-    batches,
-    make_columns,
-    reference_queries,
-    session_queries,
-)
+from tests.service.helpers import (CAPACITY, batches, make_columns, reference_queries,
+                                   session_queries)
 
 _plans = st.lists(
     st.tuples(st.integers(1, 60), st.sampled_from(("send", "duplicate", "hold"))),

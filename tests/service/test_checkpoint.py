@@ -5,11 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.service.checkpoint import (
-    KEEP_CHECKPOINTS,
-    CheckpointCorruptError,
-    CheckpointStore,
-)
+from repro.service.checkpoint import KEEP_CHECKPOINTS, CheckpointCorruptError, CheckpointStore
 from repro.util.npystore import PAGE_ALIGN
 from tests.service.helpers import flip_byte
 

@@ -4,6 +4,7 @@ import asyncio
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -13,18 +14,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import LS, LS_DEFRAG, config_to_dict
+from repro.service import daemon
 from repro.service.client import ReplayClient, ServiceError
 from repro.service.session import ReplaySession
-from repro.service.supervisor import Supervisor
+from repro.service.supervisor import Supervisor, TenantFailedError
 from repro.service.wire import encode_payload
-from tests.service.helpers import (
-    CAPACITY,
-    DaemonThread,
-    batches,
-    make_columns,
-    reference_queries,
-    send,
-)
+from tests.service.helpers import (CAPACITY, DaemonThread, batches, make_columns,
+                                   reference_queries, send)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +45,7 @@ def test_stream_matches_offline_reference(server, tmp_path):
         assert client.applied_seq() == 6
         assert client.query("stats") == expected["stats"]
         assert client.query("saf") == expected["saf"]
+        assert client.query("seek_budget", window_gib=2.0) == expected["seek_budget"]
         assert [list(p) for p in client.query("fragment_cdf")["points"]] == [
             list(p) for p in expected["fragment_cdf"]["points"]
         ]
@@ -73,6 +70,16 @@ def test_duplicate_ack_and_gap_resync(server):
         # The refused batch left next_seq at the server's expected seq.
         ack = client.apply_stream([(is_read[10:20], lba[10:20], length[10:20])])
         assert ack["ok"] and ack["applied_seq"] == 2
+
+        def severed():  # the connection drops with both frames unsent
+            yield is_read[20:25], lba[20:25], length[20:25]
+            client._sock.shutdown(socket.SHUT_RDWR)
+            yield is_read[25:], lba[25:], length[25:]
+
+        ack = client.apply_stream(severed())
+        assert (ack["applied_seq"], ack["resyncs"]) == (4, 1)
+        client.next_seq = 4  # a stale client resends what the daemon has
+        assert client.apply_stream([(is_read[25:], lba[25:], length[25:])])["duplicate_acks"] == 1
 
 
 def test_expired_deadline_is_shed_not_applied(server):
@@ -210,12 +217,15 @@ def test_requests_queued_behind_a_close_are_shed(server):
 
 class _BlockingSupervisor:
     """Answers every call at once, except those of tenants named
-    ``stuck-*``, which block until ``release`` is set."""
+    ``stuck-*``, which block until ``release`` is set, and ``failed-*``,
+    which are retired."""
 
     def __init__(self):
         self.release, self.stuck = threading.Event(), set()
 
     def call(self, name, message):
+        if name.startswith("failed-"):
+            raise TenantFailedError(f"tenant {name!r} is failed")
         if name.startswith("stuck-"):
             self.stuck.add(name)
             self.release.wait(timeout=30)
@@ -248,6 +258,46 @@ def test_blocked_tenants_do_not_stall_a_new_one():
                 free.open(LS, CAPACITY)
                 assert free.query("stats") == {"applied_seq": 0}
             assert time.monotonic() - started < 1.0
+    finally:
+        supervisor.release.set()
+        server.stop()
+
+
+def test_coalescing_stops_at_an_expired_apply_a_query_or_the_byte_cap(monkeypatch):
+    payload = encode_payload(*make_columns(10, seed=27))
+    monkeypatch.setattr(daemon, "COALESCE_BYTES", 2 * len(payload))
+    supervisor = _BlockingSupervisor()
+    server = DaemonThread(supervisor)
+    port = server.start()
+
+    def request(tenant, op, **fields):
+        message = {"op": op, "tenant": tenant, **fields}
+        if op == "apply":
+            message.update(wire="bin", n=10)
+        return json.dumps(message).encode() + b"\n" + (payload if op == "apply" else b"")
+
+    try:
+        with ReplayClient("127.0.0.1", port, "stuck-c") as client:
+            opening = dict(config=config_to_dict(LS), capacity_sectors=CAPACITY)
+            # Queued behind the blocked open: 1 coalesces nothing (2 expired),
+            # 3 stops at the query, 4 and 5 fill the byte cap.
+            client._file.write(b"".join([
+                request("stuck-c", "open", **opening), request("stuck-c", "apply", seq=1),
+                request("stuck-c", "apply", seq=2, deadline_s=-1.0),
+                request("stuck-c", "apply", seq=3), request("stuck-c", "query", kind="applied"),
+                request("stuck-c", "apply", seq=4), request("stuck-c", "apply", seq=5),
+                request("failed-c", "open", **opening)]))
+            client._file.flush()
+            queues, deadline = server.daemon._queues, time.monotonic() + 2.0
+            while time.monotonic() < deadline and not (
+                    supervisor.stuck and queues["stuck-c"].qsize() == 6):
+                time.sleep(0.01)
+            supervisor.release.set()
+            replies = [json.loads(client._file.readline()) for _ in range(8)]
+            assert [reply["ok"] for reply in replies] == [True, True, False] + [True] * 4 + [False]
+            assert replies[2]["shed"] and replies[7]["failed"]
+            server.daemon._stopping = True  # as stop() first sets it
+            assert client.request({"op": "query", "tenant": "stuck-c", "kind": "applied"})["shed"]
     finally:
         supervisor.release.set()
         server.stop()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.service.journal import OpJournal
+from repro.service.wire import encode_payload
 from tests.service.helpers import make_columns
 
 
@@ -40,35 +41,44 @@ def test_replay_after_skips_absorbed_batches(tmp_path):
     assert [r.seq for r in OpJournal(tmp_path).replay_after(2)] == [3, 4]
 
 
-def test_torn_tail_is_truncated_in_place(tmp_path):
-    journal = OpJournal(tmp_path)
+def _two_records(root, group):
+    """A segment holding batch 1, then batch 2 as a batch or a group record;
+    returns the segment and its bytes up to the end of batch 1."""
+    journal = OpJournal(root)
     journal.open_segment(1)
     journal.append(1, *_batch(1)[1:])
-    journal.append(2, *_batch(2)[1:])
+    segment = root / "journal" / "seg-000000000001.log"
+    intact = segment.read_bytes()
+    if group:
+        payload = b"".join(encode_payload(*_batch(seq, n)[1:]) for seq, n in ((2, 3), (3, 5)))
+        journal.append_group(2, [3, 5], payload)
+    else:
+        journal.append(2, *_batch(2)[1:])
     journal.close()
-    segment = tmp_path / "journal" / "seg-000000000001.log"
-    intact_size = segment.stat().st_size
-    with open(segment, "ab") as handle:
-        handle.write(b"\x31LJR-half-a-header")
+    return segment, intact
 
-    records = list(OpJournal(tmp_path).replay_after(0))
-    assert [r.seq for r in records] == [1, 2]
-    assert segment.stat().st_size == intact_size
+
+def test_torn_tail_is_truncated_in_place(tmp_path):
+    # A tear at every byte of the last record, batch or group, truncates
+    # back to batch 1.
+    for root in (tmp_path / "batch", tmp_path / "group"):
+        segment, intact = _two_records(root, group=root.name == "group")
+        whole = segment.read_bytes()
+        for cut in range(len(intact) + 1, len(whole)):
+            segment.write_bytes(whole[:cut])
+            assert [r.seq for r in OpJournal(root).replay_after(0)] == [1]
+            assert segment.read_bytes() == intact
 
 
 def test_corrupt_crc_drops_record_and_tail(tmp_path):
-    journal = OpJournal(tmp_path)
-    journal.open_segment(1)
-    journal.append(1, *_batch(1)[1:])
-    journal.append(2, *_batch(2)[1:])
-    journal.close()
-    segment = tmp_path / "journal" / "seg-000000000001.log"
-    data = bytearray(segment.read_bytes())
-    # Flip a payload byte of the *last* record; CRC catches it and the
-    # scan stops at the still-intact first record.
-    data[-3] ^= 0xFF
-    segment.write_bytes(data)
-    assert [r.seq for r in OpJournal(tmp_path).replay_after(0)] == [1]
+    for root in (tmp_path / "batch", tmp_path / "group"):
+        segment, _ = _two_records(root, group=root.name == "group")
+        data = bytearray(segment.read_bytes())
+        # Flip a payload byte of the *last* record; CRC catches it and the
+        # scan stops at the still-intact first record.
+        data[-3] ^= 0xFF
+        segment.write_bytes(data)
+        assert [r.seq for r in OpJournal(root).replay_after(0)] == [1]
 
 
 def test_retired_by_reference_record_raises_instead_of_truncating(tmp_path):

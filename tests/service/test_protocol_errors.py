@@ -10,6 +10,7 @@ payload its header announces.
 
 import json
 import random
+import socket
 
 import pytest
 
@@ -131,6 +132,27 @@ def test_refused_request_gets_one_reply_and_the_stream_stays_usable(port, sent, 
         ping = client.request({"op": "ping"})
         assert ping["ok"] and "t" in ping["tenants"]
         assert client.query("applied") == {"applied_seq": 0, "ops": 0}
+
+
+def test_past_the_transport_limit_or_torn_mid_frame_only_that_connection_ends(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(daemon, "MAX_LINE_BYTES", 64)
+    server = DaemonThread(Supervisor(tmp_path))
+    port = server.start()  # with a transport limit of twice that
+    monkeypatch.undo()
+    try:
+        with ReplayClient("127.0.0.1", port, "t") as client:
+            assert exchange(client, b"x" * 300 + b"\n")["what"] == "line"
+            assert client._file.readline() == b""  # and hung up
+        with ReplayClient("127.0.0.1", port, "t") as client:
+            client._file.write(apply_line() + PAYLOAD[:5])
+            client._file.flush()
+            client._sock.shutdown(socket.SHUT_WR)  # the client dies mid-frame
+            assert client._file.readline() == b""
+        with ReplayClient("127.0.0.1", port, "t") as client:
+            assert client.request({"op": "ping"})["ok"]
+    finally:
+        server.stop()
 
 
 #: Values a mutated header field may take.  No "shutdown" (the daemon

@@ -55,6 +55,10 @@ def test_gap_raises_with_resync_hint(tmp_path):
         session.apply_batch(5, is_read, lba, length)
     assert excinfo.value.expected == 1
     assert excinfo.value.got == 5
+    # In a group, each batch past the gap gets the same structured reply.
+    acks = session.apply_group_payload(5, *group_payload([(5, is_read, lba, length)] * 2))
+    assert [(ack["kind"], ack["expected"], ack["got"]) for ack in acks] == [
+        ("SequenceGapError", 1, 5), ("SequenceGapError", 1, 6)]
     session.close()
 
 
@@ -69,6 +73,8 @@ def test_invalid_batch_rejected_before_journaling(tmp_path):
         session.apply_batch(1, is_read, lba, np.zeros_like(length))
     with pytest.raises(ValueError, match="equal length"):
         session.apply_batch(1, is_read[:-1], lba, length)
+    (ack,) = session.apply_group_payload(1, *group_payload([(1, is_read, bad_lba, length)]))
+    assert not ack["ok"] and "beyond the declared capacity" in ack["error"]
     # Nothing was journaled or applied: seq 1 is still next, and the
     # stream continues exactly as if the bad batches never happened.
     assert session.applied_seq == 0

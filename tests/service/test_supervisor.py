@@ -4,15 +4,18 @@ These tests boot real spawned worker processes; op counts are kept small
 so the suite stays fast (each boot is one interpreter start).
 """
 
+import multiprocessing
 import os
 import signal
+import threading
 
 import pytest
 
-from repro.core.config import LS, LS_DEFRAG
+from repro.core.config import LS, LS_DEFRAG, config_to_dict
 from repro.service import supervisor as supervision
 from repro.service.supervisor import Supervisor, TenantFailedError, WorkerCallError
 from repro.service.wire import encode_payload
+from repro.service.worker import worker_main
 from tests.service.helpers import CAPACITY, batches, make_columns, reference_queries
 
 
@@ -123,3 +126,38 @@ def test_restart_budget_retires_tenant(tmp_path, monkeypatch):
         assert supervisor.restart_count("t") == 2
     finally:
         supervisor.shutdown()
+
+
+def test_wedged_and_unbootable_workers_are_killed(tmp_path, monkeypatch):
+    monkeypatch.setattr(supervision, "CALL_TIMEOUT_S", 3.0)
+    supervisor = Supervisor(tmp_path / "state")
+    try:
+        supervisor.ensure_tenant("t", LS, CAPACITY)
+        os.kill(supervisor.worker_pid("t"), signal.SIGSTOP)  # alive, never answers
+        assert supervisor.call("t", {"cmd": "ping"})["ok"]  # killed, restarted, replayed
+        assert supervisor.restart_count("t") == 1
+        os.kill(supervisor.worker_pid("t"), signal.SIGSTOP)
+        supervisor.stop_tenant("t")  # killed once the graceful wait runs out
+        # A worker whose session cannot open fails its boot handshake...
+        with pytest.raises(WorkerCallError, match="failed to boot"):
+            Supervisor(tmp_path / "state").ensure_tenant("t", LS_DEFRAG, CAPACITY)
+        # ...and one that does not answer it in time is killed.
+        monkeypatch.setattr(supervision, "CALL_TIMEOUT_S", 0.01)
+        with pytest.raises(WorkerCallError, match="boot timed out"):
+            Supervisor(tmp_path / "other").ensure_tenant("t", LS, CAPACITY)
+    finally:
+        supervisor.shutdown()
+
+
+def test_worker_refuses_bad_commands_and_leaves_when_the_parent_hangs_up(tmp_path):
+    parent, child = multiprocessing.Pipe()
+    worker = threading.Thread(target=worker_main, args=(
+        child, "t", str(tmp_path), config_to_dict(LS), CAPACITY, 50_000))
+    worker.start()
+    assert parent.recv()["ready"]
+    for message in ({"cmd": "bogus"}, {"cmd": "query", "kind": "bogus"}):
+        parent.send(message)
+        assert parent.recv()["kind"] == "ValueError"
+    parent.close()  # the worker checkpoints and returns
+    worker.join(timeout=60)
+    assert not worker.is_alive()

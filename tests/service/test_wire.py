@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.service.wire import (
-    OP_BYTES,
-    SUPPORTED_WIRES,
-    WIRE_BINARY,
-    concat_columns,
-    decode_payload,
-    encode_payload,
-    payload_crc,
-    payload_nbytes,
-    split_group_payload,
-)
+from repro.service.wire import (OP_BYTES, SUPPORTED_WIRES, WIRE_BINARY, concat_columns,
+                                decode_payload, encode_payload, payload_crc, payload_nbytes,
+                                split_group_payload)
 from tests.service.helpers import make_columns
 
 

@@ -1,13 +1,14 @@
-"""Reached or oracle, set or constant: ``tools/reach.py`` runs every
-product entry point and ``tests/reach_allowlist.txt`` names each function
-none of them reaches and each option none of them sets.
+"""Reached or oracle, run or tested, set or constant: ``tools/reach.py``
+runs every product entry point and ``tests/reach_allowlist.txt`` names
+each function none of them reaches, each never-run arm of one they reach
+(guards aside), and each option none of them sets.
 
 Every such function is the oracle of one reached fast path, a fault
 handler, or code ``bench/`` pins until Benchmark v2 (ROADMAP aim 2,
-"exactly one oracle per fast path"); every such option is a deployment or
-documented setting, a test seam, or a keyword ``bench/`` passes.  The
-first test runs the entry points (about 15 s); the rest check the
-allowlist rules on tiny inputs.
+"exactly one oracle per fast path"); every such arm has a test that runs
+it; every such option is a deployment or documented setting, a test
+seam, or a keyword ``bench/`` passes.  The first test runs the entry
+points (about 20 s); the rest check the allowlist rules on tiny inputs.
 """
 
 import importlib.util
@@ -34,8 +35,12 @@ def test_every_unreached_function_is_allowlisted_exactly():
         capture_output=True, text=True, timeout=900, env=env,
     )
     assert done.returncode == 0, done.stdout[-6000:] + done.stderr[-6000:]
-    assert re.search(r"^src/repro total(\s+\d+){3}\s+0(\s+\d+){2}\s+0$", done.stdout, re.M), (
-        done.stdout)
+    total = re.search(r"^src/repro total(?:\s+\d+){3}\s+0(?:\s+\d+){2}\s+0\s+(\d+)\s+\d+\s+0$",
+                      done.stdout, re.M)
+    assert total, done.stdout
+    # Never-run arm lines of reached functions, guards included: what the
+    # last PR to lower it reached.
+    assert int(total[1]) <= 709, done.stdout
 
 
 def fn(name, reached):
@@ -58,11 +63,16 @@ OPTS = [
                  set=True),
     reach.Option("pkg.ref.kernel", "chunk", "src/pkg/ref.py", 1),  # unreached: out of scope
 ]
+ARMS = [
+    reach.Arm("pkg.fast.other", "src/pkg/fast.py", 2, 3, guard=False),
+    reach.Arm("pkg.fast.kernel", "src/pkg/fast.py", 2, 2, guard=True),  # needs no line
+]
 EXACT = [
     "pkg.ref oracle pkg.fast.kernel tests/test_tiny.py::test_kernel",
     "pkg.err.handler fault tests/test_tiny.py::TestErrors::test_handler",
     "pkg.fast.kernel(chunk=) setting --chunk",
     "pkg.fast.Knob(size=) setting Knob",
+    "pkg.fast.other fault tests/test_tiny.py::TestErrors::test_handler",
 ]
 
 
@@ -83,17 +93,20 @@ def repo(tmp_path):
 
 
 def check(lines, repo):
-    return reach.violations(FOUND, "\n".join(lines), repo, label="allow", opts=OPTS)
+    return reach.violations(FOUND, "\n".join(lines), repo, label="allow", opts=OPTS,
+                            found_arms=ARMS)
 
 
 def test_an_exact_allowlist_passes(repo):
     assert check(EXACT, repo) == []
+    # A function's arms may sit under one line per test that runs some of them.
+    assert check(EXACT + ["pkg.fast.other fault tests/test_tiny.py::test_kernel"], repo) == []
 
 
 @pytest.mark.parametrize(
     "lines, entry, says",
     [
-        (EXACT + ["pkg.live pinned 3(f)"], "allow:5: pkg.live", "stale"),
+        (EXACT + ["pkg.live pinned 3(f)"], "allow:6: pkg.live", "stale"),
         (
             ["pkg.ref.kernel oracle pkg.fast.kernel tests/test_tiny.py::test_kernel",
              "pkg.ref.helper oracle pkg.fast tests/test_tiny.py::test_kernel", *EXACT[1:]],
@@ -112,21 +125,26 @@ def test_an_exact_allowlist_passes(repo):
             "no test tests/test_tiny.py::TestErrors::test_gone",
         ),
         (EXACT[:1] + EXACT[2:], "pkg.err.handler", "unreached and not allowlisted"),
-        (EXACT + ["pkg.err pinned 4(i)"], "allow:5: pkg.err", "already allowlisted on line 2"),
-        (EXACT + ["pkg.fast pinned 9"], "allow:5: pkg.fast", "only ROADMAP items"),
-        (EXACT + ["pkg.fast.Knob(mode=) setting Knob"], "allow:5: pkg.fast.Knob(mode=)",
+        (EXACT + ["pkg.err pinned 4(i)"], "allow:6: pkg.err", "already allowlisted on line 2"),
+        (EXACT + ["pkg.fast pinned 9"], "allow:6: pkg.fast", "only ROADMAP items"),
+        (EXACT + ["pkg.fast.Knob(mode=) setting Knob"], "allow:6: pkg.fast.Knob(mode=)",
          "stale: a call sets it"),
-        (EXACT[:3], "pkg.fast.Knob(size=)", "no call sets it and it is not allowlisted"),
-        (EXACT[:2] + ["pkg.fast.kernel(chunk=) seam tests/test_tiny.py::test_gone", EXACT[3]],
+        (EXACT[:3] + EXACT[4:], "pkg.fast.Knob(size=)",
+         "no call sets it and it is not allowlisted"),
+        (EXACT[:2] + ["pkg.fast.kernel(chunk=) seam tests/test_tiny.py::test_gone", *EXACT[3:]],
          "allow:3: pkg.fast.kernel(chunk=)", "no test tests/test_tiny.py::test_gone"),
-        (EXACT[:2] + ["pkg.fast.kernel(chunk=) setting --chunks", EXACT[3]],
+        (EXACT[:2] + ["pkg.fast.kernel(chunk=) setting --chunks", *EXACT[3:]],
          "allow:3: pkg.fast.kernel(chunk=)", "neither a flag"),
-        (EXACT + ["pkg.ref.kernel(chunk=) pinned 3(f)"], "allow:5: pkg.ref.kernel(chunk=)",
+        (EXACT + ["pkg.ref.kernel(chunk=) pinned 3(f)"], "allow:6: pkg.ref.kernel(chunk=)",
          "stale: nothing calls it"),
+        (EXACT[:4], "pkg.fast.other:2", "never run and not allowlisted"),
+        (EXACT + ["pkg.live.used fault tests/test_tiny.py::test_kernel"], "allow:6: pkg.live",
+         "stale: every function and arm in it runs"),  # say, once its arm is deleted
     ],
     ids=["stale", "two-oracles", "fast-path-unreached", "no-such-test", "no-entry",
          "two-entries", "unpinned-item", "option-stale", "option-unlisted",
-         "option-seam-no-test", "option-setting-unknown", "option-unreached"],
+         "option-seam-no-test", "option-setting-unknown", "option-unreached", "arm-unlisted",
+         "arm-stale"],
 )
 def test_each_broken_rule_names_its_entry(repo, lines, entry, says):
     problems = check(lines, repo)
@@ -154,6 +172,7 @@ def test_nested_defs_count_for_their_enclosing_function(tmp_path):
 
 
 def test_a_call_made_at_import_sets_an_option(tmp_path, monkeypatch):
+    # The same run finds the arms: runs of never-run statements, one body each.
     package = tmp_path / "reachdemo"
     package.mkdir()
     (package / "__init__.py").write_text("")
@@ -167,7 +186,28 @@ def test_a_call_made_at_import_sets_an_option(tmp_path, monkeypatch):
         "\n\n"
         "DEFAULT = Knob(size=2)  # made while the module is imported\n"
         "\n\n"
-        "def scale(x, factor=1):\n"
+        "def scale(x, factor=1):\n"        # 13
+        "    if x:\n"
+        "        y = 1\n"
+        "    else:\n"
+        "        y = 2\n"                   # 17: else
+        "        y += 1\n"
+        "    try:\n"
+        "        y += 1\n"
+        "    except ValueError:\n"
+        "        y = 0\n"                   # 22: except
+        "    finally:\n"
+        "        y += 1\n"
+        "    for item in ():\n"
+        "        y += item\n"               # 26: loop body
+        "    else:\n"
+        "        y += 1\n"
+        "    squares = [n * n\n"            # a comprehension over nothing is one statement
+        "               for n in ()]\n"
+        "    def inner():\n"
+        "        return y\n"                # 32: nested def
+        "    if y < 0:\n"
+        "        raise ValueError(y)\n"     # 34: a guard
         "    return x * factor\n"
     )
     monkeypatch.syspath_prepend(str(tmp_path))
@@ -177,11 +217,14 @@ def test_a_call_made_at_import_sets_an_option(tmp_path, monkeypatch):
 
         assert scale(3, factor=1) == 3  # the default, passed explicitly
 
-    opts = reach.options(package)
-    reach.record(opts, [entry], package="reachdemo")
+    opts, found = reach.options(package), reach.functions(package)
+    called, ran = reach.record(opts, [entry], package="reachdemo")
     state = {option.name: (option.reached, option.set) for option in opts}
     assert state == {
         "reachdemo.mod.Knob(size=)": (True, True),
         "reachdemo.mod.Knob(mode=)": (True, False),
         "reachdemo.mod.scale(factor=)": (True, False),
     }
+    reach.mark_reached(found, called)
+    assert [(arm.first, arm.last, arm.guard) for arm in reach.arms(found, ran)] == [
+        (17, 18, False), (22, 22, False), (26, 26, False), (32, 32, False), (34, 34, True)]

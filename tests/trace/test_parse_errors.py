@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.trace import (
-    ParseReport,
-    TraceParseError,
-    parse_cloudphysics_lines,
-    parse_msr_lines,
-    read_csv_trace,
-)
+from repro.trace import (ParseReport, TraceParseError, parse_cloudphysics_lines, parse_msr_lines,
+                         read_csv_trace)
 
 
 def balanced(report) -> bool:

@@ -16,13 +16,7 @@ import pytest
 
 import repro.trace.store as store_mod
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.store import (
-    TraceStore,
-    file_meta,
-    load_trace,
-    meta_key,
-    synthetic_meta,
-)
+from repro.trace.store import TraceStore, file_meta, load_trace, meta_key, synthetic_meta
 from repro.workloads import synthesize_workload
 
 CSV_DIRTY = (

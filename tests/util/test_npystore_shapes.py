@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from repro.util import npystore
-from repro.util.npystore import (
-    PAGE_ALIGN,
-    commit_entry_dir,
-    load_mmap_npy,
-    write_aligned_npy,
-)
+from repro.util.npystore import PAGE_ALIGN, commit_entry_dir, load_mmap_npy, write_aligned_npy
 
 
 @pytest.mark.parametrize(

@@ -5,17 +5,9 @@ import random
 import pytest
 
 from repro.workloads import patterns
-from repro.workloads.patterns import (
-    BLOCK_SECTORS,
-    ClusteredOverwritePattern,
-    MisorderedPattern,
-    RandomAccessPattern,
-    ReplayReadPattern,
-    SequentialPattern,
-    WrittenExtentLog,
-    ZipfRereadPattern,
-    sample_size,
-)
+from repro.workloads.patterns import (BLOCK_SECTORS, ClusteredOverwritePattern, MisorderedPattern,
+                                      RandomAccessPattern, ReplayReadPattern, SequentialPattern,
+                                      WrittenExtentLog, ZipfRereadPattern, sample_size)
 
 
 def rng():

@@ -3,18 +3,9 @@
 import pytest
 
 from repro.workloads import synthesize_workload
-from repro.workloads.table1 import (
-    CLOUDPHYSICS_WORKLOADS,
-    FIG2_MSR,
-    FIG3_WORKLOADS,
-    FIG4_WORKLOADS,
-    FIG5_WORKLOADS,
-    FIG7_WORKLOADS,
-    FIG10_WORKLOADS,
-    MSR_WORKLOADS,
-    TABLE1,
-    get_spec,
-)
+from repro.workloads.table1 import (CLOUDPHYSICS_WORKLOADS, FIG2_MSR, FIG3_WORKLOADS,
+                                    FIG4_WORKLOADS, FIG5_WORKLOADS, FIG7_WORKLOADS,
+                                    FIG10_WORKLOADS, MSR_WORKLOADS, TABLE1, get_spec)
 
 
 class TestRegistryCompleteness:

@@ -1,10 +1,10 @@
-"""Which ``src/repro`` functions and options the product entry points reach (``make reach``).
+"""Which ``src/repro`` functions, arms and options the product entry points reach (``make reach``).
 
 Runs every product entry point in this one process at toy size under
-``sys.setprofile`` / ``threading.setprofile`` and records the code object
-of each ``call`` event.  A function counts as reached when any code
-object inside its lines was called, so a nested def, lambda or
-comprehension counts as part of the top-level function or method that
+``sys.settrace`` / ``threading.settrace``.  The hook sees each ``call``
+event and records the code object called.  A function counts as reached
+when any code object inside its lines was called, so a nested def, lambda
+or comprehension counts as part of the top-level function or method that
 encloses it.  The entry points are the experiments CLI (``all``,
 ``report``, the cleaning ablation at the scale its logs fill, ``all
 --jobs 2 --resume`` with both stores), the workloads CLI, ``load_trace``
@@ -14,21 +14,34 @@ of a clean and a dirty file of each format through a trace store, one
 in a spawned child (the tenant worker's loop, the ``--jobs`` task) is
 called here in process.
 
+The same run records which lines of ``src/repro`` run.  Line events are
+asked for only at a call of ``src/repro`` code that still has a line no
+call has run; any other call gets no local tracer, so code whose lines
+have all run, and everything outside the package, costs only the call
+event.  An *arm* is a maximal run of never-run statements in one body
+(``if`` / ``elif`` / ``else``, ``for`` / ``while`` and their ``else``,
+``try`` / ``except`` / ``finally``, ``with``, a nested def, or the
+function's own) of a reached function, named ``<function>:<first line>``.
+An arm made only of ``raise`` statements is a *guard*, a check on input,
+and is counted but needs no line.
+
 A function whose body is only a docstring, ``...``, ``pass`` or ``raise
 NotImplementedError`` declares an interface and is not counted.  Every
 other function no entry point reaches must sit in exactly one unit
 (package, module, class or function) of ``tests/reach_allowlist.txt``,
-and every unit there must hold at least one unreached function.  A line
-is one of::
+every arm but a guard in at least one, and every unit there must hold an
+unreached function or such an arm.  A line is one of::
 
     <unit> oracle <fast path> <tests/...::test>   the reference a reached
                                                   fast path is checked against
-    <unit> fault <tests/...::test>                runs only on a fault
+    <unit> fault <tests/...::test>                runs only on a fault, or on
+                                                  an input no entry point gives
     <unit> pinned <ROADMAP item>                  kept while bench/ uses it
 
 An oracle's fast path must be reached and may not overlap another
 oracle's, a named test must exist, and only the ROADMAP items in
-:data:`PINNED_ITEMS` pin code.
+:data:`PINNED_ITEMS` pin code.  The arms of one function may sit under
+several lines, one per test that runs some of them.
 
 The same run is the parameter pass.  An option is a defaulted parameter
 of a function or method above, or a defaulted field of a frozen (config)
@@ -50,8 +63,9 @@ API row the leading name of a backticked entry in the first column of a
 ``docs/API.md`` table.  Any other option no call sets is a constant.  The
 tool prints the per-package report (lines in functions, in unreached
 ones, and in unreached ones no unit covers; options, never set, and never
-set but not allowlisted); ``--check`` adds one line per violation and
-exits 1 if there is any.
+set but not allowlisted; arm lines, guard lines, and arm lines neither
+guard nor allowlisted); ``--check`` adds one line per violation and exits
+1 if there is any.
 """
 import argparse
 import ast
@@ -91,6 +105,7 @@ class Function:
     start: int  # first decorator, which is the code object's first line
     end: int
     reached: bool = False
+    node: Optional[ast.AST] = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -129,7 +144,8 @@ def functions(package: Path = PACKAGE) -> List[Function]:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stub(node):
                 start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                found.append(Function(module, prefix + node.name, path, start, node.end_lineno))
+                found.append(Function(module, prefix + node.name, path, start, node.end_lineno,
+                                      node=node))
             elif isinstance(node, ast.ClassDef):
                 walk(node.body, module, path, f"{prefix}{node.name}.")
             else:
@@ -139,6 +155,75 @@ def functions(package: Path = PACKAGE) -> List[Function]:
     for path in sorted(package.rglob("*.py")):
         walk(ast.parse(path.read_text()).body, module_name(path, package.parent), str(path), "")
     return found
+
+
+@dataclass
+class Arm:
+    """A maximal run of never-run statements in one body of a reached
+    function (``if`` / ``else``, a loop, ``try`` / ``except`` / ``finally``,
+    ``with``, a nested def, or the function's own body)."""
+
+    function: str  # module.qualname of the reached function
+    path: str
+    first: int
+    last: int
+    guard: bool  # only ``raise`` statements: a check on input, kept without a line
+
+    @property
+    def name(self) -> str:
+        return f"{self.function}:{self.first}"
+
+    @property
+    def lines(self) -> int:
+        return self.last - self.first + 1
+
+
+def _span(statement: ast.stmt) -> range:
+    decorators = getattr(statement, "decorator_list", ())
+    return range(min([statement.lineno] + [d.lineno for d in decorators]),
+                 statement.end_lineno + 1)
+
+
+def _bodies(statement: ast.stmt) -> Iterable[list]:
+    for field in ("body", "orelse", "finalbody"):
+        yield getattr(statement, field, [])
+    for handler in getattr(statement, "handlers", ()):
+        yield handler.body
+    for case in getattr(statement, "cases", ()):
+        yield case.body
+
+
+def arms(found: Sequence[Function], ran: Dict[str, Set[int]]) -> List[Arm]:
+    """The arms of each reached function in ``found``, given the lines
+    that ran per file.  A statement ran when any of its lines did, so a
+    comprehension or a multi-line call is one statement; a docstring,
+    ``...``, ``global`` and ``nonlocal`` compile to nothing and are skipped."""
+    result: List[Arm] = []
+
+    def close(function: Function, run: List[ast.stmt]) -> None:
+        if run:
+            result.append(Arm(function.name, function.path, _span(run[0]).start,
+                              run[-1].end_lineno, all(isinstance(s, ast.Raise) for s in run)))
+
+    def walk(function: Function, body: list, lines: Set[int]) -> None:
+        run: List[ast.stmt] = []
+        for statement in body:
+            if isinstance(statement, (ast.Global, ast.Nonlocal)) or (
+                    isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant)):
+                continue
+            if not lines.intersection(_span(statement)):
+                run.append(statement)
+                continue
+            close(function, run)
+            run = []
+            for inner in _bodies(statement):
+                walk(function, inner, lines)
+        close(function, run)
+
+    for function in found:
+        if function.reached and function.node is not None:
+            walk(function, function.node.body, ran.get(os.path.realpath(function.path), set()))
+    return result
 
 
 @dataclass
@@ -158,10 +243,6 @@ class Option:
     def name(self) -> str:
         owner = self.owner[: -len(".__init__")] if self.owner.endswith(".__init__") else self.owner
         return f"{owner}({self.param}=)"
-
-    @property
-    def package(self) -> str:
-        return ".".join(self.owner.split(".")[:2])
 
 
 def frozen_dataclass(node: ast.ClassDef) -> bool:
@@ -484,17 +565,20 @@ def watch(frame, by_def: Dict[Tuple[str, int], List[Option]],
 
 
 def record(found_options: Sequence[Option] = (), entry_points: Sequence = ENTRY_POINTS,
-           package: str = "repro") -> Set[Tuple[str, int]]:
-    """``(filename, first line)`` of every code object the entry points call.
+           package: str = "repro") -> Tuple[Set[Tuple[str, int]], Dict[str, Set[int]]]:
+    """``(filename, first line)`` of every code object the entry points
+    call, and the lines of ``package`` that ran, per file.
 
     Marks each of ``found_options`` reached when its function is called or
     its class constructed, and set when a call passes another value.
     ``frame.f_locals`` is read only for code objects that have options.
+    Line events are asked for only from code in ``package`` that still has
+    a line no call has run; every other call returns no local tracer.
     ``package`` must not be imported yet, so that the calls its modules
     make at import are seen.
     """
     if any(name == package or name.startswith(package + ".") for name in sys.modules):
-        raise RuntimeError(f"{package} was imported before the profile started: "
+        raise RuntimeError(f"{package} was imported before the trace started: "
                            "calls made at import would go unseen")
     sys.path.insert(0, str(SRC))
     by_def: Dict[Tuple[str, int], List[Option]] = {}
@@ -505,35 +589,61 @@ def record(found_options: Sequence[Option] = (), entry_points: Sequence = ENTRY_
         else:
             by_def.setdefault((os.path.realpath(option.path), option.line), []).append(option)
     watched: dict = {}  # every code object called -> its options not yet set
+    unrun: dict = {}  # every code object called -> its lines not yet run (None: not traced)
 
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            try:
-                pending = watched[code]
-            except KeyError:
-                pending = watched[code] = watch(frame, by_def, by_class)
-            if pending:
-                values = frame.f_locals
-                for option, defaults in pending:
-                    if not option.set and all(differs(values[option.param], default)
-                                              for default in defaults):
-                        option.set = True
-                        watched[code] = [entry for entry in pending if not entry[0].set] or None
+    def lines(code) -> Set[int]:
+        # The first line holds only the frame's set-up, which no line event reports.
+        return {line for _, _, line in code.co_lines() if line is not None} - {
+            code.co_firstlineno}
+
+    def line(frame, event, arg):
+        if event == "line":
+            left = unrun[frame.f_code]
+            left.discard(frame.f_lineno)
+            if not left:  # every line of this code has run: no more line events here
+                frame.f_trace_lines = False
+        return line
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        try:
+            pending = watched[code]
+        except KeyError:
+            pending = watched[code] = watch(frame, by_def, by_class)
+        if pending:
+            values = frame.f_locals
+            for option, defaults in pending:
+                if not option.set and all(differs(values[option.param], default)
+                                          for default in defaults):
+                    option.set = True
+                    watched[code] = [entry for entry in pending if not entry[0].set] or None
+        try:
+            left = unrun[code]
+        except KeyError:
+            module = frame.f_globals.get("__name__") or ""
+            left = unrun[code] = lines(code) if (
+                (module == package or module.startswith(package + "."))
+                and not code.co_filename.startswith("<")) else None
+        return line if left else None
 
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch, \
             contextlib.redirect_stdout(io.StringIO()):
-        threading.setprofile(profile)
-        sys.setprofile(profile)
+        threading.settrace(trace)
+        sys.settrace(trace)
         try:
             for entry in entry_points:
                 directory = Path(scratch) / entry.__name__.strip("_")
                 directory.mkdir()
                 entry(directory)
         finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
-    return {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in watched}
+            sys.settrace(None)
+            threading.settrace(None)
+    ran: Dict[str, Set[int]] = {}
+    for code, left in unrun.items():
+        if left is not None:
+            ran.setdefault(os.path.realpath(code.co_filename), set()).update(
+                lines(code) - left)
+    return {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in watched}, ran
 
 
 def mark_reached(found: List[Function], called: Iterable[Tuple[str, int]]) -> None:
@@ -597,10 +707,12 @@ def settings(repo: Path = REPO) -> Set[str]:
 
 
 def violations(found: Sequence[Function], allowlist: str, repo: Path = REPO,
-               label: str = "reach_allowlist.txt", opts: Sequence[Option] = ()) -> List[str]:
+               label: str = "reach_allowlist.txt", opts: Sequence[Option] = (),
+               found_arms: Sequence[Arm] = ()) -> List[str]:
     """One line per broken rule (empty when the allowlist is exact)."""
     problems: List[str] = []
-    owner: Dict[str, int] = {}
+    owner: Dict[str, int] = {}  # unreached function or arm -> its line
+    listed_arms = [arm for arm in found_arms if not arm.guard]
     oracle_of: Dict[str, int] = {}
     by_name = {option.name: option for option in opts}
     listed: Dict[str, int] = {}
@@ -643,14 +755,16 @@ def violations(found: Sequence[Function], allowlist: str, repo: Path = REPO,
         if not inside:
             problems.append(f"{where}: no such module, class or function in src/repro")
             continue
-        unreached = [function for function in inside if not function.reached]
-        if not unreached:
-            problems.append(f"{where}: stale: every function in it is reached")
-        for function in unreached:
-            if function.name in owner:
-                problems.append(f"{where}: {function.name} is already allowlisted "
-                                f"on line {owner[function.name]}")
-            owner.setdefault(function.name, number)
+        unreached = [function.name for function in inside if not function.reached]
+        armed = [arm.name for arm in listed_arms if inside_of(arm.function, unit)]
+        if not unreached and not armed:
+            problems.append(f"{where}: stale: every function and arm in it runs")
+        for name in unreached:
+            if name in owner:
+                problems.append(f"{where}: {name} is already allowlisted on line {owner[name]}")
+            owner.setdefault(name, number)
+        for name in armed:  # one line per test that runs some of a function's arms
+            owner.setdefault(name, number)
         if kind == "pinned" and line[2] not in PINNED_ITEMS:
             problems.append(f"{where}: pinned to {line[2]}; only ROADMAP items "
                             f"{', '.join(PINNED_ITEMS)} pin code")
@@ -672,6 +786,11 @@ def violations(found: Sequence[Function], allowlist: str, repo: Path = REPO,
             problems.append(f"{function.name}: unreached and not allowlisted "
                             f"({os.path.relpath(function.path, repo)}:{function.start}, "
                             f"{function.lines} lines)")
+    for arm in listed_arms:
+        if arm.name not in owner:
+            problems.append(f"{arm.name}: never run and not allowlisted "
+                            f"({os.path.relpath(arm.path, repo)}:{arm.first}-{arm.last}, "
+                            f"{arm.lines} lines): delete it or name a test that runs it")
     for option in opts:
         if option.reached and not option.set and option.name not in listed:
             problems.append(f"{option.name}: no call sets it and it is not allowlisted "
@@ -680,16 +799,22 @@ def violations(found: Sequence[Function], allowlist: str, repo: Path = REPO,
     return problems
 
 
-def report(found: Sequence[Function], allowlist: str, opts: Sequence[Option] = ()) -> str:
-    """Per package: lines in unreached functions, allowlisted or not, and
-    options no call sets, allowlisted or not."""
+def package_of(name: str) -> str:
+    return ".".join(name.split(".")[:2])
+
+
+def report(found: Sequence[Function], allowlist: str, opts: Sequence[Option] = (),
+           found_arms: Sequence[Arm] = ()) -> str:
+    """Per package: lines in unreached functions, allowlisted or not;
+    options no call sets, allowlisted or not; and never-run arm lines of
+    reached functions, those in guards, and those neither guard nor
+    allowlisted."""
     allowed = {function.name for _, line in entries(allowlist)
                for function in members(line[0], found)}
     allowed.update(line[0] for _, line in entries(allowlist))
     rows: Dict[str, List[int]] = {}
     for function in found:
-        package = ".".join(function.module.split(".")[:2])
-        row = rows.setdefault(package, [0] * 7)
+        row = rows.setdefault(package_of(function.module), [0] * 10)
         row[0] += 1
         row[1] += function.lines
         if not function.reached:
@@ -697,15 +822,21 @@ def report(found: Sequence[Function], allowlist: str, opts: Sequence[Option] = (
             row[3] += function.lines * (function.name not in allowed)
     for option in opts:
         if option.reached:
-            row = rows.setdefault(option.package, [0] * 7)
+            row = rows.setdefault(package_of(option.owner), [0] * 10)
             row[4] += 1
             row[5] += not option.set
             row[6] += not option.set and option.name not in allowed
+    for arm in found_arms:
+        row = rows[package_of(arm.function)]
+        row[7] += arm.lines
+        row[8] += arm.lines * arm.guard
+        row[9] += arm.lines * (not arm.guard and arm.function not in allowed)
     rows["src/repro total"] = [sum(column) for column in zip(*rows.values())]
     out = [f"{'':24s}{'functions':>10s}{'lines':>8s}{'unreached':>10s}{'not allowed':>12s}"
-           f"{'options':>9s}{'never set':>10s}{'not allowed':>12s}"]
-    out += [f"{name:24s}{a:10d}{b:8d}{c:10d}{d:12d}{e:9d}{f:10d}{g:12d}"
-            for name, (a, b, c, d, e, f, g) in rows.items()]
+           f"{'options':>9s}{'never set':>10s}{'not allowed':>12s}"
+           f"{'arm lines':>10s}{'guards':>8s}{'not allowed':>12s}"]
+    out += [f"{name:24s}{a:10d}{b:8d}{c:10d}{d:12d}{e:9d}{f:10d}{g:12d}{h:10d}{i:8d}{j:12d}"
+            for name, (a, b, c, d, e, f, g, h, i, j) in rows.items()]
     return "\n".join(out)
 
 
@@ -716,13 +847,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     found, opts = functions(), options()
-    mark_reached(found, record(opts))
+    called, ran = record(opts)
+    mark_reached(found, called)
+    found_arms = arms(found, ran)
     allowlist = ALLOWLIST.read_text()
-    print(report(found, allowlist, opts))
+    print(report(found, allowlist, opts, found_arms))
     print(f"entry points ran in {time.perf_counter() - started:.1f} s")
     if not args.check:
         return 0
-    problems = violations(found, allowlist, opts=opts)
+    problems = violations(found, allowlist, opts=opts, found_arms=found_arms)
     for problem in problems:
         print(problem)
     return 1 if problems else 0
