@@ -39,7 +39,6 @@ from repro.core.stream import (
     supports_cache_sweep,
     supports_stream,
 )
-from repro.core.stream_store import StreamStore, stream_key
 from repro.core.recorders import (
     Recorder,
     SeekRecord,
@@ -96,8 +95,6 @@ __all__ = [
     "stream_windowed_long_seeks",
     "supports_cache_sweep",
     "supports_stream",
-    "StreamStore",
-    "stream_key",
     "Recorder",
     "SeekRecord",
     "SeekLogRecorder",

@@ -129,10 +129,7 @@ class FragmentStream:
         frontier_base: First log sector (``trace.max_end``).
         frontier: Final write frontier after the replay.
         layout: The plain-LS translator the recording drove, in the
-            reference end-state of *every* defrag-free replay; ``None`` for
-            streams rehydrated from the persistent
-            :class:`~repro.core.stream_store.StreamStore` (persisting a
-            whole extent map would defeat the zero-copy load).
+            reference end-state of *every* defrag-free replay.
         pba / length / kind: The access stream a technique-free LS replay
             performs, one entry per physical access (``kind`` is 0 for
             reads, 1 for writes); cache/prefetch serve a subset from RAM.
@@ -152,7 +149,7 @@ class FragmentStream:
     trace_name: str
     frontier_base: int
     frontier: int
-    layout: Optional[LogStructuredTranslator]
+    layout: LogStructuredTranslator
     pba: np.ndarray
     length: np.ndarray
     kind: np.ndarray

@@ -9,10 +9,10 @@ Examples::
     python -m repro.experiments all --out results/ --jobs 2 --trace-store ts/
     repro-experiments table1
 
-Exhibits are always computed by the exact column kernels.  ``--jobs N``
-fills the per-trace result table over N worker processes, one trace per
-task, before the exhibits render; exhibit JSON is byte-identical to a
-serial run.
+Exhibits are always computed by the exact column kernels.  Every run
+fills the per-trace result table one trace per task before the exhibits
+render: in this process by default, over N worker processes with
+``--jobs N``; exhibit JSON is byte-identical either way.
 
 Long runs are crash-safe (see docs/ROBUSTNESS.md): with ``--out`` every
 exhibit JSON and the ``run.json`` manifest are written atomically, and
@@ -92,7 +92,8 @@ def main(argv=None) -> int:
         default=1,
         metavar="N",
         help="fill the per-trace result table over N worker processes, one "
-        "trace per task (default 1 = serial; results are identical either way)",
+        "trace per task (default 1: the same tasks fill it in this process; "
+        "results are identical either way)",
     )
     parser.add_argument(
         "--fast",
@@ -113,9 +114,7 @@ def main(argv=None) -> int:
         "--stream-store",
         default=None,
         metavar="DIR",
-        help="persistent fragment-stream store: plain-LS streams are "
-        "recorded under DIR once machine-wide and memory-mapped by every "
-        "process (exact; delete DIR to clear)",
+        help="accepted for compatibility and ignored",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -149,7 +148,6 @@ def main(argv=None) -> int:
             resume=args.resume,
             jobs=args.jobs,
             trace_store=args.trace_store,
-            stream_store=args.stream_store,
         )
     except RunInterrupted as exc:
         # Workers are reaped and the manifest is finalized before this

@@ -5,8 +5,8 @@ Every exhibit is a view over the per-trace result table of
 workloads declare what they read in :data:`NEEDS`: ``needs(seed, scale)``
 maps each workload to the technique configs (point rows) and analysis
 functions ``f(engine, trace)`` (analysis rows) the exhibit asks for.  The
-parallel runner fills those rows one trace per task before it runs the
-exhibits serially; a serial run computes them on demand.
+runner fills those rows one trace per task, in process or over a pool,
+before it renders the exhibits from the table.
 """
 
 from __future__ import annotations

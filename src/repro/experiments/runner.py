@@ -1,5 +1,5 @@
 """Crash-safe experiment runner: isolation, timeouts, checkpoint/resume,
-and a parallel (multi-process) execution mode.
+and one fill of the result table, in process or over a pool.
 
 A long ``python -m repro.experiments all`` run must survive a bad exhibit,
 a hung exhibit, and a mid-run kill without losing completed work.  This
@@ -9,23 +9,24 @@ module wraps :func:`~repro.experiments.registry.run_exhibit` with:
   full traceback) and, with ``keep_going``, the run continues.
 * **Per-exhibit timeout** — a SIGALRM-based watchdog (POSIX main thread
   only; silently disabled elsewhere) turns a hung exhibit into a
-  ``timeout`` failure instead of a hung run; it arms in pool tasks too.
+  ``timeout`` failure instead of a hung run; it arms in fill tasks too.
 * **A run manifest** — ``<out_dir>/run.json``, rewritten atomically after
-  every exhibit, records per-exhibit status, duration, error traceback and
-  a ``(name, seed, scale, version)`` fingerprint.
+  every exhibit, records the fill's wall time (``fill_s``), per-exhibit
+  status, render duration, error traceback and a ``(name, seed, scale,
+  version)`` fingerprint.
 * **Resume** — a rerun with ``resume=True`` skips exhibits whose manifest
   entry is ``ok``, whose fingerprint matches the current parameters, and
   whose JSON dump is present and valid; everything else is re-run.
-* **Parallelism** — ``jobs=N`` first fills the per-trace result table
-  (:class:`~repro.experiments.sweep.SweepEngine`) over a ``spawn`` process
-  pool, one task per Table-I trace the pending exhibits read
-  (:data:`~repro.experiments.registry.NEEDS`), longest first by op count.
-  A task synthesises or loads its trace once, records its stream once and
-  returns its rows; the parent absorbs them and then runs exactly the
-  serial path, so failure, timeout, ``keep_going``, resume and manifest
-  semantics are serial by construction and exhibit JSON is byte-identical.
-  A row a task did not return (it raised or timed out) is recomputed by
-  the exhibit that asks for it.
+* **One fill** — every run first fills the per-trace result table
+  (:class:`~repro.experiments.sweep.SweepEngine`), one task per Table-I
+  trace the pending exhibits read
+  (:data:`~repro.experiments.registry.NEEDS`), longest first by op count:
+  in this process at ``jobs=1``, over a ``spawn`` process pool of ``jobs``
+  workers otherwise.  A task synthesises or loads its trace once, records
+  its stream once and returns its rows; the run absorbs them and then
+  renders the exhibits from the table, so exhibit JSON is byte-identical
+  at any ``jobs``.  A task that raises or times out is echoed, and the
+  exhibit that asks for one of its rows recomputes it.
 
 Because exhibit JSON dumps and the manifest are both written via
 tmp-file+rename (:mod:`repro.util.io`), a run killed at any instant leaves
@@ -142,7 +143,9 @@ class RunManifest:
     """The ``run.json`` checkpoint file.
 
     The manifest maps exhibit name → ``{status, duration_s, fingerprint,
-    error, finished_at}`` plus run-level metadata.  It is saved atomically
+    error}`` plus run-level metadata: seed, scale and ``fill_s``, the wall
+    time the result table took to fill (an exhibit's ``duration_s`` is its
+    render time only).  It is saved atomically
     after every state change, so the file on disk is always complete and
     reflects the last finished (or started) exhibit.
     """
@@ -151,6 +154,7 @@ class RunManifest:
         self.path = Path(path)
         self.seed = seed
         self.scale = scale
+        self.fill_s = 0.0
         self.exhibits: Dict[str, dict] = {}
 
     @classmethod
@@ -185,6 +189,7 @@ class RunManifest:
                 "manifest_version": 1,
                 "seed": self.seed,
                 "scale": self.scale,
+                "fill_s": round(self.fill_s, 3),
                 "exhibits": self.exhibits,
             },
         )
@@ -264,12 +269,11 @@ def _json_dump_valid(path: Path) -> bool:
 
 
 def _fill_task(task: tuple) -> tuple:
-    """One pool task: every row the pending exhibits read from one trace
+    """One fill task: every row the pending exhibits read from one trace
     (:meth:`~repro.experiments.sweep.SweepEngine.fill`), under the
     per-exhibit time budget."""
-    name, items, seed, scale, timeout_s, trace_store, stream_store = task
+    name, items, seed, scale, timeout_s, trace_store = task
     common.set_trace_store(trace_store)
-    common.set_stream_store(stream_store)
     with exhibit_timeout(timeout_s):
         return SweepEngine(seed, scale).fill(name, items)
 
@@ -306,33 +310,38 @@ def _needs(names: Sequence[str], seed: int, scale: float) -> Dict[str, list]:
 def _fill_table(
     names: Sequence[str], seed: int, scale: float, jobs: int, echo, *settings
 ) -> None:
-    """Fill the ``(seed, scale)`` result table over a ``spawn`` pool: one
-    task per trace ``names`` read, longest first by op count.  Each task
-    adopts ``settings``: the run's time budget and stores."""
+    """Fill the ``(seed, scale)`` result table: one task per trace ``names``
+    read, longest first by op count, in this process at ``jobs=1`` and over
+    a ``spawn`` pool otherwise.  Each task adopts ``settings``: the run's
+    time budget and trace store."""
     from repro.workloads import get_spec
 
     wanted = _needs(names, seed, scale)
-    if not wanted:
-        return
     order = sorted(wanted, key=lambda workload: -get_spec(workload).total_ops)
+    tasks = [(workload, wanted[workload], seed, scale, *settings) for workload in order]
     engine = sweep_engine(seed, scale)
+
+    def absorb(workload: str, result: Callable[[], tuple]) -> None:
+        try:
+            filled = result()
+        except Exception as exc:  # the exhibits that ask recompute its rows
+            echo(f"(fill) {workload}: {type(exc).__name__}: {exc}")
+            return
+        engine.absorb(filled)
+
+    if jobs == 1 or not tasks:
+        for task in tasks:
+            absorb(task[0], lambda: _fill_task(task))
+        return
     context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=min(jobs, len(order)), mp_context=context) as pool:
-        tasks = {
-            pool.submit(_fill_task, (workload, wanted[workload], seed, scale, *settings)): workload
-            for workload in order
-        }
-        not_done = set(tasks)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=context) as pool:
+        futures = {pool.submit(_fill_task, task): task[0] for task in tasks}
+        not_done = set(futures)
         try:
             while not_done:
                 done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                 for future in done:
-                    try:
-                        filled = future.result()
-                    except Exception as exc:  # the exhibits that ask recompute its rows
-                        echo(f"(fill) {tasks[future]}: {type(exc).__name__}: {exc}")
-                        continue
-                    engine.absorb(filled)
+                    absorb(futures[future], future.result)
         except (KeyboardInterrupt, RunInterrupted):
             for future in not_done:
                 future.cancel()
@@ -352,7 +361,6 @@ def run_exhibits(
     echo: Callable[[str], None] = print,
     jobs: int = 1,
     trace_store: Optional[str] = None,
-    stream_store: Optional[str] = None,
 ) -> List[ExhibitOutcome]:
     """Run ``names`` with isolation, checkpointing, resume and parallelism.
 
@@ -363,17 +371,12 @@ def run_exhibits(
 
     Args:
         jobs: Worker processes that fill the result table first, one
-            Table-I trace per task; ``1`` computes every row on demand in
-            this process.  Exhibit JSON is byte-identical either way.
+            Table-I trace per task; ``1`` runs the same tasks in this
+            process.  Exhibit JSON is byte-identical either way.
         trace_store: Directory of a persistent compiled-trace store
             (:mod:`repro.trace.store`); synthesized workload traces are
             compiled there on first use and loaded back on later runs.
             Exact, so output is unchanged; ``None`` disables.
-        stream_store: Directory of a persistent stream store
-            (:mod:`repro.core.stream_store`); recorded fragment streams
-            are published there once machine-wide and memory-mapped by
-            every other process.  Exact, so output is unchanged; ``None``
-            disables.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -400,20 +403,19 @@ def run_exhibits(
         )
 
     previous_store = common.trace_store()
-    previous_stream_store = common.stream_store()
     common.set_trace_store(trace_store)
-    common.set_stream_store(stream_store)
     outcomes: List[ExhibitOutcome] = []
     try:
         with run_signal_handlers():
-            if jobs > 1:
-                pending = [
-                    name for name in names
-                    if not skip_on_resume(name, exhibit_fingerprint(name, seed, scale))
-                ]
-                _fill_table(
-                    pending, seed, scale, jobs, echo, timeout_s, trace_store, stream_store
-                )
+            fill_start = time.time()
+            pending = [
+                name for name in names
+                if not skip_on_resume(name, exhibit_fingerprint(name, seed, scale))
+            ]
+            _fill_table(pending, seed, scale, jobs, echo, timeout_s, trace_store)
+            if manifest is not None:
+                manifest.fill_s = time.time() - fill_start
+                manifest.save()
             for name in names:
                 fingerprint = exhibit_fingerprint(name, seed, scale)
                 if skip_on_resume(name, fingerprint):
@@ -471,7 +473,6 @@ def run_exhibits(
                         break
     finally:
         common.set_trace_store(previous_store)
-        common.set_stream_store(previous_stream_store)
     return outcomes
 
 

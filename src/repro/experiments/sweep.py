@@ -13,9 +13,10 @@ point, and all defrag-free configurations resolve reads against the
   point twice, whichever exhibit or report label asks, and the **NoLS
   baseline** is its NoLS row;
 * an **analysis row** is what a module-level ``f(engine, trace)`` returns
-  for one workload (an exhibit's series, rate or sample): computed on
-  demand and not kept, unless a ``--jobs N`` pool task filled it ahead of
-  the exhibit (:meth:`fill` in the worker, :meth:`absorb` in the parent);
+  for one workload (an exhibit's series, rate or sample): filled ahead of
+  the exhibit by the runner's per-trace task (:meth:`fill` in the task,
+  :meth:`absorb` in the run) and handed out once, else computed on demand
+  and not kept;
 * the **fragment-access stream** is recorded once per trace
   (:func:`~repro.core.stream.record_fragment_stream`) and every
   cache/prefetch grid point is evaluated against the recording, one LRU
@@ -31,25 +32,20 @@ reference :class:`~repro.core.simulator.Simulator` instead — the oracle
 the differential tests compare the kernels against, never a run mode.
 
 Engines are memoized per ``(seed, scale)`` via :func:`sweep_engine`, so
-exhibits running in one process share results and recorded streams.
-Traces themselves come from :func:`~repro.experiments.common.
-workload_trace`, which consults the compiled-trace store.  When a
-persistent :class:`~repro.core.stream_store.StreamStore` is active
-(:func:`~repro.experiments.common.set_stream_store` or the constructor
-argument), recorded streams are shared **across processes** too: the
-first process to need a stream records and publishes it, everyone else
-memory-maps the published arrays zero-copy.  The in-memory LRU — keyed by
-:meth:`~repro.trace.trace.Trace.content_key`, so logically identical
-traces from different load paths share one entry — stays in front of the
-store; no result is ever written to disk (the NoLS row costs ~0.2 ms a
-trace to compute, less than a file to publish).
+exhibits running in one process share results.  The runner fills an
+engine trace by trace, so an engine keeps only the last recorded stream,
+keyed by :meth:`~repro.trace.trace.Trace.content_key` (logically identical
+traces from different load paths share it), and traces come from the
+one-entry memo of :func:`~repro.experiments.common.workload_trace`, which
+consults the compiled-trace store.  No result is ever written to disk (the
+NoLS row costs ~0.2 ms a trace to compute, less than a file to publish).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.batch import batch_replay
 from repro.core.config import NOLS, TechniqueConfig, build_translator
@@ -62,15 +58,8 @@ from repro.core.stream import (
     stream_replay,
     supports_stream,
 )
-from repro.experiments import common
 from repro.experiments.common import workload_trace
 from repro.trace.trace import Trace
-
-#: Recorded fragment streams an engine keeps alive (LRU).  A stream is a
-#: few arrays the size of the access stream, so two in flight covers
-#: exhibits that interleave a couple of workloads; 32 measured flat op/s
-#: for +11.6 % peak RSS (PR 19).
-_MAX_STREAMS = 2
 
 
 class SweepEngine:
@@ -80,26 +69,23 @@ class SweepEngine:
         seed / scale: Workload synthesis parameters.
         fast: Compute points with the kernels (True) or the reference
             :class:`~repro.core.simulator.Simulator` (False, the oracle).
-
-    Recordings are shared across processes through the process-wide
-    stream store (:func:`~repro.experiments.common.set_stream_store`).
     """
 
     def __init__(self, seed: int = 42, scale: float = 1.0, fast: bool = True) -> None:
         self.seed = seed
         self.scale = scale
         self.fast = fast
-        # trace.content_key() -> stream; the content key survives
-        # re-loads of the same workload, so a trace reaching this engine
-        # through a different path (fresh synthesis vs compiled-store
-        # mmap) still hits the same entry.
-        self._streams: "OrderedDict[str, FragmentStream]" = OrderedDict()
+        # (trace.content_key(), stream) of the last recording; the content
+        # key survives re-loads of the same workload, so a trace reaching
+        # this engine through a different path (fresh synthesis vs
+        # compiled-store mmap) still hits it.
+        self._stream: Tuple[Optional[str], Optional[FragmentStream]] = (None, None)
         # (content key, technique) -> the RunResult computed for it; the
         # table owns its rows (SimStats is mutable): answers are copies.
         # About 1 KB a row (an ``all`` run fills ~160), freed with the engine.
         self._results: Dict[tuple, RunResult] = {}
-        # (content key, f) -> f's row, absorbed from a pool task and
-        # handed out once; serial runs never fill it.
+        # (content key, f) -> f's row, absorbed from a fill task and
+        # handed out once.
         self._analyses: Dict[tuple, object] = {}
         # Workload name -> content key, so a filled row is found without
         # loading the trace it came from.
@@ -118,28 +104,14 @@ class SweepEngine:
         return workload_trace(name, self.seed, self.scale)
 
     def stream_for(self, trace: Trace) -> FragmentStream:
-        """The recorded fragment-access stream of ``trace`` (memoized).
-
-        Lookup order: in-memory LRU, then the persistent stream store
-        (zero-copy mmap hit), then a fresh recording — which is published
-        to the store so no other process pays it again.
-        """
+        """The recorded fragment-access stream of ``trace``, memoized for
+        the last trace asked (a new recording frees the previous one)."""
         key = trace.content_key()
-        stream = self._streams.get(key)
-        if stream is not None:
-            self._streams.move_to_end(key)
-            return stream
-        store = common.stream_store()
-        stream = store.load_stream(trace) if store is not None else None
-        if stream is None:
-            stream = record_fragment_stream(trace)
+        if self._stream[0] != key:
+            self._stream = (None, None)
+            self._stream = (key, record_fragment_stream(trace))
             self.streams_recorded += 1
-            if store is not None:
-                store.store_stream(trace, stream)
-        self._streams[key] = stream
-        while len(self._streams) > _MAX_STREAMS:
-            self._streams.popitem(last=False)
-        return stream
+        return self._stream[1]
 
     def _workload_key(self, name: str) -> str:
         key = self._keys.get(name)
@@ -182,7 +154,6 @@ class SweepEngine:
         A point already in the table, under any name, is answered from
         it; defrag-free configs evaluate against the recorded stream, and
         everything else (NoLS, defrag combinations) uses the batch kernel.
-        A reference engine (``fast=False``) never touches the stream store.
         """
         return self._point(trace.content_key(), config, lambda: trace)
 
@@ -209,11 +180,11 @@ class SweepEngine:
         return seek_amplification(stats, self.baseline(name))
 
     # ----------------------------------------------------------------- #
-    # Analysis rows and pool tasks
+    # Analysis rows and fill tasks
     # ----------------------------------------------------------------- #
 
     def analysis(self, name: str, fn: Callable[["SweepEngine", Trace], object]):
-        """``fn(self, trace)`` for workload ``name``: the row a pool task
+        """``fn(self, trace)`` for workload ``name``: the row a fill task
         filled (handed out once), else computed now and not kept."""
         row = self._analyses.pop((self._keys.get(name), fn), None)
         if row is None:
@@ -223,8 +194,8 @@ class SweepEngine:
 
     def fill(self, name: str, items: Sequence) -> tuple:
         """Compute workload ``name``'s rows for ``items`` (technique
-        configs and analysis functions): one pool task, whose return value
-        :meth:`absorb` takes in the parent."""
+        configs and analysis functions): one fill task, whose return value
+        :meth:`absorb` takes into the run's engine."""
         trace = self.trace(name)
         analyses = {}
         for item in items:
@@ -233,12 +204,13 @@ class SweepEngine:
             else:
                 analyses[item] = item(self, trace)
                 self.analyses_computed += 1
-        counts = (self.results_computed, self.analyses_computed, self.streams_recorded)
+        counts = (self.results_computed, self.results_shared, self.analyses_computed,
+                  self.streams_recorded)
         return name, trace.content_key(), self._results, analyses, counts
 
     def absorb(self, filled: tuple) -> None:
         """Take one :meth:`fill` result into this table; its work counts
-        here too, so the counters total every process's."""
+        here too, so the counters total every task's."""
         name, key, points, analyses, counts = filled
         self._keys[name] = key
         for row, result in points.items():
@@ -246,8 +218,9 @@ class SweepEngine:
         for fn, row in analyses.items():
             self._analyses[key, fn] = row
         self.results_computed += counts[0]
-        self.analyses_computed += counts[1]
-        self.streams_recorded += counts[2]
+        self.results_shared += counts[1]
+        self.analyses_computed += counts[2]
+        self.streams_recorded += counts[3]
 
 
 # --------------------------------------------------------------------- #
@@ -262,7 +235,7 @@ def sweep_engine(seed: int, scale: float) -> SweepEngine:
     """The shared engine for ``(seed, scale)`` (bounded LRU registry).
 
     Exhibits fetch their engine here so a run shares results (the NoLS
-    baselines among them), recorded streams and pool-filled rows across
+    baselines among them) and the rows its fill tasks returned across
     exhibits.
     """
     key = (seed, scale)
@@ -278,5 +251,5 @@ def sweep_engine(seed: int, scale: float) -> SweepEngine:
 
 
 def reset_sweep_engines() -> None:
-    """Drop every memoized engine (tests; frees streams and results)."""
+    """Drop every memoized engine (tests; frees results)."""
     _engines.clear()

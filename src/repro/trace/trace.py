@@ -111,11 +111,10 @@ class Trace:
         them), so e.g. a re-parsed trace with jittered completion stamps
         still shares recorded streams.  Two traces with equal keys produce
         bit-identical replay results under every configuration; the
-        persistent :class:`~repro.core.stream_store.StreamStore` and the
-        :class:`~repro.experiments.sweep.SweepEngine` stream LRU key on
-        this, so logically identical traces from different load paths
-        (fresh synthesis, compiled-store mmap, re-parse) share one
-        recording.
+        :class:`~repro.experiments.sweep.SweepEngine` result table and its
+        stream memo key on this, so logically identical traces from
+        different load paths (fresh synthesis, compiled-store mmap,
+        re-parse) share one recording.
         """
         key = getattr(self, "_content_key", None)
         if key is None:

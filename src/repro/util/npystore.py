@@ -1,8 +1,8 @@
 """Page-aligned ``.npy`` files and atomic multi-array entry directories.
 
 The persistent stores (:mod:`repro.trace.store`,
-:mod:`repro.core.stream_store`) keep each entry as a *directory* of plain
-``.npy`` files plus a ``header.json``, because ``np.load(mmap_mode="r")``
+:mod:`repro.service.checkpoint`) keep each entry as a *directory* of plain ``.npy`` files plus
+a ``header.json``, because ``np.load(mmap_mode="r")``
 can memory-map a plain ``.npy`` but not a member of an ``.npz`` archive.
 Every array file is written with its header padded so the data section
 starts exactly at :data:`PAGE_ALIGN` — loads are zero-copy ``mmap`` views

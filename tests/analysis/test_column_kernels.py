@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.classify import characterize
-from repro.experiments import ablations, common, fig7, table1
+from repro.experiments import ablations, common, fig7, sweep, table1
 from repro.experiments.sweep import reset_sweep_engines
 from repro.trace.columnar import ColumnarTrace, TraceColumns
 from repro.trace.record import IORequest
@@ -123,16 +123,22 @@ def test_no_request_object_between_the_seed_and_the_kernels(
     assert len(request_constructions) == len(trace)
 
 
-def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions):
+def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions, monkeypatch):
+    served = {}
+
+    def serving(name, seed, scale):
+        served[name] = common.workload_trace(name, seed, scale)
+        return served[name]
+
+    monkeypatch.setattr(sweep, "workload_trace", serving)
     common._trace_cache.clear()
     reset_sweep_engines()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             for run in (table1.run, ablations.run_taxonomy, fig7.run):
                 run(seed=42, scale=0.05)
-        cached = list(common._trace_cache.values())
-        assert len(cached) == 21
-        assert all(trace._materialized is None for trace in cached)
+        assert len(served) == 21
+        assert all(trace._materialized is None for trace in served.values())
         assert not request_constructions
     finally:
         common._trace_cache.clear()

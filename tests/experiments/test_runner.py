@@ -59,6 +59,7 @@ class TestRunExhibits:
             echo=lambda s: None,
         )
         manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert manifest["fill_s"] >= 0  # the run's fill, apart from each render
         assert manifest["exhibits"]["alpha"]["status"] == STATUS_OK
         assert manifest["exhibits"]["beta"]["status"] == STATUS_FAILED
         assert "beta exploded" in manifest["exhibits"]["beta"]["error"]

@@ -1,6 +1,6 @@
-"""Sweep-engine behavior: shared state, dispatch, the result table and
-store integration (exhibit bytes against the reference simulator are
-``tests/differential/test_exhibits_vs_reference.py``)."""
+"""Sweep-engine behavior: shared state, dispatch, the result table, the
+stream memo and trace-store integration (exhibit bytes against the
+reference simulator are ``tests/differential/test_exhibits_vs_reference.py``)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import contextlib
 import dataclasses
 import functools
 import io
-import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,12 +31,10 @@ SEED, SCALE = 42, 0.05
 def _clean_state():
     """Each test starts and ends with no shared replay state."""
     common.set_trace_store(None)
-    common.set_stream_store(None)
     common._trace_cache.clear()
     reset_sweep_engines()
     yield
     common.set_trace_store(None)
-    common.set_stream_store(None)
     common._trace_cache.clear()
     reset_sweep_engines()
 
@@ -239,91 +236,16 @@ class TestTraceStoreIntegration:
         assert (store.hits, store.misses) == (0, 1)
 
 
-class TestStreamStoreIntegration:
-    def test_lru_keyed_by_content_not_object_identity(self):
-        """Two loads of the same workload share one recorded stream."""
+class TestStreamMemo:
+    def test_memo_keyed_by_content_not_object_identity(self):
+        """Two loads of the same workload share one recorded stream; a
+        recording of another trace replaces it."""
         engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
         first = synthesize_workload("hm_1", seed=SEED, scale=SCALE)
         second = synthesize_workload("hm_1", seed=SEED, scale=SCALE)
         assert first is not second
-        engine.stream_for(first)
-        engine.stream_for(second)
+        assert engine.stream_for(first) is engine.stream_for(second)
         assert engine.streams_recorded == 1
-        assert len(engine._streams) == 1
-
-    def test_store_serves_streams_across_engines(self, tmp_path):
-        from repro.core.stream_store import StreamStore
-
-        store = StreamStore(tmp_path / "streams")
-        common.set_stream_store(store)
-        trace = synthesize_workload("hm_1", seed=SEED, scale=SCALE)
-
-        cold = SweepEngine(seed=SEED, scale=SCALE, fast=True)
-        recorded = cold.stream_for(trace)
-        assert cold.streams_recorded == 1
-        assert (store.hits, store.misses) == (0, 1)
-
-        warm = SweepEngine(seed=SEED, scale=SCALE, fast=True)
-        loaded = warm.stream_for(trace)
-        assert warm.streams_recorded == 0, "the store must serve this"
-        assert (store.hits, store.misses) == (1, 1)
-        assert loaded.pba.tolist() == recorded.pba.tolist()
-        assert loaded.group_start.tolist() == recorded.group_start.tolist()
-
-    @staticmethod
-    def _ask_for_the_nols_row(tmp_path, fast):
-        from repro.core.stream_store import StreamStore
-
-        store = StreamStore(tmp_path / "streams")
-        common.set_stream_store(store)
-        engine = SweepEngine(seed=SEED, scale=SCALE, fast=fast)
-        stats = engine.baseline("hm_1")
-        assert engine.replay(engine.trace("hm_1"), NOLS).stats == stats
-        assert engine.saf("hm_1", NOLS).total == 1.0
-        return engine, store
-
-    def test_kernel_engine_computes_the_nols_row_without_the_store(self, tmp_path):
-        """The baseline is a row like any other (~0.2 ms a trace to compute,
-        less than a file to publish): nothing is loaded, nothing written."""
-        engine, store = self._ask_for_the_nols_row(tmp_path, fast=True)
-        assert (engine.results_computed, engine.results_shared) == (1, 3)
-        assert (store.hits, store.misses) == (0, 0)
-        assert not store.root.exists()
-
-    def test_reference_engine_never_consults_the_store(self, tmp_path):
-        engine, store = self._ask_for_the_nols_row(tmp_path, fast=False)
-        engine.replay(engine.trace("hm_1"), LS)
-        assert (store.hits, store.misses) == (0, 0), "reference path must stay store-free"
-        assert not store.root.exists()
-
-    def test_store_written_by_the_parent_commit_still_serves(self, tmp_path, monkeypatch):
-        """Stores written while NoLS baselines were persisted hold a
-        ``<key>.nols.json`` beside each stream: the streams are hits, the
-        sidecars are ignored, and ``clear()`` removes both."""
-        from repro.core.stream_store import STREAM_SCHEMA, StreamStore, stream_key
-
-        monkeypatch.setattr(fig11, "MSR_WORKLOADS", ("hm_1",))
-        monkeypatch.setattr(fig11, "CLOUDPHYSICS_WORKLOADS", ("w91",))
-        store = StreamStore(tmp_path / "streams")
-        common.set_stream_store(store)
-        _quiet(fig11.run, seed=SEED, scale=SCALE, out_dir=str(tmp_path / "cold"))
-        for name in ("hm_1", "w91"):
-            trace = common.workload_trace(name, SEED, SCALE)
-            sidecar = {
-                "schema": STREAM_SCHEMA,
-                "trace": trace.content_key(),
-                "stats": dataclasses.asdict(sweep_engine(SEED, SCALE).baseline(name)),
-            }
-            (store.root / f"{stream_key(trace)}.nols.json").write_text(json.dumps(sidecar))
-        listing = sorted(path.name for path in store.root.iterdir())
-
-        reset_sweep_engines()
-        store.hits = store.misses = 0
-        _quiet(fig11.run, seed=SEED, scale=SCALE, out_dir=str(tmp_path / "warm"))
-        assert (store.hits, store.misses) == (2, 0)
-        assert sweep_engine(SEED, SCALE).streams_recorded == 0
-        assert (tmp_path / "warm" / "fig11.json").read_bytes() == (
-            tmp_path / "cold" / "fig11.json"
-        ).read_bytes()
-        assert sorted(path.name for path in store.root.iterdir()) == listing
-        assert len(listing) == 4
+        engine.stream_for(synthesize_workload("w91", seed=SEED, scale=SCALE))
+        engine.stream_for(first)
+        assert engine.streams_recorded == 3

@@ -1,7 +1,7 @@
-"""The workload-trace LRU is bounded by column bytes, not by entry count.
+"""The workload-trace memo holds one trace, and a run still builds each once.
 
-The exhibits visit the 21 Table-I traces in one fixed order over and over,
-so an LRU holding fewer than 21 misses on every visit.
+The runner fills the result table one trace per task, so the exhibits
+never come back to a trace after its task.
 """
 
 import collections
@@ -48,27 +48,12 @@ def test_storeless_all_synthesizes_each_trace_once(generated, tmp_path, capsys):
     assert set(generated.values()) == {1}
 
 
-def test_cache_evicts_oldest_beyond_the_byte_budget(generated, monkeypatch):
-    def fetch(name):
-        return common.workload_trace(name, 1, 0.05)
-
-    a, b, c = list(TABLE1)[:3]
-    ops = {name: len(fetch(name)) for name in (a, b, c)}
-    assert len(common._trace_cache) == 3
-    common._trace_cache.clear()
-    generated.clear()
-
-    # Room for the last two only (25 column bytes per op).
-    monkeypatch.setattr(common, "_TRACE_CACHE_BYTES", 25 * (ops[b] + ops[c]))
-    for name in (a, b, c, c, b):
-        fetch(name)
-    assert len(common._trace_cache) == 2
-    assert generated[b, 1, 0.05] == generated[c, 1, 0.05] == 1
-    fetch(a)  # was evicted: synthesized again
-    assert generated[a, 1, 0.05] == 2
-
-    # A trace larger than the whole budget is still served, and kept.
-    monkeypatch.setattr(common, "_TRACE_CACHE_BYTES", 1)
-    common._trace_cache.clear()
-    assert [fetch(name).name for name in (a, b)] == [a, b]
-    assert len(common._trace_cache) == 1
+def test_memo_keeps_only_the_last_trace(generated):
+    a, b = list(TABLE1)[:2]
+    first = common.workload_trace(a, 1, 0.05)
+    assert common.workload_trace(a, 1, 0.05) is first
+    assert [trace.name for trace in common._trace_cache.values()] == [a]
+    common.workload_trace(b, 1, 0.05)
+    assert [trace.name for trace in common._trace_cache.values()] == [b]
+    common.workload_trace(a, 1, 0.05)  # was dropped: synthesized again
+    assert generated[a, 1, 0.05] == 2 and generated[b, 1, 0.05] == 1

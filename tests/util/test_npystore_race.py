@@ -18,8 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.stream import record_fragment_stream
-from repro.core.stream_store import StreamStore
 from repro.trace.store import TraceStore, synthetic_meta
 from repro.util.npystore import commit_entry_dir, load_mmap_npy
 from repro.workloads import synthesize_workload
@@ -44,15 +42,6 @@ def _race_trace_store(root: str, barrier, queue) -> None:
     store = TraceStore(root)
     barrier.wait()
     store.store(trace, meta)
-    queue.put(store.hits)
-
-
-def _race_stream_store(root: str, barrier, queue) -> None:
-    trace = synthesize_workload("hm_1", seed=SEED, scale=SCALE)
-    stream = record_fragment_stream(trace)
-    store = StreamStore(root)
-    barrier.wait()
-    store.store_stream(trace, stream)
     queue.put(store.hits)
 
 
@@ -95,18 +84,6 @@ def test_trace_store_race_loser_counts_hit_and_entry_is_served(tmp_path):
     reference = synthesize_workload("hm_1", seed=SEED, scale=SCALE)
     assert len(loaded) == len(reference)
     assert store.hits == 1
-
-
-def test_stream_store_race_loser_counts_hit_and_entry_is_served(tmp_path):
-    hits = _run_pair(_race_stream_store, tmp_path / "streams")
-    assert sorted(hits) == [0, 1]
-    trace = synthesize_workload("hm_1", seed=SEED, scale=SCALE)
-    store = StreamStore(tmp_path / "streams")
-    loaded = store.load_stream(trace)
-    assert loaded is not None
-    reference = record_fragment_stream(trace)
-    assert np.array_equal(loaded.pba, reference.pba)
-    assert loaded.accesses == reference.accesses
 
 
 def test_second_commit_of_published_entry_reports_lost_without_rebuilding(

@@ -7,12 +7,13 @@ when any code object inside its lines was called, so a nested def, lambda
 or comprehension counts as part of the top-level function or method that
 encloses it.  The entry points are the experiments CLI (``all``,
 ``report``, the cleaning ablation at the scale its logs fill, ``all
---jobs 2 --resume`` with both stores), the workloads CLI, ``load_trace``
-of a clean and a dirty file of each format through a trace store, one
-``ReplaySession`` per servable config, the ``serve`` verb driven by a
-``ReplayClient``, and every ``examples/*.py`` ``main``.  What runs only
-in a spawned child (the tenant worker's loop, the ``--jobs`` task) is
-called here in process.
+--resume`` over the pool and in process, on one trace store), the
+workloads CLI, ``load_trace`` of a clean and a dirty file of each format
+through a trace store, one ``ReplaySession`` per servable config, the
+``serve`` verb driven by a ``ReplayClient``, and every ``examples/*.py``
+``main``.  What runs only in a spawned child (the tenant worker's loop)
+is called here in process; a ``--jobs`` fill task runs in process at
+``--jobs 1``.
 
 The same run records which lines of ``src/repro`` run.  Line events are
 asked for only at a call of ``src/repro`` code that still has a line no
@@ -300,27 +301,21 @@ def options(package: Path = PACKAGE) -> List[Option]:
 def _experiments(scratch: Path) -> None:
     from repro.experiments import common
     from repro.experiments.__main__ import main
-    from repro.experiments.registry import NEEDS
-    from repro.experiments.runner import _fill_task
     from repro.experiments.sweep import reset_sweep_engines
 
-    out, stores = scratch / "out", scratch / "stores"
-    assert main(["all", "--scale", "0.05", "--out", str(out), "--svg", str(scratch / "svg")]) == 0
+    out, store = scratch / "out", str(scratch / "trace-store")
+    assert main(["all", "--scale", "0.05", "--out", str(out), "--svg", str(scratch / "svg"),
+                 "--trace-store", store]) == 0
     assert main(["report", "--out", str(out)]) == 0
     # The smallest scale at which the cleaning ablation's logs fill, so
     # that cleaning episodes run.
     assert main(["ablation_cleaning", "--scale", "0.3"]) == 0
-    reset_sweep_engines()
-    for dump in out.glob("*.json"):  # leave the pool every exhibit that reads Table I
-        if dump.stem in NEEDS:
-            dump.unlink()
-    assert main(["all", "--scale", "0.05", "--out", str(out), "--jobs", "2",
-                 "--trace-store", str(stores / "t"), "--stream-store", str(stores / "s"),
-                 "--resume"]) == 0
-    items = NEEDS["fig11"](42, 0.05)["w91"]
-    for _ in range(2):  # the pool task in process, as a fresh child: store miss, then hit
+    for jobs in ("2", "1"):  # fig7's two traces again: over the pool, then from the warm store
+        reset_sweep_engines()
         common._trace_cache.clear()
-        _fill_task(("w91", items, 42, 0.05, None, str(stores / "t1"), str(stores / "s1")))
+        (out / "fig7.json").unlink()
+        assert main(["all", "--scale", "0.05", "--out", str(out), "--jobs", jobs,
+                     "--trace-store", store, "--resume"]) == 0
 
 
 def _workloads(scratch: Path) -> None:
