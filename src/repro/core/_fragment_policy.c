@@ -1,10 +1,14 @@
-/* The fragment-policy kernel: Algorithms 1, 2 and 3 over columns.
+/* repro's compiled kernels: Algorithms 1, 2 and 3 over columns, and
+ * workload synthesis.
  *
  * fp_defrag() replays a window of ops on the single-frontier log under
  * opportunistic defragmentation; fp_serve() serves the fragments of
  * fragmented reads in the paper's order (cache lookup, buffer cover, disk
  * access, window insert, cache admit).  The per-call Python methods are
- * their oracle; repro/core/fragment_policy.py builds and drives them.
+ * their oracle; repro/core/fragment_policy.py drives them.  wl_generate()
+ * is the synthetic workload generator's op loop
+ * (repro/workloads/generator.py); the pinned synthesis digests are its
+ * oracle.
  *
  * State lives in int64 arrays the caller owns, each a header (the field
  * order of fragment_policy.py's _LRU_FIELDS / _RING_FIELDS /
@@ -15,9 +19,13 @@
  * when empty; linear probing, backward-shift delete), then `capacity`
  * Nodes.  A policy not configured passes NULL.
  *
- * Compiled with -fwrapv: int64 overflow wraps as numpy's does.
+ * Compiled with -fwrapv: int64 overflow wraps as numpy's does; and with
+ * -ffp-contract=off: no multiply-add fuses, so every double is the one
+ * CPython computes.
  */
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 enum { DISK = 0, CACHE_HIT = 1, BUFFER_HIT = 2 };
@@ -355,4 +363,284 @@ int64_t fp_defrag(int64_t *state, int64_t *work, int64_t n, int64_t p, int64_t i
     w->accesses = at;
     w->rows = rows;
     return i;
+}
+
+
+/* ---- Workload synthesis --------------------------------------------------
+ *
+ * The draws are CPython 3.11's random.Random ones (_randommodule.c and
+ * random.py), so a trace is bit-identical to what Python's emitters made:
+ * random() joins two words into 53 bits, randrange(0, n) is getrandbits of
+ * n's bit length with rejection, expovariate(l) is -log(1 - random()) / l,
+ * uniform(a, b) is a + (b - a) * random(), and choices(cum_weights=)
+ * bisects random() * total.
+ */
+
+enum { BLOCK = 8, MISORDER_GROUP = 4, REPLAY_WINDOW = 32, STREAMS = 5 };
+enum { HOT, MISORDERED, SEQUENTIAL, RANDOM };  /* a phase's write groups */
+
+/* MT19937 as random.Random.getstate() holds it: 624 words, then the index. */
+typedef struct { uint32_t mt[624], index; } Mt;
+typedef struct { int64_t lba, length; } Span;
+
+static uint32_t mt_word(Mt *r) {
+    if (r->index >= 624) {
+        for (int k = 0; k < 624; k++) {
+            uint32_t y = (r->mt[k] & 0x80000000u) | (r->mt[(k + 1) % 624] & 0x7fffffffu);
+            r->mt[k] = r->mt[(k + 397) % 624] ^ (y >> 1) ^ (y & 1 ? 0x9908b0dfu : 0);
+        }
+        r->index = 0;
+    }
+    uint32_t y = r->mt[r->index++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680u;
+    y ^= (y << 15) & 0xefc60000u;
+    return y ^ (y >> 18);
+}
+
+static double mt_random(Mt *r) {
+    uint32_t a = mt_word(r) >> 5, b = mt_word(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* randrange(0, n) for n >= 1: words least significant first. */
+static int64_t mt_below(Mt *r, int64_t n) {
+    int k = 64 - __builtin_clzll((uint64_t)n);
+    uint64_t x;
+    do {
+        x = mt_word(r);
+        if (k <= 32)
+            x >>= 32 - k;
+        else
+            x |= (uint64_t)(mt_word(r) >> (64 - k)) << 32;
+    } while (x >= (uint64_t)n);
+    return (int64_t)x;
+}
+
+static int64_t align(int64_t lba) { return lba / BLOCK * BLOCK; }
+
+static int64_t below(Mt *r, int64_t n) { return mt_below(r, n > 1 ? n : 1); }
+
+/* A request size: exponential around the mean or, with probability bulk_p,
+ * uniform in [min(8 mean, cap), cap] KiB; clamped to [4 KiB, cap], rounded
+ * up to sectors as kib_to_sectors does, then down to whole 4 KiB blocks. */
+static int64_t sample_size(Mt *r, double mean, double cap, double bulk_p) {
+    double kib;
+    if (bulk_p != 0.0 && mt_random(r) < bulk_p) {
+        double low = fmin(8.0 * mean, cap);
+        kib = low + (cap - low) * mt_random(r);
+    } else {
+        kib = -log(1.0 - mt_random(r)) / (1.0 / mean);
+    }
+    int64_t sectors = ((int64_t)ceil(fmin(fmax(kib, 4.0), cap) * 1024.0) + 511) / 512;
+    return sectors < BLOCK ? BLOCK : align(sectors);
+}
+
+/* Ascending requests of one size over [start, end), wrapping at the end. */
+typedef struct { int64_t start, end, size, cursor; } Sweep;
+
+static Span sweep(Sweep *s) {
+    if (s->cursor + s->size > s->end)
+        s->cursor = s->start;
+    s->cursor += s->size;
+    return (Span){s->cursor - s->size, s->size};
+}
+
+/* Uniform random requests over [start, start + length). */
+typedef struct { Mt *r; int64_t start, length; double mean, cap, bulk_p; } Uniform;
+
+static Span uniform(Uniform *u) {
+    int64_t size = sample_size(u->r, u->mean, u->cap, u->bulk_p);
+    size = size < u->length ? size : u->length;
+    return (Span){u->start + align(below(u->r, u->length - size)), size};
+}
+
+typedef struct { int64_t start, length; } Region;
+
+/* A spec's shape, sizes in sectors; generator.py builds it field for field. */
+typedef struct {
+    int64_t phases, interleave, working_set, misorder_in_hot, write_size, read_size,
+        cluster, cluster_span, hot_targets_max;
+    Region hot, misorder;
+} Shape;
+
+/* The patterns' state and the log of what has been written. */
+typedef struct {
+    const Shape *shape;
+    Mt *hot_rng, *zipf_rng, *span_rng;
+    double mean_write, mean_read, alpha;
+    Uniform write_random, read_random;
+    Sweep write_seq, scan, misorder;
+    int64_t anchor, in_cluster;  /* the hot overwrites' cluster */
+    Span chunk[MISORDER_GROUP];  /* a mis-ordered chunk, reversed */
+    int64_t chunk_left;
+    Span recent[REPLAY_WINDOW];  /* the last writes, a ring */
+    int64_t written;
+    Span replay[REPLAY_WINDOW];  /* the replay reads still due */
+    int64_t replay_at, replay_n;
+    Span *targets;  /* the hot extents re-reads pick from, first come */
+    double *raw, *cum;  /* 1 / rank**alpha; the Zipf table over cum_n targets */
+    int64_t target_n, raw_n, cum_n;
+} Gen;
+
+/* Small overwrites at aligned offsets within `cluster_span` of an anchor
+ * that moves every `cluster` writes. */
+static Span hot_write(Gen *g) {
+    const Shape *s = g->shape;
+    if (g->in_cluster == 0) {
+        g->in_cluster = s->cluster;
+        g->anchor = s->hot.start + align(below(g->hot_rng, s->hot.length - s->cluster_span));
+    }
+    g->in_cluster--;
+    int64_t size = sample_size(g->hot_rng, g->mean_write, 1024.0, 0.0);
+    size = size < s->cluster_span ? size : s->cluster_span;
+    return (Span){g->anchor + align(below(g->hot_rng, s->cluster_span - size)), size};
+}
+
+/* A sweep released MISORDER_GROUP requests at a time, each chunk reversed. */
+static Span misordered_write(Gen *g) {
+    if (g->chunk_left == 0) {
+        for (int i = MISORDER_GROUP; i--;)
+            g->chunk[i] = sweep(&g->misorder);
+        g->chunk_left = MISORDER_GROUP;
+    }
+    return g->chunk[MISORDER_GROUP - g->chunk_left--];
+}
+
+static Span write_op(Gen *g, int group) {
+    const Shape *s = g->shape;
+    Span span;
+    int in_hot;
+    switch (group) {
+    case HOT: span = hot_write(g); in_hot = 1; break;
+    case MISORDERED: span = misordered_write(g); in_hot = (int)s->misorder_in_hot; break;
+    case SEQUENTIAL: span = sweep(&g->write_seq); in_hot = 0; break;
+    default:
+        span = uniform(&g->write_random);
+        in_hot = s->hot.start <= span.lba && span.lba < s->hot.start + s->hot.length;
+    }
+    g->recent[g->written++ % REPLAY_WINDOW] = span;
+    if (in_hot && g->target_n < s->hot_targets_max)
+        g->targets[g->target_n++] = span;
+    return span;
+}
+
+/* The last REPLAY_WINDOW writes, read back in write order.  Phase 0 writes
+ * before any read, so there always is one. */
+static Span replay_read(Gen *g) {
+    if (g->replay_at == g->replay_n) {
+        g->replay_n = g->written < REPLAY_WINDOW ? g->written : REPLAY_WINDOW;
+        for (int64_t j = 0; j < g->replay_n; j++)
+            g->replay[j] = g->recent[(g->written - g->replay_n + j) % REPLAY_WINDOW];
+        g->replay_at = 0;
+    }
+    return g->replay[g->replay_at++];
+}
+
+/* A window around a Zipf-popular hot extent (the Python sum and
+ * accumulate: left to right), jittered by an aligned pad; a random read
+ * while no hot extent exists. */
+static Span hot_read(Gen *g) {
+    const Shape *s = g->shape;
+    int64_t n = g->target_n;
+    if (n == 0)
+        return uniform(&g->read_random);
+    if (g->cum_n != n) {
+        for (; g->raw_n < n; g->raw_n++)
+            g->raw[g->raw_n] = 1.0 / pow((double)(g->raw_n + 1), g->alpha);
+        double total = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            total += g->raw[i];
+        for (int64_t i = 0; i < n; i++)
+            g->cum[i] = (i ? g->cum[i - 1] : 0.0) + g->raw[i] / total;
+        g->cum_n = n;
+    }
+    double x = mt_random(g->zipf_rng) * g->cum[n - 1];
+    int64_t lo = 0, hi = n - 1;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (x < g->cum[mid]) hi = mid; else lo = mid + 1;
+    }
+    Span target = g->targets[lo];
+    int64_t size = sample_size(g->span_rng, g->mean_read, 1024.0, 0.0);
+    size = size > target.length + 2 * BLOCK ? size : target.length + 2 * BLOCK;
+    int64_t pad = align(mt_below(g->span_rng, size - target.length + 1));
+    int64_t lba = target.lba - pad > s->hot.start ? target.lba - pad : s->hot.start;
+    int64_t end = lba + size < s->hot.start + s->hot.length ? lba + size
+                                                              : s->hot.start + s->hot.length;
+    return (Span){lba, end - lba > BLOCK ? end - lba : BLOCK};
+}
+
+/* The four columns, filled one op a millisecond apart. */
+typedef struct { double *timestamp; uint8_t *is_read; int64_t *lba, *length, op; double clock; } Out;
+
+static void emit(Out *out, int read, Span span) {
+    out->timestamp[out->op] = out->clock;
+    out->is_read[out->op] = (uint8_t)read;
+    out->lba[out->op] = span.lba;
+    out->length[out->op++] = span.length;
+    out->clock += 0.001;
+}
+
+/* A phase's next write group, or -1 when all are done: the groups in turn,
+ * or riffled when `interleave` (group k's i-th write at (i + 0.5) /
+ * count[k], ties to the lower group). */
+static int next_group(const int64_t *count, const int64_t *done, int64_t interleave) {
+    int next = -1;
+    double at = 0.0;
+    for (int k = 0; k < 4; k++) {
+        if (done[k] == count[k])
+            continue;
+        if (!interleave)
+            return k;
+        double position = (done[k] + 0.5) / count[k];
+        if (next < 0 || position < at)
+            next = k, at = position;
+    }
+    return next;
+}
+
+/* Emits a trace's ops into its columns: per phase, the write groups
+ * (counts[8 * phase + HOT..RANDOM], as next_group orders them), then the
+ * replay, scan, hot and random reads (counts[8 * phase + 4..7]), and a
+ * minute's gap.  `states` holds the five streams (write.random, write.hot,
+ * read.random, read.hot, read.hot.span), which it advances.  Returns the
+ * ops written, or -1 if memory ran out. */
+int64_t wl_generate(uint32_t *states, const Shape *s, const int64_t *counts,
+                    double mean_write, double mean_read, double alpha,
+                    double *timestamp, uint8_t *is_read, int64_t *lba, int64_t *length) {
+    Mt *rng = (Mt *)states;
+    int64_t max = s->hot_targets_max;
+    Gen g = {
+        .shape = s, .hot_rng = rng + 1, .zipf_rng = rng + 3, .span_rng = rng + 4,
+        .mean_write = mean_write, .mean_read = mean_read, .alpha = alpha,
+        .write_random = {rng, 0, s->working_set, mean_write, 1024.0, 0.0},
+        .read_random = {rng + 2, 0, s->working_set, mean_read, 4096.0, 0.01},
+        .write_seq = {0, s->working_set, s->write_size, 0},
+        .scan = {s->hot.start, s->hot.start + s->hot.length, s->read_size, s->hot.start},
+        .misorder = {s->misorder.start, s->misorder.start + s->misorder.length, s->write_size,
+                     s->misorder.start},
+        .targets = malloc(max * (sizeof(Span) + 2 * sizeof(double))),
+    };
+    if (!g.targets)
+        return -1;
+    g.raw = (double *)(g.targets + max);
+    g.cum = g.raw + max;
+    Out out = {timestamp, is_read, lba, length, 0, 0.0};
+    for (int64_t phase = 0; phase < s->phases; phase++, out.clock += 60.0) {
+        const int64_t *count = counts + 8 * phase;
+        int64_t done[4] = {0};
+        for (int k; (k = next_group(count, done, s->interleave)) >= 0; done[k]++)
+            emit(&out, 0, write_op(&g, k));
+        for (int64_t i = 0; i < count[4]; i++)
+            emit(&out, 1, replay_read(&g));
+        for (int64_t i = 0; i < count[5]; i++)
+            emit(&out, 1, sweep(&g.scan));
+        for (int64_t i = 0; i < count[6]; i++)
+            emit(&out, 1, hot_read(&g));
+        for (int64_t i = 0; i < count[7]; i++)
+            emit(&out, 1, uniform(&g.read_random));
+    }
+    free(g.targets);
+    return out.op;
 }

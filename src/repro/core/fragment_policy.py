@@ -9,23 +9,13 @@ per-call methods (``should_defragment`` / ``note_defragmented``,
 reference translator's and the oracle; the fast paths
 (:func:`repro.core.stream.stream_replay` and the batch driver) run
 compiled loops over a window of ops or a fragment list
-(``_fragment_policy.c``) through a :class:`FragmentPolicies`.
-
-The C source is built at import time with the system ``cc`` into
-``__pycache__`` (a fresh temporary directory if that is not writable),
-named by a hash of the source, the flags and the interpreter's extension
-suffix, and loaded with :mod:`ctypes`.  Without ``cc`` the import fails.
+(``_fragment_policy.c``, built and loaded by :mod:`repro.util.native`)
+through a :class:`FragmentPolicies`.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import sysconfig
-import tempfile
-from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
@@ -33,6 +23,7 @@ import numpy as np
 from repro.core.defrag import OpportunisticDefrag
 from repro.core.prefetch import LookAheadBehindPrefetcher
 from repro.core.selective_cache import SelectiveFragmentCache
+from repro.util.native import LIBRARY as _LIBRARY
 from repro.util.units import BLOCK_SECTORS
 
 #: Per-fragment outcome codes returned by :meth:`FragmentPolicies.serve`.
@@ -47,43 +38,6 @@ _PROGRESS_FIELDS = ("frontier", "accesses", "appends", "rewrites", "rewritten", 
 #: int64 words per table node: key, length, value, prev, next.
 _NODE_WORDS = 5
 
-_FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv")
-
-
-def _load_library() -> ctypes.CDLL:
-    """Build ``_fragment_policy.c`` once per source and interpreter; load it."""
-    source = Path(__file__).with_name("_fragment_policy.c")
-    key = source.read_bytes() + " ".join(_FLAGS).encode()
-    key += sysconfig.get_config_var("EXT_SUFFIX").encode()
-    name = f"_fragment_policy-{hashlib.sha256(key).hexdigest()[:16]}.so"
-    for directory in (source.parent / "__pycache__", None):
-        directory = directory or Path(tempfile.mkdtemp(prefix="repro-kernel-"))
-        target = directory / name
-        if target.is_file():
-            return ctypes.CDLL(str(target))
-        try:
-            directory.mkdir(exist_ok=True)
-            handle, partial = tempfile.mkstemp(suffix=".so", dir=directory)
-            os.close(handle)
-        except OSError:
-            continue  # not writable: build in a fresh temporary directory
-        try:
-            subprocess.run(["cc", *_FLAGS, "-o", partial, str(source)],
-                           check=True, capture_output=True, text=True)
-            os.replace(partial, target)  # atomic: concurrent importers are safe
-        except FileNotFoundError:
-            raise ImportError(
-                "repro needs a C compiler on PATH as `cc` to build its "
-                "fragment-policy kernel"
-            ) from None
-        except subprocess.CalledProcessError as error:
-            raise ImportError(f"`cc` failed to build {source}:\n{error.stderr}") from None
-        finally:
-            Path(partial).unlink(missing_ok=True)
-        return ctypes.CDLL(str(target))
-
-
-_LIBRARY = _load_library()
 _LIBRARY.fp_serve.restype = ctypes.c_int64
 _LIBRARY.fp_serve.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                               ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)

@@ -21,7 +21,7 @@ from repro.util.units import (
 )
 from repro.util.validation import check_choice
 from repro.util.io import atomic_write_json, atomic_write_text
-from repro.util.rngtools import SeedSequenceFactory, zipf_weights
+from repro.util.rngtools import SeedSequenceFactory
 from repro.util.stats import empirical_cdf
 
 __all__ = [
@@ -42,6 +42,5 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_text",
     "SeedSequenceFactory",
-    "zipf_weights",
     "empirical_cdf",
 ]

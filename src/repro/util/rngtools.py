@@ -2,15 +2,14 @@
 
 Reproducibility rule: every synthetic trace is a pure function of its
 :class:`~repro.workloads.spec.WorkloadSpec` and a single integer seed.
-Sub-streams (one per workload phase) are derived deterministically so that
-adding a phase does not perturb the randomness of the others.
+Sub-streams (one per access pattern) are derived deterministically so that
+adding a pattern does not perturb the randomness of the others.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import List
 
 
 class SeedSequenceFactory:
@@ -38,24 +37,3 @@ class SeedSequenceFactory:
         """Return a fresh :class:`random.Random` seeded for ``label``."""
         return random.Random(self.seed_for(label))
 
-
-def zipf_weights(n: int, alpha: float) -> List[float]:
-    """Return normalized Zipf(alpha) weights for ranks ``1..n``.
-
-    Used to model the fragment-popularity skew the paper exploits in
-    translation-aware selective caching (Fig. 10): a handful of fragments
-    receive the bulk of the read accesses.
-
-    >>> w = zipf_weights(3, 1.0)
-    >>> abs(sum(w) - 1.0) < 1e-12
-    True
-    >>> w[0] > w[1] > w[2]
-    True
-    """
-    if n <= 0:
-        raise ValueError(f"n must be > 0, got {n}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    raw = [1.0 / (rank ** alpha) for rank in range(1, n + 1)]
-    total = sum(raw)
-    return [w / total for w in raw]

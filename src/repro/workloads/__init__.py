@@ -17,7 +17,7 @@ Primary entry point::
 
 from repro.trace.trace import Trace
 from repro.workloads.spec import ReadMix, WorkloadSpec, WriteMix
-from repro.workloads.patterns import BLOCK_SECTORS, WrittenExtentLog
+from repro.util.units import BLOCK_SECTORS
 from repro.workloads.generator import WorkloadGenerator, generate_workload
 from repro.workloads.table1 import (
     TABLE1,
@@ -55,7 +55,6 @@ __all__ = [
     "WorkloadSpec",
     "WriteMix",
     "BLOCK_SECTORS",
-    "WrittenExtentLog",
     "WorkloadGenerator",
     "generate_workload",
     "synthesize_workload",

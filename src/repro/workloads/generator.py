@@ -7,39 +7,43 @@ the spec's mix weights.  This produces the structures the paper measures:
 * bursts of clustered hot-region overwrites fragment the logical space;
 * sequential scans then traverse that fragmented space in LBA order
   (the §III "sequential read after random write" amplification case);
-* mis-ordered runs write ascending data in locally reversed chunks
-  (Fig. 7), creating the missed-rotation hazard;
-* replay reads consume recent writes in write order (the log-friendly
-  §III case);
+* mis-ordered runs write ascending data in locally reversed chunks of
+  four (Fig. 7), creating the missed-rotation hazard;
+* replay reads consume the last 32 writes in write order (the
+  log-friendly §III case);
+* Zipf re-reads of the first ``hot_targets_max`` hot-region writes read a
+  jittered window around the extent (the fragment popularity of Fig. 10);
 * the phase beat yields the temporal burstiness of Fig. 3.
 
-Traces are pure functions of ``(spec, seed, scale)``.
+Python apportions the ops to phases and patterns and seeds the five random
+streams (``random.Random``, one per label, from
+:class:`~repro.util.rngtools.SeedSequenceFactory`); the op loop is
+``wl_generate`` in the compiled kernels (:mod:`repro.util.native`), which
+takes each stream's ``getstate()`` words and draws exactly as CPython 3.11
+does, so the columns match the synthesis digests pinned from a pure-Python
+generator on any interpreter.  Traces are pure functions of ``(spec, seed,
+scale)``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import ctypes
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.trace.columnar import ColumnarTrace, TraceColumns
+from repro.util.native import LIBRARY
 from repro.util.rngtools import SeedSequenceFactory
-from repro.util.units import kib_to_sectors, mib_to_sectors
-from repro.workloads.patterns import (
-    BLOCK_SECTORS,
-    ClusteredOverwritePattern,
-    MisorderedPattern,
-    RandomAccessPattern,
-    ReplayReadPattern,
-    SequentialPattern,
-    WrittenExtentLog,
-    ZipfRereadPattern,
-    sample_size,
-)
+from repro.util.units import BLOCK_SECTORS, kib_to_sectors, mib_to_sectors
 from repro.workloads.spec import WorkloadSpec
 
-_OP_INTERVAL_S = 0.001       # virtual inter-arrival time
-_PHASE_GAP_S = 60.0          # idle gap between phases (the diurnal beat)
+#: The random streams, in the order ``wl_generate`` takes their states.
+_STREAMS = ("write.random", "write.hot", "read.random", "read.hot", "read.hot.span")
+
+LIBRARY.wl_generate.restype = ctypes.c_int64
+LIBRARY.wl_generate.argtypes = (*[ctypes.c_void_p] * 3, *[ctypes.c_double] * 3,
+                                *[ctypes.c_void_p] * 4)
 
 
 def _split_counts(total: int, weights: Tuple[float, ...]) -> List[int]:
@@ -50,19 +54,8 @@ def _split_counts(total: int, weights: Tuple[float, ...]) -> List[int]:
     return counts
 
 
-def _interleave_schedule(groups: List[Tuple[str, int]]) -> List[str]:
-    """Merge ``(tag, count)`` groups into one evenly interleaved schedule.
-
-    Each group's occurrences are spread uniformly over [0, 1) and merged by
-    position (a deterministic riffle), so e.g. 300 hot overwrites and 100
-    sequential writes come out hot, hot, hot, seq, hot, hot, hot, seq, …
-    """
-    positioned: List[Tuple[float, int, str]] = []
-    for order, (tag, count) in enumerate(groups):
-        for i in range(count):
-            positioned.append(((i + 0.5) / count, order, tag))
-    positioned.sort()
-    return [tag for _, _, tag in positioned]
+def _block_size(kib: float) -> int:
+    return max(BLOCK_SECTORS, kib_to_sectors(kib) // BLOCK_SECTORS * BLOCK_SECTORS)
 
 
 def _check_ranges(lba: np.ndarray, length: np.ndarray) -> None:
@@ -99,20 +92,6 @@ class WorkloadGenerator:
         ws = mib_to_sectors(spec.working_set_mib)
         hot_len = mib_to_sectors(spec.hot_mib)
         hot_start = ((ws - hot_len) // 2 // BLOCK_SECTORS) * BLOCK_SECTORS
-
-        log = WrittenExtentLog(hot_targets_max=spec.hot_targets_max)
-        write_random = RandomAccessPattern(
-            seeds.rng_for("write.random"), 0, ws, spec.mean_write_kib
-        )
-        write_hot = ClusteredOverwritePattern(
-            seeds.rng_for("write.hot"),
-            hot_start,
-            hot_len,
-            spec.mean_write_kib,
-            cluster=spec.overwrite_cluster,
-            span_sectors=kib_to_sectors(spec.cluster_span_kib),
-        )
-        write_seq = SequentialPattern(0, ws, spec.mean_write_kib)
         if spec.misorder_in_hot:
             misorder_start, misorder_len = hot_start, hot_len
         else:
@@ -120,15 +99,6 @@ class WorkloadGenerator:
             # exists in the write stream (Fig. 7) but reads rarely visit it.
             misorder_len = max(BLOCK_SECTORS, hot_start // 2 // BLOCK_SECTORS * BLOCK_SECTORS)
             misorder_start = 0
-        write_misordered = MisorderedPattern(misorder_start, misorder_len, spec.mean_write_kib)
-        read_scan = SequentialPattern(hot_start, hot_len, spec.mean_read_kib)
-        read_random = RandomAccessPattern(
-            seeds.rng_for("read.random"), 0, ws, spec.mean_read_kib,
-            cap_kib=4096.0, bulk_p=0.01,
-        )
-        read_hot = ZipfRereadPattern(seeds.rng_for("read.hot"), log, spec.zipf_alpha)
-        read_replay = ReplayReadPattern(log)
-        hot_rng = seeds.rng_for("read.hot.span")
 
         n_reads = max(0, round(spec.n_reads * scale))
         n_writes = max(1, round(spec.n_writes * scale))
@@ -137,102 +107,40 @@ class WorkloadGenerator:
         )
         writes_per_phase = _split_counts(n_writes, write_phase_weights)
         reads_per_phase = _split_counts(n_reads, tuple([1.0] * spec.phases))
-
-        stamps, is_read, lbas, lengths = buffers = [], [], [], []
-        clock = 0.0
-
-        def emit(read: bool, span: Tuple[int, int]) -> None:
-            nonlocal clock
-            stamps.append(clock)
-            is_read.append(read)
-            lbas.append(span[0])
-            lengths.append(span[1])
-            clock += _OP_INTERVAL_S
-
-        def emit_write(tag: str) -> None:
-            if tag == "hot":
-                lba, length = write_hot.emit()
-                in_hot = True
-            elif tag == "misordered":
-                lba, length = write_misordered.emit()
-                in_hot = spec.misorder_in_hot
-            elif tag == "sequential":
-                lba, length = write_seq.emit()
-                in_hot = False
-            else:  # random
-                lba, length = write_random.emit()
-                in_hot = hot_start <= lba < hot_start + hot_len
-            emit(False, (lba, length))
-            log.note_write(lba, length, in_hot=in_hot)
-
+        counts = []
         for phase in range(spec.phases):
-            wr_counts = _split_counts(writes_per_phase[phase], spec.write_mix.as_tuple())
+            random_, hot, sequential, misordered = _split_counts(
+                writes_per_phase[phase], spec.write_mix.as_tuple())
+            scan, random_read, hot_read, replay = _split_counts(
+                reads_per_phase[phase], spec.read_mix.as_tuple())
             # Hot overwrites first (they fragment), then mis-ordered runs,
             # sequential streams and random writes — unless the spec asks
             # for interleaving, which spaces hot fragments apart in the log.
-            groups = [
-                ("hot", wr_counts[1]),
-                ("misordered", wr_counts[3]),
-                ("sequential", wr_counts[2]),
-                ("random", wr_counts[0]),
-            ]
-            if spec.interleave_writes:
-                for tag in _interleave_schedule([g for g in groups if g[1] > 0]):
-                    emit_write(tag)
-            else:
-                for tag, count in groups:
-                    for _ in range(count):
-                        emit_write(tag)
+            counts += [hot, misordered, sequential, random_,
+                       replay, scan, hot_read, random_read]
 
-            rd_counts = _split_counts(reads_per_phase[phase], spec.read_mix.as_tuple())
-            # A pattern with nothing to re-read yet yields None: a random read.
-            for _ in range(rd_counts[3]):  # replay reads (log-friendly)
-                emit(True, read_replay.emit() or read_random.emit())
-            for _ in range(rd_counts[0]):  # sequential scans of the hot region
-                emit(True, read_scan.emit())
-            for _ in range(rd_counts[2]):  # Zipf re-reads around hot extents
-                span = self._hot_read_span(read_hot, hot_rng, hot_start, hot_len)
-                emit(True, span or read_random.emit())
-            for _ in range(rd_counts[1]):  # random reads
-                emit(True, read_random.emit())
-
-            clock += _PHASE_GAP_S
-
-        columns = TraceColumns(*buffers)
-        _check_ranges(columns.lba, columns.length)
-        return ColumnarTrace(columns, name=spec.name)
-
-    def _hot_read_span(
-        self,
-        read_hot: ZipfRereadPattern,
-        rng,
-        hot_start: int,
-        hot_len: int,
-    ) -> Optional[Tuple[int, int]]:
-        """Build a read covering a popular hot extent plus its neighbourhood.
-
-        Reading a window around the target (rather than the exact extent)
-        makes the read span multiple physical pieces — the fragmented-read
-        population that selective caching and defragmentation act on.  The
-        window's placement over the target jitters between reads, the way
-        application reads of a record drag in varying slack around it; the
-        jitter is what makes opportunistic defrag's relocation hurt
-        re-reads of *overlapping-but-unequal* ranges (the Fig. 6 t_F
-        effect): no rewrite ever covers the next window exactly.
-        """
-        target = read_hot.emit()
-        if target is None:
-            return None
-        t_lba, t_len = target
-        size = max(
-            sample_size(rng, self._spec.mean_read_kib),
-            t_len + 2 * BLOCK_SECTORS,
+        # wl_generate's Shape, field for field.
+        shape = np.array([
+            spec.phases, spec.interleave_writes, ws, spec.misorder_in_hot,
+            _block_size(spec.mean_write_kib), _block_size(spec.mean_read_kib),
+            spec.overwrite_cluster, kib_to_sectors(spec.cluster_span_kib), spec.hot_targets_max,
+            hot_start, hot_len, misorder_start, misorder_len,
+        ], dtype=np.int64)
+        states = np.array([seeds.rng_for(label).getstate()[1] for label in _STREAMS],
+                          dtype=np.uint32)
+        counts = np.array(counts, dtype=np.int64)
+        n = n_writes + n_reads
+        columns = (np.empty(n), np.empty(n, dtype=bool),
+                   np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+        done = LIBRARY.wl_generate(
+            states.ctypes.data, shape.ctypes.data, counts.ctypes.data,
+            spec.mean_write_kib, spec.mean_read_kib, spec.zipf_alpha,
+            *(column.ctypes.data for column in columns),
         )
-        slack = size - t_len
-        pad = (rng.randrange(0, slack + 1) // BLOCK_SECTORS) * BLOCK_SECTORS
-        lba = max(hot_start, t_lba - pad)
-        end = min(hot_start + hot_len, lba + size)
-        return lba, max(BLOCK_SECTORS, end - lba)
+        if done < 0:
+            raise MemoryError(f"no room for {spec.hot_targets_max} hot targets")
+        _check_ranges(columns[2], columns[3])
+        return ColumnarTrace(TraceColumns(*columns), name=spec.name)
 
 
 def generate_workload(

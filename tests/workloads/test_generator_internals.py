@@ -1,6 +1,6 @@
 """Unit tests for generator helper functions."""
 
-from repro.workloads.generator import _interleave_schedule, _split_counts
+from repro.workloads.generator import _split_counts
 
 
 class TestSplitCounts:
@@ -21,25 +21,3 @@ class TestSplitCounts:
             for weights in ((0.3, 0.7), (1, 2, 3), (0.1, 0.0, 0.9)):
                 assert sum(_split_counts(total, weights)) == total
 
-
-class TestInterleaveSchedule:
-    def test_preserves_counts(self):
-        schedule = _interleave_schedule([("a", 30), ("b", 10)])
-        assert schedule.count("a") == 30
-        assert schedule.count("b") == 10
-
-    def test_spreads_minority_evenly(self):
-        schedule = _interleave_schedule([("a", 30), ("b", 10)])
-        positions = [i for i, tag in enumerate(schedule) if tag == "b"]
-        gaps = [b - a for a, b in zip(positions, positions[1:])]
-        assert max(gaps) <= 6  # roughly every 4th slot
-
-    def test_single_group(self):
-        assert _interleave_schedule([("x", 5)]) == ["x"] * 5
-
-    def test_deterministic(self):
-        groups = [("a", 13), ("b", 7), ("c", 3)]
-        assert _interleave_schedule(groups) == _interleave_schedule(groups)
-
-    def test_empty(self):
-        assert _interleave_schedule([]) == []
