@@ -28,15 +28,6 @@ from repro.util.units import SECTOR_BYTES, BYTES_PER_MIB, gib_to_sectors, kib_to
 MISORDER_HORIZON_KIB, LONG_SEEK_KIB, TOP_READS_FRACTION = 256.0, 500.0, 0.2
 
 
-def trace_arrays(trace: Trace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose a trace into (is_read, lba, length) numpy arrays.
-
-    Delegates to :meth:`~repro.trace.trace.Trace.as_arrays`, which caches
-    the decomposition on the trace; treat the arrays as read-only.
-    """
-    return trace.as_arrays()
-
-
 def nols_seek_counts(trace: Trace) -> Tuple[int, int]:
     """(read_seeks, write_seeks) of the conventional in-place replay.
 
@@ -46,7 +37,7 @@ def nols_seek_counts(trace: Trace) -> Tuple[int, int]:
     """
     if len(trace) == 0:
         return 0, 0
-    is_read, lba, length = trace_arrays(trace)
+    is_read, lba, length = trace.as_arrays()
     prev_end = lba[:-1] + length[:-1]
     seeks = lba[1:] != prev_end
     read_seeks = int(np.count_nonzero(seeks & is_read[1:]))
@@ -58,7 +49,7 @@ def nols_seek_distances(trace: Trace) -> np.ndarray:
     """Signed distances of the baseline replay's seeks, in op order."""
     if len(trace) < 2:
         return np.empty(0, dtype=np.int64)
-    _, lba, length = trace_arrays(trace)
+    _, lba, length = trace.as_arrays()
     deltas = lba[1:] - (lba[:-1] + length[:-1])
     return deltas[deltas != 0]
 
@@ -77,7 +68,7 @@ def misorder_rate_fast(trace: Trace) -> float:
     LBA, which is then compared against the window bound.  Agrees exactly
     with :func:`repro.analysis.misorder.misorder_rate`.
     """
-    is_read, all_lba, all_length = trace_arrays(trace)
+    is_read, all_lba, all_length = trace.as_arrays()
     write_mask = ~is_read
     lba = all_lba[write_mask]
     length = all_length[write_mask]
@@ -195,7 +186,7 @@ def nols_windowed_long_seeks(trace: Trace, window_ops: int = 1000) -> List[int]:
     n = len(trace)
     if n == 0:
         return []
-    _, lba, length = trace_arrays(trace)
+    _, lba, length = trace.as_arrays()
     threshold = kib_to_sectors(LONG_SEEK_KIB)
     deltas = lba[1:] - (lba[:-1] + length[:-1])
     long_seek = (deltas != 0) & (np.abs(deltas) >= threshold)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.fast import (misorder_rate_fast, nols_seek_counts, nols_seek_distances,
-                                 trace_arrays)
+from repro.analysis.fast import misorder_rate_fast, nols_seek_counts, nols_seek_distances
 from repro.analysis.incremental import IncrementalNolsBaseline
 from repro.analysis.misorder import misorder_rate
 from repro.core.config import NOLS, build_translator
@@ -88,7 +87,7 @@ class TestMisorderFast:
 
 class TestTraceArrays:
     def test_shapes_and_values(self, tiny_trace):
-        is_read, lba, length = trace_arrays(tiny_trace)
+        is_read, lba, length = tiny_trace.as_arrays()
         assert len(is_read) == len(tiny_trace)
         assert lba[0] == 0 and length[0] == 8
         assert not is_read[0] and is_read[2]

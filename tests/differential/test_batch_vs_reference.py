@@ -8,9 +8,11 @@ same final extent-map state.  These tests enforce that contract on
 * generated Table I workloads from both trace families, under every
   technique configuration,
 * hand-built synthetic traces targeting the kernel's edge cases (empty
-  traces, hole reads, overlap splits, frontier checks), and
+  traces, hole reads, overlap splits, frontier checks),
 * chunk-size independence (the chunk boundary is an implementation
-  detail and must never be observable).
+  detail and must never be observable), and
+* the rows the exhibits read at full scale, where the paper's shapes are
+  asserted (``tests/integration/test_paper_shapes.py``).
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchUnsupportedError, batch_replay, batch_replay_translator
-from repro.core.config import ALL_CONFIGS, LS_ALL, NOLS, build_translator
+from repro.core.config import ALL_CONFIGS, LS_ALL, NOLS, PAPER_CONFIGS, build_translator
 from repro.core.simulator import replay
 from repro.core.translators import LogStructuredTranslator
+from repro.experiments.sweep import SweepEngine
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 from repro.workloads import synthesize_workload
@@ -51,6 +54,16 @@ def test_different_seeds_still_match(traces):
     for seed in (7, 1234):
         trace = synthesize_workload("hm_1", seed=seed, scale=SCALE)
         assert_batch_matches_reference(trace, LS_ALL)
+
+
+def test_full_scale_exhibit_rows_match():
+    # The production routing (stream path for prefetch/cache, batch kernel
+    # for NoLS/defrag) against the reference, on w64: Table I's most
+    # fragmented reads under LS (19 807 at seed 42).
+    kernels, reference = SweepEngine(42, 1.0), SweepEngine(42, 1.0, fast=False)
+    for config in (NOLS, *PAPER_CONFIGS):
+        expected = reference.workload_replay("w64", config).stats
+        assert kernels.workload_replay("w64", config).stats == expected, config.name
 
 
 # --- synthetic edge cases ------------------------------------------------

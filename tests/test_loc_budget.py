@@ -22,7 +22,7 @@ def loc(*args):
 
 def test_src_is_within_the_makefile_budget():
     budget = re.search(r"^LOC_BUDGET = (\d+)$", (REPO / "Makefile").read_text(), re.M)
-    assert int(budget[1]) <= 16985  # what the last PR to shrink src/repro reached
+    assert int(budget[1]) <= 16976  # what the last PR to shrink src/repro reached
     done = loc("--max-physical", budget[1])
     assert done.returncode == 0, done.stderr
 
@@ -37,7 +37,7 @@ def test_over_budget_exits_nonzero_and_says_by_how_much():
     # the surface that lines do not measure (ROADMAP item 5) ratchet the same
     # way: each literal is what the last PR to lower it reached.
     for row, ceiling in (
-        (r"tests/\s+\d+", 14434),  # ROADMAP's ceiling for the round: 15 399
+        (r"tests/\s+\d+", 14396),  # ROADMAP's ceiling for the round: 15 399
         (r"src/repro add_argument\( calls", 23),
         (r"src/repro environment variables read", 1),
         (r"src/repro __all__ names", 214),
