@@ -1,8 +1,8 @@
 """Dynamic-fragmentation analysis (paper §IV-A, Fig. 5).
 
 *Static* fragmentation is the extent count of the address map — the seeks
-a full sequential scan of the LBA space would pay
-(:meth:`LogStructuredTranslator.static_fragmentation`).  *Dynamic*
+a full sequential scan of the LBA space would pay (its
+``mapped_extent_count()``).  *Dynamic*
 fragmentation is per read: how many physical pieces one read touches.
 Fig. 5 shows that dynamic fragments concentrate heavily — for usr_0, hm_1
 and w20, over half of all fragments occur in ~20 % of the fragmented

@@ -106,10 +106,6 @@ class FragmentPopularityRecorder:
             if access.length > self._sizes.get(key, 0):
                 self._sizes[key] = access.length
 
-    @property
-    def distinct_fragments(self) -> int:
-        return len(self._counts)
-
     def fragment_stats(self) -> List[Tuple[int, int]]:
         """``(access_count, size_sectors)`` per fragment, insertion order.
 

@@ -46,10 +46,6 @@ class LRUCache:
     def used_blocks(self) -> int:
         return len(self._blocks)
 
-    @property
-    def used_bytes(self) -> int:
-        return len(self._blocks) * _BLOCK_BYTES
-
     def _block_range(self, pba: int, length: int) -> range:
         if length <= 0:
             raise ValueError(f"length must be > 0, got {length}")

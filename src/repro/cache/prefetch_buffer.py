@@ -35,10 +35,6 @@ class PrefetchBuffer:
     def used_sectors(self) -> int:
         return self._used
 
-    @property
-    def window_count(self) -> int:
-        return len(self._windows)
-
     def add_window(self, start: int, end: int) -> None:
         """Buffer the window ``[max(start,0), end)``, evicting FIFO-style.
 
@@ -97,6 +93,3 @@ class PrefetchBuffer:
         self._windows = restored
         self._used = used
 
-    def clear(self) -> None:
-        self._windows.clear()
-        self._used = 0

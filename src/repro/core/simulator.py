@@ -43,9 +43,6 @@ class Simulator:
     def __init__(self, recorders: Sequence[Recorder] = ()) -> None:
         self._recorders = list(recorders)
 
-    def add_recorder(self, recorder: Recorder) -> None:
-        self._recorders.append(recorder)
-
     def run(self, trace: Trace, translator: Translator) -> RunResult:
         """Replay ``trace`` through ``translator`` and return the summary."""
         stats = SimStats()

@@ -153,11 +153,6 @@ class LogStructuredTranslator(Translator):
         return self._frontier_base
 
     @property
-    def log_sectors_written(self) -> int:
-        """Total sectors appended to the log (host writes + defrag rewrites)."""
-        return self._frontier - self._frontier_base
-
-    @property
     def address_map(self) -> AddressMap:
         return self._map
 
@@ -172,10 +167,6 @@ class LogStructuredTranslator(Translator):
     @property
     def cache(self) -> Optional[SelectiveFragmentCache]:
         return self._cache
-
-    def static_fragmentation(self) -> int:
-        """Number of mapped extents — seeks a full-LBA-space scan would pay."""
-        return self._map.mapped_extent_count()
 
     # ------------------------------------------------------------------ #
     # Checkpointable state

@@ -7,7 +7,7 @@ uses, a generic CSV reader/writer, and trace statistics (the Table I columns).
 """
 
 from repro.trace.record import IORequest, OpType
-from repro.trace.trace import Trace
+from repro.trace.trace import Trace, TraceColumns
 from repro.trace.errors import (
     PARSE_ENGINES,
     PARSE_POLICIES,
@@ -17,8 +17,6 @@ from repro.trace.errors import (
 )
 from repro.trace.columnar import (
     COLUMNAR_PARSER_VERSION,
-    ColumnarTrace,
-    TraceColumns,
     parse_cloudphysics_text,
     parse_csv_text,
     parse_msr_text,
@@ -35,7 +33,6 @@ __all__ = [
     "OpType",
     "Trace",
     "COLUMNAR_PARSER_VERSION",
-    "ColumnarTrace",
     "TraceColumns",
     "TraceStore",
     "parse_msr_text",

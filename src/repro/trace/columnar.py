@@ -1,4 +1,4 @@
-"""Columnar bulk trace parsers and the lazily-materialized trace they feed.
+"""Columnar bulk trace parsers.
 
 The per-line parsers in :mod:`repro.trace.msr`, :mod:`repro.trace.cloudphysics`
 and :mod:`repro.trace.csvio` are easy to audit but slow on real dumps: every
@@ -29,12 +29,12 @@ driver (:func:`_parse_blocks`) for the three dialects:
    next block is read, so memory is bounded by the columns, and reading
    stops at the block holding the ``max_ops``-th accepted record.
 
-The result feeds a :class:`ColumnarTrace` — a :class:`~repro.trace.trace.Trace`
-whose request list is **lazy**: vectorized consumers (``as_arrays()``, the
-batch NoLS kernel, every :mod:`repro.analysis.fast` kernel) read the columns
-directly and never pay for per-record objects; reference-path consumers
-(the per-request simulator, ``trace.requests``) trigger materialization
-transparently.
+The result is a :class:`~repro.trace.trace.Trace` built straight from the
+columns (:meth:`~repro.trace.trace.Trace.from_columns`): vectorized
+consumers (``as_arrays()``, the batch kernels, every
+:mod:`repro.analysis.fast` kernel) read the columns and never pay for
+per-record objects; the per-request simulator's iteration builds the
+``IORequest`` list once, on first use.
 
 **Exactness contract.**  The bulk parsers are *exactly* equivalent to the
 per-line reference parsers, enforced by ``tests/differential/``.  They keep
@@ -60,8 +60,8 @@ from typing import Iterator, List, NamedTuple, Optional, TextIO, Union
 import numpy as np
 
 from repro.trace.errors import ParseReport, make_report
-from repro.trace.record import IORequest, OpType
-from repro.trace.trace import Trace
+from repro.trace.record import OpType
+from repro.trace.trace import Trace, TraceColumns
 from repro.util.units import SECTOR_BYTES
 
 #: Identity of the bulk-parse semantics, recorded in compiled-trace store
@@ -73,117 +73,8 @@ class _Fallback(Exception):
     """Internal: the input needs the per-line reference parser."""
 
 
-class TraceColumns:
-    """The four parallel column arrays describing a trace.
-
-    All arrays are made read-only on construction and share one length:
-    ``timestamp`` (float64 seconds), ``is_read`` (bool), ``lba`` and
-    ``length`` (int64 sectors).  This is the unit of exchange between the
-    bulk parsers, :class:`ColumnarTrace` and the compiled-trace store.
-    """
-
-    __slots__ = ("timestamp", "is_read", "lba", "length")
-
-    def __init__(self, timestamp, is_read, lba, length) -> None:
-        timestamp = np.ascontiguousarray(timestamp, dtype=np.float64)
-        is_read = np.ascontiguousarray(is_read, dtype=bool)
-        lba = np.ascontiguousarray(lba, dtype=np.int64)
-        length = np.ascontiguousarray(length, dtype=np.int64)
-        n = len(timestamp)
-        if not (len(is_read) == len(lba) == len(length) == n):
-            raise ValueError(
-                "column lengths differ: "
-                f"{n}/{len(is_read)}/{len(lba)}/{len(length)}"
-            )
-        for column in (timestamp, is_read, lba, length):
-            column.setflags(write=False)
-        self.timestamp = timestamp
-        self.is_read = is_read
-        self.lba = lba
-        self.length = length
-
-    def __len__(self) -> int:
-        return len(self.timestamp)
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "TraceColumns":
-        """Extract columns from any trace (free for a :class:`ColumnarTrace`)."""
-        if isinstance(trace, ColumnarTrace):
-            return trace.columns
-        is_read, lba, length = trace.as_arrays()
-        return cls(trace.timestamps(), is_read, lba, length)
-
-    def select(self, index) -> "TraceColumns":
-        """Columns for ``trace[index]``-style slicing."""
-        return TraceColumns(
-            self.timestamp[index],
-            self.is_read[index],
-            self.lba[index],
-            self.length[index],
-        )
-
-
-class ColumnarTrace(Trace):
-    """A trace backed by :class:`TraceColumns`, materialized lazily.
-
-    Everything the vectorized paths need — ``len``, ``as_arrays()``,
-    ``timestamps()``, ``max_end``, ``read_count``/``write_count``, slicing,
-    ``filter`` — is served straight from the columns.  The
-    :class:`IORequest` list exists only once a reference-path consumer
-    touches ``requests`` / iteration / scalar indexing, and is cached.
-    """
-
-    def __init__(self, columns: TraceColumns, name: str = "trace") -> None:
-        self._columns = columns
-        self._name = name
-        self._max_end = None
-        self._arrays = (columns.is_read, columns.lba, columns.length)
-        self._timestamps = columns.timestamp
-        self._materialized: Optional[List[IORequest]] = None
-        self.parse_report = None
-
-    @property
-    def columns(self) -> TraceColumns:
-        return self._columns
-
-    @property
-    def _requests(self) -> List[IORequest]:
-        # Base-class methods (concat, requests, …) read self._requests;
-        # serving it as a property keeps them working unmodified while
-        # deferring materialization until one of them actually runs.
-        if self._materialized is None:
-            cols = self._columns
-            read, write = OpType.READ, OpType.WRITE
-            # .tolist() converts to Python scalars in C; the comprehension
-            # is the one unavoidable per-record pass.
-            self._materialized = [
-                IORequest(t, read if r else write, a, l)
-                for t, r, a, l in zip(
-                    cols.timestamp.tolist(),
-                    cols.is_read.tolist(),
-                    cols.lba.tolist(),
-                    cols.length.tolist(),
-                )
-            ]
-        return self._materialized
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def __iter__(self) -> Iterator[IORequest]:
-        return iter(self._requests)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ColumnarTrace(self._columns.select(index), name=self._name)
-        cols = self._columns
-        i = int(index)
-        return IORequest(
-            timestamp=float(cols.timestamp[i]),
-            op=OpType.READ if cols.is_read[i] else OpType.WRITE,
-            lba=int(cols.lba[i]),
-            length=int(cols.length[i]),
-        )
+#: The constructor ``bench/verify.py`` builds its column traces with.
+ColumnarTrace = Trace.from_columns
 
 
 # --------------------------------------------------------------------- #
@@ -375,7 +266,7 @@ def _parse_blocks(
     max_ops: Optional[int],
     disk_number: Optional[int],
     capacity_sectors: Optional[int],
-) -> ColumnarTrace:
+) -> Trace:
     """Bulk-parse ``source`` block by block, or raise :class:`_Fallback`
     (``report`` is written only once every block read has parsed clean)."""
     # The reference checks the bound only *after* an append, so
@@ -431,7 +322,7 @@ def _parse_blocks(
         columns = TraceColumns(*map(np.concatenate, zip(*parts)))
     else:
         columns = TraceColumns((), (), (), ())  # the constructor sets the dtypes
-    trace = ColumnarTrace(columns, name=name)
+    trace = Trace.from_columns(columns, name=name)
     report.records += records
     report.accepted += accepted
     report.filtered += records - accepted
@@ -457,7 +348,7 @@ def parse_msr_text(
 
     ``text`` is the text itself or a text-mode file open at its start (how
     :func:`~repro.trace.msr.parse_msr_file` streams a file it never holds
-    whole).  Clean input returns a lazy :class:`ColumnarTrace`; anything the
+    whole).  Clean input returns a column-built :class:`Trace`; anything the
     bulk path cannot reproduce exactly is re-parsed by the per-line
     reference parser (identical results, reports and errors either way).
     """

@@ -42,6 +42,7 @@ as a miss and deleted, so the caller's re-store heals it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -49,9 +50,9 @@ from pathlib import Path
 from typing import Optional, Union
 
 import repro
-from repro.trace.columnar import COLUMNAR_PARSER_VERSION, ColumnarTrace, TraceColumns
+from repro.trace.columnar import COLUMNAR_PARSER_VERSION
 from repro.trace.errors import ParseIssue, ParseReport
-from repro.trace.trace import Trace
+from repro.trace.trace import Trace, TraceColumns
 from repro.util.npystore import commit_entry_dir, load_mmap_npy, remove_entry
 
 STORE_SCHEMA = 2
@@ -131,49 +132,16 @@ def meta_key(meta: dict) -> str:
 # --------------------------------------------------------------------- #
 
 
-def _issue_to_dict(issue: ParseIssue) -> dict:
-    return {"line_no": issue.line_no, "reason": issue.reason, "line": issue.line}
-
-
-def _issue_from_dict(data: dict) -> ParseIssue:
-    return ParseIssue(
-        line_no=data["line_no"], reason=data["reason"], line=data["line"]
-    )
-
-
 def report_to_dict(report: Optional[ParseReport]) -> Optional[dict]:
     """Full (lossless) encoding of a parse report."""
-    if report is None:
-        return None
-    return {
-        "name": report.name,
-        "policy": report.policy,
-        "records": report.records,
-        "accepted": report.accepted,
-        "skipped": report.skipped,
-        "quarantined": report.quarantined,
-        "filtered": report.filtered,
-        "errors": [_issue_to_dict(i) for i in report.errors],
-        "quarantine": [_issue_to_dict(i) for i in report.quarantine],
-        "max_error_samples": report.max_error_samples,
-    }
+    return None if report is None else dataclasses.asdict(report)
 
 
 def report_from_dict(data: Optional[dict]) -> Optional[ParseReport]:
     if data is None:
         return None
-    return ParseReport(
-        name=data["name"],
-        policy=data["policy"],
-        records=data["records"],
-        accepted=data["accepted"],
-        skipped=data["skipped"],
-        quarantined=data["quarantined"],
-        filtered=data["filtered"],
-        errors=[_issue_from_dict(i) for i in data["errors"]],
-        quarantine=[_issue_from_dict(i) for i in data["quarantine"]],
-        max_error_samples=data["max_error_samples"],
-    )
+    issues = {key: [ParseIssue(**i) for i in data[key]] for key in ("errors", "quarantine")}
+    return ParseReport(**{**data, **issues})
 
 
 # --------------------------------------------------------------------- #
@@ -232,7 +200,7 @@ class TraceStore:
             self.misses += 1
             return None
         self.hits += 1
-        trace = ColumnarTrace(columns, name=header["name"])
+        trace = Trace.from_columns(columns, name=header["name"])
         trace.parse_report = report_from_dict(header["report"])
         return trace
 
@@ -244,7 +212,7 @@ class TraceStore:
         key, so the contents are identical), reuses it and counts it as a
         hit instead of a store.
         """
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns
         header = {
             "schema": STORE_SCHEMA,
             "meta": meta,

@@ -1,9 +1,13 @@
 """In-memory trace container.
 
-A :class:`Trace` is a named, ordered sequence of
-:class:`~repro.trace.record.IORequest` plus the derived quantities the
-simulator needs up front (maximum LBA, so the log-structured write frontier
-can start above it, per the paper's "unwritten data sits at its LBA" rule).
+A :class:`Trace` is a named, ordered block I/O trace held as four parallel
+:class:`TraceColumns` — what every vectorized consumer (the batch kernels,
+:mod:`repro.analysis.fast`, the writers, the compiled-trace store) reads —
+plus the derived quantities the simulator needs up front (maximum LBA, so
+the log-structured write frontier can start above it, per the paper's
+"unwritten data sits at its LBA" rule).  The per-op reference path reads
+:class:`~repro.trace.record.IORequest` objects; a trace built from columns
+makes them once, on the first iteration or ``requests`` access.
 """
 
 from __future__ import annotations
@@ -15,22 +19,88 @@ import numpy as np
 from repro.trace.record import IORequest, OpType
 
 
+class TraceColumns:
+    """The four parallel column arrays describing a trace.
+
+    All arrays are made read-only on construction and share one length:
+    ``timestamp`` (float64 seconds), ``is_read`` (bool), ``lba`` and
+    ``length`` (int64 sectors).  This is the unit of exchange between the
+    bulk parsers, synthesis, :class:`Trace` and the compiled-trace store.
+    """
+
+    __slots__ = ("timestamp", "is_read", "lba", "length")
+
+    def __init__(self, timestamp, is_read, lba, length) -> None:
+        timestamp = np.ascontiguousarray(timestamp, dtype=np.float64)
+        is_read = np.ascontiguousarray(is_read, dtype=bool)
+        lba = np.ascontiguousarray(lba, dtype=np.int64)
+        length = np.ascontiguousarray(length, dtype=np.int64)
+        n = len(timestamp)
+        if not (len(is_read) == len(lba) == len(length) == n):
+            raise ValueError(
+                "column lengths differ: "
+                f"{n}/{len(is_read)}/{len(lba)}/{len(length)}"
+            )
+        for column in (timestamp, is_read, lba, length):
+            column.setflags(write=False)
+        self.timestamp = timestamp
+        self.is_read = is_read
+        self.lba = lba
+        self.length = length
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def select(self, index) -> "TraceColumns":
+        """Columns for ``trace[index]``-style slicing."""
+        return TraceColumns(
+            self.timestamp[index],
+            self.is_read[index],
+            self.lba[index],
+            self.length[index],
+        )
+
+
 class Trace:
     """An ordered block I/O trace.
 
     Args:
-        requests: Requests in replay order.  Timestamps are expected to be
-            non-decreasing but this is not enforced (some real traces carry
-            completion-time jitter).
+        requests: Requests in replay order, converted to columns once.
+            Timestamps are expected to be non-decreasing but this is not
+            enforced (some real traces carry completion-time jitter).
         name: Workload identifier used in reports (e.g. ``"w91"``).
+
+    :meth:`from_columns` builds one from columns without any per-op object.
     """
 
     def __init__(self, requests: Iterable[IORequest], name: str = "trace") -> None:
-        self._requests: List[IORequest] = list(requests)
+        requests = list(requests)
+        read = OpType.READ
+        self._adopt(
+            TraceColumns(
+                [r.timestamp for r in requests],
+                [r.op is read for r in requests],
+                [r.lba for r in requests],
+                [r.length for r in requests],
+            ),
+            name,
+        )
+        self._requests = requests
+
+    @classmethod
+    def from_columns(cls, columns: TraceColumns, name: str = "trace") -> "Trace":
+        """A trace over ``columns``; its ``IORequest``s are built only if
+        a consumer iterates it."""
+        trace = cls.__new__(cls)
+        trace._adopt(columns, name)
+        return trace
+
+    def _adopt(self, columns: TraceColumns, name: str) -> None:
+        self.columns = columns
         self._name = name
+        self._requests: Optional[List[IORequest]] = None
         self._max_end: Optional[int] = None
-        self._arrays = None
-        self._timestamps = None
+        self._content_key: Optional[str] = None
         #: Filled by the parsers in :mod:`repro.trace` with the
         #: :class:`~repro.trace.errors.ParseReport` of the parse that built
         #: this trace; None for synthetic or derived traces.
@@ -42,22 +112,40 @@ class Trace:
 
     @property
     def requests(self) -> Sequence[IORequest]:
-        """The underlying request list (treat as read-only)."""
+        """The request list (treat as read-only), built once on first use."""
+        if self._requests is None:
+            cols = self.columns
+            read, write = OpType.READ, OpType.WRITE
+            # .tolist() converts to Python scalars in C; the comprehension
+            # is the one unavoidable per-record pass.
+            self._requests = [
+                IORequest(t, read if r else write, a, l)
+                for t, r, a, l in zip(
+                    cols.timestamp.tolist(),
+                    cols.is_read.tolist(),
+                    cols.lba.tolist(),
+                    cols.length.tolist(),
+                )
+            ]
         return self._requests
 
     def __len__(self) -> int:
-        return len(self._requests)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[IORequest]:
-        return iter(self._requests)
+        return iter(self.requests)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Trace(self._requests[index], name=self._name)
-        return self._requests[index]
-
-    def __repr__(self) -> str:
-        return f"Trace(name={self._name!r}, n_ops={len(self._requests)})"
+            return Trace.from_columns(self.columns.select(index), name=self._name)
+        cols = self.columns
+        i = int(index)
+        return IORequest(
+            timestamp=float(cols.timestamp[i]),
+            op=OpType.READ if cols.is_read[i] else OpType.WRITE,
+            lba=int(cols.lba[i]),
+            length=int(cols.length[i]),
+        )
 
     @property
     def max_end(self) -> int:
@@ -73,34 +161,15 @@ class Trace:
         return self._max_end
 
     def as_arrays(self):
-        """Decompose into ``(is_read, lba, length)`` numpy arrays, cached.
+        """The ``(is_read, lba, length)`` columns.
 
-        The arrays are built once per trace and shared by every caller
-        (the NoLS batch kernel, the :mod:`repro.analysis.fast` paths), so
-        repeated vectorized analyses of one trace pay the Python→numpy
-        conversion only once.  The returned arrays are **read-only**
-        (``writeable=False``) — they are shared between callers, so a
-        mutation would silently corrupt every later analysis.  Copy first
-        if you need scratch space.
+        They are shared by every caller (the NoLS batch kernel, the
+        :mod:`repro.analysis.fast` paths) and **read-only**
+        (``writeable=False``): a mutation would silently corrupt every
+        later analysis.  Copy first if you need scratch space.
         """
-        if self._arrays is None:
-            n = len(self._requests)
-            packed = np.fromiter(
-                (
-                    (r.op is OpType.READ, r.lba, r.length)
-                    for r in self._requests
-                ),
-                dtype=[("is_read", "?"), ("lba", "<i8"), ("length", "<i8")],
-                count=n,
-            )
-            columns = tuple(
-                np.ascontiguousarray(packed[field])
-                for field in ("is_read", "lba", "length")
-            )
-            for column in columns:
-                column.setflags(write=False)
-            self._arrays = columns
-        return self._arrays
+        cols = self.columns
+        return cols.is_read, cols.lba, cols.length
 
     def content_key(self) -> str:
         """SHA-256 identity of the replay-relevant content, cached.
@@ -111,66 +180,28 @@ class Trace:
         them), so e.g. a re-parsed trace with jittered completion stamps
         still shares recorded streams.  Two traces with equal keys produce
         bit-identical replay results under every configuration; the
-        :class:`~repro.experiments.sweep.SweepEngine` result table and its
-        stream memo key on this, so logically identical traces from
-        different load paths (fresh synthesis, compiled-store mmap,
-        re-parse) share one recording.
+        :class:`~repro.experiments.sweep.SweepEngine` result table keys on
+        this, so logically identical traces from different load paths
+        (fresh synthesis, compiled-store mmap, re-parse) share one row.
         """
-        key = getattr(self, "_content_key", None)
-        if key is None:
+        if self._content_key is None:
             import hashlib
 
-            is_read, lba, length = self.as_arrays()
             digest = hashlib.sha256()
             digest.update(f"{self._name}\x00{len(self)}\x00".encode())
-            for column in (is_read, lba, length):
-                digest.update(np.ascontiguousarray(column).tobytes())
-            key = digest.hexdigest()
-            self._content_key = key
-        return key
+            for column in self.as_arrays():
+                digest.update(column.tobytes())
+            self._content_key = digest.hexdigest()
+        return self._content_key
 
     def timestamps(self):
         """The per-request timestamp column as a read-only float64 array."""
-        if self._timestamps is None:
-            stamps = np.fromiter(
-                (r.timestamp for r in self._requests),
-                dtype=np.float64,
-                count=len(self._requests),
-            )
-            stamps.setflags(write=False)
-            self._timestamps = stamps
-        return self._timestamps
+        return self.columns.timestamp
 
     @property
     def read_count(self) -> int:
-        return int(np.count_nonzero(self.as_arrays()[0]))
+        return int(np.count_nonzero(self.columns.is_read))
 
     @property
     def write_count(self) -> int:
         return len(self) - self.read_count
-
-    def filter(self, op: OpType) -> "Trace":
-        """Return a new trace containing only requests of direction ``op``."""
-        return Trace(
-            (r for r in self._requests if r.op is op),
-            name=f"{self._name}.{op.value}",
-        )
-
-    def renamed(self, name: str) -> "Trace":
-        """Return the same request sequence under a different name."""
-        return Trace(self._requests, name=name)
-
-    def concat(self, other: "Trace", name: Optional[str] = None) -> "Trace":
-        """Concatenate two traces, offsetting the second trace's timestamps.
-
-        The second trace's timestamps are shifted so they start right after
-        this trace's last timestamp, preserving monotonicity.
-        """
-        base = self._requests[-1].timestamp if self._requests else 0.0
-        first_other = other._requests[0].timestamp if other._requests else 0.0
-        shift = base - first_other + 1e-6 if other._requests else 0.0
-        shifted = [
-            IORequest(r.timestamp + shift, r.op, r.lba, r.length)
-            for r in other._requests
-        ]
-        return Trace(self._requests + shifted, name=name or self._name)

@@ -32,7 +32,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.trace.columnar import ColumnarTrace, TraceColumns
+from repro.trace.trace import Trace, TraceColumns
 from repro.util.native import LIBRARY
 from repro.util.rngtools import SeedSequenceFactory
 from repro.util.units import BLOCK_SECTORS, kib_to_sectors, mib_to_sectors
@@ -75,7 +75,7 @@ class WorkloadGenerator:
     def __init__(self, spec: WorkloadSpec) -> None:
         self._spec = spec
 
-    def generate(self, seed: int = 42, scale: float = 1.0) -> ColumnarTrace:
+    def generate(self, seed: int = 42, scale: float = 1.0) -> Trace:
         """Generate the archetype trace, as columns (no per-op object).
 
         Args:
@@ -140,11 +140,11 @@ class WorkloadGenerator:
         if done < 0:
             raise MemoryError(f"no room for {spec.hot_targets_max} hot targets")
         _check_ranges(columns[2], columns[3])
-        return ColumnarTrace(TraceColumns(*columns), name=spec.name)
+        return Trace.from_columns(TraceColumns(*columns), name=spec.name)
 
 
 def generate_workload(
     spec: WorkloadSpec, seed: int = 42, scale: float = 1.0
-) -> ColumnarTrace:
+) -> Trace:
     """Module-level convenience: ``WorkloadGenerator(spec).generate(...)``."""
     return WorkloadGenerator(spec).generate(seed=seed, scale=scale)

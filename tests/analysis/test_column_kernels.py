@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from repro.analysis.classify import characterize
 from repro.experiments import ablations, common, fig7, sweep, table1
 from repro.experiments.sweep import reset_sweep_engines
-from repro.trace.columnar import ColumnarTrace, TraceColumns
-from repro.trace.record import IORequest
+from repro.trace.trace import Trace, TraceColumns
 from repro.trace.stats import compute_stats
 from repro.trace.store import TraceStore, synthetic_meta
 from repro.workloads import synthesize_workload
@@ -35,14 +34,14 @@ OPS = st.lists(
 )
 
 
-def trace_of(ops) -> ColumnarTrace:
+def trace_of(ops) -> Trace:
     columns = TraceColumns(
         [t for *_, t in ops],
         [r for r, *_ in ops],
         [base + offset for _, base, offset, _, _ in ops],
         [length for *_, length, _ in ops],
     )
-    return ColumnarTrace(columns, name="generated")
+    return Trace.from_columns(columns, name="generated")
 
 
 def assert_kernels_equal_loops(trace):
@@ -96,20 +95,6 @@ def test_straddling_read_is_mixed_and_overwrite_counts_whole_blocks():
     assert character.overwrite_ratio == 8 / 10
 
 
-@pytest.fixture
-def request_constructions(monkeypatch):
-    """Count ``IORequest.__init__`` calls (deterministic, no timing)."""
-    made = []
-    init = IORequest.__init__
-
-    def counting(self, *args, **kwargs):
-        made.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(IORequest, "__init__", counting)
-    return made
-
-
 def test_no_request_object_between_the_seed_and_the_kernels(
     request_constructions, tmp_path
 ):
@@ -118,7 +103,6 @@ def test_no_request_object_between_the_seed_and_the_kernels(
     compute_stats(trace)
     characterize(trace)
     assert not request_constructions
-    assert trace._materialized is None
     trace.requests  # the counter does see a materialisation
     assert len(request_constructions) == len(trace)
 
@@ -138,7 +122,6 @@ def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions, 
             for run in (table1.run, ablations.run_taxonomy, fig7.run):
                 run(seed=42, scale=0.05)
         assert len(served) == 21
-        assert all(trace._materialized is None for trace in served.values())
         assert not request_constructions
     finally:
         common._trace_cache.clear()

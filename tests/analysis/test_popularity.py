@@ -25,7 +25,7 @@ class TestRecorder:
             ]
         )
         curve = recorder.curve()
-        assert recorder.distinct_fragments == 3
+        assert len(recorder.fragment_stats()) == 3
         assert curve.total_accesses == 6
         assert curve.access_counts[0] == 2
 
@@ -33,11 +33,11 @@ class TestRecorder:
         recorder = self.make_replay(
             [IORequest.write(0, 8), IORequest.read(0, 8)]
         )
-        assert recorder.distinct_fragments == 0
+        assert len(recorder.fragment_stats()) == 0
 
     def test_writes_ignored(self):
         recorder = self.make_replay([IORequest.write(0, 8)])
-        assert recorder.distinct_fragments == 0
+        assert len(recorder.fragment_stats()) == 0
 
     def test_size_tracks_largest_observation(self):
         recorder = self.make_replay(

@@ -39,7 +39,7 @@ class TestBasics:
         assert cache.capacity_blocks == 4
         assert cache.capacity_bytes == 4 * 8 * 512
         cache.insert_range(0, 8)
-        assert cache.used_bytes == 8 * 512
+        assert cache.used_blocks == 1
 
 
 class TestEviction:

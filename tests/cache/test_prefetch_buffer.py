@@ -45,7 +45,7 @@ class TestFifoEviction:
         buf.add_window(0, 100)
         buf.add_window(200, 300)
         assert buf.used_sectors == 200
-        assert buf.window_count == 2
+        assert buf.windows() == [(0, 100), (200, 300)]
 
     def test_oversized_window_truncated_to_tail(self):
         buf = PrefetchBuffer(100)
@@ -53,13 +53,6 @@ class TestFifoEviction:
         assert buf.covers(900, 100)
         assert not buf.covers(0, 100)
         assert buf.used_sectors == 100
-
-    def test_clear(self):
-        buf = PrefetchBuffer(100)
-        buf.add_window(0, 50)
-        buf.clear()
-        assert buf.window_count == 0
-        assert not buf.covers(0, 1)
 
 
 class TestValidation:

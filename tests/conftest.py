@@ -23,6 +23,20 @@ def tiny_trace() -> Trace:
 
 
 @pytest.fixture
+def request_constructions(monkeypatch):
+    """Count ``IORequest.__init__`` calls (deterministic, no timing)."""
+    made = []
+    init = IORequest.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IORequest, "__init__", counting)
+    return made
+
+
+@pytest.fixture
 def sequential_write_trace() -> Trace:
     """Sixteen back-to-back sequential writes (no seeks on any device)."""
     return Trace(

@@ -2,7 +2,7 @@
 
 from repro.core.outcomes import SimStats
 from repro.core.recorders import OutcomeLogRecorder
-from repro.core.simulator import Simulator, replay
+from repro.core.simulator import replay
 from repro.core.translators import InPlaceTranslator, LogStructuredTranslator
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
@@ -26,13 +26,6 @@ class TestSimulatorRun:
         recorder = OutcomeLogRecorder()
         replay(tiny_trace, InPlaceTranslator(), [recorder])
         assert len(recorder.outcomes) == len(tiny_trace)
-
-    def test_add_recorder(self, tiny_trace):
-        sim = Simulator()
-        recorder = OutcomeLogRecorder()
-        sim.add_recorder(recorder)
-        sim.run(tiny_trace, InPlaceTranslator())
-        assert recorder.outcomes
 
 
 class TestSimStats:

@@ -26,10 +26,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.trace import cloudphysics, msr
 from repro.trace import columnar as columnar_module
 from repro.trace.cloudphysics import parse_cloudphysics_file, parse_cloudphysics_lines
-from repro.trace.columnar import (ColumnarTrace, parse_cloudphysics_text, parse_csv_text,
-                                  parse_msr_text)
+from repro.trace.columnar import parse_cloudphysics_text, parse_csv_text, parse_msr_text
 from repro.trace.csvio import read_csv_rows, read_csv_trace, write_csv_trace
 from repro.trace.errors import TraceParseError, make_report
 from repro.trace.msr import parse_msr_file, parse_msr_lines
@@ -126,13 +126,13 @@ def soup_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_msr_file_round_trip(traces, workload, tmp_path):
+def test_msr_file_round_trip(traces, workload, tmp_path, per_line_calls, request_constructions):
     path = tmp_path / f"{workload}.csv"
     write_msr_trace(traces[workload], path)
     columnar = parse_msr_file(path)
+    assert not per_line_calls  # the bulk path served it
+    assert not request_constructions  # and built no per-op object
     reference = parse_msr_file(path, engine="reference")
-    assert isinstance(columnar, ColumnarTrace)
-    assert columnar._materialized is None  # parse itself is lazy
     assert_parses_match(columnar, reference)
 
 
@@ -448,6 +448,19 @@ CP_CLEAN = "timestamp_us,op,lba,length\n" + "".join(
 
 
 @pytest.fixture
+def per_line_calls(monkeypatch):
+    """Count calls to the per-line reference parsers the bulk path falls back to."""
+    calls = []
+    for module, name in ((msr, "parse_msr_lines"), (cloudphysics, "parse_cloudphysics_lines")):
+        def counting(*args, _parse=getattr(module, name), **kwargs):
+            calls.append(args)
+            return _parse(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture
 def tokenizer_calls(monkeypatch):
     """Count the blocks that reach numpy's tokenizer."""
     calls = []
@@ -471,7 +484,8 @@ def tokenizer_calls(monkeypatch):
     ],
     ids=["msr", "msr-disk2", "cloudphysics"],
 )
-def test_max_ops_stops_the_read(fmt, text, kwargs, max_ops, tmp_path, tokenizer_calls):
+def test_max_ops_stops_the_read(fmt, text, kwargs, max_ops, tmp_path, tokenizer_calls,
+                                per_line_calls):
     parse = FILE_PARSERS[fmt]
     clean, dirty = tmp_path / "clean" / "t.csv", tmp_path / "dirty" / "t.csv"
     clean.parent.mkdir()
@@ -482,10 +496,10 @@ def test_max_ops_stops_the_read(fmt, text, kwargs, max_ops, tmp_path, tokenizer_
     assert reference.parse_report.records < 200  # the cut is well inside the file
     chars = 256
     for path in (clean, dirty):
-        del tokenizer_calls[:]
+        del tokenizer_calls[:], per_line_calls[:]
         with block_chars(chars):
             columnar = parse(path, max_ops=max_ops, **kwargs)
-        assert isinstance(columnar, ColumnarTrace)  # no fallback, garbage or not
+        assert not per_line_calls  # no fallback, garbage or not
         assert_parses_match(columnar, reference)
         # Blocks are `chars` characters and the rest of a line: the lines
         # the reference consumed fit in this many, plus the header's.

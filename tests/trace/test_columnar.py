@@ -1,75 +1,71 @@
-"""ColumnarTrace semantics: laziness, views, and read-only columns."""
+"""One trace, two constructors: ``Trace(requests)`` and ``Trace.from_columns``
+over the same ops agree on every accessor, and the column-built one makes
+no ``IORequest`` until something iterates it."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.trace.columnar import ColumnarTrace, TraceColumns, parse_csv_text
+from repro.trace.columnar import parse_csv_text
 from repro.trace.record import IORequest, OpType
-from repro.trace.trace import Trace
+from repro.trace.trace import Trace, TraceColumns
 
-CSV = "\n".join(
-    f"{i * 0.001},{'read' if i % 2 else 'write'},{i * 8},{4 + i % 8}"
-    for i in range(20)
-)
+OPS = [(i * 0.001, i % 2 == 1, i * 8, 4 + i % 8) for i in range(20)]
 
 
 @pytest.fixture
 def columnar():
-    trace = parse_csv_text(CSV, name="cols")
-    assert isinstance(trace, ColumnarTrace)
-    return trace
+    """``Trace.from_columns``, by way of the bulk parser."""
+    return parse_csv_text(
+        "\n".join(f"{t},{'read' if r else 'write'},{a},{n}" for t, r, a, n in OPS),
+        name="cols",
+    )
 
 
 @pytest.fixture
 def reference():
     return Trace(
-        [
-            IORequest(
-                i * 0.001,
-                OpType.READ if i % 2 else OpType.WRITE,
-                i * 8,
-                4 + i % 8,
-            )
-            for i in range(20)
-        ],
+        [IORequest(t, OpType.READ if r else OpType.WRITE, a, n) for t, r, a, n in OPS],
         name="cols",
     )
 
 
 class TestLaziness:
-    def test_vectorized_consumers_never_materialize(self, columnar, reference):
-        assert columnar._materialized is None
+    def test_vectorized_consumers_never_materialize(
+        self, columnar, reference, request_constructions
+    ):
         assert len(columnar) == len(reference)
         assert columnar.read_count == reference.read_count
         assert columnar.write_count == reference.write_count
         assert columnar.max_end == reference.max_end
-        is_read, lba, length = columnar.as_arrays()
-        ref_read, ref_lba, ref_length = reference.as_arrays()
-        assert np.array_equal(is_read, ref_read)
-        assert np.array_equal(lba, ref_lba)
-        assert np.array_equal(length, ref_length)
+        assert columnar.content_key() == reference.content_key()
+        for got, want in zip(columnar.as_arrays(), reference.as_arrays()):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
         assert np.array_equal(columnar.timestamps(), reference.timestamps())
-        assert columnar._materialized is None
+        assert not request_constructions
 
-    def test_scalar_indexing_stays_lazy(self, columnar, reference):
-        assert columnar[3] == reference[3]
-        assert columnar[-1] == reference[-1]
-        assert columnar._materialized is None
+    def test_scalar_indexing_stays_lazy(self, columnar, reference, request_constructions):
+        assert columnar[3] == reference.requests[3]
+        assert columnar[-1] == reference.requests[-1]
+        assert len(request_constructions) == 2  # the two returned, no list
 
-    def test_iteration_materializes_reference_requests(self, columnar, reference):
+    def test_iteration_materializes_reference_requests(
+        self, columnar, reference, request_constructions
+    ):
         assert list(columnar) == list(reference)
-        assert columnar._materialized is not None
+        assert len(request_constructions) == len(OPS)
         assert columnar.requests == reference.requests
+        assert len(request_constructions) == len(OPS)  # built once
 
 
 class TestViews:
-    def test_slicing_returns_columnar(self, columnar, reference):
-        sliced = columnar[5:15]
-        assert isinstance(sliced, ColumnarTrace)
-        assert list(sliced) == list(reference[5:15])
-
+    def test_slicing_returns_columnar(self, columnar, reference, request_constructions):
+        sliced, want = columnar[5:15], reference[5:15]
+        assert sliced.content_key() == want.content_key()
+        assert not request_constructions
+        assert list(sliced) == list(want) == reference.requests[5:15]
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
@@ -80,8 +76,8 @@ class TestViews:
 
 
 class TestReadOnlyArrays:
-    """Regression: the cached columns are shared views — a consumer
-    scribbling on them would corrupt every later analysis."""
+    """Regression: the columns are shared views — a consumer scribbling on
+    them would corrupt every later analysis."""
 
     @pytest.mark.parametrize("kind", ["reference", "columnar"])
     def test_as_arrays_mutation_raises(self, kind, columnar, reference):
@@ -96,8 +92,8 @@ class TestReadOnlyArrays:
         with pytest.raises(ValueError):
             trace.timestamps()[0] = 99.0
 
-    def test_trace_columns_are_read_only(self, columnar):
-        cols = columnar.columns
-        for array in (cols.timestamp, cols.is_read, cols.lba, cols.length):
-            with pytest.raises(ValueError):
-                array[0] = 1
+    def test_trace_columns_are_read_only(self, columnar, reference):
+        for cols in (columnar.columns, reference.columns):
+            for array in (cols.timestamp, cols.is_read, cols.lba, cols.length):
+                with pytest.raises(ValueError):
+                    array[0] = 1

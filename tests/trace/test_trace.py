@@ -1,6 +1,5 @@
 """Trace container tests."""
 
-from repro.trace.record import IORequest, OpType
 from repro.trace.trace import Trace
 
 
@@ -23,10 +22,6 @@ class TestTraceBasics:
         assert tiny_trace.read_count == 3
         assert tiny_trace.write_count == 3
 
-    def test_repr(self, tiny_trace):
-        assert "tiny" in repr(tiny_trace)
-        assert "6" in repr(tiny_trace)
-
 
 class TestMaxEnd:
     def test_max_end(self, tiny_trace):
@@ -37,29 +32,3 @@ class TestMaxEnd:
 
     def test_cached_value_stable(self, tiny_trace):
         assert tiny_trace.max_end == tiny_trace.max_end
-
-
-class TestFilterAndRename:
-    def test_filter_reads(self, tiny_trace):
-        reads = tiny_trace.filter(OpType.READ)
-        assert len(reads) == 3
-        assert all(r.is_read for r in reads)
-
-    def test_renamed(self, tiny_trace):
-        assert tiny_trace.renamed("other").name == "other"
-        assert len(tiny_trace.renamed("other")) == len(tiny_trace)
-
-
-class TestConcat:
-    def test_concat_shifts_timestamps(self):
-        a = Trace([IORequest.read(0, 1, 10.0)], name="a")
-        b = Trace([IORequest.read(8, 1, 0.0), IORequest.read(16, 1, 5.0)], name="b")
-        combined = a.concat(b)
-        assert len(combined) == 3
-        timestamps = [r.timestamp for r in combined]
-        assert timestamps == sorted(timestamps)
-        assert timestamps[1] > 10.0
-
-    def test_concat_empty(self):
-        a = Trace([IORequest.read(0, 1)], name="a")
-        assert len(a.concat(Trace([]))) == 1

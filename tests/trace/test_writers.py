@@ -65,14 +65,15 @@ class TestWritersReadColumns:
     """The three writers format from ``tolist()``-ed columns: the bytes the
     per-request loops wrote, and a columnar trace stays unmaterialised."""
 
-    def test_bytes_equal_per_request_formatting(self, tmp_path):
+    def test_bytes_equal_per_request_formatting(self, tmp_path, request_constructions):
         trace = synthesize_workload("w91", seed=5, scale=0.02)
         requests = list(synthesize_workload("w91", seed=5, scale=0.02))
+        del request_constructions[:]
 
         write_msr_trace(trace, tmp_path / "msr.csv", hostname="srv", disk_number=2)
         write_cloudphysics_trace(trace, tmp_path / "cp.csv")
         write_csv_trace(trace, tmp_path / "native.csv")
-        assert trace._materialized is None
+        assert not request_constructions
 
         ticks = [128_166_372_000_000_000 + int(r.timestamp * 10_000_000) for r in requests]
         assert (tmp_path / "msr.csv").read_text() == "".join(

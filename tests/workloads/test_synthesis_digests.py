@@ -60,13 +60,15 @@ def column_digest(*traces) -> str:
 
 
 @pytest.mark.parametrize("name,seed,scale", sorted(PINNED), ids=lambda v: str(v))
-def test_synthesis_is_bit_identical_to_the_per_request_generator(name, seed, scale):
+def test_synthesis_is_bit_identical_to_the_per_request_generator(
+    name, seed, scale, request_constructions
+):
     if name == CLEANING:
         trace = _overwrite_workload(seed, scale)
     else:
         trace = synthesize_workload(name, seed=seed, scale=scale)
     assert trace.name == name
-    assert trace._materialized is None
+    assert not request_constructions
     assert column_digest(trace) == PINNED[name, seed, scale]
 
 
