@@ -1,8 +1,10 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
-One module per exhibit; each exposes ``run(seed, scale, out_dir) -> dict``
-returning the exhibit's data (also dumped as JSON when ``out_dir`` is set)
-and printing a paper-style text rendering.
+One module per exhibit (the ablations share one); each exhibit is
+``run(engine) -> dict``: it reads the run's
+:class:`~repro.experiments.sweep.SweepEngine`, prints a paper-style text
+rendering and returns the exhibit's data, which
+:func:`~repro.experiments.runner.run_exhibits` dumps as JSON.
 
 Command line::
 
@@ -10,7 +12,7 @@ Command line::
     python -m repro.experiments fig11 --seed 42 --scale 1.0 --out results/
 """
 
-from repro.experiments.registry import EXHIBITS, resolve_names, run_exhibit
+from repro.experiments.registry import EXHIBITS, resolve_names
 from repro.experiments.runner import (
     ExhibitOutcome,
     ExhibitTimeoutError,
@@ -18,18 +20,15 @@ from repro.experiments.runner import (
     exhibit_fingerprint,
     run_exhibits,
 )
-from repro.experiments.sweep import SweepEngine, reset_sweep_engines, sweep_engine
+from repro.experiments.sweep import SweepEngine
 
 __all__ = [
     "EXHIBITS",
     "resolve_names",
-    "run_exhibit",
     "ExhibitOutcome",
     "ExhibitTimeoutError",
     "RunManifest",
     "exhibit_fingerprint",
     "run_exhibits",
     "SweepEngine",
-    "reset_sweep_engines",
-    "sweep_engine",
 ]

@@ -20,8 +20,6 @@ mechanism and reports the SAF (or WAF) surface, so the default settings in
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.classify import characterize, classify_saf
 from repro.core.batch import batch_replay_translator
 from repro.core.cleaning import ZonedCleaningTranslator
@@ -32,9 +30,8 @@ from repro.core.multifrontier import REGION_MIB, MultiFrontierTranslator
 from repro.core.prefetch import PrefetchConfig
 from repro.core.selective_cache import SelectiveCacheConfig
 from repro.core.translators import LogStructuredTranslator
-from repro.experiments.common import save_json
 from repro.experiments.render import format_table
-from repro.experiments.sweep import SweepEngine, sweep_engine
+from repro.experiments.sweep import SweepEngine
 from repro.extentmap.tiers import DEFAULT_KERNEL_TIER, make_address_map, resolve_map_tier
 from repro.util.units import mib_to_sectors
 from repro.workloads import TABLE1, ReadMix, WorkloadSpec, WriteMix, generate_workload
@@ -86,37 +83,6 @@ def _replay(trace, translator):
     return batch_replay_translator(trace, translator)
 
 
-# What each exhibit below reads from the result table (registry.NEEDS).
-
-
-def _grid_needs(workloads, grid) -> dict:
-    return {name: [NOLS, *grid] for name in workloads}
-
-
-def cache_needs(seed: int, scale: float) -> dict:
-    return _grid_needs(CACHE_WORKLOADS, CACHE_GRID)
-
-
-def defrag_needs(seed: int, scale: float) -> dict:
-    return _grid_needs(DEFRAG_WORKLOADS, DEFRAG_GRID)
-
-
-def prefetch_needs(seed: int, scale: float) -> dict:
-    return _grid_needs(PREFETCH_WORKLOADS, PREFETCH_GRID)
-
-
-def combined_needs(seed: int, scale: float) -> dict:
-    return _grid_needs(TABLE1, SINGLE_CONFIGS + (LS_ALL,))
-
-
-def multifrontier_needs(seed: int, scale: float) -> dict:
-    return {"w91": [frontier_layouts]}
-
-
-def taxonomy_needs(seed: int, scale: float) -> dict:
-    return {name: [NOLS, LS, character] for name in TABLE1}
-
-
 def _sweep_safs(
     engine: SweepEngine, name: str, configs
 ) -> list:
@@ -128,11 +94,10 @@ def _sweep_safs(
     ]
 
 
-def run_cache(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run_cache(engine: SweepEngine) -> dict:
     """Selective-cache capacity sweep on a cache-friendly workload (w91),
     a capacity-limited one (usr_1) and a small-working-set one (hm_1)."""
     sizes = CACHE_SIZES
-    engine = sweep_engine(seed, scale)
     data = {}
     rows = []
     for name in CACHE_WORKLOADS:
@@ -149,13 +114,11 @@ def run_cache(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
             title="Ablation: selective-cache capacity vs total SAF",
         )
     )
-    save_json("ablation_cache", data, out_dir)
     return data
 
 
-def run_defrag(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run_defrag(engine: SweepEngine) -> dict:
     """Defrag throttle grid (N x k) on w91 (defrag helps) and w20 (hurts)."""
-    engine = sweep_engine(seed, scale)
     data = {}
     for name in DEFRAG_WORKLOADS:
         safs = _sweep_safs(engine, name, DEFRAG_GRID)
@@ -176,15 +139,13 @@ def run_defrag(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
                 title=f"Ablation: defrag throttles on {name} (plain LS {ls:.2f})",
             )
         )
-    save_json("ablation_defrag", data, out_dir)
     return data
 
 
-def run_prefetch(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run_prefetch(engine: SweepEngine) -> dict:
     """Prefetch window sweep on w91 (cluster-local fragments) and hm_1
     (temporally scattered fragments — windows cannot help much)."""
     windows = PREFETCH_WINDOWS
-    engine = sweep_engine(seed, scale)
     data = {}
     rows = []
     for name in PREFETCH_WORKLOADS:
@@ -203,7 +164,6 @@ def run_prefetch(seed: int, scale: float, out_dir: Optional[str] = None) -> dict
             title="Ablation: look-ahead-behind window vs total SAF",
         )
     )
-    save_json("ablation_prefetch", data, out_dir)
     return data
 
 
@@ -225,14 +185,14 @@ def _overwrite_workload(seed: int, scale: float):
     return generate_workload(spec, seed=seed)
 
 
-def run_cleaning(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run_cleaning(engine: SweepEngine) -> dict:
     """Over-provisioning sweep for the finite-disk cleaning translator.
 
     More spare zones → fewer, cheaper cleanings (lower WAF) at the cost of
     capacity; the classic log-structured trade-off the paper's infinite
     model sidesteps.
     """
-    trace = _overwrite_workload(seed, scale)
+    trace = _overwrite_workload(engine.seed, engine.scale)
     baseline = _replay(trace, build_translator(trace, NOLS)).stats
     data = {}
     rows = []
@@ -274,7 +234,6 @@ def run_cleaning(seed: int, scale: float, out_dir: Optional[str] = None) -> dict
             title="Ablation: log over-provisioning vs cleaning cost",
         )
     )
-    save_json("ablation_cleaning", data, out_dir)
     return data
 
 
@@ -308,9 +267,9 @@ def frontier_layouts(engine, trace) -> dict:
     }
 
 
-def run_multifrontier(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run_multifrontier(engine: SweepEngine) -> dict:
     """Single vs WOLF-style dual frontier on a hot/cold mixed workload."""
-    data = sweep_engine(seed, scale).analysis("w91", frontier_layouts)
+    data = engine.analysis("w91", frontier_layouts)
     single, dual = data["single"], data["dual"]
     print(
         format_table(
@@ -328,11 +287,10 @@ def run_multifrontier(seed: int, scale: float, out_dir: Optional[str] = None) ->
             ),
         )
     )
-    save_json("ablation_multifrontier", data, out_dir)
     return data
 
 
-def run_combined(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run_combined(engine: SweepEngine) -> dict:
     """All three techniques composed, vs the best single technique.
 
     Fig. 11 evaluates the mechanisms one at a time; a deployed translation
@@ -340,7 +298,6 @@ def run_combined(seed: int, scale: float, out_dir: Optional[str] = None) -> dict
     selective cache, then prefetch buffer, then media (with defrag after
     the read) — see :class:`LogStructuredTranslator`.
     """
-    engine = sweep_engine(seed, scale)
     data = {}
     rows = []
     for name in TABLE1:
@@ -380,7 +337,6 @@ def run_combined(seed: int, scale: float, out_dir: Optional[str] = None) -> dict
             ),
         )
     )
-    save_json("ablation_combined", data, out_dir)
     return data
 
 
@@ -389,9 +345,8 @@ def character(engine, trace):
     return characterize(trace)
 
 
-def run_taxonomy(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run_taxonomy(engine: SweepEngine) -> dict:
     """§III taxonomy: classify every workload, predicted vs measured."""
-    engine = sweep_engine(seed, scale)
     data = {}
     rows = []
     agree = 0
@@ -417,5 +372,19 @@ def run_taxonomy(seed: int, scale: float, out_dir: Optional[str] = None) -> dict
             title=f"Workload taxonomy (feature prediction agrees on {agree}/21)",
         )
     )
-    save_json("taxonomy", data, out_dir)
     return data
+
+
+def _grid_needs(workloads, grid) -> dict:
+    return {name: [NOLS, *grid] for name in workloads}
+
+
+#: What each exhibit above reads from the result table, per workload.
+NEEDS = {
+    "ablation_cache": _grid_needs(CACHE_WORKLOADS, CACHE_GRID),
+    "ablation_defrag": _grid_needs(DEFRAG_WORKLOADS, DEFRAG_GRID),
+    "ablation_prefetch": _grid_needs(PREFETCH_WORKLOADS, PREFETCH_GRID),
+    "ablation_multifrontier": {"w91": [frontier_layouts]},
+    "ablation_combined": _grid_needs(TABLE1, SINGLE_CONFIGS + (LS_ALL,)),
+    "taxonomy": {name: [NOLS, LS, character] for name in TABLE1},
+}

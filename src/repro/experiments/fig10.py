@@ -11,16 +11,11 @@ recorder replay is the oracle in
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.fast import popularity_curve_fast
 from repro.core.stream import stream_fragment_stats
-from repro.experiments.common import downsample, save_json
+from repro.experiments.common import downsample
 from repro.experiments.render import format_table
-from repro.experiments.sweep import sweep_engine
 from repro.workloads import FIG10_WORKLOADS
-
-EXHIBIT = "fig10"
 
 
 def popularity_row(curve) -> dict:
@@ -43,19 +38,17 @@ def popularity(engine, trace) -> dict:
     return popularity_row(popularity_curve_fast(stats))
 
 
-def needs(seed: int, scale: float) -> dict:
-    """The popularity row of every Fig. 10 workload."""
-    return {name: [popularity] for name in FIG10_WORKLOADS}
+#: The popularity row of every Fig. 10 workload.
+NEEDS = {name: [popularity] for name in FIG10_WORKLOADS}
 
 
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run(engine) -> dict:
     """Regenerate Fig. 10 for the paper's eight workloads.
 
     Shape to check: fragment accesses are highly skewed, and the fragments
     covering the bulk of accesses (say 80–90 %) total at most a few tens
     of MB — comfortably inside a 64 MB selective cache.
     """
-    engine = sweep_engine(seed, scale)
     data = {}
     rows = []
     for name in FIG10_WORKLOADS:
@@ -99,5 +92,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
             title="Fig. 10: cache size needed to hold the most-accessed fragments",
         )
     )
-    save_json(EXHIBIT, data, out_dir)
     return data

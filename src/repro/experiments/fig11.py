@@ -1,34 +1,22 @@
 """Fig. 11 — seek amplification factors of LS and the three techniques.
 
-Each workload's technique sweep runs through the shared
+Each workload's technique sweep is read from the run's
 :class:`~repro.experiments.sweep.SweepEngine` (NoLS baseline + recorded
-fragment stream, the stream persistent-store-backed), so a run pays each
-recording once machine-wide.
+fragment stream), so a run pays each recording once.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.config import NOLS, PAPER_CONFIGS
 from repro.core.metrics import seek_amplification
-from repro.experiments.common import save_json
 from repro.experiments.render import format_table
-from repro.experiments.sweep import sweep_engine
 from repro.workloads import CLOUDPHYSICS_WORKLOADS, MSR_WORKLOADS
 
-EXHIBIT = "fig11"
+#: NoLS and every paper config, on every workload of both families.
+NEEDS = {name: [NOLS, *PAPER_CONFIGS] for name in MSR_WORKLOADS + CLOUDPHYSICS_WORKLOADS}
 
 
-def needs(seed: int, scale: float) -> dict:
-    """NoLS and every paper config, on every workload of both families."""
-    return {
-        name: [NOLS, *PAPER_CONFIGS]
-        for name in MSR_WORKLOADS + CLOUDPHYSICS_WORKLOADS
-    }
-
-
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run(engine) -> dict:
     """Regenerate Fig. 11: total SAF per workload under plain LS,
     LS+opportunistic defrag, LS+look-ahead-behind prefetch and
     LS+selective caching (64 MB), for the MSR and CloudPhysics sets.
@@ -39,7 +27,6 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     marginal for usr_1/hm_1/w55/w33; caching is the best technique nearly
     everywhere.
     """
-    engine = sweep_engine(seed, scale)
     data = {}
     for family, names in (("msr", MSR_WORKLOADS), ("cloudphysics", CLOUDPHYSICS_WORKLOADS)):
         rows = []
@@ -67,5 +54,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
                 title=f"Fig. 11 ({family}): total seek amplification factor",
             )
         )
-    save_json(EXHIBIT, data, out_dir)
     return data

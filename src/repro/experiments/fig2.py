@@ -2,23 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.config import LS, NOLS
-from repro.experiments.common import save_json
 from repro.experiments.render import format_table
-from repro.experiments.sweep import sweep_engine
 from repro.workloads import FIG2_CLOUDPHYSICS, FIG2_MSR
 
-EXHIBIT = "fig2"
+
+#: The NoLS and LS points of every Fig. 2 workload.
+NEEDS = {name: [NOLS, LS] for name in FIG2_MSR + FIG2_CLOUDPHYSICS}
 
 
-def needs(seed: int, scale: float) -> dict:
-    """The NoLS and LS points of every Fig. 2 workload."""
-    return {name: [NOLS, LS] for name in FIG2_MSR + FIG2_CLOUDPHYSICS}
-
-
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run(engine) -> dict:
     """Regenerate Fig. 2: per-workload read/write seek counts for the
     untranslated (NoLS) and log-structured (LS) replays.
 
@@ -26,7 +19,6 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     LS everywhere; read seeks rise modestly for some workloads (src2_2,
     wdev_0, w36), hugely for others (w91, w33, w20).
     """
-    engine = sweep_engine(seed, scale)
     data = {}
     rows = []
     for family, names in (("msr", FIG2_MSR), ("cloudphysics", FIG2_CLOUDPHYSICS)):
@@ -59,5 +51,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
             title="Fig. 2: read/write seek counts under NoLS vs LS",
         )
     )
-    save_json(EXHIBIT, data, out_dir)
     return data

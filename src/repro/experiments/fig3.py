@@ -10,17 +10,13 @@ oracle in ``tests/differential/test_exhibits_vs_reference.py``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.fast import nols_windowed_long_seeks
 from repro.analysis.temporal import long_seek_difference_series
 from repro.core.stream import stream_windowed_long_seeks
-from repro.experiments.common import downsample, save_json
+from repro.experiments.common import downsample
 from repro.experiments.render import sparkline
-from repro.experiments.sweep import sweep_engine
 from repro.workloads import FIG3_WORKLOADS
 
-EXHIBIT = "fig3"
 WINDOW_OPS = 500
 
 
@@ -31,19 +27,17 @@ def long_seek_diff(engine, trace) -> list:
     return long_seek_difference_series(ls_series, nols_series)
 
 
-def needs(seed: int, scale: float) -> dict:
-    """The difference series of every Fig. 3 workload."""
-    return {name: [long_seek_diff] for name in FIG3_WORKLOADS}
+#: The difference series of every Fig. 3 workload.
+NEEDS = {name: [long_seek_diff] for name in FIG3_WORKLOADS}
 
 
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run(engine) -> dict:
     """Regenerate Fig. 3 for usr_1, web_0, w91 and w55.
 
     Shape to check: the difference series is strongly bursty — seek
     overhead concentrates in read-phase windows (the paper's diurnal
     pattern), rather than spreading evenly over the trace.
     """
-    engine = sweep_engine(seed, scale)
     data = {}
     for name in FIG3_WORKLOADS:
         diff = engine.analysis(name, long_seek_diff)
@@ -62,5 +56,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
               f"(total {sum(diff)}, peak {max(diff) if diff else 0}, "
               f"{len(positive)}/{len(diff)} windows positive):")
         print("  " + sparkline(diff))
-    save_json(EXHIBIT, data, out_dir)
     return data

@@ -13,8 +13,6 @@ downsamples for the JSON.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.fast import (
     distance_cdf_fast,
     fraction_within_fast,
@@ -22,13 +20,11 @@ from repro.analysis.fast import (
 )
 from repro.core.config import LS
 from repro.core.stream import stream_replay
-from repro.experiments.common import downsample, save_json
+from repro.experiments.common import downsample
 from repro.experiments.render import step_cdf
-from repro.experiments.sweep import sweep_engine
 from repro.util.units import sectors_to_gib
 from repro.workloads import FIG4_WORKLOADS
 
-EXHIBIT = "fig4"
 # The paper clips to +/-1-2 GB on multi-TB volumes; the synthetic
 # archetypes scale the LBA space down ~100x, so the clip window scales
 # with it (see EXPERIMENTS.md).
@@ -51,19 +47,17 @@ def distance_cdfs(engine, trace) -> dict:
     }
 
 
-def needs(seed: int, scale: float) -> dict:
-    """Both CDFs of every Fig. 4 workload."""
-    return {name: [distance_cdfs] for name in FIG4_WORKLOADS}
+#: Both CDFs of every Fig. 4 workload.
+NEEDS = {name: [distance_cdfs] for name in FIG4_WORKLOADS}
 
 
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run(engine) -> dict:
     """Regenerate Fig. 4 for src2_2, usr_0, w84 and w64.
 
     Shape to check: the LS distance distribution is much wider than the
     NoLS one — a smaller fraction of LS seeks fall inside the window that
     contains virtually all the original trace's seeks.
     """
-    engine = sweep_engine(seed, scale)
     data = {}
     for name in FIG4_WORKLOADS:
         payload = engine.analysis(name, distance_cdfs)
@@ -85,5 +79,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
         )
         gib_cdf = [(sectors_to_gib(int(x)), f) for x, f in ls_cdf]
         print(step_cdf(gib_cdf, title=f"  LS access-distance CDF (GiB), {name}"))
-    save_json(EXHIBIT, data, out_dir)
     return data

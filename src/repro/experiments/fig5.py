@@ -11,18 +11,12 @@ exactly with the reference helpers; the recorder replay is the oracle in
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.fast import (
     fraction_of_fragments_in_top_reads_fast,
     fragment_cdf_fast,
 )
-from repro.experiments.common import save_json
 from repro.experiments.render import step_cdf
-from repro.experiments.sweep import sweep_engine
 from repro.workloads import FIG5_WORKLOADS
-
-EXHIBIT = "fig5"
 
 
 def fragmentation(engine, trace) -> dict:
@@ -37,18 +31,16 @@ def fragmentation(engine, trace) -> dict:
     }
 
 
-def needs(seed: int, scale: float) -> dict:
-    """The fragmentation row of every Fig. 5 workload."""
-    return {name: [fragmentation] for name in FIG5_WORKLOADS}
+#: The fragmentation row of every Fig. 5 workload.
+NEEDS = {name: [fragmentation] for name in FIG5_WORKLOADS}
 
 
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run(engine) -> dict:
     """Regenerate Fig. 5 for usr_0, hm_1, w20 and w36.
 
     Shape to check: fragments concentrate — the most-fragmented ~20 % of
     fragmented reads hold >=50 % of all fragments (more extreme for w36).
     """
-    engine = sweep_engine(seed, scale)
     data = {}
     for name in FIG5_WORKLOADS:
         payload = engine.analysis(name, fragmentation)
@@ -66,5 +58,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
             f"{payload['top20']:.1%} of fragments"
         )
         print(step_cdf(cdf, title=f"  CDF of fragments per fragmented read, {name}"))
-    save_json(EXHIBIT, data, out_dir)
     return data

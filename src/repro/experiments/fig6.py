@@ -8,14 +8,10 @@ an adjacent range pays an extra seek because the defrag moved its data.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.defrag import OpportunisticDefrag
 from repro.core.translators import LogStructuredTranslator
-from repro.experiments.common import save_json
 from repro.trace.record import IORequest
 
-EXHIBIT = "fig6"
 UNIT = 8  # one toy "LBA" = 8 sectors (4 KiB)
 
 
@@ -40,8 +36,9 @@ def _scenario(defrag: bool) -> dict:
     return steps
 
 
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
-    """Regenerate the Fig. 6 walkthrough (seed/scale unused: exact scenario).
+def run(engine) -> dict:
+    """Regenerate the Fig. 6 walkthrough (exact scenario: the engine
+    is not read).
 
     Expected, matching the figure: the first read of LBAs 2..5 spans 4
     fragments (3 extra seeks); with defragmentation the re-read costs a
@@ -61,5 +58,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
           f"seeks={wd['rd_2_5_first']['read_seeks']}; re-read seeks="
           f"{wd['rd_2_5_again']['read_seeks']} (defragmented); "
           f"Rd1-2 seeks={wd['rd_1_2']['read_seeks']} (extra seek from relocation)")
-    save_json(EXHIBIT, data, out_dir)
     return data

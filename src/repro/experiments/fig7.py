@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.experiments.common import save_json
 from repro.experiments.render import sparkline
-from repro.experiments.sweep import sweep_engine
 from repro.workloads import FIG7_WORKLOADS
 
-EXHIBIT = "fig7"
 SAMPLE_OPS = 400
 
 
@@ -34,19 +29,17 @@ def write_sample(engine, trace) -> dict:
     }
 
 
-def needs(seed: int, scale: float) -> dict:
-    """The write sample of every Fig. 7 workload."""
-    return {name: [write_sample] for name in FIG7_WORKLOADS}
+#: The write sample of every Fig. 7 workload.
+NEEDS = {name: [write_sample] for name in FIG7_WORKLOADS}
 
 
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run(engine) -> dict:
     """Regenerate Fig. 7 for hm_1 and w106: a window of the write stream's
     LBAs, showing locally descending runs (the mis-ordered pattern).
 
     Shape to check: a visible fraction of consecutive writes step
     *backwards* in LBA even though the data is logically sequential.
     """
-    engine = sweep_engine(seed, scale)
     data = {}
     for name in FIG7_WORKLOADS:
         data[name] = engine.analysis(name, write_sample)
@@ -56,5 +49,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
             f"consecutive writes step backwards):"
         )
         print("  " + sparkline([float(x) for x in data[name]["lbas"]]))
-    save_json(EXHIBIT, data, out_dir)
     return data

@@ -8,15 +8,9 @@ agrees exactly with the reference scan
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.fast import MISORDER_HORIZON_KIB, misorder_rate_fast
-from repro.experiments.common import save_json
 from repro.experiments.render import hbar_chart
-from repro.experiments.sweep import sweep_engine
 from repro.workloads import TABLE1
-
-EXHIBIT = "fig8"
 
 
 def misorder(engine, trace) -> float:
@@ -24,19 +18,17 @@ def misorder(engine, trace) -> float:
     return round(misorder_rate_fast(trace), 5)
 
 
-def needs(seed: int, scale: float) -> dict:
-    """The rate of every Table I workload."""
-    return {name: [misorder] for name in TABLE1}
+#: The rate of every Table I workload.
+NEEDS = {name: [misorder] for name in TABLE1}
 
 
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run(engine) -> dict:
     """Regenerate Fig. 8: the fraction of writes whose LBA sequentially
     follows a write issued within the next 256 KB of written volume.
 
     Shape to check: rates reach roughly 1-in-20 for src2_2 and 1-in-25
     for w106, and are near zero for workloads without mis-ordered runs.
     """
-    engine = sweep_engine(seed, scale)
     data = {name: engine.analysis(name, misorder) for name in TABLE1}
     print(
         hbar_chart(
@@ -45,5 +37,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
             fmt="{:.4f}",
         )
     )
-    save_json(EXHIBIT, data, out_dir)
     return data

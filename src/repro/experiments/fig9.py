@@ -7,16 +7,11 @@ look-ahead-behind enabled (LBAs 3 and 4 are prefetched while reading 2).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.config import LS, TechniqueConfig
 from repro.core.prefetch import PrefetchConfig
-from repro.experiments.common import save_json
-from repro.experiments.sweep import sweep_engine
 from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 
-EXHIBIT = "fig9"
 UNIT = 8  # one toy "LBA" = 8 sectors (4 KiB)
 
 WITH_PREFETCH = TechniqueConfig(
@@ -40,16 +35,15 @@ def _scenario(stats) -> dict:
     }
 
 
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
-    """Regenerate the Fig. 9 walkthrough (seed/scale unused: exact scenario).
+def run(engine) -> dict:
+    """Regenerate the Fig. 9 walkthrough (exact scenario; the engine
+    only answers its two points).
 
     Expected, matching the figure: without prefetching the read of LBAs
     1..5 pays 5 seeks; with look-ahead-behind it pays 3, with LBAs 3 and 4
     served from the prefetch buffer.
     """
-    without, with_prefetch = sweep_engine(seed, scale).sweep(
-        _scenario_trace(), [LS, WITH_PREFETCH]
-    )
+    without, with_prefetch = engine.sweep(_scenario_trace(), [LS, WITH_PREFETCH])
     data = {
         "without_prefetch": _scenario(without.stats),
         "with_prefetch": _scenario(with_prefetch.stats),
@@ -59,5 +53,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
     print(f"  without prefetch: fragments={wo['fragments']} seeks={wo['read_seeks']}")
     print(f"  with prefetch:    fragments={wp['fragments']} seeks={wp['read_seeks']} "
           f"(buffer hits={wp['buffer_fragment_hits']})")
-    save_json(EXHIBIT, data, out_dir)
     return data

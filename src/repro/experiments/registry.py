@@ -1,17 +1,17 @@
-"""Exhibit registry mapping names to runner modules.
+"""Exhibit registry mapping names to runners.
 
-Every exhibit is a view over the per-trace result table of
-:class:`~repro.experiments.sweep.SweepEngine`.  Those that read Table I
-workloads declare what they read in :data:`NEEDS`: ``needs(seed, scale)``
-maps each workload to the technique configs (point rows) and analysis
-functions ``f(engine, trace)`` (analysis rows) the exhibit asks for.  The
-runner fills those rows one trace per task, in process or over a pool,
-before it renders the exhibits from the table.
+Every exhibit is ``run(engine) -> dict``, a view over the per-trace
+result table of the run's :class:`~repro.experiments.sweep.SweepEngine`.
+Those that read Table I workloads declare what they read in
+:data:`NEEDS`: each workload's technique configs (point rows) and
+analysis functions ``f(engine, trace)`` (analysis rows).  The runner fills
+those rows one trace per task, in process or over a pool, before it
+renders the exhibits from the table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.experiments import (
     ablations,
@@ -27,8 +27,9 @@ from repro.experiments import (
     fig11,
     table1,
 )
+from repro.experiments.sweep import SweepEngine
 
-Runner = Callable[..., dict]
+Runner = Callable[[SweepEngine], dict]
 
 EXHIBITS: Dict[str, Runner] = {
     "table1": table1.run,
@@ -53,22 +54,17 @@ EXHIBITS: Dict[str, Runner] = {
 """All regenerable exhibits: the paper's (in its order) plus ablations."""
 
 
-NEEDS: Dict[str, Callable[[int, float], dict]] = {
-    "table1": table1.needs,
-    "fig2": fig2.needs,
-    "fig3": fig3.needs,
-    "fig4": fig4.needs,
-    "fig5": fig5.needs,
-    "fig7": fig7.needs,
-    "fig8": fig8.needs,
-    "fig10": fig10.needs,
-    "fig11": fig11.needs,
-    "ablation_cache": ablations.cache_needs,
-    "ablation_defrag": ablations.defrag_needs,
-    "ablation_prefetch": ablations.prefetch_needs,
-    "ablation_multifrontier": ablations.multifrontier_needs,
-    "ablation_combined": ablations.combined_needs,
-    "taxonomy": ablations.taxonomy_needs,
+NEEDS: Dict[str, dict] = {
+    "table1": table1.NEEDS,
+    "fig2": fig2.NEEDS,
+    "fig3": fig3.NEEDS,
+    "fig4": fig4.NEEDS,
+    "fig5": fig5.NEEDS,
+    "fig7": fig7.NEEDS,
+    "fig8": fig8.NEEDS,
+    "fig10": fig10.NEEDS,
+    "fig11": fig11.NEEDS,
+    **ablations.NEEDS,
 }
 """What each Table-I-reading exhibit asks of the result table, per workload."""
 
@@ -88,14 +84,3 @@ def resolve_names(requested: Sequence[str]) -> List[str]:
                 f"unknown exhibit {name!r}; known: {', '.join(EXHIBITS)}"
             )
     return list(requested)
-
-
-def run_exhibit(name: str, seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
-    """Run one exhibit by name (KeyError lists the valid names)."""
-    try:
-        runner = EXHIBITS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown exhibit {name!r}; known: {', '.join(EXHIBITS)}"
-        ) from None
-    return runner(seed=seed, scale=scale, out_dir=out_dir)

@@ -3,7 +3,8 @@ and one fill of the result table, in process or over a pool.
 
 A long ``python -m repro.experiments all`` run must survive a bad exhibit,
 a hung exhibit, and a mid-run kill without losing completed work.  This
-module wraps :func:`~repro.experiments.registry.run_exhibit` with:
+module runs the exhibits of :data:`~repro.experiments.registry.EXHIBITS`,
+each ``run(engine) -> dict`` on the run's one engine, with:
 
 * **Per-exhibit isolation** — an exhibit that raises is recorded (status +
   full traceback) and, with ``keep_going``, the run continues.
@@ -17,9 +18,9 @@ module wraps :func:`~repro.experiments.registry.run_exhibit` with:
 * **Resume** — a rerun with ``resume=True`` skips exhibits whose manifest
   entry is ``ok``, whose fingerprint matches the current parameters, and
   whose JSON dump is present and valid; everything else is re-run.
-* **One fill** — every run first fills the per-trace result table
-  (:class:`~repro.experiments.sweep.SweepEngine`), one task per Table-I
-  trace the pending exhibits read
+* **One fill** — every run builds one per-trace result table
+  (:class:`~repro.experiments.sweep.SweepEngine`) and first fills it, one
+  task per Table-I trace the pending exhibits read
   (:data:`~repro.experiments.registry.NEEDS`), longest first by op count:
   in this process at ``jobs=1``, over a ``spawn`` process pool of ``jobs``
   workers otherwise.  A task synthesises or loads its trace once, records
@@ -28,6 +29,7 @@ module wraps :func:`~repro.experiments.registry.run_exhibit` with:
   at any ``jobs``.  A task that raises or times out is echoed, and the
   exhibit that asks for one of its rows recomputes it.
 
+The runner writes each exhibit's JSON (and, when asked, its SVG charts).
 Because exhibit JSON dumps and the manifest are both written via
 tmp-file+rename (:mod:`repro.util.io`), a run killed at any instant leaves
 only complete, parseable JSON on disk.
@@ -48,8 +50,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.experiments import common, registry
-from repro.experiments.sweep import SweepEngine, sweep_engine
+from repro.experiments import registry
+from repro.experiments.common import save_json
+from repro.experiments.sweep import SweepEngine
 from repro.util.io import atomic_write_json
 
 MANIFEST_NAME = "run.json"
@@ -273,9 +276,8 @@ def _fill_task(task: tuple) -> tuple:
     (:meth:`~repro.experiments.sweep.SweepEngine.fill`), under the
     per-exhibit time budget."""
     name, items, seed, scale, timeout_s, trace_store = task
-    common.set_trace_store(trace_store)
     with exhibit_timeout(timeout_s):
-        return SweepEngine(seed, scale).fill(name, items)
+        return SweepEngine(seed, scale, trace_store=trace_store).fill(name, items)
 
 
 def _reap_pool(pool: ProcessPoolExecutor) -> None:
@@ -294,12 +296,11 @@ def _reap_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _needs(names: Sequence[str], seed: int, scale: float) -> Dict[str, list]:
+def _needs(names: Sequence[str]) -> Dict[str, list]:
     """The rows ``names`` read, per workload, each item once."""
     wanted: Dict[str, list] = {}
     for name in names:
-        needs = registry.NEEDS.get(name)
-        for workload, items in (needs(seed, scale) if needs else {}).items():
+        for workload, items in registry.NEEDS.get(name, {}).items():
             bucket = wanted.setdefault(workload, [])
             for item in items:
                 if item not in bucket:
@@ -308,18 +309,20 @@ def _needs(names: Sequence[str], seed: int, scale: float) -> Dict[str, list]:
 
 
 def _fill_table(
-    names: Sequence[str], seed: int, scale: float, jobs: int, echo, *settings
+    engine: SweepEngine, names: Sequence[str], jobs: int, echo, timeout_s, trace_store
 ) -> None:
-    """Fill the ``(seed, scale)`` result table: one task per trace ``names``
-    read, longest first by op count, in this process at ``jobs=1`` and over
-    a ``spawn`` pool otherwise.  Each task adopts ``settings``: the run's
-    time budget and trace store."""
+    """Fill ``engine``'s result table: one task per trace ``names`` read,
+    longest first by op count, in this process at ``jobs=1`` and over a
+    ``spawn`` pool otherwise.  Each task builds its own engine on the run's
+    trace store, under the run's time budget."""
     from repro.workloads import get_spec
 
-    wanted = _needs(names, seed, scale)
+    wanted = _needs(names)
     order = sorted(wanted, key=lambda workload: -get_spec(workload).total_ops)
-    tasks = [(workload, wanted[workload], seed, scale, *settings) for workload in order]
-    engine = sweep_engine(seed, scale)
+    tasks = [
+        (workload, wanted[workload], engine.seed, engine.scale, timeout_s, trace_store)
+        for workload in order
+    ]
 
     def absorb(workload: str, result: Callable[[], tuple]) -> None:
         try:
@@ -402,77 +405,72 @@ def run_exhibits(
             and _json_dump_valid(Path(out_dir) / f"{name}.json")
         )
 
-    previous_store = common.trace_store()
-    common.set_trace_store(trace_store)
+    engine = SweepEngine(seed, scale, trace_store=trace_store)
     outcomes: List[ExhibitOutcome] = []
-    try:
-        with run_signal_handlers():
-            fill_start = time.time()
-            pending = [
-                name for name in names
-                if not skip_on_resume(name, exhibit_fingerprint(name, seed, scale))
-            ]
-            _fill_table(pending, seed, scale, jobs, echo, timeout_s, trace_store)
+    with run_signal_handlers():
+        fill_start = time.time()
+        pending = [
+            name for name in names
+            if not skip_on_resume(name, exhibit_fingerprint(name, seed, scale))
+        ]
+        _fill_table(engine, pending, jobs, echo, timeout_s, trace_store)
+        if manifest is not None:
+            manifest.fill_s = time.time() - fill_start
+            manifest.save()
+        for name in names:
+            fingerprint = exhibit_fingerprint(name, seed, scale)
+            if skip_on_resume(name, fingerprint):
+                echo(f"=== {name}: already complete, skipping (resume)")
+                outcomes.append(ExhibitOutcome(name, STATUS_SKIPPED))
+                continue
             if manifest is not None:
-                manifest.fill_s = time.time() - fill_start
-                manifest.save()
-            for name in names:
-                fingerprint = exhibit_fingerprint(name, seed, scale)
-                if skip_on_resume(name, fingerprint):
-                    echo(f"=== {name}: already complete, skipping (resume)")
-                    outcomes.append(ExhibitOutcome(name, STATUS_SKIPPED))
-                    continue
-                if manifest is not None:
-                    manifest.mark_running(name, fingerprint)
-                echo(f"=== {name} " + "=" * max(0, 66 - len(name)))
-                start = time.time()
-                status, error = STATUS_OK, None
-                try:
-                    with exhibit_timeout(timeout_s):
-                        data = registry.run_exhibit(
-                            name, seed=seed, scale=scale, out_dir=out_dir
-                        )
-                        if svg_dir:
-                            from repro.experiments.charts import render_svg
+                manifest.mark_running(name, fingerprint)
+            echo(f"=== {name} " + "=" * max(0, 66 - len(name)))
+            start = time.time()
+            status, error = STATUS_OK, None
+            try:
+                with exhibit_timeout(timeout_s):
+                    data = registry.EXHIBITS[name](engine)
+                    save_json(name, data, out_dir)
+                    if svg_dir:
+                        from repro.experiments.charts import render_svg
 
-                            for path in render_svg(name, data, svg_dir):
-                                echo(f"(svg) {path}")
-                except ExhibitTimeoutError as exc:
-                    status, error = STATUS_TIMEOUT, str(exc)
-                except (KeyboardInterrupt, RunInterrupted) as exc:
-                    # Finalize the manifest mid-exhibit: the interrupted
-                    # exhibit is failed (it did not finish), everything
-                    # before it keeps its recorded status, and a rerun
-                    # with resume=True picks up exactly here.
-                    cause = (
-                        f"interrupted ({exc.signal_name})"
-                        if isinstance(exc, RunInterrupted)
-                        else "interrupted (KeyboardInterrupt)"
+                        for path in render_svg(name, data, svg_dir):
+                            echo(f"(svg) {path}")
+            except ExhibitTimeoutError as exc:
+                status, error = STATUS_TIMEOUT, str(exc)
+            except (KeyboardInterrupt, RunInterrupted) as exc:
+                # Finalize the manifest mid-exhibit: the interrupted
+                # exhibit is failed (it did not finish), everything
+                # before it keeps its recorded status, and a rerun
+                # with resume=True picks up exactly here.
+                cause = (
+                    f"interrupted ({exc.signal_name})"
+                    if isinstance(exc, RunInterrupted)
+                    else "interrupted (KeyboardInterrupt)"
+                )
+                if manifest is not None:
+                    manifest.mark_done(
+                        name, STATUS_FAILED, fingerprint,
+                        time.time() - start, cause,
                     )
-                    if manifest is not None:
-                        manifest.mark_done(
-                            name, STATUS_FAILED, fingerprint,
-                            time.time() - start, cause,
-                        )
-                    raise
-                except Exception:
-                    status, error = STATUS_FAILED, traceback.format_exc()
-                duration = time.time() - start
+                raise
+            except Exception:
+                status, error = STATUS_FAILED, traceback.format_exc()
+            duration = time.time() - start
 
-                if manifest is not None:
-                    manifest.mark_done(name, status, fingerprint, duration, error)
-                outcomes.append(ExhibitOutcome(name, status, duration, error))
-                if status == STATUS_OK:
-                    echo(f"--- {name} done in {duration:.1f}s\n")
-                else:
-                    echo(f"--- {name} {status.upper()} after {duration:.1f}s")
-                    if error:
-                        echo(error.rstrip())
-                    echo("")
-                    if not keep_going:
-                        break
-    finally:
-        common.set_trace_store(previous_store)
+            if manifest is not None:
+                manifest.mark_done(name, status, fingerprint, duration, error)
+            outcomes.append(ExhibitOutcome(name, status, duration, error))
+            if status == STATUS_OK:
+                echo(f"--- {name} done in {duration:.1f}s\n")
+            else:
+                echo(f"--- {name} {status.upper()} after {duration:.1f}s")
+                if error:
+                    echo(error.rstrip())
+                echo("")
+                if not keep_going:
+                    break
     return outcomes
 
 

@@ -31,19 +31,18 @@ simulator's.  ``SweepEngine(fast=False)`` answers every point through the
 reference :class:`~repro.core.simulator.Simulator` instead — the oracle
 the differential tests compare the kernels against, never a run mode.
 
-Engines are memoized per ``(seed, scale)`` via :func:`sweep_engine`, so
-exhibits running in one process share results.  The runner fills an
-engine trace by trace, so an engine keeps only the last recorded stream,
-keyed by :meth:`~repro.trace.trace.Trace.content_key` (logically identical
-traces from different load paths share it), and traces come from the
-one-entry memo of :func:`~repro.experiments.common.workload_trace`, which
-consults the compiled-trace store.  No result is ever written to disk (the
-NoLS row costs ~0.2 ms a trace to compute, less than a file to publish).
+A run builds one engine and hands it to every exhibit it renders.  The
+runner fills it trace by trace, so an engine keeps only the last trace it
+loaded and the last stream it recorded, the stream keyed by
+:meth:`~repro.trace.trace.Trace.content_key` (logically identical traces
+from different load paths share it); a trace comes from the engine's
+compiled-trace store when it has one, else from synthesis.  No result is
+ever written to disk (the NoLS row costs ~0.2 ms a trace to compute, less
+than a file to publish).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,8 +57,9 @@ from repro.core.stream import (
     stream_replay,
     supports_stream,
 )
-from repro.experiments.common import workload_trace
+from repro.trace.store import TraceStore, synthetic_meta
 from repro.trace.trace import Trace
+from repro.workloads import synthesize_workload
 
 
 class SweepEngine:
@@ -69,12 +69,25 @@ class SweepEngine:
         seed / scale: Workload synthesis parameters.
         fast: Compute points with the kernels (True) or the reference
             :class:`~repro.core.simulator.Simulator` (False, the oracle).
+        trace_store: Directory of a compiled-trace store
+            (:mod:`repro.trace.store`): workload traces are loaded from it
+            and compiled into it on a miss.  ``None``: synthesis only.
     """
 
-    def __init__(self, seed: int = 42, scale: float = 1.0, fast: bool = True) -> None:
+    def __init__(
+        self,
+        seed: int = 42,
+        scale: float = 1.0,
+        fast: bool = True,
+        trace_store: Optional[str] = None,
+    ) -> None:
         self.seed = seed
         self.scale = scale
         self.fast = fast
+        self.trace_store = None if trace_store is None else TraceStore(trace_store)
+        # (workload name, trace) of the last trace asked for: a fill task
+        # asks for one trace, so one entry serves every ask of a task.
+        self._trace: Tuple[Optional[str], Optional[Trace]] = (None, None)
         # (trace.content_key(), stream) of the last recording; the content
         # key survives re-loads of the same workload, so a trace reaching
         # this engine through a different path (fresh synthesis vs
@@ -100,8 +113,21 @@ class SweepEngine:
     # ----------------------------------------------------------------- #
 
     def trace(self, name: str) -> Trace:
-        """The workload trace (memoized + compiled-store-backed)."""
-        return workload_trace(name, self.seed, self.scale)
+        """The workload trace, memoized for the last name asked: loaded
+        from the trace store, else synthesised (and compiled into the
+        store when there is one)."""
+        if self._trace[0] != name:
+            self._trace = (None, None)
+            trace = meta = None
+            if self.trace_store is not None:
+                meta = synthetic_meta(name, self.seed, self.scale)
+                trace = self.trace_store.load(meta)  # the entry keeps the trace's name
+            if trace is None:
+                trace = synthesize_workload(name, seed=self.seed, scale=self.scale)
+                if self.trace_store is not None:
+                    self.trace_store.store(trace, meta)
+            self._trace = (name, trace)
+        return self._trace[1]
 
     def stream_for(self, trace: Trace) -> FragmentStream:
         """The recorded fragment-access stream of ``trace``, memoized for
@@ -221,35 +247,3 @@ class SweepEngine:
         self.results_shared += counts[1]
         self.analyses_computed += counts[2]
         self.streams_recorded += counts[3]
-
-
-# --------------------------------------------------------------------- #
-# Process-wide engine registry
-# --------------------------------------------------------------------- #
-
-_ENGINES_MAX = 4
-_engines: "OrderedDict[Tuple[int, float], SweepEngine]" = OrderedDict()
-
-
-def sweep_engine(seed: int, scale: float) -> SweepEngine:
-    """The shared engine for ``(seed, scale)`` (bounded LRU registry).
-
-    Exhibits fetch their engine here so a run shares results (the NoLS
-    baselines among them) and the rows its fill tasks returned across
-    exhibits.
-    """
-    key = (seed, scale)
-    engine = _engines.get(key)
-    if engine is not None:
-        _engines.move_to_end(key)
-        return engine
-    engine = SweepEngine(seed=seed, scale=scale)
-    _engines[key] = engine
-    while len(_engines) > _ENGINES_MAX:
-        _engines.popitem(last=False)
-    return engine
-
-
-def reset_sweep_engines() -> None:
-    """Drop every memoized engine (tests; frees results)."""
-    _engines.clear()

@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.experiments.common import save_json
 from repro.experiments.render import format_table
-from repro.experiments.sweep import sweep_engine
 from repro.trace.stats import compute_stats
 from repro.workloads import TABLE1
-
-EXHIBIT = "table1"
 
 
 def trace_stats(engine, trace):
@@ -18,19 +12,17 @@ def trace_stats(engine, trace):
     return compute_stats(trace)
 
 
-def needs(seed: int, scale: float) -> dict:
-    """The stats of every Table I workload."""
-    return {name: [trace_stats] for name in TABLE1}
+#: The stats of every Table I workload.
+NEEDS = {name: [trace_stats] for name in TABLE1}
 
 
-def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
+def run(engine) -> dict:
     """Regenerate Table I: per-workload counts, volumes and mean sizes.
 
     Synthetic archetypes are scaled down from the paper's traces; the
     comparison columns are therefore *read fraction* and *mean write size*
     (scale-invariant), alongside the raw synthetic counts.
     """
-    engine = sweep_engine(seed, scale)
     rows = []
     data = {}
     for name, entry in TABLE1.items():
@@ -85,5 +77,4 @@ def run(seed: int, scale: float, out_dir: Optional[str] = None) -> dict:
             title="Table I: workload characteristics (paper vs synthetic archetype)",
         )
     )
-    save_json(EXHIBIT, data, out_dir)
     return data

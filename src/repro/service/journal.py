@@ -57,6 +57,8 @@ from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.service.wire import decode_payload, encode_payload, payload_nbytes
+
 _MAGIC = 0x524A4C31
 _HEADER = struct.Struct("<IQII")  # magic, seq, n, crc
 _GROUP_MAGIC = 0x524A4731
@@ -78,24 +80,6 @@ class JournalRecord:
         self.length = length
 
 
-def _encode(seq: int, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray) -> bytes:
-    n = len(lba)
-    payload = (
-        np.ascontiguousarray(is_read, dtype=np.uint8).tobytes()
-        + np.ascontiguousarray(lba, dtype=np.int64).tobytes()
-        + np.ascontiguousarray(length, dtype=np.int64).tobytes()
-    )
-    return _HEADER.pack(_MAGIC, seq, n, zlib.crc32(payload)) + payload
-
-
-def _decode_payload(seq: int, n: int, payload: bytes) -> JournalRecord:
-    is_read = np.frombuffer(payload, dtype=np.uint8, count=n, offset=0).astype(bool)
-    # Copy out of the (possibly unaligned) byte buffer.
-    lba = np.array(np.frombuffer(payload, dtype=np.int64, count=n, offset=n))
-    length = np.array(np.frombuffer(payload, dtype=np.int64, count=n, offset=9 * n))
-    return JournalRecord(seq, is_read, lba, length)
-
-
 def _scan_one(data: bytes, offset: int):
     """Decode the record starting at ``offset``; ``(records, end)`` or None.
 
@@ -111,13 +95,13 @@ def _scan_one(data: bytes, offset: int):
         if offset + _HEADER.size > len(data):
             return None
         _, seq, n, crc = _HEADER.unpack_from(data, offset)
-        end = offset + _HEADER.size + n * (1 + 8 + 8)
+        end = offset + _HEADER.size + payload_nbytes(n)
         if end > len(data):
             return None
         payload = data[offset + _HEADER.size : end]
         if zlib.crc32(payload) != crc:
             return None
-        return [_decode_payload(seq, n, payload)], end
+        return [JournalRecord(seq, *decode_payload(payload, n))], end
     if magic == _GROUP_MAGIC:
         if offset + _GROUP_HEADER.size > len(data):
             return None
@@ -127,7 +111,7 @@ def _scan_one(data: bytes, offset: int):
         if payload_at > len(data):
             return None
         counts = struct.unpack_from(f"<{k}I", data, counts_at)
-        end = payload_at + sum(counts) * (1 + 8 + 8)
+        end = payload_at + payload_nbytes(sum(counts))
         if end > len(data):
             return None
         if zlib.crc32(data[counts_at:end]) != crc:
@@ -135,8 +119,8 @@ def _scan_one(data: bytes, offset: int):
         records = []
         at = payload_at
         for i, n in enumerate(counts):
-            nxt = at + n * (1 + 8 + 8)
-            records.append(_decode_payload(first_seq + i, n, data[at:nxt]))
+            nxt = at + payload_nbytes(n)
+            records.append(JournalRecord(first_seq + i, *decode_payload(data[at:nxt], n)))
             at = nxt
         return records, end
     if magic == _RETIRED_REF_MAGIC:
@@ -211,7 +195,10 @@ class OpJournal:
         self, seq: int, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray
     ) -> None:
         """Durably journal one batch (fsync before returning)."""
-        self._write_durably(_encode(seq, is_read, lba, length))
+        payload = encode_payload(is_read, lba, length)
+        self._write_durably(
+            _HEADER.pack(_MAGIC, seq, len(lba), zlib.crc32(payload)) + payload
+        )
 
     def append_group(
         self, first_seq: int, counts: Sequence[int], payload: bytes
@@ -227,7 +214,7 @@ class OpJournal:
         """
         k = len(counts)
         counts_bytes = struct.pack(f"<{k}I", *counts)
-        expected = sum(int(n) for n in counts) * (1 + 8 + 8)
+        expected = payload_nbytes(sum(int(n) for n in counts))
         if len(payload) != expected:
             raise ValueError(
                 f"group payload is {len(payload)} bytes; counts need {expected}"

@@ -101,7 +101,9 @@ def file_meta(
         "args": {k: parse_args[k] for k in sorted(parse_args)},
         "parser_version": COLUMNAR_PARSER_VERSION,
         "source": hash_file(path),
-        "name": Path(path).stem,
+        # A CSV parse report is named by the full path: key on it, so a
+        # copy elsewhere is a miss rather than another file's report.
+        "name": str(Path(path)) if fmt == "csv" else Path(path).stem,
     }
 
 

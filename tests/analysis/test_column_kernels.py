@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.classify import characterize
-from repro.experiments import ablations, common, fig7, sweep, table1
-from repro.experiments.sweep import reset_sweep_engines
+from repro.experiments import ablations, fig7, table1
+from repro.experiments.sweep import SweepEngine
 from repro.trace.trace import Trace, TraceColumns
 from repro.trace.stats import compute_stats
 from repro.trace.store import TraceStore, synthetic_meta
@@ -107,22 +107,17 @@ def test_no_request_object_between_the_seed_and_the_kernels(
     assert len(request_constructions) == len(trace)
 
 
-def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions, monkeypatch):
-    served = {}
+def test_fast_exhibits_leave_every_cached_trace_columnar(request_constructions):
+    engine, served = SweepEngine(42, 0.05), {}
+    trace = engine.trace
 
-    def serving(name, seed, scale):
-        served[name] = common.workload_trace(name, seed, scale)
+    def serving(name):
+        served[name] = trace(name)
         return served[name]
 
-    monkeypatch.setattr(sweep, "workload_trace", serving)
-    common._trace_cache.clear()
-    reset_sweep_engines()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            for run in (table1.run, ablations.run_taxonomy, fig7.run):
-                run(seed=42, scale=0.05)
-        assert len(served) == 21
-        assert not request_constructions
-    finally:
-        common._trace_cache.clear()
-        reset_sweep_engines()
+    engine.trace = serving
+    with contextlib.redirect_stdout(io.StringIO()):
+        for run in (table1.run, ablations.run_taxonomy, fig7.run):
+            run(engine)
+    assert len(served) == 21
+    assert not request_constructions

@@ -26,7 +26,8 @@ from repro.core.recorders import FragmentationRecorder, SeekLogRecorder
 from repro.core.simulator import replay
 from repro.experiments import (ablations, fig2, fig3, fig4, fig5, fig7, fig8, fig10, fig11, sweep,
                                table1)
-from repro.experiments.registry import EXHIBITS, run_exhibit
+from repro.experiments.common import save_json
+from repro.experiments.registry import EXHIBITS
 from repro.workloads import TABLE1
 from tests.analysis.request_loops import characterize_loop, compute_stats_loop
 
@@ -118,15 +119,11 @@ def _small_sets(monkeypatch):
         monkeypatch.setattr(module, attr, WORKLOADS)
     for module in (table1, fig8, ablations):
         monkeypatch.setattr(module, "TABLE1", {name: TABLE1[name] for name in WORKLOADS})
-    yield
-    sweep.reset_sweep_engines()
 
 
 def _render(name, out_dir, engine):
-    sweep.reset_sweep_engines()
-    sweep._engines[SEED, SCALE] = engine
     with contextlib.redirect_stdout(io.StringIO()):
-        run_exhibit(name, seed=SEED, scale=SCALE, out_dir=str(out_dir))
+        save_json(name, EXHIBITS[name](engine), str(out_dir))
     return (out_dir / f"{name}.json").read_bytes()
 
 

@@ -11,7 +11,9 @@ import pytest
 
 from repro.experiments import fig6, fig8, fig9, table1
 from repro.experiments.common import downsample, save_json
-from repro.experiments.registry import EXHIBITS, run_exhibit
+from repro.experiments.registry import EXHIBITS, resolve_names
+from repro.experiments.runner import run_exhibits
+from repro.experiments.sweep import SweepEngine
 
 SMALL = dict(seed=42, scale=0.1)
 
@@ -44,39 +46,38 @@ class TestRegistry:
 
     def test_unknown_exhibit(self):
         with pytest.raises(KeyError, match="unknown exhibit"):
-            run_exhibit("fig99", **SMALL)
+            resolve_names(["fig99"])
 
 
 class TestScenarioExhibits:
     def test_fig6_matches_paper_walkthrough(self):
-        data = fig6.run(**SMALL)
+        data = fig6.run(SweepEngine(**SMALL))
         assert data["without_defrag"]["rd_2_5_first"]["read_seeks"] == 4
         assert data["with_defrag"]["rd_2_5_again"]["read_seeks"] <= 1
         assert data["with_defrag"]["rd_1_2"]["read_seeks"] == 2
 
     def test_fig9_matches_paper_walkthrough(self):
-        data = fig9.run(**SMALL)
+        data = fig9.run(SweepEngine(**SMALL))
         assert data["without_prefetch"]["read_seeks"] == 5
         assert data["with_prefetch"]["read_seeks"] == 3
 
 
 class TestTraceDrivenExhibits:
     def test_table1_rows_for_all_workloads(self):
-        data = table1.run(**SMALL)
+        data = table1.run(SweepEngine(**SMALL))
         assert len(data) == 21
         assert data["w91"]["paper"]["read_count"] == 3147384
         assert data["w91"]["synthetic"]["read_count"] > 0
 
     def test_fig8_rates_in_range(self):
-        data = fig8.run(**SMALL)
+        data = fig8.run(SweepEngine(**SMALL))
         assert len(data) == 21
         assert all(0.0 <= rate <= 1.0 for rate in data.values())
 
     def test_json_dump(self, tmp_path):
-        data = fig6.run(**SMALL, out_dir=str(tmp_path))
-        path = tmp_path / "fig6.json"
-        assert path.exists()
-        assert json.loads(path.read_text()) == data
+        run_exhibits(["fig6"], out_dir=str(tmp_path), echo=lambda s: None)
+        data = fig6.run(SweepEngine(**SMALL))
+        assert json.loads((tmp_path / "fig6.json").read_text()) == data
 
 
 class TestCommonHelpers:

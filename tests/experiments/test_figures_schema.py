@@ -8,13 +8,14 @@ shape assertions in tests/integration.
 import pytest
 
 from repro.experiments import fig2, fig3, fig4, fig5, fig7, fig10, fig11
+from repro.experiments.sweep import SweepEngine
 
-TINY = dict(seed=42, scale=0.05)
+TINY = SweepEngine(seed=42, scale=0.05)  # shared: tests reuse its rows
 
 
 class TestFig2Schema:
     def test_rows(self):
-        data = fig2.run(**TINY)
+        data = fig2.run(TINY)
         assert len(data) == 21
         for row in data.values():
             assert row["family"] in ("msr", "cloudphysics")
@@ -25,7 +26,7 @@ class TestFig2Schema:
 
 class TestFig3Schema:
     def test_rows(self):
-        data = fig3.run(**TINY)
+        data = fig3.run(TINY)
         for row in data.values():
             assert set(row) >= {
                 "window_ops",
@@ -42,7 +43,7 @@ class TestFig3Schema:
 
 class TestFig4Schema:
     def test_rows(self):
-        data = fig4.run(**TINY)
+        data = fig4.run(TINY)
         for row in data.values():
             assert 0.0 <= row["nols_fraction_within_window"] <= 1.0
             assert 0.0 <= row["ls_fraction_within_window"] <= 1.0
@@ -53,7 +54,7 @@ class TestFig4Schema:
 
 class TestFig5Schema:
     def test_rows(self):
-        data = fig5.run(**TINY)
+        data = fig5.run(TINY)
         for row in data.values():
             assert row["total_fragments"] >= 2 * row["fragmented_reads"]
             assert row["max_fragments_per_read"] >= 2 or row["fragmented_reads"] == 0
@@ -63,7 +64,7 @@ class TestFig5Schema:
 
 class TestFig7Schema:
     def test_rows(self):
-        data = fig7.run(**TINY)
+        data = fig7.run(TINY)
         for row in data.values():
             assert 0.0 <= row["descending_step_fraction_all"] <= 1.0
             assert len(row["lbas"]) == row["sample_ops"] or len(row["lbas"]) <= 400
@@ -71,7 +72,7 @@ class TestFig7Schema:
 
 class TestFig10Schema:
     def test_rows(self):
-        data = fig10.run(**TINY)
+        data = fig10.run(TINY)
         for row in data.values():
             assert row["cache_mib_for_50pct"] <= row["cache_mib_for_80pct"] + 1e-9
             assert row["cache_mib_for_80pct"] <= row["cache_mib_for_90pct"] + 1e-9
@@ -84,7 +85,7 @@ class TestFig10Schema:
 
 class TestFig11Schema:
     def test_rows(self):
-        data = fig11.run(**TINY)
+        data = fig11.run(TINY)
         assert len(data) == 21
         for row in data.values():
             for config in ("LS", "LS+defrag", "LS+prefetch", "LS+cache"):

@@ -3,37 +3,35 @@
 The ``--jobs`` pool and the extent-map tier are *unobservable* in the
 results.  These tests run real (workload-reduced) exhibits in process and
 over the pool and assert every run writes the same bytes.  The
-workload-set monkeypatches live in the parent, which is where exhibits and
-their ``needs`` run; pool tasks only compute the rows they are sent.
+workload-set monkeypatches live in the parent, which is where exhibits run
+and their ``NEEDS`` are read; pool tasks only compute the rows they are
+sent.
 """
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import common, fig4, fig11
+from repro.experiments import fig4, fig11, registry
 from repro.experiments.runner import run_exhibits
-from repro.experiments.sweep import reset_sweep_engines
 
 QUIET = {"echo": lambda s: None}
 SEED, SCALE = 42, 0.05
 
 
 @pytest.fixture(autouse=True)
-def _clean_state(monkeypatch):
-    """Small workload sets, and no shared replay state leaking either way."""
-    monkeypatch.setattr(fig4, "FIG4_WORKLOADS", ("usr_0", "src2_2"))
-    monkeypatch.setattr(fig11, "MSR_WORKLOADS", ("hm_1",))
-    monkeypatch.setattr(fig11, "CLOUDPHYSICS_WORKLOADS", ("w91",))
-    common.set_trace_store(None)
-    common._trace_cache.clear()
-    reset_sweep_engines()
-    yield
-    common.set_trace_store(None)
-    common._trace_cache.clear()
-    reset_sweep_engines()
+def _small_sets(monkeypatch):
+    """Small workload sets, rendered and filled."""
+    for module, attr, names in ((fig4, "FIG4_WORKLOADS", ("usr_0", "src2_2")),
+                                (fig11, "MSR_WORKLOADS", ("hm_1",)),
+                                (fig11, "CLOUDPHYSICS_WORKLOADS", ("w91",))):
+        monkeypatch.setattr(module, attr, names)
+    for name, module, names in (("fig4", fig4, ("usr_0", "src2_2")),
+                                ("fig11", fig11, ("hm_1", "w91"))):
+        monkeypatch.setitem(registry.NEEDS, name, {w: module.NEEDS[w] for w in names})
 
 
 def _dumps(out_dir) -> dict:
@@ -44,10 +42,10 @@ def _dumps(out_dir) -> dict:
     }
 
 
-def _run(names, out_dir, jobs):
-    reset_sweep_engines()
+def _run(names, out_dir, jobs, trace_store=None):
     outcomes = run_exhibits(
-        names, seed=SEED, scale=SCALE, out_dir=str(out_dir), jobs=jobs, **QUIET
+        names, seed=SEED, scale=SCALE, out_dir=str(out_dir), jobs=jobs,
+        trace_store=trace_store, **QUIET
     )
     bad = [(o.name, o.status, o.error) for o in outcomes if not o.ok]
     assert not bad, bad
@@ -73,7 +71,6 @@ def test_map_tier_is_byte_identical_across_jobs(tmp_path, monkeypatch):
     for tier in MAP_TIERS:
         monkeypatch.setenv(ENV_TIER, tier)
         for jobs in (1, 4):
-            common._trace_cache.clear()
             dumps = _run(names, tmp_path / f"{tier}{jobs}", jobs=jobs)
             assert dumps == reference, f"tier={tier} jobs={jobs} diverged"
 
@@ -81,11 +78,11 @@ def test_map_tier_is_byte_identical_across_jobs(tmp_path, monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_none_means_no_store_whatever_the_process_had_set(tmp_path, jobs):
     """``trace_store=None`` disables the store for the run — in process as
-    under the pool, where each task sets what the run was given — and the
-    caller's process-wide store comes back after."""
+    under the pool, where each task gets what the run was given — whatever
+    store an earlier run in the process used."""
     traces = tmp_path / "traces"
-    common.set_trace_store(str(traces))
-    before = common.trace_store()
+    _run(["fig4"], tmp_path / "first", jobs=jobs, trace_store=str(traces))
+    assert len(list(traces.glob("*"))) == 2
+    shutil.rmtree(traces)
     _run(["fig4"], tmp_path / "out", jobs=jobs)
-    assert not list(traces.glob("*"))
-    assert common.trace_store() is before
+    assert not traces.exists()

@@ -13,26 +13,14 @@ import contextlib
 import dataclasses
 import io
 
-import pytest
-
-from repro.experiments import common
+from repro.experiments import fig9, runner
 from repro.experiments import sweep as sweep_module
 from repro.experiments.registry import EXHIBITS
 from repro.experiments.runner import run_exhibits
-from repro.experiments.sweep import SweepEngine, reset_sweep_engines, sweep_engine
+from repro.experiments.sweep import SweepEngine
 from repro.workloads import TABLE1
 
 SEED, SCALE = 42, 0.05
-
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    common.set_trace_store(None)
-    common._trace_cache.clear()
-    reset_sweep_engines()
-    yield
-    common._trace_cache.clear()
-    reset_sweep_engines()
 
 
 def _table1_guard(real, what):
@@ -55,16 +43,26 @@ def _all_run_computes_each_row_once(monkeypatch, jobs):
     asked = []  # one (content key, technique) per point asked for
     analyses = []  # one (workload, function) per analysis asked for
     evaluated = []  # one entry per kernel call in this process
+    engines = []  # the run's engine first, then any in-process fill task's
+    rendered = []  # what the run's engine computed itself: only the render does
 
     real_point, real_analysis = SweepEngine._point, SweepEngine.analysis
 
     def asking(self, key, config, trace_of):
         asked.append((key, dataclasses.replace(config, name="")))
-        return real_point(self, key, config, trace_of)
+        computed = self.results_computed
+        result = real_point(self, key, config, trace_of)
+        if self is engines[0] and self.results_computed > computed:
+            rendered.append(key)
+        return result
 
     def analysing(self, name, fn):
         analyses.append((name, fn))
-        return real_analysis(self, name, fn)
+        computed = self.analyses_computed
+        row = real_analysis(self, name, fn)
+        if self is engines[0] and self.analyses_computed > computed:
+            rendered.append(name)
+        return row
 
     def counting(name):
         real = getattr(sweep_module, name)
@@ -77,13 +75,19 @@ def _all_run_computes_each_row_once(monkeypatch, jobs):
 
     monkeypatch.setattr(SweepEngine, "_point", asking)
     monkeypatch.setattr(SweepEngine, "analysis", analysing)
+
+    def building(*args, **kwargs):
+        engines.append(SweepEngine(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(runner, "SweepEngine", building)
     counting("stream_replay")
     counting("batch_replay")
     if jobs > 1:
         # The spawned workers import the real modules; in the parent, with
         # no stores, any Table-I trace or stream would be built here.
         for module, name, what in (
-            (common, "synthesize_workload", "synthesised"),
+            (sweep_module, "synthesize_workload", "synthesised"),
             (sweep_module, "record_fragment_stream", "recorded the stream of"),
         ):
             monkeypatch.setattr(module, name, _table1_guard(getattr(module, name), what))
@@ -94,7 +98,10 @@ def _all_run_computes_each_row_once(monkeypatch, jobs):
         )
     assert all(outcome.ok for outcome in outcomes), [o.error for o in outcomes]
 
-    engine = sweep_engine(SEED, SCALE)
+    engine = engines[0]
+    # Rendering computes no row NEEDS declares: only fig9's toy trace is
+    # not filled (ablation_cleaning replays its own workload off the table).
+    assert set(rendered) == {fig9._scenario_trace().content_key()}
     distinct = len(set(asked))
     assert 100 < distinct < len(asked), "the exhibits no longer revisit points?"
     assert engine.results_computed == distinct == len(engine._results)

@@ -17,15 +17,11 @@ def fake_exhibits(monkeypatch, tmp_path):
     calls = []
 
     def make(name, fail=False):
-        def run(seed=42, scale=1.0, out_dir=None):
+        def run(engine):
             calls.append(name)
             if fail:
                 raise RuntimeError(f"{name} exploded")
-            if out_dir is not None:
-                from repro.experiments.common import save_json
-
-                save_json(name, {"name": name, "seed": seed}, out_dir)
-            return {"name": name}
+            return {"name": name, "seed": engine.seed}
 
         return run
 
@@ -115,7 +111,7 @@ class TestTimeout:
     def test_timeout_marks_exhibit(self, monkeypatch, tmp_path):
         import time
 
-        def sleepy(seed=42, scale=1.0, out_dir=None):
+        def sleepy(engine):
             time.sleep(5.0)
             return {}
 

@@ -19,15 +19,11 @@ def sigterm_exhibits(monkeypatch):
     calls = []
 
     def make(name, sig=None):
-        def run(seed=42, scale=1.0, out_dir=None):
+        def run(engine):
             calls.append(name)
             if sig is not None:
                 os.kill(os.getpid(), sig)
-            if out_dir is not None:
-                from repro.experiments.common import save_json
-
-                save_json(name, {"name": name, "seed": seed}, out_dir)
-            return {"name": name}
+            return {"name": name, "seed": engine.seed}
 
         return run
 
@@ -79,13 +75,9 @@ def test_sigterm_mid_exhibit_finalizes_manifest_for_resume(
     original_beta = fakes["beta"]
     calls = []
 
-    def tame_beta(seed=42, scale=1.0, out_dir=None):
+    def tame_beta(engine):
         calls.append("beta")
-        from repro.experiments.common import save_json
-
-        if out_dir is not None:
-            save_json("beta", {"name": "beta", "seed": seed}, out_dir)
-        return {"name": "beta"}
+        return {"name": "beta", "seed": engine.seed}
 
     fakes["beta"] = tame_beta
     monkeypatch.setattr(registry, "EXHIBITS", fakes)
@@ -115,7 +107,7 @@ def test_parallel_interrupt_cancels_reaps_and_finalizes(sigterm_exhibits, monkey
 
     monkeypatch.setattr(runner, "_reap_pool", spy_reap)
     monkeypatch.setattr(runner, "wait", interrupting_wait)
-    monkeypatch.setitem(registry.NEEDS, "alpha", lambda seed, scale: {"hm_1": [LS]})
+    monkeypatch.setitem(registry.NEEDS, "alpha", {"hm_1": [LS]})
 
     with pytest.raises(RunInterrupted):
         run_exhibits(

@@ -18,43 +18,21 @@ from repro.core.config import (LS, LS_CACHE, LS_DEFRAG, NOLS, PAPER_CONFIGS, Mul
 from repro.core.defrag import DefragConfig
 from repro.core.prefetch import PrefetchConfig
 from repro.core.selective_cache import SelectiveCacheConfig
-from repro.experiments import common, fig11
+from repro.experiments import fig11
 from repro.experiments import sweep as sweep_module
-from repro.experiments.sweep import SweepEngine, reset_sweep_engines, sweep_engine
+from repro.experiments.sweep import SweepEngine
 from repro.trace.store import TraceStore
 from repro.workloads import get_spec, synthesize_workload
 
 SEED, SCALE = 42, 0.05
 
 
-@pytest.fixture(autouse=True)
-def _clean_state():
-    """Each test starts and ends with no shared replay state."""
-    common.set_trace_store(None)
-    common._trace_cache.clear()
-    reset_sweep_engines()
-    yield
-    common.set_trace_store(None)
-    common._trace_cache.clear()
-    reset_sweep_engines()
-
-
-def _quiet(fn, **kwargs):
+def _quiet(fn, *args):
     with contextlib.redirect_stdout(io.StringIO()):
-        return fn(**kwargs)
+        return fn(*args)
 
 
 class TestEngineSharing:
-    def test_registry_memoizes_per_seed_scale(self):
-        assert sweep_engine(1, 0.5) is sweep_engine(1, 0.5)
-        assert sweep_engine(1, 0.5) is not sweep_engine(2, 0.5)
-        reset_sweep_engines()
-        first = sweep_engine(1, 0.5)
-        assert sweep_engine(1, 0.5) is first
-        for seed in range(2, 6):  # one more than the registry keeps
-            sweep_engine(seed, 0.5)
-        assert sweep_engine(1, 0.5) is not first
-
     def test_one_recording_serves_many_configs(self):
         engine = SweepEngine(seed=SEED, scale=SCALE, fast=True)
         trace = engine.trace("hm_1")
@@ -211,18 +189,14 @@ class TestTraceStoreIntegration:
         """With a primed store, a fig11 run loads each workload exactly once."""
         monkeypatch.setattr(fig11, "MSR_WORKLOADS", ("hm_1",))
         monkeypatch.setattr(fig11, "CLOUDPHYSICS_WORKLOADS", ("w91",))
-        store = TraceStore(tmp_path / "store")
-        common.set_trace_store(store)
+        engine = SweepEngine(SEED, SCALE, trace_store=str(tmp_path / "store"))
+        _quiet(fig11.run, engine)  # misses prime the store
+        assert engine.trace_store.hits == 0 and engine.trace_store.misses == 2
 
-        _quiet(fig11.run, seed=SEED, scale=SCALE)  # misses prime the store
-        assert store.hits == 0 and store.misses == 2
-
-        common._trace_cache.clear()
-        reset_sweep_engines()
-        store.hits = store.misses = 0
-        _quiet(fig11.run, seed=SEED, scale=SCALE)
-        assert store.hits == 2, "expected exactly one store hit per workload"
-        assert store.misses == 0
+        engine = SweepEngine(SEED, SCALE, trace_store=str(tmp_path / "store"))
+        _quiet(fig11.run, engine)
+        assert engine.trace_store.hits == 2, "expected exactly one store hit per workload"
+        assert engine.trace_store.misses == 0
 
     def test_store_counts_corrupt_entry_as_miss(self, tmp_path):
         from repro.trace.store import synthetic_meta

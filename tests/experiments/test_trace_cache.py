@@ -1,4 +1,4 @@
-"""The workload-trace memo holds one trace, and a run still builds each once.
+"""An engine's trace memo holds one trace, and a run still builds each once.
 
 The runner fills the result table one trace per task, so the exhibits
 never come back to a trace after its task.
@@ -8,22 +8,10 @@ import collections
 
 import pytest
 
-from repro.experiments import common
 from repro.experiments.__main__ import main
-from repro.experiments.sweep import reset_sweep_engines
+from repro.experiments.sweep import SweepEngine
 from repro.workloads import TABLE1
 from repro.workloads.generator import WorkloadGenerator
-
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    def reset():
-        common._trace_cache.clear()
-        reset_sweep_engines()
-
-    reset()
-    yield
-    reset()
 
 
 @pytest.fixture
@@ -50,10 +38,9 @@ def test_storeless_all_synthesizes_each_trace_once(generated, tmp_path, capsys):
 
 def test_memo_keeps_only_the_last_trace(generated):
     a, b = list(TABLE1)[:2]
-    first = common.workload_trace(a, 1, 0.05)
-    assert common.workload_trace(a, 1, 0.05) is first
-    assert [trace.name for trace in common._trace_cache.values()] == [a]
-    common.workload_trace(b, 1, 0.05)
-    assert [trace.name for trace in common._trace_cache.values()] == [b]
-    common.workload_trace(a, 1, 0.05)  # was dropped: synthesized again
+    engine = SweepEngine(1, 0.05)
+    first = engine.trace(a)
+    assert engine.trace(a) is first
+    assert engine.trace(b).name == b
+    assert engine.trace(a) is not first  # was dropped: synthesized again
     assert generated[a, 1, 0.05] == 2 and generated[b, 1, 0.05] == 1

@@ -35,27 +35,19 @@ def _exhibit_bytes(out_dir) -> dict:
 
 
 @pytest.fixture
-def fake_exhibits(monkeypatch):
-    """A registry of tiny exhibits that log each run to ``<name>.ran``.
-
-    The log file survives process boundaries (unlike a closure list), so
-    tests can count executions even when the exhibit ran in a pool worker.
-    """
+def fake_exhibits(monkeypatch, tmp_path):
+    """A registry of tiny exhibits that log each run to
+    ``<tmp_path>/<name>.ran``, one line per run."""
 
     def make(name, fail=False, sleep=0.0):
-        def run(seed=42, scale=1.0, out_dir=None):
-            if out_dir is not None:
-                with open(Path(out_dir) / f"{name}.ran", "a") as handle:
-                    handle.write(f"{os.getpid()}\n")
+        def run(engine):
+            with open(tmp_path / f"{name}.ran", "a") as handle:
+                handle.write(f"{os.getpid()}\n")
             if sleep:
                 time.sleep(sleep)
             if fail:
                 raise RuntimeError(f"{name} exploded")
-            if out_dir is not None:
-                from repro.experiments.common import save_json
-
-                save_json(name, {"name": name, "seed": seed, "scale": scale}, out_dir)
-            return {"name": name}
+            return {"name": name, "seed": engine.seed, "scale": engine.scale}
 
         return run
 
@@ -144,7 +136,7 @@ class TestParallelSemantics:
     def test_timeout_fires_inside_worker(self, fake_exhibits, monkeypatch, tmp_path):
         """A pool task over budget gives up (its row is recomputed by the
         exhibit that asks), instead of holding the run for its full nap."""
-        monkeypatch.setitem(registry.NEEDS, "sleepy", lambda seed, scale: {"hm_1": [nap]})
+        monkeypatch.setitem(registry.NEEDS, "sleepy", {"hm_1": [nap]})
         start = time.time()
         outcomes = run_exhibits(
             ["sleepy"],

@@ -38,7 +38,7 @@ class TestSmokeRun:
     def test_failing_exhibit_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         from repro.experiments import registry
 
-        def boom(seed=42, scale=1.0, out_dir=None):
+        def boom(engine):
             raise RuntimeError("smoke boom")
 
         fakes = dict(registry.EXHIBITS)

@@ -132,3 +132,27 @@ def test_rotate_and_prune_respect_retained_needs(tmp_path):
     assert journal.segment_first_seqs() == [3]
     assert [r.seq for r in journal.replay_after(2)] == [3]
     journal.close()
+
+
+def test_record_layouts_are_pinned(tmp_path):
+    """One RJL1 record and one RJG1 group, byte for byte (little-endian)."""
+    journal = OpJournal(tmp_path)
+    journal.open_segment(1)
+    journal.append(1, np.array([True, False]), np.array([8, 16]), np.array([8, 24]))
+    journal.append_group(
+        2, [1, 2],
+        encode_payload(np.array([False]), np.array([32]), np.array([8]))
+        + encode_payload(np.array([True, True]), np.array([0, 2**40]), np.array([1, 4096])),
+    )
+    journal.close()
+    (segment,) = (tmp_path / "journal").iterdir()
+    assert segment.read_bytes().hex() == (
+        "314c4a52" "0100000000000000" "02000000" "a4c3c125"  # RJL1, seq, n, crc
+        "0100" "0800000000000000" "1000000000000000" "0800000000000000" "1800000000000000"
+        "31474a52" "0200000000000000" "02000000" "be1268b2"  # RJG1, first_seq, k, crc
+        "01000000" "02000000"  # ops per batch
+        "00" "2000000000000000" "0800000000000000"
+        "0101" "0000000000000000" "0000000000010000" "0100000000000000" "0010000000000000"
+    )
+    records = list(OpJournal(tmp_path).replay_after(0))
+    assert [(r.seq, r.lba.tolist()) for r in records] == [(1, [8, 16]), (2, [32]), (3, [0, 2**40])]

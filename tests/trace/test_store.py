@@ -102,6 +102,16 @@ class TestRoundTrip:
         header_path.write_text(json.dumps({**header, "report": literal}))
         assert store.load(meta).parse_report == parsed.parse_report
 
+    def test_copies_in_two_directories_keep_their_own_report_name(self, source, store):
+        copy = source.parent / "copy" / source.name
+        copy.parent.mkdir()
+        shutil.copy(source, copy)
+        load_trace(source, "csv", store=store, policy="lenient")
+        served = load_trace(copy, "csv", store=store, policy="lenient")
+        fresh = load_trace(copy, "csv", policy="lenient")
+        assert served.parse_report.name == str(copy)
+        assert _report_tuple(served.parse_report) == _report_tuple(fresh.parse_report)
+
     def test_synthetic_round_trip_without_report(self, store):
         trace = synthesize_workload("hm_1", seed=7, scale=0.01)
         meta = synthetic_meta("hm_1", 7, 0.01)
@@ -265,28 +275,21 @@ class TestCorruption:
 
 class TestExperimentIntegration:
     def test_workload_trace_round_trips_through_store(self, tmp_path, monkeypatch):
-        from repro.experiments import common
+        from repro.experiments import sweep
 
         direct = synthesize_workload("hm_1", seed=3, scale=0.01)
-        previous = common.trace_store()
-        common.set_trace_store(tmp_path / "store")
-        try:
-            common._trace_cache.clear()
-            first = common.workload_trace("hm_1", 3, 0.01)
-            assert list(first) == list(direct)
-            assert len(_entries(common.trace_store())) == 1
+        engine = sweep.SweepEngine(3, 0.01, trace_store=str(tmp_path / "store"))
+        first = engine.trace("hm_1")
+        assert list(first) == list(direct)
+        assert len(_entries(engine.trace_store)) == 1
 
-            # A cold process (empty LRU) must load from the store, not
-            # re-synthesize: poison the generator to prove it.
-            common._trace_cache.clear()
-            monkeypatch.setattr(
-                common,
-                "synthesize_workload",
-                lambda *a, **k: pytest.fail("store should have served this"),
-            )
-            second = common.workload_trace("hm_1", 3, 0.01)
-            assert second.name == first.name
-            assert list(second) == list(direct)
-        finally:
-            common.set_trace_store(previous)
-            common._trace_cache.clear()
+        # A cold engine (empty memo) must load from the store, not
+        # re-synthesize: poison the generator to prove it.
+        monkeypatch.setattr(
+            sweep,
+            "synthesize_workload",
+            lambda *a, **k: pytest.fail("store should have served this"),
+        )
+        second = sweep.SweepEngine(3, 0.01, trace_store=str(tmp_path / "store")).trace("hm_1")
+        assert second.name == first.name
+        assert list(second) == list(direct)

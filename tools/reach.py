@@ -299,9 +299,7 @@ def options(package: Path = PACKAGE) -> List[Option]:
 
 
 def _experiments(scratch: Path) -> None:
-    from repro.experiments import common
     from repro.experiments.__main__ import main
-    from repro.experiments.sweep import reset_sweep_engines
 
     out, store = scratch / "out", str(scratch / "trace-store")
     assert main(["all", "--scale", "0.05", "--out", str(out), "--svg", str(scratch / "svg"),
@@ -311,8 +309,6 @@ def _experiments(scratch: Path) -> None:
     # that cleaning episodes run.
     assert main(["ablation_cleaning", "--scale", "0.3"]) == 0
     for jobs in ("2", "1"):  # fig7's two traces again: over the pool, then from the warm store
-        reset_sweep_engines()
-        common._trace_cache.clear()
         (out / "fig7.json").unlink()
         assert main(["all", "--scale", "0.05", "--out", str(out), "--jobs", jobs,
                      "--trace-store", store, "--resume"]) == 0
