@@ -19,43 +19,50 @@ Quickstart::
     ls = replay(trace, build_translator(trace, LS))
     print(seek_amplification(ls.stats, base.stats))
 
-Sub-packages:
+Sub-packages (only ``repro.workloads``' ``__init__`` holds code: import
+a name from the module that defines it, e.g. ``repro.core.batch``):
 
-* :mod:`repro.core` — translators, techniques, simulator, SAF metric.
+* :mod:`repro.core` — translators, techniques, simulator, SAF metric,
+  and the batch/stream replay kernels.
 * :mod:`repro.extentmap` — LBA→PBA extent mapping structures.
 * :mod:`repro.disk` — head/seek model, seek-time costs, SMR zones.
 * :mod:`repro.cache` — LRU and prefetch-buffer substrates.
 * :mod:`repro.trace` — trace records, parsers (MSR, CloudPhysics), I/O,
-  and the strict/lenient/quarantine parse error policies.
+  the strict/lenient/quarantine parse error policies, and the
+  compiled-trace store.
 * :mod:`repro.workloads` — synthetic workload archetypes for the paper's
-  21 Table-I traces.
+  21 Table-I traces (its ``__init__`` defines :func:`synthesize_workload`
+  and keeps its registry names).
 * :mod:`repro.analysis` — fragmentation, seek-distance, mis-ordered-write
   and popularity analyses behind the paper's figures.
 * :mod:`repro.experiments` — regenerate every table and figure.
+* :mod:`repro.service` — the supervised multi-tenant streaming replay
+  daemon (``python -m repro serve``).
+* :mod:`repro.load` — deterministic multi-tenant traffic mixtures and
+  arrival schedules.
+* :mod:`repro.util` — units, validation, RNG, statistics, atomic I/O.
 """
 
-from repro.core import (
-    InPlaceTranslator,
-    LogStructuredTranslator,
-    DefragConfig,
-    MultiFrontierConfig,
-    PrefetchConfig,
-    SelectiveCacheConfig,
-    Simulator,
-    replay,
-    SeekAmplification,
-    seek_amplification,
-    TechniqueConfig,
-    build_translator,
-    NOLS,
+from repro.core.config import (
     LS,
+    LS_CACHE,
     LS_DEFRAG,
     LS_PREFETCH,
-    LS_CACHE,
+    NOLS,
     PAPER_CONFIGS,
+    MultiFrontierConfig,
+    TechniqueConfig,
+    build_translator,
 )
-from repro.trace import IORequest, OpType, Trace
-from repro.workloads import synthesize_workload, TABLE1
+from repro.core.defrag import DefragConfig
+from repro.core.metrics import SeekAmplification, seek_amplification
+from repro.core.prefetch import PrefetchConfig
+from repro.core.selective_cache import SelectiveCacheConfig
+from repro.core.simulator import Simulator, replay
+from repro.core.translators import InPlaceTranslator, LogStructuredTranslator
+from repro.trace.record import IORequest, OpType
+from repro.trace.trace import Trace
+from repro.workloads import TABLE1, synthesize_workload
 
 __version__ = "1.0.0"
 

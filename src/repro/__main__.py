@@ -55,6 +55,7 @@ async def _serve(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run ``python -m repro`` with ``argv``; return the exit status."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Streaming replay service for the SMR read-seek study.",

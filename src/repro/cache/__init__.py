@@ -2,8 +2,3 @@
 selective caching (Algorithm 3) and the FIFO window buffer used by
 look-ahead-behind prefetching (Algorithm 2).
 """
-
-from repro.cache.lru import LRUCache
-from repro.cache.prefetch_buffer import PrefetchBuffer
-
-__all__ = ["LRUCache", "PrefetchBuffer"]

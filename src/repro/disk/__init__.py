@@ -6,16 +6,3 @@ following the previous I/O (§II).  Everything else in this package supports
 the Background-section claims: seek *cost* as a function of distance (§III)
 and SMR zone semantics (Fig. 1).
 """
-
-from repro.disk.head import DiskHead, AccessEvent
-from repro.disk.seek_time import SeekTimeModel
-from repro.disk.zones import Zone, ZonedAddressSpace, SequentialZoneError
-
-__all__ = [
-    "DiskHead",
-    "AccessEvent",
-    "SeekTimeModel",
-    "Zone",
-    "ZonedAddressSpace",
-    "SequentialZoneError",
-]

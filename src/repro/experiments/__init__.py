@@ -11,24 +11,3 @@ Command line::
     python -m repro.experiments all
     python -m repro.experiments fig11 --seed 42 --scale 1.0 --out results/
 """
-
-from repro.experiments.registry import EXHIBITS, resolve_names
-from repro.experiments.runner import (
-    ExhibitOutcome,
-    ExhibitTimeoutError,
-    RunManifest,
-    exhibit_fingerprint,
-    run_exhibits,
-)
-from repro.experiments.sweep import SweepEngine
-
-__all__ = [
-    "EXHIBITS",
-    "resolve_names",
-    "ExhibitOutcome",
-    "ExhibitTimeoutError",
-    "RunManifest",
-    "exhibit_fingerprint",
-    "run_exhibits",
-    "SweepEngine",
-]

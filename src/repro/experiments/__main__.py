@@ -35,6 +35,7 @@ from repro.experiments.runner import (
 
 
 def main(argv=None) -> int:
+    """Run ``python -m repro.experiments`` with ``argv``; return the exit status."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate tables/figures from 'Minimizing Read Seeks "

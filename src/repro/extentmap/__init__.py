@@ -23,34 +23,3 @@ segment is either mapped (``pba`` set) or a hole (``pba is None``), and the
 number of *mapped, mutually discontiguous* segments returned for a read is
 exactly the paper's "dynamic fragmentation" of that read.
 """
-
-from repro.extentmap.base import Segment, AddressMap
-from repro.extentmap.extent import Extent
-from repro.extentmap.extent_map import ExtentMap
-from repro.extentmap.array_map import ArrayExtentMap
-from repro.extentmap.block_map import BlockMap
-from repro.extentmap.live_counts import ZoneLiveCounts
-from repro.extentmap.tiers import (
-    DEFAULT_KERNEL_TIER,
-    DEFAULT_REFERENCE_TIER,
-    ENV_TIER,
-    MAP_TIERS,
-    make_address_map,
-    resolve_map_tier,
-)
-
-__all__ = [
-    "Segment",
-    "AddressMap",
-    "Extent",
-    "ExtentMap",
-    "ArrayExtentMap",
-    "BlockMap",
-    "ZoneLiveCounts",
-    "make_address_map",
-    "resolve_map_tier",
-    "MAP_TIERS",
-    "ENV_TIER",
-    "DEFAULT_KERNEL_TIER",
-    "DEFAULT_REFERENCE_TIER",
-]

@@ -9,11 +9,3 @@ a daemon with them, and times it from due time, lives in ``bench/``:
 * :mod:`repro.load.schedule` — arrival schedules (steady, diurnal
   sinusoid, on/off bursts) that pace batches at a target ops/s.
 """
-
-from repro.load.mixture import build_mixture
-from repro.load.schedule import arrival_offsets
-
-__all__ = [
-    "arrival_offsets",
-    "build_mixture",
-]

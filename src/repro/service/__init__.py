@@ -33,23 +33,3 @@ Layered bottom-up:
 
 ``python -m repro serve`` (see :mod:`repro.__main__`) boots the daemon.
 """
-
-from repro.service.checkpoint import CheckpointCorruptError, CheckpointStore
-from repro.service.journal import OpJournal
-from repro.service.session import ReplaySession, SequenceGapError
-from repro.service.supervisor import Supervisor, TenantFailedError
-from repro.service.daemon import ReplayDaemon, DaemonConfig
-from repro.service.client import ReplayClient
-
-__all__ = [
-    "CheckpointCorruptError",
-    "CheckpointStore",
-    "OpJournal",
-    "ReplaySession",
-    "SequenceGapError",
-    "Supervisor",
-    "TenantFailedError",
-    "ReplayDaemon",
-    "DaemonConfig",
-    "ReplayClient",
-]

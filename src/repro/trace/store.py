@@ -140,6 +140,7 @@ def report_to_dict(report: Optional[ParseReport]) -> Optional[dict]:
 
 
 def report_from_dict(data: Optional[dict]) -> Optional[ParseReport]:
+    """Inverse of :func:`report_to_dict`."""
     if data is None:
         return None
     issues = {key: [ParseIssue(**i) for i in data[key]] for key in ("errors", "quarantine")}

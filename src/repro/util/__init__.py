@@ -1,46 +1,8 @@
-"""Shared low-level helpers: unit conversion, validation, RNG and statistics.
-
-These modules are dependency-free (standard library only) and are used by
-every other subsystem in :mod:`repro`.
+"""Shared low-level helpers used by every other subsystem in :mod:`repro`:
+units (:mod:`~repro.util.units`), argument checks
+(:mod:`~repro.util.validation`), RNG (:mod:`~repro.util.rngtools`),
+statistics (:mod:`~repro.util.stats`), atomic writes (:mod:`~repro.util.io`,
+:mod:`~repro.util.npystore`), the bulk-state contract
+(:mod:`~repro.util.bulkstate`), range cells (:mod:`~repro.util.cells`) and
+the compiled-kernel loader (:mod:`~repro.util.native`).
 """
-
-from repro.util.units import (
-    BYTES_PER_KIB,
-    BYTES_PER_MIB,
-    BYTES_PER_GIB,
-    SECTOR_BYTES,
-    SECTORS_PER_KIB,
-    SECTORS_PER_MIB,
-    SECTORS_PER_GIB,
-    bytes_to_sectors,
-    sectors_to_kib,
-    sectors_to_gib,
-    kib_to_sectors,
-    mib_to_sectors,
-    gib_to_sectors,
-)
-from repro.util.validation import check_choice
-from repro.util.io import atomic_write_json, atomic_write_text
-from repro.util.rngtools import SeedSequenceFactory
-from repro.util.stats import empirical_cdf
-
-__all__ = [
-    "BYTES_PER_KIB",
-    "BYTES_PER_MIB",
-    "BYTES_PER_GIB",
-    "SECTOR_BYTES",
-    "SECTORS_PER_KIB",
-    "SECTORS_PER_MIB",
-    "SECTORS_PER_GIB",
-    "bytes_to_sectors",
-    "sectors_to_kib",
-    "sectors_to_gib",
-    "kib_to_sectors",
-    "mib_to_sectors",
-    "gib_to_sectors",
-    "check_choice",
-    "atomic_write_json",
-    "atomic_write_text",
-    "SeedSequenceFactory",
-    "empirical_cdf",
-]

@@ -42,6 +42,7 @@ def _list_registry() -> None:
 
 
 def main(argv=None) -> int:
+    """Run ``python -m repro.workloads`` with ``argv``; return the exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads",
         description="Synthesize Table-I workload archetype traces.",

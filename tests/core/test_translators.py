@@ -8,10 +8,6 @@ from repro.extentmap.block_map import BlockMap
 from repro.trace.record import IORequest
 
 
-def _seeks(outcome):
-    return outcome.read_seeks + outcome.write_seeks + outcome.defrag_write_seeks
-
-
 class TestInPlaceTranslator:
     def test_serves_at_lba(self):
         t = InPlaceTranslator()
@@ -29,8 +25,8 @@ class TestInPlaceTranslator:
 
     def test_sequential_ops_no_seeks(self, sequential_write_trace):
         t = InPlaceTranslator()
-        total = sum(_seeks(t.submit(r)) for r in sequential_write_trace)
-        assert total == 0
+        outcomes = [t.submit(r) for r in sequential_write_trace]
+        assert sum(o.read_seeks + o.write_seeks + o.defrag_write_seeks for o in outcomes) == 0
 
     def test_description(self):
         assert InPlaceTranslator().description == "NoLS"

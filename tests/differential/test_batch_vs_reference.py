@@ -68,33 +68,29 @@ def test_full_scale_exhibit_rows_match():
 
 # --- synthetic edge cases ------------------------------------------------
 
-def _trace(requests, name="synthetic"):
-    return Trace(requests, name=name)
-
-
 SYNTHETIC = {
-    "empty": _trace([]),
-    "single-read-hole": _trace([IORequest.read(10, 4)]),
-    "single-write": _trace([IORequest.write(0, 8)]),
-    "read-after-write": _trace([IORequest.write(0, 8), IORequest.read(0, 8)]),
-    "read-spans-hole-and-log": _trace(
+    "empty": Trace([]),
+    "single-read-hole": Trace([IORequest.read(10, 4)]),
+    "single-write": Trace([IORequest.write(0, 8)]),
+    "read-after-write": Trace([IORequest.write(0, 8), IORequest.read(0, 8)]),
+    "read-spans-hole-and-log": Trace(
         # [0,4) is remapped into the log, [4,8) is a hole at identity.
         [IORequest.write(0, 4), IORequest.read(0, 8)]
     ),
-    "overlap-split": _trace(
+    "overlap-split": Trace(
         # The second write splits the first extent; the read sees 3 pieces.
         [IORequest.write(0, 12), IORequest.write(4, 4), IORequest.read(0, 12)]
     ),
-    "rewrite-everything": _trace(
+    "rewrite-everything": Trace(
         [IORequest.write(0, 16), IORequest.write(0, 16), IORequest.read(0, 16)]
     ),
-    "reads-only": _trace([IORequest.read(i * 8, 8) for i in range(10)]),
-    "writes-only": _trace([IORequest.write((i * 37) % 64, 5) for i in range(10)]),
-    "sequential-after-scatter": _trace(
+    "reads-only": Trace([IORequest.read(i * 8, 8) for i in range(10)]),
+    "writes-only": Trace([IORequest.write((i * 37) % 64, 5) for i in range(10)]),
+    "sequential-after-scatter": Trace(
         [IORequest.write((i * 29) % 96, 3) for i in range(20)]
         + [IORequest.read(i * 4, 4) for i in range(24)]
     ),
-    "repeated-fragmented-read": _trace(
+    "repeated-fragmented-read": Trace(
         # Same fragmented range read repeatedly: exercises cache admit/hit
         # and the prefetch window on consecutive resolutions.
         [IORequest.write(0, 32), IORequest.write(8, 8), IORequest.write(20, 4)]
@@ -120,7 +116,7 @@ def test_chunk_size_is_unobservable(traces, chunk_ops):
 
 
 def test_frontier_crossing_raises_identically():
-    trace = _trace([IORequest.read(4, 8)], name="crossing")
+    trace = Trace([IORequest.read(4, 8)], name="crossing")
     reference = LogStructuredTranslator(frontier_base=8)
     batch = LogStructuredTranslator(frontier_base=8)
     with pytest.raises(ValueError) as ref_exc:
@@ -136,7 +132,7 @@ def test_unsupported_translator_is_refused():
     class KernellessTranslator(InPlaceTranslator):
         pass
 
-    trace = _trace([IORequest.write(0, 8)])
+    trace = Trace([IORequest.write(0, 8)])
     with pytest.raises(BatchUnsupportedError, match="KernellessTranslator"):
         batch_replay_translator(trace, KernellessTranslator())
 

@@ -92,21 +92,17 @@ def test_array_map_tier_matches_too():
 
 # --- synthetic edge cases ------------------------------------------------
 
-def _trace(requests, name="synthetic"):
-    return Trace(requests, name=name)
-
-
 SYNTHETIC = {
-    "empty": _trace([]),
-    "single-write": _trace([IORequest.write(0, 8)]),
-    "fill-and-overwrite": _trace(
+    "empty": Trace([]),
+    "single-write": Trace([IORequest.write(0, 8)]),
+    "fill-and-overwrite": Trace(
         [IORequest.write((i * 64) % 256, 48) for i in range(64)]
     ),
-    "hot-spot-churn": _trace(
+    "hot-spot-churn": Trace(
         # One hot 64-sector range rewritten until the log wraps many times.
         [IORequest.write((i * 16) % 64, 16) for i in range(160)]
     ),
-    "reads-between-cleanings": _trace(
+    "reads-between-cleanings": Trace(
         [
             req
             for i in range(80)
@@ -116,13 +112,13 @@ SYNTHETIC = {
             )
         ]
     ),
-    "multi-zone-extent": _trace(
+    "multi-zone-extent": Trace(
         # Appends longer than a zone never happen (the log splits them),
         # but a mapped extent can span zones via consecutive appends; the
         # invalidation must split its delta per zone.
         [IORequest.write(0, 120), IORequest.write(0, 120), IORequest.read(0, 120)]
     ),
-    "prefix-fills-a-zone": _trace(
+    "prefix-fills-a-zone": Trace(
         # A batched write run that ends exactly at a zone's end leaves the
         # frontier on a full zone, which the next run must skip.
         [*(IORequest.write(i * 8, 8) for i in range(16)), IORequest.read(0, 8),
@@ -156,7 +152,7 @@ def test_chunk_size_is_unobservable(chunk_ops):
 def test_log_full_of_live_data_raises_identically():
     # Live data exceeding log capacity is unreclaimable; both paths must
     # fail with the reference message.
-    trace = _trace([IORequest.write(i * 16, 16) for i in range(32)], name="full")
+    trace = Trace([IORequest.write(i * 16, 16) for i in range(32)], name="full")
 
     def make():
         return ZonedCleaningTranslator(
@@ -176,7 +172,7 @@ def test_log_full_of_live_data_raises_identically():
     ([IORequest.write(0, 8), IORequest.write(0, 513)], 1024),
 ], ids=["read-crossing", "oversized-write"])
 def test_boundary_crossing_raises_identically(requests, frontier_base):
-    trace = _trace(requests, name="crossing")
+    trace = Trace(requests, name="crossing")
     reference, batch = (ZonedCleaningTranslator(frontier_base=frontier_base, zone_mib=0.0625,
                                                  n_zones=8) for _ in range(2))
     with pytest.raises(ValueError) as ref_exc:
@@ -206,16 +202,11 @@ _requests = st.lists(
 )
 
 
-def _soup_translator():
-    # 24 zones x 64 sectors: live data (<= 256 sectors) always fits, but a
-    # write-heavy soup overruns the writable budget and triggers cleaning.
-    return ZonedCleaningTranslator(
-        frontier_base=_LBA_SPACE, zone_mib=64 / 2048, n_zones=24, reserve_zones=2
-    )
-
-
 @given(requests=_requests)
 @settings(max_examples=60, deadline=None)
 def test_request_soup_matches(requests):
-    trace = _trace(requests, name="soup")
-    assert_translator_matches_reference(trace, _soup_translator)
+    trace = Trace(requests, name="soup")
+    # 24 zones x 64 sectors: live data (<= 256 sectors) always fits, but a
+    # write-heavy soup overruns the writable budget and triggers cleaning.
+    assert_translator_matches_reference(trace, lambda: ZonedCleaningTranslator(
+        frontier_base=_LBA_SPACE, zone_mib=64 / 2048, n_zones=24, reserve_zones=2))

@@ -37,12 +37,8 @@ _requests = st.lists(
 )
 
 
-def _trace(requests):
-    return Trace(requests, name="hypothesis")
-
-
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
 @given(requests=_requests)
 @settings(max_examples=40, deadline=None)
 def test_random_traces_match(config, requests):
-    assert_batch_matches_reference(_trace(requests), config)
+    assert_batch_matches_reference(Trace(requests, name="hypothesis"), config)

@@ -100,32 +100,28 @@ def test_config_level_spelling_matches(traces):
 
 # --- synthetic edge cases ------------------------------------------------
 
-def _trace(requests, name="synthetic"):
-    return Trace(requests, name=name)
-
-
 _HOT = [IORequest.write(0, 8) for _ in range(6)]
 _COLD = [IORequest.write(64 + i * 16, 8) for i in range(6)]
 
 SYNTHETIC = {
-    "empty": _trace([]),
-    "single-write": _trace([IORequest.write(0, 8)]),
-    "all-cold-scatter": _trace([IORequest.write((i * 37) % 192, 5) for i in range(24)]),
-    "hot-after-cold-switches": _trace(_COLD + _HOT + _COLD + _HOT),
-    "interleaved-switch-per-op": _trace(
+    "empty": Trace([]),
+    "single-write": Trace([IORequest.write(0, 8)]),
+    "all-cold-scatter": Trace([IORequest.write((i * 37) % 192, 5) for i in range(24)]),
+    "hot-after-cold-switches": Trace(_COLD + _HOT + _COLD + _HOT),
+    "interleaved-switch-per-op": Trace(
         [req for pair in zip(_HOT, _COLD) for req in pair]
     ),
-    "long-write-run-batched-map": _trace(
+    "long-write-run-batched-map": Trace(
         # >= the kernel's batched-run threshold, single frontier throughout.
         [IORequest.write(i * 8, 8) for i in range(40)]
     ),
-    "read-spans-hole-and-log": _trace(
+    "read-spans-hole-and-log": Trace(
         [IORequest.write(0, 4), IORequest.read(0, 8)]
     ),
-    "read-after-hot-and-cold": _trace(
+    "read-after-hot-and-cold": Trace(
         _COLD + _HOT + [IORequest.read(i * 8, 8) for i in range(20)]
     ),
-    "rewrite-migrates-frontier": _trace(
+    "rewrite-migrates-frontier": Trace(
         # The same LBA goes cold-frontier first, hot-frontier on rewrite.
         [IORequest.write(0, 16), IORequest.write(0, 16), IORequest.read(0, 16)]
     ),
@@ -152,7 +148,7 @@ def test_chunk_size_is_unobservable(traces, chunk_ops):
 def test_exhaustion_raises_identically():
     # A region too small for its writes must fail with the reference's
     # message, after applying the identical prefix.
-    trace = _trace([IORequest.write(i * 8, 8) for i in range(8)], name="exhaust")
+    trace = Trace([IORequest.write(i * 8, 8) for i in range(8)], name="exhaust")
 
     def make():
         return _translator(128, 32, window=2)
@@ -174,7 +170,7 @@ def test_exhaustion_raises_identically():
 
 
 def test_read_crossing_log_base_raises_identically():
-    trace = _trace([IORequest.read(120, 16)], name="crossing")
+    trace = Trace([IORequest.read(120, 16)], name="crossing")
 
     def make():
         return MultiFrontierTranslator(frontier_base=128, region_sectors=1024)
@@ -211,7 +207,7 @@ def _soup_factory(window):
 @given(requests=_requests, window=st.sampled_from([1, 2, 8, 4096]))
 @settings(max_examples=60, deadline=None)
 def test_request_soup_matches(requests, window):
-    trace = _trace(requests, name="soup")
+    trace = Trace(requests, name="soup")
     assert_translator_matches_reference(trace, _soup_factory(window))
 
 

@@ -96,32 +96,28 @@ def test_different_seeds_still_match():
 # --- synthetic edge cases ------------------------------------------------
 
 
-def _trace(requests, name="synthetic"):
-    return Trace(requests, name=name)
-
-
 SYNTHETIC = {
-    "empty": _trace([]),
-    "reads-only-holes": _trace([IORequest.read(i * 8, 8) for i in range(6)]),
-    "writes-only": _trace([IORequest.write((i * 37) % 64, 5) for i in range(10)]),
-    "repeated-fragmented-read": _trace(
+    "empty": Trace([]),
+    "reads-only-holes": Trace([IORequest.read(i * 8, 8) for i in range(6)]),
+    "writes-only": Trace([IORequest.write((i * 37) % 64, 5) for i in range(10)]),
+    "repeated-fragmented-read": Trace(
         [IORequest.write(0, 32), IORequest.write(8, 8), IORequest.write(20, 4)]
         + [IORequest.read(0, 32) for _ in range(4)]
     ),
-    "cache-evicts-and-returns": _trace(
+    "cache-evicts-and-returns": Trace(
         # Two disjoint fragmented ranges read alternately: a small cache
         # must evict one while serving the other, repeatedly.
         [IORequest.write(0, 64), IORequest.write(16, 8),
          IORequest.write(128, 64), IORequest.write(144, 8)]
         + [IORequest.read((i % 2) * 128, 64) for i in range(6)]
     ),
-    "prefetch-window-chain": _trace(
+    "prefetch-window-chain": Trace(
         # Out-of-order neighbours land close in the log; later in-order
         # reads ride each other's windows.
         [IORequest.write(24, 8), IORequest.write(16, 8), IORequest.write(32, 8)]
         + [IORequest.read(8, 40), IORequest.read(8, 40)]
     ),
-    "runs-straddling-batch-cutoffs": _trace(
+    "runs-straddling-batch-cutoffs": Trace(
         # Write and read runs one below, at and one above the run lengths
         # where the driver switches between per-op and batched map calls;
         # overlapping strides keep the reads fragmented.
@@ -175,13 +171,13 @@ _requests = st.lists(
 @given(requests=_requests)
 @settings(max_examples=30, deadline=None)
 def test_random_traces_match(config, requests):
-    assert_stream_matches_reference(_trace(requests, name="hypothesis"), config)
+    assert_stream_matches_reference(Trace(requests, name="hypothesis"), config)
 
 
 @given(requests=_requests)
 @settings(max_examples=25, deadline=None)
 def test_random_traces_cache_sweep_matches_single_points(requests):
-    trace = _trace(requests, name="hypothesis")
+    trace = Trace(requests, name="hypothesis")
     # Capacities of 1, 2, 4 and 16 blocks, so small caches actually evict;
     # exercises the stack-distance kernel's hit/miss edge.
     configs = _cache_configs(sizes=(0.004, 0.008, 0.016, 0.064))
@@ -312,7 +308,7 @@ def test_recording_layout_is_reference_plain_ls_layout(traces):
 
 
 def test_empty_trace_records_empty_stream():
-    stream = record_fragment_stream(_trace([], name="empty"))
+    stream = record_fragment_stream(Trace([], name="empty"))
     assert stream.accesses == 0
     result = stream_replay(stream, STREAM_CONFIGS["LS+prefetch+cache"])
     assert result.head_position is None

@@ -11,12 +11,12 @@ sent.
 from __future__ import annotations
 
 import shutil
-from pathlib import Path
 
 import pytest
 
 from repro.experiments import fig4, fig11, registry
 from repro.experiments.runner import run_exhibits
+from tests.integration.test_parallel_runner import _exhibit_bytes
 
 QUIET = {"echo": lambda s: None}
 SEED, SCALE = 42, 0.05
@@ -34,14 +34,6 @@ def _small_sets(monkeypatch):
         monkeypatch.setitem(registry.NEEDS, name, {w: module.NEEDS[w] for w in names})
 
 
-def _dumps(out_dir) -> dict:
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(Path(out_dir).glob("*.json"))
-        if path.name != "run.json"
-    }
-
-
 def _run(names, out_dir, jobs, trace_store=None):
     outcomes = run_exhibits(
         names, seed=SEED, scale=SCALE, out_dir=str(out_dir), jobs=jobs,
@@ -49,7 +41,7 @@ def _run(names, out_dir, jobs, trace_store=None):
     )
     bad = [(o.name, o.status, o.error) for o in outcomes if not o.ok]
     assert not bad, bad
-    return _dumps(out_dir)
+    return _exhibit_bytes(out_dir)
 
 
 def test_full_matrix_is_byte_identical(tmp_path):

@@ -27,11 +27,8 @@ def _manifest(out_dir) -> dict:
 
 
 def _exhibit_bytes(out_dir) -> dict:
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(Path(out_dir).glob("*.json"))
-        if path.name != MANIFEST_NAME
-    }
+    return {path.name: path.read_bytes()
+            for path in sorted(Path(out_dir).glob("*.json")) if path.name != MANIFEST_NAME}
 
 
 @pytest.fixture

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.trace import (ParseReport, TraceParseError, parse_cloudphysics_lines, parse_msr_lines,
-                         read_csv_trace)
+from repro.trace.cloudphysics import parse_cloudphysics_lines
+from repro.trace.csvio import read_csv_trace
+from repro.trace.errors import ParseReport, TraceParseError
+from repro.trace.msr import parse_msr_lines
 
 
 def balanced(report) -> bool:
@@ -189,6 +191,6 @@ class TestSharedReport:
             parse_msr_lines(MSR_GOOD, policy="permissive")
 
     def test_synthetic_traces_have_no_report(self):
-        from repro.trace import Trace
+        from repro.trace.trace import Trace
 
         assert Trace([]).parse_report is None

@@ -82,7 +82,8 @@ def main(argv=None) -> int:
     def sources(directory: Path, glob=Path.rglob) -> list:
         return [*glob(directory, "*.py"), *glob(directory, "*.c")]
 
-    groups = {f"repro.{d.name}": sources(d) for d in sorted(SRC.iterdir()) if d.is_dir()}
+    groups = {f"repro.{init.parent.name}": sources(init.parent)
+              for init in sorted(SRC.glob("*/__init__.py"))}
     groups["repro (top level)"] = sources(SRC, Path.glob)
     groups["src/repro total"] = sources(SRC)
     groups["core/batch.py + core/stream.py"] = [SRC / "core/batch.py", SRC / "core/stream.py"]
