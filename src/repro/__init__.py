@@ -22,11 +22,11 @@ Quickstart::
 Sub-packages (only ``repro.workloads``' ``__init__`` holds code: import
 a name from the module that defines it, e.g. ``repro.core.batch``):
 
-* :mod:`repro.core` — translators, techniques, simulator, SAF metric,
-  and the batch/stream replay kernels.
+* :mod:`repro.core` — translators, techniques (one class each, holding
+  its own state), simulator, SAF metric, and the batch/stream replay
+  kernels.
 * :mod:`repro.extentmap` — LBA→PBA extent mapping structures.
 * :mod:`repro.disk` — head/seek model, seek-time costs, SMR zones.
-* :mod:`repro.cache` — LRU and prefetch-buffer substrates.
 * :mod:`repro.trace` — trace records, parsers (MSR, CloudPhysics), I/O,
   the strict/lenient/quarantine parse error policies, and the
   compiled-trace store.

@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.batch import classify_seeks
 from repro.trace.trace import Trace
 from repro.util.units import SECTOR_BYTES, BYTES_PER_MIB, gib_to_sectors, kib_to_sectors
 
@@ -28,30 +29,11 @@ from repro.util.units import SECTOR_BYTES, BYTES_PER_MIB, gib_to_sectors, kib_to
 MISORDER_HORIZON_KIB, LONG_SEEK_KIB, TOP_READS_FRACTION = 256.0, 500.0, 0.2
 
 
-def nols_seek_counts(trace: Trace) -> Tuple[int, int]:
-    """(read_seeks, write_seeks) of the conventional in-place replay.
-
-    Vectorized restatement of the §II definition: op *i* seeks iff its LBA
-    differs from op *i-1*'s end; the first op never seeks.  Agrees exactly
-    with replaying through :class:`InPlaceTranslator` (property-tested).
-    """
-    if len(trace) == 0:
-        return 0, 0
-    is_read, lba, length = trace.as_arrays()
-    prev_end = lba[:-1] + length[:-1]
-    seeks = lba[1:] != prev_end
-    read_seeks = int(np.count_nonzero(seeks & is_read[1:]))
-    write_seeks = int(np.count_nonzero(seeks & ~is_read[1:]))
-    return read_seeks, write_seeks
-
-
 def nols_seek_distances(trace: Trace) -> np.ndarray:
-    """Signed distances of the baseline replay's seeks, in op order."""
-    if len(trace) < 2:
-        return np.empty(0, dtype=np.int64)
-    _, lba, length = trace.as_arrays()
-    deltas = lba[1:] - (lba[:-1] + length[:-1])
-    return deltas[deltas != 0]
+    """Signed distances of the baseline replay's seeks, in op order: the
+    in-place replay's access stream is the ops themselves."""
+    is_read, lba, length = trace.as_arrays()
+    return classify_seeks(lba, length, (~is_read).view(np.int8), None)[1]
 
 
 def misorder_rate_fast(trace: Trace) -> float:
@@ -172,6 +154,26 @@ def fraction_within_fast(distances: Sequence[int], window_gib: float) -> float:
     return within / n
 
 
+def windowed_long_seeks(seeks, n_ops: int, window_ops: int) -> List[int]:
+    """Fig. 3's series: per window of ``window_ops`` ops, the seeks of at
+    least :data:`LONG_SEEK_KIB`, from ``(op_index, distances)`` arrays
+    of the seeks (any number of chunks).
+
+    The series is dense through the last op's window, as
+    :class:`~repro.analysis.temporal.WindowedSeekRecorder` observes every
+    op, seeking or not: its length is ``(n_ops - 1) // window_ops + 1``.
+    """
+    if window_ops <= 0:
+        raise ValueError(f"window_ops must be > 0, got {window_ops}")
+    counts = np.zeros((n_ops - 1) // window_ops + 1, dtype=np.int64)
+    threshold = kib_to_sectors(LONG_SEEK_KIB)
+    for op_index, distances in seeks:
+        counts += np.bincount(
+            op_index[np.abs(distances) >= threshold] // window_ops, minlength=len(counts)
+        )
+    return counts.tolist()
+
+
 def nols_windowed_long_seeks(trace: Trace, window_ops: int = 1000) -> List[int]:
     """Per-window counts of :data:`LONG_SEEK_KIB` seeks of the NoLS replay
     (Fig. 3 baseline side).
@@ -181,23 +183,9 @@ def nols_windowed_long_seeks(trace: Trace, window_ops: int = 1000) -> List[int]:
     :class:`~repro.analysis.temporal.WindowedSeekRecorder` and taking its
     ``series()`` — exact-match tested by the differential suite.
     """
-    if window_ops <= 0:
-        raise ValueError(f"window_ops must be > 0, got {window_ops}")
-    n = len(trace)
-    if n == 0:
-        return []
-    _, lba, length = trace.as_arrays()
-    threshold = kib_to_sectors(LONG_SEEK_KIB)
-    deltas = lba[1:] - (lba[:-1] + length[:-1])
-    long_seek = (deltas != 0) & (np.abs(deltas) >= threshold)
-    # Op i (1-based here; op 0 never seeks) falls in window i // window_ops;
-    # the recorder extends its series through the last op's window even
-    # when the tail windows are all zero.
-    windows = np.arange(1, n, dtype=np.int64) // window_ops
-    counts = np.bincount(
-        windows[long_seek], minlength=(n - 1) // window_ops + 1
-    )
-    return counts.tolist()
+    is_read, lba, length = trace.as_arrays()
+    seek, distances, _kinds, _end = classify_seeks(lba, length, (~is_read).view(np.int8), None)
+    return windowed_long_seeks([(np.flatnonzero(seek), distances)], len(trace), window_ops)
 
 
 def popularity_curve_fast(fragment_stats: Sequence[Tuple[int, int]]):

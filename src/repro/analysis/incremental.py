@@ -9,9 +9,10 @@ summaries those queries read from:
 
 * :class:`IncrementalNolsBaseline` — the §II NoLS seek counts over the
   stream so far, updated vectorized per batch with the head position
-  carried across batches.  After any prefix it equals
-  :func:`repro.analysis.fast.nols_seek_counts` over that prefix exactly,
-  which makes the live SAF (translated seeks / these counts) exact.
+  carried across batches.  After any prefix it equals the read and write
+  seeks of an :class:`~repro.core.translators.InPlaceTranslator` replay
+  of that prefix exactly, which makes the live SAF (translated seeks /
+  these counts) exact.
 * :class:`IncrementalDistances` — a distance histogram plus a seek-time
   total, updated from :meth:`IncrementalBatchReplay.drain_distances
   <repro.core.batch.IncrementalBatchReplay.drain_distances>` output.
@@ -34,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.batch import classify_seeks
 from repro.disk.seek_time import SeekTimeModel
 from repro.util.bulkstate import int_rows
 from repro.util.units import gib_to_sectors
@@ -69,10 +71,11 @@ class IncrementalNolsBaseline:
     """Streaming §II seek counts of the conventional in-place replay.
 
     Feed the same op batches the translated replay consumes; after any
-    prefix, ``(read_seeks, write_seeks)`` equals
-    :func:`repro.analysis.fast.nols_seek_counts` over that prefix.  This
-    is the denominator of the live SAF — no translator, extent map, or
-    per-op Python loop, just one vectorized pass per batch with the head
+    prefix, ``(read_seeks, write_seeks)`` equals the seeks of an
+    :class:`~repro.core.translators.InPlaceTranslator` replay of that
+    prefix.  This is the denominator of the live SAF — no translator,
+    extent map, or per-op Python loop, just one
+    :func:`~repro.core.batch.classify_seeks` pass per batch with the head
     position carried in between (so batch boundaries are invisible).
     """
 
@@ -85,19 +88,14 @@ class IncrementalNolsBaseline:
     def feed_arrays(
         self, is_read: np.ndarray, lba: np.ndarray, length: np.ndarray
     ) -> None:
-        n = len(lba)
-        if n == 0:
-            return
-        prev_end = np.empty(n, dtype=np.int64)
-        # First op of the stream never seeks (§II: no predecessor).
-        prev_end[0] = lba[0] if self._head is None else self._head
-        np.add(lba[:-1], length[:-1], out=prev_end[1:])
-        seeks = lba != prev_end
-        read_seeks = int(np.count_nonzero(seeks & is_read))
-        self.read_seeks += read_seeks
-        self.write_seeks += int(np.count_nonzero(seeks)) - read_seeks
-        self.ops += n
-        self._head = int(lba[-1] + length[-1])
+        # The in-place replay's access stream is the ops (kind 1: a write).
+        _seek, _distances, kinds, self._head = classify_seeks(
+            lba, length, (~is_read).view(np.int8), self._head
+        )
+        write_seeks = int(np.count_nonzero(kinds))
+        self.read_seeks += len(kinds) - write_seeks
+        self.write_seeks += write_seeks
+        self.ops += len(lba)
 
     def counts(self) -> Tuple[int, int]:
         return self.read_seeks, self.write_seeks

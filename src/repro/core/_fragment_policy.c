@@ -110,8 +110,8 @@ static int lookup(const Map *m, int64_t first, int64_t last) {
     return 1;
 }
 
-/* WriteCache: LRUCache.insert_range inserts (or refreshes) every block,
- * then evicts from the LRU end down to capacity.  Detaching the range's
+/* WriteCache: SelectiveFragmentCache.admit inserts (or refreshes) every
+ * block, then evicts from the LRU end down to capacity.  Detaching the range's
  * resident blocks first lets each new block evict as it goes, in the same
  * order, so the table never holds more than `capacity` blocks. */
 static void admit(Lru *lru, const Map *m, int64_t first, int64_t last) {
@@ -149,8 +149,8 @@ static int covers(const Ring *ring, const Window *window, int64_t start, int64_t
     return 0;
 }
 
-/* PrefetchBuffer.add_window: append, then drop the oldest windows until
- * the buffer fits. */
+/* LookAheadBehindPrefetcher.note_fragment_read: append, then drop the
+ * oldest windows until the buffer fits. */
 static void add_window(Ring *ring, Window *window, int64_t start, int64_t end) {
     window[(ring->first + ring->count++) % ring->size] = (Window){start, end};
     for (ring->used += end - start; ring->used > ring->capacity; ring->count--) {
@@ -196,7 +196,7 @@ int64_t fp_serve(const int64_t *pba, const int64_t *length, int64_t n,
             last = (end - 1) / lru->block_sectors;
         }
         if (ring) {
-            /* add_window's clip at pba 0 and truncation to the buffer. */
+            /* note_fragment_read's clip at pba 0 and truncation to the buffer. */
             fetch_end = end + ring->ahead;
             fetch_start = start - ring->behind;
             if (fetch_start < fetch_end - ring->capacity)

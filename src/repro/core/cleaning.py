@@ -253,32 +253,34 @@ class ZonedCleaningTranslator(Translator):
             )
         self._ensure_room(length)
         self._invalidate(lba, length)
+        accesses = self._write_at_frontier(lba, length)
+        return accesses, sum(access.seek for access in accesses)
+
+    def _write_at_frontier(self, lba: int, length: int) -> List[SegmentAccess]:
+        """Write ``[lba, lba+length)`` at the frontier, zone by zone, and
+        map and ledger each piece; returns one access per zone piece."""
         accesses: List[SegmentAccess] = []
-        seeks = 0
-        remaining = length
-        cursor_lba = lba
-        while remaining:
+        while length:
             zone = self._current_zone()
-            take = min(remaining, zone.remaining_sectors)
+            take = min(length, zone.remaining_sectors)
             pba = zone.write_pointer
             self._zones.write(pba, take)
-            event = self._head.access(self._base + pba, take)
-            if event.seek:
-                seeks += 1
-            self._map.map_range(cursor_lba, self._base + pba, take)
-            self._note_append(zone.zone_id, self._base + pba, cursor_lba, take)
+            pba += self._base
+            event = self._head.access(pba, take)
+            self._map.map_range(lba, pba, take)
+            self._note_append(zone.zone_id, pba, lba, take)
             accesses.append(
                 SegmentAccess(
-                    pba=self._base + pba,
+                    pba=pba,
                     length=take,
                     source=AccessSource.DISK,
                     seek=event.seek,
                     distance=event.distance,
                 )
             )
-            cursor_lba += take
-            remaining -= take
-        return accesses, seeks
+            lba += take
+            length -= take
+        return accesses
 
     def _note_append(self, zone_id: int, pba: int, lba: int, length: int) -> None:
         """Ledger one appended piece (shared with the batch kernel)."""
@@ -374,22 +376,7 @@ class ZonedCleaningTranslator(Translator):
         issued directly.
         """
         self._live.decrement_range(piece_pba - self._base, length)
-        seeks = 0
-        remaining = length
-        cursor_lba = lba
-        while remaining:
-            zone = self._current_zone()
-            take = min(remaining, zone.remaining_sectors)
-            pba = zone.write_pointer
-            self._zones.write(pba, take)
-            event = self._head.access(self._base + pba, take)
-            if event.seek:
-                seeks += 1
-            self._map.map_range(cursor_lba, self._base + pba, take)
-            self._note_append(zone.zone_id, self._base + pba, cursor_lba, take)
-            cursor_lba += take
-            remaining -= take
-        return seeks
+        return sum(access.seek for access in self._write_at_frontier(lba, length))
 
     def _live_pieces(self, zone_id: int) -> List[Tuple[int, int, int]]:
         """(pba, lba, length) pieces of the zone still referenced by the map,

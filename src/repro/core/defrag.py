@@ -61,7 +61,7 @@ class OpportunisticDefrag:
         # A `config=DefragConfig()` default would be evaluated once at def
         # time and shared by every instance; build one per instance.
         config = DefragConfig() if config is None else config
-        self._config = config
+        self.config = config
         self._access_counts: Dict[Tuple[int, int], int] = {}
 
     def should_defragment(self, lba: int, length: int, fragments: int) -> bool:
@@ -71,13 +71,13 @@ class OpportunisticDefrag:
             lba, length: The logical range that was read.
             fragments: Its dynamic fragmentation (physical piece count).
         """
-        if fragments < self._config.min_fragments:
+        if fragments < self.config.min_fragments:
             return False
-        if self._config.min_accesses == 1:
+        if self.config.min_accesses == 1:
             return True
         key = (lba, length)
         count = self._access_counts.get(key, 0) + 1
-        if count >= self._config.min_accesses:
+        if count >= self.config.min_accesses:
             # The rewrite is about to happen; drop the counter so a future
             # re-fragmentation of the range starts counting afresh.
             self._access_counts.pop(key, None)

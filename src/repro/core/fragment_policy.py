@@ -99,7 +99,7 @@ class FragmentPolicies:
             state = prefetcher.state_dict()
             windows = np.asarray(state["windows"], dtype=np.int64).reshape(-1, 2)
             # A window holds >= 1 sector: `capacity` fit, plus one mid-insert.
-            capacity = prefetcher._buffer.capacity_sectors
+            capacity = prefetcher.capacity_sectors
             self._ring = np.empty(len(_RING_FIELDS) + 2 * (capacity + 1), np.int64)
             self._ring[: len(_RING_FIELDS)] = (
                 capacity, prefetcher.ahead_sectors, prefetcher.behind_sectors, capacity + 1,
@@ -111,7 +111,7 @@ class FragmentPolicies:
         )
 
     def _count_table(self, rows: np.ndarray, capacity: int) -> None:
-        config, self._counts = self.defrag._config, _table(_DEFRAG_FIELDS, capacity, rows)
+        config, self._counts = self.defrag.config, _table(_DEFRAG_FIELDS, capacity, rows)
         self._counts[len(_TABLE_FIELDS) : len(_DEFRAG_FIELDS)] = (
             len(rows), config.min_fragments, config.min_accesses)
         _LIBRARY.fp_load(self._counts.ctypes.data, len(_DEFRAG_FIELDS))

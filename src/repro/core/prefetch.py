@@ -14,10 +14,10 @@ conventional drive.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Deque, Optional, Tuple
 
-from repro.cache.prefetch_buffer import PrefetchBuffer
 from repro.util.units import kib_to_sectors
 
 
@@ -50,59 +50,92 @@ class PrefetchConfig:
 
 
 class LookAheadBehindPrefetcher:
-    """Prefetch-window bookkeeping for Algorithm 2.
+    """Algorithm 2's drive buffer: a bounded FIFO of ``[start, end)``
+    physical windows, with its window-read count.
 
     The translator asks :meth:`covers` before each fragment access (a hit
     is served from the buffer without moving the head) and calls
     :meth:`note_fragment_read` after each actual disk access so the
-    surrounding window becomes available to later fragments.
+    surrounding window becomes available to later fragments.  Drive
+    buffers are small ring buffers refilled continuously, so FIFO
+    replacement (not LRU) models them faithfully: the oldest window is
+    overwritten first.  The fast paths run the compiled fragment-policy
+    kernel, for which these calls are the oracle.
     """
 
     def __init__(self, config: Optional[PrefetchConfig] = None) -> None:
         # A `config=PrefetchConfig()` default would be evaluated once at
         # def time and shared by every instance; build one per instance.
         config = PrefetchConfig() if config is None else config
-        self._config = config
-        self._behind = kib_to_sectors(config.behind_kib)
-        self._ahead = kib_to_sectors(config.ahead_kib)
-        self._buffer = PrefetchBuffer(
-            capacity_sectors=kib_to_sectors(config.buffer_mib * 1024)
-        )
+        self.behind_sectors = kib_to_sectors(config.behind_kib)
+        self.ahead_sectors = kib_to_sectors(config.ahead_kib)
+        #: Sectors the buffered windows may hold in total.
+        self.capacity_sectors = kib_to_sectors(config.buffer_mib * 1024)
+        self._windows: Deque[Tuple[int, int]] = deque()  # oldest first
+        self._used = 0
         self.window_reads = 0
 
-    @property
-    def behind_sectors(self) -> int:
-        return self._behind
-
-    @property
-    def ahead_sectors(self) -> int:
-        return self._ahead
-
     def covers(self, pba: int, length: int) -> bool:
-        """True if ``[pba, pba+length)`` sits inside a buffered window."""
-        return self._buffer.covers(pba, length)
+        """True if some buffered window contains all of ``[pba, pba+length)``.
+
+        Containment within a single window is required: drive buffer
+        segments are independent ring slots, not a coalesced cache.
+        """
+        if length <= 0:
+            raise ValueError(f"length must be > 0, got {length}")
+        end = pba + length
+        return any(start <= pba and end <= w_end for start, w_end in self._windows)
 
     def note_fragment_read(self, pba: int, length: int) -> None:
         """Record that the drive read a fragment at ``pba`` from the media.
 
         Buffers the look-behind + fragment + look-ahead window around it
-        (PreFetch(fetchRegion); DoRead(pba); PostFetch(fetchRegion)).
+        (PreFetch(fetchRegion); DoRead(pba); PostFetch(fetchRegion)),
+        clipped at pba 0 and, when larger than the whole buffer, truncated
+        to its tail (nearest the head's final position); then drops the
+        oldest windows until the buffer fits again.
         """
-        self._buffer.add_window(pba - self._behind, pba + length + self._ahead)
+        start, end = max(0, pba - self.behind_sectors), pba + length + self.ahead_sectors
+        if end <= start:
+            raise ValueError(f"empty window [{start}, {end})")
+        start = max(start, end - self.capacity_sectors)
+        self._windows.append((start, end))
+        self._used += end - start
+        while self._used > self.capacity_sectors:
+            old_start, old_end = self._windows.popleft()
+            self._used -= old_end - old_start
         self.window_reads += 1
 
     def state_dict(self) -> dict:
-        """JSON-serializable mutable state (checkpoint snapshot).
+        """JSON-serializable mutable state (checkpoint snapshot): the
+        buffered ``[start, end]`` windows, oldest first, and the count.
 
         Configuration is *not* included — restore builds a prefetcher from
         the same :class:`PrefetchConfig` and loads this state into it.
         """
         return {
-            "windows": [list(w) for w in self._buffer.windows()],
+            "windows": [[int(start), int(end)] for start, end in self._windows],
             "window_reads": self.window_reads,
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (replaces current state)."""
-        self._buffer.restore_windows(state["windows"])
+        """Restore :meth:`state_dict` output (replaces current state).
+
+        The windows must be non-empty and within capacity in total, as
+        :meth:`note_fragment_read` keeps them, so a snapshot from a
+        same-sized buffer always round-trips exactly.
+        """
+        restored: Deque[Tuple[int, int]] = deque()
+        used = 0
+        for start, end in state["windows"]:
+            start, end = int(start), int(end)
+            if end <= start or start < 0:
+                raise ValueError(f"invalid window [{start}, {end})")
+            restored.append((start, end))
+            used += end - start
+        if used > self.capacity_sectors:
+            raise ValueError(
+                f"restored windows hold {used} sectors, over capacity {self.capacity_sectors}"
+            )
+        self._windows, self._used = restored, used
         self.window_reads = int(state["window_reads"])

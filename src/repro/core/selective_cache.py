@@ -16,13 +16,15 @@ reads to new PBAs; stale cached blocks age out via LRU.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.cache.lru import LRUCache
-from repro.util.units import BYTES_PER_MIB
+from repro.util.units import BLOCK_SECTORS, BYTES_PER_MIB, SECTOR_BYTES
+
+_BLOCK_BYTES = BLOCK_SECTORS * SECTOR_BYTES
 
 
 @dataclass(frozen=True)
@@ -42,37 +44,64 @@ class SelectiveCacheConfig:
 
 
 class SelectiveFragmentCache:
-    """Hit/miss bookkeeping for Algorithm 3.
+    """Algorithm 3's cache: an LRU set of 4 KiB blocks keyed by block
+    index and bounded in bytes, with its hit/miss counts.
 
     The translator consults :meth:`lookup` for each fragment of a
     fragmented read (CheckCache); misses are read from disk and admitted
     via :meth:`admit` (ReadDisk + WriteCache).  Unfragmented reads bypass
-    the cache entirely, per the algorithm's ``FragmentedRead`` guard.
+    the cache entirely, per the algorithm's ``FragmentedRead`` guard.  A
+    physical range is a *hit* only when every block covering it is
+    resident — the same hit/miss semantics as caching whole fragments,
+    with simpler bookkeeping (see DESIGN.md §7).  The fast paths run the
+    compiled fragment-policy kernel, for which these calls are the oracle.
     """
 
     def __init__(self, config: Optional[SelectiveCacheConfig] = None) -> None:
         # A `config=SelectiveCacheConfig()` default would be evaluated once
         # at def time and shared by every instance; build one per instance.
         config = SelectiveCacheConfig() if config is None else config
-        self._lru = LRUCache(capacity_bytes=int(config.capacity_mib * BYTES_PER_MIB))
-        self.hits = 0
-        self.misses = 0
+        capacity_bytes = int(config.capacity_mib * BYTES_PER_MIB)
+        if capacity_bytes < _BLOCK_BYTES:
+            raise ValueError(
+                f"capacity_bytes {capacity_bytes} below one block ({_BLOCK_BYTES})"
+            )
+        self.capacity_blocks = capacity_bytes // _BLOCK_BYTES
+        self._blocks: "OrderedDict[int, None]" = OrderedDict()  # LRU first
+        self.evictions = self.hits = self.misses = 0
 
-    @property
-    def capacity_blocks(self) -> int:
-        return self._lru.capacity_blocks
+    def _block_range(self, pba: int, length: int) -> range:
+        if length <= 0:
+            raise ValueError(f"length must be > 0, got {length}")
+        if pba < 0:
+            raise ValueError(f"pba must be >= 0, got {pba}")
+        return range(pba // BLOCK_SECTORS, (pba + length - 1) // BLOCK_SECTORS + 1)
 
     def lookup(self, pba: int, length: int) -> bool:
-        """CheckCache: True (and refresh recency) if the fragment is resident."""
-        if self._lru.hit_and_touch(pba, length):
+        """CheckCache: True, and every covering block made most recently
+        used, iff all of them are resident; on a miss nothing is touched."""
+        blocks = self._blocks
+        covering = self._block_range(pba, length)
+        if all(block in blocks for block in covering):
+            for block in covering:
+                blocks.move_to_end(block)
             self.hits += 1
             return True
         self.misses += 1
         return False
 
     def admit(self, pba: int, length: int) -> None:
-        """WriteCache: admit a fragment just read from disk."""
-        self._lru.insert_range(pba, length)
+        """WriteCache: insert (or refresh) every block covering a fragment
+        just read from disk, then evict LRU blocks down to the budget."""
+        blocks = self._blocks
+        for block in self._block_range(pba, length):
+            if block in blocks:
+                blocks.move_to_end(block)
+            else:
+                blocks[block] = None
+        while len(blocks) > self.capacity_blocks:
+            blocks.popitem(last=False)
+            self.evictions += 1
 
     def state_dict(self) -> dict:
         """Mutable state (checkpoint snapshot): the resident blocks as an
@@ -82,15 +111,24 @@ class SelectiveFragmentCache:
         same :class:`SelectiveCacheConfig` and loads this state into it.
         """
         return {
-            "blocks": np.asarray(self._lru.resident_blocks(), dtype=np.int64),
-            "evictions": self._lru.evictions,
+            "blocks": np.asarray(list(self._blocks), dtype=np.int64),
+            "evictions": self.evictions,
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (replaces current state)."""
+        """Restore :meth:`state_dict` output (replaces current state).
+
+        The blocks must fit the capacity — restore never evicts, so a
+        snapshot from a same-sized cache always round-trips exactly.
+        """
         blocks = np.asarray(state["blocks"], dtype=np.int64).tolist()
-        self._lru.restore_blocks(blocks, evictions=state["evictions"])
+        if len(blocks) > self.capacity_blocks:
+            raise ValueError(f"{len(blocks)} blocks exceed capacity {self.capacity_blocks}")
+        if len(set(blocks)) != len(blocks):
+            raise ValueError("restored block list contains duplicates")
+        self._blocks = OrderedDict.fromkeys(blocks)
+        self.evictions = int(state["evictions"])
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])

@@ -422,7 +422,7 @@ def cache_hit_thresholds(stream: FragmentStream) -> Tuple[np.ndarray, np.ndarray
     block get a sentinel larger than any real capacity.
 
     This is sound because the cache's recency timeline is
-    capacity-independent: whether a fragment hits (``touch_range``) or
+    capacity-independent: whether a fragment hits (``lookup``) or
     misses (``admit``), all its blocks end up most-recently-used in block
     order, so a capacity-``c`` cache always holds exactly the ``c`` most
     recently touched distinct blocks (LRU stack inclusion) and residency
@@ -448,7 +448,7 @@ def cache_hit_thresholds(stream: FragmentStream) -> Tuple[np.ndarray, np.ndarray
     firsts = first_blocks.tolist()
     lasts = last_blocks.tolist()
     for position, (first, last) in enumerate(zip(firsts, lasts)):
-        # Rank phase: the state is frozen while contains_range() checks.
+        # Rank phase: the state is frozen while lookup() checks.
         worst = 0
         for block in range(first, last + 1):
             touched_at = last_touch.get(block)
@@ -533,23 +533,18 @@ def stream_windowed_long_seeks(stream: FragmentStream, window_ops: int = 1000) -
     window the trace touches (the recorder observes all requests, seeking
     or not), so its length is ``(n_requests - 1) // window_ops + 1``.
     """
-    from repro.analysis.fast import LONG_SEEK_KIB
-    from repro.util.units import kib_to_sectors
+    from repro.analysis.fast import windowed_long_seeks
 
-    if window_ops <= 0:
-        raise ValueError(f"window_ops must be > 0, got {window_ops}")
-    n_requests = stream.reads + stream.writes
-    min_seek = kib_to_sectors(LONG_SEEK_KIB)
-    counts = np.zeros((n_requests - 1) // window_ops + 1, dtype=np.int64)
-    head = None
-    for lo in range(0, stream.accesses, _SLAB):
-        hi = lo + _SLAB
-        seek, distances, _kinds, head = classify_seeks(
-            stream.pba[lo:hi], stream.length[lo:hi], stream.kind[lo:hi], head
-        )
-        long = lo + np.flatnonzero(seek)[np.abs(distances) >= min_seek]
-        np.add.at(counts, stream.op_index[long] // window_ops, 1)
-    return counts.tolist()
+    def seeks():  # slab by slab, the head carried across
+        head = None
+        for lo in range(0, stream.accesses, _SLAB):
+            hi = lo + _SLAB
+            seek, distances, _kinds, head = classify_seeks(
+                stream.pba[lo:hi], stream.length[lo:hi], stream.kind[lo:hi], head
+            )
+            yield stream.op_index[lo:hi][seek], distances
+
+    return windowed_long_seeks(seeks(), stream.reads + stream.writes, window_ops)
 
 
 def stream_fragment_stats(stream: FragmentStream) -> List[Tuple[int, int]]:

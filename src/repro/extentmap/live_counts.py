@@ -27,6 +27,8 @@ invalidation batch at once.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 
@@ -75,34 +77,34 @@ class ZoneLiveCounts:
             pba = zone_end
             zone_id += 1
 
+    def _per_zone(self, pba, length) -> Tuple[np.ndarray, np.ndarray]:
+        """``(zone_ids, sectors)``: ranges ``[pba, pba+length)`` split into
+        one piece per zone they touch."""
+        pba = np.asarray(pba, dtype=np.int64)
+        length = np.asarray(length, dtype=np.int64)
+        zone_sectors = self._zone_sectors
+        end = pba + length
+        first_zone = pba // zone_sectors
+        reps = (end - 1) // zone_sectors - first_zone + 1
+        total = int(reps.sum())
+        if total == len(pba):
+            # Common case: no range crosses a zone boundary.
+            return first_zone, length
+        offsets = np.zeros(len(pba), dtype=np.int64)
+        np.cumsum(reps[:-1], out=offsets[1:])
+        intra = np.arange(total, dtype=np.int64) - offsets.repeat(reps)
+        zone_ids = first_zone.repeat(reps) + intra
+        piece_start = np.maximum(pba.repeat(reps), zone_ids * zone_sectors)
+        piece_end = np.minimum(end.repeat(reps), (zone_ids + 1) * zone_sectors)
+        return zone_ids, piece_end - piece_start
+
     def decrement_ranges(self, pba: np.ndarray, length: np.ndarray) -> None:
         """Invalidate many ``[pba, pba+length)`` ranges in one scatter-add.
 
         Equivalent to calling :meth:`decrement_range` per range (see the
         module docstring for why clamp-at-the-end is exact here).
         """
-        pba = np.asarray(pba, dtype=np.int64)
-        length = np.asarray(length, dtype=np.int64)
-        if pba.size == 0:
-            return
-        zone_sectors = self._zone_sectors
-        end = pba + length
-        first_zone = pba // zone_sectors
-        last_zone = (end - 1) // zone_sectors
-        reps = last_zone - first_zone + 1
-        total = int(reps.sum())
-        if total == len(pba):
-            # Common case: no range crosses a zone boundary.
-            np.subtract.at(self._counts, first_zone, length)
-        else:
-            # Expand each range into one row per zone it touches.
-            offsets = np.zeros(len(pba), dtype=np.int64)
-            np.cumsum(reps[:-1], out=offsets[1:])
-            intra = np.arange(total, dtype=np.int64) - offsets.repeat(reps)
-            zone_ids = first_zone.repeat(reps) + intra
-            piece_start = np.maximum(pba.repeat(reps), zone_ids * zone_sectors)
-            piece_end = np.minimum(end.repeat(reps), (zone_ids + 1) * zone_sectors)
-            np.subtract.at(self._counts, zone_ids, piece_end - piece_start)
+        np.subtract.at(self._counts, *self._per_zone(pba, length))
         np.maximum(self._counts, 0, out=self._counts)
 
     def recompute_from_extents(self, pba: np.ndarray, length: np.ndarray) -> None:
@@ -119,25 +121,5 @@ class ZoneLiveCounts:
         (extent ``pba`` minus the frontier base, identity-region extents
         excluded); extents split per zone like the decrement paths.
         """
-        counts = self._counts
-        counts[:] = 0
-        pba = np.asarray(pba, dtype=np.int64)
-        length = np.asarray(length, dtype=np.int64)
-        if pba.size == 0:
-            return
-        zone_sectors = self._zone_sectors
-        end = pba + length
-        first_zone = pba // zone_sectors
-        last_zone = (end - 1) // zone_sectors
-        reps = last_zone - first_zone + 1
-        total = int(reps.sum())
-        if total == len(pba):
-            np.add.at(counts, first_zone, length)
-            return
-        offsets = np.zeros(len(pba), dtype=np.int64)
-        np.cumsum(reps[:-1], out=offsets[1:])
-        intra = np.arange(total, dtype=np.int64) - offsets.repeat(reps)
-        zone_ids = first_zone.repeat(reps) + intra
-        piece_start = np.maximum(pba.repeat(reps), zone_ids * zone_sectors)
-        piece_end = np.minimum(end.repeat(reps), (zone_ids + 1) * zone_sectors)
-        np.add.at(counts, zone_ids, piece_end - piece_start)
+        self._counts[:] = 0
+        np.add.at(self._counts, *self._per_zone(pba, length))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.fast import misorder_rate_fast, nols_seek_counts, nols_seek_distances
+from repro.analysis.fast import misorder_rate_fast, nols_seek_distances
 from repro.analysis.incremental import IncrementalNolsBaseline
 from repro.analysis.misorder import misorder_rate
 from repro.core.config import NOLS, build_translator
@@ -33,32 +33,41 @@ traces = st.lists(
 )
 
 
+def baseline_counts(trace, cut=None):
+    """``IncrementalNolsBaseline`` fed ``trace`` in batches of ``cut`` ops."""
+    baseline = IncrementalNolsBaseline()
+    columns = trace.as_arrays()
+    cut = cut or max(1, len(trace))
+    for start in range(0, len(trace) + cut, cut):  # an empty last batch too
+        baseline.feed_arrays(*(column[start:start + cut] for column in columns))
+    assert baseline.ops == len(trace)
+    return baseline.counts()
+
+
+def reference_counts(trace):
+    """Seeks of the per-op ``InPlaceTranslator`` replay."""
+    stats = replay(trace, build_translator(trace, NOLS)).stats
+    return stats.read_seeks, stats.write_seeks
+
+
 class TestSeekCounts:
     def test_empty(self):
-        assert nols_seek_counts(Trace([])) == (0, 0)
+        assert baseline_counts(Trace([])) == (0, 0)
 
     def test_single_op(self):
-        assert nols_seek_counts(Trace([IORequest.read(0, 8)])) == (0, 0)
+        assert baseline_counts(Trace([IORequest.read(0, 8)])) == (0, 0)
 
-    @given(trace=traces)
+    @given(trace=traces, cut=st.integers(min_value=1, max_value=7))
     @settings(max_examples=150, deadline=None)
-    def test_matches_reference_replay(self, trace):
-        stats = replay(trace, build_translator(trace, NOLS)).stats
-        read_seeks, write_seeks = nols_seek_counts(trace)
-        assert (read_seeks, write_seeks) == (stats.read_seeks, stats.write_seeks)
+    def test_matches_reference_replay(self, trace, cut):
+        assert baseline_counts(trace, cut) == reference_counts(trace)
 
     def test_on_archetype(self):
-        trace = synthesize_workload("ts_0", seed=3, scale=0.1)
-        stats = replay(trace, build_translator(trace, NOLS)).stats
-        assert nols_seek_counts(trace) == (stats.read_seeks, stats.write_seeks)
-        # The streaming baseline a session keeps equals the one-shot count,
+        # The streaming baseline a session keeps equals the per-op replay,
         # however the stream is cut, an empty last batch included.
-        baseline = IncrementalNolsBaseline()
-        columns = trace.as_arrays()
+        trace = synthesize_workload("ts_0", seed=3, scale=0.1)
         assert len(trace) % 997
-        for cut in range(0, len(trace) + 997, 997):
-            baseline.feed_arrays(*(column[cut:cut + 997] for column in columns))
-        assert baseline.counts() == nols_seek_counts(trace)
+        assert baseline_counts(trace, 997) == reference_counts(trace)
 
 
 class TestSeekDistances:

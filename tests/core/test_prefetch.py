@@ -13,6 +13,22 @@ def small_prefetcher(behind_kib=4.0, ahead_kib=4.0):
     )
 
 
+def ring(capacity_sectors, *windows):
+    """A prefetcher whose windows are the fragment plus one sector each
+    side, after buffering each ``(start, end)`` window in turn."""
+    pf = LookAheadBehindPrefetcher(
+        PrefetchConfig(behind_kib=0.5, ahead_kib=0.5, buffer_mib=capacity_sectors / 2048)
+    )
+    for start, end in windows:
+        pf.note_fragment_read(start + 1, end - start - 2)
+    return pf
+
+
+def windows(pf):
+    """The buffered ``[start, end]`` windows, oldest first."""
+    return pf.state_dict()["windows"]
+
+
 class TestPrefetchConfig:
     def test_defaults_match_paper_horizon(self):
         config = PrefetchConfig()
@@ -46,6 +62,70 @@ class TestWindowBookkeeping:
         pf.note_fragment_read(0, 8)
         pf.note_fragment_read(100, 8)
         assert pf.window_reads == 2
+
+
+class TestWindowBuffer:
+    def test_empty_covers_nothing(self):
+        assert not ring(1000).covers(0, 1)
+
+    def test_window_covers_contained_range(self):
+        buf = ring(1000, (100, 200))
+        assert buf.covers(100, 100) and buf.covers(150, 10)
+        assert not buf.covers(99, 2) and not buf.covers(195, 10)
+
+    def test_range_spanning_two_windows_not_covered(self):
+        buf = ring(1000, (0, 100), (100, 200))
+        assert not buf.covers(50, 100)  # single-window containment required
+
+    def test_negative_start_clamped(self):
+        assert windows(ring(1000, (-50, 100))) == [[0, 100]]
+
+    def test_oldest_window_evicted(self):
+        buf = ring(200, (0, 100), (1000, 1100), (2000, 2100))  # the third evicts [0, 100)
+        assert windows(buf) == [[1000, 1100], [2000, 2100]]
+
+    def test_windows_listed_oldest_first(self):
+        assert windows(ring(500, (0, 100), (200, 300))) == [[0, 100], [200, 300]]
+
+    def test_oversized_window_truncated_to_tail(self):
+        assert windows(ring(100, (0, 1000))) == [[900, 1000]]
+
+    def test_bad_capacity(self):
+        with pytest.raises(ValueError, match="buffer_mib must be > 0, got 0"):
+            PrefetchConfig(buffer_mib=0)
+        assert ring(0.5).capacity_sectors == 1  # a sub-sector buffer rounds up
+
+    def test_empty_window(self):
+        buf = ring(100)
+        with pytest.raises(ValueError, match=r"empty window \[10, 10\)"):
+            buf.note_fragment_read(11, -2)
+        assert buf.window_reads == 0
+
+    def test_bad_covers_args(self):
+        with pytest.raises(ValueError, match="length must be > 0, got 0"):
+            ring(100).covers(0, 0)
+
+
+class TestCheckpointState:
+    def test_state_after_a_fixed_sequence(self):
+        # 2-sector look-behind, 4-sector look-ahead, a 64-sector buffer.
+        pf = LookAheadBehindPrefetcher(
+            PrefetchConfig(behind_kib=1.0, ahead_kib=2.0, buffer_mib=0.03125)
+        )
+        pf.note_fragment_read(1, 4)        # [0, 9): clipped at pba 0
+        pf.note_fragment_read(1000, 100)   # [1040, 1104): truncated; evicts [0, 9)
+        assert pf.covers(1040, 64)
+        pf.note_fragment_read(100, 8)      # [98, 112): evicts [1040, 1104)
+        pf.note_fragment_read(500, 30)     # [498, 534)
+        assert not pf.covers(110, 4)
+        assert pf.state_dict() == {"windows": [[98, 112], [498, 534]], "window_reads": 4}
+
+    def test_restore_checks_the_windows(self):
+        pf = ring(100)
+        for windows, error in (([[5, 5]], r"invalid window \[5, 5\)"),
+                               ([[0, 60], [100, 141]], "hold 101 sectors, over capacity 100")):
+            with pytest.raises(ValueError, match=error):
+                pf.load_state({"windows": windows, "window_reads": 0})
 
 
 class TestPrefetchInTranslator:

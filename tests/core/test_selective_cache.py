@@ -1,5 +1,6 @@
 """Translation-aware selective caching tests (Algorithm 3)."""
 
+import numpy as np
 import pytest
 
 from repro.core.selective_cache import SelectiveCacheConfig, SelectiveFragmentCache
@@ -10,6 +11,23 @@ from repro.util.units import BYTES_PER_MIB
 
 def small_cache(capacity_mib=0.0625):  # 64 KiB: eviction triggers quickly
     return SelectiveFragmentCache(SelectiveCacheConfig(capacity_mib=capacity_mib))
+
+
+def make_cache(capacity_blocks=4):  # 4 KiB blocks
+    return small_cache(capacity_blocks * 8 * 512 / BYTES_PER_MIB)
+
+
+def admitted(*ranges, capacity_blocks=4):
+    """A cache after admitting each ``(pba, length)`` range in turn."""
+    cache = make_cache(capacity_blocks)
+    for pba, length in ranges:
+        cache.admit(pba, length)
+    return cache
+
+
+def blocks(cache):
+    """Resident blocks, least recently used first."""
+    return cache.state_dict()["blocks"].tolist()
 
 
 class TestConfig:
@@ -34,11 +52,90 @@ class TestHitMissAccounting:
         assert cache.capacity_blocks == BYTES_PER_MIB // 4096
 
     def test_eviction_counted(self):
-        cache = small_cache(capacity_mib=0.0078125)  # 8 KiB = 2 blocks
-        cache.admit(0, 8)
-        cache.admit(8, 8)
-        cache.admit(16, 8)
+        cache = admitted((0, 8), (8, 8), (16, 8), capacity_blocks=2)
         assert cache.state_dict()["evictions"] == 1
+
+
+class TestLRU:
+    def test_empty_miss(self):
+        assert not make_cache().lookup(0, 8)
+
+    def test_admit_then_hit(self):
+        assert admitted((0, 8)).lookup(0, 8)
+
+    def test_partial_residency_is_miss(self):
+        assert not admitted((0, 8)).lookup(0, 16)  # needs blocks 0 and 1
+
+    def test_sub_range_hit(self):
+        assert admitted((0, 16)).lookup(4, 4)
+
+    def test_unaligned_range_covers_both_blocks(self):
+        assert blocks(admitted((4, 8))) == [0, 1]
+
+    def test_capacity_accounting(self):
+        cache = admitted((0, 8))
+        assert cache.capacity_blocks == 4 and blocks(cache) == [0]
+
+    def test_lru_eviction_order(self):
+        cache = admitted((0, 8), (8, 8), (16, 8), capacity_blocks=2)  # block 2 evicts 0
+        assert not cache.lookup(0, 8) and cache.lookup(8, 8)
+        assert cache.evictions == 1
+
+    def test_hit_refreshes_recency_and_miss_does_not(self):
+        cache = admitted((0, 8), (8, 8), capacity_blocks=2)
+        assert not cache.lookup(8, 16)  # blocks 1 and 2: recency unchanged
+        assert cache.lookup(0, 8)  # block 0 now MRU
+        cache.admit(16, 8)  # evicts block 1
+        assert blocks(cache) == [0, 2]
+
+    def test_state_blocks_are_lru_first(self):
+        cache = admitted((0, 8), (8, 8))
+        assert cache.lookup(0, 8) and blocks(cache) == [1, 0]
+
+    def test_never_exceeds_capacity(self):
+        cache = make_cache(capacity_blocks=3)
+        for i in range(20):
+            cache.admit(i * 8, 8)
+            assert len(blocks(cache)) <= 3
+
+    def test_reinsert_refreshes(self):
+        assert blocks(admitted((0, 8), (8, 8), (0, 8), (16, 8), capacity_blocks=2)) == [0, 2]
+
+    def test_capacity_below_one_block(self):
+        with pytest.raises(ValueError, match=r"capacity_bytes 100 below one block \(4096\)"):
+            small_cache(100 / BYTES_PER_MIB)
+
+    def test_bad_range(self):
+        cache = make_cache()
+        with pytest.raises(ValueError, match="length must be > 0, got 0"):
+            cache.lookup(0, 0)
+        with pytest.raises(ValueError, match="pba must be >= 0, got -1"):
+            cache.admit(-1, 8)
+        assert (cache.hits, cache.misses) == (0, 0)
+
+
+class TestCheckpointState:
+    def test_state_after_a_fixed_sequence(self):
+        cache = make_cache(capacity_blocks=3)
+        cache.admit(0, 8)                # [0]
+        cache.admit(8, 16)               # [0, 1, 2]
+        assert cache.lookup(0, 8)        # [1, 2, 0]
+        assert not cache.lookup(24, 8)
+        cache.admit(24, 8)               # [2, 0, 3], block 1 evicted
+        cache.admit(4, 8)                # [3, 0, 1], block 2 evicted
+        assert cache.lookup(8, 8)
+        assert not cache.lookup(16, 8)
+        state = cache.state_dict()
+        assert list(state) == ["blocks", "evictions", "hits", "misses"]
+        assert state["blocks"].dtype == np.int64
+        assert {**state, "blocks": state["blocks"].tolist()} == {
+            "blocks": [3, 0, 1], "evictions": 2, "hits": 2, "misses": 2}
+
+    def test_restore_checks_the_blocks(self):
+        cache = make_cache(capacity_blocks=2)
+        for restored, error in (([0, 1, 2], "3 blocks exceed capacity 2"), ([1, 1], "duplicates")):
+            with pytest.raises(ValueError, match=error):
+                cache.load_state({"blocks": restored, "evictions": 0, "hits": 0, "misses": 0})
 
 
 class TestCacheInTranslator:

@@ -1,6 +1,7 @@
 """Tripwire: ``stream_replay`` makes a constant number of Python calls
 per slab of the stream and none per fragment, a defrag ``batch_replay``
-a constant number per window of ops and none per read.
+a constant number per window of ops and none per read, and a plain
+``batch_replay`` serves runs too short to pay for a batch call op by op.
 
 The policies used to cost three to five Python-level calls per fragment
 and defrag a loop turn per read; the compiled kernel costs none, and a
@@ -17,8 +18,12 @@ import pytest
 import repro.extentmap
 from repro.core import stream as stream_module
 from repro.core.batch import _DEFRAG_WINDOW, DEFAULT_CHUNK_OPS, batch_replay
-from repro.core.config import LS_ALL, LS_CACHE, LS_DEFRAG, LS_PREFETCH, TechniqueConfig
+from repro.core.config import LS, LS_ALL, LS_CACHE, LS_DEFRAG, LS_PREFETCH, TechniqueConfig
 from repro.core.stream import record_fragment_stream, stream_replay
+from repro.extentmap.array_map import ArrayExtentMap
+from repro.extentmap.tiers import ENV_TIER
+from repro.trace.record import IORequest
+from repro.trace.trace import Trace
 from repro.workloads import get_spec, synthesize_workload
 
 MAX_PYTHON_CALLS = 200
@@ -89,3 +94,26 @@ def test_defrag_batch_replay_python_calls_are_per_window(traces, config):
     calls = [python_calls(batch_replay, trace, config, outside=EXTENT_MAP) for trace in traces]
     assert calls[1] - calls[0] <= PER_WINDOW_CALLS * (windows[1] - windows[0])
 
+
+def batch_calls(monkeypatch, trace, config) -> int:
+    """Batch calls ``batch_replay`` makes on the array map."""
+    calls = []
+    monkeypatch.delenv(ENV_TIER, raising=False)
+    for name in ("lookup_pieces_batch", "map_range_batch"):
+        method = getattr(ArrayExtentMap, name)
+        monkeypatch.setattr(ArrayExtentMap, name,
+                            lambda *args, _method=method: calls.append(1) or _method(*args))
+    batch_replay(trace, config)
+    return len(calls)
+
+
+@pytest.mark.parametrize("config", [LS, LS_CACHE], ids=lambda config: config.name)
+def test_tiny_runs_take_the_per_op_arms(monkeypatch, config):
+    # A run of one write or one read costs less op by op than through a
+    # batch entry point (_MIN_BATCH_WRITE_RUN, _MIN_BATCH_READ_RUN).
+    alternating = Trace([request(lba, 8) for lba in range(0, 4000, 8)
+                         for request in (IORequest.write, IORequest.read)])
+    assert batch_calls(monkeypatch, alternating, config) == 0
+    runs = Trace([IORequest.write(lba, 8) for lba in range(0, 4000, 8)]
+                 + [IORequest.read(lba, 16) for lba in range(0, 4000, 16)])
+    assert batch_calls(monkeypatch, runs, config) >= 1

@@ -19,7 +19,6 @@ from repro.core.selective_cache import SelectiveCacheConfig, SelectiveFragmentCa
 def test_default_cache_instances_do_not_alias() -> None:
     first = SelectiveFragmentCache()
     second = SelectiveFragmentCache()
-    assert first._lru is not second._lru
     assert first.capacity_blocks == SelectiveFragmentCache(SelectiveCacheConfig()).capacity_blocks
 
     first.admit(0, 8)
@@ -33,8 +32,9 @@ def test_default_cache_instances_do_not_alias() -> None:
 def test_default_prefetcher_instances_do_not_alias() -> None:
     first = LookAheadBehindPrefetcher()
     second = LookAheadBehindPrefetcher()
-    assert first._config is not second._config
-    assert first._config == PrefetchConfig()
+    default = LookAheadBehindPrefetcher(PrefetchConfig())
+    assert (first.behind_sectors, first.ahead_sectors, first.capacity_sectors) == (
+        default.behind_sectors, default.ahead_sectors, default.capacity_sectors)
 
     first.note_fragment_read(10_000, 8)
     assert first.window_reads == 1
@@ -46,7 +46,7 @@ def test_default_prefetcher_instances_do_not_alias() -> None:
 def test_default_defrag_instances_do_not_alias() -> None:
     first = OpportunisticDefrag(DefragConfig(min_fragments=2, min_accesses=2))
     second = OpportunisticDefrag(DefragConfig(min_fragments=2, min_accesses=2))
-    assert first._config is not second._config
+    assert first.config is not second.config
 
     assert not first.should_defragment(0, 64, fragments=3)
     assert len(first.state_dict()["access_counts"]) == 1
@@ -55,8 +55,8 @@ def test_default_defrag_instances_do_not_alias() -> None:
     assert not second.should_defragment(0, 64, fragments=3)
 
     defaults = (OpportunisticDefrag(), OpportunisticDefrag())
-    assert defaults[0]._config is not defaults[1]._config
-    assert defaults[0]._config == DefragConfig()
+    assert defaults[0].config is not defaults[1].config
+    assert defaults[0].config == DefragConfig()
 
 
 def test_explicit_config_still_respected() -> None:
@@ -65,4 +65,4 @@ def test_explicit_config_still_respected() -> None:
     prefetcher = LookAheadBehindPrefetcher(PrefetchConfig(behind_kib=64.0))
     assert prefetcher.behind_sectors == 128
     defrag = OpportunisticDefrag(DefragConfig(min_fragments=4))
-    assert defrag._config.min_fragments == 4
+    assert defrag.config.min_fragments == 4

@@ -48,17 +48,8 @@ def per_call(cache, prefetcher, fragments):
 
 def end_state(cache, prefetcher):
     return (
-        cache and {
-            "blocks": cache._lru.resident_blocks(),
-            "evictions": cache._lru.evictions,
-            "hits": cache.hits,
-            "misses": cache.misses,
-        },
-        prefetcher and {
-            "windows": prefetcher._buffer.windows(),
-            "used_sectors": prefetcher._buffer.used_sectors,
-            "window_reads": prefetcher.window_reads,
-        },
+        cache and {**cache.state_dict(), "blocks": cache.state_dict()["blocks"].tolist()},
+        prefetcher and prefetcher.state_dict(),
     )
 
 
@@ -168,7 +159,7 @@ def test_invalid_fragment_raises_what_the_per_call_api_raises(
 
 
 def test_a_fragment_wider_than_the_cache_keeps_its_tail():
-    # insert_range inserts every block, then evicts from the LRU end: a
+    # admit inserts every block, then evicts from the LRU end: a
     # fragment over more blocks than fit evicts its own head, and a
     # resident block it covers is refreshed, not evicted early.
     fragments = [(16, 8), (0, 8), (0, 40), (8, 24), (0, 8)]

@@ -40,7 +40,7 @@ def test_every_unreached_function_is_allowlisted_exactly():
     assert total, done.stdout
     # Never-run arm lines of reached functions, guards included: what the
     # last PR to lower it reached.
-    assert int(total[1]) <= 693, done.stdout
+    assert int(total[1]) <= 671, done.stdout
 
 
 def fn(name, reached):
@@ -140,11 +140,13 @@ def test_an_exact_allowlist_passes(repo):
         (EXACT[:4], "pkg.fast.other:2", "never run and not allowlisted"),
         (EXACT + ["pkg.live.used fault tests/test_tiny.py::test_kernel"], "allow:6: pkg.live",
          "stale: every function and arm in it runs"),  # say, once its arm is deleted
+        (["pkg oracle pkg.fast.kernel tests/test_tiny.py::test_kernel", *EXACT[1:]],
+         "allow:1: pkg", "not a package"),  # its modules hide what is not an oracle
     ],
     ids=["stale", "two-oracles", "fast-path-unreached", "no-such-test", "no-entry",
          "two-entries", "unpinned-item", "option-stale", "option-unlisted",
          "option-seam-no-test", "option-setting-unknown", "option-unreached", "arm-unlisted",
-         "arm-stale"],
+         "arm-stale", "package-oracle"],
 )
 def test_each_broken_rule_names_its_entry(repo, lines, entry, says):
     problems = check(lines, repo)

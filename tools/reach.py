@@ -39,8 +39,9 @@ unreached function or such an arm.  A line is one of::
                                                   an input no entry point gives
     <unit> pinned <ROADMAP item>                  kept while bench/ uses it
 
-An oracle's fast path must be reached and may not overlap another
-oracle's, a named test must exist, and only the ROADMAP items in
+An oracle is a module, class or function, never a whole package; its
+fast path must be reached and may not overlap another oracle's, a named
+test must exist, and only the ROADMAP items in
 :data:`PINNED_ITEMS` pin code.  The arms of one function may sit under
 several lines, one per test that runs some of them.
 
@@ -762,6 +763,10 @@ def violations(found: Sequence[Function], allowlist: str, repo: Path = REPO,
         if kind in ("oracle", "fault") and not names_a_test(line[-1], repo):
             problems.append(f"{where}: no test {line[-1]}")
         if kind == "oracle":
+            if any(function.module != unit and inside_of(function.module, unit)
+                   for function in inside):
+                problems.append(f"{where}: an oracle is a module, class or function, "
+                                f"not a package")
             fast = line[2]
             if not members(fast, found):
                 problems.append(f"{where}: oracle for {fast}, which is not in src/repro")
