@@ -60,7 +60,7 @@ repo-bench-pairs:
 # Physical and code lines per src/repro package, and for the two replay
 # modules; fails over LOC_BUDGET physical lines (ROADMAP aim 2: each PR
 # lowers it to what it reached, none raises it).
-LOC_BUDGET = 16068
+LOC_BUDGET = 15918
 loc:
 	$(PYTHON) tools/loc.py --max-physical $(LOC_BUDGET)
 

@@ -116,7 +116,7 @@ def characterize(trace: Trace) -> WorkloadCharacter:
         # cell is its first writer; a cell no write covers gets len(lba),
         # "written" after the trace.
         cuts, first, last = cells(first_block[write_ops], end_block[write_ops])
-        row = cover(first, last, len(cuts) - 1, np.minimum, len(write_ops))
+        row = cover(first, last, len(cuts) - 1, len(write_ops))
         writer = np.append(write_ops, len(lba))[row]
         # A written block overwrites unless it is the first write to it.
         written = int(np.diff(cuts)[row < len(write_ops)].sum())

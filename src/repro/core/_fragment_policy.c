@@ -1,11 +1,13 @@
-/* repro's compiled kernels: Algorithms 1, 2 and 3 over columns, and
- * workload synthesis.
+/* repro's compiled kernels: Algorithms 1, 2 and 3 over columns, the array
+ * extent map, and workload synthesis.
  *
  * fp_defrag() replays a window of ops on the single-frontier log under
  * opportunistic defragmentation; fp_serve() serves the fragments of
  * fragmented reads in the paper's order (cache lookup, buffer cover, disk
  * access, window insert, cache admit).  The per-call Python methods are
- * their oracle; repro/core/fragment_policy.py drives them.  wl_generate()
+ * their oracle; repro/core/fragment_policy.py drives them.  The em_*()
+ * routines are the array extent map's two levels
+ * (repro/extentmap/array_map.py); ExtentMap is their oracle.  wl_generate()
  * is the synthetic workload generator's op loop
  * (repro/workloads/generator.py); the pinned synthesis digests are its
  * oracle.
@@ -17,7 +19,8 @@
  * defrag, a Table of the access counts keyed (lba, length), linked in
  * insertion order.  A Table is a hash of table_size entries (slot + 1, 0
  * when empty; linear probing, backward-shift delete), then `capacity`
- * Nodes.  A policy not configured passes NULL.
+ * Nodes.  A policy not configured passes NULL.  The extent map is the
+ * exception: em_new() allocates its levels, em_free() releases them.
  *
  * Compiled with -fwrapv: int64 overflow wraps as numpy's does; and with
  * -ffp-contract=off: no multiply-add fuses, so every double is the one
@@ -229,8 +232,9 @@ int64_t fp_serve(const int64_t *pba, const int64_t *length, int64_t n,
     return n;
 }
 
-/* A window's appends so far as sorted, disjoint rows [lba, end) -> pba,
- * the later winning where two overlap; a piece as lookup_pieces has it. */
+/* Sorted, disjoint rows [lba, end) -> pba: a defrag window's appends so
+ * far (the later winning where two overlap), and the extent map's levels;
+ * a piece as lookup_pieces has it. */
 typedef struct { int64_t lba, end, pba; } Row;
 typedef struct { int64_t pba, length, hole; } Piece;
 
@@ -363,6 +367,238 @@ int64_t fp_defrag(int64_t *state, int64_t *work, int64_t n, int64_t p, int64_t i
     w->accesses = at;
     w->rows = rows;
     return i;
+}
+
+
+/* ---- The array extent map ------------------------------------------------
+ *
+ * repro/extentmap/array_map.py's two levels of canonical Rows (LBA-sorted,
+ * disjoint, merge-maximal): the base, and an overlay of recent writes that
+ * the base takes in one merge once it holds `threshold` rows.  ExtentMap is
+ * the oracle: the same rows and the same tilings after any writes.
+ */
+typedef struct { int64_t rows, capacity; Row *row; } Level;
+/* The counters first: array_map.py reads the leading words. */
+typedef struct {
+    int64_t threshold, flushes, reallocs, merged, moved, runs;
+    Level base, overlay;
+} Amap;
+
+/* Appends a row, joined to the last one where both are contiguous
+ * logically and physically (ExtentMap._insert_merged's rule). */
+static void push_row(Row *out, int64_t *n, Row r) {
+    Row *last = out + *n - 1;
+    if (*n && last->end == r.lba && last->pba + (r.lba - last->lba) == r.pba)
+        last->end = r.end;
+    else
+        out[(*n)++] = r;
+}
+
+/* Canonical rows of `up` laid over `low` (each sorted and disjoint; `up`
+ * wins where they overlap) into `out`, nl + 2 nu rows at most.  Returns
+ * their count. */
+static int64_t merge_over(const Row *low, int64_t nl, const Row *up, int64_t nu, Row *out) {
+    int64_t n = 0, i = 0;
+    Row cur = nl ? low[0] : (Row){0, 0, 0};  /* what is left of low[i] */
+    for (int64_t j = 0; j < nu; j++) {
+        Row u = up[j];
+        for (; i < nl && cur.end <= u.lba; cur = ++i < nl ? low[i] : cur)
+            push_row(out, &n, cur);
+        if (i < nl && cur.lba < u.lba)
+            push_row(out, &n, (Row){cur.lba, u.lba, cur.pba});
+        push_row(out, &n, u);
+        while (i < nl && cur.end <= u.end)
+            cur = ++i < nl ? low[i] : cur;
+        if (i < nl && cur.lba < u.end)
+            cur = (Row){u.end, cur.end, cur.pba + (u.end - cur.lba)};
+    }
+    for (; i < nl; cur = ++i < nl ? low[i] : cur)
+        push_row(out, &n, cur);
+    return n;
+}
+
+/* What k >= 1 writes applied in order leave mapped, as canonical rows in
+ * `out`: the later half laid over the earlier, each netted the same way
+ * (O(k log k)).  `out` and `scratch` hold 2k rows each. */
+static int64_t net(const int64_t *lba, const int64_t *pba, const int64_t *length, int64_t k,
+                   Row *out, Row *scratch) {
+    if (k == 1) {
+        out[0] = (Row){lba[0], lba[0] + length[0], pba[0]};
+        return 1;
+    }
+    int64_t half = k / 2, low = net(lba, pba, length, half, scratch, out);
+    int64_t up = net(lba + half, pba + half, length + half, k - half, scratch + 2 * half, out);
+    return merge_over(scratch, low, scratch + 2 * half, up, out);
+}
+
+/* Lays canonical rows over a level.  Only its rows under their hull, those
+ * overlapping or abutting it (so that joins at its edges stay exact), are
+ * merged (none: the rows go in as they are), and the rows behind them move
+ * once; the level grows by doubling.  Returns 0, or -1 with the level
+ * unchanged when memory ran out. */
+static int splice(Amap *m, Level *level, const Row *up, int64_t nu) {
+    int64_t i0 = first_after(level->row, level->rows, up[0].lba - 1), i1 = level->rows, mid;
+    for (int64_t lo = i0; lo < i1;)
+        if (level->row[mid = (lo + i1) / 2].lba <= up[nu - 1].end) lo = mid + 1; else i1 = mid;
+    Row *out = 0;
+    int64_t n = nu;
+    if (i1 > i0) {
+        if (!(out = malloc((i1 - i0 + 2 * nu) * sizeof(Row))))
+            return -1;
+        n = merge_over(level->row + i0, i1 - i0, up, nu, out);
+    }
+    int64_t rows = level->rows - (i1 - i0) + n, tail = level->rows - i1, base = level == &m->base;
+    if (rows > level->capacity) {
+        int64_t capacity = 1024;
+        while (capacity < rows)
+            capacity *= 2;
+        Row *grown = realloc(level->row, capacity * sizeof(Row));
+        if (!grown) {
+            free(out);
+            return -1;
+        }
+        level->row = grown;
+        level->capacity = capacity;
+        m->reallocs += base;
+    }
+    if (n != i1 - i0 && tail) {
+        memmove(level->row + i0 + n, level->row + i1, tail * sizeof(Row));
+        m->moved += base * tail;
+    }
+    memcpy(level->row + i0, out ? out : up, n * sizeof(Row));
+    free(out);
+    level->rows = rows;
+    m->merged += base * (i1 - i0);
+    return 0;
+}
+
+void *em_new(int64_t threshold) {
+    Amap *m = calloc(1, sizeof(Amap));
+    if (m)
+        m->threshold = threshold;
+    return m;
+}
+
+void em_free(Amap *m) {
+    free(m->base.row);
+    free(m->overlay.row);
+    free(m);
+}
+
+/* Merges the overlay into the base.  Returns 0, or -1 when memory ran out. */
+int64_t em_flush(Amap *m) {
+    if (!m->overlay.rows)
+        return 0;
+    if (splice(m, &m->base, m->overlay.row, m->overlay.rows))
+        return -1;
+    m->overlay.rows = 0;
+    m->flushes++;
+    return 0;
+}
+
+/* ExtentMap.map_range on rows 0..k-1 of `work` (their lba[k], pba[k] and
+ * length[k]) in order, up to the first with length <= 0 or an address < 0.
+ * A run is netted first, then laid over the overlay; a run that would fill
+ * it goes to the base with the overlay in one merge.  Returns the rows
+ * applied, or -1 when memory ran out. */
+int64_t em_write(Amap *m, const int64_t *work, int64_t k) {
+    const int64_t *lba = work, *pba = work + k, *length = work + 2 * k;
+    int64_t valid = 0, n = 0, sorted = 1, failed;
+    while (valid < k && length[valid] > 0 && lba[valid] >= 0 && pba[valid] >= 0)
+        valid++;
+    if (!valid)
+        return 0;
+    for (int64_t i = 1; i < valid && sorted; i++)
+        sorted = lba[i] >= lba[i - 1] + length[i - 1];
+    Row *run = malloc((sorted ? 1 : 4) * valid * sizeof(Row));
+    if (!run)
+        return -1;
+    if (sorted)  /* LBA-sorted and disjoint: the net is the run, joined */
+        for (int64_t i = 0; i < valid; i++)
+            push_row(run, &n, (Row){lba[i], lba[i] + length[i], pba[i]});
+    else
+        n = net(lba, pba, length, valid, run, run + 2 * valid);
+    if (m->overlay.rows + n < m->threshold) {
+        failed = splice(m, &m->overlay, run, n) ||
+                 (m->overlay.rows >= m->threshold && em_flush(m));
+    } else {
+        Row *both = run;
+        if (m->overlay.rows && (both = malloc((m->overlay.rows + 2 * n) * sizeof(Row))))
+            n = merge_over(m->overlay.row, m->overlay.rows, run, n, both);
+        failed = !both || splice(m, &m->base, both, n);
+        if (both != run)
+            free(both);
+        if (!failed) {
+            m->overlay.rows = 0;
+            m->flushes++;
+            m->runs++;
+        }
+    }
+    free(run);
+    return failed ? -1 : valid;
+}
+
+/* lookup_pieces of the nq queries in `work` (their lba[nq] and length[nq]):
+ * the overlay laid over the base, a hole at its own address, neighbours
+ * joined by ExtentMap._push_piece's rule (same kind, physically
+ * contiguous).  Writes offsets[nq + 1] next, then the pieces' pba, length
+ * and hole columns, `capacity` words each: query q's pieces are rows
+ * offsets[q]..offsets[q + 1] - 1.  Returns the queries resolved: fewer
+ * than nq at a length <= 0, or when the pieces do not fit. */
+int64_t em_resolve(const Amap *m, int64_t *work, int64_t nq, int64_t capacity) {
+    const int64_t *lba = work, *length = work + nq;
+    int64_t *offsets = work + 2 * nq, *pba = offsets + nq + 1;
+    int64_t *size = pba + capacity, *hole = size + capacity, at = 0, q;
+    const Row *base = m->base.row, *over = m->overlay.row;
+    int64_t nb = m->base.rows, no = m->overlay.rows;
+    offsets[0] = 0;
+    for (q = 0; q < nq && length[q] > 0; offsets[++q] = at) {
+        int64_t cursor = lba[q], end = lba[q] + length[q];
+        int64_t o = first_after(over, no, cursor), b = first_after(base, nb, cursor);
+        while (cursor < end) {
+            int64_t to = end, p, h = 0;
+            if (o < no && over[o].lba <= cursor) {
+                to = over[o].end < end ? over[o].end : end;
+                p = over[o].pba + (cursor - over[o].lba);
+                o++;
+            } else {
+                if (o < no && over[o].lba < end)
+                    to = over[o].lba;
+                while (b < nb && base[b].end <= cursor)
+                    b++;
+                if (b < nb && base[b].lba <= cursor) {
+                    to = base[b].end < to ? base[b].end : to;
+                    p = base[b].pba + (cursor - base[b].lba);
+                } else {
+                    to = b < nb && base[b].lba < to ? base[b].lba : to;
+                    p = cursor;
+                    h = 1;
+                }
+            }
+            if (at > offsets[q] && hole[at - 1] == h && pba[at - 1] + size[at - 1] == p) {
+                size[at - 1] += to - cursor;
+            } else if (at == capacity) {
+                return q;
+            } else {
+                pba[at] = p;
+                size[at] = to - cursor;
+                hole[at++] = h;
+            }
+            cursor = to;
+        }
+    }
+    return q;
+}
+
+/* The base's n rows (after em_flush, the map) as lba[n], pba[n] and
+ * length[n] in `work`. */
+void em_export(const Amap *m, int64_t *work) {
+    int64_t n = m->base.rows;
+    for (int64_t i = 0; i < n; i++) {
+        work[i] = m->base.row[i].lba;
+        work[n + i] = m->base.row[i].pba;
+        work[2 * n + i] = m->base.row[i].end - m->base.row[i].lba;
+    }
 }
 
 

@@ -100,11 +100,12 @@ _KIND_READ = 0
 _KIND_WRITE = 1
 _KIND_DEFRAG = 2
 
-# Run-length cutoffs below which the scalar per-op path beats the
-# vectorized batch entry points (fixed numpy-call overhead dominates on
-# tiny runs).  Purely perf knobs: both paths are exact.
+# Run-length cutoffs below which the scalar per-op path beats the batch
+# entry points (a batch call's numpy work arrays cost more than a few
+# scalar calls; tests/core/test_stream_call_count.py has the measured
+# crossovers).  Purely perf constants: both paths are exact.
 _MIN_BATCH_WRITE_RUN = 8
-_MIN_BATCH_READ_RUN = 16
+_MIN_BATCH_READ_RUN = 4
 
 #: Ops the compiled defrag loop replays per window: its reads cost one
 #: ``lookup_pieces_batch`` and its writes and rewrites one ``map_range_batch``,

@@ -8,16 +8,14 @@ the log-structured translator:
   every other tier is proven bit-identical to it, and the reference
   simulator always runs on it so gated speedup ratios stay meaningful.
 * ``"array"`` — :class:`~repro.extentmap.array_map.ArrayExtentMap`, the
-  numpy-backed two-level structure engineered for the write path.  The
+  compiled two-level structure engineered for the write path.  The
   batch replay kernels (:mod:`repro.core.batch`) and the streaming
   service select it by default.
 
 The environment variable :data:`ENV_TIER` (``REPRO_EXTENT_MAP``) forces
 one tier everywhere — both the reference and the batch paths — which is
 how the differential tests assert exhibit JSON is byte-identical across
-tiers.  A compiled tier (numba/C) would register here as a third name
-with an automatic fallback; this container intentionally ships without
-numba, so the registry only guards against unknown names.
+tiers.  The registry only guards against unknown names.
 """
 
 from __future__ import annotations

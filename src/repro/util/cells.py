@@ -1,11 +1,10 @@
 """Elementary cells of integer ranges, and range min/max over them.
 
 The boundaries of rows ``[start[i], end[i])`` cut the line into cells that
-every row covers whole or not at all.  Two column kernels reduce row
-indices over those cells: the array extent map nets a run of overwrites
-(the *last* row covering a cell wins) and the workload characterisation
-finds the *first* write to each 4 KiB block.  Both cost O(rows log rows)
-time and O(rows) scratch — never the length of the ranges.
+every row covers whole or not at all.  The workload characterisation
+reduces row indices over those cells to find the *first* write to each
+4 KiB block, in O(rows log rows) time and O(rows) scratch — never the
+length of the ranges.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ def cells(start: np.ndarray, end: np.ndarray):
     return cuts, np.searchsorted(cuts, start), np.searchsorted(cuts, end)
 
 
-def cover(first: np.ndarray, last: np.ndarray, n_cells: int, ufunc, empty: int):
-    """Per cell, ``ufunc`` (``np.minimum`` / ``np.maximum``) of the indices
-    of the rows covering it, ``empty`` where none does (every row covers at
-    least one cell).
+def cover(first: np.ndarray, last: np.ndarray, n_cells: int, empty: int):
+    """Per cell, the least index of the rows covering it, ``empty`` where
+    none does (every row covers at least one cell).
 
     A row of span ``s`` is laid down as two blocks of ``2**floor(log2 s)``
     cells at that level of a sparse table, then each level is pushed down
@@ -43,11 +41,11 @@ def cover(first: np.ndarray, last: np.ndarray, n_cells: int, ufunc, empty: int):
     out = np.full(n_cells, empty, dtype=np.int64)
     for lv in range(int(level.max(initial=-1)), -1, -1):
         rows = np.flatnonzero(level == lv)
-        ufunc.at(out, first[rows], rows)
-        ufunc.at(out, last[rows] - (1 << lv), rows)
+        np.minimum.at(out, first[rows], rows)
+        np.minimum.at(out, last[rows] - (1 << lv), rows)
         if lv:
             half = 1 << (lv - 1)
-            ufunc(out[half:], out[:-half], out=out[half:])
+            np.minimum(out[half:], out[:-half], out=out[half:])
     return out
 
 

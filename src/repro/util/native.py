@@ -1,7 +1,8 @@
 """repro's compiled kernels: one C source, built at import, loaded with ctypes.
 
 ``core/_fragment_policy.c`` holds Algorithms 1–3
-(:mod:`repro.core.fragment_policy`) and workload synthesis
+(:mod:`repro.core.fragment_policy`), the array extent map's two levels
+(:mod:`repro.extentmap.array_map`) and workload synthesis
 (:mod:`repro.workloads.generator`).  The first import builds it with the
 system ``cc`` into ``__pycache__`` beside it (a fresh temporary directory
 if that is not writable), named by a hash of the source, the flags and the

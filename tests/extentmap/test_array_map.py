@@ -1,6 +1,9 @@
 """ArrayExtentMap behavioural tests (overlay/flush model, batch entry
 points, canonical export/import, steady-state allocation tripwire)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -86,11 +89,7 @@ class TestBatchEntryPoints:
     def test_map_range_batch_equals_scalar_loop(self):
         rows = [(0, 100, 10), (3, 200, 4), (20, 300, 8), (22, 400, 2)]
         batch = ArrayExtentMap()
-        batch.map_range_batch(
-            np.array([r[0] for r in rows], dtype=np.int64),
-            np.array([r[1] for r in rows], dtype=np.int64),
-            np.array([r[2] for r in rows], dtype=np.int64),
-        )
+        batch.map_range_batch(*np.array(rows).T)
         scalar = ArrayExtentMap()
         for lba, pba, length in rows:
             scalar.map_range(lba, pba, length)
@@ -100,33 +99,39 @@ class TestBatchEntryPoints:
         amap.map_range(0, 100, 10)
         amap.map_range(3, 200, 4)
         queries = [(0, 10), (5, 2), (8, 6), (50, 3)]
-        pba, length, hole, offsets = amap.lookup_pieces_batch(
-            np.array([q[0] for q in queries], dtype=np.int64),
-            np.array([q[1] for q in queries], dtype=np.int64),
-        )
+        pba, length, hole, offsets = amap.lookup_pieces_batch(*np.array(queries).T)
         assert offsets[0] == 0 and offsets[-1] == len(pba)
         for i, (qlba, qlen) in enumerate(queries):
-            got = list(
-                zip(
-                    pba[offsets[i] : offsets[i + 1]].tolist(),
-                    length[offsets[i] : offsets[i + 1]].tolist(),
-                    hole[offsets[i] : offsets[i + 1]].tolist(),
-                )
-            )
+            rows = slice(offsets[i], offsets[i + 1])
+            got = list(zip(pba[rows].tolist(), length[rows].tolist(), hole[rows].tolist()))
             assert got == amap.lookup_pieces(qlba, qlen), (qlba, qlen)
 
     def test_lookup_pieces_batch_empty(self, amap):
-        pba, length, hole, offsets = amap.lookup_pieces_batch(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
+        pba, length, hole, offsets = amap.lookup_pieces_batch(np.empty(0), np.empty(0))
         assert len(pba) == len(length) == len(hole) == 0
         assert offsets.tolist() == [0]
 
     def test_lookup_pieces_batch_rejects_bad_length(self, amap):
         with pytest.raises(ValueError):
-            amap.lookup_pieces_batch(
-                np.array([0, 5], dtype=np.int64), np.array([4, 0], dtype=np.int64)
-            )
+            amap.lookup_pieces_batch(np.array([0, 5]), np.array([4, 0]))
+
+    def test_unequal_columns_raise_and_apply_nothing(self, amap):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            amap.map_range_batch([0, 8], [100], [8, 8])
+        with pytest.raises(ValueError, match="columns differ in length"):
+            amap.lookup_pieces_batch([0, 4, 8], [4])
+        assert amap.mapped_extent_count() == 0
+
+    def test_addresses_past_two_to_the_31_survive(self):
+        big = 2**31 + 5
+        rows = [(big, 3 * big, 2**20), (big + 8, 2**40, 8), (2**33, 2**34, 16)]
+        oracle, batch = ExtentMap(), ArrayExtentMap()
+        for row in rows:
+            oracle.map_range(*row)
+        batch.map_range_batch(*zip(*rows))
+        for lba, length in [(big - 4, 32), (2**33 - 1, 20)]:
+            assert batch.lookup_pieces(lba, length) == oracle.lookup_pieces(lba, length)
+        assert _triples(batch) == _triples(oracle)
 
 
 class TestExtentArrays:
@@ -147,6 +152,10 @@ class TestExtentArrays:
         for cls in (ArrayExtentMap, ExtentMap):
             rebuilt = cls.from_extent_arrays(*arrays)
             assert _triples(rebuilt) == _triples(amap)
+        for twin in (copy.copy(amap), pickle.loads(pickle.dumps(amap))):
+            assert _triples(twin) == _triples(amap)
+            twin.map_range(0, 0, 1)  # the twin's own levels: amap does not see it
+            assert _triples(twin) != _triples(amap)
 
     @pytest.mark.parametrize("cls", [ArrayExtentMap, ExtentMap])
     def test_from_extent_arrays_accepts_lists(self, cls):
@@ -186,3 +195,13 @@ class TestSteadyStateAllocation:
         amap.flush()
         assert amap.flush_count > flushes_before
         assert amap.realloc_count == reallocs_before
+
+    def test_growth_through_several_reallocations_keeps_every_row(self):
+        amap, rows = ArrayExtentMap(flush_threshold=64), 10_000
+        lba = np.random.default_rng(2).permutation(rows).astype(np.int64) * 16
+        for run in np.split(lba, 20):  # disjoint rows: the map only grows
+            amap.map_range_batch(run, run + 7, np.full(len(run), 8))
+        assert amap.realloc_count >= 4  # 1024 rows, then doubling to 16384
+        lba_out, pba_out, length_out = amap.extent_arrays()
+        assert (lba_out == np.sort(lba)).all() and (pba_out == lba_out + 7).all()
+        assert (length_out == 8).all()

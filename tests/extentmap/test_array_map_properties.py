@@ -2,10 +2,10 @@
 
 ExtentMap is the pure-Python differential oracle (itself proven against
 the per-sector BlockMap specification in ``tests/property``); the
-numpy-backed two-level ArrayExtentMap is the kernel tier.  Any op soup
-that makes them diverge — on scalar lookups, batch lookups, canonical
-exports, or across different flush thresholds — is a bug in the overlay
-merge, the base resolve, or the dirty-flush splice.
+compiled two-level ArrayExtentMap is the kernel tier.  Any op soup that
+makes them diverge — on scalar lookups, batch lookups, canonical exports,
+or across different flush thresholds — is a bug in the run net, the
+level merge and splice, or the compose of overlay over base.
 """
 
 from hypothesis import given, settings
@@ -85,21 +85,14 @@ class TestBatchEquivalence:
     @given(writes=write_soup, queries=query_soup, threshold=thresholds)
     @settings(max_examples=200, deadline=None)
     def test_lookup_pieces_batch_matches_scalar(self, writes, queries, threshold):
-        """The batch resolve — including the dirty-count flush heuristic
-        and the overlay splice — must equal per-query scalar lookups."""
+        """The batch resolve — the overlay composed over the base in one
+        compiled loop — must equal per-query scalar lookups."""
         amap, oracle = _build(writes, threshold)
-        lba = np.array([q[0] for q in queries], dtype=np.int64)
-        length = np.array([q[1] for q in queries], dtype=np.int64)
-        pba, piece_len, hole, offsets = amap.lookup_pieces_batch(lba, length)
+        pba, piece_len, hole, offsets = amap.lookup_pieces_batch(*np.array(queries).T)
         assert offsets[0] == 0 and offsets[-1] == len(pba)
         for i, (qlba, qlen) in enumerate(queries):
-            got = list(
-                zip(
-                    pba[offsets[i] : offsets[i + 1]].tolist(),
-                    piece_len[offsets[i] : offsets[i + 1]].tolist(),
-                    hole[offsets[i] : offsets[i + 1]].tolist(),
-                )
-            )
+            rows = slice(offsets[i], offsets[i + 1])
+            got = list(zip(pba[rows].tolist(), piece_len[rows].tolist(), hole[rows].tolist()))
             assert got == oracle.lookup_pieces(qlba, qlen), (qlba, qlen)
 
     @given(writes=write_soup, threshold=thresholds)
@@ -108,11 +101,7 @@ class TestBatchEquivalence:
         if not writes:
             return
         batch = ArrayExtentMap(flush_threshold=threshold)
-        batch.map_range_batch(
-            np.array([w[0] for w in writes], dtype=np.int64),
-            np.array([w[2] for w in writes], dtype=np.int64),
-            np.array([w[1] for w in writes], dtype=np.int64),
-        )
+        batch.map_range_batch(*np.array(writes)[:, [0, 2, 1]].T)
         _, oracle = _build(writes, threshold)
         for ours, theirs in zip(batch.extent_arrays(), oracle.extent_arrays()):
             assert np.array_equal(np.asarray(ours), np.asarray(theirs))
